@@ -6,13 +6,11 @@
 //! scheduled. The pair-wise matching makes the algorithm O(p e v)
 //! overall.
 
-use crate::list_common::{DatLanes, Machine, ReadySet};
-use crate::scheduler::{compact_for_model, gate_schedule, gate_schedule_with, Scheduler};
-use crate::workspace::Workspace;
-use fastsched_dag::{
-    attributes::static_levels, attributes::static_levels_soa_into, Cost, Dag, NodeId,
-};
-use fastsched_schedule::{data_arrival_time_with, CostModel, ProcId, Schedule};
+use crate::scheduler::Scheduler;
+use crate::workspace::{untraced, Workspace};
+use fastsched_dag::{attributes::static_levels_soa_into, Dag, NodeId};
+use fastsched_schedule::{CostModel, HomogeneousModel, ProcId, Schedule};
+use fastsched_trace::SearchTrace;
 
 /// The DLS scheduler.
 #[derive(Debug, Clone, Copy, Default)]
@@ -23,84 +21,39 @@ impl Dls {
     pub fn new() -> Self {
         Self
     }
-}
 
-/// The DLS matching loop against caller-owned state (re-initialized
-/// here), shared by the allocating [`Scheduler::schedule`] path and
-/// the workspace path.
-pub(crate) fn dls_run(
-    dag: &Dag,
-    num_procs: u32,
-    sl: &[Cost],
-    machine: &mut Machine,
-    ready: &mut ReadySet,
-    dat: &mut DatLanes,
-) {
-    machine.reset(dag.node_count(), num_procs);
-    ready.reset(dag);
-    dat.reset(dag);
-
-    while !ready.is_empty() {
-        // Maximize DL = SL - EST over the full node × processor
-        // pair scan (the published O(p e v) matching — kept
-        // unpruned on purpose; its cost is what the paper's
-        // scheduling-time comparison measures). Ties: smaller
-        // EST, then smaller id.
-        let mut best: Option<(i64, u64, u32, ProcId)> = None;
-        for &n in ready.ready() {
-            if !dat.is_valid(n) {
-                dat.fill(dag, machine, n);
-            }
-            for pi in 0..num_procs {
-                let p = ProcId(pi);
-                let est = machine.ready_time(p).max(dat.dat(dag, n, p));
-                let dl = sl[n.index()] as i64 - est as i64;
-                let better = match best {
-                    None => true,
-                    Some((bdl, best_est, bid, _)) => {
-                        (dl, u64::MAX - est, u32::MAX - n.0)
-                            > (bdl, u64::MAX - best_est, u32::MAX - bid)
-                    }
-                };
-                if better {
-                    best = Some((dl, est, n.0, p));
-                }
-            }
-        }
-        let (_, est, id, proc) = best.expect("ready set non-empty");
-        machine.place(dag, NodeId(id), proc, est);
-        ready.complete(dag, NodeId(id));
-    }
-}
-
-impl Dls {
-    /// [`Scheduler::schedule`] under an explicit [`CostModel`]: the
-    /// same dynamic-level matching (maximize `SL - EST`, ties to
-    /// smaller EST then smaller id) with message arrival and
-    /// execution time priced by `model`. Probes compute the DAT
-    /// directly rather than through the co-location-only
-    /// [`DatLanes`] cache (see [`crate::etf::Etf::schedule_with_model`]).
-    /// Under homogeneous pricing (α 0, β 1) the schedule is
-    /// byte-identical to [`Scheduler::schedule`].
-    pub fn schedule_with_model<M: CostModel + ?Sized>(
+    /// The DLS matching loop — the one scheduling core behind every
+    /// entry point. Message arrival and execution time are priced by
+    /// `model`, with the DAT-lane fast path of [`crate::etf::Etf::run`].
+    pub fn run<M: CostModel + ?Sized>(
         &self,
         dag: &Dag,
         num_procs: u32,
         model: &M,
+        ws: &mut Workspace,
+        _trace: &mut SearchTrace,
     ) -> Schedule {
         assert!(num_procs >= 1);
-        let sl = static_levels(dag);
-        let mut machine = Machine::new(dag.node_count(), num_procs);
-        let mut ready = ReadySet::new(dag);
+        static_levels_soa_into(dag, &mut ws.attr_lanes, &mut ws.level);
+        let (sl, machine, ready, dat) =
+            (&ws.level, &mut ws.machine, &mut ws.ready_set, &mut ws.dat);
+        machine.reset(dag.node_count(), num_procs);
+        ready.reset(dag);
+        dat.reset(dag, model);
 
         while !ready.is_empty() {
+            // Maximize DL = SL - EST over the full node × processor
+            // pair scan (the published O(p e v) matching — kept
+            // unpruned on purpose; its cost is what the paper's
+            // scheduling-time comparison measures). Ties: smaller
+            // EST, then smaller id.
             let mut best: Option<(i64, u64, u32, ProcId)> = None;
             for &n in ready.ready() {
                 for pi in 0..num_procs {
                     let p = ProcId(pi);
-                    let dat =
-                        data_arrival_time_with(model, dag, n, p, &machine.finish, &machine.proc);
-                    let est = machine.ready_time(p).max(dat);
+                    let est = machine
+                        .ready_time(p)
+                        .max(dat.probe(model, dag, machine, n, p));
                     let dl = sl[n.index()] as i64 - est as i64;
                     let better = match best {
                         None => true,
@@ -119,9 +72,18 @@ impl Dls {
             machine.place_with_duration(n, proc, est, model.compute_cost(dag, n, proc));
             ready.complete(dag, n);
         }
-        let s = compact_for_model(model, machine.into_schedule(dag));
-        gate_schedule_with(self.name(), model, dag, &s);
-        s
+        ws.machine.write_schedule(dag, &mut ws.staging);
+        ws.finish(self.name(), model, dag)
+    }
+
+    /// [`Self::run`] under `model` with fresh scratch.
+    pub fn schedule_with_model<M: CostModel + ?Sized>(
+        &self,
+        dag: &Dag,
+        procs: u32,
+        model: &M,
+    ) -> Schedule {
+        self.run(dag, procs, model, &mut Workspace::new(), &mut untraced())
     }
 }
 
@@ -131,33 +93,11 @@ impl Scheduler for Dls {
     }
 
     fn schedule(&self, dag: &Dag, num_procs: u32) -> Schedule {
-        assert!(num_procs >= 1);
-        let sl = static_levels(dag);
-        let mut machine = Machine::new(dag.node_count(), num_procs);
-        let mut ready = ReadySet::new(dag);
-        let mut dat = DatLanes::new();
-        dls_run(dag, num_procs, &sl, &mut machine, &mut ready, &mut dat);
-        let s = machine.into_schedule(dag).compact();
-        gate_schedule(self.name(), dag, &s);
-        s
+        self.schedule_into(dag, num_procs, &mut Workspace::new())
     }
 
     fn schedule_into(&self, dag: &Dag, num_procs: u32, ws: &mut Workspace) -> Schedule {
-        assert!(num_procs >= 1);
-        static_levels_soa_into(dag, &mut ws.attr_lanes, &mut ws.static_level);
-        dls_run(
-            dag,
-            num_procs,
-            &ws.static_level,
-            &mut ws.machine,
-            &mut ws.ready_set,
-            &mut ws.dat,
-        );
-        let mut out = ws.take_schedule();
-        ws.machine.write_schedule(dag, &mut ws.staging);
-        ws.staging.compact_into(&mut ws.compact, &mut out);
-        gate_schedule(self.name(), dag, &out);
-        out
+        self.run(dag, num_procs, &HomogeneousModel, ws, &mut untraced())
     }
 }
 

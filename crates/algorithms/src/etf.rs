@@ -6,11 +6,11 @@
 //! smallest start time is scheduled; ties are broken in favour of the
 //! node with the higher static level. O(p v²).
 
-use crate::list_common::{DatLanes, Machine, ReadySet};
-use crate::scheduler::{compact_for_model, gate_schedule, gate_schedule_with, Scheduler};
-use crate::workspace::Workspace;
-use fastsched_dag::{attributes::static_levels, attributes::static_levels_soa_into, Cost, Dag};
-use fastsched_schedule::{data_arrival_time_with, CostModel, ProcId, Schedule};
+use crate::scheduler::Scheduler;
+use crate::workspace::{untraced, Workspace};
+use fastsched_dag::{attributes::static_levels_soa_into, Cost, Dag, NodeId};
+use fastsched_schedule::{CostModel, HomogeneousModel, ProcId, Schedule};
+use fastsched_trace::SearchTrace;
 
 /// The ETF scheduler.
 #[derive(Debug, Clone, Copy, Default)]
@@ -21,83 +21,42 @@ impl Etf {
     pub fn new() -> Self {
         Self
     }
-}
 
-/// The ETF selection loop against caller-owned state: `machine`,
-/// `ready` and the flat per-node [`DatLanes`] are re-initialized here
-/// and filled by running the algorithm to completion. Shared by the
-/// allocating [`Scheduler::schedule`] path and the workspace path.
-pub(crate) fn etf_run(
-    dag: &Dag,
-    num_procs: u32,
-    sl: &[Cost],
-    machine: &mut Machine,
-    ready: &mut ReadySet,
-    dat: &mut DatLanes,
-) {
-    machine.reset(dag.node_count(), num_procs);
-    ready.reset(dag);
-    // A node's lane entry is final once it is ready (parents all
-    // placed); the flat arrays are refilled in place, never dropped.
-    dat.reset(dag);
-
-    while !ready.is_empty() {
-        // Global minimum over ready-node × processor pairs — the
-        // published O(p v²) pair scan. The DAT lanes keep each
-        // probe O(1); the scan itself is deliberately not pruned,
-        // because the pair-scan cost *is* the algorithm the
-        // paper's scheduling-time comparison measures.
-        let mut best: Option<(Cost, Cost, u32, ProcId)> = None; // (est, -sl, id, proc)
-        for &n in ready.ready() {
-            if !dat.is_valid(n) {
-                dat.fill(dag, machine, n);
-            }
-            for pi in 0..num_procs {
-                let p = ProcId(pi);
-                let est = machine.ready_time(p).max(dat.dat(dag, n, p));
-                let key = (est, Cost::MAX - sl[n.index()], n.0);
-                match best {
-                    Some((e, s, i, _)) if (e, s, i) <= key => {}
-                    _ => best = Some((key.0, key.1, key.2, p)),
-                }
-            }
-        }
-        let (est, _, id, proc) = best.expect("ready set non-empty");
-        let n = fastsched_dag::NodeId(id);
-        machine.place(dag, n, proc, est);
-        ready.complete(dag, n);
-    }
-}
-
-impl Etf {
-    /// [`Scheduler::schedule`] under an explicit [`CostModel`]: the
-    /// same O(p v²) pair scan with the same `(EST, static level, id)`
-    /// tie-breaking, but every probe prices the message arrival and
-    /// execution time through `model`. The flat [`DatLanes`] cache is
-    /// *not* used here — its remote-bound/parent-exception structure
-    /// assumes message cost depends only on co-location, which
-    /// hierarchical models violate — so each probe computes the DAT
-    /// directly. Under a model with homogeneous pricing (α 0, β 1)
-    /// the schedule is byte-identical to [`Scheduler::schedule`].
-    pub fn schedule_with_model<M: CostModel + ?Sized>(
+    /// The ETF selection loop — the one scheduling core behind every
+    /// entry point. Every probe prices message arrival and execution
+    /// time through `model`; under a model whose message price depends
+    /// only on co-location the probes read the flat per-node DAT lanes
+    /// ([`crate::list_common::DatLanes`]), otherwise they walk the
+    /// parents. Scratch comes from `ws`; ETF has no search to trace.
+    pub fn run<M: CostModel + ?Sized>(
         &self,
         dag: &Dag,
         num_procs: u32,
         model: &M,
+        ws: &mut Workspace,
+        _trace: &mut SearchTrace,
     ) -> Schedule {
         assert!(num_procs >= 1);
-        let sl = static_levels(dag);
-        let mut machine = Machine::new(dag.node_count(), num_procs);
-        let mut ready = ReadySet::new(dag);
+        static_levels_soa_into(dag, &mut ws.attr_lanes, &mut ws.level);
+        let (sl, machine, ready, dat) =
+            (&ws.level, &mut ws.machine, &mut ws.ready_set, &mut ws.dat);
+        machine.reset(dag.node_count(), num_procs);
+        ready.reset(dag);
+        dat.reset(dag, model);
 
         while !ready.is_empty() {
+            // Global minimum over ready-node × processor pairs — the
+            // published O(p v²) pair scan. The DAT lanes keep each
+            // probe O(1); the scan itself is deliberately not pruned,
+            // because the pair-scan cost *is* the algorithm the
+            // paper's scheduling-time comparison measures.
             let mut best: Option<(Cost, Cost, u32, ProcId)> = None; // (est, -sl, id, proc)
             for &n in ready.ready() {
                 for pi in 0..num_procs {
                     let p = ProcId(pi);
-                    let dat =
-                        data_arrival_time_with(model, dag, n, p, &machine.finish, &machine.proc);
-                    let est = machine.ready_time(p).max(dat);
+                    let est = machine
+                        .ready_time(p)
+                        .max(dat.probe(model, dag, machine, n, p));
                     let key = (est, Cost::MAX - sl[n.index()], n.0);
                     match best {
                         Some((e, s, i, _)) if (e, s, i) <= key => {}
@@ -106,13 +65,22 @@ impl Etf {
                 }
             }
             let (est, _, id, proc) = best.expect("ready set non-empty");
-            let n = fastsched_dag::NodeId(id);
+            let n = NodeId(id);
             machine.place_with_duration(n, proc, est, model.compute_cost(dag, n, proc));
             ready.complete(dag, n);
         }
-        let s = compact_for_model(model, machine.into_schedule(dag));
-        gate_schedule_with(self.name(), model, dag, &s);
-        s
+        ws.machine.write_schedule(dag, &mut ws.staging);
+        ws.finish(self.name(), model, dag)
+    }
+
+    /// [`Self::run`] under `model` with fresh scratch.
+    pub fn schedule_with_model<M: CostModel + ?Sized>(
+        &self,
+        dag: &Dag,
+        procs: u32,
+        model: &M,
+    ) -> Schedule {
+        self.run(dag, procs, model, &mut Workspace::new(), &mut untraced())
     }
 }
 
@@ -122,33 +90,11 @@ impl Scheduler for Etf {
     }
 
     fn schedule(&self, dag: &Dag, num_procs: u32) -> Schedule {
-        assert!(num_procs >= 1);
-        let sl = static_levels(dag);
-        let mut machine = Machine::new(dag.node_count(), num_procs);
-        let mut ready = ReadySet::new(dag);
-        let mut dat = DatLanes::new();
-        etf_run(dag, num_procs, &sl, &mut machine, &mut ready, &mut dat);
-        let s = machine.into_schedule(dag).compact();
-        gate_schedule(self.name(), dag, &s);
-        s
+        self.schedule_into(dag, num_procs, &mut Workspace::new())
     }
 
     fn schedule_into(&self, dag: &Dag, num_procs: u32, ws: &mut Workspace) -> Schedule {
-        assert!(num_procs >= 1);
-        static_levels_soa_into(dag, &mut ws.attr_lanes, &mut ws.static_level);
-        etf_run(
-            dag,
-            num_procs,
-            &ws.static_level,
-            &mut ws.machine,
-            &mut ws.ready_set,
-            &mut ws.dat,
-        );
-        let mut out = ws.take_schedule();
-        ws.machine.write_schedule(dag, &mut ws.staging);
-        ws.staging.compact_into(&mut ws.compact, &mut out);
-        gate_schedule(self.name(), dag, &out);
-        out
+        self.run(dag, num_procs, &HomogeneousModel, ws, &mut untraced())
     }
 }
 

@@ -16,24 +16,40 @@
 //! producing makespans bit-identical to a full O(v + e) replay — the
 //! search trajectory is unchanged, only cheaper.
 
-use crate::scheduler::{compact_for_model, gate_schedule, gate_schedule_with, Scheduler};
-use crate::workspace::Workspace;
+use crate::scheduler::Scheduler;
+use crate::workspace::{lend_eval, return_eval, untraced, Workspace};
 use fastsched_dag::{
-    classify_nodes, classify_nodes_into, cpn_dominate_list, cpn_dominate_list_into, CpnListConfig,
-    Dag, GraphAttributes, NodeClass, NodeId, ObnOrder,
+    classify_nodes_into, cpn_dominate_list_into, CpnListConfig, Dag, GraphAttributes, NodeId,
+    ObnOrder,
 };
-use fastsched_schedule::{CostModel, DeltaEvaluator, ProcId, Schedule};
+use fastsched_schedule::{CostModel, DeltaEvaluator, HomogeneousModel, ProcId, Schedule};
 use fastsched_trace::SearchTrace;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// The `InitialSchedule()` placement loop of §4.2, writing through
-/// caller-owned buffers (all cleared + resized here) so both the
-/// allocating [`Fast::initial_schedule`] wrapper and the
-/// zero-allocation workspace path share one implementation. The
-/// schedule is reset in place and every node of `list` placed.
+/// The `InitialSchedule()` placement loop of §4.2 under `model`,
+/// writing through caller-owned buffers (all cleared + resized here).
+/// The schedule is reset in place and every node of `list` placed;
+/// message arrival and execution time are priced by `model`.
+///
+/// When the model carries finite memory capacities
+/// ([`CostModel::has_capacities`]) the probe loop rejects
+/// over-capacity placements: candidates whose lane cannot hold the
+/// node's footprint are dropped, and if that empties the §4.2
+/// candidate set the probe widens to every processor with room
+/// (earliest start, ties to the lower id). `proc_mem` holds the
+/// per-processor resident sums; with no finite capacity the loop never
+/// reads it.
+///
+/// # Panics
+///
+/// Panics when no processor can hold a node's footprint — the
+/// instance is memory-infeasible for a greedy list scheduler and any
+/// returned schedule would be rejected by the validator's capacity
+/// pass anyway.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn place_by_list(
+pub(crate) fn place_by_list<M: CostModel + ?Sized>(
+    model: &M,
     dag: &Dag,
     list: &[NodeId],
     num_procs: u32,
@@ -42,6 +58,7 @@ pub(crate) fn place_by_list(
     assignment: &mut Vec<ProcId>,
     placed: &mut Vec<bool>,
     candidates: &mut Vec<ProcId>,
+    proc_mem: &mut Vec<u64>,
     schedule: &mut Schedule,
     trace: &mut SearchTrace,
 ) {
@@ -54,7 +71,14 @@ pub(crate) fn place_by_list(
     assignment.resize(v, ProcId(0));
     placed.clear();
     placed.resize(v, false);
+    proc_mem.clear();
+    proc_mem.resize(num_procs as usize, 0);
     schedule.reset(v, num_procs);
+    let track_mem = model.has_capacities();
+    let fits = |proc_mem: &[u64], p: ProcId, need: u64| match model.capacity(p) {
+        Some(cap) => proc_mem[p.index()].saturating_add(need) <= cap,
+        None => true,
+    };
     let mut used_procs = 0u32;
 
     for &n in list {
@@ -72,117 +96,8 @@ pub(crate) fn place_by_list(
         if used_procs < num_procs {
             candidates.push(ProcId(used_procs)); // the "new" processor
         }
-        let fallback = candidates.is_empty();
-        if fallback {
-            // No parents and no unused processor left: fall back to
-            // the least-loaded used processor.
-            let p = (0..used_procs)
-                .min_by_key(|&i| ready[i as usize])
-                .map(ProcId)
-                .expect("some processor must exist");
-            candidates.push(p);
-        }
-
-        let mut best_p = candidates[0];
-        let mut best_start = u64::MAX;
-        for &p in candidates.iter() {
-            // DAT: max message arrival over parents (§4.2). The
-            // same-processor exemption is a branchless select, so the
-            // fold is a straight-line max chain over the two lanes.
-            let mut dat = 0u64;
-            for (&t, &c) in psrc.iter().zip(pcost) {
-                debug_assert!(placed[t as usize]);
-                let arrival = finish[t as usize] + c * u64::from(assignment[t as usize] != p);
-                dat = dat.max(arrival);
-            }
-            let start = dat.max(ready[p.index()]);
-            trace.candidate_probed(n.0, p.0, ready[p.index()], dat, start);
-            if start < best_start {
-                best_start = start;
-                best_p = p;
-            }
-        }
-        let reason = if fallback {
-            "fallback-least-loaded"
-        } else if candidates.len() == 1 {
-            "only-candidate"
-        } else {
-            "earliest-start"
-        };
-        trace.node_placed(n.0, best_p.0, best_start, reason);
-
-        let end = best_start + dag.weight(n);
-        if best_p.0 == used_procs {
-            used_procs += 1;
-        }
-        ready[best_p.index()] = end;
-        finish[n.index()] = end;
-        assignment[n.index()] = best_p;
-        placed[n.index()] = true;
-        schedule.place(n, best_p, best_start, end);
-    }
-}
-
-/// [`place_by_list`] under an explicit [`CostModel`]: identical
-/// candidate collection, probe order and tie-breaking, with message
-/// arrival and execution time priced by the model instead of the
-/// hard-coded homogeneous arithmetic. Under a model that reproduces
-/// [`fastsched_schedule::HomogeneousModel`] pricing (α 0, β 1) every
-/// placement decision — and therefore the schedule — is identical.
-///
-/// When the model carries finite memory capacities
-/// ([`CostModel::has_capacities`]) the probe loop rejects
-/// over-capacity placements: candidates whose lane cannot hold the
-/// node's footprint are dropped, and if that empties the §4.2
-/// candidate set the probe widens to every processor with room
-/// (earliest start, ties to the lower id). `proc_mem` is the
-/// caller-owned per-processor resident-set lane (cleared and resized
-/// here); with no finite capacity the loop never reads it and every
-/// decision is byte-identical to the capacity-blind path.
-///
-/// # Panics
-///
-/// Panics when no processor can hold a node's footprint — the
-/// instance is memory-infeasible for a greedy list scheduler and any
-/// returned schedule would be rejected by the validator's capacity
-/// pass anyway.
-fn place_by_list_with_model<M: CostModel + ?Sized>(
-    model: &M,
-    dag: &Dag,
-    list: &[NodeId],
-    num_procs: u32,
-    proc_mem: &mut Vec<u64>,
-    schedule: &mut Schedule,
-) -> Vec<ProcId> {
-    let v = dag.node_count();
-    let mut ready = vec![0u64; num_procs as usize];
-    let mut finish = vec![0u64; v];
-    let mut assignment = vec![ProcId(0); v];
-    let mut placed = vec![false; v];
-    let mut candidates: Vec<ProcId> = Vec::with_capacity(8);
-    schedule.reset(v, num_procs);
-    let mut used_procs = 0u32;
-    let track_mem = model.has_capacities();
-    proc_mem.clear();
-    proc_mem.resize(num_procs as usize, 0);
-    let fits = |proc_mem: &[u64], p: ProcId, need: u64| match model.capacity(p) {
-        Some(cap) => proc_mem[p.index()].saturating_add(need) <= cap,
-        None => true,
-    };
-
-    for &n in list {
-        let (psrc, pcost) = dag.pred_lanes(n);
-        candidates.clear();
-        for &t in psrc {
-            let p = assignment[t as usize];
-            if !candidates.contains(&p) {
-                candidates.push(p);
-            }
-        }
-        if used_procs < num_procs {
-            candidates.push(ProcId(used_procs)); // the "new" processor
-        }
         let need = dag.mem(n);
+        let mut fallback = false;
         if track_mem {
             candidates.retain(|&p| fits(proc_mem, p, need));
             if candidates.is_empty() {
@@ -203,6 +118,9 @@ fn place_by_list_with_model<M: CostModel + ?Sized>(
                 }
             }
         } else if candidates.is_empty() {
+            // No parents and no unused processor left: fall back to
+            // the least-loaded used processor.
+            fallback = true;
             let p = (0..used_procs)
                 .min_by_key(|&i| ready[i as usize])
                 .map(ProcId)
@@ -213,6 +131,8 @@ fn place_by_list_with_model<M: CostModel + ?Sized>(
         let mut best_p = candidates[0];
         let mut best_start = u64::MAX;
         for &p in candidates.iter() {
+            // DAT: max message arrival over parents (§4.2) — a
+            // straight-line max chain over the two lanes.
             let mut dat = 0u64;
             for (&t, &c) in psrc.iter().zip(pcost) {
                 debug_assert!(placed[t as usize]);
@@ -220,11 +140,20 @@ fn place_by_list_with_model<M: CostModel + ?Sized>(
                 dat = dat.max(arrival);
             }
             let start = dat.max(ready[p.index()]);
+            trace.candidate_probed(n.0, p.0, ready[p.index()], dat, start);
             if start < best_start {
                 best_start = start;
                 best_p = p;
             }
         }
+        let reason = if fallback {
+            "fallback-least-loaded"
+        } else if candidates.len() == 1 {
+            "only-candidate"
+        } else {
+            "earliest-start"
+        };
+        trace.node_placed(n.0, best_p.0, best_start, reason);
 
         let end = best_start + model.compute_cost(dag, n, best_p);
         if best_p.0 >= used_procs {
@@ -239,32 +168,19 @@ fn place_by_list_with_model<M: CostModel + ?Sized>(
         placed[n.index()] = true;
         schedule.place(n, best_p, best_start, end);
     }
-    assignment
-}
-
-/// Per-processor resident-set tracking for the memory-aware hill
-/// climb. `caps` is the capacity table resolved once from the model
-/// (`None` = unbounded lane); `used` holds the running footprint sums
-/// and is kept in sync as transfers commit.
-pub(crate) struct MemTracker<'a> {
-    /// Per-processor capacity, `None` = unbounded.
-    pub caps: &'a [Option<u64>],
-    /// Per-processor resident-set sums under the current assignment.
-    pub used: &'a mut [u64],
 }
 
 /// The §4.3–4.4 random-transfer hill climb over `blocking`, shared by
 /// FAST (one chain) and FAST-MS (one call per chain). The evaluator
 /// must hold the initial assignment; on return it holds the refined
-/// one. Returns the best makespan reached. Generic over the
-/// evaluator's [`CostModel`]: the same trajectory machinery prices
-/// probes under homogeneous, α–β or hierarchical communication.
+/// one. Returns the best makespan reached. Probes are priced by the
+/// evaluator's [`CostModel`].
 ///
-/// With `mem: Some(_)` the walk refuses transfers whose target lane
-/// cannot hold the node's footprint — counted as skipped steps, like
-/// same-processor picks — and keeps the tracker's resident sums in
-/// sync on every commit. `None` leaves the trajectory byte-identical
-/// to the capacity-blind climb.
+/// With `mem: Some(resident sums)` the walk refuses transfers whose
+/// target lane cannot hold the node's footprint under the model's
+/// capacities — counted as skipped steps, like same-processor picks —
+/// and keeps the sums in sync on every commit. `None` leaves the
+/// trajectory byte-identical to the capacity-blind climb.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn hill_climb<M: CostModel>(
     dag: &Dag,
@@ -274,7 +190,7 @@ pub(crate) fn hill_climb<M: CostModel>(
     max_steps: u32,
     seed: u64,
     trace: &mut SearchTrace,
-    mut mem: Option<MemTracker<'_>>,
+    mut mem: Option<&mut [u64]>,
 ) -> u64 {
     let mut rng = StdRng::seed_from_u64(seed);
     // Random processor pool: the processors in use plus one spare.
@@ -289,13 +205,10 @@ pub(crate) fn hill_climb<M: CostModel>(
             trace.step_skipped();
             continue;
         }
-        if let Some(m) = mem.as_ref() {
-            let need = dag.mem(node);
-            if let Some(cap) = m.caps.get(target.index()).copied().flatten() {
-                if m.used[target.index()].saturating_add(need) > cap {
-                    trace.step_skipped();
-                    continue;
-                }
+        if let (Some(used), Some(cap)) = (mem.as_deref(), eval.model().capacity(target)) {
+            if used[target.index()].saturating_add(dag.mem(node)) > cap {
+                trace.step_skipped();
+                continue;
             }
         }
         trace.probe_attempted();
@@ -308,10 +221,10 @@ pub(crate) fn hill_climb<M: CostModel>(
                 best = makespan;
                 max_used = max_used.max(target.0);
                 eval.commit();
-                if let Some(m) = mem.as_mut() {
+                if let Some(used) = mem.as_deref_mut() {
                     let need = dag.mem(node);
-                    m.used[from.index()] -= need;
-                    m.used[target.index()] = m.used[target.index()].saturating_add(need);
+                    used[from.index()] -= need;
+                    used[target.index()] = used[target.index()].saturating_add(need);
                 }
                 trace.probe_accepted(step as u64, best);
                 trace.node_transferred(step as u64, node.0, from.0, target.0, best, true);
@@ -350,19 +263,27 @@ pub(crate) fn list_construction_into(dag: &Dag, obn_order: ObnOrder, ws: &mut Wo
     );
 }
 
-/// Phase 1 against workspace buffers: list construction plus the
-/// placement loop. Fills `ws.list`, `ws.classes`, `ws.assignment` and
-/// builds the initial schedule in `ws.staging`.
-pub(crate) fn initial_schedule_ws(
+/// Phase 1 against workspace buffers, shared by FAST, FAST-SA and
+/// FAST-MS: list construction (timed as `list_construction`) plus the
+/// placement loop under `model` (timed as `initial_schedule`). Fills
+/// `ws.list`, `ws.classes`, `ws.blocking`, `ws.assignment` and
+/// `ws.proc_mem`, and builds the initial schedule in `ws.staging`.
+pub(crate) fn initial_schedule_ws<M: CostModel + ?Sized>(
     dag: &Dag,
     num_procs: u32,
     obn_order: ObnOrder,
+    model: &M,
     ws: &mut Workspace,
     trace: &mut SearchTrace,
 ) {
     assert!(num_procs >= 1, "need at least one processor");
+    trace.phase_start("list_construction");
     list_construction_into(dag, obn_order, ws);
+    ws.blocking_from_classes(dag);
+    trace.phase_end("list_construction");
+    trace.phase_start("initial_schedule");
     place_by_list(
+        model,
         dag,
         &ws.list,
         num_procs,
@@ -371,9 +292,11 @@ pub(crate) fn initial_schedule_ws(
         &mut ws.assignment,
         &mut ws.placed,
         &mut ws.candidates,
+        &mut ws.proc_mem,
         &mut ws.staging,
         trace,
     );
+    trace.phase_end("initial_schedule");
 }
 
 /// Tunables of the FAST algorithm.
@@ -427,187 +350,72 @@ impl Fast {
         dag: &Dag,
         num_procs: u32,
     ) -> (Schedule, Vec<NodeId>, Vec<ProcId>) {
-        self.initial_schedule_traced(dag, num_procs, &mut SearchTrace::default())
-    }
-
-    /// [`Self::initial_schedule`] with phase timing: the attribute
-    /// passes and CPN-Dominate list land under `list_construction`,
-    /// the placement loop under `initial_schedule`.
-    pub fn initial_schedule_traced(
-        &self,
-        dag: &Dag,
-        num_procs: u32,
-        trace: &mut SearchTrace,
-    ) -> (Schedule, Vec<NodeId>, Vec<ProcId>) {
-        assert!(num_procs >= 1, "need at least one processor");
-        trace.phase_start("list_construction");
-        let attrs = GraphAttributes::compute(dag);
-        let classes = classify_nodes(dag, &attrs);
-        let list = cpn_dominate_list(
+        let mut ws = Workspace::new();
+        initial_schedule_ws(
             dag,
-            &attrs,
-            &classes,
-            CpnListConfig {
-                obn_order: self.config.obn_order,
-            },
-        );
-        trace.phase_end("list_construction");
-
-        trace.phase_start("initial_schedule");
-        let mut ready = Vec::new();
-        let mut finish = Vec::new();
-        let mut assignment = Vec::new();
-        let mut placed = Vec::new();
-        // Reused candidate buffer: parents' processors + one unused.
-        let mut candidates: Vec<ProcId> = Vec::with_capacity(8);
-        let mut schedule = Schedule::new(dag.node_count(), num_procs);
-        place_by_list(
-            dag,
-            &list,
             num_procs,
-            &mut ready,
-            &mut finish,
-            &mut assignment,
-            &mut placed,
-            &mut candidates,
-            &mut schedule,
-            trace,
+            self.config.obn_order,
+            &HomogeneousModel,
+            &mut ws,
+            &mut untraced(),
         );
-        trace.phase_end("initial_schedule");
-
-        (schedule, list, assignment)
+        (ws.staging, ws.list, ws.assignment)
     }
 
-    /// [`Scheduler::schedule`] under an explicit [`CostModel`]: the
-    /// same two phases (CPN-Dominate placement, then the random
-    /// transfer search through a [`DeltaEvaluator`] carrying the
-    /// model) with message arrival and execution time priced by
-    /// `model`. Under `AlphaBeta { alpha: 0, beta_num: 1, beta_den:
-    /// 1 }` or a single-group identity `Hierarchical` the result is
-    /// byte-identical to the homogeneous [`Scheduler::schedule`] path.
-    pub fn schedule_with_model<M: CostModel + ?Sized>(
-        &self,
-        dag: &Dag,
-        num_procs: u32,
-        model: &M,
-    ) -> Schedule {
-        assert!(num_procs >= 1, "need at least one processor");
-        let attrs = GraphAttributes::compute(dag);
-        let classes = classify_nodes(dag, &attrs);
-        let list = cpn_dominate_list(
-            dag,
-            &attrs,
-            &classes,
-            CpnListConfig {
-                obn_order: self.config.obn_order,
-            },
-        );
-        let mut schedule = Schedule::new(dag.node_count(), num_procs);
-        let mut proc_mem: Vec<u64> = Vec::new();
-        let assignment =
-            place_by_list_with_model(model, dag, &list, num_procs, &mut proc_mem, &mut schedule);
-
-        let blocking: Vec<NodeId> = dag
-            .nodes()
-            .filter(|&n| classes[n.index()] != NodeClass::Cpn)
-            .collect();
-        if blocking.is_empty() || num_procs < 2 {
-            let s = compact_for_model(model, schedule);
-            gate_schedule_with(self.name(), model, dag, &s);
-            return s;
-        }
-
-        let caps: Vec<Option<u64>> = if model.has_capacities() {
-            (0..num_procs).map(|p| model.capacity(ProcId(p))).collect()
-        } else {
-            Vec::new()
-        };
-        let mut eval = DeltaEvaluator::with_model(model, dag, list, assignment, num_procs);
-        let tracker = model.has_capacities().then(|| MemTracker {
-            caps: &caps,
-            used: &mut proc_mem,
-        });
-        hill_climb(
-            dag,
-            &blocking,
-            &mut eval,
-            num_procs,
-            self.config.max_steps,
-            self.config.seed,
-            &mut SearchTrace::default(),
-            tracker,
-        );
-        let s = compact_for_model(model, eval.to_schedule());
-        gate_schedule_with(self.name(), model, dag, &s);
-        s
-    }
-
-    /// [`Self::schedule_with_model`] against a caller-owned
-    /// [`Workspace`]: the list-construction buffers, the blocking
-    /// list, the output schedule and the per-processor resident-set
-    /// lane (`proc_mem`) all come from `ws`, so batch drivers that
-    /// price many DAGs under one model keep that scratch warm across
-    /// items. Byte-identical to [`Self::schedule_with_model`] for
-    /// every `(dag, num_procs, model)`.
-    pub fn schedule_with_model_into<M: CostModel + ?Sized>(
+    /// The two phases of §4 — the one scheduling core behind every
+    /// entry point: CPN-Dominate placement, then the random-transfer
+    /// hill climb through the workspace's [`DeltaEvaluator`], both
+    /// priced by `model` and both recorded in `trace` (phases
+    /// `list_construction`, `initial_schedule`, `local_search`). Under
+    /// finite capacities the placement and the climb both refuse
+    /// over-capacity lanes.
+    pub fn run<M: CostModel + ?Sized>(
         &self,
         dag: &Dag,
         num_procs: u32,
         model: &M,
         ws: &mut Workspace,
+        trace: &mut SearchTrace,
     ) -> Schedule {
-        assert!(num_procs >= 1, "need at least one processor");
-        list_construction_into(dag, self.config.obn_order, ws);
-        let mut schedule = ws.take_schedule();
-        let assignment = place_by_list_with_model(
-            model,
-            dag,
-            &ws.list,
-            num_procs,
-            &mut ws.proc_mem,
-            &mut schedule,
-        );
-        ws.blocking_from_classes(dag);
-        if ws.blocking.is_empty() || num_procs < 2 {
-            let s = compact_for_model(model, schedule);
-            gate_schedule_with(self.name(), model, dag, &s);
-            return s;
+        initial_schedule_ws(dag, num_procs, self.config.obn_order, model, ws, trace);
+        trace.phase_start("local_search");
+        if !ws.blocking.is_empty() && num_procs >= 2 {
+            let mut eval = lend_eval(&mut ws.eval, model);
+            eval.reset(dag, &ws.list, &ws.assignment, num_procs);
+            let mem = model.has_capacities().then_some(&mut ws.proc_mem[..]);
+            hill_climb(
+                dag,
+                &ws.blocking,
+                &mut eval,
+                num_procs,
+                self.config.max_steps,
+                self.config.seed,
+                trace,
+                mem,
+            );
+            eval.write_schedule(&mut ws.staging);
+            return_eval(&mut ws.eval, eval);
         }
+        trace.phase_end("local_search");
+        ws.finish(self.name(), model, dag)
+    }
 
-        let caps: Vec<Option<u64>> = if model.has_capacities() {
-            (0..num_procs).map(|p| model.capacity(ProcId(p))).collect()
-        } else {
-            Vec::new()
-        };
-        let mut eval =
-            DeltaEvaluator::with_model(model, dag, ws.list.clone(), assignment, num_procs);
-        let tracker = model.has_capacities().then(|| MemTracker {
-            caps: &caps,
-            used: &mut ws.proc_mem,
-        });
-        hill_climb(
-            dag,
-            &ws.blocking,
-            &mut eval,
-            num_procs,
-            self.config.max_steps,
-            self.config.seed,
-            &mut SearchTrace::default(),
-            tracker,
-        );
-        ws.recycle(schedule);
-        let s = compact_for_model(model, eval.to_schedule());
-        gate_schedule_with(self.name(), model, dag, &s);
-        s
+    /// [`Self::run`] under `model` with fresh scratch.
+    pub fn schedule_with_model<M: CostModel + ?Sized>(
+        &self,
+        dag: &Dag,
+        procs: u32,
+        model: &M,
+    ) -> Schedule {
+        self.run(dag, procs, model, &mut Workspace::new(), &mut untraced())
     }
 
     /// Blocking-node list of §4.3: all IBNs and OBNs, in id order.
     pub fn blocking_nodes(dag: &Dag) -> Vec<NodeId> {
-        let attrs = GraphAttributes::compute(dag);
-        let classes = classify_nodes(dag, &attrs);
-        dag.nodes()
-            .filter(|&n| classes[n.index()] != NodeClass::Cpn)
-            .collect()
+        let mut ws = Workspace::new();
+        list_construction_into(dag, ObnOrder::default(), &mut ws);
+        ws.blocking_from_classes(dag);
+        ws.blocking
     }
 }
 
@@ -617,64 +425,15 @@ impl Scheduler for Fast {
     }
 
     fn schedule(&self, dag: &Dag, num_procs: u32) -> Schedule {
-        self.schedule_traced(dag, num_procs, &mut SearchTrace::default())
+        self.schedule_into(dag, num_procs, &mut Workspace::new())
     }
 
-    fn schedule_traced(&self, dag: &Dag, num_procs: u32, trace: &mut SearchTrace) -> Schedule {
-        let (initial, order, assignment) = self.initial_schedule_traced(dag, num_procs, trace);
-        trace.phase_start("local_search");
-        let blocking = Self::blocking_nodes(dag);
-        if blocking.is_empty() || num_procs < 2 {
-            trace.phase_end("local_search");
-            let s = initial.compact();
-            gate_schedule(self.name(), dag, &s);
-            return s;
-        }
-
-        let mut eval = DeltaEvaluator::new(dag, order, assignment, num_procs);
-        hill_climb(
-            dag,
-            &blocking,
-            &mut eval,
-            num_procs,
-            self.config.max_steps,
-            self.config.seed,
-            trace,
-            None,
-        );
-        trace.phase_end("local_search");
-        let s = eval.to_schedule().compact();
-        gate_schedule(self.name(), dag, &s);
-        s
+    fn schedule_traced(&self, dag: &Dag, procs: u32, trace: &mut SearchTrace) -> Schedule {
+        self.run(dag, procs, &HomogeneousModel, &mut Workspace::new(), trace)
     }
 
     fn schedule_into(&self, dag: &Dag, num_procs: u32, ws: &mut Workspace) -> Schedule {
-        let mut trace = SearchTrace::default();
-        initial_schedule_ws(dag, num_procs, self.config.obn_order, ws, &mut trace);
-        ws.blocking_from_classes(dag);
-
-        let mut out = ws.take_schedule();
-        if ws.blocking.is_empty() || num_procs < 2 {
-            ws.staging.compact_into(&mut ws.compact, &mut out);
-            gate_schedule(self.name(), dag, &out);
-            return out;
-        }
-
-        ws.eval.reset(dag, &ws.list, &ws.assignment, num_procs);
-        hill_climb(
-            dag,
-            &ws.blocking,
-            &mut ws.eval,
-            num_procs,
-            self.config.max_steps,
-            self.config.seed,
-            &mut trace,
-            None,
-        );
-        ws.eval.write_schedule(&mut ws.staging);
-        ws.staging.compact_into(&mut ws.compact, &mut out);
-        gate_schedule(self.name(), dag, &out);
-        out
+        self.run(dag, num_procs, &HomogeneousModel, ws, &mut untraced())
     }
 }
 

@@ -10,12 +10,12 @@
 //! fixed `(seed, chains)` pair: chain `i` uses seed `seed + i` and the
 //! winner is the lowest `(makespan, chain index)`.
 
-use crate::fast::{hill_climb, initial_schedule_ws, Fast, FastConfig};
-use crate::scheduler::{gate_schedule, Scheduler};
-use crate::workspace::Workspace;
-use fastsched_dag::{Dag, NodeId, ObnOrder};
-use fastsched_schedule::evaluate::{evaluate_fixed_order, evaluate_fixed_order_into};
-use fastsched_schedule::{DeltaEvaluator, ProcId, Schedule};
+use crate::fast::{hill_climb, initial_schedule_ws};
+use crate::scheduler::Scheduler;
+use crate::workspace::{lend_eval, return_eval, untraced, Workspace};
+use fastsched_dag::{Dag, ObnOrder};
+use fastsched_schedule::evaluate::evaluate_fixed_order_into_with;
+use fastsched_schedule::{CostModel, HomogeneousModel, Schedule};
 use fastsched_trace::SearchTrace;
 
 /// Tunables of the multi-start search.
@@ -63,33 +63,84 @@ impl FastParallel {
     pub fn with_config(config: FastParallelConfig) -> Self {
         Self { config }
     }
-}
 
-/// One sequential search chain over a private assignment copy (each
-/// thread owns its own [`DeltaEvaluator`] — the committed state is the
-/// only per-chain mutable data); returns the best
-/// (makespan, assignment) it reached plus the chain's private trace.
-///
-/// Each chain records into its own thread-local [`SearchTrace`]: no
-/// shared atomics anywhere near the probe loop. The driver merges the
-/// chain traces after joining, in chain-index order, so the
-/// aggregated counters are identical from run to run for a fixed
-/// `(seed, chains)` pair regardless of thread interleaving.
-fn run_chain(
-    dag: &Dag,
-    order: &[NodeId],
-    blocking: &[NodeId],
-    assignment: Vec<ProcId>,
-    num_procs: u32,
-    max_steps: u32,
-    seed: u64,
-) -> (u64, Vec<ProcId>, SearchTrace) {
-    let mut trace = SearchTrace::default();
-    let mut eval = DeltaEvaluator::new(dag, order.to_vec(), assignment, num_procs);
-    let best = hill_climb(
-        dag, blocking, &mut eval, num_procs, max_steps, seed, &mut trace, None,
-    );
-    (best, eval.into_assignment(), trace)
+    /// FAST's phase 1 (default configuration) followed by `chains`
+    /// independent hill climbs — the one scheduling core behind every
+    /// entry point, priced by `model`. Chains are capacity-blind: use
+    /// FAST for memory-constrained runs.
+    ///
+    /// One `ChainSlot` (evaluator + trace) per chain lives in the
+    /// workspace; each worker thread gets a disjoint contiguous chunk
+    /// of slots and records into the slots' private traces — no shared
+    /// atomics near the probe loop. A chain's outcome depends only on
+    /// its seed `seed + i`, so the partition shape cannot change
+    /// results: the winner is the lowest `(makespan, chain index)`, and
+    /// the chain traces merge into `trace` in chain-index order.
+    pub fn run<M: CostModel + Sync + ?Sized>(
+        &self,
+        dag: &Dag,
+        num_procs: u32,
+        model: &M,
+        ws: &mut Workspace,
+        trace: &mut SearchTrace,
+    ) -> Schedule {
+        initial_schedule_ws(dag, num_procs, ObnOrder::default(), model, ws, trace);
+        trace.phase_start("local_search");
+        let chains = self.config.chains as usize;
+        if !ws.blocking.is_empty() && num_procs >= 2 && chains > 0 {
+            ws.ensure_chains(chains);
+            let workers = match self.config.threads {
+                0 => chains,
+                t => (t as usize).min(chains),
+            };
+            let (max_steps, base_seed) = (self.config.max_steps_per_chain, self.config.seed);
+            let (order, init, blocking) = (&ws.list, &ws.assignment, &ws.blocking);
+            let chunk = chains.div_ceil(workers);
+            crossbeam::thread::scope(|scope| {
+                for (w, slice) in ws.chains[..chains].chunks_mut(chunk).enumerate() {
+                    scope.spawn(move |_| {
+                        for (j, slot) in slice.iter_mut().enumerate() {
+                            let seed = base_seed + (w * chunk + j) as u64;
+                            slot.trace = SearchTrace::default();
+                            let mut eval = lend_eval(&mut slot.eval, model);
+                            eval.reset(dag, order, init, num_procs);
+                            slot.makespan = hill_climb(
+                                dag,
+                                blocking,
+                                &mut eval,
+                                num_procs,
+                                max_steps,
+                                seed,
+                                &mut slot.trace,
+                                None,
+                            );
+                            return_eval(&mut slot.eval, eval);
+                        }
+                    });
+                }
+            })
+            .expect("search chains do not panic");
+
+            for slot in &ws.chains[..chains] {
+                trace.merge(&slot.trace);
+            }
+            let best = (0..chains)
+                .min_by_key(|&i| (ws.chains[i].makespan, i))
+                .expect("at least one chain");
+            evaluate_fixed_order_into_with(
+                model,
+                dag,
+                &ws.list,
+                ws.chains[best].eval.assignment(),
+                num_procs,
+                &mut ws.proc_ready,
+                &mut ws.node_finish,
+                &mut ws.staging,
+            );
+        }
+        trace.phase_end("local_search");
+        ws.finish(self.name(), model, dag)
+    }
 }
 
 impl Scheduler for FastParallel {
@@ -98,166 +149,22 @@ impl Scheduler for FastParallel {
     }
 
     fn schedule(&self, dag: &Dag, num_procs: u32) -> Schedule {
-        self.schedule_traced(dag, num_procs, &mut SearchTrace::default())
+        self.schedule_into(dag, num_procs, &mut Workspace::new())
     }
 
-    fn schedule_traced(&self, dag: &Dag, num_procs: u32, trace: &mut SearchTrace) -> Schedule {
-        let fast = Fast::with_config(FastConfig {
-            max_steps: 0,
-            seed: self.config.seed,
-            ..Default::default()
-        });
-        let (initial, order, assignment) = fast.initial_schedule_traced(dag, num_procs, trace);
-        trace.phase_start("local_search");
-        let blocking = Fast::blocking_nodes(dag);
-        if blocking.is_empty() || num_procs < 2 || self.config.chains == 0 {
-            trace.phase_end("local_search");
-            let s = initial.compact();
-            gate_schedule(self.name(), dag, &s);
-            return s;
-        }
-
-        // Partition the chains over `threads` workers (0 = one thread
-        // per chain). Worker `t` runs chains `t, t + threads, ...`
-        // sequentially; every result is keyed by chain index and
-        // re-sorted after the join, so the winner and the merged trace
-        // depend only on `(seed, chains)`, never on the thread count.
-        let chains = self.config.chains;
-        let workers = match self.config.threads {
-            0 => chains,
-            t => t.min(chains),
-        };
-        // (chain index, (makespan, assignment, collector)).
-        type ChainResult = (u32, (u64, Vec<ProcId>, SearchTrace));
-        let mut results: Vec<ChainResult> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let assignment = &assignment;
-                    let order = &order;
-                    let blocking = &blocking;
-                    scope.spawn(move |_| {
-                        (w..chains)
-                            .step_by(workers as usize)
-                            .map(|i| {
-                                (
-                                    i,
-                                    run_chain(
-                                        dag,
-                                        order,
-                                        blocking,
-                                        assignment.clone(),
-                                        num_procs,
-                                        self.config.max_steps_per_chain,
-                                        self.config.seed + i as u64,
-                                    ),
-                                )
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().unwrap())
-                .collect()
-        })
-        .expect("search chains do not panic");
-        results.sort_by_key(|&(i, _)| i);
-
-        // Fold the per-chain collectors in chain-index order so the
-        // merged totals and trajectory are deterministic however the
-        // threads ran.
-        for (_, (_, _, chain_trace)) in &results {
-            trace.merge(chain_trace);
-        }
-        trace.phase_end("local_search");
-
-        let (_, best_assignment) = results
-            .into_iter()
-            .min_by_key(|(i, (m, _, _))| (*m, *i))
-            .map(|(_, (m, a, _))| (m, a))
-            .expect("at least one chain");
-        let s = evaluate_fixed_order(dag, &order, &best_assignment, num_procs).compact();
-        gate_schedule(self.name(), dag, &s);
-        s
+    fn schedule_traced(&self, dag: &Dag, procs: u32, trace: &mut SearchTrace) -> Schedule {
+        self.run(dag, procs, &HomogeneousModel, &mut Workspace::new(), trace)
     }
 
     fn schedule_into(&self, dag: &Dag, num_procs: u32, ws: &mut Workspace) -> Schedule {
-        let mut trace = SearchTrace::default();
-        // Phase 1 matches the legacy path: a default-config FAST with
-        // `max_steps: 0` (the seed never reaches phase 1).
-        initial_schedule_ws(dag, num_procs, ObnOrder::default(), ws, &mut trace);
-        ws.blocking_from_classes(dag);
-
-        let mut out = ws.take_schedule();
-        if ws.blocking.is_empty() || num_procs < 2 || self.config.chains == 0 {
-            ws.staging.compact_into(&mut ws.compact, &mut out);
-            gate_schedule(self.name(), dag, &out);
-            return out;
-        }
-
-        // One ChainSlot (evaluator + trace) per chain lives in the
-        // workspace; each worker thread gets a disjoint contiguous
-        // chunk of slots. A chain's outcome depends only on its seed
-        // `base + i`, so the partition shape cannot change results —
-        // the winner is still the lowest `(makespan, chain index)`.
-        let chains = self.config.chains as usize;
-        ws.ensure_chains(chains);
-        let workers = match self.config.threads {
-            0 => chains,
-            t => (t as usize).min(chains),
-        };
-        let max_steps = self.config.max_steps_per_chain;
-        let base_seed = self.config.seed;
-        let order = &ws.list;
-        let init = &ws.assignment;
-        let blocking = &ws.blocking;
-        let slots = &mut ws.chains[..chains];
-        let chunk = chains.div_ceil(workers);
-        crossbeam::thread::scope(|scope| {
-            for (w, slice) in slots.chunks_mut(chunk).enumerate() {
-                scope.spawn(move |_| {
-                    for (j, slot) in slice.iter_mut().enumerate() {
-                        let i = w * chunk + j;
-                        slot.trace = SearchTrace::default();
-                        slot.eval.reset(dag, order, init, num_procs);
-                        slot.makespan = hill_climb(
-                            dag,
-                            blocking,
-                            &mut slot.eval,
-                            num_procs,
-                            max_steps,
-                            base_seed + i as u64,
-                            &mut slot.trace,
-                            None,
-                        );
-                    }
-                });
-            }
-        })
-        .expect("search chains do not panic");
-
-        let best = (0..chains)
-            .min_by_key(|&i| (ws.chains[i].makespan, i))
-            .expect("at least one chain");
-        evaluate_fixed_order_into(
-            dag,
-            &ws.list,
-            ws.chains[best].eval.assignment(),
-            num_procs,
-            &mut ws.proc_ready,
-            &mut ws.node_finish,
-            &mut ws.staging,
-        );
-        ws.staging.compact_into(&mut ws.compact, &mut out);
-        gate_schedule(self.name(), dag, &out);
-        out
+        self.run(dag, num_procs, &HomogeneousModel, ws, &mut untraced())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fast::{Fast, FastConfig};
     use fastsched_dag::examples::paper_figure1;
     use fastsched_schedule::validate;
 

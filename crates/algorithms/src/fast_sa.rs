@@ -10,12 +10,12 @@
 //! seed; the final answer is the best assignment ever visited (so
 //! FAST-SA never returns worse than its initial schedule).
 
-use crate::fast::{initial_schedule_ws, Fast, FastConfig};
-use crate::scheduler::{gate_schedule, Scheduler};
-use crate::workspace::Workspace;
+use crate::fast::initial_schedule_ws;
+use crate::scheduler::Scheduler;
+use crate::workspace::{lend_eval, return_eval, untraced, Workspace};
 use fastsched_dag::{Dag, NodeId, ObnOrder};
-use fastsched_schedule::evaluate::{evaluate_fixed_order, evaluate_fixed_order_into};
-use fastsched_schedule::{DeltaEvaluator, ProcId, Schedule};
+use fastsched_schedule::evaluate::evaluate_fixed_order_into_with;
+use fastsched_schedule::{CostModel, DeltaEvaluator, HomogeneousModel, ProcId, Schedule};
 use fastsched_trace::SearchTrace;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -61,19 +61,60 @@ impl FastSa {
     pub fn with_config(config: FastSaConfig) -> Self {
         Self { config }
     }
+
+    /// FAST's phase 1 (default configuration) followed by the annealing
+    /// walk — the one scheduling core behind every entry point, priced
+    /// by `model` and recorded in `trace`. The walk is capacity-blind:
+    /// use FAST for memory-constrained runs.
+    pub fn run<M: CostModel + ?Sized>(
+        &self,
+        dag: &Dag,
+        num_procs: u32,
+        model: &M,
+        ws: &mut Workspace,
+        trace: &mut SearchTrace,
+    ) -> Schedule {
+        initial_schedule_ws(dag, num_procs, ObnOrder::default(), model, ws, trace);
+        trace.phase_start("local_search");
+        if !ws.blocking.is_empty() && num_procs >= 2 && self.config.steps > 0 {
+            let mut eval = lend_eval(&mut ws.eval, model);
+            eval.reset(dag, &ws.list, &ws.assignment, num_procs);
+            anneal(
+                &self.config,
+                dag,
+                &ws.blocking,
+                &mut eval,
+                num_procs,
+                &mut ws.best_assignment,
+                trace,
+            );
+            evaluate_fixed_order_into_with(
+                model,
+                dag,
+                eval.order(),
+                &ws.best_assignment,
+                num_procs,
+                &mut ws.proc_ready,
+                &mut ws.node_finish,
+                &mut ws.staging,
+            );
+            return_eval(&mut ws.eval, eval);
+        }
+        trace.phase_end("local_search");
+        ws.finish(self.name(), model, dag)
+    }
 }
 
 /// The simulated-annealing walk over `blocking`: same moves as FAST's
 /// hill climb, uphill acceptance with probability `exp(-Δ/T)`. The
 /// evaluator must hold the initial assignment; on return
 /// `best_assignment` (cleared + refilled here) holds the best
-/// assignment ever visited. Shared by the allocating
-/// [`Scheduler::schedule`] path and the workspace path.
-fn anneal(
+/// assignment ever visited.
+fn anneal<M: CostModel>(
     config: &FastSaConfig,
     dag: &Dag,
     blocking: &[NodeId],
-    eval: &mut DeltaEvaluator,
+    eval: &mut DeltaEvaluator<M>,
     num_procs: u32,
     best_assignment: &mut Vec<ProcId>,
     trace: &mut SearchTrace,
@@ -134,83 +175,22 @@ impl Scheduler for FastSa {
     }
 
     fn schedule(&self, dag: &Dag, num_procs: u32) -> Schedule {
-        self.schedule_traced(dag, num_procs, &mut SearchTrace::default())
+        self.schedule_into(dag, num_procs, &mut Workspace::new())
     }
 
-    fn schedule_traced(&self, dag: &Dag, num_procs: u32, trace: &mut SearchTrace) -> Schedule {
-        let fast = Fast::with_config(FastConfig {
-            max_steps: 0,
-            ..Default::default()
-        });
-        let (initial, order, assignment) = fast.initial_schedule_traced(dag, num_procs, trace);
-        trace.phase_start("local_search");
-        let blocking = Fast::blocking_nodes(dag);
-        if blocking.is_empty() || num_procs < 2 || self.config.steps == 0 {
-            trace.phase_end("local_search");
-            let s = initial.compact();
-            gate_schedule(self.name(), dag, &s);
-            return s;
-        }
-
-        let mut best_assignment = Vec::new();
-        let mut eval = DeltaEvaluator::new(dag, order, assignment, num_procs);
-        anneal(
-            &self.config,
-            dag,
-            &blocking,
-            &mut eval,
-            num_procs,
-            &mut best_assignment,
-            trace,
-        );
-        trace.phase_end("local_search");
-        let s = evaluate_fixed_order(dag, eval.order(), &best_assignment, num_procs).compact();
-        gate_schedule(self.name(), dag, &s);
-        s
+    fn schedule_traced(&self, dag: &Dag, procs: u32, trace: &mut SearchTrace) -> Schedule {
+        self.run(dag, procs, &HomogeneousModel, &mut Workspace::new(), trace)
     }
 
     fn schedule_into(&self, dag: &Dag, num_procs: u32, ws: &mut Workspace) -> Schedule {
-        let mut trace = SearchTrace::default();
-        // Phase 1 uses FAST's defaults (the legacy path constructs a
-        // default-config `Fast` with `max_steps: 0`).
-        initial_schedule_ws(dag, num_procs, ObnOrder::default(), ws, &mut trace);
-        ws.blocking_from_classes(dag);
-
-        let mut out = ws.take_schedule();
-        if ws.blocking.is_empty() || num_procs < 2 || self.config.steps == 0 {
-            ws.staging.compact_into(&mut ws.compact, &mut out);
-            gate_schedule(self.name(), dag, &out);
-            return out;
-        }
-
-        ws.eval.reset(dag, &ws.list, &ws.assignment, num_procs);
-        anneal(
-            &self.config,
-            dag,
-            &ws.blocking,
-            &mut ws.eval,
-            num_procs,
-            &mut ws.best_assignment,
-            &mut trace,
-        );
-        evaluate_fixed_order_into(
-            dag,
-            ws.eval.order(),
-            &ws.best_assignment,
-            num_procs,
-            &mut ws.proc_ready,
-            &mut ws.node_finish,
-            &mut ws.staging,
-        );
-        ws.staging.compact_into(&mut ws.compact, &mut out);
-        gate_schedule(self.name(), dag, &out);
-        out
+        self.run(dag, num_procs, &HomogeneousModel, ws, &mut untraced())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fast::{Fast, FastConfig};
     use fastsched_dag::examples::paper_figure1;
     use fastsched_schedule::validate;
     use fastsched_workloads::{random_layered_dag, RandomDagConfig, TimingDatabase};

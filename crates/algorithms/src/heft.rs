@@ -1,21 +1,53 @@
-//! HEFT — Heterogeneous Earliest Finish Time (Topcuoglu, Hariri, Wu),
-//! specialized to identical processors.
+//! HEFT — Heterogeneous Earliest Finish Time (Topcuoglu, Hariri, Wu).
 //!
 //! Included as a post-paper extension for context: HEFT became the
 //! de-facto standard list scheduler after 1996, and it is the natural
 //! "what came later" comparison point for FAST. Nodes are ordered by
-//! descending *upward rank* (which on homogeneous machines equals the
-//! b-level) and placed on the processor minimizing the
-//! insertion-based earliest finish time.
+//! descending *upward rank* — mean compute cost over the machine's
+//! processors plus the heaviest message-and-rank path to an exit, which
+//! on identical processors is the b-level — and placed on the processor
+//! minimizing the insertion-based earliest finish time.
 
-use crate::list_common::{run_static_list, Machine};
-use crate::scheduler::{compact_for_model, gate_schedule, gate_schedule_with, Scheduler};
-use fastsched_dag::{attributes::b_levels, Cost, Dag, NodeId};
-use fastsched_schedule::{data_arrival_time_with, CostModel, ProcId, Schedule};
+use crate::scheduler::Scheduler;
+use crate::workspace::{untraced, Workspace};
+use fastsched_dag::{Cost, Dag, NodeId};
+use fastsched_schedule::{data_arrival_time_with, CostModel, HomogeneousModel, ProcId, Schedule};
+use fastsched_trace::SearchTrace;
 
-/// The HEFT scheduler (homogeneous specialization).
+/// The HEFT scheduler.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Heft;
+
+/// Upward ranks under `model` over `num_procs` processors into `rank`,
+/// and the nodes in descending rank (ties by id) into `order`. The
+/// order is topological: a parent's rank exceeds each child's by at
+/// least its own mean compute cost (≥ 1). Arithmetic saturates.
+fn rank_order_into<M: CostModel + ?Sized>(
+    model: &M,
+    dag: &Dag,
+    num_procs: u32,
+    rank: &mut Vec<Cost>,
+    order: &mut Vec<NodeId>,
+) {
+    rank.clear();
+    rank.resize(dag.node_count(), 0);
+    for &n in dag.topo_order().iter().rev() {
+        let total = (0..num_procs)
+            .map(|p| model.compute_cost(dag, n, ProcId(p)))
+            .fold(0, Cost::saturating_add);
+        let mean = (total / Cost::from(num_procs)).max(1);
+        let tail = dag
+            .succs(n)
+            .iter()
+            .map(|e| e.cost.saturating_add(rank[e.node.index()]))
+            .max()
+            .unwrap_or(0);
+        rank[n.index()] = mean.saturating_add(tail);
+    }
+    order.clear();
+    order.extend(dag.nodes());
+    order.sort_unstable_by_key(|&n| (std::cmp::Reverse(rank[n.index()]), n.0));
+}
 
 impl Heft {
     /// New HEFT scheduler.
@@ -23,24 +55,20 @@ impl Heft {
         Self
     }
 
-    /// Priority list: descending upward rank (= b-level on identical
-    /// processors), ties by node id. Always topological because a
-    /// parent's b-level strictly exceeds its child's.
+    /// Priority list on identical processors: descending b-level, ties
+    /// by node id.
     pub fn priority_list(dag: &Dag) -> Vec<NodeId> {
-        let bl = b_levels(dag);
-        let mut order: Vec<NodeId> = dag.nodes().collect();
-        order.sort_by_key(|&n| (std::cmp::Reverse(bl[n.index()]), n.0));
+        let mut order = Vec::new();
+        rank_order_into(&HomogeneousModel, dag, 1, &mut Vec::new(), &mut order);
         order
     }
 
-    /// [`Scheduler::schedule`] under an explicit [`CostModel`]: the
-    /// same b-level priority list and insertion-based placement, with
-    /// message arrival and execution time priced by `model` and the
-    /// processor chosen by minimum `(EFT, EST, id)` — the classic EFT
-    /// rule, which on identical compute costs orders exactly like the
-    /// homogeneous minimum-EST probe, so under homogeneous pricing
-    /// (α 0, β 1) the schedule is byte-identical to
-    /// [`Scheduler::schedule`].
+    /// The HEFT loop — the one scheduling core behind every entry
+    /// point, HEFT-hetero included. Nodes go in upward-rank order to
+    /// the processor with minimum `(EFT, EST, id)`, probing the first
+    /// idle gap that fits; message arrival and execution time are
+    /// priced by `model`. On identical compute costs minimum EFT is
+    /// minimum EST, the homogeneous insertion rule.
     ///
     /// When the model carries finite memory capacities
     /// ([`CostModel::has_capacities`]) the EFT probe skips processors
@@ -51,18 +79,22 @@ impl Heft {
     ///
     /// Panics when no processor can hold a node's footprint (the
     /// instance is memory-infeasible for a list scheduler).
-    pub fn schedule_with_model<M: CostModel + ?Sized>(
+    pub fn run<M: CostModel + ?Sized>(
         &self,
         dag: &Dag,
         num_procs: u32,
         model: &M,
+        ws: &mut Workspace,
+        _trace: &mut SearchTrace,
     ) -> Schedule {
         assert!(num_procs >= 1);
-        let order = Self::priority_list(dag);
-        let mut m = Machine::new(dag.node_count(), num_procs);
+        rank_order_into(model, dag, num_procs, &mut ws.level, &mut ws.list);
         let track_mem = model.has_capacities();
-        let mut proc_mem = vec![0u64; if track_mem { num_procs as usize } else { 0 }];
-        for &n in &order {
+        let (m, proc_mem) = (&mut ws.machine, &mut ws.proc_mem);
+        m.reset(dag.node_count(), num_procs);
+        proc_mem.clear();
+        proc_mem.resize(num_procs as usize, 0);
+        for &n in &ws.list {
             let need = dag.mem(n);
             let mut best: Option<(Cost, Cost, ProcId)> = None; // (eft, est, proc)
             for pi in 0..num_procs {
@@ -95,9 +127,18 @@ impl Heft {
             }
             m.place_with_duration(n, p, est, eft - est);
         }
-        let s = compact_for_model(model, m.into_schedule(dag));
-        gate_schedule_with(self.name(), model, dag, &s);
-        s
+        ws.machine.write_schedule(dag, &mut ws.staging);
+        ws.finish(self.name(), model, dag)
+    }
+
+    /// [`Self::run`] under `model` with fresh scratch.
+    pub fn schedule_with_model<M: CostModel + ?Sized>(
+        &self,
+        dag: &Dag,
+        procs: u32,
+        model: &M,
+    ) -> Schedule {
+        self.run(dag, procs, model, &mut Workspace::new(), &mut untraced())
     }
 }
 
@@ -107,24 +148,12 @@ impl Scheduler for Heft {
     }
 
     fn schedule(&self, dag: &Dag, num_procs: u32) -> Schedule {
-        assert!(num_procs >= 1);
-        let order = Self::priority_list(dag);
-        // On identical processors minimizing EFT == minimizing EST, so
-        // the shared insertion engine applies directly.
-        let s = run_static_list(dag, &order, num_procs, true).compact();
-        gate_schedule(self.name(), dag, &s);
-        s
+        self.schedule_into(dag, num_procs, &mut Workspace::new())
     }
-}
 
-/// Expose the insertion probe for tests of the slot-search behaviour.
-pub fn earliest_insertion_start(
-    machine: &Machine,
-    dag: &Dag,
-    n: NodeId,
-    proc: fastsched_schedule::ProcId,
-) -> u64 {
-    machine.earliest_start_insert(dag, n, proc)
+    fn schedule_into(&self, dag: &Dag, num_procs: u32, ws: &mut Workspace) -> Schedule {
+        self.run(dag, num_procs, &HomogeneousModel, ws, &mut untraced())
+    }
 }
 
 #[cfg(test)]

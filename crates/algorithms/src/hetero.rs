@@ -12,11 +12,9 @@
 //! `ceil(w(n) * 100 / speed_percent[p])` (at least 1): speed 100 is
 //! nominal, 200 runs twice as fast, 50 half as fast.
 
-use crate::list_common::Machine;
-use fastsched_dag::{Cost, Dag, NodeId};
-use fastsched_schedule::{
-    data_arrival_time_with, validate_with, CostModel, ProcId, Schedule, ScheduleError,
-};
+use crate::heft::Heft;
+use fastsched_dag::Dag;
+use fastsched_schedule::{validate_with, Schedule, ScheduleError};
 
 // The speed table lives with the other cost models in
 // `fastsched-schedule`; re-exported here so existing users keep their
@@ -29,7 +27,7 @@ pub use fastsched_schedule::ProcessorSpeeds;
 ///
 /// Thin wrapper over the cost-model-generic
 /// [`validate_with`] — the speed
-/// table *is* a [`CostModel`], so the generic validator already checks
+/// table *is* a [`fastsched_schedule::CostModel`], so the generic validator already checks
 /// exactly this machine.
 pub fn validate_hetero(
     dag: &Dag,
@@ -39,11 +37,10 @@ pub fn validate_hetero(
     validate_with(speeds, dag, schedule)
 }
 
-/// HEFT for heterogeneous processors: descending upward rank (mean
-/// execution times), insertion-based placement minimizing *earliest
-/// finish time* — on unequal processors minimizing EFT is genuinely
-/// different from minimizing EST, which is why this needs its own
-/// engine rather than the shared homogeneous one.
+/// HEFT over heterogeneous processors: [`Heft`] priced by the speed
+/// table, on every processor the table lists. Ranks use mean execution
+/// times, and placement minimizes *earliest finish time* — on unequal
+/// processors genuinely different from minimizing EST.
 #[derive(Debug, Clone)]
 pub struct HeftHetero {
     speeds: ProcessorSpeeds,
@@ -55,54 +52,9 @@ impl HeftHetero {
         Self { speeds }
     }
 
-    /// Upward ranks: `rank(n) = mean_exec(n) + max over children of
-    /// (c + rank(child))`.
-    pub fn upward_ranks(&self, dag: &Dag) -> Vec<Cost> {
-        let mut rank = vec![0 as Cost; dag.node_count()];
-        for &n in dag.topo_order().iter().rev() {
-            let best = dag
-                .succs(n)
-                .iter()
-                .map(|e| e.cost + rank[e.node.index()])
-                .max()
-                .unwrap_or(0);
-            rank[n.index()] = self.speeds.mean_exec_time(dag.weight(n)) + best;
-        }
-        rank
-    }
-
     /// Schedule `dag` over this machine's processors.
     pub fn schedule(&self, dag: &Dag) -> Schedule {
-        let p_count = self.speeds.count();
-        let mut order: Vec<NodeId> = dag.nodes().collect();
-        let ranks = self.upward_ranks(dag);
-        order.sort_by_key(|&n| (std::cmp::Reverse(ranks[n.index()]), n.0));
-
-        // The shared list-scheduling machine drives placement; only
-        // the per-processor duration (the [`CostModel`]) and the
-        // EFT-minimizing choice are heterogeneous-specific.
-        let mut m = Machine::new(dag.node_count(), p_count);
-
-        for &n in &order {
-            let mut best: Option<(Cost, Cost, ProcId)> = None; // (eft, est, proc)
-            for pi in 0..p_count {
-                let p = ProcId(pi);
-                let w = self.speeds.compute_cost(dag, n, p);
-                let dat = data_arrival_time_with(&self.speeds, dag, n, p, &m.finish, &m.proc);
-                // Insertion: first gap of length w at or after dat.
-                let est = m.earliest_gap_at_or_after(p, dat, w);
-                let eft = est + w;
-                if best.is_none_or(|(beft, best_est, bp)| (eft, est, p.0) < (beft, best_est, bp.0))
-                {
-                    best = Some((eft, est, p));
-                }
-            }
-            let (eft, est, p) = best.expect("at least one processor");
-            m.place_with_duration(n, p, est, eft - est);
-        }
-        let s = m.into_schedule(dag);
-        crate::scheduler::gate_schedule_with("HEFT-hetero", &self.speeds, dag, &s);
-        s
+        Heft::new().schedule_with_model(dag, self.speeds.count(), &self.speeds)
     }
 }
 
@@ -111,6 +63,8 @@ mod tests {
     use super::*;
     use crate::scheduler::Scheduler as _;
     use fastsched_dag::examples::{fork_join, paper_figure1};
+    use fastsched_dag::NodeId;
+    use fastsched_schedule::ProcId;
 
     #[test]
     fn uniform_speeds_reduce_to_homogeneous_heft() {

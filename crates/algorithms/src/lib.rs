@@ -39,8 +39,14 @@
 //!   scratch, it never changes a decision), and once the arena's
 //!   buffers have grown to the workload's peak, repeated calls perform
 //!   **zero heap allocations** for the natively ported algorithms
-//!   (FAST, FAST-SA, FAST-MS, ETF, DLS; proven by a counting
+//!   (FAST, FAST-SA, FAST-MS, ETF, DLS, HEFT; proven by a counting
 //!   allocator in `tests/zero_alloc.rs`).
+//!
+//! Each ported algorithm has one scheduling core, `run(dag, procs,
+//! model, workspace, trace)`, generic over
+//! [`fastsched_schedule::CostModel`]; both entry points above, plus
+//! `schedule_traced` and `schedule_with_model`, are one-line calls into
+//! it.
 //!
 //! A workspace is *cleared, never dropped* between runs and may be
 //! reused across different DAGs, processor counts and algorithms in
@@ -109,4 +115,6 @@ pub use scheduler::{
 };
 pub use workspace::{schedule_many, schedule_many_into, Workspace};
 #[cfg(feature = "parallel")]
-pub use workspace::{schedule_many_par, schedule_many_par_by, schedule_many_par_timed};
+pub use workspace::{
+    schedule_many_par, schedule_many_par_by, schedule_many_par_timed, schedule_many_par_with,
+};

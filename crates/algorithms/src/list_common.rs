@@ -4,7 +4,7 @@
 //! MCP/HEFT), and static-list execution.
 
 use fastsched_dag::{Cost, Dag, NodeId};
-use fastsched_schedule::{data_arrival_time_with, HomogeneousModel, ProcId, Schedule};
+use fastsched_schedule::{data_arrival_time_with, CostModel, HomogeneousModel, ProcId, Schedule};
 
 /// Mutable list-scheduling state: per-processor timelines plus
 /// per-node placement, cheaper to probe than re-deriving from
@@ -236,10 +236,18 @@ impl DatCache {
 /// `reset` touches four flat arrays instead of `v` heap-owned vectors,
 /// and the fill/probe loops walk the split [`Dag::pred_lanes`] with no
 /// struct padding.
+///
+/// The lanes price messages through a [`CostModel`], and they are
+/// exact only when a message's price depends on nothing but whether
+/// its endpoints are co-located — which is what
+/// [`CostModel::permits_renumbering`] guarantees. [`DatLanes::probe`]
+/// uses them under such models and walks the parents directly under
+/// any other (per-processor speeds, multi-group hierarchies, finite
+/// capacities).
 #[derive(Debug, Default)]
 pub struct DatLanes {
-    /// `max over parents (finish + c)` per node — DAT on any processor
-    /// hosting no parent.
+    /// `max over parents (finish + remote message)` per node — DAT on
+    /// any processor hosting no parent.
     remote: Vec<Cost>,
     /// Number of distinct parent processors recorded per node.
     len: Vec<u32>,
@@ -249,6 +257,8 @@ pub struct DatLanes {
     procs: Vec<u32>,
     /// `DAT(n, procs[k])`, aligned with `procs`.
     dats: Vec<Cost>,
+    /// Whether [`DatLanes::probe`] answers from the lanes this run.
+    cached: bool,
 }
 
 impl DatLanes {
@@ -258,12 +268,14 @@ impl DatLanes {
         Self::default()
     }
 
-    /// Re-initialize for `dag` in place: all entries invalid, buffers
-    /// sized to the node/edge counts (capacity kept — a reused lane
-    /// set stops allocating once it has seen its largest DAG).
-    pub fn reset(&mut self, dag: &Dag) {
+    /// Re-initialize for `dag` under `model` in place: all entries
+    /// invalid, buffers sized to the node/edge counts (capacity kept —
+    /// a reused lane set stops allocating once it has seen its largest
+    /// DAG).
+    pub fn reset<M: CostModel + ?Sized>(&mut self, dag: &Dag, model: &M) {
         let v = dag.node_count();
         let e = dag.edge_count();
+        self.cached = model.permits_renumbering();
         self.remote.clear();
         self.remote.resize(v, 0);
         self.len.clear();
@@ -284,33 +296,46 @@ impl DatLanes {
 
     /// Fill `n`'s entry against current placements (all parents must
     /// be placed — the values are final once `n` is ready). Mirrors
-    /// [`DatCache::compute_into`] exactly: distinct parent processors
-    /// are discovered in pred (id-sorted) order and the per-processor
-    /// DAT folds the same max over the same arrivals, so every probe
-    /// answer is identical.
-    pub fn fill(&mut self, dag: &Dag, machine: &Machine, n: NodeId) {
+    /// [`DatCache::compute_into`] exactly under the homogeneous model:
+    /// distinct parent processors are discovered in pred (id-sorted)
+    /// order and the per-processor DAT folds the same max over the
+    /// same arrivals, so every probe answer is identical.
+    pub fn fill<M: CostModel + ?Sized>(
+        &mut self,
+        model: &M,
+        dag: &Dag,
+        machine: &Machine,
+        n: NodeId,
+    ) {
         let i = n.index();
         let lo = dag.pred_offsets()[i] as usize;
         let (src, cost) = dag.pred_lanes(n);
+        // Every processor but the sender prices a message alike, so the
+        // all-remote bound is priced against one of them. A
+        // one-processor machine hosts every parent and never reads it.
+        let priced_remote = machine.num_procs() > 1;
         let mut remote = 0;
         let mut k = 0usize;
         for (&t, &c) in src.iter().zip(cost) {
             debug_assert!(machine.placed[t as usize]);
-            remote = remote.max(machine.finish[t as usize] + c);
-            let p = machine.proc[t as usize].0;
-            if !self.procs[lo..lo + k].contains(&p) {
-                self.procs[lo + k] = p;
+            let p = machine.proc[t as usize];
+            if priced_remote {
+                let other = ProcId(u32::from(p.0 == 0));
+                remote = remote.max(machine.finish[t as usize] + model.message_cost(c, p, other));
+            }
+            if !self.procs[lo..lo + k].contains(&p.0) {
+                self.procs[lo + k] = p.0;
                 k += 1;
             }
         }
         // DAT on parent processor q: messages from parents on q are
-        // free, others pay their edge cost (branchless select).
+        // free, others pay their price.
         for slot in lo..lo + k {
-            let q = self.procs[slot];
+            let q = ProcId(self.procs[slot]);
             let mut dat = 0;
             for (&t, &c) in src.iter().zip(cost) {
                 let arrival =
-                    machine.finish[t as usize] + c * Cost::from(machine.proc[t as usize].0 != q);
+                    machine.finish[t as usize] + model.message_cost(c, machine.proc[t as usize], q);
                 dat = dat.max(arrival);
             }
             self.dats[slot] = dat;
@@ -334,6 +359,28 @@ impl DatLanes {
             }
         }
         self.remote[i]
+    }
+
+    /// `DAT(n, p)` of ready node `n` under `model` (the model this set
+    /// was [`DatLanes::reset`] with): from `n`'s lane entry, filled on
+    /// first use, when the lanes are exact for the model; a direct walk
+    /// over the parents otherwise.
+    #[inline]
+    pub fn probe<M: CostModel + ?Sized>(
+        &mut self,
+        model: &M,
+        dag: &Dag,
+        machine: &Machine,
+        n: NodeId,
+        p: ProcId,
+    ) -> Cost {
+        if !self.cached {
+            return data_arrival_time_with(model, dag, n, p, &machine.finish, &machine.proc);
+        }
+        if !self.valid[n.index()] {
+            self.fill(model, dag, machine, n);
+        }
+        self.dat(dag, n, p)
     }
 }
 
@@ -452,29 +499,12 @@ impl ReadySet {
 }
 
 /// Run static list scheduling over `order` (a topological order):
-/// every node is appended to the processor minimizing its start time,
-/// probing either all processors (`probe_all = true`, classical HLFET)
-/// or, as FAST's `InitialSchedule()` does, only the parents' processors
-/// plus one unused processor.
+/// every node is appended to the processor minimizing its start time
+/// over all processors, at the ready time (`insertion = false`,
+/// classical HLFET) or in the first idle gap that fits
+/// (`insertion = true`, MCP).
 pub fn run_static_list(dag: &Dag, order: &[NodeId], num_procs: u32, insertion: bool) -> Schedule {
     let mut m = Machine::new(dag.node_count(), num_procs);
-    let mut out = Schedule::new(0, 1);
-    run_static_list_reusing(dag, order, num_procs, insertion, &mut m, &mut out);
-    out
-}
-
-/// [`run_static_list`] against a caller-owned (reusable) [`Machine`]
-/// and output [`Schedule`]; both are reset in place. Byte-identical
-/// result, zero allocations at steady state.
-pub fn run_static_list_reusing(
-    dag: &Dag,
-    order: &[NodeId],
-    num_procs: u32,
-    insertion: bool,
-    m: &mut Machine,
-    out: &mut Schedule,
-) {
-    m.reset(dag.node_count(), num_procs);
     for &n in order {
         let mut best_p = ProcId(0);
         let mut best_s = Cost::MAX;
@@ -492,7 +522,7 @@ pub fn run_static_list_reusing(
         }
         m.place(dag, n, best_p, best_s);
     }
-    m.write_schedule(dag, out);
+    m.into_schedule(dag)
 }
 
 #[cfg(test)]
@@ -610,10 +640,10 @@ mod tests {
         m.place(&g, p2, ProcId(2), 5);
         m.place(&g, p3, ProcId(2), 8);
         let mut lanes = DatLanes::new();
-        lanes.reset(&g);
+        lanes.reset(&g, &HomogeneousModel);
         assert!(!lanes.is_valid(child));
-        lanes.fill(&g, &m, child);
-        lanes.fill(&g, &m, other);
+        lanes.fill(&HomogeneousModel, &g, &m, child);
+        lanes.fill(&HomogeneousModel, &g, &m, other);
         for &n in &[child, other] {
             let cache = DatCache::compute(&g, &m, n);
             for pi in 0..4 {
@@ -622,7 +652,7 @@ mod tests {
             }
         }
         // Reset invalidates without shrinking.
-        lanes.reset(&g);
+        lanes.reset(&g, &HomogeneousModel);
         assert!(!lanes.is_valid(child));
     }
 

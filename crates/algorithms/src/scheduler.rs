@@ -35,21 +35,6 @@ pub fn gate_schedule(name: &str, dag: &Dag, schedule: &Schedule) {
     gate_schedule_with(name, &HomogeneousModel, dag, schedule);
 }
 
-/// [`Schedule::compact`] only when `model` tolerates it. Compaction
-/// renumbers processor lanes by first start time; under an
-/// identity-sensitive model (per-processor speeds, hierarchical
-/// groups, interconnect hops) that renumbering silently reprices
-/// every cross-processor message, so the schedule is returned
-/// untouched instead. Under identity models the compaction keeps the
-/// generic paths byte-identical to the homogeneous ones.
-pub fn compact_for_model<M: CostModel + ?Sized>(model: &M, schedule: Schedule) -> Schedule {
-    if model.permits_renumbering() {
-        schedule.compact()
-    } else {
-        schedule
-    }
-}
-
 /// A static DAG-scheduling algorithm.
 ///
 /// ```
@@ -109,7 +94,7 @@ pub trait Scheduler: Send + Sync {
     /// [`Self::schedule`] against a reusable [`Workspace`]: scratch
     /// buffers come from (and return to) `workspace`, so a warm
     /// workspace makes repeated calls allocation-free for the natively
-    /// ported algorithms (FAST, FAST-SA, FAST-MS, ETF, DLS). The
+    /// ported algorithms (FAST, FAST-SA, FAST-MS, ETF, DLS, HEFT). The
     /// result is byte-identical to [`Self::schedule`]'s — the
     /// workspace only changes *where* scratch lives, never a
     /// scheduling decision.

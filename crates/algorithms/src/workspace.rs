@@ -1,7 +1,8 @@
 //! Reusable scratch arena for the scheduling stack.
 //!
 //! A [`Workspace`] owns every per-schedule buffer the natively ported
-//! algorithms (FAST, FAST-SA, FAST-MS, ETF, DLS) need: the attribute
+//! algorithms (FAST, FAST-SA, FAST-MS, ETF, DLS, HEFT) need, under any
+//! cost model: the attribute
 //! arrays of the `list_construction` phase, the CPN-Dominate list
 //! scratch, the placement buffers of `InitialSchedule()`, the
 //! list-scheduling [`Machine`], the incremental [`DeltaEvaluator`] and
@@ -29,22 +30,50 @@
 //!
 //! ## Porting an algorithm
 //!
-//! Override [`Scheduler::schedule_into`]; re-derive every input from
-//! `(dag, num_procs)` into workspace buffers via the `_into`/`reset`
-//! variants (`GraphAttributes::compute_into`, `classify_nodes_into`,
-//! `cpn_dominate_list_into`, `Machine::reset`, `ReadySet::reset`,
-//! `DeltaEvaluator::reset`, ...); build the result in
-//! `Workspace::staging`; finish with `Schedule::compact_into` into a
-//! schedule obtained from [`Workspace::take_schedule`]. The result
-//! must be byte-identical to `schedule()` — the property suite
-//! compares serialized schedules across dirty reuse.
+//! Write one scheduling core, generic over the [`CostModel`]:
+//! `run(dag, num_procs, model, workspace, trace)`. Re-derive every
+//! input from `(dag, num_procs)` into workspace buffers via the
+//! `_into`/`reset` variants (`GraphAttributes::compute_into`,
+//! `classify_nodes_into`, `cpn_dominate_list_into`, `Machine::reset`,
+//! `ReadySet::reset`, ...), borrow the evaluator re-typed for the model
+//! with `lend_eval`, build the result in
+//! `Workspace::staging`, and hand it out with `Workspace::finish`
+//! (compacts when the model permits renumbering, then runs the
+//! correctness gate). Every entry point — [`Scheduler::schedule`],
+//! `schedule_traced`, `schedule_into` and `schedule_with_model` — is
+//! then a one-line call into the core, with
+//! [`fastsched_schedule::HomogeneousModel`] for the paper's machine.
+//! The property suite compares serialized schedules across dirty reuse
+//! and across identity models.
 
 use crate::list_common::{DatLanes, Machine, ReadySet};
-use crate::scheduler::Scheduler;
+use crate::scheduler::{gate_schedule_with, Scheduler};
 use fastsched_dag::{AttrLanes, Cost, CpnListScratch, Dag, GraphAttributes, NodeClass, NodeId};
-use fastsched_schedule::{CompactScratch, DeltaEvaluator, ProcId, Schedule};
-#[cfg(feature = "parallel")]
+use fastsched_schedule::{
+    CompactScratch, CostModel, DeltaEvaluator, HomogeneousModel, ProcId, Schedule,
+};
 use fastsched_trace::SearchTrace;
+
+/// The collector for runs nobody traces: a zero-sized no-op unless
+/// the `trace` feature captures.
+pub(crate) fn untraced() -> SearchTrace {
+    SearchTrace::default()
+}
+
+/// `slot`'s warm evaluator re-typed for `model`: its buffers move out
+/// (an empty evaluator is left behind), nothing is allocated. Give it
+/// back with [`return_eval`].
+pub(crate) fn lend_eval<'m, M: CostModel + ?Sized>(
+    slot: &mut DeltaEvaluator,
+    model: &'m M,
+) -> DeltaEvaluator<&'m M> {
+    std::mem::replace(slot, DeltaEvaluator::empty()).into_model(model)
+}
+
+/// Put a lent evaluator's buffers back into `slot`.
+pub(crate) fn return_eval<M: CostModel>(slot: &mut DeltaEvaluator, eval: DeltaEvaluator<M>) {
+    *slot = eval.into_model(HomogeneousModel);
+}
 
 /// Per-chain state of the multi-start search (FAST-MS): each chain
 /// owns its evaluator and trace so worker threads share nothing.
@@ -89,13 +118,15 @@ pub struct Workspace {
     pub(crate) assignment: Vec<ProcId>,
     pub(crate) placed: Vec<bool>,
     pub(crate) candidates: Vec<ProcId>,
-    /// Per-processor resident-set sums for memory-aware model paths
-    /// (peak footprint per lane); untouched by capacity-blind runs.
+    /// Per-processor resident-set sums (peak footprint per lane);
+    /// written only under a capacity-carrying model.
     pub(crate) proc_mem: Vec<Cost>,
-    // --- list-scheduling family (ETF, DLS) ---
+    // --- list-scheduling family (ETF, DLS, HEFT) ---
     pub(crate) machine: Machine,
     pub(crate) ready_set: ReadySet,
-    pub(crate) static_level: Vec<Cost>,
+    /// Per-node priority: the static level (ETF, DLS) or the upward
+    /// rank (HEFT).
+    pub(crate) level: Vec<Cost>,
     pub(crate) dat: DatLanes,
     // --- local search ---
     pub(crate) eval: DeltaEvaluator,
@@ -129,7 +160,7 @@ impl Workspace {
             proc_mem: Vec::new(),
             machine: Machine::new(0, 0),
             ready_set: ReadySet::empty(),
-            static_level: Vec::new(),
+            level: Vec::new(),
             dat: DatLanes::new(),
             eval: DeltaEvaluator::empty(),
             best_assignment: Vec::new(),
@@ -153,6 +184,27 @@ impl Workspace {
     /// the steady state fully allocation-free.
     pub fn recycle(&mut self, schedule: Schedule) {
         self.spare.push(schedule);
+    }
+
+    /// Hand the result built in `staging` to the caller, in a schedule
+    /// from the spare pool: lane-compacted when `model` permits
+    /// processor renumbering, verbatim otherwise (compaction would
+    /// reprice an identity-sensitive model) — after the correctness
+    /// gate under `model`.
+    pub(crate) fn finish<M: CostModel + ?Sized>(
+        &mut self,
+        name: &str,
+        model: &M,
+        dag: &Dag,
+    ) -> Schedule {
+        let mut out = self.take_schedule();
+        if model.permits_renumbering() {
+            self.staging.compact_into(&mut self.compact, &mut out);
+        } else {
+            std::mem::swap(&mut out, &mut self.staging);
+        }
+        gate_schedule_with(name, model, dag, &out);
+        out
     }
 
     /// Ensure the multi-start chain slots exist for `chains` chains.
@@ -229,63 +281,34 @@ fn effective_threads(threads: usize, items: usize) -> usize {
     t.min(items).max(1)
 }
 
-/// [`schedule_many`] sharded across `threads` scoped worker threads,
-/// each owning a private [`Workspace`] and a contiguous chunk of the
-/// batch. `threads == 0` uses every available core; `threads <= 1`
-/// falls back to the single-threaded path.
+/// The sharded batch driver: schedule `dags[i]` on `procs[i]`
+/// processors with `schedule_one(dag, procs, workspace)` across
+/// `threads` scoped worker threads, each owning a private warm
+/// [`Workspace`] and a contiguous chunk of the batch. `threads == 0`
+/// uses every available core; `threads <= 1` runs the chunk loop on the
+/// calling thread. Returns `(schedule, seconds)` per input, in input
+/// order.
 ///
-/// Element-wise **byte-identical** to [`schedule_many`] at every
-/// thread count: each item is scheduled by exactly one worker through
-/// the same `schedule_into` path, workers share nothing mutable, and
-/// chunking preserves input order — so a schedule's bytes depend only
-/// on its `(dag, num_procs)` pair, never on which worker produced it
-/// (the `workspace_reuse` property suite and the `batch-ab` bench both
-/// pin this).
-#[cfg(feature = "parallel")]
-pub fn schedule_many_par(
-    scheduler: &dyn Scheduler,
-    dags: &[Dag],
-    num_procs: u32,
-    threads: usize,
-) -> Vec<Schedule> {
-    let threads = effective_threads(threads, dags.len());
-    if threads <= 1 {
-        return schedule_many(scheduler, dags, num_procs);
-    }
-    let mut out: Vec<Option<Schedule>> = Vec::with_capacity(dags.len());
-    out.resize_with(dags.len(), || None);
-    let chunk = dags.len().div_ceil(threads);
-    crossbeam::thread::scope(|s| {
-        for (dag_chunk, out_chunk) in dags.chunks(chunk).zip(out.chunks_mut(chunk)) {
-            s.spawn(move |_| {
-                let mut ws = Workspace::new();
-                for (dag, slot) in dag_chunk.iter().zip(out_chunk.iter_mut()) {
-                    *slot = Some(scheduler.schedule_into(dag, num_procs, &mut ws));
-                }
-            });
-        }
-    })
-    .expect("batch worker panicked");
-    out.into_iter()
-        .map(|s| s.expect("every batch slot filled"))
-        .collect()
-}
-
-/// [`schedule_many_par`] with a per-DAG processor count and per-item
-/// wall-clock timing, for batch drivers (`casch batch`) whose items
-/// carry their own `procs` and report per-item seconds. Returns
-/// `(schedule, seconds)` per input, in input order; schedules are
-/// byte-identical to the serial per-call path at every thread count.
+/// Element-wise **byte-identical** at every thread count: each item is
+/// scheduled by exactly one worker, workers share nothing mutable, and
+/// a workspace never changes a decision — so a schedule's bytes depend
+/// only on its `(dag, procs)` pair, never on which worker produced it
+/// (the `workspace_reuse` property suite and the `batch-ab` bench pin
+/// this).
 ///
 /// # Panics
-/// If `procs.len() != dags.len()`.
+/// If `procs.len() != dags.len()`, or if `schedule_one` panics (e.g.
+/// on a memory-infeasible instance) — worker panics propagate.
 #[cfg(feature = "parallel")]
-pub fn schedule_many_par_timed(
-    scheduler: &dyn Scheduler,
+pub fn schedule_many_par_with<F>(
     dags: &[Dag],
     procs: &[u32],
     threads: usize,
-) -> Vec<(Schedule, f64)> {
+    schedule_one: F,
+) -> Vec<(Schedule, f64)>
+where
+    F: Fn(&Dag, u32, &mut Workspace) -> Schedule + Sync,
+{
     assert_eq!(procs.len(), dags.len(), "one procs entry per DAG");
     let threads = effective_threads(threads, dags.len());
     let mut out: Vec<Option<(Schedule, f64)>> = Vec::with_capacity(dags.len());
@@ -295,61 +318,7 @@ pub fn schedule_many_par_timed(
             let mut ws = Workspace::new();
             for ((dag, &np), slot) in dag_chunk.iter().zip(proc_chunk).zip(out_chunk.iter_mut()) {
                 let t0 = std::time::Instant::now();
-                let s = scheduler.schedule_into(dag, np, &mut ws);
-                *slot = Some((s, t0.elapsed().as_secs_f64()));
-            }
-        };
-    if threads <= 1 {
-        run_chunk(dags, procs, &mut out);
-    } else {
-        let chunk = dags.len().div_ceil(threads);
-        crossbeam::thread::scope(|s| {
-            for ((dag_chunk, proc_chunk), out_chunk) in dags
-                .chunks(chunk)
-                .zip(procs.chunks(chunk))
-                .zip(out.chunks_mut(chunk))
-            {
-                s.spawn(move |_| run_chunk(dag_chunk, proc_chunk, out_chunk));
-            }
-        })
-        .expect("batch worker panicked");
-    }
-    out.into_iter()
-        .map(|s| s.expect("every batch slot filled"))
-        .collect()
-}
-
-/// [`schedule_many_par_timed`] for model-priced schedulers: each item
-/// is scheduled by `schedule_one(dag, procs)` — typically a closure
-/// over an algorithm's `schedule_with_model` — sharded across scoped
-/// worker threads with the same chunking as [`schedule_many_par`].
-/// Model paths re-derive everything from `(dag, procs)` and workers
-/// share nothing mutable, so results are byte-identical to calling
-/// the closure serially per item, at every thread count. Returns
-/// `(schedule, seconds)` per input, in input order.
-///
-/// # Panics
-/// If `procs.len() != dags.len()`, or if `schedule_one` panics (e.g.
-/// on a memory-infeasible instance) — worker panics propagate.
-#[cfg(feature = "parallel")]
-pub fn schedule_many_par_by<F>(
-    dags: &[Dag],
-    procs: &[u32],
-    threads: usize,
-    schedule_one: F,
-) -> Vec<(Schedule, f64)>
-where
-    F: Fn(&Dag, u32) -> Schedule + Sync,
-{
-    assert_eq!(procs.len(), dags.len(), "one procs entry per DAG");
-    let threads = effective_threads(threads, dags.len());
-    let mut out: Vec<Option<(Schedule, f64)>> = Vec::with_capacity(dags.len());
-    out.resize_with(dags.len(), || None);
-    let run_chunk =
-        |dag_chunk: &[Dag], proc_chunk: &[u32], out_chunk: &mut [Option<(Schedule, f64)>]| {
-            for ((dag, &np), slot) in dag_chunk.iter().zip(proc_chunk).zip(out_chunk.iter_mut()) {
-                let t0 = std::time::Instant::now();
-                let s = schedule_one(dag, np);
+                let s = schedule_one(dag, np, &mut ws);
                 *slot = Some((s, t0.elapsed().as_secs_f64()));
             }
         };
@@ -372,4 +341,51 @@ where
     out.into_iter()
         .map(|s| s.expect("every batch slot filled"))
         .collect()
+}
+
+/// [`schedule_many`] sharded by [`schedule_many_par_with`], every DAG
+/// on `num_procs` processors; element-wise byte-identical to
+/// [`schedule_many`] at every thread count.
+#[cfg(feature = "parallel")]
+pub fn schedule_many_par(
+    scheduler: &dyn Scheduler,
+    dags: &[Dag],
+    num_procs: u32,
+    threads: usize,
+) -> Vec<Schedule> {
+    let procs = vec![num_procs; dags.len()];
+    schedule_many_par_with(dags, &procs, threads, |d, p, ws| {
+        scheduler.schedule_into(d, p, ws)
+    })
+    .into_iter()
+    .map(|(s, _)| s)
+    .collect()
+}
+
+/// [`schedule_many_par_with`] over a registry scheduler's
+/// `schedule_into`, with a per-DAG processor count (`casch batch`).
+#[cfg(feature = "parallel")]
+pub fn schedule_many_par_timed(
+    scheduler: &dyn Scheduler,
+    dags: &[Dag],
+    procs: &[u32],
+    threads: usize,
+) -> Vec<(Schedule, f64)> {
+    schedule_many_par_with(dags, procs, threads, |d, p, ws| {
+        scheduler.schedule_into(d, p, ws)
+    })
+}
+
+/// [`schedule_many_par_with`] for a closure that brings its own scratch.
+#[cfg(feature = "parallel")]
+pub fn schedule_many_par_by<F>(
+    dags: &[Dag],
+    procs: &[u32],
+    threads: usize,
+    schedule_one: F,
+) -> Vec<(Schedule, f64)>
+where
+    F: Fn(&Dag, u32) -> Schedule + Sync,
+{
+    schedule_many_par_with(dags, procs, threads, |d, p, _| schedule_one(d, p))
 }

@@ -403,21 +403,17 @@ fn resolve_model_procs(
     }
 }
 
-/// Run one DAG through the model-aware path, wrapping the comm model
-/// in a capacity table when `--mem-caps` was given.
-fn schedule_with_flags(
-    algo: &ModelScheduler,
-    dag: &Dag,
-    procs: u32,
+/// The machine model for `procs` processors: the comm model with the
+/// `--mem-caps` table, or unbounded (byte-identical to the bare comm
+/// model) without one.
+fn machine_model(
     comm: &CommModel,
     mem: Option<&MemCapsSpec>,
-) -> Schedule {
+    procs: u32,
+) -> MemoryCapacities<CommModel> {
     match mem {
-        Some(spec) => {
-            let model = MemoryCapacities::new(comm.clone(), spec.resolve(procs));
-            algo.schedule_with_model(dag, procs, &model)
-        }
-        None => algo.schedule_with_model(dag, procs, comm),
+        Some(spec) => MemoryCapacities::new(comm.clone(), spec.resolve(procs)),
+        None => MemoryCapacities::unbounded(comm.clone()),
     }
 }
 
@@ -433,7 +429,7 @@ fn cmd_schedule_model(opts: &Flags, dag: &Dag) -> Result<(), String> {
         return Err("--trace is not supported together with --comm/--mem-caps".to_string());
     }
     let t0 = std::time::Instant::now();
-    let schedule = schedule_with_flags(&algo, dag, procs, &comm, mem.as_ref());
+    let schedule = algo.schedule_with_model(dag, procs, &machine_model(&comm, mem.as_ref(), procs));
     let elapsed = t0.elapsed();
     println!("algorithm:        {}", algo.name());
     if let Some(spec) = opts.get("comm") {
@@ -544,11 +540,12 @@ fn cmd_schedule(opts: &Flags) -> Result<(), String> {
 /// throughput, so the NDJSON doubles as a throughput record.
 /// `casch batch --comm` / `--mem-caps`: the model-aware batch path.
 /// Shards across `--threads` workers exactly like the homogeneous
-/// batch (the model paths re-derive everything from the DAG and the
-/// shared immutable model, so schedules stay byte-identical at every
-/// thread count) and emits the same NDJSON shape.
+/// batch, one warm workspace per worker (the scheduling cores
+/// re-derive everything from the DAG and the shared immutable model,
+/// so schedules stay byte-identical at every thread count) and emits
+/// the same NDJSON shape.
 fn cmd_batch_model(opts: &Flags) -> Result<(), String> {
-    use fastsched_algorithms::schedule_many_par_by;
+    use fastsched_algorithms::schedule_many_par_with;
 
     let algo = ModelScheduler::by_name(opts.get("algo").ok_or("missing --algo")?)?;
     let (comm, mem) = parse_model_flags(opts)?;
@@ -590,8 +587,15 @@ fn cmd_batch_model(opts: &Flags) -> Result<(), String> {
     }
 
     let wall = std::time::Instant::now();
-    let results = schedule_many_par_by(&dags, &procs, threads, |dag, np| {
-        schedule_with_flags(&algo, dag, np, &comm, mem.as_ref())
+    let results = schedule_many_par_with(&dags, &procs, threads, |dag, np, ws| {
+        let model = machine_model(&comm, mem.as_ref(), np);
+        algo.run(
+            dag,
+            np,
+            &model,
+            ws,
+            &mut fastsched_trace::SearchTrace::default(),
+        )
     });
     let wall = wall.elapsed().as_secs_f64();
 

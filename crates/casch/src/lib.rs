@@ -48,9 +48,13 @@
 //!   phases, and optional `--check` verification of every response
 //!   against a local `schedule_into` run.
 //!
-//! Homogeneous requests go through the `Workspace` recycle path;
-//! requests carrying a `speeds` array run
-//! `fastsched_algorithms::HeftHetero` instead (algo must be `heft`).
+//! Serve has two engines, and both schedule into the worker's
+//! `Workspace` and recycle every result: plain requests run any
+//! registered scheduler's `schedule_into`, and requests carrying a
+//! `comm`, `mem_caps` or `speeds` field run a model-generic scheduler's
+//! one scheduling core (`run`) under the request's resolved machine
+//! model — `speeds` is HEFT over the speed table (algo must be `heft`),
+//! answered as `HEFT-hetero`.
 
 #![warn(missing_docs)]
 

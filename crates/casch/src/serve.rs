@@ -72,7 +72,7 @@ use crate::protocol::{
 };
 use fastsched_algorithms::{
     BoundedDsc, BranchAndBound, Cpop, Dcp, Dls, Dsc, Etf, Ez, Fast, FastParallel, FastSa, Heft,
-    HeftHetero, Hlfet, Ish, Lc, Mcp, Md, ProcessorSpeeds, Scheduler, WorkerPool,
+    Hlfet, Ish, Lc, Mcp, Md, ProcessorSpeeds, Scheduler, WorkerPool, Workspace,
 };
 use fastsched_dag::Dag;
 use fastsched_metrics::prometheus::{Exposition, CONTENT_TYPE};
@@ -80,6 +80,7 @@ use fastsched_metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 use fastsched_schedule::{
     AlphaBeta, CommModel, CostModel, Hierarchical, MemCapsSpec, MemoryCapacities, Schedule,
 };
+use fastsched_trace::SearchTrace;
 use std::io::{self, BufReader, Read as _, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -163,9 +164,9 @@ pub fn scheduler_by_name(name: &str) -> Result<Box<dyn Scheduler>, String> {
     })
 }
 
-/// The schedulers with a model-generic entry point
-/// (`schedule_with_model`), selected when a request or CLI invocation
-/// carries an explicit communication cost model.
+/// The schedulers whose one scheduling core (`run`) serves requests and
+/// CLI invocations that carry a machine model: a `comm` model, memory
+/// capacities, or processor speeds.
 #[derive(Debug, Clone)]
 pub enum ModelScheduler {
     /// FAST under an explicit model.
@@ -207,19 +208,33 @@ impl ModelScheduler {
 
     /// Schedule `dag` on `procs` processors under `model` (any
     /// [`CostModel`], e.g. a [`CommModel`] or a
-    /// [`fastsched_schedule::MemoryCapacities`] wrapper).
+    /// [`fastsched_schedule::MemoryCapacities`] wrapper), with scratch
+    /// from `ws` and search events recorded in `trace`.
+    pub fn run<M: CostModel + ?Sized>(
+        &self,
+        dag: &Dag,
+        procs: u32,
+        model: &M,
+        ws: &mut Workspace,
+        trace: &mut SearchTrace,
+    ) -> Schedule {
+        match self {
+            ModelScheduler::Fast(s) => s.run(dag, procs, model, ws, trace),
+            ModelScheduler::Etf(s) => s.run(dag, procs, model, ws, trace),
+            ModelScheduler::Dls(s) => s.run(dag, procs, model, ws, trace),
+            ModelScheduler::Heft(s) => s.run(dag, procs, model, ws, trace),
+        }
+    }
+
+    /// [`Self::run`] with fresh scratch.
     pub fn schedule_with_model<M: CostModel + ?Sized>(
         &self,
         dag: &Dag,
         procs: u32,
         model: &M,
     ) -> Schedule {
-        match self {
-            ModelScheduler::Fast(s) => s.schedule_with_model(dag, procs, model),
-            ModelScheduler::Etf(s) => s.schedule_with_model(dag, procs, model),
-            ModelScheduler::Dls(s) => s.schedule_with_model(dag, procs, model),
-            ModelScheduler::Heft(s) => s.schedule_with_model(dag, procs, model),
-        }
+        let mut ws = Workspace::new();
+        self.run(dag, procs, model, &mut ws, &mut SearchTrace::default())
     }
 
     /// Whether this scheduler's probe loop honours per-processor
@@ -564,19 +579,36 @@ struct PreparedRequest {
 }
 
 enum Engine {
-    /// Homogeneous: any registered scheduler, through the
-    /// zero-alloc `schedule_into` path.
+    /// Homogeneous: any registered scheduler, through `schedule_into`.
     Homogeneous(Box<dyn Scheduler>),
-    /// Heterogeneous speeds: HEFT over unequal processors.
-    Hetero(HeftHetero),
-    /// Explicit communication model: the model-generic (allocating)
-    /// `schedule_with_model` path.
-    Comm(ModelScheduler, CommModel),
-    /// Memory-constrained: a per-processor capacity table over a
-    /// communication model (`Ideal` when the request priced none),
-    /// served by a memory-aware scheduler (`fast`, `heft`) whose probe
-    /// loops reject over-capacity placements.
-    Mem(ModelScheduler, MemoryCapacities<CommModel>),
+    /// Model-priced: a model-generic scheduler under the request's
+    /// resolved machine model.
+    Priced(ModelScheduler, Machine),
+}
+
+/// A request's resolved machine model.
+enum Machine {
+    /// A communication model (`Ideal` when the request priced none)
+    /// with the request's memory capacities — unbounded without
+    /// `mem_caps`, which is byte-identical to the bare model.
+    Comm(MemoryCapacities<CommModel>),
+    /// Heterogeneous processor speeds (HEFT only).
+    Speeds(ProcessorSpeeds),
+}
+
+impl Engine {
+    /// Schedule into the worker's workspace; returns the response's
+    /// algorithm name with the schedule.
+    fn run(&self, dag: &Dag, procs: u32, ws: &mut Workspace) -> (&'static str, Schedule) {
+        let trace = &mut SearchTrace::default();
+        match self {
+            Engine::Homogeneous(s) => (s.name(), s.schedule_into(dag, procs, ws)),
+            Engine::Priced(s, Machine::Comm(m)) => (s.name(), s.run(dag, procs, m, ws, trace)),
+            Engine::Priced(s, Machine::Speeds(m)) => {
+                ("HEFT-hetero", s.run(dag, procs, m, ws, trace))
+            }
+        }
+    }
 }
 
 /// The `casch serve` server. [`Server::bind`] then [`Server::run`];
@@ -950,6 +982,9 @@ fn prepare(req: ScheduleRequest, config: &ServeConfig) -> Result<PreparedRequest
         Some(_) => ALGO_NAMES.len() - 1,
         None => algo_index(&req.algo),
     };
+    // The model-generic scheduler, resolved by whichever of the `comm`
+    // and `mem_caps` branches needs it.
+    let priced = || ModelScheduler::by_name(&req.algo);
     let (engine, procs) = match (req.speeds, req.comm) {
         (Some(_), Some(_)) => {
             return Err(
@@ -981,11 +1016,13 @@ fn prepare(req: ScheduleRequest, config: &ServeConfig) -> Result<PreparedRequest
             }
             let speeds =
                 ProcessorSpeeds::try_new(speeds).map_err(|e| format!("parse: speeds: {e}"))?;
-            (Engine::Hetero(HeftHetero::new(speeds)), n)
+            (
+                Engine::Priced(ModelScheduler::Heft(Heft::new()), Machine::Speeds(speeds)),
+                n,
+            )
         }
         (None, Some(comm)) => {
-            let scheduler =
-                ModelScheduler::by_name(&req.algo).map_err(|e| format!("parse: {e}"))?;
+            let scheduler = priced().map_err(|e| format!("parse: {e}"))?;
             let model = build_comm(comm, config, proc_limit)?;
             let procs = match model.required_procs() {
                 // A hierarchical model prices every processor through
@@ -1014,7 +1051,8 @@ fn prepare(req: ScheduleRequest, config: &ServeConfig) -> Result<PreparedRequest
                     req.procs.unwrap_or_else(|| dag.node_count().max(1) as u32)
                 }
             };
-            (Engine::Comm(scheduler, model), procs)
+            let machine = Machine::Comm(MemoryCapacities::unbounded(model));
+            (Engine::Priced(scheduler, machine), procs)
         }
         (None, None) => {
             let scheduler = scheduler_by_name(&req.algo).map_err(|e| format!("parse: {e}"))?;
@@ -1030,8 +1068,8 @@ fn prepare(req: ScheduleRequest, config: &ServeConfig) -> Result<PreparedRequest
             (Engine::Homogeneous(scheduler), procs)
         }
     };
-    // A capacity table turns any engine except heterogeneous HEFT into
-    // the memory-aware model path. Per-processor tables are length-
+    // A capacity table turns any machine except heterogeneous speeds
+    // into a memory-constrained one. Per-processor tables are length-
     // checked against the server cap *before* `resolve` materializes
     // anything, mirroring the `speeds` admission rule.
     let (engine, procs) = match req.mem_caps {
@@ -1053,8 +1091,8 @@ fn prepare(req: ScheduleRequest, config: &ServeConfig) -> Result<PreparedRequest
                                 "parse: `procs` ({p}) disagrees with `mem_caps` length ({n})"
                             ));
                         }
-                    } else if let Engine::Comm(_, model) = &engine {
-                        if let Some(h) = model.required_procs() {
+                    } else if let Engine::Priced(_, Machine::Comm(model)) = &engine {
+                        if let Some(h) = model.inner().required_procs() {
                             if h != n {
                                 return Err(format!(
                                     "parse: `mem_caps` length ({n}) disagrees with the \
@@ -1068,33 +1106,27 @@ fn prepare(req: ScheduleRequest, config: &ServeConfig) -> Result<PreparedRequest
                 MemCapsSpec::Uniform(_) => procs,
             };
             let (scheduler, inner) = match engine {
-                Engine::Hetero(_) => {
+                Engine::Priced(_, Machine::Speeds(_)) => {
                     return Err(
                         "parse: `mem_caps` cannot be combined with `speeds` (memory-aware \
                          scheduling runs on the homogeneous and communication machine models)"
                             .to_string(),
                     )
                 }
-                Engine::Comm(s, model) => (s, model),
-                Engine::Homogeneous(_) => {
-                    let s = ModelScheduler::by_name(&req.algo).map_err(|_| {
-                        format!(
-                            "parse: algorithm `{}` has no memory-aware path (use fast or heft)",
-                            req.algo
-                        )
-                    })?;
-                    (s, CommModel::Ideal)
-                }
-                Engine::Mem(..) => unreachable!("the memory engine is only built here"),
+                Engine::Priced(s, Machine::Comm(model)) => (Ok(s), model.inner().clone()),
+                Engine::Homogeneous(_) => (priced(), CommModel::Ideal),
             };
-            if !scheduler.is_memory_aware() {
-                return Err(format!(
-                    "parse: algorithm `{}` has no memory-aware path (use fast or heft)",
-                    req.algo
-                ));
-            }
-            let model = MemoryCapacities::new(inner, spec.resolve(procs));
-            (Engine::Mem(scheduler, model), procs)
+            let scheduler = scheduler
+                .ok()
+                .filter(ModelScheduler::is_memory_aware)
+                .ok_or_else(|| {
+                    format!(
+                        "parse: algorithm `{}` has no memory-aware path (use fast or heft)",
+                        req.algo
+                    )
+                })?;
+            let machine = Machine::Comm(MemoryCapacities::new(inner, spec.resolve(procs)));
+            (Engine::Priced(scheduler, machine), procs)
         }
     };
     let timeout_ms = req.timeout_ms.unwrap_or(config.default_timeout_ms);
@@ -1158,7 +1190,7 @@ impl Drop for ResponseGuard<'_> {
 fn process(
     req: PreparedRequest,
     worker: usize,
-    ws: &mut fastsched_algorithms::Workspace,
+    ws: &mut Workspace,
     stats: &ServeStats,
     writer: &ConnWriter,
 ) {
@@ -1201,12 +1233,7 @@ fn process(
         return;
     }
     let t0 = Instant::now();
-    let (name, schedule) = match &req.engine {
-        Engine::Homogeneous(s) => (s.name(), s.schedule_into(&req.dag, req.procs, ws)),
-        Engine::Hetero(h) => ("HEFT-hetero", h.schedule(&req.dag)),
-        Engine::Comm(s, model) => (s.name(), s.schedule_with_model(&req.dag, req.procs, model)),
-        Engine::Mem(s, model) => (s.name(), s.schedule_with_model(&req.dag, req.procs, model)),
-    };
+    let (name, schedule) = req.engine.run(&req.dag, req.procs, ws);
     let t1 = Instant::now();
     // `service_us` in the response is the schedule phase — the same
     // quantity it has always carried.
@@ -1228,9 +1255,7 @@ fn process(
     guard.answered = true;
     // Recycle the result so the worker's steady state stays
     // allocation-free once its spare pool is warm.
-    if let Engine::Homogeneous(_) = req.engine {
-        ws.recycle(schedule);
-    }
+    ws.recycle(schedule);
     shard.requests.inc();
     if stats.timing {
         shard.phase_us[1].record(service_us);

@@ -103,13 +103,11 @@ impl CostModel for HomogeneousModel {
         dag.weight(node)
     }
 
+    /// A branchless select: the scheduling cores' DAT folds over this
+    /// stay straight-line max chains.
     #[inline]
     fn message_cost(&self, nominal: Cost, src: ProcId, dst: ProcId) -> Cost {
-        if src == dst {
-            0
-        } else {
-            nominal
-        }
+        nominal * Cost::from(src != dst)
     }
 }
 

@@ -211,6 +211,47 @@ impl<M: CostModel> DeltaEvaluator<M> {
         self.init(dag, num_procs);
     }
 
+    /// The same evaluator priced by `model`: every buffer (and the
+    /// committed state) moves over, nothing is allocated. Lets one
+    /// warm evaluator serve runs under different model types; callers
+    /// [`Self::reset`] it before probing under the new model.
+    pub fn into_model<N: CostModel>(self, model: N) -> DeltaEvaluator<N> {
+        DeltaEvaluator {
+            model,
+            num_procs: self.num_procs,
+            order: self.order,
+            pos_of: self.pos_of,
+            assignment: self.assignment,
+            start: self.start,
+            finish: self.finish,
+            makespan: self.makespan,
+            proc_positions: self.proc_positions,
+            succ_offset: self.succ_offset,
+            succ_sorted: self.succ_sorted,
+            seg_epoch: self.seg_epoch,
+            seg_gen: self.seg_gen,
+            slacks_stale: self.slacks_stale,
+            prefix_max: self.prefix_max,
+            suffix_max: self.suffix_max,
+            epoch: self.epoch,
+            node_dirty: self.node_dirty,
+            dirty_full: self.dirty_full,
+            dirty_acc: self.dirty_acc,
+            proc_epoch: self.proc_epoch,
+            proc_diverged: self.proc_diverged,
+            proc_ready: self.proc_ready,
+            undo: self.undo,
+            tentative: self.tentative,
+            stats: self.stats,
+        }
+    }
+
+    /// The cost model pricing every probe.
+    #[inline]
+    pub fn model(&self) -> &M {
+        &self.model
+    }
+
     /// Shared seeding path of [`Self::with_model`] and [`Self::reset`]:
     /// `self.order` / `self.assignment` are already in place; size
     /// every derived buffer (clear + resize, keeping capacity) and run
@@ -343,14 +384,6 @@ impl<M: CostModel> DeltaEvaluator<M> {
     /// driver can attribute engine work to its own search run.
     pub fn take_stats(&mut self) -> EvalStats {
         std::mem::take(&mut self.stats)
-    }
-
-    /// Consume the evaluator, returning the committed assignment.
-    ///
-    /// Panics if a probe is unresolved.
-    pub fn into_assignment(self) -> Vec<ProcId> {
-        assert!(self.tentative.is_none(), "unresolved probe");
-        self.assignment
     }
 
     /// Materialize the committed schedule.

@@ -813,7 +813,13 @@ fn workspace_model_path_is_byte_identical_capped_and_uncapped() {
             MemoryCapacities::unbounded(HomogeneousModel),
         ] {
             let fresh = Fast::new().schedule_with_model(&case.dag, case.procs, &model);
-            let warm = Fast::new().schedule_with_model_into(&case.dag, case.procs, &model, &mut ws);
+            let warm = Fast::new().run(
+                &case.dag,
+                case.procs,
+                &model,
+                &mut ws,
+                &mut SearchTrace::default(),
+            );
             assert_eq!(
                 fresh,
                 warm,

@@ -11,9 +11,18 @@
 use fastsched::counting_alloc::CountingAlloc;
 use fastsched::prelude::*;
 use fastsched::schedule::io::to_json;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
+
+/// The allocation counter is process-wide, so the tests run one at a
+/// time: no other test may allocate inside a measured window.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// True when the build is expected to be allocation-free in steady
 /// state: release, no validation gate, no trace capture.
@@ -26,21 +35,26 @@ const fn steady_state_armed() -> bool {
 }
 
 fn assert_steady_state(name: &str, dag: &Dag, procs: u32, sched: &dyn Scheduler) {
+    assert_steady_state_with(name, |ws| sched.schedule_into(dag, procs, ws));
+}
+
+/// [`assert_steady_state`] for any scheduling call against a workspace.
+fn assert_steady_state_with(name: &str, run: impl Fn(&mut Workspace) -> Schedule) {
     let mut ws = Workspace::new();
     // Warm-up: the first call grows every buffer to its peak size;
     // the second call runs against warm capacity (commit-path lane
     // growth included, because the seeded search replays the same
     // trajectory).
-    let first = sched.schedule_into(dag, procs, &mut ws);
+    let first = run(&mut ws);
     let reference = to_json(&first);
     ws.recycle(first);
-    let second = sched.schedule_into(dag, procs, &mut ws);
+    let second = run(&mut ws);
     assert_eq!(to_json(&second), reference, "{name}: warm call diverged");
     ws.recycle(second);
 
     for i in 0..3 {
         let before = ALLOC.allocations();
-        let s = sched.schedule_into(dag, procs, &mut ws);
+        let s = run(&mut ws);
         let allocated = ALLOC.allocations() - before;
         if steady_state_armed() {
             assert_eq!(
@@ -57,6 +71,7 @@ fn assert_steady_state(name: &str, dag: &Dag, procs: u32, sched: &dyn Scheduler)
 /// random DAG.
 #[test]
 fn fast_is_allocation_free_on_the_2000_node_workload() {
+    let _serial = serial();
     let db = TimingDatabase::paragon();
     let dag = random_layered_dag(&RandomDagConfig::paper(2000, &db), 1);
     assert_steady_state("FAST/2000", &dag, 64, &Fast::new());
@@ -67,6 +82,7 @@ fn fast_is_allocation_free_on_the_2000_node_workload() {
 /// allocation property).
 #[test]
 fn ported_algorithms_are_allocation_free() {
+    let _serial = serial();
     let db = TimingDatabase::paragon();
     let dag = random_layered_dag(&RandomDagConfig::paper(300, &db), 7);
     assert_steady_state("FAST/300", &dag, 8, &Fast::new());
@@ -81,4 +97,42 @@ fn ported_algorithms_are_allocation_free() {
             ..Default::default()
         }),
     );
+    assert_steady_state("HEFT/300", &dag, 8, &Heft::new());
+}
+
+/// The model-priced scheduling cores — what `casch serve` runs for
+/// `comm`, `mem_caps` and `speeds` requests — are allocation-free on a
+/// warm workspace too.
+#[test]
+fn model_priced_cores_are_allocation_free() {
+    let _serial = serial();
+    use fastsched::casch::serve::ModelScheduler;
+    use fastsched::schedule::{CommModel, MemoryCapacities, ProcessorSpeeds};
+    use fastsched::workloads::fuzz::assign_mems;
+
+    let db = TimingDatabase::paragon();
+    let dag = assign_mems(&random_layered_dag(&RandomDagConfig::paper(300, &db), 7), 7);
+    for spec in ["alpha-beta:25,3,2", "hier:4+4@0,1,1@50,2,1"] {
+        let comm = CommModel::parse_spec(spec).expect("comm spec");
+        for algo in ["fast", "etf", "dls"] {
+            let s = ModelScheduler::by_name(algo).expect("model scheduler");
+            assert_steady_state_with(&format!("{algo}/{spec}"), |ws| {
+                s.run(&dag, 8, &comm, ws, &mut SearchTrace::default())
+            });
+        }
+    }
+    // Every lane can hold the whole DAG: the capacity bookkeeping runs
+    // but never rejects a placement.
+    let loose = dag.mems().iter().sum();
+    let capped = MemoryCapacities::uniform(CommModel::Ideal, loose, 8);
+    for algo in ["fast", "heft"] {
+        let s = ModelScheduler::by_name(algo).expect("model scheduler");
+        assert_steady_state_with(&format!("{algo}/mem-caps"), |ws| {
+            s.run(&dag, 8, &capped, ws, &mut SearchTrace::default())
+        });
+    }
+    let speeds = ProcessorSpeeds::new(vec![100, 200, 50, 150, 100, 200, 50, 150]);
+    assert_steady_state_with("heft/speeds", |ws| {
+        Heft::new().run(&dag, 8, &speeds, ws, &mut SearchTrace::default())
+    });
 }
