@@ -8,22 +8,10 @@
 //! ready nodes, highest static level first; a hole node is accepted if
 //! it fits without delaying the hole owner's start.
 
-use crate::list_common::{DatCache, Machine, ReadySet};
+use crate::list_common::{DatLanes, Machine, ReadySet};
 use crate::scheduler::{gate_schedule, Scheduler};
-use fastsched_dag::{attributes::static_levels, Cost, Dag, NodeId};
-use fastsched_schedule::{ProcId, Schedule};
-
-/// DAT cache of a ready node, built on first probe. A ready node's
-/// parents are all placed, so its cache never goes stale; entries of
-/// placed nodes are simply never queried again.
-fn cached<'a>(
-    cache: &'a mut [Option<DatCache>],
-    dag: &Dag,
-    machine: &Machine,
-    n: NodeId,
-) -> &'a DatCache {
-    cache[n.index()].get_or_insert_with(|| DatCache::compute(dag, machine, n))
-}
+use fastsched_dag::{attributes::static_levels, Cost, Dag};
+use fastsched_schedule::{HomogeneousModel, ProcId, Schedule};
 
 /// The ISH scheduler.
 #[derive(Debug, Clone, Copy, Default)]
@@ -46,7 +34,10 @@ impl Scheduler for Ish {
         let sl = static_levels(dag);
         let mut machine = Machine::new(dag.node_count(), num_procs);
         let mut ready = ReadySet::new(dag);
-        let mut dat_cache: Vec<Option<DatCache>> = vec![None; dag.node_count()];
+        // A ready node's DAT entry is filled on its first probe; its
+        // parents are all placed, so the entry never goes stale.
+        let mut dat = DatLanes::new();
+        dat.reset(dag, &HomogeneousModel);
 
         while !ready.is_empty() {
             // Highest static level among ready nodes.
@@ -56,14 +47,16 @@ impl Scheduler for Ish {
                 .max_by_key(|&&n| (sl[n.index()], std::cmp::Reverse(n.0)))
                 .expect("ready set non-empty");
 
-            // Best processor under the append policy; the cache makes
-            // each probe O(1) amortized instead of O(in-degree).
-            let cache = cached(&mut dat_cache, dag, &machine, n);
+            // Best processor under the append policy; the DAT lanes make
+            // each probe O(distinct parent processors) instead of
+            // O(in-degree).
             let mut best_p = ProcId(0);
             let mut best_s = Cost::MAX;
             for pi in 0..num_procs {
                 let p = ProcId(pi);
-                let s = cache.dat(p).max(machine.ready_time(p));
+                let s = dat
+                    .probe(&HomogeneousModel, dag, &machine, n, p)
+                    .max(machine.ready_time(p));
                 if s < best_s {
                     best_s = s;
                     best_p = p;
@@ -79,15 +72,15 @@ impl Scheduler for Ish {
                 // Candidate: the highest-SL ready node that fits in the
                 // hole without delaying (its DAT on best_p must allow
                 // finishing by best_s). Each candidate's DAT is read
-                // once from its cache and its start carried along, so
+                // once from the lanes and its start carried along, so
                 // the accept arm does not recompute it.
                 let fit = ready
                     .ready()
                     .iter()
                     .copied()
                     .filter_map(|m| {
-                        let dat = cached(&mut dat_cache, dag, &machine, m).dat(best_p);
-                        let s = dat.max(hole_lo);
+                        let arrival = dat.probe(&HomogeneousModel, dag, &machine, m, best_p);
+                        let s = arrival.max(hole_lo);
                         (s + dag.weight(m) <= best_s).then_some((m, s))
                     })
                     .max_by_key(|&(m, _)| (sl[m.index()], std::cmp::Reverse(m.0)));

@@ -147,95 +147,20 @@ impl Machine {
     }
 }
 
-/// Cached data-arrival times of a *ready* node (all parents placed, so
-/// the values are final): the all-remote bound plus the per-processor
-/// exceptions for processors hosting a parent.
+/// The DAT cache: data-arrival times of *ready* nodes (all parents
+/// placed, so the values are final), as flat structure-of-arrays lanes
+/// for every node at once.
 ///
-/// `DAT(n, P)` is `remote` unless `P` hosts a parent, in which case the
-/// message from that parent is free. Caching this when the node
-/// becomes ready makes every subsequent `(node, processor)` probe O(1)
-/// amortized instead of O(in-degree) — the difference between the
-/// published O(p v²) for ETF and an accidental O(p v² d).
-#[derive(Debug, Clone)]
-pub struct DatCache {
-    /// `max over parents (finish + c)` — DAT on any processor hosting
-    /// no parent.
-    pub remote: Cost,
-    /// `(proc, DAT(n, proc))` for each distinct parent processor.
-    pub parent_procs: Vec<(ProcId, Cost)>,
-}
-
-impl DatCache {
-    /// An empty cache holding no buffer; fill it with
-    /// [`DatCache::compute_into`].
-    pub fn empty() -> Self {
-        Self {
-            remote: 0,
-            parent_procs: Vec::new(),
-        }
-    }
-
-    /// Build the cache for ready node `n` against current placements.
-    /// The parent-processor list is sized to the in-degree up front, so
-    /// it never grows incrementally.
-    pub fn compute(dag: &Dag, machine: &Machine, n: NodeId) -> Self {
-        let mut cache = Self {
-            remote: 0,
-            parent_procs: Vec::with_capacity(dag.in_degree(n)),
-        };
-        cache.compute_into(dag, machine, n);
-        cache
-    }
-
-    /// [`DatCache::compute`] refilling this cache in place (the
-    /// parent-processor list is cleared, its capacity kept), so a
-    /// reused cache stops allocating once it has seen its widest node.
-    pub fn compute_into(&mut self, dag: &Dag, machine: &Machine, n: NodeId) {
-        self.remote = 0;
-        self.parent_procs.clear();
-        for e in dag.preds(n) {
-            debug_assert!(machine.placed[e.node.index()]);
-            self.remote = self.remote.max(machine.finish[e.node.index()] + e.cost);
-            let p = machine.proc[e.node.index()];
-            if !self.parent_procs.iter().any(|&(q, _)| q == p) {
-                self.parent_procs.push((p, 0));
-            }
-        }
-        // DAT on parent processor q: messages from parents on q are
-        // free, others pay their edge cost.
-        for slot in &mut self.parent_procs {
-            let q = slot.0;
-            let mut dat = 0;
-            for e in dag.preds(n) {
-                let arrival = if machine.proc[e.node.index()] == q {
-                    machine.finish[e.node.index()]
-                } else {
-                    machine.finish[e.node.index()] + e.cost
-                };
-                dat = dat.max(arrival);
-            }
-            slot.1 = dat;
-        }
-    }
-
-    /// `DAT(n, p)` in O(parent-processor count).
-    #[inline]
-    pub fn dat(&self, p: ProcId) -> Cost {
-        self.parent_procs
-            .iter()
-            .find(|&&(q, _)| q == p)
-            .map_or(self.remote, |&(_, d)| d)
-    }
-}
-
-/// Flat structure-of-arrays [`DatCache`] plane for every node at once:
-/// the per-node `(proc, DAT)` exception pairs live in the node's
-/// predecessor-CSR span (distinct parent processors never outnumber
-/// parents), with the all-remote bound, entry count and validity in
-/// per-node lanes. Same semantics, same probe complexity — but one
-/// `reset` touches four flat arrays instead of `v` heap-owned vectors,
-/// and the fill/probe loops walk the split [`Dag::pred_lanes`] with no
-/// struct padding.
+/// `DAT(n, P)` is the all-remote bound unless `P` hosts a parent, whose
+/// message is then priced co-located. The per-node `(proc, DAT)`
+/// exception pairs live in the node's predecessor-CSR span (distinct
+/// parent processors never outnumber parents), with the all-remote
+/// bound, entry count and validity in per-node lanes. Filling a node's
+/// entry once makes every later `(node, processor)` probe
+/// O(distinct parent processors) instead of O(in-degree) — the
+/// difference between the published O(p v²) for ETF and an accidental
+/// O(p v² d) — and one `reset` touches flat arrays, not `v` heap-owned
+/// caches; the fill/probe loops walk the split [`Dag::pred_lanes`].
 ///
 /// The lanes price messages through a [`CostModel`], and they are
 /// exact only when a message's price depends on nothing but whether
@@ -295,11 +220,8 @@ impl DatLanes {
     }
 
     /// Fill `n`'s entry against current placements (all parents must
-    /// be placed — the values are final once `n` is ready). Mirrors
-    /// [`DatCache::compute_into`] exactly under the homogeneous model:
-    /// distinct parent processors are discovered in pred (id-sorted)
-    /// order and the per-processor DAT folds the same max over the
-    /// same arrivals, so every probe answer is identical.
+    /// be placed — the values are final once `n` is ready). Distinct
+    /// parent processors are discovered in pred (id-sorted) order.
     pub fn fill<M: CostModel + ?Sized>(
         &mut self,
         model: &M,
@@ -382,56 +304,6 @@ impl DatLanes {
         }
         self.dat(dag, n, p)
     }
-}
-
-/// Lazy min-heap over processor ready times, letting pair-scanning
-/// schedulers find the least-busy processor in O(log p) amortized.
-pub struct ProcPool {
-    heap: std::collections::BinaryHeap<std::cmp::Reverse<(Cost, u32)>>,
-}
-
-impl ProcPool {
-    /// All `num_procs` processors idle at time 0.
-    pub fn new(num_procs: u32) -> Self {
-        let heap = (0..num_procs).map(|p| std::cmp::Reverse((0, p))).collect();
-        Self { heap }
-    }
-
-    /// Record that `p`'s ready time changed (stale entries are purged
-    /// lazily on query).
-    pub fn update(&mut self, p: ProcId, ready: Cost) {
-        self.heap.push(std::cmp::Reverse((ready, p.0)));
-    }
-
-    /// The processor with the smallest current ready time (ties: the
-    /// one that reached that ready time first, then lowest id).
-    pub fn min_ready_proc(&mut self, machine: &Machine) -> ProcId {
-        loop {
-            let &std::cmp::Reverse((ready, p)) = self.heap.peek().expect("pool never empty");
-            if machine.ready_time(ProcId(p)) == ready {
-                return ProcId(p);
-            }
-            self.heap.pop();
-        }
-    }
-}
-
-/// Best processor for ready node `n` among *all* processors, using its
-/// [`DatCache`]: only the parent processors and the least-ready
-/// processor can achieve the minimum `EST = max(ready(P), DAT(n, P))`,
-/// so the probe is O(distinct parent processors). Ties go to the
-/// candidate with the lower EST-then-id.
-pub fn best_append_proc(machine: &Machine, pool_min: ProcId, cache: &DatCache) -> (ProcId, Cost) {
-    let mut best_p = pool_min;
-    let mut best_est = machine.ready_time(pool_min).max(cache.dat(pool_min));
-    for &(q, dat) in &cache.parent_procs {
-        let est = machine.ready_time(q).max(dat);
-        if est < best_est || (est == best_est && q.0 < best_p.0) {
-            best_est = est;
-            best_p = q;
-        }
-    }
-    (best_p, best_est)
 }
 
 /// Ready-set tracker: nodes become ready when all parents are placed.
@@ -596,8 +468,8 @@ mod tests {
 
     #[test]
     fn dat_cache_matches_direct_computation() {
-        // Mixed parents on different processors: the cache must agree
-        // with Machine::data_arrival_time on every processor.
+        // Mixed parents on different processors: the cached lanes must
+        // agree with Machine::data_arrival_time on every processor.
         let mut b = DagBuilder::new();
         let p1 = b.add_task(2);
         let p2 = b.add_task(3);
@@ -608,22 +480,30 @@ mod tests {
         let mut m = Machine::new(3, 4);
         m.place(&g, p1, ProcId(0), 0); // finish 2
         m.place(&g, p2, ProcId(2), 5); // finish 8
-        let cache = DatCache::compute(&g, &m, child);
+        let mut lanes = DatLanes::new();
+        lanes.reset(&g, &HomogeneousModel);
+        lanes.fill(&HomogeneousModel, &g, &m, child);
         for pi in 0..4 {
             let p = ProcId(pi);
-            assert_eq!(cache.dat(p), m.data_arrival_time(&g, child, p), "proc {pi}");
+            assert_eq!(
+                lanes.dat(&g, child, p),
+                m.data_arrival_time(&g, child, p),
+                "proc {pi}"
+            );
         }
-        // All-remote bound: max(2 + 10, 8 + 4) = 12.
-        assert_eq!(cache.remote, 12);
-        // On proc 0 the heavy message is free: max(2, 8 + 4) = 12; on
-        // proc 2: max(2 + 10, 8) = 12 — and on proc 1/3 also 12.
-        assert_eq!(cache.dat(ProcId(0)), 12);
+        // All-remote bound: max(2 + 10, 8 + 4) = 12. On proc 0 the heavy
+        // message is free: max(2, 8 + 4) = 12; on proc 2: max(2 + 10, 8)
+        // = 12 — and on proc 1/3 also 12.
+        for pi in 0..4 {
+            assert_eq!(lanes.dat(&g, child, ProcId(pi)), 12, "proc {pi}");
+        }
     }
 
     #[test]
     fn dat_lanes_match_dat_cache() {
-        // Same mixed-parent scenario as above, probed through the flat
-        // lanes: every (node, processor) answer must equal DatCache's.
+        // Three parents and a second child, probed through the flat
+        // lanes: every (node, processor) answer must equal
+        // Machine::data_arrival_time.
         let mut b = DagBuilder::new();
         let p1 = b.add_task(2);
         let p2 = b.add_task(3);
@@ -636,65 +516,31 @@ mod tests {
         b.add_edge(p1, other, 2).unwrap();
         let g = b.build().unwrap();
         let mut m = Machine::new(g.node_count(), 4);
-        m.place(&g, p1, ProcId(0), 0);
-        m.place(&g, p2, ProcId(2), 5);
-        m.place(&g, p3, ProcId(2), 8);
+        m.place(&g, p1, ProcId(0), 0); // finish 2
+        m.place(&g, p2, ProcId(2), 5); // finish 8
+        m.place(&g, p3, ProcId(2), 8); // finish 12
         let mut lanes = DatLanes::new();
         lanes.reset(&g, &HomogeneousModel);
         assert!(!lanes.is_valid(child));
         lanes.fill(&HomogeneousModel, &g, &m, child);
         lanes.fill(&HomogeneousModel, &g, &m, other);
         for &n in &[child, other] {
-            let cache = DatCache::compute(&g, &m, n);
             for pi in 0..4 {
                 let p = ProcId(pi);
-                assert_eq!(lanes.dat(&g, n, p), cache.dat(p), "node {n} proc {pi}");
+                assert_eq!(
+                    lanes.dat(&g, n, p),
+                    m.data_arrival_time(&g, n, p),
+                    "node {n} proc {pi}"
+                );
             }
         }
+        // All-remote: max(2 + 10, 8 + 4, 12 + 1) = 13. On proc 2 the
+        // two co-located messages are free: max(2 + 10, 8, 12) = 12.
+        assert_eq!(lanes.dat(&g, child, ProcId(1)), 13);
+        assert_eq!(lanes.dat(&g, child, ProcId(2)), 12);
         // Reset invalidates without shrinking.
         lanes.reset(&g, &HomogeneousModel);
         assert!(!lanes.is_valid(child));
-    }
-
-    #[test]
-    fn proc_pool_tracks_min_ready() {
-        let mut b = DagBuilder::new();
-        let a = b.add_task(5);
-        let c = b.add_task(2);
-        let g = b.build().unwrap();
-        let mut m = Machine::new(2, 3);
-        let mut pool = ProcPool::new(3);
-        assert_eq!(pool.min_ready_proc(&m), ProcId(0));
-        m.place(&g, a, ProcId(0), 0);
-        pool.update(ProcId(0), m.ready_time(ProcId(0)));
-        assert_eq!(pool.min_ready_proc(&m), ProcId(1));
-        m.place(&g, c, ProcId(1), 0);
-        pool.update(ProcId(1), m.ready_time(ProcId(1)));
-        assert_eq!(pool.min_ready_proc(&m), ProcId(2));
-    }
-
-    #[test]
-    fn best_append_proc_agrees_with_full_scan() {
-        let mut b = DagBuilder::new();
-        let p1 = b.add_task(2);
-        let p2 = b.add_task(3);
-        let child = b.add_task(1);
-        b.add_edge(p1, child, 10).unwrap();
-        b.add_edge(p2, child, 4).unwrap();
-        let g = b.build().unwrap();
-        let mut m = Machine::new(3, 4);
-        let mut pool = ProcPool::new(4);
-        m.place(&g, p1, ProcId(0), 0);
-        pool.update(ProcId(0), 2);
-        m.place(&g, p2, ProcId(2), 5);
-        pool.update(ProcId(2), 13);
-        let cache = DatCache::compute(&g, &m, child);
-        let (_, est) = best_append_proc(&m, pool.min_ready_proc(&m), &cache);
-        let full = (0..4)
-            .map(|pi| m.earliest_start_append(&g, child, ProcId(pi)))
-            .min()
-            .unwrap();
-        assert_eq!(est, full);
     }
 
     #[test]

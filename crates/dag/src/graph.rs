@@ -1,14 +1,30 @@
 //! Core weighted-DAG representation.
 //!
-//! The working representation is an immutable CSR (compressed sparse
-//! row) adjacency in both directions, frozen together with a
-//! topological order at build time. All attribute passes in this crate
-//! are single sweeps over the CSR arrays, which is what makes the
-//! paper's O(e) bounds achievable in practice (no per-node allocation,
-//! no hashing on the hot path).
+//! Every edge is stored once per direction, as split
+//! structure-of-arrays lanes frozen at build time together with a
+//! topological order:
+//!
+//! * the **predecessor CSR**, keyed by node id: node `n`'s parents are
+//!   `pred_src[pred_offsets[n]..pred_offsets[n + 1]]` in id order, with
+//!   the edge costs aligned in `pred_cost`;
+//! * the **successor CSR**, keyed by topological position: the node at
+//!   position `p` sends to the positions
+//!   `tsucc_targets[tsucc_offsets[p]..tsucc_offsets[p + 1]]`, listed in
+//!   successor-id order, with the edge costs aligned in `tsucc_costs`.
+//!
+//! [`Dag::preds`] and [`Dag::succs`] are `Copy` views over these runs
+//! that yield [`EdgeRef`]s by value in neighbour-id order. All
+//! attribute passes in this crate are single sweeps over the lanes,
+//! which is what makes the paper's O(e) bounds achievable in practice
+//! (no per-node allocation, no hashing on the hot path).
 
 use crate::error::DagError;
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::fmt::{self, Write as _};
+use std::iter::Zip;
+use std::slice;
 
 /// Computation / communication cost unit.
 ///
@@ -36,8 +52,6 @@ impl fmt::Display for NodeId {
     }
 }
 
-use std::fmt;
-
 /// A directed edge endpoint as seen from one side: the other node and
 /// the communication cost of the message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,6 +61,100 @@ pub struct EdgeRef {
     /// Communication cost `c(n_i, n_j)` of the message.
     pub cost: Cost,
 }
+
+/// One node's edges in one direction: a `Copy` view over a run of the
+/// split endpoint/cost lanes, yielding [`EdgeRef`]s by value in
+/// neighbour-id order.
+#[derive(Debug, Clone, Copy)]
+pub struct Adjacency<'a> {
+    ends: &'a [u32],
+    costs: &'a [Cost],
+    /// Maps a stored endpoint to its node: the topo order for successor
+    /// runs, which store topo positions; `None` for predecessor runs,
+    /// which store node ids.
+    node_at: Option<&'a [NodeId]>,
+}
+
+impl<'a> Adjacency<'a> {
+    /// Number of edges in the run.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// `true` if the run holds no edges.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// The `i`-th edge of the run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.len()`.
+    #[inline]
+    pub fn get(&self, i: usize) -> EdgeRef {
+        EdgeRef {
+            node: self.node(self.ends[i]),
+            cost: self.costs[i],
+        }
+    }
+
+    /// The run's edges, in order.
+    #[inline]
+    pub fn iter(&self) -> AdjacencyIter<'a> {
+        AdjacencyIter {
+            lanes: self.ends.iter().zip(self.costs),
+            view: *self,
+        }
+    }
+
+    #[inline]
+    fn node(&self, end: u32) -> NodeId {
+        match self.node_at {
+            Some(order) => order[end as usize],
+            None => NodeId(end),
+        }
+    }
+}
+
+impl<'a> IntoIterator for Adjacency<'a> {
+    type Item = EdgeRef;
+    type IntoIter = AdjacencyIter<'a>;
+
+    #[inline]
+    fn into_iter(self) -> AdjacencyIter<'a> {
+        self.iter()
+    }
+}
+
+/// Iterator over an [`Adjacency`] run.
+#[derive(Debug, Clone)]
+pub struct AdjacencyIter<'a> {
+    lanes: Zip<slice::Iter<'a, u32>, slice::Iter<'a, Cost>>,
+    view: Adjacency<'a>,
+}
+
+impl Iterator for AdjacencyIter<'_> {
+    type Item = EdgeRef;
+
+    #[inline]
+    fn next(&mut self) -> Option<EdgeRef> {
+        let (&end, &cost) = self.lanes.next()?;
+        Some(EdgeRef {
+            node: self.view.node(end),
+            cost,
+        })
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.lanes.size_hint()
+    }
+}
+
+impl ExactSizeIterator for AdjacencyIter<'_> {}
 
 /// Immutable node- and edge-weighted directed acyclic graph.
 ///
@@ -60,37 +168,30 @@ pub struct Dag {
     /// optional resource axis: graphs built without footprints carry
     /// an all-zero lane and behave exactly as before.
     mems: Vec<Cost>,
-    names: Vec<String>,
-    // CSR successors.
-    succ_offsets: Vec<u32>,
-    succ_edges: Vec<EdgeRef>,
-    // CSR predecessors.
+    /// Every node's name, concatenated in id order.
+    names: String,
+    /// End offset of each node's name in `names`.
+    name_ends: Vec<u32>,
+    /// Predecessor run offsets keyed by node id (`len = v + 1`).
     pred_offsets: Vec<u32>,
-    pred_edges: Vec<EdgeRef>,
-    topo: Vec<NodeId>,
-    // --- Structure-of-arrays mirrors, frozen at build time. ---
-    // The AoS `EdgeRef` runs above stay the ergonomic API; the flat
-    // lanes below are what the hot loops (attribute sweeps, DAT
-    // probes) walk, so each loop touches only the lane it needs
-    // instead of padded 16-byte structs.
-    /// Predecessor endpoints, same order as `pred_edges`.
+    /// Parent ids, each run sorted by id.
     pred_src: Vec<u32>,
-    /// Predecessor edge costs, same order as `pred_edges`.
+    /// Predecessor edge costs, aligned with `pred_src`.
     pred_cost: Vec<Cost>,
+    topo: Vec<NodeId>,
     /// Topological position of each node id (inverse of `topo`).
     topo_pos: Vec<u32>,
-    /// Successor CSR re-keyed by topo position: the run of node at
+    /// Successor run offsets keyed by topo position: the run of node at
     /// position `p` is `tsucc_offsets[p]..tsucc_offsets[p + 1]`. The
     /// per-position run length is the out-degree lane.
     tsucc_offsets: Vec<u32>,
-    /// Successor *topo positions* (always > the source position).
+    /// Successor *topo positions* (always > the source position), each
+    /// run in successor-id order.
     tsucc_targets: Vec<u32>,
     /// Successor edge costs, aligned with `tsucc_targets`.
     tsucc_costs: Vec<Cost>,
     /// Node weights keyed by topo position.
     topo_weights: Vec<Cost>,
-    /// Node memory footprints keyed by topo position.
-    topo_mems: Vec<Cost>,
 }
 
 /// Borrowed structure-of-arrays view of the successor adjacency keyed
@@ -112,8 +213,6 @@ pub struct TopoCsr<'a> {
     pub pos_of: &'a [u32],
     /// Node weights keyed by topo position.
     pub weights: &'a [Cost],
-    /// Node memory footprints keyed by topo position.
-    pub mems: &'a [Cost],
     /// Successor run offsets keyed by topo position (`len = v + 1`);
     /// `offsets[p + 1] - offsets[p]` is the out-degree lane.
     pub offsets: &'a [u32],
@@ -132,17 +231,15 @@ impl Dag {
 
     /// Number of edges `e`.
     ///
-    /// Debug builds assert that every edge-keyed lane (AoS runs and
-    /// SoA mirrors) agrees on this count — a desynchronized mirror
-    /// would silently corrupt the sweep kernels.
+    /// Debug builds assert that every edge-keyed lane agrees on this
+    /// count — a desynchronized lane would silently corrupt the sweep
+    /// kernels.
     #[inline]
     pub fn edge_count(&self) -> usize {
-        debug_assert_eq!(self.succ_edges.len(), self.pred_edges.len());
-        debug_assert_eq!(self.succ_edges.len(), self.pred_src.len());
-        debug_assert_eq!(self.succ_edges.len(), self.pred_cost.len());
-        debug_assert_eq!(self.succ_edges.len(), self.tsucc_targets.len());
-        debug_assert_eq!(self.succ_edges.len(), self.tsucc_costs.len());
-        self.succ_edges.len()
+        debug_assert_eq!(self.pred_src.len(), self.pred_cost.len());
+        debug_assert_eq!(self.pred_src.len(), self.tsucc_targets.len());
+        debug_assert_eq!(self.pred_src.len(), self.tsucc_costs.len());
+        self.pred_src.len()
     }
 
     /// Computation cost `w(n)` of a node.
@@ -184,7 +281,9 @@ impl Dag {
     /// Human-readable node name (defaults to `n<i>`).
     #[inline]
     pub fn name(&self, n: NodeId) -> &str {
-        &self.names[n.index()]
+        let i = n.index();
+        let lo = if i == 0 { 0 } else { self.name_ends[i - 1] };
+        &self.names[lo as usize..self.name_ends[i] as usize]
     }
 
     /// Iterator over all node ids in insertion order.
@@ -192,20 +291,30 @@ impl Dag {
         (0..self.node_count() as u32).map(NodeId)
     }
 
-    /// Successor edges of `n` (messages `n` sends).
+    /// Successor edges of `n` (messages `n` sends), in successor-id
+    /// order.
     #[inline]
-    pub fn succs(&self, n: NodeId) -> &[EdgeRef] {
-        let lo = self.succ_offsets[n.index()] as usize;
-        let hi = self.succ_offsets[n.index() + 1] as usize;
-        &self.succ_edges[lo..hi]
+    pub fn succs(&self, n: NodeId) -> Adjacency<'_> {
+        let p = self.topo_pos[n.index()] as usize;
+        let lo = self.tsucc_offsets[p] as usize;
+        let hi = self.tsucc_offsets[p + 1] as usize;
+        Adjacency {
+            ends: &self.tsucc_targets[lo..hi],
+            costs: &self.tsucc_costs[lo..hi],
+            node_at: Some(&self.topo),
+        }
     }
 
-    /// Predecessor edges of `n` (messages `n` receives).
+    /// Predecessor edges of `n` (messages `n` receives), in parent-id
+    /// order.
     #[inline]
-    pub fn preds(&self, n: NodeId) -> &[EdgeRef] {
-        let lo = self.pred_offsets[n.index()] as usize;
-        let hi = self.pred_offsets[n.index() + 1] as usize;
-        &self.pred_edges[lo..hi]
+    pub fn preds(&self, n: NodeId) -> Adjacency<'_> {
+        let (ends, costs) = self.pred_lanes(n);
+        Adjacency {
+            ends,
+            costs,
+            node_at: None,
+        }
     }
 
     /// Out-degree of `n`.
@@ -244,10 +353,8 @@ impl Dag {
 
     /// Communication cost of the edge `(src, dst)`, if that edge exists.
     pub fn edge_cost(&self, src: NodeId, dst: NodeId) -> Option<Cost> {
-        self.succs(src)
-            .iter()
-            .find(|e| e.node == dst)
-            .map(|e| e.cost)
+        let (parents, costs) = self.pred_lanes(dst);
+        parents.binary_search(&src.0).ok().map(|i| costs[i])
     }
 
     /// A topological order of the nodes, frozen at build time.
@@ -268,8 +375,8 @@ impl Dag {
     /// Predecessor adjacency of `n` as split SoA lanes:
     /// `(parent ids, edge costs)`, aligned element-wise and in the
     /// same (id-sorted) order as [`Dag::preds`]. The DAT probe loops
-    /// walk these instead of `EdgeRef` structs: a `u32` lane and a
-    /// `Cost` lane gather with no padding between elements.
+    /// walk these directly: a `u32` lane and a `Cost` lane gather with
+    /// no padding between elements.
     #[inline]
     pub fn pred_lanes(&self, n: NodeId) -> (&[u32], &[Cost]) {
         let lo = self.pred_offsets[n.index()] as usize;
@@ -293,7 +400,6 @@ impl Dag {
             node_at: &self.topo,
             pos_of: &self.topo_pos,
             weights: &self.topo_weights,
-            mems: &self.topo_mems,
             offsets: &self.tsucc_offsets,
             targets: &self.tsucc_targets,
             costs: &self.tsucc_costs,
@@ -308,7 +414,7 @@ impl Dag {
 
     /// Sum of all communication costs.
     pub fn total_communication(&self) -> Cost {
-        self.succ_edges.iter().map(|e| e.cost).sum()
+        self.pred_cost.iter().sum()
     }
 
     /// Communication-to-computation ratio (CCR): average communication
@@ -339,16 +445,9 @@ impl Dag {
 pub struct DagBuilder {
     weights: Vec<Cost>,
     mems: Vec<Cost>,
-    names: Vec<String>,
+    names: String,
+    name_ends: Vec<u32>,
     edges: Vec<(NodeId, NodeId, Cost)>,
-    // CSR buffers handed to `build`: `with_capacity` preallocates
-    // these too (they used to be allocated fresh inside `build`, so a
-    // capacity hint only covered the builder-side vecs and the build
-    // step still paid four sized allocations).
-    succ_offsets: Vec<u32>,
-    pred_offsets: Vec<u32>,
-    succ_edges: Vec<EdgeRef>,
-    pred_edges: Vec<EdgeRef>,
 }
 
 impl DagBuilder {
@@ -358,38 +457,37 @@ impl DagBuilder {
     }
 
     /// Builder with preallocated capacity for `nodes` nodes and `edges`
-    /// edges, covering both the builder-side collection vecs and the
-    /// CSR adjacency arrays (offsets and both edge directions) that
-    /// [`DagBuilder::build`] assembles.
+    /// edges (the name buffer gets room for `n<i>`-style names).
     pub fn with_capacity(nodes: usize, edges: usize) -> Self {
         Self {
             weights: Vec::with_capacity(nodes),
             mems: Vec::with_capacity(nodes),
-            names: Vec::with_capacity(nodes),
+            names: String::with_capacity(nodes * 6),
+            name_ends: Vec::with_capacity(nodes),
             edges: Vec::with_capacity(edges),
-            succ_offsets: Vec::with_capacity(nodes + 1),
-            pred_offsets: Vec::with_capacity(nodes + 1),
-            succ_edges: Vec::with_capacity(edges),
-            pred_edges: Vec::with_capacity(edges),
         }
     }
 
     /// Add a task with the given name and computation cost; returns its
     /// id. Zero weights are rejected at `build` time.
-    pub fn add_node(&mut self, name: impl Into<String>, weight: Cost) -> NodeId {
-        let id = NodeId(self.weights.len() as u32);
-        self.weights.push(weight);
-        self.mems.push(0);
-        self.names.push(name.into());
-        id
+    pub fn add_node(&mut self, name: impl AsRef<str>, weight: Cost) -> NodeId {
+        self.names.push_str(name.as_ref());
+        self.push_node(weight)
     }
 
     /// Add an anonymous task (named `n<i>`).
     pub fn add_task(&mut self, weight: Cost) -> NodeId {
+        let id = self.weights.len();
+        write!(self.names, "n{id}").expect("writing to a String cannot fail");
+        self.push_node(weight)
+    }
+
+    /// Record a node whose name was just appended to `names`.
+    fn push_node(&mut self, weight: Cost) -> NodeId {
         let id = NodeId(self.weights.len() as u32);
         self.weights.push(weight);
         self.mems.push(0);
-        self.names.push(format!("n{}", id.0));
+        self.name_ends.push(self.names.len() as u32);
         id
     }
 
@@ -438,16 +536,17 @@ impl DagBuilder {
     }
 
     /// Validate and freeze into an immutable [`Dag`].
+    ///
+    /// The builder's own edge list, sorted by `(src, dst)`, is the
+    /// transient successor CSR that duplicate detection, Kahn's order
+    /// and both lane fills read; it is dropped on return.
     pub fn build(self) -> Result<Dag, DagError> {
         let Self {
             weights,
             mems,
             names,
-            edges,
-            mut succ_offsets,
-            mut pred_offsets,
-            mut succ_edges,
-            mut pred_edges,
+            name_ends,
+            mut edges,
         } = self;
         let v = weights.len();
         if v == 0 {
@@ -457,116 +556,122 @@ impl DagBuilder {
             return Err(DagError::ZeroWeight(i as u32));
         }
 
-        // Degree counts for CSR offsets. The buffers come from the
-        // builder so `with_capacity` hints cover them; clear + resize
-        // keeps whatever capacity was reserved.
-        succ_offsets.clear();
-        succ_offsets.resize(v + 1, 0);
-        pred_offsets.clear();
-        pred_offsets.resize(v + 1, 0);
+        // Sorted, each source's edges form one run in successor-id
+        // order and duplicates sit next to each other.
+        edges.sort_unstable_by_key(|&(s, d, _)| (s, d));
+        if let Some(w) = edges
+            .windows(2)
+            .find(|w| (w[0].0, w[0].1) == (w[1].0, w[1].1))
+        {
+            return Err(DagError::DuplicateEdge(w[0].0 .0, w[0].1 .0));
+        }
+        let e = edges.len();
+
+        // Run offsets: successors by source id (transient) and
+        // predecessors by target id.
+        let mut succ_start = vec![0u32; v + 1];
+        let mut pred_offsets = vec![0u32; v + 1];
         for &(s, d, _) in &edges {
-            succ_offsets[s.index() + 1] += 1;
+            succ_start[s.index() + 1] += 1;
             pred_offsets[d.index() + 1] += 1;
         }
         for i in 0..v {
-            succ_offsets[i + 1] += succ_offsets[i];
+            succ_start[i + 1] += succ_start[i];
             pred_offsets[i + 1] += pred_offsets[i];
         }
 
-        let e = edges.len();
-        let hole = EdgeRef {
-            node: NodeId(0),
-            cost: 0,
-        };
-        succ_edges.clear();
-        succ_edges.resize(e, hole);
-        pred_edges.clear();
-        pred_edges.resize(e, hole);
-        let mut succ_fill = succ_offsets.clone();
-        let mut pred_fill = pred_offsets.clone();
+        // Scanning the edges in source order fills every pred run
+        // already sorted by parent id.
+        let mut pred_src = vec![0u32; e];
+        let mut pred_cost = vec![0; e];
+        let mut fill = pred_offsets.clone();
         for &(s, d, c) in &edges {
-            let si = succ_fill[s.index()] as usize;
-            succ_edges[si] = EdgeRef { node: d, cost: c };
-            succ_fill[s.index()] += 1;
-            let pi = pred_fill[d.index()] as usize;
-            pred_edges[pi] = EdgeRef { node: s, cost: c };
-            pred_fill[d.index()] += 1;
+            let k = fill[d.index()] as usize;
+            pred_src[k] = s.0;
+            pred_cost[k] = c;
+            fill[d.index()] += 1;
         }
 
-        // Sort each adjacency run by neighbour id: deterministic
-        // iteration order and O(deg log deg) duplicate detection.
-        for i in 0..v {
-            let (lo, hi) = (succ_offsets[i] as usize, succ_offsets[i + 1] as usize);
-            succ_edges[lo..hi].sort_unstable_by_key(|e| e.node);
-            if let Some(w) = succ_edges[lo..hi]
-                .windows(2)
-                .find(|w| w[0].node == w[1].node)
-            {
-                return Err(DagError::DuplicateEdge(i as u32, w[0].node.0));
-            }
-            let (lo, hi) = (pred_offsets[i] as usize, pred_offsets[i + 1] as usize);
-            pred_edges[lo..hi].sort_unstable_by_key(|e| e.node);
-        }
-
-        // Split SoA lanes for the predecessor runs (same element
-        // order as `pred_edges`).
-        let pred_src: Vec<u32> = pred_edges.iter().map(|er| er.node.0).collect();
-        let pred_cost: Vec<Cost> = pred_edges.iter().map(|er| er.cost).collect();
-
-        let mut dag = Dag {
-            weights,
-            mems,
-            names,
-            succ_offsets,
-            succ_edges,
-            pred_offsets,
-            pred_edges,
-            pred_src,
-            pred_cost,
-            topo: Vec::new(),
-            topo_pos: Vec::new(),
-            tsucc_offsets: Vec::new(),
-            tsucc_targets: Vec::new(),
-            tsucc_costs: Vec::new(),
-            topo_weights: Vec::new(),
-            topo_mems: Vec::new(),
-        };
-        dag.topo = crate::topo::topological_order(&dag)?;
-
-        // Topo-keyed mirrors: the inverse permutation, weights by
-        // position, and the successor CSR re-keyed so every target
-        // position is strictly greater than its source position (what
-        // lets the sweep kernels scan positions linearly).
+        let run =
+            |n: NodeId| &edges[succ_start[n.index()] as usize..succ_start[n.index() + 1] as usize];
+        let topo = kahn_order(&pred_offsets, run)?;
         let mut topo_pos = vec![0u32; v];
-        for (p, &n) in dag.topo.iter().enumerate() {
+        for (p, &n) in topo.iter().enumerate() {
             topo_pos[n.index()] = p as u32;
         }
+
+        // Successor CSR keyed by topo position: every target position
+        // is strictly greater than its source position, which lets the
+        // sweep kernels scan positions linearly.
         let mut tsucc_offsets = Vec::with_capacity(v + 1);
         let mut tsucc_targets = Vec::with_capacity(e);
         let mut tsucc_costs = Vec::with_capacity(e);
         let mut topo_weights = Vec::with_capacity(v);
-        let mut topo_mems = Vec::with_capacity(v);
         tsucc_offsets.push(0u32);
-        for (p, &n) in dag.topo.iter().enumerate() {
-            topo_weights.push(dag.weights[n.index()]);
-            topo_mems.push(dag.mems[n.index()]);
-            for er in dag.succs(n) {
-                let tp = topo_pos[er.node.index()];
+        for (p, &n) in topo.iter().enumerate() {
+            topo_weights.push(weights[n.index()]);
+            for &(_, d, c) in run(n) {
+                let tp = topo_pos[d.index()];
                 debug_assert!(tp as usize > p, "topo position must increase along edges");
                 tsucc_targets.push(tp);
-                tsucc_costs.push(er.cost);
+                tsucc_costs.push(c);
             }
             tsucc_offsets.push(tsucc_targets.len() as u32);
         }
-        dag.topo_pos = topo_pos;
-        dag.tsucc_offsets = tsucc_offsets;
-        dag.tsucc_targets = tsucc_targets;
-        dag.tsucc_costs = tsucc_costs;
-        dag.topo_weights = topo_weights;
-        dag.topo_mems = topo_mems;
+
+        let dag = Dag {
+            weights,
+            mems,
+            names,
+            name_ends,
+            pred_offsets,
+            pred_src,
+            pred_cost,
+            topo,
+            topo_pos,
+            tsucc_offsets,
+            tsucc_targets,
+            tsucc_costs,
+            topo_weights,
+        };
         debug_assert_eq!(dag.edge_count(), e);
         Ok(dag)
     }
+}
+
+/// Kahn's algorithm breaking ties by smallest node id, so the order is
+/// deterministic. `run(n)` is `n`'s successor edges. Returns
+/// `DagError::Cycle` naming the first node left with unreleased parents.
+fn kahn_order<'a>(
+    pred_offsets: &[u32],
+    run: impl Fn(NodeId) -> &'a [(NodeId, NodeId, Cost)],
+) -> Result<Vec<NodeId>, DagError> {
+    let v = pred_offsets.len() - 1;
+    let mut indeg: Vec<u32> = pred_offsets.windows(2).map(|w| w[1] - w[0]).collect();
+    let mut heap: BinaryHeap<Reverse<u32>> = (0..v as u32)
+        .filter(|&i| indeg[i as usize] == 0)
+        .map(Reverse)
+        .collect();
+    let mut order = Vec::with_capacity(v);
+    while let Some(Reverse(i)) = heap.pop() {
+        order.push(NodeId(i));
+        for &(_, d, _) in run(NodeId(i)) {
+            let left = &mut indeg[d.index()];
+            *left -= 1;
+            if *left == 0 {
+                heap.push(Reverse(d.0));
+            }
+        }
+    }
+    if order.len() != v {
+        // Some node still has positive in-degree: it is on (or behind) a cycle.
+        let stuck = indeg
+            .iter()
+            .position(|&d| d > 0)
+            .expect("an incomplete order leaves a parent unreleased");
+        return Err(DagError::Cycle(stuck as u32));
+    }
+    Ok(order)
 }
 
 #[cfg(test)]
@@ -597,15 +702,15 @@ mod tests {
     fn adjacency_is_symmetric() {
         let g = chain3();
         assert_eq!(
-            g.succs(NodeId(0)),
-            &[EdgeRef {
+            g.succs(NodeId(0)).iter().collect::<Vec<_>>(),
+            vec![EdgeRef {
                 node: NodeId(1),
                 cost: 5
             }]
         );
         assert_eq!(
-            g.preds(NodeId(1)),
-            &[EdgeRef {
+            g.preds(NodeId(1)).iter().collect::<Vec<_>>(),
+            vec![EdgeRef {
                 node: NodeId(0),
                 cost: 5
             }]
@@ -691,19 +796,18 @@ mod tests {
         );
     }
 
-    /// Diamond with a skip edge, added out of id order so the CSR
-    /// sort and the topo re-keying both do real work.
+    /// Diamond with a skip edge, its edges added out of (src, dst) order.
+    const DIAMOND_EDGES: [(u32, u32, Cost); 5] =
+        [(2, 3, 1), (0, 2, 6), (0, 1, 4), (1, 3, 2), (0, 3, 9)];
+
     fn diamond() -> Dag {
         let mut b = DagBuilder::with_capacity(4, 5);
-        let a = b.add_task(2);
-        let c = b.add_task(3);
-        let d = b.add_task(5);
-        let x = b.add_task(1);
-        b.add_edge(d, x, 1).unwrap();
-        b.add_edge(a, d, 6).unwrap();
-        b.add_edge(a, c, 4).unwrap();
-        b.add_edge(c, x, 2).unwrap();
-        b.add_edge(a, x, 9).unwrap();
+        for w in [2, 3, 5, 1] {
+            b.add_task(w);
+        }
+        for (s, d, c) in DIAMOND_EDGES {
+            b.add_edge(NodeId(s), NodeId(d), c).unwrap();
+        }
         b.build().unwrap()
     }
 
@@ -712,12 +816,21 @@ mod tests {
         let g = diamond();
         for n in g.nodes() {
             let (src, cost) = g.pred_lanes(n);
-            let aos = g.preds(n);
-            assert_eq!(src.len(), aos.len());
-            for (i, er) in aos.iter().enumerate() {
+            let view = g.preds(n);
+            assert_eq!(src.len(), view.len());
+            for (i, er) in view.iter().enumerate() {
                 assert_eq!(src[i], er.node.0, "pred src lane for {n}");
                 assert_eq!(cost[i], er.cost, "pred cost lane for {n}");
             }
+            // The lanes hold exactly the builder's in-edges of n, by src.
+            let mut want: Vec<(u32, Cost)> = DIAMOND_EDGES
+                .iter()
+                .filter(|e| e.1 == n.0)
+                .map(|e| (e.0, e.2))
+                .collect();
+            want.sort_unstable();
+            let got: Vec<(u32, Cost)> = src.iter().copied().zip(cost.iter().copied()).collect();
+            assert_eq!(got, want, "in-edges of {n}");
         }
         assert_eq!(g.pred_offsets().len(), g.node_count() + 1);
         assert_eq!(*g.pred_offsets().last().unwrap() as usize, g.edge_count());
@@ -749,11 +862,25 @@ mod tests {
                 assert_eq!(t.costs[lo + k], er.cost, "cost of {n} edge {k}");
                 assert!(run[k] as usize > p, "edges must go forward in topo order");
             }
+            // The run holds exactly the builder's out-edges of n.
+            let mut want: Vec<(u32, Cost)> = DIAMOND_EDGES
+                .iter()
+                .filter(|e| e.0 == n.0)
+                .map(|e| (g.topo_pos(NodeId(e.1)), e.2))
+                .collect();
+            want.sort_unstable();
+            let mut got: Vec<(u32, Cost)> = run
+                .iter()
+                .copied()
+                .zip(t.costs[lo..hi].iter().copied())
+                .collect();
+            got.sort_unstable();
+            assert_eq!(got, want, "out-edges of {n}");
         }
     }
 
     #[test]
-    fn mem_lane_defaults_to_zero_and_mirrors_into_topo_csr() {
+    fn mem_lane_defaults_to_zero() {
         let mut b = DagBuilder::new();
         let a = b.add_task(2);
         let c = b.add_task_with_mem(3, 40);
@@ -768,10 +895,6 @@ mod tests {
         assert_eq!(g.mems(), &[10, 40, 0]);
         assert!(g.has_memory());
         assert_eq!(g.total_memory(), 50);
-        let t = g.topo_csr();
-        for (p, &n) in t.node_at.iter().enumerate() {
-            assert_eq!(t.mems[p], g.mem(n), "topo mem lane for {n}");
-        }
     }
 
     #[test]

@@ -96,7 +96,7 @@ impl DagSpec {
     pub fn build(&self) -> Result<Dag, DagError> {
         let mut b = DagBuilder::with_capacity(self.nodes.len(), self.edges.len());
         for n in &self.nodes {
-            let id = b.add_node(n.name.clone(), n.weight);
+            let id = b.add_node(&n.name, n.weight);
             b.set_mem(id, n.mem);
         }
         for e in &self.edges {

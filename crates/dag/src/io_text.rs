@@ -53,7 +53,7 @@ pub fn from_text(input: &str) -> Result<Dag, DagError> {
                 if names.contains_key(name) {
                     return Err(err(&format!("duplicate task name `{name}`")));
                 }
-                let id = builder.add_node(name.to_string(), weight);
+                let id = builder.add_node(name, weight);
                 builder.set_mem(id, mem);
                 names.insert(name.to_string(), id);
             }

@@ -29,11 +29,12 @@
 //! * [`examples`] — the reconstructed Figure 1 example graph and other
 //!   small graphs used across the workspace tests.
 //!
-//! [`Dag::build`](DagBuilder::build) also freezes structure-of-arrays
-//! attribute lanes (split predecessor arrays, topo-position-keyed
-//! successor CSR) that the O(e) sweeps and the schedulers' hot loops
-//! run on — see `attributes` and DESIGN.md §13; layout never changes
-//! a computed value, only where its bytes live.
+//! [`Dag::build`](DagBuilder::build) stores the edges as two
+//! structure-of-arrays CSRs (predecessors keyed by node id, successors
+//! keyed by topo position) that the O(e) sweeps and the schedulers'
+//! hot loops run on; [`Dag::preds`] and [`Dag::succs`] are views over
+//! them — see `graph` and DESIGN.md §13. Layout never changes a
+//! computed value, only where its bytes live.
 //!
 //! ## Quick example
 //!
@@ -71,6 +72,6 @@ pub use cpn_list::{
     cpn_dominate_list, cpn_dominate_list_into, CpnListConfig, CpnListScratch, ObnOrder,
 };
 pub use error::DagError;
-pub use graph::{Cost, Dag, DagBuilder, EdgeRef, NodeId, TopoCsr};
+pub use graph::{Adjacency, Cost, Dag, DagBuilder, EdgeRef, NodeId, TopoCsr};
 pub use stats::DagStats;
 pub use transform::{merge_linear_chains, scale_communication, ChainMerge};

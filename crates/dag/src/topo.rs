@@ -1,44 +1,7 @@
-//! Topological ordering and reachability helpers.
+//! Topological-order and reachability helpers. The order itself is
+//! frozen by [`crate::DagBuilder::build`] ([`Dag::topo_order`]).
 
-use crate::error::DagError;
 use crate::graph::{Dag, NodeId};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-/// Compute a deterministic topological order with Kahn's algorithm,
-/// breaking ties by smallest node id. Returns `DagError::Cycle` if the
-/// edge set is cyclic.
-pub fn topological_order(dag: &Dag) -> Result<Vec<NodeId>, DagError> {
-    let v = dag.node_count();
-    let mut indeg: Vec<u32> = (0..v)
-        .map(|i| dag.in_degree(NodeId(i as u32)) as u32)
-        .collect();
-    let mut heap: BinaryHeap<Reverse<u32>> = indeg
-        .iter()
-        .enumerate()
-        .filter(|(_, &d)| d == 0)
-        .map(|(i, _)| Reverse(i as u32))
-        .collect();
-
-    let mut order = Vec::with_capacity(v);
-    while let Some(Reverse(i)) = heap.pop() {
-        let n = NodeId(i);
-        order.push(n);
-        for e in dag.succs(n) {
-            let d = &mut indeg[e.node.index()];
-            *d -= 1;
-            if *d == 0 {
-                heap.push(Reverse(e.node.0));
-            }
-        }
-    }
-    if order.len() != v {
-        // Some node still has positive in-degree: it is on (or behind) a cycle.
-        let stuck = indeg.iter().position(|&d| d > 0).unwrap() as u32;
-        return Err(DagError::Cycle(stuck));
-    }
-    Ok(order)
-}
 
 /// `true` if `order` is a valid topological order of `dag` containing
 /// every node exactly once.

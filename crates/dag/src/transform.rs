@@ -24,7 +24,7 @@ pub fn scale_communication(dag: &Dag, num: Cost, den: Cost) -> Dag {
     assert!(den > 0, "denominator must be positive");
     let mut b = DagBuilder::with_capacity(dag.node_count(), dag.edge_count());
     for n in dag.nodes() {
-        b.add_node(dag.name(n).to_string(), dag.weight(n));
+        b.add_node(dag.name(n), dag.weight(n));
     }
     for (s, d, c) in dag.edges() {
         let scaled = ((c * num + den / 2) / den).max(1);
@@ -68,7 +68,7 @@ pub fn merge_linear_chains(dag: &Dag) -> ChainMerge {
     let mut is_chain_child = vec![false; v];
     for n in dag.nodes() {
         if dag.in_degree(n) == 1 {
-            let parent = dag.preds(n)[0].node;
+            let parent = dag.preds(n).get(0).node;
             if dag.out_degree(parent) == 1 {
                 is_chain_child[n.index()] = true;
             }
@@ -82,7 +82,7 @@ pub fn merge_linear_chains(dag: &Dag) -> ChainMerge {
     let mut coarse_name: Vec<String> = Vec::new();
     for &n in dag.topo_order() {
         if is_chain_child[n.index()] {
-            let parent = dag.preds(n)[0].node;
+            let parent = dag.preds(n).get(0).node;
             let coarse = membership[parent.index()].expect("parent visited before child");
             membership[n.index()] = Some(coarse);
             coarse_weight[coarse.index()] += dag.weight(n);
@@ -97,7 +97,7 @@ pub fn merge_linear_chains(dag: &Dag) -> ChainMerge {
 
     let mut b = DagBuilder::with_capacity(coarse_weight.len(), dag.edge_count());
     for (name, &w) in coarse_name.iter().zip(&coarse_weight) {
-        b.add_node(name.clone(), w);
+        b.add_node(name, w);
     }
     // Keep the heaviest message between each coarse pair (parallel
     // edges arise when two originals map to the same coarse pair).

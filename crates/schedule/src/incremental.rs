@@ -612,7 +612,7 @@ impl<M: CostModel> DeltaEvaluator<M> {
                         if f <= slack && old_f < slack {
                             continue;
                         }
-                        let e = &succs[j as usize];
+                        let e = succs.get(j as usize);
                         let si = e.node.index();
                         let sq = self.assignment[si];
                         // A co-located successor needs no mark: its
