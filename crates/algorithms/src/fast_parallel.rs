@@ -95,13 +95,16 @@ impl FastParallel {
             };
             let (max_steps, base_seed) = (self.config.max_steps_per_chain, self.config.seed);
             let (order, init, blocking) = (&ws.list, &ws.assignment, &ws.blocking);
+            // Chains record in the caller's mode, so a traced run keeps
+            // every chain's trajectory and provenance.
+            let fresh = &trace.empty_like();
             let chunk = chains.div_ceil(workers);
             crossbeam::thread::scope(|scope| {
                 for (w, slice) in ws.chains[..chains].chunks_mut(chunk).enumerate() {
                     scope.spawn(move |_| {
                         for (j, slot) in slice.iter_mut().enumerate() {
                             let seed = base_seed + (w * chunk + j) as u64;
-                            slot.trace = SearchTrace::default();
+                            slot.trace = fresh.clone();
                             let mut eval = lend_eval(&mut slot.eval, model);
                             eval.reset(dag, order, init, num_procs);
                             slot.makespan = hill_climb(

@@ -84,8 +84,9 @@ pub trait Scheduler: Send + Sync {
     ///
     /// The default implementation ignores the collector (one-shot
     /// algorithms have no search to trace); the FAST family overrides
-    /// it. Without the `trace` cargo feature the collector is a
-    /// zero-sized no-op and this is exactly [`Self::schedule`].
+    /// it. Whether phases, trajectory and provenance are recorded is
+    /// the collector's mode (`SearchTrace::recording()` vs.
+    /// `SearchTrace::default()`); the counters always count.
     fn schedule_traced(&self, dag: &Dag, num_procs: u32, trace: &mut SearchTrace) -> Schedule {
         let _ = trace;
         self.schedule(dag, num_procs)

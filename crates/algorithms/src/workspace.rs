@@ -9,8 +9,9 @@
 //! the compaction scratch. Buffers are *cleared, never dropped*
 //! between runs, so once every buffer has reached its peak size a
 //! reused workspace performs **zero heap allocations** per schedule
-//! (release builds without the `validate`/`trace` features; debug
-//! assertions and the validation gate allocate by design).
+//! (release builds without the `validate` feature, untraced; debug
+//! assertions, the validation gate and a recording trace allocate by
+//! design).
 //!
 //! ## Ownership rules
 //!
@@ -54,8 +55,8 @@ use fastsched_schedule::{
 };
 use fastsched_trace::SearchTrace;
 
-/// The collector for runs nobody traces: a zero-sized no-op unless
-/// the `trace` feature captures.
+/// The collector for runs nobody traces: counters only, no heap and
+/// no clock reads.
 pub(crate) fn untraced() -> SearchTrace {
     SearchTrace::default()
 }

@@ -1,8 +1,6 @@
-//! Invariants of the observability layer (requires `--features trace`):
-//! counter arithmetic, trajectory shape, and determinism of the
-//! aggregated parallel counters.
-
-#![cfg(feature = "trace")]
+//! Invariants of the observability layer: counter arithmetic,
+//! trajectory shape, and determinism of the aggregated parallel
+//! counters.
 
 use fastsched_algorithms::{Fast, FastConfig, FastSa, FastSaConfig, Scheduler};
 use fastsched_dag::examples::paper_figure1;
@@ -20,7 +18,7 @@ fn probes_attempted_equals_accepted_plus_reverted() {
             max_steps: 256,
             ..Default::default()
         });
-        let mut trace = SearchTrace::default();
+        let mut trace = SearchTrace::recording();
         fast.schedule_traced(&g, 16, &mut trace);
         assert_eq!(
             trace.probes_attempted,
@@ -43,7 +41,7 @@ fn greedy_trajectory_is_non_increasing() {
         max_steps: 512,
         ..Default::default()
     });
-    let mut trace = SearchTrace::default();
+    let mut trace = SearchTrace::recording();
     fast.schedule_traced(&g, 24, &mut trace);
     let report = trace.to_report();
     let traj = report.trajectory();
@@ -70,7 +68,7 @@ fn traced_schedule_is_identical_to_untraced() {
             ..Default::default()
         });
         let plain = fast.schedule(&g, 12);
-        let mut trace = SearchTrace::default();
+        let mut trace = SearchTrace::recording();
         let traced = fast.schedule_traced(&g, 12, &mut trace);
         assert_eq!(plain.makespan(), traced.makespan());
     }
@@ -80,7 +78,7 @@ fn traced_schedule_is_identical_to_untraced() {
 #[test]
 fn phase_timers_cover_the_pipeline() {
     let g = paper_figure1();
-    let mut trace = SearchTrace::default();
+    let mut trace = SearchTrace::recording();
     Fast::new().schedule_traced(&g, 9, &mut trace);
     let report = trace.to_report();
     let phases = report.phase_totals();
@@ -97,7 +95,7 @@ fn phase_timers_cover_the_pipeline() {
 fn ndjson_round_trip_preserves_events() {
     let db = TimingDatabase::paragon();
     let g = random_layered_dag(&RandomDagConfig::paper(80, &db), 5);
-    let mut trace = SearchTrace::default();
+    let mut trace = SearchTrace::recording();
     trace.set_meta("workload", "round-trip-test");
     Fast::new().schedule_traced(&g, 8, &mut trace);
     let report = trace.to_report();
@@ -119,7 +117,7 @@ fn sa_counters_balance() {
         steps: 512,
         ..Default::default()
     });
-    let mut trace = SearchTrace::default();
+    let mut trace = SearchTrace::recording();
     sa.schedule_traced(&g, 16, &mut trace);
     assert_eq!(
         trace.probes_attempted,
@@ -137,7 +135,7 @@ fn sa_counters_balance() {
 fn eval_stats_are_absorbed() {
     let db = TimingDatabase::paragon();
     let g = random_layered_dag(&RandomDagConfig::paper(150, &db), 9);
-    let mut trace = SearchTrace::default();
+    let mut trace = SearchTrace::recording();
     Fast::with_config(FastConfig {
         max_steps: 256,
         ..Default::default()
@@ -156,7 +154,7 @@ fn eval_stats_are_absorbed() {
 fn placement_provenance_covers_every_node_and_candidate() {
     let db = TimingDatabase::paragon();
     let g = random_layered_dag(&RandomDagConfig::paper(100, &db), 13);
-    let mut trace = SearchTrace::default();
+    let mut trace = SearchTrace::recording();
     Fast::new().schedule_traced(&g, 12, &mut trace);
     let report = trace.to_report();
     let placed = report.placed_nodes();
@@ -189,7 +187,7 @@ fn placement_provenance_covers_every_node_and_candidate() {
 fn transfer_records_match_probe_counters() {
     let db = TimingDatabase::paragon();
     let g = random_layered_dag(&RandomDagConfig::paper(120, &db), 17);
-    let mut trace = SearchTrace::default();
+    let mut trace = SearchTrace::recording();
     Fast::with_config(FastConfig {
         max_steps: 256,
         ..Default::default()
@@ -224,7 +222,7 @@ fn parallel_counters_are_deterministic() {
         threads: 0,
     });
     let run = || {
-        let mut trace = SearchTrace::default();
+        let mut trace = SearchTrace::recording();
         sched.schedule_traced(&g, 16, &mut trace);
         trace
     };

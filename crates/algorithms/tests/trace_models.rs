@@ -1,9 +1,7 @@
-//! Tracing reaches model-priced runs (requires `--features trace`):
-//! FAST under an identity communication model must record exactly the
-//! search the homogeneous path records — same counters, same
-//! trajectory — across the fuzz corpus.
-
-#![cfg(feature = "trace")]
+//! Tracing reaches model-priced runs: FAST under an identity
+//! communication model must record exactly the search the homogeneous
+//! path records — same counters, same trajectory — across the fuzz
+//! corpus.
 
 use fastsched_algorithms::{Fast, Scheduler, Workspace};
 use fastsched_schedule::AlphaBeta;
@@ -17,9 +15,9 @@ fn identity_model_runs_record_the_homogeneous_search() {
     let mut probes = 0;
     for case in fuzz_corpus(0x7ACE, 12) {
         let fast = Fast::new();
-        let mut plain = SearchTrace::default();
+        let mut plain = SearchTrace::recording();
         let expected = fast.schedule_traced(&case.dag, case.procs, &mut plain);
-        let mut priced = SearchTrace::default();
+        let mut priced = SearchTrace::recording();
         let schedule = fast.run(&case.dag, case.procs, &identity, &mut ws, &mut priced);
         assert_eq!(schedule, expected, "{}: schedules diverged", case.name);
         assert_eq!(

@@ -11,12 +11,10 @@
 //!
 //! The file's `trace_ab` section is the observability-overhead A/B:
 //! the instrumented driver loop plus end-to-end FAST and FAST-SA runs
-//! are timed in whichever mode this binary was compiled in
-//! (`cargo bench` → `trace_off`, `cargo bench --features trace` →
-//! `trace_on`); the other mode's numbers are carried over from the
-//! previous run, and when both sides are present each section gains a
-//! `capture_overhead_percent` comparing them (the budget is ≤ 2% — in
-//! practice the delta sits inside run-to-run noise).
+//! are timed with a default collector (`trace_off`: counters only)
+//! and a recording one (`trace_on`), alternating run by run, and each
+//! section carries the `capture_overhead_percent` between them. Every
+//! other section of the file is kept.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use fastsched::algorithms::{Fast, FastConfig, FastSa, FastSaConfig};
@@ -24,6 +22,7 @@ use fastsched::prelude::*;
 use fastsched::schedule::evaluate::evaluate_makespan_into;
 use fastsched::schedule::DeltaEvaluator;
 use fastsched::trace::SearchTrace;
+use fastsched_bench::{min_of, write_section, BENCH_EVAL_PATH};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
@@ -131,9 +130,8 @@ fn climb_incremental(
 
 /// [`climb_incremental`] with the observability hooks of
 /// `Fast::schedule_traced` attached — the instrumented driver loop
-/// whose cost the trace-overhead A/B measures. Built without
-/// `--features trace` every hook is a zero-sized no-op and this must
-/// time the same as [`climb_incremental`].
+/// whose cost the trace-overhead A/B measures. With a default (off)
+/// collector it must time the same as [`climb_incremental`].
 #[allow(clippy::too_many_arguments)]
 fn climb_traced(
     dag: &Dag,
@@ -177,89 +175,30 @@ fn climb_traced(
     best
 }
 
-/// The brace-matched body of a named `"<name>": { ... }` object inside
-/// a previous `BENCH_eval.json`, so [`extract_mode`] can be scoped to
-/// one A/B section (`driver` / `fast` / `fast_sa`) without picking up
-/// a sibling's `trace_on` line.
-fn section_body<'a>(old: &'a str, name: &str) -> Option<&'a str> {
-    let needle = format!("\"{name}\": {{");
-    let start = old.find(&needle)? + needle.len();
-    let mut depth = 1usize;
-    for (i, b) in old[start..].bytes().enumerate() {
-        match b {
-            b'{' => depth += 1,
-            b'}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(&old[start..start + i]);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Extract the `"<key>": { ... }` flat object line from a section body
-/// so the other build mode's measurement survives a re-run (each
-/// `cargo bench` invocation can only measure the mode it was compiled
-/// in).
-fn extract_mode(body: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\": {{");
-    let start = body.find(&needle)?;
-    let rest = &body[start + needle.len()..];
-    let end = rest.find('}')?;
-    Some(rest[..end].trim().to_string())
-}
-
-/// Render one `trace_ab` sub-section: this build mode's measurement,
-/// the other mode's line carried over from `old` (if a previous run
-/// recorded it), and — once both sides exist — the relative overhead
-/// of capture (`(off − on) / off`, in percent of the off-throughput).
-fn ab_section(old: &str, name: &str, this_mode: &str, secs: f64, per_sec: f64) -> String {
-    let other_mode = if this_mode == "trace_off" {
-        "trace_on"
-    } else {
-        "trace_off"
-    };
-    let this_line = format!("\"seconds\": {secs:.6}, \"per_sec\": {per_sec:.3}");
-    let other_line = section_body(old, name).and_then(|b| extract_mode(b, other_mode));
-    let per_sec_of = |line: &str| {
-        line.rsplit(':')
-            .next()
-            .and_then(|v| v.trim().parse::<f64>().ok())
-    };
-    let mut overhead = String::new();
-    if let Some(other_tp) = other_line.as_deref().and_then(per_sec_of) {
-        let (off, on) = if this_mode == "trace_off" {
-            (per_sec, other_tp)
-        } else {
-            (other_tp, per_sec)
-        };
-        overhead = format!(
-            ",\n      \"capture_overhead_percent\": {:.2}",
-            100.0 * (off - on) / off
-        );
-    }
-    let other_json = other_line
-        .map(|l| format!(",\n      \"{other_mode}\": {{ {l} }}"))
-        .unwrap_or_default();
-    format!(
-        "\"{name}\": {{\n      \"{this_mode}\": {{ {this_line} }}{other_json}{overhead}\n    }}"
-    )
-}
-
-/// Wall-clock minimum over `runs` invocations — machine-load noise
-/// only ever inflates a timing, so the minimum is the noise-robust
-/// estimate for an A/B whose two sides run minutes apart.
-fn min_of<F: FnMut()>(runs: u32, mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
+/// Minimum seconds of `f` under a default (off) and a recording (on)
+/// collector, alternating the modes run by run so machine-load drift
+/// hits both sides alike.
+fn ab_min_of(runs: u32, mut f: impl FnMut(&mut SearchTrace)) -> (f64, f64) {
+    let (mut off, mut on) = (f64::INFINITY, f64::INFINITY);
     for _ in 0..runs {
-        let t0 = Instant::now();
-        f();
-        best = best.min(t0.elapsed().as_secs_f64());
+        off = off.min(min_of(1, || f(&mut SearchTrace::default())));
+        on = on.min(min_of(1, || f(&mut SearchTrace::recording())));
     }
-    best
+    (off, on)
+}
+
+/// Render one `trace_ab` sub-section: both modes' timings and the
+/// relative overhead of recording (`(off − on) / off`, in percent of
+/// the off-throughput). `work` is the units per timed run.
+fn ab_section(name: &str, (off, on): (f64, f64), work: f64) -> String {
+    let line = |secs: f64| format!("\"seconds\": {secs:.6}, \"per_sec\": {:.3}", work / secs);
+    format!(
+        "\"{name}\": {{\n      \"trace_off\": {{ {} }},\n      \"trace_on\": {{ {} }},\n      \
+         \"capture_overhead_percent\": {:.2}\n    }}",
+        line(off),
+        line(on),
+        100.0 * (1.0 - off / on),
+    )
 }
 
 fn bench_incremental_vs_full(c: &mut Criterion) {
@@ -334,13 +273,7 @@ fn bench_incremental_vs_full(c: &mut Criterion) {
     );
 
     // The trace-overhead A/B: the instrumented driver loop plus the
-    // end-to-end schedulers are timed in whichever mode this binary
-    // was compiled in; the other mode's numbers are carried over from
-    // the previous run so after `cargo bench` + `cargo bench
-    // --features trace` the file holds both sides. Each measurement
-    // is the minimum over several runs — machine-load noise only ever
-    // inflates a timing, so the minimum is the noise-robust estimate.
-    let mut mode_trace = SearchTrace::default();
+    // end-to-end schedulers, each timed with both collector modes.
     let traced_best = climb_traced(
         &dag,
         &order,
@@ -349,11 +282,10 @@ fn bench_incremental_vs_full(c: &mut Criterion) {
         num_procs,
         steps,
         seed,
-        &mut mode_trace,
+        &mut SearchTrace::recording(),
     );
     assert_eq!(traced_best, incr_best, "instrumentation changed the search");
-    let traced_secs = min_of(5, || {
-        let mut t = SearchTrace::default();
+    let driver = ab_min_of(5, |t| {
         criterion::black_box(climb_traced(
             &dag,
             &order,
@@ -362,7 +294,7 @@ fn bench_incremental_vs_full(c: &mut Criterion) {
             num_procs,
             steps,
             seed,
-            &mut t,
+            t,
         ));
     });
 
@@ -375,64 +307,53 @@ fn bench_incremental_vs_full(c: &mut Criterion) {
         max_steps: steps,
         ..Default::default()
     });
-    let fast_secs = min_of(5, || {
-        let mut t = SearchTrace::default();
-        criterion::black_box(fast_sched.schedule_traced(&dag, num_procs, &mut t));
+    let fast = ab_min_of(5, |t| {
+        criterion::black_box(fast_sched.schedule_traced(&dag, num_procs, t));
     });
-
     let sa_sched = FastSa::with_config(FastSaConfig {
         steps,
         ..Default::default()
     });
-    let sa_secs = min_of(3, || {
-        let mut t = SearchTrace::default();
-        criterion::black_box(sa_sched.schedule_traced(&dag, num_procs, &mut t));
+    let fast_sa = ab_min_of(3, |t| {
+        criterion::black_box(sa_sched.schedule_traced(&dag, num_procs, t));
     });
 
     let full_tp = steps as f64 / full_secs;
     let incr_tp = steps as f64 / incr_secs;
-    let traced_tp = steps as f64 / traced_secs;
-    let this_mode = if mode_trace.is_enabled() {
-        "trace_on"
-    } else {
-        "trace_off"
-    };
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_eval.json");
-    let old = std::fs::read_to_string(path).unwrap_or_default();
     // `per_sec` is probes/s for the driver loop and full schedule
     // runs/s for the end-to-end entries.
-    let sections = [
-        ab_section(&old, "driver", this_mode, traced_secs, traced_tp),
-        ab_section(&old, "fast", this_mode, fast_secs, 1.0 / fast_secs),
-        ab_section(&old, "fast_sa", this_mode, sa_secs, 1.0 / sa_secs),
+    let trace_ab = [
+        ab_section("driver", driver, steps as f64),
+        ab_section("fast", fast, 1.0),
+        ab_section("fast_sa", fast_sa, 1.0),
     ]
     .join(",\n    ");
-    // The `batch` and `batch_par` sections belong to the `batch-ab`
-    // bin; carry a previous run's numbers over so this rewrite
-    // doesn't drop them.
-    let batch_carry: String = ["batch", "batch_par"]
-        .iter()
-        .filter_map(|name| section_body(&old, name).map(|b| format!(",\n  \"{name}\": {{{b}}}")))
-        .collect();
-    let json = format!(
-        "{{\n  \"dag_nodes\": {},\n  \"dag_edges\": {},\n  \"num_procs\": {},\n  \"probes\": {},\n  \"final_makespan\": {},\n  \"full_replay\": {{ \"seconds\": {:.6}, \"probes_per_sec\": {:.1} }},\n  \"incremental\": {{ \"seconds\": {:.6}, \"probes_per_sec\": {:.1} }},\n  \"speedup\": {:.2},\n  \"trace_ab\": {{\n    {sections}\n  }}{batch_carry}\n}}\n",
-        dag.node_count(),
-        dag.edge_count(),
-        num_procs,
-        steps,
-        full_best,
-        full_secs,
-        full_tp,
-        incr_secs,
-        incr_tp,
-        incr_tp / full_tp,
-    );
-    std::fs::write(path, &json).expect("write BENCH_eval.json");
+    let engine =
+        |secs: f64, tp: f64| format!("{{ \"seconds\": {secs:.6}, \"probes_per_sec\": {tp:.1} }}");
+    for (name, body) in [
+        ("dag_nodes", dag.node_count().to_string()),
+        ("dag_edges", dag.edge_count().to_string()),
+        ("num_procs", num_procs.to_string()),
+        ("probes", steps.to_string()),
+        ("final_makespan", full_best.to_string()),
+        ("full_replay", engine(full_secs, full_tp)),
+        ("incremental", engine(incr_secs, incr_tp)),
+        ("speedup", format!("{:.2}", incr_tp / full_tp)),
+        ("trace_ab", format!("{{\n    {trace_ab}\n  }}")),
+    ] {
+        write_section(name, &body);
+    }
     println!(
         "probe throughput: full {full_tp:.0}/s, incremental {incr_tp:.0}/s ({:.2}x), \
-         {this_mode} driver {traced_tp:.0}/s, fast {fast_secs:.3}s, \
-         fast_sa {sa_secs:.3}s -> {path}",
-        incr_tp / full_tp
+         driver off/on {:.0}/{:.0} probes/s, fast {:.3}/{:.3}s, \
+         fast_sa {:.3}/{:.3}s -> {BENCH_EVAL_PATH}",
+        incr_tp / full_tp,
+        steps as f64 / driver.0,
+        steps as f64 / driver.1,
+        fast.0,
+        fast.1,
+        fast_sa.0,
+        fast_sa.1,
     );
 }
 

@@ -19,8 +19,7 @@
 //! `--trace` records, for every workload, the schedule-length
 //! trajectory of a long FAST search (MAXSTEP = 1024, the sweep's
 //! largest budget) into one NDJSON stream — each workload's events are
-//! preceded by a `workload` metadata line. Build with
-//! `--features trace` to capture.
+//! preceded by a `workload` metadata line.
 
 use fastsched::algorithms::list_common::run_static_list;
 use fastsched::algorithms::{Hlfet, Mcp};
@@ -163,13 +162,6 @@ fn main() {
 /// back (each introduced by its `workload` metadata line), using the
 /// sweep's largest budget so the trajectory tail is visible.
 fn write_trajectories(path: &str, db: &TimingDatabase) -> Result<(), String> {
-    let probe = fastsched::trace::SearchTrace::default();
-    if !probe.is_enabled() {
-        eprintln!(
-            "warning: built without `--features trace`; {path} will carry \
-             metadata only"
-        );
-    }
     let mut out = String::new();
     for (name, dag) in workloads(db) {
         let procs = (2.0 * (dag.node_count() as f64).sqrt()) as u32 + 2;
@@ -177,7 +169,7 @@ fn write_trajectories(path: &str, db: &TimingDatabase) -> Result<(), String> {
             max_steps: 1024,
             ..Default::default()
         });
-        let mut trace = fastsched::trace::SearchTrace::default();
+        let mut trace = fastsched::trace::SearchTrace::recording();
         trace.set_meta("tool", "ablation");
         trace.set_meta("workload", &name);
         trace.set_meta("max_steps", "1024");

@@ -29,20 +29,10 @@
 use fastsched::algorithms::FastConfig;
 use fastsched::prelude::*;
 use fastsched::schedule::io::to_json;
+use fastsched_bench::{min_of, write_section};
 use std::hint::black_box;
-use std::time::Instant;
 
 const RUNS: u32 = 5;
-
-fn min_of<F: FnMut()>(runs: u32, mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..runs {
-        let t0 = Instant::now();
-        f();
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best
-}
 
 /// Time both APIs over the same DAG list and check byte-identity.
 /// Returns `(per_call_seconds, schedule_many_seconds)`.
@@ -110,41 +100,6 @@ fn par_sweep(sched: &Fast, dags: &[Dag], procs: u32, threads_list: &[usize]) -> 
         .collect()
 }
 
-/// Remove a previously written top-level `"<name>": { ... }` section
-/// (including its leading comma) so re-runs replace rather than
-/// duplicate it.
-fn strip_section(old: &str, name: &str) -> String {
-    let needle = format!("\"{name}\": {{");
-    let Some(key) = old.find(&needle) else {
-        return old.to_string();
-    };
-    // Back over whitespace and the separating comma.
-    let mut start = key;
-    while start > 0 && old.as_bytes()[start - 1].is_ascii_whitespace() {
-        start -= 1;
-    }
-    if start > 0 && old.as_bytes()[start - 1] == b',' {
-        start -= 1;
-    }
-    let brace = old[key..].find('{').unwrap() + key;
-    let mut depth = 0usize;
-    let mut end = old.len();
-    for (i, b) in old[brace..].bytes().enumerate() {
-        match b {
-            b'{' => depth += 1,
-            b'}' => {
-                depth -= 1;
-                if depth == 0 {
-                    end = brace + i + 1;
-                    break;
-                }
-            }
-            _ => {}
-        }
-    }
-    format!("{}{}", &old[..start], &old[end..])
-}
-
 fn main() {
     let db = TimingDatabase::paragon();
     // Headline corpus: 500 small kernels of 2-6 nodes (~2000 nodes
@@ -199,13 +154,13 @@ fn main() {
     }
 
     let section = format!(
-        "\"batch\": {{\n    \"algo\": \"{}\", \"runs\": {RUNS}, \"small_corpus_max_steps\": 16,\n    {},\n    {}\n  }}",
+        "{{\n    \"algo\": \"{}\", \"runs\": {RUNS}, \"small_corpus_max_steps\": 16,\n    {},\n    {}\n  }}",
         fast.name(),
         row("small_corpus", &small, 4, small_per_call, small_many),
         row("large_dag", &large, 64, large_per_call, large_many),
     );
     let par_section = format!(
-        "\"batch_par\": {{\n    \"algo\": \"{}\", \"runs\": {RUNS}, \"host_cores\": {host_cores},\n    \
+        "{{\n    \"algo\": \"{}\", \"runs\": {RUNS}, \"host_cores\": {host_cores},\n    \
          \"dags\": {}, \"total_nodes\": {}, \"procs\": 4,\n    \"sweep\": [\n      {}\n    ]\n  }}",
         fast.name(),
         small.len(),
@@ -213,22 +168,8 @@ fn main() {
         par_rows.join(",\n      "),
     );
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_eval.json");
-    let old = std::fs::read_to_string(path).unwrap_or_else(|_| "{\n}\n".to_string());
-    let base = strip_section(&strip_section(&old, "batch"), "batch_par");
-    let insert = base
-        .rfind('}')
-        .expect("BENCH_eval.json must be a JSON object");
-    // Splice before the final closing brace, comma-separated from the
-    // last existing section.
-    let before = base[..insert].trim_end();
-    let sep = if before.ends_with('{') {
-        "\n  "
-    } else {
-        ",\n  "
-    };
-    let json = format!("{before}{sep}{section},\n  {par_section}\n}}\n");
-    std::fs::write(path, &json).expect("write BENCH_eval.json");
+    write_section("batch", &section);
+    let path = write_section("batch_par", &par_section);
 
     println!(
         "small corpus ({} dags, {} nodes): per-call {small_per_call:.4}s, \

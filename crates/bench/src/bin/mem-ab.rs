@@ -24,21 +24,11 @@
 use fastsched::prelude::*;
 use fastsched::schedule::{validate_with, HomogeneousModel, MemoryCapacities, ScheduleErrorKind};
 use fastsched::workloads::fuzz::{mem_corpus, MemFuzzCase};
+use fastsched_bench::{min_of, write_section};
 use std::hint::black_box;
-use std::time::Instant;
 
 const RUNS: u32 = 5;
 const CORPUS_SEED: u64 = 0xAB5EED;
-
-fn min_of<F: FnMut()>(runs: u32, mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..runs {
-        let t0 = Instant::now();
-        f();
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best
-}
 
 type RunFn = Box<dyn Fn(&Dag, u32, &MemoryCapacities<HomogeneousModel>) -> Schedule>;
 type CapFn = fn(&MemFuzzCase) -> u64;
@@ -74,40 +64,6 @@ fn algos() -> Vec<Algo> {
             run: Box::new(|d, p, _| Heft::new().schedule(d, p)),
         },
     ]
-}
-
-/// Remove a previously written top-level `"<name>": { ... }` section
-/// (including its leading comma) so re-runs replace rather than
-/// duplicate it.
-fn strip_section(old: &str, name: &str) -> String {
-    let needle = format!("\"{name}\": {{");
-    let Some(key) = old.find(&needle) else {
-        return old.to_string();
-    };
-    let mut start = key;
-    while start > 0 && old.as_bytes()[start - 1].is_ascii_whitespace() {
-        start -= 1;
-    }
-    if start > 0 && old.as_bytes()[start - 1] == b',' {
-        start -= 1;
-    }
-    let brace = old[key..].find('{').unwrap() + key;
-    let mut depth = 0usize;
-    let mut end = old.len();
-    for (i, b) in old[brace..].bytes().enumerate() {
-        match b {
-            b'{' => depth += 1,
-            b'}' => {
-                depth -= 1;
-                if depth == 0 {
-                    end = brace + i + 1;
-                    break;
-                }
-            }
-            _ => {}
-        }
-    }
-    format!("{}{}", &old[..start], &old[end..])
 }
 
 fn main() {
@@ -184,26 +140,13 @@ fn main() {
     }
 
     let section = format!(
-        "\"mem_ab\": {{\n    \"runs\": {RUNS}, \"dags\": {}, \"total_nodes\": {total_nodes},\n    \
+        "{{\n    \"runs\": {RUNS}, \"dags\": {}, \"total_nodes\": {total_nodes},\n    \
          \"tight_budget\": \"2*max(ceil(total_mem/procs), max_mem) per lane\",\n    \
          \"loose_budget\": \"max(total_mem, tight) per lane (never binding)\",\n    {}\n  }}",
         corpus.len(),
         regime_rows.join(",\n    ")
     );
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_eval.json");
-    let old = std::fs::read_to_string(path).unwrap_or_else(|_| "{\n}\n".to_string());
-    let base = strip_section(&old, "mem_ab");
-    let insert = base
-        .rfind('}')
-        .expect("BENCH_eval.json must be a JSON object");
-    let before = base[..insert].trim_end();
-    let sep = if before.ends_with('{') {
-        "\n  "
-    } else {
-        ",\n  "
-    };
-    let json = format!("{before}{sep}{section}\n}}\n");
-    std::fs::write(path, &json).expect("write BENCH_eval.json");
+    let path = write_section("mem_ab", &section);
     println!("wrote mem_ab section -> {path}");
 }

@@ -25,21 +25,11 @@
 use fastsched::prelude::*;
 use fastsched::schedule::io::to_json;
 use fastsched::schedule::{validate_with, AlphaBeta, CommModel, Hierarchical, IDEAL_LINK};
+use fastsched_bench::{min_of, write_section};
 use std::hint::black_box;
-use std::time::Instant;
 
 const RUNS: u32 = 5;
 const PROCS: u32 = 8;
-
-fn min_of<F: FnMut()>(runs: u32, mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..runs {
-        let t0 = Instant::now();
-        f();
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best
-}
 
 /// A boxed scheduling entry point, so the regime loop can treat all
 /// four algorithms uniformly.
@@ -76,40 +66,6 @@ fn algos() -> Vec<Algo> {
             plain: Box::new(|d, p| Heft::new().schedule(d, p)),
         },
     ]
-}
-
-/// Remove a previously written top-level `"<name>": { ... }` section
-/// (including its leading comma) so re-runs replace rather than
-/// duplicate it.
-fn strip_section(old: &str, name: &str) -> String {
-    let needle = format!("\"{name}\": {{");
-    let Some(key) = old.find(&needle) else {
-        return old.to_string();
-    };
-    let mut start = key;
-    while start > 0 && old.as_bytes()[start - 1].is_ascii_whitespace() {
-        start -= 1;
-    }
-    if start > 0 && old.as_bytes()[start - 1] == b',' {
-        start -= 1;
-    }
-    let brace = old[key..].find('{').unwrap() + key;
-    let mut depth = 0usize;
-    let mut end = old.len();
-    for (i, b) in old[brace..].bytes().enumerate() {
-        match b {
-            b'{' => depth += 1,
-            b'}' => {
-                depth -= 1;
-                if depth == 0 {
-                    end = brace + i + 1;
-                    break;
-                }
-            }
-            _ => {}
-        }
-    }
-    format!("{}{}", &old[..start], &old[end..])
 }
 
 fn main() {
@@ -194,26 +150,13 @@ fn main() {
     }
 
     let section = format!(
-        "\"model_ab\": {{\n    \"runs\": {RUNS}, \"dags\": {}, \"total_nodes\": {total_nodes}, \"procs\": {PROCS},\n    \
+        "{{\n    \"runs\": {RUNS}, \"dags\": {}, \"total_nodes\": {total_nodes}, \"procs\": {PROCS},\n    \
          \"alpha_beta_spec\": \"alpha-beta:25,3,2\",\n    \
          \"hier_spec\": \"hier:4+4@0,1,1@50,2,1\",\n    {}\n  }}",
         dags.len(),
         regime_rows.join(",\n    ")
     );
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_eval.json");
-    let old = std::fs::read_to_string(path).unwrap_or_else(|_| "{\n}\n".to_string());
-    let base = strip_section(&old, "model_ab");
-    let insert = base
-        .rfind('}')
-        .expect("BENCH_eval.json must be a JSON object");
-    let before = base[..insert].trim_end();
-    let sep = if before.ends_with('{') {
-        "\n  "
-    } else {
-        ",\n  "
-    };
-    let json = format!("{before}{sep}{section}\n}}\n");
-    std::fs::write(path, &json).expect("write BENCH_eval.json");
+    let path = write_section("model_ab", &section);
     println!("wrote model_ab section -> {path}");
 }

@@ -11,7 +11,7 @@
 //! ```
 //!
 //! `--trace` additionally records FAST's search on the highest-CCR
-//! variant as NDJSON (build with `--features trace` to capture).
+//! variant as NDJSON.
 
 use fastsched::dag::transform::scale_communication;
 use fastsched::prelude::*;

@@ -9,8 +9,7 @@
 //! ```
 //!
 //! `--trace` additionally records FAST-SA's search (the extension with
-//! the richest trajectory) on the random workload as NDJSON (build
-//! with `--features trace` to capture).
+//! the richest trajectory) on the random workload as NDJSON.
 
 use fastsched::algorithms::{FastSa, FastSaConfig};
 use fastsched::prelude::*;

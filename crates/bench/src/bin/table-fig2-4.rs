@@ -8,7 +8,7 @@
 //! ```
 //!
 //! `--trace` additionally records FAST's search on the example graph
-//! as NDJSON (build with `--features trace` to capture).
+//! as NDJSON.
 
 use fastsched::dag::examples::paper_figure1;
 use fastsched::prelude::*;

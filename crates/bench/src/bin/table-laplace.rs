@@ -8,7 +8,7 @@
 //! ```
 //!
 //! `--trace` additionally records FAST's search on the largest
-//! workload as NDJSON (build with `--features trace` to capture).
+//! workload as NDJSON.
 
 use fastsched::prelude::*;
 use fastsched_bench::{run_figure, trace_arg, write_search_trace};

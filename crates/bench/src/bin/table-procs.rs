@@ -9,8 +9,7 @@
 //! ```
 //!
 //! `--trace` additionally records FAST's search at the largest
-//! processor count as NDJSON (build with `--features trace` to
-//! capture).
+//! processor count as NDJSON.
 
 use fastsched::prelude::*;
 use fastsched_bench::{measure, trace_arg, write_search_trace};

@@ -15,8 +15,7 @@
 //! (default 1, as in the paper) averages the normalized schedule
 //! lengths over N generator seeds and reports the min–max spread;
 //! `--trace` additionally records FAST's search on the largest DAG as
-//! NDJSON (build with `--features trace` to capture; applies to the
-//! single-seed run).
+//! NDJSON (applies to the single-seed run).
 
 use fastsched::prelude::*;
 use fastsched_bench::{run_figure, trace_arg, write_search_trace};

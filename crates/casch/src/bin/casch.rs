@@ -98,8 +98,7 @@ USAGE:
   casch diff     --a <file> --b <file> [--dag <file.json>]
 
 `casch schedule --trace` records the search (phase timers, probe
-counters, placement provenance, schedule-length trajectory) as NDJSON;
-build with `--features trace` or the file only carries metadata.
+counters, placement provenance, schedule-length trajectory) as NDJSON.
 `casch trace` renders such a file as a human-readable report and
 `casch explain --node <id>` answers \"why is this node where it is?\"
 from the same provenance (candidate processors probed, their
@@ -513,13 +512,7 @@ fn cmd_schedule(opts: &Flags) -> Result<(), String> {
         eprintln!("wrote {path}");
     }
     if let Some(path) = opts.get("trace") {
-        let mut trace = fastsched_trace::SearchTrace::default();
-        if !trace.is_enabled() {
-            eprintln!(
-                "warning: built without the `trace` feature; \
-                 {path} will carry metadata only"
-            );
-        }
+        let mut trace = fastsched_trace::SearchTrace::recording();
         trace.set_meta("tool", "casch schedule");
         trace.set_meta("algorithm", algo.name());
         trace.set_meta("nodes", &dag.node_count().to_string());
@@ -862,13 +855,7 @@ fn cmd_explain(opts: &Flags) -> Result<(), String> {
         let dag = load_dag(opts)?;
         let algo = scheduler_by_name(opts.get("algo").ok_or("missing --in or --dag/--algo")?)?;
         let procs = get_u64_or(opts, "procs", dag.node_count() as u64)? as u32;
-        let mut trace = fastsched_trace::SearchTrace::default();
-        if !trace.is_enabled() {
-            eprintln!(
-                "warning: built without the `trace` feature; no placement \
-                 provenance is recorded (rebuild with --features trace)"
-            );
-        }
+        let mut trace = fastsched_trace::SearchTrace::recording();
         algo.schedule_traced(&dag, procs, &mut trace);
         trace.to_report()
     };
@@ -891,7 +878,7 @@ fn cmd_explain(opts: &Flags) -> Result<(), String> {
     if placements.is_empty() && transfers.is_empty() {
         return Err(format!(
             "no provenance for node {node} in this trace (wrong id, \
-             or the trace was recorded without --features trace)"
+             or the algorithm records no placement provenance)"
         ));
     }
     for p in &placements {

@@ -19,9 +19,9 @@
 //!   log-linear latency histograms, and a Prometheus text-exposition
 //!   writer backing `casch serve --metrics-addr` ([`metrics`]);
 //! * an observability layer — phase timers, search counters and
-//!   schedule-length trajectories ([`trace`]); compile with the
-//!   `trace` cargo feature to actually record (off by default, where
-//!   every hook is a zero-sized no-op).
+//!   schedule-length trajectories ([`trace`]). Search counters are
+//!   always kept; pass `SearchTrace::recording()` to also record
+//!   phases, trajectory and placement provenance.
 //!
 //! ## Quickstart
 //!

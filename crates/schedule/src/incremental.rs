@@ -121,8 +121,7 @@ pub struct DeltaEvaluator<M: CostModel = HomogeneousModel> {
     /// `(node, committed start, committed finish)` per touched node.
     undo: Vec<(NodeId, Cost, Cost)>,
     tentative: Option<Tentative>,
-    /// Observability counters (zero-sized no-op unless the `trace`
-    /// feature compiles `fastsched-trace/capture` in).
+    /// Observability counters (plain increments, always on).
     stats: EvalStats,
 }
 
@@ -353,8 +352,7 @@ impl<M: CostModel> DeltaEvaluator<M> {
     }
 
     /// Observability counters accumulated so far (probe walks, node
-    /// recomputes, slack-cache traffic). All-zero — and zero-cost —
-    /// unless the `trace` feature is enabled.
+    /// recomputes, slack-cache traffic).
     ///
     /// ```
     /// use fastsched_dag::examples::paper_figure1;
@@ -367,10 +365,8 @@ impl<M: CostModel> DeltaEvaluator<M> {
     /// let mut eval = DeltaEvaluator::new(&dag, order, assignment, 2);
     /// eval.probe_transfer(&dag, order_node(&dag), ProcId(1));
     /// eval.revert();
-    /// // With `--features trace` the engine counted the probe; in the
-    /// // default build the counters are a zero-sized no-op.
-    /// let probed = eval.stats().counters();
-    /// assert!(probed.is_empty() || probed.iter().any(|&(n, v)| n == "incremental_probes" && v == 1));
+    /// assert_eq!(eval.stats().incremental_probes, 1);
+    /// assert_eq!(eval.stats().reverts, 1);
     /// # fn order_node(dag: &fastsched_dag::Dag) -> fastsched_dag::NodeId {
     /// #     *dag.topo_order().last().unwrap()
     /// # }

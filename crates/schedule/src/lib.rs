@@ -21,9 +21,8 @@
 //! * [`incremental`] — the [`DeltaEvaluator`]: bit-identical to
 //!   [`evaluate`] but re-evaluates only the suffix a node transfer
 //!   actually dirties. FAST's local search probes run through it.
-//!   With the `trace` feature it accumulates [`EvalStats`] counters
-//!   (suffix lengths walked, slack-cache hits/misses, …) at zero
-//!   hot-path cost when the feature is off;
+//!   It always accumulates [`EvalStats`] counters (suffix lengths
+//!   walked, slack-cache hits/misses, …) — plain `u64` increments;
 //! * [`gantt`] / [`svg`] — ASCII and SVG Gantt-chart rendering;
 //! * [`io`] — JSON (de)serialization of schedules for the CLI;
 //! * [`analysis`] — bottleneck-chain extraction, critical-path

@@ -1,11 +1,14 @@
-//! The recording side (`capture` feature on): real collectors.
+//! The recording side: the collectors.
 //!
 //! A collector is owned by exactly one search (or one search chain):
 //! all counters are plain `u64`s bumped on the owning thread — no
-//! atomics anywhere near the probe loop. Parallel drivers give each
-//! chain its own [`SearchTrace`] and fold them together with
-//! [`SearchTrace::merge`] after joining, in chain order, so the merged
-//! totals are deterministic for a fixed `(seed, chains)` pair.
+//! atomics anywhere near the probe loop. Counters always count; a
+//! [`SearchTrace`]'s runtime `enabled` flag gates only the hooks that
+//! allocate or read the clock (phases, metadata, trajectory,
+//! provenance). Parallel drivers give each chain its own
+//! [`SearchTrace`] and fold them together with [`SearchTrace::merge`]
+//! after joining, in chain order, so the merged totals are
+//! deterministic for a fixed `(seed, chains)` pair.
 
 use crate::event::TraceEvent;
 use crate::report::Report;
@@ -16,9 +19,8 @@ pub const DEFAULT_TRAJECTORY_CAPACITY: usize = 8192;
 
 /// Low-level counters of the incremental evaluation engine
 /// ([`DeltaEvaluator`](../fastsched_schedule/struct.DeltaEvaluator.html)):
-/// how much work each probe's dirty-suffix walk actually did.
-///
-/// With the `capture` feature off this is a zero-sized no-op type.
+/// how much work each probe's dirty-suffix walk actually did. Plain
+/// counters: they always count.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvalStats {
     /// Incremental (dirty-suffix) probe evaluations started.
@@ -166,8 +168,11 @@ impl Ring {
 /// counters and the bounded schedule-length trajectory.
 ///
 /// Search drivers thread one of these through a run (see
-/// `Fast::schedule_traced`); with the `capture` feature off every
-/// method is an inlined no-op on a zero-sized type.
+/// `Fast::schedule_traced`). [`SearchTrace::default`] is off: it keeps
+/// the counters but touches neither the heap nor the clock, so
+/// untraced runs stay allocation-free. [`SearchTrace::recording`]
+/// also records phases, metadata, the trajectory and placement
+/// provenance.
 #[derive(Debug, Clone)]
 pub struct SearchTrace {
     /// Probes actually evaluated by the driver (same-processor picks
@@ -182,6 +187,7 @@ pub struct SearchTrace {
     pub steps_skipped: u64,
     /// Evaluation-engine counters absorbed via [`Self::absorb_eval`].
     pub eval: EvalStats,
+    enabled: bool,
     meta: Vec<(String, String)>,
     phases: Vec<(&'static str, Duration)>,
     active_phases: Vec<(&'static str, Instant)>,
@@ -189,47 +195,61 @@ pub struct SearchTrace {
     /// Placement-provenance stream: `Candidate`/`Placed` events from
     /// the initial-schedule loop and `Transfer` events from the local
     /// search, in recording order. Bounded by the driver (O(v + e)
-    /// candidates plus one transfer per probe), capture builds only.
+    /// candidates plus one transfer per probe).
     provenance: Vec<TraceEvent>,
 }
 
 impl SearchTrace {
-    /// A collector with the default trajectory bound
+    /// A recording collector with the default trajectory bound
     /// ([`DEFAULT_TRAJECTORY_CAPACITY`]).
-    pub fn new() -> Self {
+    pub fn recording() -> Self {
         Self::with_capacity(DEFAULT_TRAJECTORY_CAPACITY)
     }
 
-    /// A collector whose trajectory ring holds at most `cap` steps
-    /// (older steps are overwritten; the overflow count is emitted as
-    /// the `trajectory_dropped` counter).
+    /// A recording collector whose trajectory ring holds at most `cap`
+    /// steps (older steps are overwritten; the overflow count is
+    /// emitted as the `trajectory_dropped` counter).
     pub fn with_capacity(cap: usize) -> Self {
+        SearchTrace {
+            enabled: true,
+            trajectory: Ring::with_capacity(cap),
+            ..Self::default()
+        }
+    }
+
+    /// An empty collector in this one's mode and trajectory bound —
+    /// what a parallel driver hands each chain before merging it back.
+    pub fn empty_like(&self) -> Self {
+        SearchTrace {
+            enabled: self.enabled,
+            trajectory: Ring::with_capacity(self.trajectory.cap),
+            ..Self::default()
+        }
+    }
+
+    /// `true` for a recording collector; `false` for the default one,
+    /// which keeps only the counters.
+    pub fn is_enabled(&self) -> bool {
+        self.enabled
+    }
+}
+
+/// Off: counters only, no heap and no clock reads.
+impl Default for SearchTrace {
+    fn default() -> Self {
         SearchTrace {
             probes_attempted: 0,
             probes_accepted: 0,
             probes_reverted: 0,
             steps_skipped: 0,
             eval: EvalStats::default(),
+            enabled: false,
             meta: Vec::new(),
             phases: Vec::new(),
             active_phases: Vec::new(),
-            trajectory: Ring::with_capacity(cap),
+            trajectory: Ring::with_capacity(DEFAULT_TRAJECTORY_CAPACITY),
             provenance: Vec::new(),
         }
-    }
-
-    /// `true` when the `capture` feature is compiled in (this type
-    /// actually records).
-    pub fn is_enabled(&self) -> bool {
-        true
-    }
-}
-
-/// Same as [`SearchTrace::new`]: the default trajectory bound applies
-/// (a zero-capacity ring would silently drop every step).
-impl Default for SearchTrace {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -248,6 +268,9 @@ impl SearchTrace {
     /// Start the named phase timer (phases may nest; each start must
     /// be matched by a [`Self::phase_end`] with the same name).
     pub fn phase_start(&mut self, name: &'static str) {
+        if !self.enabled {
+            return;
+        }
         self.active_phases.push((name, Instant::now()));
     }
 
@@ -255,6 +278,9 @@ impl SearchTrace {
     /// (repeat phases sum). An end without a matching start is
     /// ignored.
     pub fn phase_end(&mut self, name: &'static str) {
+        if !self.enabled {
+            return;
+        }
         let Some(idx) = self.active_phases.iter().rposition(|(n, _)| *n == name) else {
             return;
         };
@@ -268,6 +294,9 @@ impl SearchTrace {
 
     /// Attach a `key = value` metadata pair (workload label, seed, …).
     pub fn set_meta(&mut self, key: &str, value: &str) {
+        if !self.enabled {
+            return;
+        }
         self.meta.push((key.to_string(), value.to_string()));
     }
 
@@ -282,14 +311,18 @@ impl SearchTrace {
     #[inline]
     pub fn probe_accepted(&mut self, step: u64, makespan: u64) {
         self.probes_accepted += 1;
-        self.trajectory.push((step, makespan, true));
+        if self.enabled {
+            self.trajectory.push((step, makespan, true));
+        }
     }
 
     /// Count a reverted probe and record the trajectory step.
     #[inline]
     pub fn probe_reverted(&mut self, step: u64, makespan: u64) {
         self.probes_reverted += 1;
-        self.trajectory.push((step, makespan, false));
+        if self.enabled {
+            self.trajectory.push((step, makespan, false));
+        }
     }
 
     /// Count a driver step that skipped probing.
@@ -303,25 +336,29 @@ impl SearchTrace {
     /// and the start time the candidate offers.
     #[inline]
     pub fn candidate_probed(&mut self, node: u32, proc: u32, ready: u64, dat: u64, start: u64) {
-        self.provenance.push(TraceEvent::Candidate {
-            node: node as u64,
-            proc: proc as u64,
-            ready,
-            dat,
-            start,
-        });
+        if self.enabled {
+            self.provenance.push(TraceEvent::Candidate {
+                node: node as u64,
+                proc: proc as u64,
+                ready,
+                dat,
+                start,
+            });
+        }
     }
 
     /// Record the decision that closed `node`'s candidate probes:
     /// which processor won, the start time it got, and why it won.
     #[inline]
     pub fn node_placed(&mut self, node: u32, proc: u32, start: u64, reason: &'static str) {
-        self.provenance.push(TraceEvent::Placed {
-            node: node as u64,
-            proc: proc as u64,
-            start,
-            reason: reason.to_string(),
-        });
+        if self.enabled {
+            self.provenance.push(TraceEvent::Placed {
+                node: node as u64,
+                proc: proc as u64,
+                start,
+                reason: reason.to_string(),
+            });
+        }
     }
 
     /// Record one local-search transfer probe with its end points
@@ -337,14 +374,16 @@ impl SearchTrace {
         makespan: u64,
         accepted: bool,
     ) {
-        self.provenance.push(TraceEvent::Transfer {
-            step,
-            node: node as u64,
-            from: from as u64,
-            to: to as u64,
-            makespan,
-            accepted,
-        });
+        if self.enabled {
+            self.provenance.push(TraceEvent::Transfer {
+                step,
+                node: node as u64,
+                from: from as u64,
+                to: to as u64,
+                makespan,
+                accepted,
+            });
+        }
     }
 
     /// Fold an evaluation engine's counters into this trace (drivers
@@ -354,15 +393,19 @@ impl SearchTrace {
     }
 
     /// Fold another chain's trace into this one: counters and phase
-    /// times sum, metadata and trajectory entries append in order.
-    /// Merging chains in a fixed order (chain 0, 1, …) after joining
-    /// keeps multi-threaded totals deterministic.
+    /// times sum, metadata and trajectory entries append in order (a
+    /// collector that is off takes only the counters). Merging chains
+    /// in a fixed order (chain 0, 1, …) after joining keeps
+    /// multi-threaded totals deterministic.
     pub fn merge(&mut self, other: &SearchTrace) {
         self.probes_attempted += other.probes_attempted;
         self.probes_accepted += other.probes_accepted;
         self.probes_reverted += other.probes_reverted;
         self.steps_skipped += other.steps_skipped;
         self.eval.merge(&other.eval);
+        if !self.enabled {
+            return;
+        }
         for (k, v) in &other.meta {
             self.meta.push((k.clone(), v.clone()));
         }
@@ -443,7 +486,7 @@ mod tests {
 
     #[test]
     fn counters_and_trajectory_flow_into_the_report() {
-        let mut t = SearchTrace::new();
+        let mut t = SearchTrace::recording();
         t.set_meta("algo", "FAST");
         t.phase("local_search", || {});
         t.probe_attempted();
@@ -482,11 +525,11 @@ mod tests {
 
     #[test]
     fn merge_sums_counters_and_appends_trajectories() {
-        let mut a = SearchTrace::new();
+        let mut a = SearchTrace::recording();
         a.probe_attempted();
         a.probe_accepted(0, 10);
         a.phase("local_search", || {});
-        let mut b = SearchTrace::new();
+        let mut b = SearchTrace::recording();
         b.probe_attempted();
         b.probe_reverted(0, 12);
         b.phase("local_search", || {});
@@ -501,7 +544,7 @@ mod tests {
 
     #[test]
     fn provenance_flows_into_the_report_in_order() {
-        let mut t = SearchTrace::new();
+        let mut t = SearchTrace::recording();
         t.candidate_probed(3, 0, 5, 9, 9);
         t.candidate_probed(3, 1, 0, 12, 12);
         t.node_placed(3, 0, 9, "earliest-start");
@@ -523,14 +566,75 @@ mod tests {
 
     #[test]
     fn merge_appends_provenance() {
-        let mut a = SearchTrace::new();
+        let mut a = SearchTrace::recording();
         a.node_placed(0, 0, 0, "only-candidate");
-        let mut b = SearchTrace::new();
+        let mut b = SearchTrace::recording();
         b.node_placed(1, 1, 4, "earliest-start");
         a.merge(&b);
         let r = a.to_report();
         assert_eq!(r.placements_of(0).len(), 1);
         assert_eq!(r.placements_of(1).len(), 1);
+    }
+
+    /// Every hook once, in both modes: the default collector must
+    /// count exactly what its recording twin counts while emitting
+    /// nothing but counters.
+    #[test]
+    fn default_trace_counts_like_a_recording_one_but_records_nothing() {
+        let drive = |t: &mut SearchTrace| {
+            assert_eq!(t.phase("list_construction", || 7u32), 7);
+            t.phase_start("local_search");
+            t.set_meta("algo", "FAST");
+            t.probe_attempted();
+            t.probe_accepted(0, 10);
+            t.probe_attempted();
+            t.probe_reverted(1, 10);
+            t.step_skipped();
+            t.candidate_probed(0, 0, 0, 3, 3);
+            t.node_placed(0, 0, 3, "earliest-start");
+            t.node_transferred(0, 0, 0, 1, 10, true);
+            let mut stats = EvalStats::default();
+            stats.on_probe();
+            stats.on_node_walked();
+            stats.on_edge_mark();
+            t.absorb_eval(&stats);
+            let mut chain = t.empty_like();
+            chain.probe_attempted();
+            chain.probe_accepted(2, 9);
+            chain.set_meta("chain", "0");
+            t.merge(&chain);
+            t.phase_end("local_search");
+        };
+        let (mut off, mut on) = (SearchTrace::default(), SearchTrace::recording());
+        drive(&mut off);
+        drive(&mut on);
+        assert!(!off.is_enabled() && on.is_enabled());
+
+        let counters = |t: &SearchTrace| -> Vec<TraceEvent> {
+            t.to_events()
+                .into_iter()
+                .filter(|e| matches!(e, TraceEvent::Counter { .. }))
+                .collect()
+        };
+        assert_eq!(counters(&off), counters(&on));
+        assert_eq!(off.probes_attempted, 3);
+        assert_eq!(off.eval.dirty_nodes_visited, 1);
+        assert!(
+            off.to_events()
+                .iter()
+                .all(|e| matches!(e, TraceEvent::Counter { .. })),
+            "a default trace emitted more than counters: {:?}",
+            off.to_events()
+        );
+        // The recording twin did record every kind of event.
+        let on_events = on.to_events();
+        let has = |f: fn(&TraceEvent) -> bool| on_events.iter().any(f);
+        assert!(has(|e| matches!(e, TraceEvent::Meta { .. })));
+        assert!(has(|e| matches!(e, TraceEvent::Phase { .. })));
+        assert!(has(|e| matches!(e, TraceEvent::Step { .. })));
+        assert!(has(|e| matches!(e, TraceEvent::Candidate { .. })));
+        assert!(has(|e| matches!(e, TraceEvent::Placed { .. })));
+        assert!(has(|e| matches!(e, TraceEvent::Transfer { .. })));
     }
 
     #[test]

@@ -5,30 +5,29 @@
 //!
 //! The crate has two halves:
 //!
-//! * **Recording** ([`SearchTrace`], [`EvalStats`], behind the
-//!   `capture` feature): monotonic per-phase timers, plain-`u64`
-//!   search-event counters and a bounded ring-buffer trajectory of
-//!   the schedule length per local-search step. Collectors are owned
-//!   by one search (or one search chain) — there are no shared
-//!   atomics; parallel drivers merge per-thread collectors
-//!   deterministically at join via [`SearchTrace::merge`].
-//! * **Reporting** ([`TraceEvent`], [`Report`], always compiled):
-//!   an NDJSON event format that round-trips through
-//!   [`Report::from_ndjson`], plus a human-readable renderer with an
-//!   ASCII schedule-length sparkline.
+//! * **Recording** ([`SearchTrace`], [`EvalStats`]): plain-`u64`
+//!   search-event counters, monotonic per-phase timers, a bounded
+//!   ring-buffer trajectory of the schedule length per local-search
+//!   step, and placement provenance. Collectors are owned by one
+//!   search (or one search chain) — there are no shared atomics;
+//!   parallel drivers merge per-thread collectors deterministically
+//!   at join via [`SearchTrace::merge`].
+//! * **Reporting** ([`TraceEvent`], [`Report`]): an NDJSON event
+//!   format that round-trips through [`Report::from_ndjson`], plus a
+//!   human-readable renderer with an ASCII schedule-length sparkline.
 //!
-//! When `capture` is **off** (the default for every in-workspace
-//! consumer), [`SearchTrace`] and [`EvalStats`] are zero-sized types
-//! whose methods are empty `#[inline]` bodies: instrumented hot paths
-//! compile to exactly the uninstrumented code, so the O(e) probe loop
-//! pays nothing. The `zst` test below pins this down.
+//! Whether a [`SearchTrace`] records is a runtime choice, the same in
+//! every build. [`SearchTrace::default`] is off: the counters still
+//! count (they are plain increments), but the hooks that would
+//! allocate or read the clock return early, so an untraced run stays
+//! allocation-free. [`SearchTrace::recording`] records everything.
 //!
 //! ## Recording a search
 //!
 //! ```
 //! use fastsched_trace::SearchTrace;
 //!
-//! let mut trace = SearchTrace::new();
+//! let mut trace = SearchTrace::recording();
 //! let mut best = 100u64;
 //! trace.phase_start("local_search");
 //! for step in 0..4 {
@@ -42,10 +41,8 @@
 //! }
 //! trace.phase_end("local_search");
 //! let report = trace.to_report();
-//! if trace.is_enabled() {
-//!     assert_eq!(report.counter("probes_attempted"), Some(4));
-//!     assert_eq!(report.trajectory(), vec![99, 99, 98, 98]);
-//! }
+//! assert_eq!(report.counter("probes_attempted"), Some(4));
+//! assert_eq!(report.trajectory(), vec![99, 99, 98, 98]);
 //! ```
 //!
 //! ## Round-tripping a report
@@ -65,52 +62,11 @@
 
 #![warn(missing_docs)]
 
+mod collect;
 mod event;
 pub mod perfetto;
 mod report;
 
+pub use collect::{EvalStats, SearchTrace, DEFAULT_TRAJECTORY_CAPACITY};
 pub use event::{ParseError, TraceEvent};
 pub use report::{sparkline, CandidateProbe, Placement, Report, TransferRecord};
-
-#[cfg(feature = "capture")]
-mod collect;
-#[cfg(feature = "capture")]
-pub use collect::{EvalStats, SearchTrace, DEFAULT_TRAJECTORY_CAPACITY};
-
-#[cfg(not(feature = "capture"))]
-mod noop;
-#[cfg(not(feature = "capture"))]
-pub use noop::{EvalStats, SearchTrace, DEFAULT_TRAJECTORY_CAPACITY};
-
-#[cfg(all(test, not(feature = "capture")))]
-mod zst {
-    use super::*;
-
-    #[test]
-    fn disabled_collectors_are_zero_sized() {
-        // The whole point of the feature gate: with `capture` off the
-        // collectors occupy no memory and their methods inline away.
-        assert_eq!(std::mem::size_of::<SearchTrace>(), 0);
-        assert_eq!(std::mem::size_of::<EvalStats>(), 0);
-    }
-
-    #[test]
-    fn disabled_collectors_still_drive_the_api() {
-        let mut t = SearchTrace::new();
-        let out = t.phase("local_search", || 7u32);
-        assert_eq!(out, 7);
-        t.probe_attempted();
-        t.probe_accepted(0, 10);
-        t.probe_reverted(1, 10);
-        t.candidate_probed(0, 0, 0, 0, 0);
-        t.node_placed(0, 0, 0, "earliest-start");
-        t.node_transferred(0, 0, 0, 1, 10, false);
-        let mut stats = EvalStats::default();
-        stats.on_node_walked();
-        t.absorb_eval(&stats);
-        let other = SearchTrace::new();
-        t.merge(&other);
-        assert!(!t.is_enabled());
-        assert!(t.to_report().events().is_empty());
-    }
-}

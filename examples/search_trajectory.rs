@@ -4,26 +4,14 @@
 //! counters the trace collects along the way.
 //!
 //! ```text
-//! cargo run --release --features trace --example search_trajectory
+//! cargo run --release --example search_trajectory
 //! ```
-//!
-//! Without `--features trace` the collectors are zero-sized no-ops;
-//! the example detects that and explains how to rebuild.
 
 use fastsched::algorithms::FastConfig;
 use fastsched::prelude::*;
 use fastsched::trace::sparkline;
 
 fn main() {
-    let probe = SearchTrace::default();
-    if !probe.is_enabled() {
-        eprintln!(
-            "trace capture is compiled out; rerun with\n  \
-             cargo run --release --features trace --example search_trajectory"
-        );
-        return;
-    }
-
     let db = TimingDatabase::paragon();
     for (name, dag) in [
         ("gauss16", gaussian_elimination_dag(16, &db)),
@@ -41,7 +29,7 @@ fn main() {
             max_steps: 2048,
             ..Default::default()
         });
-        let mut trace = SearchTrace::default();
+        let mut trace = SearchTrace::recording();
         let schedule = fast.schedule_traced(&dag, procs, &mut trace);
         validate(&dag, &schedule).unwrap();
 

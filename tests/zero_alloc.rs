@@ -3,8 +3,8 @@
 //! heap allocations on the paper's 2000-node random workload.
 //!
 //! The allocation assertion is only armed in release builds without
-//! the `validate`/`trace` features (debug assertions and the
-//! validation gate allocate by design — see DESIGN.md §12); the
+//! the `validate` feature (debug assertions and the validation gate
+//! allocate by design — see DESIGN.md §12); the
 //! byte-identity assertions run in every configuration, so the test
 //! is never vacuous.
 
@@ -25,13 +25,9 @@ fn serial() -> MutexGuard<'static, ()> {
 }
 
 /// True when the build is expected to be allocation-free in steady
-/// state: release, no validation gate, no trace capture.
+/// state: release, no validation gate.
 const fn steady_state_armed() -> bool {
-    cfg!(all(
-        not(debug_assertions),
-        not(feature = "validate"),
-        not(feature = "trace")
-    ))
+    cfg!(all(not(debug_assertions), not(feature = "validate")))
 }
 
 fn assert_steady_state(name: &str, dag: &Dag, procs: u32, sched: &dyn Scheduler) {
