@@ -58,9 +58,10 @@
 //! * `workspace::schedule_many_par` (feature `parallel`) — the batch
 //!   sharded across scoped threads, one workspace per worker,
 //!   element-wise byte-identical at every thread count;
-//! * [`pool::WorkerPool`] — persistent workers, each owning a pinned
-//!   workspace for its whole life, fed through a bounded queue; the
-//!   substrate of the `casch serve` scheduling service.
+//! * [`pool::WorkerPool`] — persistent workers with one warm
+//!   workspace each, fed through a bounded queue (or run in place of
+//!   an idle worker by the caller); the substrate of the `casch
+//!   serve` scheduling service.
 
 #![warn(missing_docs)]
 

@@ -5,8 +5,8 @@
 //! tear them down when the batch returns; a service front-end (e.g.
 //! `casch serve`) instead wants workers that *outlive* any one
 //! request. [`WorkerPool`] spawns a fixed set of threads at
-//! construction, hands each one a private [`Workspace`] it owns for
-//! its whole life, and feeds them jobs through a **bounded** queue:
+//! construction, keeps one [`Workspace`] per thread for its whole
+//! life, and feeds the threads jobs through a **bounded** queue:
 //!
 //! * [`WorkerPool::try_submit`] is the admission-control edge — it
 //!   never blocks, and returns the job to the caller when the queue is
@@ -14,15 +14,20 @@
 //!   "overloaded" rejection instead of unbounded memory growth;
 //! * [`WorkerPool::submit`] blocks until a slot frees, for callers
 //!   (benchmarks, batch drivers) that want lossless delivery;
+//! * [`WorkerPool::try_claim`] lets the caller run a job itself in
+//!   place of an idle worker when nothing is queued, which saves the
+//!   hand-off to another thread and back;
 //! * [`WorkerPool::shutdown`] (and `Drop`) **drains**: already-queued
 //!   jobs still run to completion before the threads exit, so a
 //!   graceful shutdown never abandons accepted work.
 //!
-//! A job receives its worker's index and a `&mut Workspace`. Once the
-//! workspace buffers have grown to the workload's peak, repeated
-//! [`crate::Scheduler::schedule_into`] calls inside jobs hit the same
-//! zero-allocation steady state as the batch path — the pool adds one
-//! queue push/pop (and the job box) per request, never a fresh arena.
+//! A running job holds one workspace, so at most `threads` jobs run at
+//! once, wherever they run. A job receives that workspace's index and
+//! a `&mut` to it. Once the workspace buffers have grown to the
+//! workload's peak, repeated [`crate::Scheduler::schedule_into`] calls
+//! inside jobs hit the same zero-allocation steady state as the batch
+//! path — the pool adds one queue push/pop (and the job box) per
+//! request, never a fresh arena.
 //!
 //! Jobs are **panic-isolated**: a job that panics (e.g. a scheduler
 //! tripping over hostile input) is caught on the worker, logged, and
@@ -32,11 +37,12 @@
 //! belongs in a drop guard inside the job, which runs during the
 //! unwind.
 //!
-//! The pool is **self-instrumenting**: each worker owns a
+//! The pool is **self-instrumenting**: each workspace has a
 //! [`PoolShard`] of lock-free metrics ([`fastsched_metrics`]) —
-//! jobs executed, queue-wait histogram (enqueue to pop) and job-run
-//! histogram, all in microseconds. Shards are written only by their
-//! worker, so recording never contends; a scrape merges the shard
+//! jobs executed, queue-wait histogram (enqueue to pop; zero for a
+//! claimed run) and job-run histogram, all in microseconds. A shard is
+//! written only by the job holding its workspace, so recording never
+//! contends; a scrape merges the shard
 //! snapshots via [`PoolMetrics::merged_queue_us`] /
 //! [`PoolMetrics::merged_run_us`]. Construction via
 //! [`WorkerPool::with_metrics`]`(…, false)` turns the clock reads
@@ -49,19 +55,20 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// A unit of work: runs on one worker thread with that worker's index
-/// and pinned scratch workspace.
+/// A unit of work: runs on one worker thread with the index of the
+/// workspace it holds and that scratch workspace.
 pub type Job = Box<dyn FnOnce(usize, &mut Workspace) + Send + 'static>;
 
-/// One worker's private metrics shard. Written only by the owning
-/// worker thread; read (snapshotted) by scrapers at any time.
+/// One workspace's metrics shard. Written only by the job holding
+/// that workspace; read (snapshotted) by scrapers at any time.
 #[derive(Default)]
 pub struct PoolShard {
-    /// Jobs this worker has executed (including panicked ones).
+    /// Jobs run with this workspace (including panicked ones).
     pub jobs: Counter,
-    /// Microseconds each job spent queued (enqueue to worker pop).
+    /// Microseconds each job spent queued (enqueue to worker pop;
+    /// zero for a claimed run).
     pub queue_us: Histogram,
-    /// Microseconds each job spent running on the worker.
+    /// Microseconds each job spent running.
     pub run_us: Histogram,
 }
 
@@ -114,20 +121,51 @@ struct QueueState {
     /// Each entry carries its enqueue instant (`None` when metrics
     /// are disabled, so the off path never touches the clock).
     jobs: VecDeque<(Option<Instant>, Job)>,
+    /// Indices of the workspaces no running job holds.
+    idle: Vec<usize>,
     closing: bool,
 }
 
 struct Shared {
     state: Mutex<QueueState>,
-    /// Workers sleep here when the queue is empty.
+    /// Workers sleep here while there is no job or no idle workspace.
     job_ready: Condvar,
     /// Blocking submitters sleep here when the queue is full.
     slot_free: Condvar,
     capacity: usize,
+    /// One per worker thread. Whoever took index `i` out of
+    /// [`QueueState::idle`] is the only user of `workspaces[i]`, so
+    /// its lock never contends.
+    workspaces: Vec<Mutex<Workspace>>,
 }
 
-/// Fixed pool of worker threads, each owning a pinned [`Workspace`],
-/// fed through a bounded job queue. See the [module docs](self).
+impl Shared {
+    /// Run `job` with workspace `index`, which the caller holds:
+    /// counted, timed and panic-isolated the same way wherever it runs.
+    fn run(&self, metrics: &PoolMetrics, index: usize, job: impl FnOnce(usize, &mut Workspace)) {
+        let shard = &metrics.shards[index];
+        shard.jobs.inc();
+        let started = metrics.enabled.then(Instant::now);
+        let mut ws = self.workspaces[index].lock().expect("workspace lock");
+        // Isolate job panics: one hostile request must not cost the
+        // pool a worker for the rest of the process lifetime. The
+        // workspace is replaced because an unwound scheduler may have
+        // left its scratch internally inconsistent.
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            job(index, &mut ws);
+        }));
+        if let Some(t0) = started {
+            shard.run_us.record(t0.elapsed().as_micros() as u64);
+        }
+        if result.is_err() {
+            eprintln!("fastsched worker {index}: job panicked; worker continues");
+            *ws = Workspace::new();
+        }
+    }
+}
+
+/// Fixed pool of worker threads, one [`Workspace`] per thread, fed
+/// through a bounded job queue. See the [module docs](self).
 pub struct WorkerPool {
     shared: Arc<Shared>,
     workers: Mutex<Vec<JoinHandle<()>>>,
@@ -157,17 +195,19 @@ impl WorkerPool {
         let shared = Arc::new(Shared {
             state: Mutex::new(QueueState {
                 jobs: VecDeque::new(),
+                idle: (0..threads).rev().collect(),
                 closing: false,
             }),
             job_ready: Condvar::new(),
             slot_free: Condvar::new(),
             capacity: queue_depth.max(1),
+            workspaces: (0..threads).map(|_| Mutex::new(Workspace::new())).collect(),
         });
         let workers = (0..threads)
-            .map(|index| {
+            .map(|_| {
                 let shared = Arc::clone(&shared);
                 let metrics = Arc::clone(&metrics);
-                std::thread::spawn(move || worker_loop(index, &shared, &metrics))
+                std::thread::spawn(move || worker_loop(&shared, &metrics))
             })
             .collect();
         Self {
@@ -201,6 +241,24 @@ impl WorkerPool {
     /// Pending (not yet started) jobs.
     pub fn queued(&self) -> usize {
         self.shared.state.lock().expect("pool lock").jobs.len()
+    }
+
+    /// Take an idle worker's place: when no job is queued and a
+    /// workspace is idle, hold that workspace for the calling thread,
+    /// which then runs a job itself with [`Claim::run`]. `None` when
+    /// a job is queued, every workspace is busy, or the pool is
+    /// shutting down; [`WorkerPool::try_submit`] is the fallback.
+    ///
+    /// A claimed run saves the two thread hand-offs of a queued job
+    /// (caller to worker, worker back to whoever waits for the
+    /// result), and it still counts against the pool's `threads`.
+    pub fn try_claim(&self) -> Option<Claim<'_>> {
+        let mut state = self.shared.state.lock().expect("pool lock");
+        if state.closing || !state.jobs.is_empty() {
+            return None;
+        }
+        let index = state.idle.pop()?;
+        Some(Claim { pool: self, index })
     }
 
     /// Non-blocking submit: enqueue `job`, or hand it back when the
@@ -270,46 +328,67 @@ impl Drop for WorkerPool {
     }
 }
 
-fn worker_loop(index: usize, shared: &Shared, metrics: &PoolMetrics) {
-    let mut ws = Workspace::new();
-    let shard = &metrics.shards[index];
+/// A workspace held by the calling thread (see
+/// [`WorkerPool::try_claim`]); dropping it gives the workspace back.
+pub struct Claim<'a> {
+    pool: &'a WorkerPool,
+    index: usize,
+}
+
+impl Claim<'_> {
+    /// Run `job` on the calling thread with the claimed workspace,
+    /// counted, timed and panic-isolated like a worker's job (its
+    /// queue wait is zero), then give the workspace back.
+    pub fn run(self, job: impl FnOnce(usize, &mut Workspace)) {
+        let metrics = &self.pool.metrics;
+        if metrics.enabled {
+            metrics.shards[self.index].queue_us.record(0);
+        }
+        self.pool.shared.run(metrics, self.index, job);
+    }
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        let shared = &self.pool.shared;
+        let mut state = shared.state.lock().expect("pool lock");
+        state.idle.push(self.index);
+        // A job queued while every workspace was busy may be waiting
+        // for this one.
+        let pending = !state.jobs.is_empty();
+        drop(state);
+        if pending {
+            shared.job_ready.notify_one();
+        }
+    }
+}
+
+fn worker_loop(shared: &Shared, metrics: &PoolMetrics) {
+    let mut held = None;
     loop {
-        let (stamp, job) = {
+        let (index, stamp, job) = {
             let mut state = shared.state.lock().expect("pool lock");
+            state.idle.extend(held.take());
             loop {
-                if let Some(entry) = state.jobs.pop_front() {
-                    break entry;
+                if !state.jobs.is_empty() {
+                    if let Some(index) = state.idle.pop() {
+                        let (stamp, job) = state.jobs.pop_front().expect("queue is not empty");
+                        break (index, stamp, job);
+                    }
                 }
-                if state.closing {
+                if state.closing && state.jobs.is_empty() {
                     return;
                 }
                 state = shared.job_ready.wait(state).expect("pool lock");
             }
         };
         shared.slot_free.notify_one();
-        shard.jobs.inc();
-        let started = if metrics.enabled {
-            if let Some(enqueued) = stamp {
-                shard.queue_us.record(enqueued.elapsed().as_micros() as u64);
-            }
-            Some(Instant::now())
-        } else {
-            None
-        };
-        // Isolate job panics: one hostile request must not cost the
-        // pool a worker for the rest of the process lifetime. The
-        // workspace is replaced because an unwound scheduler may have
-        // left its scratch internally inconsistent.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            job(index, &mut ws);
-        }));
-        if let Some(t0) = started {
-            shard.run_us.record(t0.elapsed().as_micros() as u64);
+        if let Some(enqueued) = stamp {
+            let waited = enqueued.elapsed().as_micros() as u64;
+            metrics.shards[index].queue_us.record(waited);
         }
-        if result.is_err() {
-            eprintln!("fastsched worker {index}: job panicked; worker continues");
-            ws = Workspace::new();
-        }
+        shared.run(metrics, index, job);
+        held = Some(index);
     }
 }
 
@@ -463,5 +542,90 @@ mod tests {
         }
         seen.sort_unstable();
         assert_eq!(seen, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn claimed_runs_use_the_calling_thread_and_a_pool_workspace() {
+        let pool = WorkerPool::new(1, 4);
+        let claim = pool.try_claim().expect("idle pool lends its workspace");
+        // The only workspace is held: neither a second claim nor a
+        // worker may use it.
+        assert!(pool.try_claim().is_none());
+        let caller = std::thread::current().id();
+        let mut ran = None;
+        claim.run(|index, ws| {
+            let s = Fast::new().schedule_into(&paper_figure1(), 9, ws);
+            ran = Some((index, std::thread::current().id(), s.makespan()));
+        });
+        assert_eq!(ran, Some((0, caller, 18)));
+        let m = pool.metrics();
+        assert_eq!(m.shards()[0].jobs.get(), 1);
+        assert_eq!(m.merged_queue_us().count(), 1);
+        assert_eq!(m.merged_queue_us().quantile(1.0), 0);
+        // Given back: the worker and later claims can use it again.
+        let (tx, rx) = mpsc::channel();
+        pool.submit(Box::new(move |index, _| tx.send(index).unwrap()))
+            .unwrap_or_else(|_| panic!("submit failed"));
+        assert_eq!(rx.recv().unwrap(), 0);
+        pool.shutdown();
+        assert!(pool.try_claim().is_none(), "no claims after shutdown");
+    }
+
+    #[test]
+    fn claims_never_jump_queued_jobs() {
+        let pool = WorkerPool::new(2, 4);
+        let held = pool.try_claim().expect("idle workspace");
+        // Jobs that report their start, then wait for the gate.
+        let (gate_tx, gate_rx) = mpsc::channel::<()>();
+        let gate = Arc::new(Mutex::new(gate_rx));
+        let (started_tx, started_rx) = mpsc::channel();
+        let gated = || -> Job {
+            let gate = Arc::clone(&gate);
+            let started = started_tx.clone();
+            Box::new(move |_, _| {
+                started.send(()).unwrap();
+                gate.lock().unwrap().recv().ok();
+            })
+        };
+        pool.try_submit(gated())
+            .unwrap_or_else(|_| panic!("first job rejected"));
+        started_rx.recv().unwrap();
+        // Both workspaces are busy, so this job waits in the queue.
+        pool.try_submit(gated())
+            .unwrap_or_else(|_| panic!("queue slot refused"));
+        assert!(pool.try_claim().is_none());
+        // Let the worker woken by that submit find no idle workspace
+        // and sleep again, so only the give-back below can wake it.
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        // Giving the workspace back hands it to the queued job, which
+        // then holds it until its gate opens: no claim gets it.
+        drop(held);
+        assert!(pool.try_claim().is_none());
+        started_rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("the queued job started on the given-back workspace");
+        assert!(pool.try_claim().is_none());
+        for _ in 0..2 {
+            gate_tx.send(()).unwrap();
+        }
+        pool.shutdown();
+    }
+
+    #[test]
+    fn panicking_claimed_run_leaves_a_sane_workspace() {
+        let pool = WorkerPool::new(1, 4);
+        pool.try_claim()
+            .expect("idle workspace")
+            .run(|_, _| panic!("hostile input"));
+        let mut makespan = 0;
+        pool.try_claim()
+            .expect("workspace given back after the panic")
+            .run(|_, ws| {
+                makespan = Fast::new()
+                    .schedule_into(&paper_figure1(), 9, ws)
+                    .makespan()
+            });
+        assert_eq!(makespan, 18);
+        assert_eq!(pool.metrics().shards()[0].jobs.get(), 2);
     }
 }

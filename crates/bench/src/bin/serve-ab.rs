@@ -19,8 +19,8 @@
 //! * `latency_vs_load` — p50/p99 at 25/50/75% of the measured
 //!   saturation rate, paced open-loop, each load point on a fresh
 //!   server so its per-phase histograms describe exactly that load.
-//!   The row carries the server-side queue/schedule/serialize/write
-//!   breakdown scraped after the run.
+//!   The row carries the server-side queue/schedule/serialize/write/
+//!   parse/build breakdown scraped after the run.
 //! * `metrics_ab` — the same unpaced burst with metrics recording off
 //!   vs on (scrape listener up, loadgen scraping `/metrics`
 //!   mid-run); best-of-3 each way. Recording rides the request path,

@@ -134,7 +134,7 @@ scratch, and SIGINT or `op:\"shutdown\"` drains in-flight work
 before exiting. `--metrics-addr` serves a Prometheus text exposition
 at `GET /metrics` (and the `op:\"stats\"` JSON at `/metrics.json`)
 from a dedicated thread — never a pool worker — with per-phase
-queue/schedule/serialize/write latency histograms; `--no-metrics`
+queue/schedule/serialize/write/parse/build latency histograms; `--no-metrics`
 turns request timing off entirely, `--access-log <file>` appends one
 NDJSON line per completed/rejected/timed-out request, and
 `--log-sample-rate <n>` keeps every n-th line (default 1 = all).

@@ -39,7 +39,7 @@
 //!   exit. A `stats` request returns server-wide and per-worker
 //!   counters including p50/p99 service latency. Observability is
 //!   first-class (DESIGN.md §15): every request is timed through
-//!   queue/schedule/serialize/write phase histograms
+//!   queue/schedule/serialize/write/parse/build phase histograms
 //!   (`fastsched_metrics`), `--metrics-addr` serves a Prometheus
 //!   `/metrics` page (JSON twin at `/metrics.json`) from a dedicated
 //!   thread, and `--access-log` writes a sampled NDJSON access log;

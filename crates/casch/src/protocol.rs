@@ -68,8 +68,10 @@
 //! job panicked on the worker; the worker itself survives).
 
 use fastsched_dag::io::DagSpec;
+use fastsched_dag::json::{self, Reader};
 use fastsched_schedule::{MemCapsSpec, Schedule};
 use serde::Value;
+use std::borrow::Cow;
 use std::io::{self, BufRead};
 
 /// Default cap on one NDJSON line (requests and responses): 4 MiB.
@@ -348,96 +350,203 @@ impl Request {
 
     /// Parse one request line. `default_id` (the connection's 1-based
     /// line number) is used when the request carries no `"id"`.
+    ///
+    /// One pass of a [`Reader`] over the line: the `dag` decodes
+    /// straight into its [`DagSpec`], and no value tree is built. The
+    /// whole line must be valid JSON. The first occurrence of a
+    /// repeated key wins and unknown keys are skipped. A known field
+    /// with the wrong type is an error only when the op reads it, so
+    /// `op:"stats"` is answered whatever `dag` holds.
     pub fn parse(line: &str, default_id: u64) -> Result<Request, String> {
-        let v: Value = serde_json::from_str(line).map_err(|e| format!("parse: {e}"))?;
-        if !matches!(v, Value::Object(_)) {
-            return Err("parse: request must be a JSON object".to_string());
-        }
-        let id = match field(&v, "id") {
-            None | Some(Value::Null) => default_id,
-            Some(x) => as_u64(x).ok_or("parse: `id` must be a non-negative integer")?,
-        };
-        let op = match field(&v, "op") {
-            None => "schedule",
-            Some(Value::String(s)) => s.as_str(),
-            Some(_) => return Err("parse: `op` must be a string".to_string()),
-        };
-        match op {
+        let f = Fields::read(line)?;
+        let id = f.id.transpose()?.flatten().unwrap_or(default_id);
+        match f.op.transpose()?.as_deref().unwrap_or("schedule") {
             "stats" => Ok(Request::Stats { id }),
             "shutdown" => Ok(Request::Shutdown { id }),
-            "schedule" => {
-                let dag_v = field(&v, "dag").ok_or("parse: missing `dag`")?;
-                let dag = <DagSpec as serde::Deserialize>::from_value(dag_v)
-                    .map_err(|e| format!("parse: dag: {e}"))?;
-                let algo = match field(&v, "algo") {
-                    None | Some(Value::Null) => "fast".to_string(),
-                    Some(Value::String(s)) => s.clone(),
-                    Some(_) => return Err("parse: `algo` must be a string".to_string()),
-                };
-                let procs = match field(&v, "procs") {
-                    None | Some(Value::Null) => None,
-                    Some(x) => Some(
-                        as_u64(x)
-                            .filter(|&p| p > 0 && p <= u32::MAX as u64)
-                            .ok_or("parse: `procs` must be a positive integer")?
-                            as u32,
-                    ),
-                };
-                let speeds = match field(&v, "speeds") {
-                    None | Some(Value::Null) => None,
-                    Some(Value::Array(xs)) => {
-                        let pcts: Option<Vec<u32>> = xs
-                            .iter()
-                            .map(|x| as_u64(x).filter(|&p| p > 0).map(|p| p as u32))
-                            .collect();
-                        let pcts =
-                            pcts.ok_or("parse: `speeds` must be positive integer percentages")?;
-                        if pcts.is_empty() {
-                            return Err("parse: `speeds` must not be empty".to_string());
-                        }
-                        Some(pcts)
-                    }
-                    Some(_) => return Err("parse: `speeds` must be an array".to_string()),
-                };
-                let timeout_ms = match field(&v, "timeout_ms") {
-                    None | Some(Value::Null) => None,
-                    Some(x) => Some(
-                        as_u64(x).ok_or("parse: `timeout_ms` must be a non-negative integer")?,
-                    ),
-                };
-                let comm = match field(&v, "comm") {
-                    None | Some(Value::Null) => None,
-                    Some(c) => Some(parse_comm(c)?),
-                };
-                let mem_caps = match field(&v, "mem_caps") {
-                    None | Some(Value::Null) => None,
-                    Some(Value::Array(xs)) => {
-                        let caps: Option<Vec<u64>> = xs.iter().map(as_u64).collect();
-                        let caps =
-                            caps.ok_or("parse: `mem_caps` entries must be non-negative integers")?;
-                        if caps.is_empty() {
-                            return Err("parse: `mem_caps` must not be empty".to_string());
-                        }
-                        Some(MemCapsSpec::PerProc(caps))
-                    }
-                    Some(x) => Some(MemCapsSpec::Uniform(as_u64(x).ok_or(
-                        "parse: `mem_caps` must be a non-negative integer or an array of them",
-                    )?)),
-                };
-                Ok(Request::Schedule(ScheduleRequest {
-                    id,
-                    dag,
-                    algo,
-                    procs,
-                    speeds,
-                    timeout_ms,
-                    comm,
-                    mem_caps,
-                }))
-            }
+            "schedule" => Ok(Request::Schedule(ScheduleRequest {
+                id,
+                dag: f.dag.ok_or("parse: missing `dag`")??,
+                algo: f
+                    .algo
+                    .transpose()?
+                    .flatten()
+                    .unwrap_or_else(|| "fast".to_string()),
+                procs: f.procs.transpose()?.flatten(),
+                speeds: f.speeds.transpose()?.flatten(),
+                timeout_ms: f.timeout_ms.transpose()?.flatten(),
+                comm: f.comm.transpose()?.flatten(),
+                mem_caps: f.mem_caps.transpose()?.flatten(),
+            })),
             other => Err(format!("parse: unknown op `{other}`")),
         }
     }
+}
+
+/// A known request field: absent (`None`), or its first occurrence
+/// decoded, or the error decoding it gave.
+type Slot<T> = Option<Result<T, String>>;
+
+/// The known fields of one request line. Optional fields decode to
+/// `None` when they are `null`.
+#[derive(Default)]
+struct Fields<'a> {
+    id: Slot<Option<u64>>,
+    op: Slot<Cow<'a, str>>,
+    dag: Slot<DagSpec>,
+    algo: Slot<Option<String>>,
+    procs: Slot<Option<u32>>,
+    speeds: Slot<Option<Vec<u32>>>,
+    timeout_ms: Slot<Option<u64>>,
+    comm: Slot<Option<CommSpec>>,
+    mem_caps: Slot<Option<MemCapsSpec>>,
+}
+
+impl<'a> Fields<'a> {
+    /// Read every field of the request object in `line`. A syntax
+    /// error anywhere fails the line; a field's type error is kept in
+    /// its slot.
+    fn read(line: &'a str) -> Result<Fields<'a>, String> {
+        let mut r = Reader::new(line);
+        r.object()
+            .map_err(|_| "parse: request must be a JSON object".to_string())?;
+        let mut f = Fields::default();
+        f.read_keys(&mut r).map_err(|e| format!("parse: {e}"))?;
+        Ok(f)
+    }
+
+    fn read_keys(&mut self, r: &mut Reader<'a>) -> Result<(), json::Error> {
+        while let Some(key) = r.next_key()? {
+            match &*key {
+                "id" => slot(r, &mut self.id, |r| {
+                    nullable(r, |r| {
+                        r.u64()
+                            .map_err(|_| "parse: `id` must be a non-negative integer")
+                    })
+                }),
+                "op" => slot(r, &mut self.op, |r| {
+                    r.str().map_err(|_| "parse: `op` must be a string")
+                }),
+                "dag" => slot(r, &mut self.dag, |r| {
+                    DagSpec::read_json(r).map_err(|e| format!("parse: dag: {e}"))
+                }),
+                "algo" => slot(r, &mut self.algo, |r| {
+                    nullable(r, |r| {
+                        r.str()
+                            .map(Cow::into_owned)
+                            .map_err(|_| "parse: `algo` must be a string")
+                    })
+                }),
+                "procs" => slot(r, &mut self.procs, |r| {
+                    nullable(r, |r| {
+                        r.u64()
+                            .ok()
+                            .and_then(positive_u32)
+                            .ok_or("parse: `procs` must be a positive integer")
+                    })
+                }),
+                "speeds" => slot(r, &mut self.speeds, |r| nullable(r, read_speeds)),
+                "timeout_ms" => slot(r, &mut self.timeout_ms, |r| {
+                    nullable(r, |r| {
+                        r.u64()
+                            .map_err(|_| "parse: `timeout_ms` must be a non-negative integer")
+                    })
+                }),
+                "comm" => slot(r, &mut self.comm, |r| nullable(r, read_comm)),
+                "mem_caps" => slot(r, &mut self.mem_caps, |r| nullable(r, read_mem_caps)),
+                _ => r.skip(),
+            }?;
+        }
+        r.end()
+    }
+}
+
+/// Decode a field's first occurrence into `slot`, and skip any later
+/// one. When decoding fails, the error is stored and the value is
+/// passed over again with [`Reader::skip`], so a syntax error inside
+/// it still fails the line.
+fn slot<'a, T, E: Into<String>>(
+    r: &mut Reader<'a>,
+    slot: &mut Slot<T>,
+    decode: impl FnOnce(&mut Reader<'a>) -> Result<T, E>,
+) -> Result<(), json::Error> {
+    if slot.is_some() {
+        return r.skip();
+    }
+    let start = r.clone();
+    let value = decode(r).map_err(Into::into);
+    if value.is_err() {
+        *r = start;
+        r.skip()?;
+    }
+    *slot = Some(value);
+    Ok(())
+}
+
+/// `None` for `null`, else the decoded value.
+fn nullable<'a, T, E>(
+    r: &mut Reader<'a>,
+    decode: impl FnOnce(&mut Reader<'a>) -> Result<T, E>,
+) -> Result<Option<T>, E> {
+    // A malformed `null` fails in `decode`, and `slot` then reports
+    // the syntax error.
+    if matches!(r.null(), Ok(true)) {
+        return Ok(None);
+    }
+    decode(r).map(Some)
+}
+
+fn positive_u32(x: u64) -> Option<u32> {
+    u32::try_from(x).ok().filter(|&x| x > 0)
+}
+
+/// A JSON array of non-negative integers, each passed through `check`.
+fn read_array<T>(r: &mut Reader<'_>, check: impl Fn(u64) -> Option<T>) -> Result<Vec<T>, ()> {
+    let mut out = Vec::new();
+    r.array().map_err(drop)?;
+    while r.next_item().map_err(drop)? {
+        out.push(r.u64().ok().and_then(&check).ok_or(())?);
+    }
+    Ok(out)
+}
+
+fn read_speeds(r: &mut Reader<'_>) -> Result<Vec<u32>, String> {
+    if r.peek() != Some(b'[') {
+        return Err("parse: `speeds` must be an array".to_string());
+    }
+    let pcts = read_array(r, positive_u32).map_err(|()| {
+        format!(
+            "parse: `speeds` must be positive integer percentages of at most {}",
+            u32::MAX
+        )
+    })?;
+    if pcts.is_empty() {
+        return Err("parse: `speeds` must not be empty".to_string());
+    }
+    Ok(pcts)
+}
+
+/// The `comm` object is small and rare, so it goes through the value
+/// tree: its raw span, already checked by [`Reader::skip`].
+fn read_comm(r: &mut Reader<'_>) -> Result<CommSpec, String> {
+    r.peek();
+    let start = r.pos();
+    r.skip().map_err(|e| format!("parse: {e}"))?;
+    let v: Value = serde_json::from_str(r.since(start)).map_err(|e| format!("parse: {e}"))?;
+    parse_comm(&v)
+}
+
+fn read_mem_caps(r: &mut Reader<'_>) -> Result<MemCapsSpec, String> {
+    if r.peek() != Some(b'[') {
+        return r.u64().map(MemCapsSpec::Uniform).map_err(|_| {
+            "parse: `mem_caps` must be a non-negative integer or an array of them".to_string()
+        });
+    }
+    let caps = read_array(r, Some)
+        .map_err(|()| "parse: `mem_caps` entries must be non-negative integers".to_string())?;
+    if caps.is_empty() {
+        return Err("parse: `mem_caps` must not be empty".to_string());
+    }
+    Ok(MemCapsSpec::PerProc(caps))
 }
 
 // ---------------------------------------------------------- responses
@@ -542,7 +651,8 @@ pub struct WorkerSnapshot {
 /// microseconds.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhaseSnapshot {
-    /// Phase name: `queue`, `schedule`, `serialize`, or `write`.
+    /// Phase name: `queue`, `schedule`, `serialize`, `write`,
+    /// `parse` or `build`.
     pub phase: String,
     /// Observations recorded in this phase.
     pub count: u64,
@@ -586,8 +696,9 @@ pub struct StatsSnapshot {
     /// predating the field).
     pub uptime_s: u64,
     /// Per-phase latency distributions (queue / schedule / serialize
-    /// / write), merged across workers; empty when the server has
-    /// phase metrics disabled or predates them.
+    /// / write, merged across workers, then parse / build from the
+    /// connection threads); empty when the server has phase metrics
+    /// disabled or predates them.
     pub phases: Vec<PhaseSnapshot>,
 }
 
@@ -955,6 +1066,15 @@ impl<R: BufRead> LineReader<R> {
     }
 }
 
+impl<R: io::Read> LineReader<io::BufReader<R>> {
+    /// Whether bytes after the last returned line are already read
+    /// and waiting (a pipelining client), so the next
+    /// [`LineReader::next_line`] starts without blocking.
+    pub fn has_buffered(&self) -> bool {
+        !self.inner.buffer().is_empty()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1051,6 +1171,15 @@ mod tests {
     }
 
     #[test]
+    fn stats_ignores_fields_it_does_not_read() {
+        let line = "{\"dag\":7,\"procs\":\"x\",\"op\":\"stats\",\"id\":5}";
+        assert_eq!(Request::parse(line, 1).unwrap(), Request::Stats { id: 5 });
+        // The first occurrence of a key wins.
+        let line = "{\"op\":\"stats\",\"op\":\"nope\",\"id\":2,\"id\":\"x\"}";
+        assert_eq!(Request::parse(line, 1).unwrap(), Request::Stats { id: 2 });
+    }
+
+    #[test]
     fn missing_id_defaults_to_line_number() {
         let req = Request::parse("{\"op\":\"stats\"}", 42).unwrap();
         assert_eq!(req, Request::Stats { id: 42 });
@@ -1066,6 +1195,9 @@ mod tests {
             "{\"dag\":{\"nodes\":[]}}",     // dag missing edges
             "{\"dag\":{\"nodes\":[],\"edges\":[]},\"procs\":0}", // zero procs
             "{\"dag\":{\"nodes\":[],\"edges\":[]},\"speeds\":[]}", // empty speeds
+            // 4294967346 would truncate to 50 as a u32.
+            "{\"dag\":{\"nodes\":[],\"edges\":[]},\"speeds\":[4294967346]}",
+            "{\"dag\":{\"nodes\":[]},\"op\":\"stats\",\"x\":[1,}", // bad syntax anywhere
         ] {
             let err = Request::parse(bad, 1).expect_err(bad);
             assert!(err.starts_with("parse:"), "{bad} -> {err}");
@@ -1213,6 +1345,17 @@ mod tests {
         // The stream recovers at the next newline.
         assert_eq!(r.next_line().unwrap(), Some(Line::Text("ok".into())));
         assert_eq!(r.next_line().unwrap(), None);
+    }
+
+    #[test]
+    fn line_reader_reports_bytes_waiting_after_a_line() {
+        let data = b"abc\ndef\n".to_vec();
+        let mut r = LineReader::new(io::BufReader::with_capacity(64, Cursor::new(data)), 64);
+        assert!(!r.has_buffered());
+        assert!(matches!(r.next_line().unwrap(), Some(Line::Text(t)) if t == "abc"));
+        assert!(r.has_buffered(), "the second line was read with the first");
+        assert!(matches!(r.next_line().unwrap(), Some(Line::Text(t)) if t == "def"));
+        assert!(!r.has_buffered());
     }
 
     #[test]

@@ -3,10 +3,15 @@
 //! The front-end of the zero-alloc batch core (DESIGN.md §14): a
 //! [`Server`] accepts connections, parses one [`crate::protocol::Request`]
 //! per line, and shards admitted requests across a fixed
-//! [`fastsched_algorithms::WorkerPool`] whose workers each own a
-//! pinned [`fastsched_algorithms::Workspace`] — so the warm
+//! [`fastsched_algorithms::WorkerPool`] with one
+//! [`fastsched_algorithms::Workspace`] per worker — so the warm
 //! scheduling path inside a worker stays allocation-free while the
-//! protocol layer pays only per-request I/O.
+//! protocol layer pays only per-request I/O. When a worker is idle,
+//! nothing is queued and the client has sent nothing further, the
+//! connection thread claims that worker's workspace and runs the
+//! request itself ([`fastsched_algorithms::WorkerPool::try_claim`]):
+//! a closed-loop request then wakes two threads (this one and the
+//! client's) instead of three.
 //!
 //! The service layer around the pool:
 //!
@@ -34,7 +39,8 @@
 //!   then joins the workers. Accepted work is never abandoned.
 //! * **Metrics** — accepted/rejected/timeout/malformed/completed
 //!   totals plus per-worker request counts and per-phase
-//!   (queue / schedule / serialize / write) latency histograms
+//!   (queue / schedule / serialize / write on the workers, parse /
+//!   build on the connection threads) latency histograms
 //!   ([`fastsched_metrics`]; lock-free, every observation counted —
 //!   no sample-window bias under saturation). Served inline by
 //!   `op:"stats"`, and — when [`ServeConfig::metrics_addr`] is set —
@@ -56,7 +62,7 @@
 //! (`completed` before `accepted`, `in_flight` last) so derived
 //! inequalities hold in practice.
 //!
-//! Responses to pipelined requests are written by the worker that
+//! Responses to pipelined requests are written by the thread that
 //! finished them, so they may interleave out of order; the `id` field
 //! correlates. Every response is one `write_all` of a whole line
 //! under the connection's write lock, so lines never interleave
@@ -325,16 +331,32 @@ pub struct ServeSummary {
 /// every admitted request that reaches a worker (including ones
 /// answered `timeout` — queue wait under saturation is exactly what
 /// the phase exists to show); `schedule`/`serialize`/`write` only for
-/// requests that performed them.
-const PHASE_NAMES: [&str; 4] = ["queue", "schedule", "serialize", "write"];
+/// requests that performed them. `parse` (every non-blank line) and
+/// `build` (DAG build and request checks of every schedule request)
+/// run on the connection thread before admission.
+const PHASE_NAMES: [&str; 6] = ["queue", "schedule", "serialize", "write", "parse", "build"];
 
-/// One worker's metrics shard: written only by the owning pool
-/// worker, so recording never contends; merged across workers at
+/// How many of [`PHASE_NAMES`] run on pool workers (the rest run on
+/// connection threads).
+const WORKER_PHASES: usize = 4;
+/// Index of `parse` in [`PHASE_NAMES`].
+const PARSE_PHASE: usize = 4;
+/// Index of `build` in [`PHASE_NAMES`].
+const BUILD_PHASE: usize = 5;
+
+/// Whole microseconds, saturating.
+fn micros(d: Duration) -> u64 {
+    d.as_micros().min(u128::from(u64::MAX)) as u64
+}
+
+/// One pool workspace's metrics shard: written only by the job
+/// holding that workspace (on a worker or a claiming connection
+/// thread), so recording never contends; merged across workers at
 /// scrape time ([`ServeStats::merged_phase`]).
 struct WorkerCounters {
     requests: Counter,
-    /// Indexed like [`PHASE_NAMES`].
-    phase_us: [Histogram; 4],
+    /// Indexed like the first [`WORKER_PHASES`] of [`PHASE_NAMES`].
+    phase_us: [Histogram; WORKER_PHASES],
 }
 
 /// Sampled NDJSON access log: one line per [`AccessLog::rate`]-th
@@ -384,7 +406,7 @@ fn access_line(
     nodes: usize,
     procs: u32,
     outcome: &str,
-    phase_us: [u64; 4],
+    phase_us: [u64; PHASE_NAMES.len()],
 ) -> String {
     let ts_ms = SystemTime::now()
         .duration_since(SystemTime::UNIX_EPOCH)
@@ -392,12 +414,14 @@ fn access_line(
     format!(
         "{{\"ts_ms\":{ts_ms},\"id\":{id},\"algo\":\"{}\",\"nodes\":{nodes},\"procs\":{procs},\
          \"outcome\":\"{outcome}\",\"queue_us\":{},\"schedule_us\":{},\"serialize_us\":{},\
-         \"write_us\":{}}}",
+         \"write_us\":{},\"parse_us\":{},\"build_us\":{}}}",
         protocol::json_escape(algo),
         phase_us[0],
         phase_us[1],
         phase_us[2],
         phase_us[3],
+        phase_us[4],
+        phase_us[5],
     )
 }
 
@@ -417,8 +441,11 @@ struct ServeStats {
     /// Admitted requests not yet answered. The shutdown drain spins
     /// on this reaching zero.
     in_flight: Gauge,
-    /// Per-worker shards, indexed by pool worker.
+    /// Per-worker shards, indexed by pool workspace.
     workers: Vec<WorkerCounters>,
+    /// The phases after [`WORKER_PHASES`] in [`PHASE_NAMES`], shared
+    /// by the connection threads.
+    conn_phase_us: [Histogram; PHASE_NAMES.len() - WORKER_PHASES],
     /// Per-algorithm completion counters, indexed like [`ALGO_NAMES`].
     /// Incremented alongside `completed`, so their sum equals it.
     algos: Vec<Counter>,
@@ -446,6 +473,7 @@ impl ServeStats {
                     phase_us: std::array::from_fn(|_| Histogram::new()),
                 })
                 .collect(),
+            conn_phase_us: std::array::from_fn(|_| Histogram::new()),
             algos: ALGO_NAMES.iter().map(|_| Counter::new()).collect(),
             start: Instant::now(),
             host_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
@@ -460,13 +488,24 @@ impl ServeStats {
         self.timing || self.access.is_some()
     }
 
-    /// Phase `p`'s latency distribution merged across all workers.
+    /// Phase `p`'s latency distribution, merged across all workers
+    /// for the worker phases.
     fn merged_phase(&self, p: usize) -> HistogramSnapshot {
+        if p >= WORKER_PHASES {
+            return self.conn_phase_us[p - WORKER_PHASES].snapshot();
+        }
         let mut out = HistogramSnapshot::empty();
         for w in &self.workers {
             out.merge(&w.phase_us[p].snapshot());
         }
         out
+    }
+
+    /// Record a connection-thread phase (index into [`PHASE_NAMES`]).
+    fn record_conn_phase(&self, p: usize, us: u64) {
+        if self.timing {
+            self.conn_phase_us[p - WORKER_PHASES].record(us);
+        }
     }
 
     fn uptime_s(&self) -> u64 {
@@ -576,6 +615,19 @@ struct PreparedRequest {
     enqueued: Instant,
     /// Index into [`ALGO_NAMES`] / the per-algo counters.
     algo_idx: usize,
+    /// Microseconds spent parsing the line and building the request
+    /// on the connection thread (zero when timings are off).
+    pre_us: [u64; 2],
+}
+
+impl PreparedRequest {
+    /// Access-log timings: the four worker phases, then this
+    /// request's `parse` and `build`.
+    fn phase_us(&self, worker_us: [u64; WORKER_PHASES]) -> [u64; PHASE_NAMES.len()] {
+        let [queue, schedule, serialize, write] = worker_us;
+        let [parse, build] = self.pre_us;
+        [queue, schedule, serialize, write, parse, build]
+    }
 }
 
 enum Engine {
@@ -777,19 +829,19 @@ impl ConnWriter {
     /// server error: on any write failure (including a timeout) the
     /// response is dropped, the connection is marked dead so later
     /// writes become no-ops, and the socket is shut down so the
-    /// reader side unblocks and reaps the connection.
-    fn write_line(&self, line: &str) {
+    /// reader side unblocks and reaps the connection. The line and
+    /// its newline go out in one write, so the client wakes once per
+    /// response.
+    fn write_line(&self, mut line: String) {
         if self.dead.load(Ordering::Relaxed) {
             return;
         }
+        line.push('\n');
         let mut w = self.stream.lock().expect("writer lock");
         if self.dead.load(Ordering::Relaxed) {
             return;
         }
-        if w.write_all(line.as_bytes())
-            .and_then(|_| w.write_all(b"\n"))
-            .is_err()
-        {
+        if w.write_all(line.as_bytes()).is_err() {
             self.dead.store(true, Ordering::Relaxed);
             let _ = w.shutdown(std::net::Shutdown::Both);
         }
@@ -836,7 +888,7 @@ fn handle_connection(stream: TcpStream, ctx: ConnCtx) -> io::Result<()> {
                         ctx.config.max_line_bytes
                     ),
                 };
-                writer.write_line(&resp.to_line());
+                writer.write_line(resp.to_line());
                 continue;
             }
             Line::Text(text) => text,
@@ -845,14 +897,19 @@ fn handle_connection(stream: TcpStream, ctx: ConnCtx) -> io::Result<()> {
             continue;
         }
         line_no += 1;
-        match Request::parse(&text, line_no) {
+        let timed = ctx.stats.wants_timings();
+        let t0 = timed.then(Instant::now);
+        let parsed = Request::parse(&text, line_no);
+        let parse_us = t0.map_or(0, |t| micros(t.elapsed()));
+        ctx.stats.record_conn_phase(PARSE_PHASE, parse_us);
+        match parsed {
             Err(error) => {
                 ctx.stats.malformed.inc();
-                writer.write_line(&Response::Error { id: line_no, error }.to_line());
+                writer.write_line(Response::Error { id: line_no, error }.to_line());
             }
             Ok(Request::Stats { id }) => {
                 let snap = ctx.stats.snapshot(id, ctx.config.queue_depth);
-                writer.write_line(&Response::Stats(snap).to_line());
+                writer.write_line(Response::Stats(snap).to_line());
             }
             Ok(Request::Shutdown { id }) => {
                 ctx.shutdown.store(true, Ordering::SeqCst);
@@ -868,52 +925,75 @@ fn handle_connection(stream: TcpStream, ctx: ConnCtx) -> io::Result<()> {
                     id,
                     completed: ctx.stats.completed.get(),
                 };
-                writer.write_line(&resp.to_line());
+                writer.write_line(resp.to_line());
                 break;
             }
             Ok(Request::Schedule(req)) => {
                 let id = req.id;
-                match prepare(req, &ctx.config) {
+                let t1 = timed.then(Instant::now);
+                let prepared = prepare(req, &ctx.config);
+                let build_us = t1.map_or(0, |t| micros(t.elapsed()));
+                ctx.stats.record_conn_phase(BUILD_PHASE, build_us);
+                match prepared {
                     Err(error) => {
                         ctx.stats.malformed.inc();
-                        writer.write_line(&Response::Error { id, error }.to_line());
+                        writer.write_line(Response::Error { id, error }.to_line());
                     }
-                    Ok(prepared) => {
-                        // Count as in-flight *before* submitting so the
+                    Ok(mut prepared) => {
+                        prepared.pre_us = [parse_us, build_us];
+                        // Count as in-flight *before* admitting so the
                         // shutdown drain can never miss it.
                         ctx.stats.in_flight.inc();
-                        let algo_idx = prepared.algo_idx;
-                        let nodes = prepared.dag.node_count();
-                        let procs = prepared.procs;
-                        let stats = Arc::clone(&ctx.stats);
-                        let job_writer = Arc::clone(&writer);
-                        let job: fastsched_algorithms::pool::Job = Box::new(move |worker, ws| {
-                            process(prepared, worker, ws, &stats, &job_writer);
-                        });
-                        match ctx.pool.try_submit(job) {
-                            Ok(()) => {
-                                ctx.stats.accepted.inc();
-                            }
-                            Err(_rejected_job) => {
-                                ctx.stats.in_flight.dec();
-                                ctx.stats.rejected.inc();
-                                if let Some(log) = &ctx.stats.access {
-                                    log.log(|| {
-                                        access_line(
-                                            id,
-                                            ALGO_NAMES[algo_idx],
-                                            nodes,
-                                            procs,
-                                            "rejected",
-                                            [0; 4],
-                                        )
-                                    });
+                        // With no further request waiting on this
+                        // connection and a worker idle, run the request
+                        // here in that worker's place: no hand-off to
+                        // the worker and no wake-up of this thread for
+                        // the next line.
+                        let claim = if reader.has_buffered() {
+                            None
+                        } else {
+                            ctx.pool.try_claim()
+                        };
+                        if let Some(claim) = claim {
+                            ctx.stats.accepted.inc();
+                            claim.run(|worker, ws| {
+                                process(prepared, worker, ws, &ctx.stats, &writer);
+                            });
+                        } else {
+                            let algo_idx = prepared.algo_idx;
+                            let nodes = prepared.dag.node_count();
+                            let procs = prepared.procs;
+                            let stats = Arc::clone(&ctx.stats);
+                            let job_writer = Arc::clone(&writer);
+                            let job: fastsched_algorithms::pool::Job =
+                                Box::new(move |worker, ws| {
+                                    process(prepared, worker, ws, &stats, &job_writer);
+                                });
+                            match ctx.pool.try_submit(job) {
+                                Ok(()) => {
+                                    ctx.stats.accepted.inc();
                                 }
-                                let resp = Response::Error {
-                                    id,
-                                    error: "overloaded".to_string(),
-                                };
-                                writer.write_line(&resp.to_line());
+                                Err(_rejected_job) => {
+                                    ctx.stats.in_flight.dec();
+                                    ctx.stats.rejected.inc();
+                                    if let Some(log) = &ctx.stats.access {
+                                        log.log(|| {
+                                            access_line(
+                                                id,
+                                                ALGO_NAMES[algo_idx],
+                                                nodes,
+                                                procs,
+                                                "rejected",
+                                                [0, 0, 0, 0, parse_us, build_us],
+                                            )
+                                        });
+                                    }
+                                    let resp = Response::Error {
+                                        id,
+                                        error: "overloaded".to_string(),
+                                    };
+                                    writer.write_line(resp.to_line());
+                                }
                             }
                         }
                     }
@@ -1138,6 +1218,7 @@ fn prepare(req: ScheduleRequest, config: &ServeConfig) -> Result<PreparedRequest
         deadline: (timeout_ms > 0).then(|| Duration::from_millis(timeout_ms)),
         enqueued: Instant::now(),
         algo_idx,
+        pre_us: [0; 2],
     })
 }
 
@@ -1150,32 +1231,28 @@ fn prepare(req: ScheduleRequest, config: &ServeConfig) -> Result<PreparedRequest
 struct ResponseGuard<'a> {
     stats: &'a ServeStats,
     writer: &'a ConnWriter,
-    id: u64,
+    req: &'a PreparedRequest,
     answered: bool,
-    /// Request identity for the access log's `internal` line when the
-    /// job unwinds before answering.
-    algo_idx: usize,
-    nodes: usize,
-    procs: u32,
 }
 
 impl Drop for ResponseGuard<'_> {
     fn drop(&mut self) {
         if !self.answered {
+            let req = self.req;
             let resp = Response::Error {
-                id: self.id,
+                id: req.id,
                 error: "internal: scheduler panicked".to_string(),
             };
-            self.writer.write_line(&resp.to_line());
+            self.writer.write_line(resp.to_line());
             if let Some(log) = &self.stats.access {
                 log.log(|| {
                     access_line(
-                        self.id,
-                        ALGO_NAMES[self.algo_idx],
-                        self.nodes,
-                        self.procs,
+                        req.id,
+                        ALGO_NAMES[req.algo_idx],
+                        req.dag.node_count(),
+                        req.procs,
                         "internal",
-                        [0; 4],
+                        req.phase_us([0; WORKER_PHASES]),
                     )
                 });
             }
@@ -1184,9 +1261,10 @@ impl Drop for ResponseGuard<'_> {
     }
 }
 
-/// Worker-side execution of one admitted request: schedule,
-/// serialize, write — with each phase (plus the preceding queue wait)
-/// timed into the worker's shard when metrics are on.
+/// Execution of one admitted request with pool workspace `worker`,
+/// on a worker or a claiming connection thread: schedule, serialize,
+/// write — with each phase (plus the preceding queue wait) timed into
+/// that workspace's shard when metrics are on.
 fn process(
     req: PreparedRequest,
     worker: usize,
@@ -1197,16 +1275,13 @@ fn process(
     let mut guard = ResponseGuard {
         stats,
         writer,
-        id: req.id,
+        req: &req,
         answered: false,
-        algo_idx: req.algo_idx,
-        nodes: req.dag.node_count(),
-        procs: req.procs,
     };
     let shard = &stats.workers[worker];
     let detail = stats.wants_timings();
     let waited = req.enqueued.elapsed();
-    let queue_us = waited.as_micros().min(u64::MAX as u128) as u64;
+    let queue_us = micros(waited);
     if stats.timing {
         shard.phase_us[0].record(queue_us);
     }
@@ -1216,7 +1291,7 @@ fn process(
             id: req.id,
             error: "timeout".to_string(),
         };
-        writer.write_line(&resp.to_line());
+        writer.write_line(resp.to_line());
         guard.answered = true;
         if let Some(log) = &stats.access {
             log.log(|| {
@@ -1226,7 +1301,7 @@ fn process(
                     req.dag.node_count(),
                     req.procs,
                     "timeout",
-                    [queue_us, 0, 0, 0],
+                    req.phase_us([queue_us, 0, 0, 0]),
                 )
             });
         }
@@ -1237,14 +1312,14 @@ fn process(
     let t1 = Instant::now();
     // `service_us` in the response is the schedule phase — the same
     // quantity it has always carried.
-    let service_us = t1.duration_since(t0).as_micros().min(u64::MAX as u128) as u64;
+    let service_us = micros(t1.duration_since(t0));
     let resp =
         ScheduleResponse::from_schedule(req.id, name, req.procs, &schedule, queue_us, service_us);
     let line = Response::Schedule(resp).to_line();
     // The serialize/write split costs two extra clock reads, so it is
     // taken only when histograms or the access log want the numbers.
     let t2 = detail.then(Instant::now);
-    writer.write_line(&line);
+    writer.write_line(line);
     let (serialize_us, write_us) = match t2 {
         Some(t2) => (
             t2.duration_since(t1).as_micros() as u64,
@@ -1272,7 +1347,7 @@ fn process(
                 req.dag.node_count(),
                 req.procs,
                 "ok",
-                [queue_us, service_us, serialize_us, write_us],
+                req.phase_us([queue_us, service_us, serialize_us, write_us]),
             )
         });
     }

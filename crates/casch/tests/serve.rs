@@ -463,6 +463,40 @@ fn malformed_lines_get_error_responses_and_the_connection_survives() {
 }
 
 #[test]
+fn deeply_nested_lines_are_parse_errors_not_crashes() {
+    // Unbounded recursion over 200 000 open brackets would overflow a
+    // connection thread's stack and abort the whole server.
+    let (addr, join, shutdown) = start_server(ServeConfig::default());
+    let mut stream = connect(addr);
+    let deep = "[".repeat(200_000);
+    let good = ScheduleRequest::new(3, DagSpec::from_dag(&chain(3, 2, 1)));
+    let batch = format!("{deep}\n{{\"id\":2,\"dag\":{deep}\n{}\n", good.to_line());
+    stream.write_all(batch.as_bytes()).expect("send");
+
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut by_id: Vec<(u64, Result<u64, String>)> = read_responses(&mut reader, 3)
+        .into_iter()
+        .map(|resp| match resp {
+            Response::Error { id, error } => (id, Err(error)),
+            Response::Schedule(r) => (r.id, Ok(r.makespan)),
+            other => panic!("unexpected response: {other:?}"),
+        })
+        .collect();
+    by_id.sort_by_key(|(id, _)| *id);
+    assert_eq!(by_id.len(), 3);
+    for (id, answer) in &by_id[..2] {
+        let error = answer.as_ref().expect_err("deep line must fail");
+        assert!(error.starts_with("parse:"), "id {id}: {error}");
+    }
+    assert_eq!(by_id[2].0, 3);
+    assert!(by_id[2].1.is_ok(), "follow-up request answered");
+
+    shutdown.store(true, Ordering::SeqCst);
+    let summary = join.join().expect("server thread");
+    assert_eq!((summary.malformed, summary.completed), (2, 1));
+}
+
+#[test]
 fn oversized_lines_are_rejected_without_buffering_them() {
     let (addr, join, shutdown) = start_server(ServeConfig {
         max_line_bytes: 256,
@@ -878,7 +912,7 @@ fn metrics_endpoint_serves_exposition_consistent_with_stats() {
 
     // Phase histograms: the schedule phase saw every request, and
     // cumulative bucket counts are monotone within each series.
-    for phase in ["queue", "schedule", "serialize", "write"] {
+    for phase in ["queue", "schedule", "serialize", "write", "build"] {
         let count_line = format!("casch_phase_latency_us_count{{phase=\"{phase}\"}} {total}\n");
         assert!(page.contains(&count_line), "missing/short series: {phase}");
         let prefix = format!("casch_phase_latency_us_bucket{{phase=\"{phase}\"");
@@ -890,6 +924,14 @@ fn metrics_endpoint_serves_exposition_consistent_with_stats() {
         }
         assert_eq!(last, total, "+Inf bucket equals count for {phase}");
     }
+    // `parse` also saw the stats polls, which have no `build`.
+    let parsed: u64 = page
+        .lines()
+        .find_map(|l| l.strip_prefix("casch_phase_latency_us_count{phase=\"parse\"} "))
+        .expect("parse phase series")
+        .parse()
+        .expect("count");
+    assert!(parsed > total, "parse count {parsed} vs {total} requests");
 
     // The JSON twin is the op:"stats" payload verbatim.
     let body =
@@ -948,6 +990,8 @@ fn access_log_samples_every_nth_request() {
             "\"schedule_us\":",
             "\"serialize_us\":",
             "\"write_us\":",
+            "\"parse_us\":",
+            "\"build_us\":",
         ] {
             assert!(line.contains(key), "access line missing {key}: {line}");
         }

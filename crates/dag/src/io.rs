@@ -3,13 +3,14 @@
 
 use crate::error::DagError;
 use crate::graph::{Cost, Dag, DagBuilder, NodeId};
-use serde::{Deserialize, Serialize};
+use crate::json::{self, Reader};
+use serde::Serialize;
 
 /// Serializable description of a task graph.
 ///
 /// This is the on-disk format consumed and produced by the `casch`
 /// CLI (`casch schedule --dag graph.json ...`).
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq, Eq)]
+#[derive(Debug, Clone, Serialize, PartialEq, Eq)]
 pub struct DagSpec {
     /// Tasks, in id order.
     pub nodes: Vec<NodeSpec>,
@@ -29,9 +30,8 @@ pub struct NodeSpec {
     pub mem: Cost,
 }
 
-// Hand-written (de)serialization: the derive macros require every
-// field, but `mem` must stay optional — absent keys default to 0 and
-// zero footprints are not written, so pre-memory DAG files and wire
+// Hand-written serialization: the derive macro writes every field,
+// but a zero `mem` is left out, so pre-memory DAG files and wire
 // requests round-trip byte-identically.
 impl Serialize for NodeSpec {
     fn to_value(&self) -> serde::Value {
@@ -46,21 +46,8 @@ impl Serialize for NodeSpec {
     }
 }
 
-impl Deserialize for NodeSpec {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        Ok(NodeSpec {
-            name: String::from_value(serde::__field(v, "name")?)?,
-            weight: Cost::from_value(serde::__field(v, "weight")?)?,
-            mem: match serde::__field(v, "mem") {
-                Ok(m) => Cost::from_value(m)?,
-                Err(_) => 0,
-            },
-        })
-    }
-}
-
 /// One message edge in a [`DagSpec`].
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq, Eq)]
+#[derive(Debug, Clone, Serialize, PartialEq, Eq)]
 pub struct EdgeSpec {
     /// Source node index.
     pub src: u32,
@@ -92,6 +79,37 @@ impl DagSpec {
         Self { nodes, edges }
     }
 
+    /// Decode a spec from JSON text holding one `{nodes, edges}`
+    /// object (see [`DagSpec::read_json`]).
+    pub fn from_json_str(s: &str) -> Result<DagSpec, json::Error> {
+        let mut r = Reader::new(s);
+        let spec = Self::read_json(&mut r)?;
+        r.end()?;
+        Ok(spec)
+    }
+
+    /// Decode the `{nodes, edges}` object at the reader's cursor,
+    /// straight into the spec's vectors: an allocation per node name,
+    /// none per edge. Nodes are
+    /// `{name, weight, mem?}` (`mem` defaults to 0), edges
+    /// `{src, dst, cost}`. The first occurrence of a repeated key
+    /// wins; unknown keys are skipped, their syntax still checked.
+    pub fn read_json(r: &mut Reader<'_>) -> Result<DagSpec, json::Error> {
+        let (mut nodes, mut edges) = (None, None);
+        r.object()?;
+        while let Some(key) = r.next_key()? {
+            match &*key {
+                "nodes" if nodes.is_none() => nodes = Some(read_array(r, read_node)?),
+                "edges" if edges.is_none() => edges = Some(read_array(r, read_edge)?),
+                _ => r.skip()?,
+            }
+        }
+        Ok(DagSpec {
+            nodes: nodes.ok_or_else(|| r.err("missing field `nodes`"))?,
+            edges: edges.ok_or_else(|| r.err("missing field `edges`"))?,
+        })
+    }
+
     /// Validate and build the described graph.
     pub fn build(&self) -> Result<Dag, DagError> {
         let mut b = DagBuilder::with_capacity(self.nodes.len(), self.edges.len());
@@ -106,6 +124,59 @@ impl DagSpec {
     }
 }
 
+fn read_array<T>(
+    r: &mut Reader<'_>,
+    item: fn(&mut Reader<'_>) -> Result<T, json::Error>,
+) -> Result<Vec<T>, json::Error> {
+    let mut out = Vec::new();
+    r.array()?;
+    while r.next_item()? {
+        out.push(item(r)?);
+    }
+    Ok(out)
+}
+
+fn read_node(r: &mut Reader<'_>) -> Result<NodeSpec, json::Error> {
+    let (mut name, mut weight, mut mem) = (None, None, None);
+    r.object()?;
+    while let Some(key) = r.next_key()? {
+        match &*key {
+            "name" if name.is_none() => name = Some(r.str()?.into_owned()),
+            "weight" if weight.is_none() => weight = Some(r.u64()?),
+            "mem" if mem.is_none() => mem = Some(r.u64()?),
+            _ => r.skip()?,
+        }
+    }
+    Ok(NodeSpec {
+        name: name.ok_or_else(|| r.err("missing field `name`"))?,
+        weight: weight.ok_or_else(|| r.err("missing field `weight`"))?,
+        mem: mem.unwrap_or(0),
+    })
+}
+
+fn read_edge(r: &mut Reader<'_>) -> Result<EdgeSpec, json::Error> {
+    let (mut src, mut dst, mut cost) = (None, None, None);
+    r.object()?;
+    while let Some(key) = r.next_key()? {
+        match &*key {
+            "src" if src.is_none() => src = Some(read_u32(r)?),
+            "dst" if dst.is_none() => dst = Some(read_u32(r)?),
+            "cost" if cost.is_none() => cost = Some(r.u64()?),
+            _ => r.skip()?,
+        }
+    }
+    Ok(EdgeSpec {
+        src: src.ok_or_else(|| r.err("missing field `src`"))?,
+        dst: dst.ok_or_else(|| r.err("missing field `dst`"))?,
+        cost: cost.ok_or_else(|| r.err("missing field `cost`"))?,
+    })
+}
+
+fn read_u32(r: &mut Reader<'_>) -> Result<u32, json::Error> {
+    let at = r.err("integer out of range");
+    u32::try_from(r.u64()?).map_err(|_| at)
+}
+
 /// Serialize a graph to pretty-printed JSON.
 pub fn to_json(dag: &Dag) -> Result<String, DagError> {
     serde_json::to_string_pretty(&DagSpec::from_dag(dag))
@@ -114,8 +185,9 @@ pub fn to_json(dag: &Dag) -> Result<String, DagError> {
 
 /// Parse a graph from JSON produced by [`to_json`].
 pub fn from_json(s: &str) -> Result<Dag, DagError> {
-    let spec: DagSpec = serde_json::from_str(s).map_err(|e| DagError::Serde(e.to_string()))?;
-    spec.build()
+    DagSpec::from_json_str(s)
+        .map_err(|e| DagError::Serde(e.to_string()))?
+        .build()
 }
 
 /// Render the graph in Graphviz DOT syntax. Node labels show

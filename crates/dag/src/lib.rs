@@ -23,9 +23,12 @@
 //!   protocol; `DagSpec::from_dag` / `DagSpec::build` round-trip
 //!   losslessly, and `build()` re-runs full [`DagBuilder`] validation
 //!   (unknown endpoints, self-loops, duplicate edges, cycles), so
-//!   deserialized graphs are as trustworthy as constructed ones;
+//!   deserialized graphs are as trustworthy as constructed ones.
+//!   Specs are decoded by `DagSpec::read_json` on a [`json::Reader`];
 //! * [`io_text`] — the compact `.tg` text format for hand-written
 //!   fixtures;
+//! * [`json`] — a pull reader over JSON text, linear in the input and
+//!   with bounded nesting, shared by DAG files and serve requests;
 //! * [`examples`] — the reconstructed Figure 1 example graph and other
 //!   small graphs used across the workspace tests.
 //!
@@ -62,6 +65,7 @@ pub mod examples;
 pub mod graph;
 pub mod io;
 pub mod io_text;
+pub mod json;
 pub mod stats;
 pub mod topo;
 pub mod transform;
