@@ -20,8 +20,7 @@
 //!   scheduling with insertion);
 //! * [`heft::Heft`] — the later insertion-based standard, for context;
 //! * [`fast_parallel::FastParallel`] — multi-start parallel FAST (the
-//!   authors' follow-up FASTEST), built on crossbeam scoped threads;
-//!   gated behind the `parallel` cargo feature (off by default).
+//!   authors' follow-up FASTEST), built on crossbeam scoped threads.
 //!
 //! Every scheduler returns a [`fastsched_schedule::Schedule`] that
 //! passes [`fastsched_schedule::validate()`](fn@fastsched_schedule::validate); the workspace test-suite
@@ -55,7 +54,7 @@
 //!
 //! * [`workspace::schedule_many`] / [`workspace::schedule_many_into`]
 //!   — one warm workspace across a whole batch;
-//! * `workspace::schedule_many_par` (feature `parallel`) — the batch
+//! * [`workspace::schedule_many_par`] — the batch
 //!   sharded across scoped threads, one workspace per worker,
 //!   element-wise byte-identical at every thread count;
 //! * [`pool::WorkerPool`] — persistent workers with one warm
@@ -74,7 +73,6 @@ pub mod duplication;
 pub mod etf;
 pub mod ez;
 pub mod fast;
-#[cfg(feature = "parallel")]
 pub mod fast_parallel;
 pub mod fast_sa;
 pub mod heft;
@@ -99,7 +97,6 @@ pub use duplication::{validate_dup, Dsh, DupSchedule};
 pub use etf::Etf;
 pub use ez::Ez;
 pub use fast::{Fast, FastConfig};
-#[cfg(feature = "parallel")]
 pub use fast_parallel::{FastParallel, FastParallelConfig};
 pub use fast_sa::{FastSa, FastSaConfig};
 pub use heft::Heft;
@@ -114,8 +111,7 @@ pub use pool::WorkerPool;
 pub use scheduler::{
     all_schedulers, gate_schedule, gate_schedule_with, paper_schedulers, Scheduler,
 };
-pub use workspace::{schedule_many, schedule_many_into, Workspace};
-#[cfg(feature = "parallel")]
 pub use workspace::{
-    schedule_many_par, schedule_many_par_by, schedule_many_par_timed, schedule_many_par_with,
+    schedule_many, schedule_many_into, schedule_many_par, schedule_many_par_by,
+    schedule_many_par_with, Workspace,
 };

@@ -102,10 +102,9 @@ pub trait Scheduler: Send + Sync {
     ///
     /// The default implementation ignores the workspace and delegates
     /// to [`Self::schedule`], so every scheduler supports the batched
-    /// entry points ([`crate::workspace::schedule_many`], and with the
-    /// `parallel` feature the sharded
-    /// `crate::workspace::schedule_many_par`) even before it is
-    /// ported.
+    /// entry points ([`crate::workspace::schedule_many`] and the
+    /// sharded [`crate::workspace::schedule_many_par`]) even before it
+    /// is ported.
     fn schedule_into(&self, dag: &Dag, num_procs: u32, workspace: &mut Workspace) -> Schedule {
         let _ = workspace;
         self.schedule(dag, num_procs)
@@ -144,7 +143,6 @@ pub fn all_schedulers(seed: u64) -> Vec<Box<dyn Scheduler>> {
     v.push(Box::new(crate::lc::Lc::new()));
     v.push(Box::new(crate::cpop::Cpop::new()));
     v.push(Box::new(crate::bounded_dsc::BoundedDsc::new()));
-    #[cfg(feature = "parallel")]
     v.push(Box::new(crate::fast_parallel::FastParallel::with_config(
         crate::fast_parallel::FastParallelConfig {
             seed,
@@ -177,7 +175,6 @@ mod tests {
         assert!(names.contains(&"HLFET"));
         assert!(names.contains(&"MCP"));
         assert!(names.contains(&"HEFT"));
-        #[cfg(feature = "parallel")]
         assert!(names.contains(&"FAST-MS"));
     }
 }

@@ -78,7 +78,6 @@ pub(crate) fn return_eval<M: CostModel>(slot: &mut DeltaEvaluator, eval: DeltaEv
 
 /// Per-chain state of the multi-start search (FAST-MS): each chain
 /// owns its evaluator and trace so worker threads share nothing.
-#[cfg(feature = "parallel")]
 pub(crate) struct ChainSlot {
     /// The chain's private incremental evaluator (committed state is
     /// the chain's current assignment).
@@ -89,7 +88,6 @@ pub(crate) struct ChainSlot {
     pub(crate) makespan: u64,
 }
 
-#[cfg(feature = "parallel")]
 impl ChainSlot {
     fn new() -> Self {
         Self {
@@ -132,7 +130,6 @@ pub struct Workspace {
     // --- local search ---
     pub(crate) eval: DeltaEvaluator,
     pub(crate) best_assignment: Vec<ProcId>,
-    #[cfg(feature = "parallel")]
     pub(crate) chains: Vec<ChainSlot>,
     // --- output assembly ---
     pub(crate) staging: Schedule,
@@ -165,7 +162,6 @@ impl Workspace {
             dat: DatLanes::new(),
             eval: DeltaEvaluator::empty(),
             best_assignment: Vec::new(),
-            #[cfg(feature = "parallel")]
             chains: Vec::new(),
             staging: Schedule::new(0, 1),
             compact: CompactScratch::new(),
@@ -209,7 +205,6 @@ impl Workspace {
     }
 
     /// Ensure the multi-start chain slots exist for `chains` chains.
-    #[cfg(feature = "parallel")]
     pub(crate) fn ensure_chains(&mut self, chains: usize) {
         while self.chains.len() < chains {
             self.chains.push(ChainSlot::new());
@@ -272,7 +267,6 @@ pub fn schedule_many_into(
 /// Resolve a requested worker count: `0` means "all available cores",
 /// and the count is never larger than the number of items (an idle
 /// worker is pure spawn overhead).
-#[cfg(feature = "parallel")]
 fn effective_threads(threads: usize, items: usize) -> usize {
     let t = if threads == 0 {
         std::thread::available_parallelism().map_or(1, |n| n.get())
@@ -300,7 +294,6 @@ fn effective_threads(threads: usize, items: usize) -> usize {
 /// # Panics
 /// If `procs.len() != dags.len()`, or if `schedule_one` panics (e.g.
 /// on a memory-infeasible instance) — worker panics propagate.
-#[cfg(feature = "parallel")]
 pub fn schedule_many_par_with<F>(
     dags: &[Dag],
     procs: &[u32],
@@ -347,7 +340,6 @@ where
 /// [`schedule_many`] sharded by [`schedule_many_par_with`], every DAG
 /// on `num_procs` processors; element-wise byte-identical to
 /// [`schedule_many`] at every thread count.
-#[cfg(feature = "parallel")]
 pub fn schedule_many_par(
     scheduler: &dyn Scheduler,
     dags: &[Dag],
@@ -363,22 +355,7 @@ pub fn schedule_many_par(
     .collect()
 }
 
-/// [`schedule_many_par_with`] over a registry scheduler's
-/// `schedule_into`, with a per-DAG processor count (`casch batch`).
-#[cfg(feature = "parallel")]
-pub fn schedule_many_par_timed(
-    scheduler: &dyn Scheduler,
-    dags: &[Dag],
-    procs: &[u32],
-    threads: usize,
-) -> Vec<(Schedule, f64)> {
-    schedule_many_par_with(dags, procs, threads, |d, p, ws| {
-        scheduler.schedule_into(d, p, ws)
-    })
-}
-
 /// [`schedule_many_par_with`] for a closure that brings its own scratch.
-#[cfg(feature = "parallel")]
 pub fn schedule_many_par_by<F>(
     dags: &[Dag],
     procs: &[u32],

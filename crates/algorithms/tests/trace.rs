@@ -209,7 +209,6 @@ fn transfer_records_match_probe_counters() {
 
 /// Parallel FAST merges per-chain counters deterministically: two runs
 /// with the same seed produce bit-identical aggregated counters.
-#[cfg(feature = "parallel")]
 #[test]
 fn parallel_counters_are_deterministic() {
     use fastsched_algorithms::{FastParallel, FastParallelConfig};

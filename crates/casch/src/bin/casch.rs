@@ -9,15 +9,16 @@
 //! casch compare  --app laplace --size 8 --procs 16
 //! ```
 
-use fastsched_algorithms::{paper_schedulers, Scheduler};
+use fastsched_algorithms::{paper_schedulers, Scheduler, Workspace};
+use fastsched_casch::machine::{self, Engine, Machine};
 use fastsched_casch::protocol::{self, json_escape, Request};
-use fastsched_casch::serve::{scheduler_by_name, ModelScheduler};
 use fastsched_casch::{compare_algorithms, run_on_dag, Application};
 use fastsched_dag::{io, Dag, GraphAttributes};
-use fastsched_schedule::{gantt, CommModel, MemCapsSpec, MemoryCapacities, Schedule};
+use fastsched_schedule::{gantt, CommModel, MemCapsSpec, ScheduleMetrics};
 use fastsched_sim::SimConfig;
+use fastsched_trace::SearchTrace;
 use fastsched_workloads::TimingDatabase;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -341,96 +342,60 @@ fn cmd_dot(opts: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// Parse the `--comm` / `--mem-caps` model flags (absent `--comm`
-/// prices like the paper's ideal network).
-fn parse_model_flags(opts: &Flags) -> Result<(CommModel, Option<MemCapsSpec>), String> {
+/// Parse the `--comm` and `--mem-caps` model flags.
+fn model_flags(opts: &Flags) -> Result<(Option<CommModel>, Option<MemCapsSpec>), String> {
     let comm = match opts.get("comm") {
-        Some(spec) => CommModel::parse_spec(spec).map_err(|e| format!("--comm: {e}"))?,
-        None => CommModel::Ideal,
+        Some(spec) => Some(CommModel::parse_spec(spec).map_err(|e| format!("--comm: {e}"))?),
+        None => None,
     };
     let mem = match opts.get("mem-caps") {
         // Parse errors already lead with `mem-caps: `.
         Some(spec) => Some(MemCapsSpec::parse(spec).map_err(|e| format!("--{e}"))?),
         None => None,
     };
-    if mem.is_some() {
-        let algo = opts.get("algo").ok_or("missing --algo")?;
-        if !ModelScheduler::by_name(algo).is_ok_and(|s| s.is_memory_aware()) {
-            return Err(format!(
-                "--mem-caps: algorithm `{algo}` has no memory-aware path (use fast or heft)"
-            ));
-        }
-    }
     Ok((comm, mem))
 }
 
-/// Reconcile `--procs` with the model flags: a hier group table and a
-/// per-processor `--mem-caps` table each fix the processor count, so
-/// they must agree with each other and with an explicit `--procs`.
-fn resolve_model_procs(
-    opts: &Flags,
-    comm: &CommModel,
-    mem: Option<&MemCapsSpec>,
-    default_procs: u64,
-) -> Result<u32, String> {
-    let hier = comm.required_procs();
-    let caps = mem.and_then(MemCapsSpec::required_procs);
-    if let (Some(h), Some(n)) = (hier, caps) {
-        if h != n {
-            return Err(format!(
-                "--mem-caps lists {n} capacities but the hier group table covers \
-                 {h} processor(s)"
-            ));
-        }
-    }
-    match hier.or(caps) {
-        Some(n) => {
-            let p = get_u64_or(opts, "procs", u64::from(n))?;
-            if p != u64::from(n) {
-                let what = if hier.is_some() {
-                    "hier group table"
-                } else {
-                    "--mem-caps table"
-                };
-                return Err(format!(
-                    "--procs {p} disagrees with the {what} ({n} processor(s))"
-                ));
-            }
-            Ok(n)
-        }
-        None => Ok(get_u64_or(opts, "procs", default_procs)? as u32),
+/// The engine and processor count that `--algo`, `--procs`, `--comm`
+/// and `--mem-caps` describe for a DAG of `node_count` nodes, by the
+/// same resolver `casch serve` uses, with no processor limit.
+fn resolve_flags(opts: &Flags, node_count: usize) -> Result<(Engine, u32), String> {
+    let algo = opts.get("algo").ok_or("missing --algo")?;
+    let (comm, mem) = model_flags(opts)?;
+    machine::resolve(
+        algo,
+        get_procs(opts)?,
+        comm,
+        mem,
+        None,
+        node_count,
+        u64::MAX,
+    )
+}
+
+/// `--procs`, when given.
+fn get_procs(opts: &Flags) -> Result<Option<u32>, String> {
+    match opts.get("procs") {
+        Some(v) => Ok(Some(v.parse().map_err(|_| "--procs must be a number")?)),
+        None => Ok(None),
     }
 }
 
-/// The machine model for `procs` processors: the comm model with the
-/// `--mem-caps` table, or unbounded (byte-identical to the bare comm
-/// model) without one.
-fn machine_model(
-    comm: &CommModel,
-    mem: Option<&MemCapsSpec>,
-    procs: u32,
-) -> MemoryCapacities<CommModel> {
-    match mem {
-        Some(spec) => MemoryCapacities::new(comm.clone(), spec.resolve(procs)),
-        None => MemoryCapacities::unbounded(comm.clone()),
-    }
-}
-
-/// `casch schedule --comm` / `--mem-caps`: the model-aware scheduling
-/// path. No simulator run (the simulator has its own topology
-/// pricing) and no `--trace` (the generic path records no
-/// provenance).
-fn cmd_schedule_model(opts: &Flags, dag: &Dag) -> Result<(), String> {
-    let algo = ModelScheduler::by_name(opts.get("algo").ok_or("missing --algo")?)?;
-    let (comm, mem) = parse_model_flags(opts)?;
-    let procs = resolve_model_procs(opts, &comm, mem.as_ref(), dag.node_count() as u64)?;
+fn cmd_schedule(opts: &Flags) -> Result<(), String> {
+    let dag = load_dag(opts)?;
+    let (engine, procs) = resolve_flags(opts, dag.node_count())?;
+    let mut trace = SearchTrace::default();
     if opts.contains_key("trace") {
-        return Err("--trace is not supported together with --comm/--mem-caps".to_string());
+        trace = SearchTrace::recording();
+        trace.set_meta("tool", "casch schedule");
+        trace.set_meta("algorithm", engine.name());
+        trace.set_meta("nodes", &dag.node_count().to_string());
+        trace.set_meta("procs", &procs.to_string());
     }
     let t0 = std::time::Instant::now();
-    let schedule = algo.schedule_with_model(dag, procs, &machine_model(&comm, mem.as_ref(), procs));
+    let schedule = engine.run(&dag, procs, &mut Workspace::new(), &mut trace);
     let elapsed = t0.elapsed();
-    println!("algorithm:        {}", algo.name());
+    println!("algorithm:        {}", engine.name());
     if let Some(spec) = opts.get("comm") {
         println!("comm model:       {spec}");
     }
@@ -438,22 +403,39 @@ fn cmd_schedule_model(opts: &Flags, dag: &Dag) -> Result<(), String> {
         println!("mem caps:         {spec}");
     }
     println!("schedule length:  {}", schedule.makespan());
-    println!("processors used:  {}", schedule.processors_used());
+    match &engine {
+        // The simulator prices the paper's network, so only a
+        // homogeneous schedule is re-executed on it.
+        Engine::Homogeneous(_) => {
+            fastsched_schedule::validate(&dag, &schedule)
+                .map_err(|e| format!("{} produced an invalid schedule: {e}", engine.name()))?;
+            let metrics = ScheduleMetrics::compute(&dag, &schedule);
+            let execution = fastsched_sim::simulate(&dag, &schedule, &SimConfig::default());
+            println!("execution (sim):  {}", execution.execution_time);
+            println!("processors used:  {}", metrics.processors_used);
+            println!("speedup:          {:.2}", metrics.speedup);
+            println!("remote comm:      {}", metrics.remote_communication);
+            println!("contention delay: {}", execution.contention_delay);
+        }
+        Engine::Priced(..) => println!("processors used:  {}", schedule.processors_used()),
+    }
     println!("scheduling time:  {elapsed:?}");
     if opts.contains_key("gantt") {
+        // Clamp to keep the time axis legible: below ~20 columns every
+        // bar rounds to nothing, above 512 lines wrap everywhere.
         let width = get_u64_or(opts, "gantt-width", 72)?.clamp(20, 512) as usize;
-        println!("\n{}", gantt::render_bars(dag, &schedule, width));
+        println!("\n{}", gantt::render_bars(&dag, &schedule, width));
     } else if opts.contains_key("gantt-width") {
         return Err("--gantt-width only makes sense together with --gantt".to_string());
     }
     if let Some(path) = opts.get("perfetto") {
-        let json = fastsched_schedule::export::chrome_trace(dag, &schedule);
+        let json = fastsched_schedule::export::chrome_trace(&dag, &schedule);
         std::fs::write(path, json).map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("wrote Perfetto timeline to {path} (open at https://ui.perfetto.dev)");
     }
     if let Some(path) = opts.get("svg") {
         let svg = fastsched_schedule::svg::render_svg(
-            dag,
+            &dag,
             &schedule,
             &fastsched_schedule::svg::SvgOptions::default(),
         );
@@ -465,59 +447,7 @@ fn cmd_schedule_model(opts: &Flags, dag: &Dag) -> Result<(), String> {
             .map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("wrote {path}");
     }
-    Ok(())
-}
-
-fn cmd_schedule(opts: &Flags) -> Result<(), String> {
-    let dag = load_dag(opts)?;
-    if opts.contains_key("comm") || opts.contains_key("mem-caps") {
-        return cmd_schedule_model(opts, &dag);
-    }
-    let algo = scheduler_by_name(opts.get("algo").ok_or("missing --algo")?)?;
-    let procs = get_u64_or(opts, "procs", dag.node_count() as u64)? as u32;
-    let report = run_on_dag(&dag, algo.as_ref(), procs, &SimConfig::default());
-    println!("algorithm:        {}", report.algorithm);
-    println!("schedule length:  {}", report.metrics.makespan);
-    println!("execution (sim):  {}", report.execution.execution_time);
-    println!("processors used:  {}", report.metrics.processors_used);
-    println!("speedup:          {:.2}", report.metrics.speedup);
-    println!("remote comm:      {}", report.metrics.remote_communication);
-    println!("contention delay: {}", report.execution.contention_delay);
-    println!("scheduling time:  {:?}", report.scheduling_time);
-    if opts.contains_key("gantt") {
-        // Clamp to keep the time axis legible: below ~20 columns every
-        // bar rounds to nothing, above 512 lines wrap everywhere.
-        let width = get_u64_or(opts, "gantt-width", 72)?.clamp(20, 512) as usize;
-        println!("\n{}", gantt::render_bars(&dag, &report.schedule, width));
-    } else if opts.contains_key("gantt-width") {
-        return Err("--gantt-width only makes sense together with --gantt".to_string());
-    }
-    if let Some(path) = opts.get("perfetto") {
-        let json = fastsched_schedule::export::chrome_trace(&dag, &report.schedule);
-        std::fs::write(path, json).map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("wrote Perfetto timeline to {path} (open at https://ui.perfetto.dev)");
-    }
-    if let Some(path) = opts.get("svg") {
-        let svg = fastsched_schedule::svg::render_svg(
-            &dag,
-            &report.schedule,
-            &fastsched_schedule::svg::SvgOptions::default(),
-        );
-        std::fs::write(path, svg).map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("wrote {path}");
-    }
-    if let Some(path) = opts.get("out-schedule") {
-        std::fs::write(path, fastsched_schedule::io::to_json(&report.schedule))
-            .map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("wrote {path}");
-    }
     if let Some(path) = opts.get("trace") {
-        let mut trace = fastsched_trace::SearchTrace::recording();
-        trace.set_meta("tool", "casch schedule");
-        trace.set_meta("algorithm", algo.name());
-        trace.set_meta("nodes", &dag.node_count().to_string());
-        trace.set_meta("procs", &procs.to_string());
-        algo.schedule_traced(&dag, procs, &mut trace);
         std::fs::write(path, trace.to_report().to_ndjson())
             .map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("wrote search trace to {path}");
@@ -525,26 +455,25 @@ fn cmd_schedule(opts: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// The batch pipeline: the CLI surface of `schedule_many_par_timed`.
-/// All DAGs are loaded up front, then the batch is sharded across
-/// `--threads` workers (one warm scheduling workspace each; the
-/// default 1 runs the classic serial loop). Each result line carries
-/// its own wall-clock cost and the closing summary line the aggregate
-/// throughput, so the NDJSON doubles as a throughput record.
-/// `casch batch --comm` / `--mem-caps`: the model-aware batch path.
-/// Shards across `--threads` workers exactly like the homogeneous
-/// batch, one warm workspace per worker (the scheduling cores
-/// re-derive everything from the DAG and the shared immutable model,
-/// so schedules stay byte-identical at every thread count) and emits
-/// the same NDJSON shape.
-fn cmd_batch_model(opts: &Flags) -> Result<(), String> {
+/// The batch pipeline. All DAGs are loaded and resolved up front, then
+/// `schedule_many_par_with` shards the batch across `--threads`
+/// workers, one warm scheduling workspace each (the default 1 runs the
+/// serial loop); schedules are byte-identical at every thread count.
+/// Each result line carries its own wall-clock cost and the closing
+/// summary line the aggregate throughput, so the NDJSON doubles as a
+/// throughput record.
+fn cmd_batch(opts: &Flags) -> Result<(), String> {
     use fastsched_algorithms::schedule_many_par_with;
 
-    let algo = ModelScheduler::by_name(opts.get("algo").ok_or("missing --algo")?)?;
-    let (comm, mem) = parse_model_flags(opts)?;
     let threads = get_u64_or(opts, "threads", 1)? as usize;
     let paths = collect_dag_paths(opts).map_err(|e| format!("batch: {e}"))?;
 
+    // Parse every DAG before scheduling starts, so workers only
+    // compute. A file that fails to read or parse is reported as its
+    // own `rejected` row instead of aborting the whole batch. The
+    // engine depends on the DAG only through its processor count, so
+    // there is one engine per distinct count.
+    let mut engines: BTreeMap<u32, Engine> = BTreeMap::new();
     let mut dags: Vec<Dag> = Vec::with_capacity(paths.len());
     let mut procs: Vec<u32> = Vec::with_capacity(paths.len());
     let mut displays: Vec<String> = Vec::with_capacity(paths.len());
@@ -552,12 +481,10 @@ fn cmd_batch_model(opts: &Flags) -> Result<(), String> {
     let mut rejected: u64 = 0;
     for path in &paths {
         let display = path.display().to_string();
-        let row = load_dag_file(path).and_then(|dag| {
-            let p = resolve_model_procs(opts, &comm, mem.as_ref(), dag.node_count() as u64)?;
-            Ok((dag, p))
-        });
-        match row {
-            Ok((dag, p)) => {
+        match load_dag_file(path) {
+            Ok(dag) => {
+                let (engine, p) = resolve_flags(opts, dag.node_count())?;
+                engines.entry(p).or_insert(engine);
                 procs.push(p);
                 dags.push(dag);
                 displays.push(display);
@@ -581,17 +508,11 @@ fn cmd_batch_model(opts: &Flags) -> Result<(), String> {
 
     let wall = std::time::Instant::now();
     let results = schedule_many_par_with(&dags, &procs, threads, |dag, np, ws| {
-        let model = machine_model(&comm, mem.as_ref(), np);
-        algo.run(
-            dag,
-            np,
-            &model,
-            ws,
-            &mut fastsched_trace::SearchTrace::default(),
-        )
+        engines[&np].run(dag, np, ws, &mut SearchTrace::default())
     });
     let wall = wall.elapsed().as_secs_f64();
 
+    let name = engines[&procs[0]].name();
     for (i, (schedule, seconds)) in results.iter().enumerate() {
         lines.push_str(&format!(
             "{{\"dag\":\"{}\",\"nodes\":{},\"edges\":{},\"algo\":\"{}\",\
@@ -599,7 +520,7 @@ fn cmd_batch_model(opts: &Flags) -> Result<(), String> {
             json_escape(&displays[i]),
             dags[i].node_count(),
             dags[i].edge_count(),
-            algo.name(),
+            name,
             procs[i],
             threads,
             schedule.makespan(),
@@ -610,88 +531,8 @@ fn cmd_batch_model(opts: &Flags) -> Result<(), String> {
         "{{\"summary\":true,\"dags\":{},\"rejected\":{rejected},\"algo\":\"{}\",\
          \"threads\":{},\"seconds\":{wall:.6},\"dags_per_sec\":{:.1}}}\n",
         dags.len(),
-        algo.name(),
+        name,
         threads,
-        dags.len() as f64 / wall.max(1e-9)
-    ));
-    match opts.get("out") {
-        Some(path) => {
-            std::fs::write(path, &lines).map_err(|e| format!("writing {path}: {e}"))?;
-            eprintln!("wrote {} result line(s) to {path}", paths.len());
-        }
-        None => print!("{lines}"),
-    }
-    Ok(())
-}
-
-fn cmd_batch(opts: &Flags) -> Result<(), String> {
-    use fastsched_algorithms::schedule_many_par_timed;
-
-    if opts.contains_key("comm") || opts.contains_key("mem-caps") {
-        return cmd_batch_model(opts);
-    }
-    let algo = scheduler_by_name(opts.get("algo").ok_or("missing --algo")?)?;
-    let threads = get_u64_or(opts, "threads", 1)? as usize;
-    let paths = collect_dag_paths(opts).map_err(|e| format!("batch: {e}"))?;
-
-    // Parse every DAG before scheduling starts, so workers only
-    // compute. A file that fails to read or parse is reported as its
-    // own `rejected` row instead of aborting the whole batch.
-    let mut dags: Vec<Dag> = Vec::with_capacity(paths.len());
-    let mut procs: Vec<u32> = Vec::with_capacity(paths.len());
-    let mut displays: Vec<String> = Vec::with_capacity(paths.len());
-    let mut lines = String::new();
-    let mut rejected: u64 = 0;
-    for path in &paths {
-        let display = path.display().to_string();
-        match load_dag_file(path) {
-            Ok(dag) => {
-                procs.push(get_u64_or(opts, "procs", dag.node_count() as u64)? as u32);
-                dags.push(dag);
-                displays.push(display);
-            }
-            Err(e) => {
-                rejected += 1;
-                lines.push_str(&format!(
-                    "{{\"dag\":\"{}\",\"rejected\":true,\"error\":\"{}\"}}\n",
-                    json_escape(&display),
-                    json_escape(&e)
-                ));
-                eprintln!("warning: rejected {display}: {e}");
-            }
-        }
-    }
-    if dags.is_empty() {
-        return Err(format!(
-            "batch: all {rejected} DAG file(s) were rejected; nothing to schedule"
-        ));
-    }
-
-    let wall = std::time::Instant::now();
-    let results = schedule_many_par_timed(algo.as_ref(), &dags, &procs, threads);
-    let wall = wall.elapsed().as_secs_f64();
-
-    for (i, (schedule, seconds)) in results.iter().enumerate() {
-        lines.push_str(&format!(
-            "{{\"dag\":\"{}\",\"nodes\":{},\"edges\":{},\"algo\":\"{}\",\
-             \"procs\":{},\"threads\":{},\"makespan\":{},\"seconds\":{:.6}}}\n",
-            json_escape(&displays[i]),
-            dags[i].node_count(),
-            dags[i].edge_count(),
-            algo.name(),
-            procs[i],
-            threads,
-            schedule.makespan(),
-            seconds
-        ));
-    }
-    lines.push_str(&format!(
-        "{{\"summary\":true,\"dags\":{},\"rejected\":{rejected},\"algo\":\"{}\",\
-         \"threads\":{},\"seconds\":{:.6},\"dags_per_sec\":{:.1}}}\n",
-        dags.len(),
-        algo.name(),
-        threads,
-        wall,
         dags.len() as f64 / wall.max(1e-9)
     ));
     match opts.get("out") {
@@ -787,10 +628,7 @@ fn cmd_loadgen(opts: &Flags) -> Result<(), String> {
         addr: addr.clone(),
         corpus,
         algo: opts.get("algo").cloned().unwrap_or_else(|| "fast".into()),
-        procs: match opts.get("procs") {
-            None => None,
-            Some(_) => Some(get_u64_or(opts, "procs", 0)? as u32),
-        },
+        procs: get_procs(opts)?,
         rate: get_f64_or(opts, "rate", 0.0)?,
         total: match opts.get("total") {
             None => None,
@@ -853,10 +691,18 @@ fn cmd_explain(opts: &Flags) -> Result<(), String> {
         fastsched_trace::Report::from_ndjson(&text).map_err(|e| e.to_string())?
     } else {
         let dag = load_dag(opts)?;
-        let algo = scheduler_by_name(opts.get("algo").ok_or("missing --in or --dag/--algo")?)?;
-        let procs = get_u64_or(opts, "procs", dag.node_count() as u64)? as u32;
-        let mut trace = fastsched_trace::SearchTrace::recording();
-        algo.schedule_traced(&dag, procs, &mut trace);
+        let algo = opts.get("algo").ok_or("missing --in or --dag/--algo")?;
+        let (engine, procs) = machine::resolve(
+            algo,
+            get_procs(opts)?,
+            None,
+            None,
+            None,
+            dag.node_count(),
+            u64::MAX,
+        )?;
+        let mut trace = SearchTrace::recording();
+        engine.run(&dag, procs, &mut Workspace::new(), &mut trace);
         trace.to_report()
     };
 
@@ -1031,7 +877,6 @@ fn cmd_simulate(opts: &Flags) -> Result<(), String> {
 }
 
 fn cmd_verify(opts: &Flags) -> Result<(), String> {
-    use fastsched_schedule::{CostModel, HomogeneousModel, ProcessorSpeeds};
     let dag = load_dag(opts)?;
     let sched_path = opts.get("schedule").ok_or("missing --schedule")?;
     let text =
@@ -1039,45 +884,10 @@ fn cmd_verify(opts: &Flags) -> Result<(), String> {
     let schedule = fastsched_schedule::io::from_json(&text, dag.node_count())
         .map_err(|e| format!("{sched_path}: {e}"))?;
 
-    let mem = match opts.get("mem-caps") {
-        // Parse errors already lead with `mem-caps: `.
-        Some(spec) => Some(MemCapsSpec::parse(spec).map_err(|e| format!("--{e}"))?),
-        None => None,
-    };
-    if let Some(MemCapsSpec::PerProc(caps)) = &mem {
-        if (caps.len() as u32) < schedule.num_procs() {
-            return Err(format!(
-                "--mem-caps lists {} capacit(y/ies) but the schedule file declares {} \
-                 processor(s)",
-                caps.len(),
-                schedule.num_procs()
-            ));
-        }
-    }
-    /// Validate under `model`, first wrapping it in a capacity table
-    /// when `--mem-caps` was given.
-    fn verdict_with<M: CostModel>(
-        model: M,
-        mem: Option<&MemCapsSpec>,
-        dag: &Dag,
-        schedule: &Schedule,
-    ) -> Result<(), fastsched_schedule::ScheduleError> {
-        match mem {
-            Some(spec) => {
-                let capped = MemoryCapacities::new(model, spec.resolve(schedule.num_procs()));
-                fastsched_schedule::validate_with(&capped, dag, schedule)
-            }
-            None => fastsched_schedule::validate_with(&model, dag, schedule),
-        }
-    }
-
-    let verdict = match (opts.get("speeds"), opts.get("comm")) {
-        (Some(_), Some(_)) => {
-            return Err("--speeds and --comm are mutually exclusive (pick one model)".to_string())
-        }
-        (Some(spec), None) => {
-            let pcts: Vec<u32> = spec
-                .split(',')
+    let (comm, mem) = model_flags(opts)?;
+    let speeds = match opts.get("speeds") {
+        Some(spec) => Some(
+            spec.split(',')
                 .map(|s| {
                     s.trim()
                         .parse::<u32>()
@@ -1087,40 +897,40 @@ fn cmd_verify(opts: &Flags) -> Result<(), String> {
                             format!("--speeds must be positive percentages, got `{spec}`")
                         })
                 })
-                .collect::<Result<_, _>>()?;
-            let speeds = ProcessorSpeeds::try_new(pcts).map_err(|e| format!("--speeds: {e}"))?;
-            if speeds.count() < schedule.num_procs() {
-                return Err(format!(
-                    "--speeds lists {} processor(s) but the schedule file declares {}",
-                    speeds.count(),
-                    schedule.num_procs()
-                ));
-            }
-            println!("model: heterogeneous ({spec} % of nominal)");
-            verdict_with(speeds, mem.as_ref(), &dag, &schedule)
-        }
-        (None, Some(spec)) => {
-            let model = CommModel::parse_spec(spec).map_err(|e| format!("--comm: {e}"))?;
-            if let Some(n) = model.required_procs() {
-                if n < schedule.num_procs() {
-                    return Err(format!(
-                        "--comm hier covers {n} processor(s) but the schedule file declares {}",
-                        schedule.num_procs()
-                    ));
-                }
-            }
-            println!("model: comm ({spec})");
-            verdict_with(model, mem.as_ref(), &dag, &schedule)
-        }
-        (None, None) => {
-            println!("model: homogeneous");
-            verdict_with(HomogeneousModel, mem.as_ref(), &dag, &schedule)
-        }
+                .collect::<Result<Vec<u32>, _>>()?,
+        ),
+        None => None,
     };
+    // A table only has to cover the schedule's processors here, where
+    // scheduling needs it to match the processor count exactly.
+    let n = schedule.num_procs();
+    for (flag, covered) in [
+        ("--speeds", speeds.as_ref().map(|s| s.len() as u32)),
+        (
+            "--comm hier",
+            comm.as_ref().and_then(CommModel::required_procs),
+        ),
+        (
+            "--mem-caps",
+            mem.as_ref().and_then(MemCapsSpec::required_procs),
+        ),
+    ] {
+        if let Some(c) = covered.filter(|&c| c < n) {
+            return Err(format!(
+                "{flag} covers {c} processor(s) but the schedule file declares {n}"
+            ));
+        }
+    }
+    let machine = Machine::new(comm, mem.as_ref(), speeds, n)?;
+    match (opts.get("speeds"), opts.get("comm")) {
+        (Some(spec), _) => println!("model: heterogeneous ({spec} % of nominal)"),
+        (None, Some(spec)) => println!("model: comm ({spec})"),
+        (None, None) => println!("model: homogeneous"),
+    }
     if let Some(spec) = opts.get("mem-caps") {
         println!("mem caps: {spec}");
     }
-    if let Err(e) = verdict {
+    if let Err(e) = machine.validate(&dag, &schedule) {
         println!("INVALID: {e}");
         // A failed verification is a verdict, not a usage error: exit
         // nonzero without the usage banner.

@@ -48,19 +48,23 @@
 //!   phases, and optional `--check` verification of every response
 //!   against a local `schedule_into` run.
 //!
-//! Serve has two engines, and both schedule into the worker's
-//! `Workspace` and recycle every result: plain requests run any
-//! registered scheduler's `schedule_into`, and requests carrying a
-//! `comm`, `mem_caps` or `speeds` field run a model-generic scheduler's
-//! one scheduling core (`run`) under the request's resolved machine
-//! model — `speeds` is HEFT over the speed table (algo must be `heft`),
-//! answered as `HEFT-hetero`.
+//! [`machine`] is the single owner of the machine/procs policy for
+//! serve and the CLI alike: [`machine::resolve`] turns a request's
+//! algorithm, `procs`, `comm`, `mem_caps` and `speeds` into a
+//! [`machine::Engine`] and a processor count. Plain requests get the
+//! homogeneous engine (any registered scheduler's `schedule_into`);
+//! requests carrying a machine model get a model-generic scheduler's
+//! one scheduling core (`run`) under the resolved [`machine::Machine`]
+//! — `speeds` is HEFT over the speed table (algo must be `heft`),
+//! answered as `HEFT-hetero`. Either engine schedules into the
+//! caller's `Workspace` and records into the caller's trace.
 
 #![warn(missing_docs)]
 
 pub mod application;
 pub mod compare;
 pub mod loadgen;
+pub mod machine;
 pub mod pipeline;
 pub mod protocol;
 pub mod serve;

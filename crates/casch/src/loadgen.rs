@@ -20,8 +20,8 @@
 //! end-to-end proof that the service returns exactly what the library
 //! computes.
 
+use crate::machine::scheduler_by_name;
 use crate::protocol::{json_escape, placements_json, placements_of, Request, Response};
-use crate::serve::scheduler_by_name;
 use fastsched_algorithms::Workspace;
 use fastsched_dag::{io::DagSpec, Dag};
 use std::collections::HashMap;

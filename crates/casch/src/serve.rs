@@ -72,26 +72,24 @@
 //! dead and closed — it can never pin a worker (or wedge the
 //! shutdown drain) forever.
 
+use crate::machine::{self, Engine};
 use crate::protocol::{
     self, CommSpec, Line, LineReader, PhaseSnapshot, Request, Response, ScheduleRequest,
     ScheduleResponse, StatsSnapshot, WorkerSnapshot,
 };
-use fastsched_algorithms::{
-    BoundedDsc, BranchAndBound, Cpop, Dcp, Dls, Dsc, Etf, Ez, Fast, FastParallel, FastSa, Heft,
-    Hlfet, Ish, Lc, Mcp, Md, ProcessorSpeeds, Scheduler, WorkerPool, Workspace,
-};
+use fastsched_algorithms::{WorkerPool, Workspace};
 use fastsched_dag::Dag;
 use fastsched_metrics::prometheus::{Exposition, CONTENT_TYPE};
 use fastsched_metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
-use fastsched_schedule::{
-    AlphaBeta, CommModel, CostModel, Hierarchical, MemCapsSpec, MemoryCapacities, Schedule,
-};
+use fastsched_schedule::{AlphaBeta, CommModel, Hierarchical};
 use fastsched_trace::SearchTrace;
 use std::io::{self, BufReader, Read as _, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant, SystemTime};
+
+pub use crate::machine::{scheduler_by_name, ModelScheduler};
 
 /// How often blocked loops (accept, reads, drain) re-check the
 /// shutdown flag.
@@ -144,112 +142,6 @@ fn algo_index(name: &str) -> usize {
         .iter()
         .position(|&a| a == name)
         .unwrap_or(ALGO_NAMES.len() - 1)
-}
-
-/// Resolve an algorithm name (the CLI vocabulary) to a scheduler.
-pub fn scheduler_by_name(name: &str) -> Result<Box<dyn Scheduler>, String> {
-    Ok(match name {
-        "fast" => Box::new(Fast::new()),
-        "dsc" => Box::new(Dsc::new()),
-        "md" => Box::new(Md::new()),
-        "etf" => Box::new(Etf::new()),
-        "dls" => Box::new(Dls::new()),
-        "hlfet" => Box::new(Hlfet::new()),
-        "mcp" => Box::new(Mcp::new()),
-        "heft" => Box::new(Heft::new()),
-        "fast-ms" => Box::new(FastParallel::new()),
-        "fast-sa" => Box::new(FastSa::new()),
-        "dcp" => Box::new(Dcp::new()),
-        "ish" => Box::new(Ish::new()),
-        "ez" => Box::new(Ez::new()),
-        "lc" => Box::new(Lc::new()),
-        "cpop" => Box::new(Cpop::new()),
-        "dsc-llb" => Box::new(BoundedDsc::new()),
-        "bnb" => Box::new(BranchAndBound::new()),
-        _ => return Err(format!("unknown algorithm `{name}`")),
-    })
-}
-
-/// The schedulers whose one scheduling core (`run`) serves requests and
-/// CLI invocations that carry a machine model: a `comm` model, memory
-/// capacities, or processor speeds.
-#[derive(Debug, Clone)]
-pub enum ModelScheduler {
-    /// FAST under an explicit model.
-    Fast(Fast),
-    /// ETF under an explicit model.
-    Etf(Etf),
-    /// DLS under an explicit model.
-    Dls(Dls),
-    /// HEFT under an explicit model.
-    Heft(Heft),
-}
-
-impl ModelScheduler {
-    /// Resolve a CLI algorithm name to its model-aware scheduler.
-    pub fn by_name(name: &str) -> Result<ModelScheduler, String> {
-        Ok(match name {
-            "fast" => ModelScheduler::Fast(Fast::new()),
-            "etf" => ModelScheduler::Etf(Etf::new()),
-            "dls" => ModelScheduler::Dls(Dls::new()),
-            "heft" => ModelScheduler::Heft(Heft::new()),
-            _ => {
-                return Err(format!(
-                    "algorithm `{name}` has no communication-model path \
-                     (use fast, etf, dls, or heft)"
-                ))
-            }
-        })
-    }
-
-    /// Display name, matching [`Scheduler::name`].
-    pub fn name(&self) -> &'static str {
-        match self {
-            ModelScheduler::Fast(_) => "FAST",
-            ModelScheduler::Etf(_) => "ETF",
-            ModelScheduler::Dls(_) => "DLS",
-            ModelScheduler::Heft(_) => "HEFT",
-        }
-    }
-
-    /// Schedule `dag` on `procs` processors under `model` (any
-    /// [`CostModel`], e.g. a [`CommModel`] or a
-    /// [`fastsched_schedule::MemoryCapacities`] wrapper), with scratch
-    /// from `ws` and search events recorded in `trace`.
-    pub fn run<M: CostModel + ?Sized>(
-        &self,
-        dag: &Dag,
-        procs: u32,
-        model: &M,
-        ws: &mut Workspace,
-        trace: &mut SearchTrace,
-    ) -> Schedule {
-        match self {
-            ModelScheduler::Fast(s) => s.run(dag, procs, model, ws, trace),
-            ModelScheduler::Etf(s) => s.run(dag, procs, model, ws, trace),
-            ModelScheduler::Dls(s) => s.run(dag, procs, model, ws, trace),
-            ModelScheduler::Heft(s) => s.run(dag, procs, model, ws, trace),
-        }
-    }
-
-    /// [`Self::run`] with fresh scratch.
-    pub fn schedule_with_model<M: CostModel + ?Sized>(
-        &self,
-        dag: &Dag,
-        procs: u32,
-        model: &M,
-    ) -> Schedule {
-        let mut ws = Workspace::new();
-        self.run(dag, procs, model, &mut ws, &mut SearchTrace::default())
-    }
-
-    /// Whether this scheduler's probe loop honours per-processor
-    /// memory capacities. Only memory-aware schedulers may run under a
-    /// capacity-carrying model: a capacity-blind one (ETF, DLS) would
-    /// hand the validation gate an over-capacity schedule and panic.
-    pub fn is_memory_aware(&self) -> bool {
-        matches!(self, ModelScheduler::Fast(_) | ModelScheduler::Heft(_))
-    }
 }
 
 /// Service-layer knobs for [`Server`].
@@ -627,39 +519,6 @@ impl PreparedRequest {
         let [queue, schedule, serialize, write] = worker_us;
         let [parse, build] = self.pre_us;
         [queue, schedule, serialize, write, parse, build]
-    }
-}
-
-enum Engine {
-    /// Homogeneous: any registered scheduler, through `schedule_into`.
-    Homogeneous(Box<dyn Scheduler>),
-    /// Model-priced: a model-generic scheduler under the request's
-    /// resolved machine model.
-    Priced(ModelScheduler, Machine),
-}
-
-/// A request's resolved machine model.
-enum Machine {
-    /// A communication model (`Ideal` when the request priced none)
-    /// with the request's memory capacities — unbounded without
-    /// `mem_caps`, which is byte-identical to the bare model.
-    Comm(MemoryCapacities<CommModel>),
-    /// Heterogeneous processor speeds (HEFT only).
-    Speeds(ProcessorSpeeds),
-}
-
-impl Engine {
-    /// Schedule into the worker's workspace; returns the response's
-    /// algorithm name with the schedule.
-    fn run(&self, dag: &Dag, procs: u32, ws: &mut Workspace) -> (&'static str, Schedule) {
-        let trace = &mut SearchTrace::default();
-        match self {
-            Engine::Homogeneous(s) => (s.name(), s.schedule_into(dag, procs, ws)),
-            Engine::Priced(s, Machine::Comm(m)) => (s.name(), s.run(dag, procs, m, ws, trace)),
-            Engine::Priced(s, Machine::Speeds(m)) => {
-                ("HEFT-hetero", s.run(dag, procs, m, ws, trace))
-            }
-        }
     }
 }
 
@@ -1051,6 +910,11 @@ fn build_comm(spec: CommSpec, config: &ServeConfig, proc_limit: u64) -> Result<C
 }
 
 /// Validate a schedule request into a ready-to-run job payload.
+///
+/// Kept out of line: inlined into the connection loop it cost about
+/// 5% of `models` throughput (2-core host), where the connection
+/// thread also runs most requests itself.
+#[inline(never)]
 fn prepare(req: ScheduleRequest, config: &ServeConfig) -> Result<PreparedRequest, String> {
     let dag = req.dag.build().map_err(|e| format!("parse: dag: {e}"))?;
     // Schedulers allocate O(procs) scratch, so a client-controlled
@@ -1062,153 +926,20 @@ fn prepare(req: ScheduleRequest, config: &ServeConfig) -> Result<PreparedRequest
         Some(_) => ALGO_NAMES.len() - 1,
         None => algo_index(&req.algo),
     };
-    // The model-generic scheduler, resolved by whichever of the `comm`
-    // and `mem_caps` branches needs it.
-    let priced = || ModelScheduler::by_name(&req.algo);
-    let (engine, procs) = match (req.speeds, req.comm) {
-        (Some(_), Some(_)) => {
-            return Err(
-                "parse: `comm` cannot be combined with `speeds` (pick one machine model)"
-                    .to_string(),
-            )
-        }
-        (Some(speeds), None) => {
-            if req.algo != "heft" {
-                return Err(format!(
-                    "parse: `speeds` requires algo `heft` (heterogeneous HEFT), got `{}`",
-                    req.algo
-                ));
-            }
-            if speeds.len() as u64 > proc_limit {
-                return Err(format!(
-                    "parse: `speeds` length ({}) exceeds the server's processor limit \
-                     ({proc_limit}); raise --max-procs if intended",
-                    speeds.len()
-                ));
-            }
-            let n = speeds.len() as u32;
-            if let Some(p) = req.procs {
-                if p != n {
-                    return Err(format!(
-                        "parse: `procs` ({p}) disagrees with `speeds` length ({n})"
-                    ));
-                }
-            }
-            let speeds =
-                ProcessorSpeeds::try_new(speeds).map_err(|e| format!("parse: speeds: {e}"))?;
-            (
-                Engine::Priced(ModelScheduler::Heft(Heft::new()), Machine::Speeds(speeds)),
-                n,
-            )
-        }
-        (None, Some(comm)) => {
-            let scheduler = priced().map_err(|e| format!("parse: {e}"))?;
-            let model = build_comm(comm, config, proc_limit)?;
-            let procs = match model.required_procs() {
-                // A hierarchical model prices every processor through
-                // its group table, so the request must run on exactly
-                // the processors the table covers.
-                Some(n) => {
-                    if let Some(p) = req.procs {
-                        if p != n {
-                            return Err(format!(
-                                "parse: `procs` ({p}) disagrees with the hier group \
-                                 table ({n} processor(s))"
-                            ));
-                        }
-                    }
-                    n
-                }
-                None => {
-                    if let Some(p) = req.procs {
-                        if u64::from(p) > proc_limit {
-                            return Err(format!(
-                                "parse: `procs` ({p}) exceeds the server's processor limit \
-                                 ({proc_limit}); raise --max-procs if intended"
-                            ));
-                        }
-                    }
-                    req.procs.unwrap_or_else(|| dag.node_count().max(1) as u32)
-                }
-            };
-            let machine = Machine::Comm(MemoryCapacities::unbounded(model));
-            (Engine::Priced(scheduler, machine), procs)
-        }
-        (None, None) => {
-            let scheduler = scheduler_by_name(&req.algo).map_err(|e| format!("parse: {e}"))?;
-            if let Some(p) = req.procs {
-                if u64::from(p) > proc_limit {
-                    return Err(format!(
-                        "parse: `procs` ({p}) exceeds the server's processor limit \
-                         ({proc_limit}); raise --max-procs if intended"
-                    ));
-                }
-            }
-            let procs = req.procs.unwrap_or_else(|| dag.node_count().max(1) as u32);
-            (Engine::Homogeneous(scheduler), procs)
-        }
-    };
-    // A capacity table turns any machine except heterogeneous speeds
-    // into a memory-constrained one. Per-processor tables are length-
-    // checked against the server cap *before* `resolve` materializes
-    // anything, mirroring the `speeds` admission rule.
-    let (engine, procs) = match req.mem_caps {
-        None => (engine, procs),
-        Some(spec) => {
-            let procs = match &spec {
-                MemCapsSpec::PerProc(caps) => {
-                    let n = caps.len() as u32;
-                    if caps.len() as u64 > proc_limit {
-                        return Err(format!(
-                            "parse: `mem_caps` lists {} capacities, above the server's \
-                             processor limit ({proc_limit}); raise --max-procs if intended",
-                            caps.len()
-                        ));
-                    }
-                    if let Some(p) = req.procs {
-                        if p != n {
-                            return Err(format!(
-                                "parse: `procs` ({p}) disagrees with `mem_caps` length ({n})"
-                            ));
-                        }
-                    } else if let Engine::Priced(_, Machine::Comm(model)) = &engine {
-                        if let Some(h) = model.inner().required_procs() {
-                            if h != n {
-                                return Err(format!(
-                                    "parse: `mem_caps` length ({n}) disagrees with the \
-                                     hier group table ({h} processor(s))"
-                                ));
-                            }
-                        }
-                    }
-                    n
-                }
-                MemCapsSpec::Uniform(_) => procs,
-            };
-            let (scheduler, inner) = match engine {
-                Engine::Priced(_, Machine::Speeds(_)) => {
-                    return Err(
-                        "parse: `mem_caps` cannot be combined with `speeds` (memory-aware \
-                         scheduling runs on the homogeneous and communication machine models)"
-                            .to_string(),
-                    )
-                }
-                Engine::Priced(s, Machine::Comm(model)) => (Ok(s), model.inner().clone()),
-                Engine::Homogeneous(_) => (priced(), CommModel::Ideal),
-            };
-            let scheduler = scheduler
-                .ok()
-                .filter(ModelScheduler::is_memory_aware)
-                .ok_or_else(|| {
-                    format!(
-                        "parse: algorithm `{}` has no memory-aware path (use fast or heft)",
-                        req.algo
-                    )
-                })?;
-            let machine = Machine::Comm(MemoryCapacities::new(inner, spec.resolve(procs)));
-            (Engine::Priced(scheduler, machine), procs)
-        }
-    };
+    let comm = req
+        .comm
+        .map(|spec| build_comm(spec, config, proc_limit))
+        .transpose()?;
+    let (engine, procs) = machine::resolve(
+        &req.algo,
+        req.procs,
+        comm,
+        req.mem_caps,
+        req.speeds,
+        dag.node_count(),
+        proc_limit,
+    )
+    .map_err(|e| format!("parse: {e}"))?;
     let timeout_ms = req.timeout_ms.unwrap_or(config.default_timeout_ms);
     Ok(PreparedRequest {
         id: req.id,
@@ -1308,13 +1039,21 @@ fn process(
         return;
     }
     let t0 = Instant::now();
-    let (name, schedule) = req.engine.run(&req.dag, req.procs, ws);
+    let schedule = req
+        .engine
+        .run(&req.dag, req.procs, ws, &mut SearchTrace::default());
     let t1 = Instant::now();
     // `service_us` in the response is the schedule phase — the same
     // quantity it has always carried.
     let service_us = micros(t1.duration_since(t0));
-    let resp =
-        ScheduleResponse::from_schedule(req.id, name, req.procs, &schedule, queue_us, service_us);
+    let resp = ScheduleResponse::from_schedule(
+        req.id,
+        req.engine.name(),
+        req.procs,
+        &schedule,
+        queue_us,
+        service_us,
+    );
     let line = Response::Schedule(resp).to_line();
     // The serialize/write split costs two extra clock reads, so it is
     // taken only when histograms or the access log want the numbers.

@@ -1073,3 +1073,189 @@ fn batch_reports_rejected_inputs_without_aborting() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("rejected"));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The checked-in fixture DAGs.
+fn fixtures() -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/fixtures")
+}
+
+const HIER: &str = "hier:4+4@0,1,1@50,2,1";
+
+/// `--procs 0` is refused once, by the machine resolver: every
+/// scheduling command exits 1 with a clean `error:` line, whatever
+/// model flags ride along.
+#[test]
+fn procs_zero_is_a_clean_error() {
+    let dag = fixtures().join("gauss5.json");
+    let dir = fixtures();
+    let runs: [(&[&str], &std::path::Path); 4] = [
+        (
+            &["schedule", "--algo", "fast", "--procs", "0", "--dag"],
+            &dag,
+        ),
+        (
+            &[
+                "schedule",
+                "--algo",
+                "fast",
+                "--comm",
+                "alpha-beta:25,3,2",
+                "--procs",
+                "0",
+                "--dag",
+            ],
+            &dag,
+        ),
+        (
+            &[
+                "schedule",
+                "--algo",
+                "fast",
+                "--mem-caps",
+                "uniform:1000",
+                "--procs",
+                "0",
+                "--dag",
+            ],
+            &dag,
+        ),
+        (&["batch", "--algo", "fast", "--procs", "0", "--dir"], &dir),
+    ];
+    for (args, path) in runs {
+        let out = casch().args(args).arg(path).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.starts_with("error: `procs` must be at least 1"),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
+/// The tables that fix the processor count (a hier group table, a
+/// per-processor `--mem-caps` list) must agree with `--procs` and with
+/// each other, and `--mem-caps` needs a memory-aware algorithm.
+#[test]
+fn model_flags_are_reconciled_with_procs() {
+    let dag = fixtures().join("gauss5.json");
+    let cases: [(&[&str], &str); 4] = [
+        (
+            &["--algo", "fast", "--procs", "5", "--comm", HIER],
+            "`procs` (5) disagrees with the hier group table (8 processor(s))",
+        ),
+        (
+            &["--algo", "fast", "--procs", "2", "--mem-caps", "10,10,10"],
+            "`procs` (2) disagrees with `mem_caps` length (3)",
+        ),
+        (
+            &["--algo", "heft", "--comm", HIER, "--mem-caps", "10,10,10"],
+            "`mem_caps` length (3) disagrees with the hier group table (8 processor(s))",
+        ),
+        (
+            &["--algo", "etf", "--mem-caps", "uniform:10"],
+            "algorithm `etf` has no memory-aware path",
+        ),
+    ];
+    for (args, needle) in cases {
+        let out = casch()
+            .arg("schedule")
+            .args(args)
+            .arg("--dag")
+            .arg(&dag)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+        assert!(stderr.contains(needle), "{args:?}: {stderr}");
+    }
+}
+
+/// A model batch shards like a plain one: the hier table fixes every
+/// row's processor count, and two workers reproduce the serial
+/// makespans.
+#[test]
+fn hier_batch_threads_keep_makespans() {
+    use serde::Value;
+
+    let field = |line: &str, key: &str| -> Value {
+        let Value::Object(pairs) = serde_json::from_str(line).expect("line must be JSON") else {
+            panic!("line must be an object")
+        };
+        pairs
+            .into_iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v)
+            .unwrap_or_else(|| panic!("missing {key} in {line}"))
+    };
+    let run = |threads: &str| -> Vec<(Value, Value)> {
+        let out = casch()
+            .args([
+                "batch",
+                "--algo",
+                "fast",
+                "--comm",
+                HIER,
+                "--threads",
+                threads,
+            ])
+            .arg("--dir")
+            .arg(fixtures())
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = String::from_utf8_lossy(&out.stdout).to_string();
+        let lines: Vec<&str> = text.lines().collect();
+        let (summary, rows) = lines.split_last().expect("summary line");
+        assert_eq!(field(summary, "rejected"), Value::UInt(0), "{text}");
+        assert_eq!(rows.len(), 4, "one row per fixture: {text}");
+        rows.iter()
+            .map(|l| {
+                assert_eq!(field(l, "procs"), Value::UInt(8), "{l}");
+                assert_eq!(field(l, "algo"), Value::String("FAST".into()), "{l}");
+                (field(l, "dag"), field(l, "makespan"))
+            })
+            .collect()
+    };
+    assert_eq!(run("2"), run("1"), "--threads 2 diverged");
+}
+
+/// A model run records into the search trace like a plain one, so
+/// `casch explain` can answer from it.
+#[test]
+fn comm_schedule_trace_feeds_explain() {
+    let dir = std::env::temp_dir().join(format!("casch-comm-trace-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace_path = dir.join("t.ndjson");
+    let out = casch()
+        .args(["schedule", "--algo", "fast", "--comm", "alpha-beta:25,3,2"])
+        .arg("--dag")
+        .arg(fixtures().join("gauss5.json"))
+        .arg("--trace")
+        .arg(&trace_path)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let out = casch()
+        .args(["explain", "--node", "0", "--in"])
+        .arg(&trace_path)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("node 0 placed on P"), "{text}");
+    assert!(text.contains("<- chosen"), "{text}");
+    std::fs::remove_dir_all(&dir).ok();
+}

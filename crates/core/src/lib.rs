@@ -58,8 +58,7 @@ pub use fastsched_workloads as workloads;
 pub mod prelude {
     pub use fastsched_algorithms::{
         all_schedulers, paper_schedulers, schedule_many, schedule_many_into, schedule_many_par,
-        schedule_many_par_timed, Dls, Dsc, Etf, Fast, FastConfig, FastParallel, Heft, Hlfet, Mcp,
-        Md, Scheduler, Workspace,
+        Dls, Dsc, Etf, Fast, FastConfig, FastParallel, Heft, Hlfet, Mcp, Md, Scheduler, Workspace,
     };
     pub use fastsched_casch::{compare_algorithms, run_on_dag, run_pipeline, Application};
     pub use fastsched_dag::{

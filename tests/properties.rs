@@ -231,7 +231,7 @@ proptest! {
         dag in arb_dag(),
         seed in 0u64..10_000,
     ) {
-        // Determinism contract of the `parallel` feature: the chain
+        // Determinism contract of multi-start FAST: the chain
         // count and seed fix the result; the thread partitioning must
         // be unobservable. Serialize and compare bytes so processor
         // numbering and every start/finish time are covered.
