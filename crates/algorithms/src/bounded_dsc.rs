@@ -11,7 +11,7 @@
 //! evaluator.
 
 use crate::dsc::Dsc;
-use crate::scheduler::{gate_schedule, Scheduler};
+use crate::scheduler::HomogeneousOnly;
 use fastsched_dag::{Cost, Dag, NodeId};
 use fastsched_schedule::evaluate::evaluate_fixed_order;
 use fastsched_schedule::{ProcId, Schedule};
@@ -27,18 +27,14 @@ impl BoundedDsc {
     }
 }
 
-impl Scheduler for BoundedDsc {
-    fn name(&self) -> &'static str {
-        "DSC-LLB"
-    }
+impl HomogeneousOnly for BoundedDsc {
+    const NAME: &'static str = "DSC-LLB";
 
-    fn schedule(&self, dag: &Dag, num_procs: u32) -> Schedule {
-        assert!(num_procs >= 1);
+    fn schedule_homogeneous(&self, dag: &Dag, num_procs: u32) -> Schedule {
         // Phase 1: unbounded clustering.
-        let clustered = Dsc::new().schedule(dag, num_procs);
+        let clustered = Dsc::new().schedule_homogeneous(dag, num_procs);
         let clusters_used = clustered.processors_used();
         if clusters_used <= num_procs {
-            gate_schedule(self.name(), dag, &clustered);
             return clustered;
         }
 
@@ -68,15 +64,14 @@ impl Scheduler for BoundedDsc {
             .nodes()
             .map(|n| cluster_to_proc[clustered.proc_of(n).unwrap().index()])
             .collect();
-        let s = evaluate_fixed_order(dag, &order, &assignment, num_procs).compact();
-        gate_schedule(self.name(), dag, &s);
-        s
+        evaluate_fixed_order(dag, &order, &assignment, num_procs).compact()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scheduler;
     use fastsched_dag::examples::paper_figure1;
     use fastsched_schedule::validate;
     use fastsched_workloads::{gaussian_elimination_dag, TimingDatabase};

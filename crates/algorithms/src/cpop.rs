@@ -9,7 +9,7 @@
 //! insertion-based earliest finish time.
 
 use crate::list_common::Machine;
-use crate::scheduler::{gate_schedule, Scheduler};
+use crate::scheduler::HomogeneousOnly;
 use fastsched_dag::{Cost, Dag, GraphAttributes, NodeId};
 use fastsched_schedule::{ProcId, Schedule};
 use std::cmp::Reverse;
@@ -26,13 +26,10 @@ impl Cpop {
     }
 }
 
-impl Scheduler for Cpop {
-    fn name(&self) -> &'static str {
-        "CPOP"
-    }
+impl HomogeneousOnly for Cpop {
+    const NAME: &'static str = "CPOP";
 
-    fn schedule(&self, dag: &Dag, num_procs: u32) -> Schedule {
-        assert!(num_procs >= 1);
+    fn schedule_homogeneous(&self, dag: &Dag, num_procs: u32) -> Schedule {
         let attrs = GraphAttributes::compute(dag);
         let cp_proc = ProcId(0); // the dedicated critical-path processor
 
@@ -73,15 +70,14 @@ impl Scheduler for Cpop {
                 }
             }
         }
-        let s = machine.into_schedule(dag).compact();
-        gate_schedule(self.name(), dag, &s);
-        s
+        machine.into_schedule(dag).compact()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scheduler;
     use fastsched_dag::examples::{fork_join, paper_figure1};
     use fastsched_schedule::validate;
 

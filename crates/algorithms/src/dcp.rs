@@ -13,7 +13,7 @@
 //! what distinguishes DCP from MD and MCP, at O(v³) cost.
 
 use crate::list_common::{Machine, ReadySet};
-use crate::scheduler::{gate_schedule, Scheduler};
+use crate::scheduler::HomogeneousOnly;
 use fastsched_dag::{Cost, Dag, NodeId};
 use fastsched_schedule::{ProcId, Schedule};
 
@@ -52,13 +52,10 @@ fn aest(dag: &Dag, machine: &Machine) -> Vec<Cost> {
     t
 }
 
-impl Scheduler for Dcp {
-    fn name(&self) -> &'static str {
-        "DCP"
-    }
+impl HomogeneousOnly for Dcp {
+    const NAME: &'static str = "DCP";
 
-    fn schedule(&self, dag: &Dag, num_procs: u32) -> Schedule {
-        assert!(num_procs >= 1);
+    fn schedule_homogeneous(&self, dag: &Dag, num_procs: u32) -> Schedule {
         let mut machine = Machine::new(dag.node_count(), num_procs);
         let mut ready = ReadySet::new(dag);
         let mut used_procs: u32 = 0;
@@ -163,15 +160,14 @@ impl Scheduler for Dcp {
             machine.place(dag, n, p, s);
             ready.complete(dag, n);
         }
-        let s = machine.into_schedule(dag).compact();
-        gate_schedule(self.name(), dag, &s);
-        s
+        machine.into_schedule(dag).compact()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scheduler;
     use fastsched_dag::examples::{fork_join, paper_figure1};
     use fastsched_schedule::validate;
 

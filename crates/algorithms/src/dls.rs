@@ -6,10 +6,10 @@
 //! scheduled. The pair-wise matching makes the algorithm O(p e v)
 //! overall.
 
-use crate::scheduler::Scheduler;
-use crate::workspace::{untraced, Workspace};
+use crate::scheduler::{priced, Scheduler, SchedulerError};
+use crate::workspace::Workspace;
 use fastsched_dag::{attributes::static_levels_soa_into, Dag, NodeId};
-use fastsched_schedule::{CostModel, HomogeneousModel, ProcId, Schedule};
+use fastsched_schedule::{CostModel, Machine, ProcId, Schedule};
 use fastsched_trace::SearchTrace;
 
 /// The DLS scheduler.
@@ -22,18 +22,17 @@ impl Dls {
         Self
     }
 
-    /// The DLS matching loop — the one scheduling core behind every
-    /// entry point. Message arrival and execution time are priced by
-    /// `model`, with the DAT-lane fast path of [`crate::etf::Etf::run`].
-    pub fn run<M: CostModel + ?Sized>(
+    /// The DLS matching loop — the one scheduling core. Message arrival
+    /// and execution time are priced by `model`, with ETF's DAT-lane
+    /// fast path. DLS is capacity-blind, so machines with memory
+    /// capacities are `Unsupported`.
+    fn core<M: CostModel + ?Sized>(
         &self,
         dag: &Dag,
         num_procs: u32,
         model: &M,
         ws: &mut Workspace,
-        _trace: &mut SearchTrace,
-    ) -> Schedule {
-        assert!(num_procs >= 1);
+    ) -> Result<Schedule, SchedulerError> {
         static_levels_soa_into(dag, &mut ws.attr_lanes, &mut ws.level);
         let (sl, machine, ready, dat) =
             (&ws.level, &mut ws.machine, &mut ws.ready_set, &mut ws.dat);
@@ -73,17 +72,7 @@ impl Dls {
             ready.complete(dag, n);
         }
         ws.machine.write_schedule(dag, &mut ws.staging);
-        ws.finish(self.name(), model, dag)
-    }
-
-    /// [`Self::run`] under `model` with fresh scratch.
-    pub fn schedule_with_model<M: CostModel + ?Sized>(
-        &self,
-        dag: &Dag,
-        procs: u32,
-        model: &M,
-    ) -> Schedule {
-        self.run(dag, procs, model, &mut Workspace::new(), &mut untraced())
+        Ok(ws.finish(model))
     }
 }
 
@@ -92,12 +81,18 @@ impl Scheduler for Dls {
         "DLS"
     }
 
-    fn schedule(&self, dag: &Dag, num_procs: u32) -> Schedule {
-        self.schedule_into(dag, num_procs, &mut Workspace::new())
-    }
-
-    fn schedule_into(&self, dag: &Dag, num_procs: u32, ws: &mut Workspace) -> Schedule {
-        self.run(dag, num_procs, &HomogeneousModel, ws, &mut untraced())
+    fn schedule_on(
+        &self,
+        dag: &Dag,
+        num_procs: u32,
+        machine: &Machine,
+        ws: &mut Workspace,
+        _trace: &mut SearchTrace,
+    ) -> Result<Schedule, SchedulerError> {
+        if machine.has_capacities() {
+            return Err(SchedulerError::Unsupported);
+        }
+        priced!(machine, |m| self.core(dag, num_procs, m, ws))
     }
 }
 

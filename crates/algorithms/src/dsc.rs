@@ -28,7 +28,7 @@
 //! produces its characteristic O(v) processor usage (Figures 5(b),
 //! 6(b), 8(b)).
 
-use crate::scheduler::{gate_schedule, Scheduler};
+use crate::scheduler::HomogeneousOnly;
 use fastsched_dag::{attributes::b_levels, Cost, Dag, NodeId};
 use fastsched_schedule::{ProcId, Schedule};
 use std::cmp::Reverse;
@@ -45,17 +45,11 @@ impl Dsc {
     }
 }
 
-impl Scheduler for Dsc {
-    fn name(&self) -> &'static str {
-        "DSC"
-    }
+impl HomogeneousOnly for Dsc {
+    const NAME: &'static str = "DSC";
+    const UNBOUNDED: bool = true;
 
-    fn is_unbounded(&self) -> bool {
-        true
-    }
-
-    fn schedule(&self, dag: &Dag, num_procs: u32) -> Schedule {
-        assert!(num_procs >= 1);
+    fn schedule_homogeneous(&self, dag: &Dag, num_procs: u32) -> Schedule {
         let v = dag.node_count();
         let bl = b_levels(dag);
 
@@ -235,15 +229,14 @@ impl Scheduler for Dsc {
                 finish[n.index()],
             );
         }
-        let s = schedule.compact();
-        gate_schedule(self.name(), dag, &s);
-        s
+        schedule.compact()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scheduler;
     use fastsched_dag::examples::{chain, fork_join, paper_figure1};
     use fastsched_schedule::validate;
 

@@ -6,10 +6,10 @@
 //! smallest start time is scheduled; ties are broken in favour of the
 //! node with the higher static level. O(p v²).
 
-use crate::scheduler::Scheduler;
-use crate::workspace::{untraced, Workspace};
+use crate::scheduler::{priced, Scheduler, SchedulerError};
+use crate::workspace::Workspace;
 use fastsched_dag::{attributes::static_levels_soa_into, Cost, Dag, NodeId};
-use fastsched_schedule::{CostModel, HomogeneousModel, ProcId, Schedule};
+use fastsched_schedule::{CostModel, Machine, ProcId, Schedule};
 use fastsched_trace::SearchTrace;
 
 /// The ETF scheduler.
@@ -22,21 +22,21 @@ impl Etf {
         Self
     }
 
-    /// The ETF selection loop — the one scheduling core behind every
-    /// entry point. Every probe prices message arrival and execution
-    /// time through `model`; under a model whose message price depends
-    /// only on co-location the probes read the flat per-node DAT lanes
+    /// The ETF selection loop — the one scheduling core. Every probe
+    /// prices message arrival and execution time through `model`; under
+    /// a model whose message price depends only on co-location the
+    /// probes read the flat per-node DAT lanes
     /// ([`crate::list_common::DatLanes`]), otherwise they walk the
     /// parents. Scratch comes from `ws`; ETF has no search to trace.
-    pub fn run<M: CostModel + ?Sized>(
+    /// ETF is capacity-blind, so machines with memory capacities are
+    /// `Unsupported`.
+    fn core<M: CostModel + ?Sized>(
         &self,
         dag: &Dag,
         num_procs: u32,
         model: &M,
         ws: &mut Workspace,
-        _trace: &mut SearchTrace,
-    ) -> Schedule {
-        assert!(num_procs >= 1);
+    ) -> Result<Schedule, SchedulerError> {
         static_levels_soa_into(dag, &mut ws.attr_lanes, &mut ws.level);
         let (sl, machine, ready, dat) =
             (&ws.level, &mut ws.machine, &mut ws.ready_set, &mut ws.dat);
@@ -70,17 +70,7 @@ impl Etf {
             ready.complete(dag, n);
         }
         ws.machine.write_schedule(dag, &mut ws.staging);
-        ws.finish(self.name(), model, dag)
-    }
-
-    /// [`Self::run`] under `model` with fresh scratch.
-    pub fn schedule_with_model<M: CostModel + ?Sized>(
-        &self,
-        dag: &Dag,
-        procs: u32,
-        model: &M,
-    ) -> Schedule {
-        self.run(dag, procs, model, &mut Workspace::new(), &mut untraced())
+        Ok(ws.finish(model))
     }
 }
 
@@ -89,12 +79,18 @@ impl Scheduler for Etf {
         "ETF"
     }
 
-    fn schedule(&self, dag: &Dag, num_procs: u32) -> Schedule {
-        self.schedule_into(dag, num_procs, &mut Workspace::new())
-    }
-
-    fn schedule_into(&self, dag: &Dag, num_procs: u32, ws: &mut Workspace) -> Schedule {
-        self.run(dag, num_procs, &HomogeneousModel, ws, &mut untraced())
+    fn schedule_on(
+        &self,
+        dag: &Dag,
+        num_procs: u32,
+        machine: &Machine,
+        ws: &mut Workspace,
+        _trace: &mut SearchTrace,
+    ) -> Result<Schedule, SchedulerError> {
+        if machine.has_capacities() {
+            return Err(SchedulerError::Unsupported);
+        }
+        priced!(machine, |m| self.core(dag, num_procs, m, ws))
     }
 }
 

@@ -7,7 +7,7 @@
 //! priority order) with the tentative cluster→processor assignment.
 //! O(e · (v + e)) overall.
 
-use crate::scheduler::{gate_schedule, Scheduler};
+use crate::scheduler::HomogeneousOnly;
 use fastsched_dag::{attributes::b_levels, Dag, NodeId};
 use fastsched_schedule::evaluate::{evaluate_fixed_order, evaluate_makespan_into};
 use fastsched_schedule::{ProcId, Schedule};
@@ -52,17 +52,11 @@ impl Dsu {
     }
 }
 
-impl Scheduler for Ez {
-    fn name(&self) -> &'static str {
-        "EZ"
-    }
+impl HomogeneousOnly for Ez {
+    const NAME: &'static str = "EZ";
+    const UNBOUNDED: bool = true;
 
-    fn is_unbounded(&self) -> bool {
-        true
-    }
-
-    fn schedule(&self, dag: &Dag, num_procs: u32) -> Schedule {
-        assert!(num_procs >= 1);
+    fn schedule_homogeneous(&self, dag: &Dag, num_procs: u32) -> Schedule {
         let v = dag.node_count();
         let bl = b_levels(dag);
 
@@ -103,15 +97,14 @@ impl Scheduler for Ez {
         // Processor ids are cluster representatives (sparse); the pool
         // must cover the largest id — compact() densifies afterwards.
         let pool = (v as u32).max(num_procs);
-        let s = evaluate_fixed_order(dag, &order, &assignment, pool).compact();
-        gate_schedule(self.name(), dag, &s);
-        s
+        evaluate_fixed_order(dag, &order, &assignment, pool).compact()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scheduler;
     use fastsched_dag::examples::{chain, fork_join, paper_figure1};
     use fastsched_schedule::validate;
 

@@ -16,13 +16,13 @@
 //! producing makespans bit-identical to a full O(v + e) replay — the
 //! search trajectory is unchanged, only cheaper.
 
-use crate::scheduler::Scheduler;
+use crate::scheduler::{priced, Scheduler, SchedulerError};
 use crate::workspace::{lend_eval, return_eval, untraced, Workspace};
 use fastsched_dag::{
     classify_nodes_into, cpn_dominate_list_into, CpnListConfig, Dag, GraphAttributes, NodeId,
     ObnOrder,
 };
-use fastsched_schedule::{CostModel, DeltaEvaluator, HomogeneousModel, ProcId, Schedule};
+use fastsched_schedule::{CostModel, DeltaEvaluator, HomogeneousModel, Machine, ProcId, Schedule};
 use fastsched_trace::SearchTrace;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -39,14 +39,8 @@ use rand::{Rng, SeedableRng};
 /// candidate set the probe widens to every processor with room
 /// (earliest start, ties to the lower id). `proc_mem` holds the
 /// per-processor resident sums; with no finite capacity the loop never
-/// reads it.
-///
-/// # Panics
-///
-/// Panics when no processor can hold a node's footprint — the
-/// instance is memory-infeasible for a greedy list scheduler and any
-/// returned schedule would be rejected by the validator's capacity
-/// pass anyway.
+/// reads it. When no processor can hold a node's footprint the loop
+/// stops with [`SchedulerError::Infeasible`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn place_by_list<M: CostModel + ?Sized>(
     model: &M,
@@ -61,7 +55,7 @@ pub(crate) fn place_by_list<M: CostModel + ?Sized>(
     proc_mem: &mut Vec<u64>,
     schedule: &mut Schedule,
     trace: &mut SearchTrace,
-) {
+) -> Result<(), SchedulerError> {
     let v = dag.node_count();
     ready.clear();
     ready.resize(num_procs as usize, 0);
@@ -110,11 +104,10 @@ pub(crate) fn place_by_list<M: CostModel + ?Sized>(
                         .filter(|&p| fits(proc_mem, p, need)),
                 );
                 if candidates.is_empty() {
-                    panic!(
-                        "memory-infeasible instance: no processor can hold node n{} \
-                         (footprint {need}); every lane is at capacity",
-                        n.0
-                    );
+                    return Err(SchedulerError::Infeasible {
+                        node: n.0,
+                        footprint: need,
+                    });
                 }
             }
         } else if candidates.is_empty() {
@@ -168,6 +161,7 @@ pub(crate) fn place_by_list<M: CostModel + ?Sized>(
         placed[n.index()] = true;
         schedule.place(n, best_p, best_start, end);
     }
+    Ok(())
 }
 
 /// The §4.3–4.4 random-transfer hill climb over `blocking`, shared by
@@ -275,8 +269,7 @@ pub(crate) fn initial_schedule_ws<M: CostModel + ?Sized>(
     model: &M,
     ws: &mut Workspace,
     trace: &mut SearchTrace,
-) {
-    assert!(num_procs >= 1, "need at least one processor");
+) -> Result<(), SchedulerError> {
     trace.phase_start("list_construction");
     list_construction_into(dag, obn_order, ws);
     ws.blocking_from_classes(dag);
@@ -295,8 +288,9 @@ pub(crate) fn initial_schedule_ws<M: CostModel + ?Sized>(
         &mut ws.proc_mem,
         &mut ws.staging,
         trace,
-    );
+    )?;
     trace.phase_end("initial_schedule");
+    Ok(())
 }
 
 /// Tunables of the FAST algorithm.
@@ -350,6 +344,7 @@ impl Fast {
         dag: &Dag,
         num_procs: u32,
     ) -> (Schedule, Vec<NodeId>, Vec<ProcId>) {
+        assert!(num_procs >= 1, "need at least one processor");
         let mut ws = Workspace::new();
         initial_schedule_ws(
             dag,
@@ -358,26 +353,26 @@ impl Fast {
             &HomogeneousModel,
             &mut ws,
             &mut untraced(),
-        );
+        )
+        .expect("the homogeneous machine has no capacities");
         (ws.staging, ws.list, ws.assignment)
     }
 
-    /// The two phases of §4 — the one scheduling core behind every
-    /// entry point: CPN-Dominate placement, then the random-transfer
-    /// hill climb through the workspace's [`DeltaEvaluator`], both
-    /// priced by `model` and both recorded in `trace` (phases
-    /// `list_construction`, `initial_schedule`, `local_search`). Under
-    /// finite capacities the placement and the climb both refuse
-    /// over-capacity lanes.
-    pub fn run<M: CostModel + ?Sized>(
+    /// The two phases of §4 — the one scheduling core: CPN-Dominate
+    /// placement, then the random-transfer hill climb through the
+    /// workspace's [`DeltaEvaluator`], both priced by `model` and both
+    /// recorded in `trace` (phases `list_construction`,
+    /// `initial_schedule`, `local_search`). Under finite capacities the
+    /// placement and the climb both refuse over-capacity lanes.
+    fn core<M: CostModel + ?Sized>(
         &self,
         dag: &Dag,
         num_procs: u32,
         model: &M,
         ws: &mut Workspace,
         trace: &mut SearchTrace,
-    ) -> Schedule {
-        initial_schedule_ws(dag, num_procs, self.config.obn_order, model, ws, trace);
+    ) -> Result<Schedule, SchedulerError> {
+        initial_schedule_ws(dag, num_procs, self.config.obn_order, model, ws, trace)?;
         trace.phase_start("local_search");
         if !ws.blocking.is_empty() && num_procs >= 2 {
             let mut eval = lend_eval(&mut ws.eval, model);
@@ -397,17 +392,7 @@ impl Fast {
             return_eval(&mut ws.eval, eval);
         }
         trace.phase_end("local_search");
-        ws.finish(self.name(), model, dag)
-    }
-
-    /// [`Self::run`] under `model` with fresh scratch.
-    pub fn schedule_with_model<M: CostModel + ?Sized>(
-        &self,
-        dag: &Dag,
-        procs: u32,
-        model: &M,
-    ) -> Schedule {
-        self.run(dag, procs, model, &mut Workspace::new(), &mut untraced())
+        Ok(ws.finish(model))
     }
 
     /// Blocking-node list of §4.3: all IBNs and OBNs, in id order.
@@ -424,16 +409,15 @@ impl Scheduler for Fast {
         "FAST"
     }
 
-    fn schedule(&self, dag: &Dag, num_procs: u32) -> Schedule {
-        self.schedule_into(dag, num_procs, &mut Workspace::new())
-    }
-
-    fn schedule_traced(&self, dag: &Dag, procs: u32, trace: &mut SearchTrace) -> Schedule {
-        self.run(dag, procs, &HomogeneousModel, &mut Workspace::new(), trace)
-    }
-
-    fn schedule_into(&self, dag: &Dag, num_procs: u32, ws: &mut Workspace) -> Schedule {
-        self.run(dag, num_procs, &HomogeneousModel, ws, &mut untraced())
+    fn schedule_on(
+        &self,
+        dag: &Dag,
+        num_procs: u32,
+        machine: &Machine,
+        ws: &mut Workspace,
+        trace: &mut SearchTrace,
+    ) -> Result<Schedule, SchedulerError> {
+        priced!(machine, |m| self.core(dag, num_procs, m, ws, trace))
     }
 }
 

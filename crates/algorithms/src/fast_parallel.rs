@@ -11,11 +11,11 @@
 //! winner is the lowest `(makespan, chain index)`.
 
 use crate::fast::{hill_climb, initial_schedule_ws};
-use crate::scheduler::Scheduler;
-use crate::workspace::{lend_eval, return_eval, untraced, Workspace};
+use crate::scheduler::{priced, Scheduler, SchedulerError};
+use crate::workspace::{lend_eval, return_eval, Workspace};
 use fastsched_dag::{Dag, ObnOrder};
 use fastsched_schedule::evaluate::evaluate_fixed_order_into_with;
-use fastsched_schedule::{CostModel, HomogeneousModel, Schedule};
+use fastsched_schedule::{CostModel, Machine, Schedule};
 use fastsched_trace::SearchTrace;
 
 /// Tunables of the multi-start search.
@@ -65,9 +65,9 @@ impl FastParallel {
     }
 
     /// FAST's phase 1 (default configuration) followed by `chains`
-    /// independent hill climbs — the one scheduling core behind every
-    /// entry point, priced by `model`. Chains are capacity-blind: use
-    /// FAST for memory-constrained runs.
+    /// independent hill climbs — the one scheduling core, priced by
+    /// `model`. Chains are capacity-blind, so machines with memory
+    /// capacities are `Unsupported`: use FAST for them.
     ///
     /// One `ChainSlot` (evaluator + trace) per chain lives in the
     /// workspace; each worker thread gets a disjoint contiguous chunk
@@ -76,15 +76,15 @@ impl FastParallel {
     /// its seed `seed + i`, so the partition shape cannot change
     /// results: the winner is the lowest `(makespan, chain index)`, and
     /// the chain traces merge into `trace` in chain-index order.
-    pub fn run<M: CostModel + Sync + ?Sized>(
+    fn core<M: CostModel + Sync + ?Sized>(
         &self,
         dag: &Dag,
         num_procs: u32,
         model: &M,
         ws: &mut Workspace,
         trace: &mut SearchTrace,
-    ) -> Schedule {
-        initial_schedule_ws(dag, num_procs, ObnOrder::default(), model, ws, trace);
+    ) -> Result<Schedule, SchedulerError> {
+        initial_schedule_ws(dag, num_procs, ObnOrder::default(), model, ws, trace)?;
         trace.phase_start("local_search");
         let chains = self.config.chains as usize;
         if !ws.blocking.is_empty() && num_procs >= 2 && chains > 0 {
@@ -142,7 +142,7 @@ impl FastParallel {
             );
         }
         trace.phase_end("local_search");
-        ws.finish(self.name(), model, dag)
+        Ok(ws.finish(model))
     }
 }
 
@@ -151,16 +151,18 @@ impl Scheduler for FastParallel {
         "FAST-MS"
     }
 
-    fn schedule(&self, dag: &Dag, num_procs: u32) -> Schedule {
-        self.schedule_into(dag, num_procs, &mut Workspace::new())
-    }
-
-    fn schedule_traced(&self, dag: &Dag, procs: u32, trace: &mut SearchTrace) -> Schedule {
-        self.run(dag, procs, &HomogeneousModel, &mut Workspace::new(), trace)
-    }
-
-    fn schedule_into(&self, dag: &Dag, num_procs: u32, ws: &mut Workspace) -> Schedule {
-        self.run(dag, num_procs, &HomogeneousModel, ws, &mut untraced())
+    fn schedule_on(
+        &self,
+        dag: &Dag,
+        num_procs: u32,
+        machine: &Machine,
+        ws: &mut Workspace,
+        trace: &mut SearchTrace,
+    ) -> Result<Schedule, SchedulerError> {
+        if machine.has_capacities() {
+            return Err(SchedulerError::Unsupported);
+        }
+        priced!(machine, |m| self.core(dag, num_procs, m, ws, trace))
     }
 }
 

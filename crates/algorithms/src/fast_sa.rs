@@ -11,11 +11,11 @@
 //! FAST-SA never returns worse than its initial schedule).
 
 use crate::fast::initial_schedule_ws;
-use crate::scheduler::Scheduler;
-use crate::workspace::{lend_eval, return_eval, untraced, Workspace};
+use crate::scheduler::{priced, Scheduler, SchedulerError};
+use crate::workspace::{lend_eval, return_eval, Workspace};
 use fastsched_dag::{Dag, NodeId, ObnOrder};
 use fastsched_schedule::evaluate::evaluate_fixed_order_into_with;
-use fastsched_schedule::{CostModel, DeltaEvaluator, HomogeneousModel, ProcId, Schedule};
+use fastsched_schedule::{CostModel, DeltaEvaluator, Machine, ProcId, Schedule};
 use fastsched_trace::SearchTrace;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -63,18 +63,18 @@ impl FastSa {
     }
 
     /// FAST's phase 1 (default configuration) followed by the annealing
-    /// walk — the one scheduling core behind every entry point, priced
-    /// by `model` and recorded in `trace`. The walk is capacity-blind:
-    /// use FAST for memory-constrained runs.
-    pub fn run<M: CostModel + ?Sized>(
+    /// walk — the one scheduling core, priced by `model` and recorded
+    /// in `trace`. The walk is capacity-blind, so machines with memory
+    /// capacities are `Unsupported`: use FAST for them.
+    fn core<M: CostModel + ?Sized>(
         &self,
         dag: &Dag,
         num_procs: u32,
         model: &M,
         ws: &mut Workspace,
         trace: &mut SearchTrace,
-    ) -> Schedule {
-        initial_schedule_ws(dag, num_procs, ObnOrder::default(), model, ws, trace);
+    ) -> Result<Schedule, SchedulerError> {
+        initial_schedule_ws(dag, num_procs, ObnOrder::default(), model, ws, trace)?;
         trace.phase_start("local_search");
         if !ws.blocking.is_empty() && num_procs >= 2 && self.config.steps > 0 {
             let mut eval = lend_eval(&mut ws.eval, model);
@@ -101,7 +101,7 @@ impl FastSa {
             return_eval(&mut ws.eval, eval);
         }
         trace.phase_end("local_search");
-        ws.finish(self.name(), model, dag)
+        Ok(ws.finish(model))
     }
 }
 
@@ -174,16 +174,18 @@ impl Scheduler for FastSa {
         "FAST-SA"
     }
 
-    fn schedule(&self, dag: &Dag, num_procs: u32) -> Schedule {
-        self.schedule_into(dag, num_procs, &mut Workspace::new())
-    }
-
-    fn schedule_traced(&self, dag: &Dag, procs: u32, trace: &mut SearchTrace) -> Schedule {
-        self.run(dag, procs, &HomogeneousModel, &mut Workspace::new(), trace)
-    }
-
-    fn schedule_into(&self, dag: &Dag, num_procs: u32, ws: &mut Workspace) -> Schedule {
-        self.run(dag, num_procs, &HomogeneousModel, ws, &mut untraced())
+    fn schedule_on(
+        &self,
+        dag: &Dag,
+        num_procs: u32,
+        machine: &Machine,
+        ws: &mut Workspace,
+        trace: &mut SearchTrace,
+    ) -> Result<Schedule, SchedulerError> {
+        if machine.has_capacities() {
+            return Err(SchedulerError::Unsupported);
+        }
+        priced!(machine, |m| self.core(dag, num_procs, m, ws, trace))
     }
 }
 

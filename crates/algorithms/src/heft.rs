@@ -8,10 +8,12 @@
 //! on identical processors is the b-level — and placed on the processor
 //! minimizing the insertion-based earliest finish time.
 
-use crate::scheduler::Scheduler;
-use crate::workspace::{untraced, Workspace};
+use crate::scheduler::{priced, Scheduler, SchedulerError};
+use crate::workspace::Workspace;
 use fastsched_dag::{Cost, Dag, NodeId};
-use fastsched_schedule::{data_arrival_time_with, CostModel, HomogeneousModel, ProcId, Schedule};
+use fastsched_schedule::{
+    data_arrival_time_with, CostModel, HomogeneousModel, Machine, ProcId, Schedule,
+};
 use fastsched_trace::SearchTrace;
 
 /// The HEFT scheduler.
@@ -63,8 +65,7 @@ impl Heft {
         order
     }
 
-    /// The HEFT loop — the one scheduling core behind every entry
-    /// point, HEFT-hetero included. Nodes go in upward-rank order to
+    /// The HEFT loop — the one scheduling core, HEFT-hetero included. Nodes go in upward-rank order to
     /// the processor with minimum `(EFT, EST, id)`, probing the first
     /// idle gap that fits; message arrival and execution time are
     /// priced by `model`. On identical compute costs minimum EFT is
@@ -73,21 +74,16 @@ impl Heft {
     /// When the model carries finite memory capacities
     /// ([`CostModel::has_capacities`]) the EFT probe skips processors
     /// whose lane cannot hold the node's footprint on top of what is
-    /// already resident there.
-    ///
-    /// # Panics
-    ///
-    /// Panics when no processor can hold a node's footprint (the
-    /// instance is memory-infeasible for a list scheduler).
-    pub fn run<M: CostModel + ?Sized>(
+    /// already resident there, and stops with
+    /// [`SchedulerError::Infeasible`] when no processor can hold a
+    /// node's footprint.
+    fn core<M: CostModel + ?Sized>(
         &self,
         dag: &Dag,
         num_procs: u32,
         model: &M,
         ws: &mut Workspace,
-        _trace: &mut SearchTrace,
-    ) -> Schedule {
-        assert!(num_procs >= 1);
+    ) -> Result<Schedule, SchedulerError> {
         rank_order_into(model, dag, num_procs, &mut ws.level, &mut ws.list);
         let track_mem = model.has_capacities();
         let (m, proc_mem) = (&mut ws.machine, &mut ws.proc_mem);
@@ -116,11 +112,10 @@ impl Heft {
                 }
             }
             let Some((eft, est, p)) = best else {
-                panic!(
-                    "memory-infeasible instance: no processor can hold node n{} \
-                     (footprint {need}); every lane is at capacity",
-                    n.0
-                );
+                return Err(SchedulerError::Infeasible {
+                    node: n.0,
+                    footprint: need,
+                });
             };
             if track_mem {
                 proc_mem[p.index()] = proc_mem[p.index()].saturating_add(need);
@@ -128,17 +123,7 @@ impl Heft {
             m.place_with_duration(n, p, est, eft - est);
         }
         ws.machine.write_schedule(dag, &mut ws.staging);
-        ws.finish(self.name(), model, dag)
-    }
-
-    /// [`Self::run`] under `model` with fresh scratch.
-    pub fn schedule_with_model<M: CostModel + ?Sized>(
-        &self,
-        dag: &Dag,
-        procs: u32,
-        model: &M,
-    ) -> Schedule {
-        self.run(dag, procs, model, &mut Workspace::new(), &mut untraced())
+        Ok(ws.finish(model))
     }
 }
 
@@ -147,12 +132,15 @@ impl Scheduler for Heft {
         "HEFT"
     }
 
-    fn schedule(&self, dag: &Dag, num_procs: u32) -> Schedule {
-        self.schedule_into(dag, num_procs, &mut Workspace::new())
-    }
-
-    fn schedule_into(&self, dag: &Dag, num_procs: u32, ws: &mut Workspace) -> Schedule {
-        self.run(dag, num_procs, &HomogeneousModel, ws, &mut untraced())
+    fn schedule_on(
+        &self,
+        dag: &Dag,
+        num_procs: u32,
+        machine: &Machine,
+        ws: &mut Workspace,
+        _trace: &mut SearchTrace,
+    ) -> Result<Schedule, SchedulerError> {
+        priced!(machine, |m| self.core(dag, num_procs, m, ws))
     }
 }
 

@@ -13,8 +13,11 @@
 //! nominal, 200 runs twice as fast, 50 half as fast.
 
 use crate::heft::Heft;
+use crate::scheduler::Scheduler;
+use crate::workspace::Workspace;
 use fastsched_dag::Dag;
-use fastsched_schedule::{validate_with, Schedule, ScheduleError};
+use fastsched_schedule::{validate_with, Machine, Schedule, ScheduleError};
+use fastsched_trace::SearchTrace;
 
 // The speed table lives with the other cost models in
 // `fastsched-schedule`; re-exported here so existing users keep their
@@ -53,15 +56,20 @@ impl HeftHetero {
     }
 
     /// Schedule `dag` over this machine's processors.
+    ///
+    /// # Panics
+    /// On a [`crate::SchedulerError`] (overflowing weights).
     pub fn schedule(&self, dag: &Dag) -> Schedule {
-        Heft::new().schedule_with_model(dag, self.speeds.count(), &self.speeds)
+        let (ws, trace) = (&mut Workspace::new(), &mut SearchTrace::default());
+        let machine = Machine::from(self.speeds.clone());
+        let result = Heft::new().run(dag, self.speeds.count(), &machine, ws, trace);
+        result.unwrap_or_else(|e| panic!("HEFT-hetero: {e}"))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::Scheduler as _;
     use fastsched_dag::examples::{fork_join, paper_figure1};
     use fastsched_dag::NodeId;
     use fastsched_schedule::ProcId;

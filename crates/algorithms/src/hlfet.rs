@@ -8,7 +8,7 @@
 //! bench measures the value of FAST's CPN-Dominate ordering.
 
 use crate::list_common::run_static_list;
-use crate::scheduler::{gate_schedule, Scheduler};
+use crate::scheduler::HomogeneousOnly;
 use fastsched_dag::{attributes::static_levels, Dag, NodeId};
 use fastsched_schedule::Schedule;
 
@@ -38,23 +38,19 @@ impl Hlfet {
     }
 }
 
-impl Scheduler for Hlfet {
-    fn name(&self) -> &'static str {
-        "HLFET"
-    }
+impl HomogeneousOnly for Hlfet {
+    const NAME: &'static str = "HLFET";
 
-    fn schedule(&self, dag: &Dag, num_procs: u32) -> Schedule {
-        assert!(num_procs >= 1);
+    fn schedule_homogeneous(&self, dag: &Dag, num_procs: u32) -> Schedule {
         let order = Self::priority_list(dag);
-        let s = run_static_list(dag, &order, num_procs, false).compact();
-        gate_schedule(self.name(), dag, &s);
-        s
+        run_static_list(dag, &order, num_procs, false).compact()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scheduler;
     use fastsched_dag::examples::{fork_join, paper_figure1};
     use fastsched_dag::topo::is_topological_order;
     use fastsched_schedule::validate;

@@ -9,7 +9,7 @@
 //! it fits without delaying the hole owner's start.
 
 use crate::list_common::{DatLanes, Machine, ReadySet};
-use crate::scheduler::{gate_schedule, Scheduler};
+use crate::scheduler::HomogeneousOnly;
 use fastsched_dag::{attributes::static_levels, Cost, Dag};
 use fastsched_schedule::{HomogeneousModel, ProcId, Schedule};
 
@@ -24,13 +24,10 @@ impl Ish {
     }
 }
 
-impl Scheduler for Ish {
-    fn name(&self) -> &'static str {
-        "ISH"
-    }
+impl HomogeneousOnly for Ish {
+    const NAME: &'static str = "ISH";
 
-    fn schedule(&self, dag: &Dag, num_procs: u32) -> Schedule {
-        assert!(num_procs >= 1);
+    fn schedule_homogeneous(&self, dag: &Dag, num_procs: u32) -> Schedule {
         let sl = static_levels(dag);
         let mut machine = Machine::new(dag.node_count(), num_procs);
         let mut ready = ReadySet::new(dag);
@@ -94,15 +91,14 @@ impl Scheduler for Ish {
                 }
             }
         }
-        let s = machine.into_schedule(dag).compact();
-        gate_schedule(self.name(), dag, &s);
-        s
+        machine.into_schedule(dag).compact()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scheduler;
     use fastsched_dag::examples::paper_figure1;
     use fastsched_dag::DagBuilder;
     use fastsched_schedule::validate;

@@ -7,7 +7,7 @@
 //! final schedule executes each cluster on its own processor in path
 //! order.
 
-use crate::scheduler::{gate_schedule, Scheduler};
+use crate::scheduler::HomogeneousOnly;
 use fastsched_dag::{Cost, Dag, NodeId};
 use fastsched_schedule::evaluate::evaluate_fixed_order;
 use fastsched_schedule::{ProcId, Schedule};
@@ -62,17 +62,11 @@ fn critical_path_of_remaining(dag: &Dag, alive: &[bool]) -> Vec<NodeId> {
     path
 }
 
-impl Scheduler for Lc {
-    fn name(&self) -> &'static str {
-        "LC"
-    }
+impl HomogeneousOnly for Lc {
+    const NAME: &'static str = "LC";
+    const UNBOUNDED: bool = true;
 
-    fn is_unbounded(&self) -> bool {
-        true
-    }
-
-    fn schedule(&self, dag: &Dag, num_procs: u32) -> Schedule {
-        assert!(num_procs >= 1);
+    fn schedule_homogeneous(&self, dag: &Dag, num_procs: u32) -> Schedule {
         let v = dag.node_count();
         let mut alive = vec![true; v];
         let mut cluster = vec![0u32; v];
@@ -94,15 +88,14 @@ impl Scheduler for Lc {
         let order: Vec<NodeId> = dag.topo_order().to_vec();
         let assignment: Vec<ProcId> = cluster.iter().map(|&c| ProcId(c)).collect();
         let pool = next_cluster.max(num_procs).max(1);
-        let s = evaluate_fixed_order(dag, &order, &assignment, pool).compact();
-        gate_schedule(self.name(), dag, &s);
-        s
+        evaluate_fixed_order(dag, &order, &assignment, pool).compact()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scheduler;
     use fastsched_dag::examples::{chain, fork_join, paper_figure1};
     use fastsched_dag::GraphAttributes;
     use fastsched_schedule::validate;

@@ -26,26 +26,22 @@
 //! passes [`fastsched_schedule::validate()`](fn@fastsched_schedule::validate); the workspace test-suite
 //! enforces this across all workloads.
 //!
-//! ## The Workspace lifecycle
+//! ## One entry point
 //!
-//! Each [`Scheduler`] exposes two entry points with one contract:
+//! [`Scheduler::run`] schedules a DAG on a
+//! [`fastsched_schedule::Machine`] with scratch from a caller-owned
+//! [`workspace::Workspace`], recording into a
+//! [`fastsched_trace::SearchTrace`], and returns a [`SchedulerError`]
+//! instead of panicking. Each algorithm implements only
+//! [`Scheduler::schedule_on`] (or [`HomogeneousOnly`]);
+//! [`Scheduler::schedule`] and [`Scheduler::schedule_into`] are
+//! shorthands for the homogeneous machine.
 //!
-//! * [`Scheduler::schedule`] — self-contained, allocates its own
-//!   scratch, the right call for one-off scheduling;
-//! * [`Scheduler::schedule_into`] — the same search against a
-//!   caller-owned [`workspace::Workspace`] scratch arena. The result
-//!   is **byte-identical** to `schedule()`'s (the workspace only moves
-//!   scratch, it never changes a decision), and once the arena's
-//!   buffers have grown to the workload's peak, repeated calls perform
-//!   **zero heap allocations** for the natively ported algorithms
-//!   (FAST, FAST-SA, FAST-MS, ETF, DLS, HEFT; proven by a counting
-//!   allocator in `tests/zero_alloc.rs`).
-//!
-//! Each ported algorithm has one scheduling core, `run(dag, procs,
-//! model, workspace, trace)`, generic over
-//! [`fastsched_schedule::CostModel`]; both entry points above, plus
-//! `schedule_traced` and `schedule_with_model`, are one-line calls into
-//! it.
+//! The result is **byte-identical** whatever the workspace's history
+//! (it only moves scratch, it never changes a decision), and once the
+//! arena's buffers have grown to the workload's peak, repeated calls
+//! perform **zero heap allocations** for the ported algorithms
+//! (proven by a counting allocator in `tests/zero_alloc.rs`).
 //!
 //! A workspace is *cleared, never dropped* between runs and may be
 //! reused across different DAGs, processor counts and algorithms in
@@ -108,9 +104,7 @@ pub use mcp::Mcp;
 pub use md::Md;
 pub use optimal::{BranchAndBound, OracleOutcome};
 pub use pool::WorkerPool;
-pub use scheduler::{
-    all_schedulers, gate_schedule, gate_schedule_with, paper_schedulers, Scheduler,
-};
+pub use scheduler::{all_schedulers, paper_schedulers, HomogeneousOnly, Scheduler, SchedulerError};
 pub use workspace::{
     schedule_many, schedule_many_into, schedule_many_par, schedule_many_par_by,
     schedule_many_par_with, Workspace,

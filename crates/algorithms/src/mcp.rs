@@ -10,7 +10,7 @@
 //! ALAP machinery but schedules greedily like a list scheduler.
 
 use crate::list_common::run_static_list;
-use crate::scheduler::{gate_schedule, Scheduler};
+use crate::scheduler::HomogeneousOnly;
 use fastsched_dag::{Dag, GraphAttributes, NodeId};
 use fastsched_schedule::Schedule;
 
@@ -33,23 +33,19 @@ impl Mcp {
     }
 }
 
-impl Scheduler for Mcp {
-    fn name(&self) -> &'static str {
-        "MCP"
-    }
+impl HomogeneousOnly for Mcp {
+    const NAME: &'static str = "MCP";
 
-    fn schedule(&self, dag: &Dag, num_procs: u32) -> Schedule {
-        assert!(num_procs >= 1);
+    fn schedule_homogeneous(&self, dag: &Dag, num_procs: u32) -> Schedule {
         let order = Self::priority_list(dag);
-        let s = run_static_list(dag, &order, num_procs, true).compact();
-        gate_schedule(self.name(), dag, &s);
-        s
+        run_static_list(dag, &order, num_procs, true).compact()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scheduler;
     use fastsched_dag::examples::paper_figure1;
     use fastsched_dag::topo::is_topological_order;
     use fastsched_schedule::validate;

@@ -25,7 +25,7 @@
 //! while guaranteeing the result is always a legal schedule.
 
 use crate::list_common::{Machine, ReadySet};
-use crate::scheduler::{gate_schedule, Scheduler};
+use crate::scheduler::HomogeneousOnly;
 use fastsched_dag::{Cost, Dag, NodeId};
 use fastsched_schedule::{ProcId, Schedule};
 
@@ -82,13 +82,10 @@ fn current_blevel(dag: &Dag, machine: &Machine) -> Vec<Cost> {
     bl
 }
 
-impl Scheduler for Md {
-    fn name(&self) -> &'static str {
-        "MD"
-    }
+impl HomogeneousOnly for Md {
+    const NAME: &'static str = "MD";
 
-    fn schedule(&self, dag: &Dag, num_procs: u32) -> Schedule {
-        assert!(num_procs >= 1);
+    fn schedule_homogeneous(&self, dag: &Dag, num_procs: u32) -> Schedule {
         let mut machine = Machine::new(dag.node_count(), num_procs);
         let mut ready = ReadySet::new(dag);
 
@@ -139,15 +136,14 @@ impl Scheduler for Md {
             machine.place(dag, n, p, s);
             ready.complete(dag, n);
         }
-        let s = machine.into_schedule(dag).compact();
-        gate_schedule(self.name(), dag, &s);
-        s
+        machine.into_schedule(dag).compact()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scheduler;
     use fastsched_dag::examples::{fork_join, paper_figure1};
     use fastsched_schedule::validate;
 

@@ -16,9 +16,9 @@
 //! that use the result as a bound must go through
 //! [`BranchAndBound::solve`] and check [`OracleOutcome::complete`].
 
-use crate::scheduler::{gate_schedule, gate_schedule_with, Scheduler};
+use crate::scheduler::HomogeneousOnly;
 use fastsched_dag::{Cost, Dag, NodeId};
-use fastsched_schedule::{HomogeneousModel, MemoryCapacities, ProcId, Schedule};
+use fastsched_schedule::{ProcId, Schedule};
 
 /// The exhaustive reference scheduler.
 #[derive(Debug, Clone, Copy)]
@@ -44,7 +44,7 @@ impl BranchAndBound {
 
     /// Run the exhaustive search and report whether it completed.
     ///
-    /// [`Scheduler::schedule`] silently returns the incumbent when the
+    /// [`crate::Scheduler::schedule`] silently returns the incumbent when the
     /// state cap truncates the search; tests that use the result as an
     /// optimality bound must check [`OracleOutcome::complete`] first —
     /// a truncated incumbent is an upper bound on nothing.
@@ -147,17 +147,8 @@ impl BranchAndBound {
         // With finite capacities lane identity is part of the answer:
         // compaction would renumber processors out from under the
         // capacity table, so the schedule is returned as placed.
-        let s = if capped {
-            let model = MemoryCapacities::from_option_caps(HomogeneousModel, caps.to_vec());
-            gate_schedule_with("B&B", &model, dag, &schedule);
-            schedule
-        } else {
-            let s = schedule.compact();
-            gate_schedule("B&B", dag, &s);
-            s
-        };
         OracleOutcome {
-            schedule: s,
+            schedule: if capped { schedule } else { schedule.compact() },
             complete: search.states <= search.max_states,
             states: search.states.min(search.max_states),
         }
@@ -310,12 +301,10 @@ impl Search<'_> {
     }
 }
 
-impl Scheduler for BranchAndBound {
-    fn name(&self) -> &'static str {
-        "B&B"
-    }
+impl HomogeneousOnly for BranchAndBound {
+    const NAME: &'static str = "B&B";
 
-    fn schedule(&self, dag: &Dag, num_procs: u32) -> Schedule {
+    fn schedule_homogeneous(&self, dag: &Dag, num_procs: u32) -> Schedule {
         self.solve(dag, num_procs).schedule
     }
 }
@@ -323,6 +312,7 @@ impl Scheduler for BranchAndBound {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scheduler;
     use fastsched_dag::examples::{chain, fork_join, paper_figure1};
     use fastsched_dag::DagBuilder;
     use fastsched_schedule::validate;

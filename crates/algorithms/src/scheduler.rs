@@ -2,59 +2,78 @@
 //! by the CLI and the benchmark harness.
 
 use crate::workspace::Workspace;
-use fastsched_dag::Dag;
-use fastsched_schedule::{validate_with, CostModel, HomogeneousModel, Schedule};
+use fastsched_dag::{Cost, Dag};
+use fastsched_schedule::{Machine, Schedule, ScheduleError};
 use fastsched_trace::SearchTrace;
 
-/// The correctness gate: validate `schedule` under `model` and panic
-/// with the algorithm's name and the structured violation if it is
-/// illegal.
-///
-/// Compiled to a real check in debug builds and whenever the
-/// `validate` cargo feature is on; a no-op otherwise, so release-mode
-/// benchmarks never pay the O(v log v + e) validation. Every
-/// [`Scheduler`] implementation in this crate runs its returned
-/// schedule through here — an algorithm bug surfaces at the algorithm,
-/// not three layers later in a simulator or metric.
-pub fn gate_schedule_with<M: CostModel + ?Sized>(
-    name: &str,
-    model: &M,
-    dag: &Dag,
-    schedule: &Schedule,
-) {
-    if cfg!(any(debug_assertions, feature = "validate")) {
-        if let Err(e) = validate_with(model, dag, schedule) {
-            panic!("{name} returned an illegal schedule: {e}");
+/// Why [`Scheduler::run`] returned no schedule.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SchedulerError {
+    /// The request asked for zero processors.
+    NoProcessors,
+    /// The DAG's total work and communication, priced by the machine
+    /// ([`Machine::makespan_bound`]), do not leave the headroom the
+    /// schedulers' time arithmetic needs in a `u64`.
+    Overflow,
+    /// The algorithm has no scheduling path for this machine.
+    Unsupported,
+    /// The greedy placement found no processor with room for `node`'s
+    /// memory footprint. The instance may still be feasible: deciding
+    /// that is a packing problem the greedy pass does not solve.
+    Infeasible {
+        /// The node that found every lane at capacity.
+        node: u32,
+        /// Its memory footprint.
+        footprint: Cost,
+    },
+    /// The correctness gate rejected the algorithm's schedule.
+    Invalid(ScheduleError),
+}
+
+impl std::fmt::Display for SchedulerError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SchedulerError::NoProcessors => write!(f, "`procs` must be at least 1"),
+            SchedulerError::Overflow => write!(
+                f,
+                "time arithmetic overflows u64: the DAG's total work and communication \
+                 on this machine exceed u64::MAX/4"
+            ),
+            SchedulerError::Unsupported => write!(f, "no scheduling path for this machine"),
+            SchedulerError::Infeasible { node, footprint } => write!(
+                f,
+                "no processor can hold node n{node} (footprint {footprint}); \
+                 every lane is at capacity"
+            ),
+            SchedulerError::Invalid(e) => write!(f, "illegal schedule: {e}"),
         }
     }
 }
 
-/// [`gate_schedule_with`] under the paper's homogeneous machine model
-/// — the gate used by every homogeneous scheduler in this crate.
-pub fn gate_schedule(name: &str, dag: &Dag, schedule: &Schedule) {
-    gate_schedule_with(name, &HomogeneousModel, dag, schedule);
-}
+impl std::error::Error for SchedulerError {}
 
 /// A static DAG-scheduling algorithm.
 ///
 /// ```
-/// use fastsched_algorithms::{Fast, Scheduler};
+/// use fastsched_algorithms::{Fast, Scheduler, Workspace};
 /// use fastsched_dag::examples::paper_figure1;
-/// use fastsched_schedule::validate;
+/// use fastsched_schedule::Machine;
+/// use fastsched_trace::SearchTrace;
 ///
 /// let dag = paper_figure1();
-/// let schedule = Fast::new().schedule(&dag, 9);
-/// assert!(validate(&dag, &schedule).is_ok());
+/// let (ws, trace) = (&mut Workspace::new(), &mut SearchTrace::default());
+/// let schedule = Fast::new().run(&dag, 9, &Machine::Homogeneous, ws, trace).unwrap();
 /// // InitialSchedule() yields 19; the local search finds one
 /// // improving transfer (the paper's Figure 4 story): 18.
 /// assert_eq!(schedule.makespan(), 18);
+/// assert_eq!(Fast::new().schedule(&dag, 9), schedule);
 /// ```
 ///
-/// `num_procs` is the number of identical processors made available.
-/// Bounded algorithms (FAST, ETF, DLS, MD, HLFET, MCP, HEFT) never use
-/// more; "unbounded" algorithms (DSC) treat it as the processor pool
-/// size and may want `num_procs == v` to behave as published — the
-/// paper's experiments "give more than enough processors to all the
+/// `num_procs` is the number of processors made available. Bounded
+/// algorithms (FAST, ETF, DLS, MD, HLFET, MCP, HEFT) never use more;
+/// "unbounded" algorithms (DSC) treat it as the processor pool size
+/// and may want `num_procs == v` to behave as published — the paper's
+/// experiments "give more than enough processors to all the
 /// algorithms".
 pub trait Scheduler: Send + Sync {
     /// Short display name ("FAST", "DSC", ...), used in tables.
@@ -68,48 +87,128 @@ pub trait Scheduler: Send + Sync {
         false
     }
 
-    /// Produce a complete schedule of `dag` on `num_procs` processors.
-    ///
-    /// Implementations must return a schedule that passes
-    /// [`fastsched_schedule::validate()`](fn@fastsched_schedule::validate); processor ids must be dense
-    /// from 0 (use [`Schedule::compact`] before returning when the
-    /// construction leaves gaps).
-    fn schedule(&self, dag: &Dag, num_procs: u32) -> Schedule;
+    /// The algorithm: schedule `dag` on `num_procs` processors of
+    /// `machine` with scratch from `ws`, recording into `trace`.
+    /// Implement it; call [`Self::run`]. It may assume
+    /// `num_procs >= 1` and [`Machine::fits`], answers a machine it
+    /// cannot price with [`SchedulerError::Unsupported`], and returns
+    /// processor ids dense from 0.
+    fn schedule_on(
+        &self,
+        dag: &Dag,
+        num_procs: u32,
+        machine: &Machine,
+        ws: &mut Workspace,
+        trace: &mut SearchTrace,
+    ) -> Result<Schedule, SchedulerError>;
 
-    /// [`Self::schedule`] with an observability collector: phase
-    /// timers, search-event counters and the schedule-length
-    /// trajectory land in `trace`. The produced schedule is identical
-    /// to [`Self::schedule`]'s — instrumentation never changes a
-    /// search decision.
-    ///
-    /// The default implementation ignores the collector (one-shot
-    /// algorithms have no search to trace); the FAST family overrides
-    /// it. Whether phases, trajectory and provenance are recorded is
-    /// the collector's mode (`SearchTrace::recording()` vs.
-    /// `SearchTrace::default()`); the counters always count.
-    fn schedule_traced(&self, dag: &Dag, num_procs: u32, trace: &mut SearchTrace) -> Schedule {
-        let _ = trace;
-        self.schedule(dag, num_procs)
+    /// Schedule `dag` on `num_procs` processors of `machine`: the one
+    /// entry point. Refuses zero processors and times that could
+    /// overflow before the algorithm runs, and gates the result with
+    /// [`Machine::validate`] in debug builds and with the `validate`
+    /// feature. A warm `ws` (results handed back through
+    /// [`Workspace::recycle`]) makes the ported algorithms
+    /// allocation-free; neither `ws` nor `trace` changes a decision.
+    fn run(
+        &self,
+        dag: &Dag,
+        num_procs: u32,
+        machine: &Machine,
+        ws: &mut Workspace,
+        trace: &mut SearchTrace,
+    ) -> Result<Schedule, SchedulerError> {
+        if num_procs == 0 {
+            return Err(SchedulerError::NoProcessors);
+        }
+        if !machine.fits(dag) {
+            return Err(SchedulerError::Overflow);
+        }
+        let schedule = self.schedule_on(dag, num_procs, machine, ws, trace)?;
+        if cfg!(any(debug_assertions, feature = "validate")) {
+            machine
+                .validate(dag, &schedule)
+                .map_err(SchedulerError::Invalid)?;
+        }
+        Ok(schedule)
     }
 
-    /// [`Self::schedule`] against a reusable [`Workspace`]: scratch
-    /// buffers come from (and return to) `workspace`, so a warm
-    /// workspace makes repeated calls allocation-free for the natively
-    /// ported algorithms (FAST, FAST-SA, FAST-MS, ETF, DLS, HEFT). The
-    /// result is byte-identical to [`Self::schedule`]'s — the
-    /// workspace only changes *where* scratch lives, never a
-    /// scheduling decision.
+    /// [`Self::run`] on the paper's machine with fresh scratch.
     ///
-    /// The default implementation ignores the workspace and delegates
-    /// to [`Self::schedule`], so every scheduler supports the batched
-    /// entry points ([`crate::workspace::schedule_many`] and the
-    /// sharded [`crate::workspace::schedule_many_par`]) even before it
-    /// is ported.
-    fn schedule_into(&self, dag: &Dag, num_procs: u32, workspace: &mut Workspace) -> Schedule {
-        let _ = workspace;
-        self.schedule(dag, num_procs)
+    /// # Panics
+    /// On any [`SchedulerError`] (zero processors, overflowing
+    /// weights, an illegal schedule).
+    fn schedule(&self, dag: &Dag, num_procs: u32) -> Schedule {
+        self.schedule_into(dag, num_procs, &mut Workspace::new())
+    }
+
+    /// [`Self::run`] on the paper's machine with scratch from `ws`;
+    /// byte-identical to [`Self::schedule`].
+    ///
+    /// # Panics
+    /// Like [`Self::schedule`].
+    fn schedule_into(&self, dag: &Dag, num_procs: u32, ws: &mut Workspace) -> Schedule {
+        let trace = &mut SearchTrace::default();
+        let result = self.run(dag, num_procs, &Machine::Homogeneous, ws, trace);
+        result.unwrap_or_else(|e| panic!("{}: {e}", self.name()))
     }
 }
+
+/// An algorithm that knows only the paper's machine: its
+/// [`Scheduler`] runs `schedule_homogeneous` on
+/// [`Machine::Homogeneous`] and answers every priced machine
+/// [`SchedulerError::Unsupported`]. The eleven algorithms without a
+/// model core implement this instead of [`Scheduler`].
+pub trait HomogeneousOnly: Send + Sync {
+    /// [`Scheduler::name`].
+    const NAME: &'static str;
+    /// [`Scheduler::is_unbounded`].
+    const UNBOUNDED: bool = false;
+
+    /// The algorithm on `num_procs` identical processors; like
+    /// [`Scheduler::schedule_on`], implement it and call
+    /// [`Scheduler::run`].
+    fn schedule_homogeneous(&self, dag: &Dag, num_procs: u32) -> Schedule;
+}
+
+impl<T: HomogeneousOnly> Scheduler for T {
+    fn name(&self) -> &'static str {
+        T::NAME
+    }
+
+    fn is_unbounded(&self) -> bool {
+        T::UNBOUNDED
+    }
+
+    fn schedule_on(
+        &self,
+        dag: &Dag,
+        num_procs: u32,
+        machine: &Machine,
+        _ws: &mut Workspace,
+        _trace: &mut SearchTrace,
+    ) -> Result<Schedule, SchedulerError> {
+        match machine {
+            Machine::Homogeneous => Ok(self.schedule_homogeneous(dag, num_procs)),
+            _ => Err(SchedulerError::Unsupported),
+        }
+    }
+}
+
+/// Evaluate `$core` with `$model` bound to `$machine`'s cost model:
+/// one monomorphized copy of the core per [`Machine`] variant.
+macro_rules! priced {
+    ($machine:expr, |$model:ident| $core:expr) => {
+        match $machine {
+            fastsched_schedule::Machine::Homogeneous => {
+                let $model = &fastsched_schedule::HomogeneousModel;
+                $core
+            }
+            fastsched_schedule::Machine::Comm($model) => $core,
+            fastsched_schedule::Machine::Speeds($model) => $core,
+        }
+    };
+}
+pub(crate) use priced;
 
 /// The four baselines compared in the paper plus FAST itself, in the
 /// paper's table order: FAST, DSC, MD, ETF, DLS.

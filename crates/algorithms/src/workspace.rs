@@ -16,7 +16,7 @@
 //! ## Ownership rules
 //!
 //! * The workspace owns scratch; the caller owns results. A
-//!   [`Scheduler::schedule_into`] call returns a fresh [`Schedule`] —
+//!   [`Scheduler::run`] call returns a fresh [`Schedule`] —
 //!   hand it back via [`Workspace::recycle`] to keep the steady state
 //!   allocation-free across calls.
 //! * A workspace may be reused across different DAGs, processor
@@ -32,23 +32,22 @@
 //! ## Porting an algorithm
 //!
 //! Write one scheduling core, generic over the [`CostModel`]:
-//! `run(dag, num_procs, model, workspace, trace)`. Re-derive every
+//! `core(dag, num_procs, model, workspace, trace)`. Re-derive every
 //! input from `(dag, num_procs)` into workspace buffers via the
 //! `_into`/`reset` variants (`GraphAttributes::compute_into`,
 //! `classify_nodes_into`, `cpn_dominate_list_into`, `Machine::reset`,
 //! `ReadySet::reset`, ...), borrow the evaluator re-typed for the model
 //! with `lend_eval`, build the result in
 //! `Workspace::staging`, and hand it out with `Workspace::finish`
-//! (compacts when the model permits renumbering, then runs the
-//! correctness gate). Every entry point — [`Scheduler::schedule`],
-//! `schedule_traced`, `schedule_into` and `schedule_with_model` — is
-//! then a one-line call into the core, with
-//! [`fastsched_schedule::HomogeneousModel`] for the paper's machine.
-//! The property suite compares serialized schedules across dirty reuse
-//! and across identity models.
+//! (compacts when the model permits renumbering). The algorithm's
+//! [`Scheduler::schedule_on`] matches on the
+//! [`fastsched_schedule::Machine`] once and calls the core with the
+//! variant's model; [`Scheduler::run`] adds the input checks and the
+//! correctness gate. The property suite compares serialized
+//! schedules across dirty reuse and across identity models.
 
 use crate::list_common::{DatLanes, Machine, ReadySet};
-use crate::scheduler::{gate_schedule_with, Scheduler};
+use crate::scheduler::Scheduler;
 use fastsched_dag::{AttrLanes, Cost, CpnListScratch, Dag, GraphAttributes, NodeClass, NodeId};
 use fastsched_schedule::{
     CompactScratch, CostModel, DeltaEvaluator, HomogeneousModel, ProcId, Schedule,
@@ -186,21 +185,14 @@ impl Workspace {
     /// Hand the result built in `staging` to the caller, in a schedule
     /// from the spare pool: lane-compacted when `model` permits
     /// processor renumbering, verbatim otherwise (compaction would
-    /// reprice an identity-sensitive model) — after the correctness
-    /// gate under `model`.
-    pub(crate) fn finish<M: CostModel + ?Sized>(
-        &mut self,
-        name: &str,
-        model: &M,
-        dag: &Dag,
-    ) -> Schedule {
+    /// reprice an identity-sensitive model).
+    pub(crate) fn finish<M: CostModel + ?Sized>(&mut self, model: &M) -> Schedule {
         let mut out = self.take_schedule();
         if model.permits_renumbering() {
             self.staging.compact_into(&mut self.compact, &mut out);
         } else {
             std::mem::swap(&mut out, &mut self.staging);
         }
-        gate_schedule_with(name, model, dag, &out);
         out
     }
 
@@ -277,7 +269,8 @@ fn effective_threads(threads: usize, items: usize) -> usize {
 }
 
 /// The sharded batch driver: schedule `dags[i]` on `procs[i]`
-/// processors with `schedule_one(dag, procs, workspace)` across
+/// processors with `schedule_one(dag, procs, workspace)` (returning a
+/// schedule, or a `Result` of one) across
 /// `threads` scoped worker threads, each owning a private warm
 /// [`Workspace`] and a contiguous chunk of the batch. `threads == 0`
 /// uses every available core; `threads <= 1` runs the chunk loop on the
@@ -292,30 +285,30 @@ fn effective_threads(threads: usize, items: usize) -> usize {
 /// this).
 ///
 /// # Panics
-/// If `procs.len() != dags.len()`, or if `schedule_one` panics (e.g.
-/// on a memory-infeasible instance) — worker panics propagate.
-pub fn schedule_many_par_with<F>(
+/// If `procs.len() != dags.len()`, or if `schedule_one` panics —
+/// worker panics propagate.
+pub fn schedule_many_par_with<T, F>(
     dags: &[Dag],
     procs: &[u32],
     threads: usize,
     schedule_one: F,
-) -> Vec<(Schedule, f64)>
+) -> Vec<(T, f64)>
 where
-    F: Fn(&Dag, u32, &mut Workspace) -> Schedule + Sync,
+    T: Send,
+    F: Fn(&Dag, u32, &mut Workspace) -> T + Sync,
 {
     assert_eq!(procs.len(), dags.len(), "one procs entry per DAG");
     let threads = effective_threads(threads, dags.len());
-    let mut out: Vec<Option<(Schedule, f64)>> = Vec::with_capacity(dags.len());
+    let mut out: Vec<Option<(T, f64)>> = Vec::with_capacity(dags.len());
     out.resize_with(dags.len(), || None);
-    let run_chunk =
-        |dag_chunk: &[Dag], proc_chunk: &[u32], out_chunk: &mut [Option<(Schedule, f64)>]| {
-            let mut ws = Workspace::new();
-            for ((dag, &np), slot) in dag_chunk.iter().zip(proc_chunk).zip(out_chunk.iter_mut()) {
-                let t0 = std::time::Instant::now();
-                let s = schedule_one(dag, np, &mut ws);
-                *slot = Some((s, t0.elapsed().as_secs_f64()));
-            }
-        };
+    let run_chunk = |dag_chunk: &[Dag], proc_chunk: &[u32], out_chunk: &mut [Option<(T, f64)>]| {
+        let mut ws = Workspace::new();
+        for ((dag, &np), slot) in dag_chunk.iter().zip(proc_chunk).zip(out_chunk.iter_mut()) {
+            let t0 = std::time::Instant::now();
+            let s = schedule_one(dag, np, &mut ws);
+            *slot = Some((s, t0.elapsed().as_secs_f64()));
+        }
+    };
     if threads <= 1 {
         run_chunk(dags, procs, &mut out);
     } else {

@@ -2,10 +2,21 @@
 //! trajectory shape, and determinism of the aggregated parallel
 //! counters.
 
-use fastsched_algorithms::{Fast, FastConfig, FastSa, FastSaConfig, Scheduler};
+use fastsched_algorithms::{Fast, FastConfig, FastSa, FastSaConfig, Scheduler, Workspace};
 use fastsched_dag::examples::paper_figure1;
+use fastsched_dag::Dag;
+use fastsched_schedule::{Machine, Schedule};
 use fastsched_trace::{SearchTrace, TraceEvent};
 use fastsched_workloads::{random_layered_dag, RandomDagConfig, TimingDatabase};
+
+/// `scheduler` on the paper's machine with fresh scratch, recording
+/// into `trace`.
+fn traced(scheduler: &dyn Scheduler, dag: &Dag, procs: u32, trace: &mut SearchTrace) -> Schedule {
+    let ws = &mut Workspace::new();
+    scheduler
+        .run(dag, procs, &Machine::Homogeneous, ws, trace)
+        .expect("schedulable")
+}
 
 /// Every probe is either accepted or reverted — across many seeds.
 #[test]
@@ -19,7 +30,7 @@ fn probes_attempted_equals_accepted_plus_reverted() {
             ..Default::default()
         });
         let mut trace = SearchTrace::recording();
-        fast.schedule_traced(&g, 16, &mut trace);
+        traced(&fast, &g, 16, &mut trace);
         assert_eq!(
             trace.probes_attempted,
             trace.probes_accepted + trace.probes_reverted,
@@ -42,7 +53,7 @@ fn greedy_trajectory_is_non_increasing() {
         ..Default::default()
     });
     let mut trace = SearchTrace::recording();
-    fast.schedule_traced(&g, 24, &mut trace);
+    traced(&fast, &g, 24, &mut trace);
     let report = trace.to_report();
     let traj = report.trajectory();
     assert!(!traj.is_empty(), "search on a random DAG must probe");
@@ -69,7 +80,7 @@ fn traced_schedule_is_identical_to_untraced() {
         });
         let plain = fast.schedule(&g, 12);
         let mut trace = SearchTrace::recording();
-        let traced = fast.schedule_traced(&g, 12, &mut trace);
+        let traced = traced(&fast, &g, 12, &mut trace);
         assert_eq!(plain.makespan(), traced.makespan());
     }
 }
@@ -79,7 +90,7 @@ fn traced_schedule_is_identical_to_untraced() {
 fn phase_timers_cover_the_pipeline() {
     let g = paper_figure1();
     let mut trace = SearchTrace::recording();
-    Fast::new().schedule_traced(&g, 9, &mut trace);
+    traced(&Fast::new(), &g, 9, &mut trace);
     let report = trace.to_report();
     let phases = report.phase_totals();
     for name in ["list_construction", "initial_schedule", "local_search"] {
@@ -97,7 +108,7 @@ fn ndjson_round_trip_preserves_events() {
     let g = random_layered_dag(&RandomDagConfig::paper(80, &db), 5);
     let mut trace = SearchTrace::recording();
     trace.set_meta("workload", "round-trip-test");
-    Fast::new().schedule_traced(&g, 8, &mut trace);
+    traced(&Fast::new(), &g, 8, &mut trace);
     let report = trace.to_report();
     let text = report.to_ndjson();
     let parsed = fastsched_trace::Report::from_ndjson(&text).expect("own output must parse");
@@ -118,7 +129,7 @@ fn sa_counters_balance() {
         ..Default::default()
     });
     let mut trace = SearchTrace::recording();
-    sa.schedule_traced(&g, 16, &mut trace);
+    traced(&sa, &g, 16, &mut trace);
     assert_eq!(
         trace.probes_attempted,
         trace.probes_accepted + trace.probes_reverted
@@ -136,11 +147,11 @@ fn eval_stats_are_absorbed() {
     let db = TimingDatabase::paragon();
     let g = random_layered_dag(&RandomDagConfig::paper(150, &db), 9);
     let mut trace = SearchTrace::recording();
-    Fast::with_config(FastConfig {
+    let fast = Fast::with_config(FastConfig {
         max_steps: 256,
         ..Default::default()
-    })
-    .schedule_traced(&g, 16, &mut trace);
+    });
+    traced(&fast, &g, 16, &mut trace);
     assert!(trace.eval.incremental_probes > 0);
     assert!(trace.eval.dirty_nodes_visited > 0);
     assert_eq!(trace.eval.commits, trace.probes_accepted);
@@ -155,7 +166,7 @@ fn placement_provenance_covers_every_node_and_candidate() {
     let db = TimingDatabase::paragon();
     let g = random_layered_dag(&RandomDagConfig::paper(100, &db), 13);
     let mut trace = SearchTrace::recording();
-    Fast::new().schedule_traced(&g, 12, &mut trace);
+    traced(&Fast::new(), &g, 12, &mut trace);
     let report = trace.to_report();
     let placed = report.placed_nodes();
     assert_eq!(placed.len(), g.node_count());
@@ -188,11 +199,11 @@ fn transfer_records_match_probe_counters() {
     let db = TimingDatabase::paragon();
     let g = random_layered_dag(&RandomDagConfig::paper(120, &db), 17);
     let mut trace = SearchTrace::recording();
-    Fast::with_config(FastConfig {
+    let fast = Fast::with_config(FastConfig {
         max_steps: 256,
         ..Default::default()
-    })
-    .schedule_traced(&g, 16, &mut trace);
+    });
+    traced(&fast, &g, 16, &mut trace);
     let report = trace.to_report();
     let transfers: Vec<_> = report
         .placed_nodes()
@@ -222,7 +233,7 @@ fn parallel_counters_are_deterministic() {
     });
     let run = || {
         let mut trace = SearchTrace::recording();
-        sched.schedule_traced(&g, 16, &mut trace);
+        traced(&sched, &g, 16, &mut trace);
         trace
     };
     let (a, b) = (run(), run());

@@ -129,7 +129,7 @@ fn climb_incremental(
 }
 
 /// [`climb_incremental`] with the observability hooks of
-/// `Fast::schedule_traced` attached — the instrumented driver loop
+/// `Fast`'s traced `run` attached — the instrumented driver loop
 /// whose cost the trace-overhead A/B measures. With a default (off)
 /// collector it must time the same as [`climb_incremental`].
 #[allow(clippy::too_many_arguments)]
@@ -307,16 +307,19 @@ fn bench_incremental_vs_full(c: &mut Criterion) {
         max_steps: steps,
         ..Default::default()
     });
-    let fast = ab_min_of(5, |t| {
-        criterion::black_box(fast_sched.schedule_traced(&dag, num_procs, t));
-    });
+    let traced = |s: &dyn Scheduler, t: &mut SearchTrace| {
+        let ws = &mut Workspace::new();
+        criterion::black_box(
+            s.run(&dag, num_procs, &Machine::Homogeneous, ws, t)
+                .unwrap(),
+        );
+    };
+    let fast = ab_min_of(5, |t| traced(&fast_sched, t));
     let sa_sched = FastSa::with_config(FastSaConfig {
         steps,
         ..Default::default()
     });
-    let fast_sa = ab_min_of(3, |t| {
-        criterion::black_box(sa_sched.schedule_traced(&dag, num_procs, t));
-    });
+    let fast_sa = ab_min_of(3, |t| traced(&sa_sched, t));
 
     let full_tp = steps as f64 / full_secs;
     let incr_tp = steps as f64 / incr_secs;

@@ -173,7 +173,9 @@ fn write_trajectories(path: &str, db: &TimingDatabase) -> Result<(), String> {
         trace.set_meta("tool", "ablation");
         trace.set_meta("workload", &name);
         trace.set_meta("max_steps", "1024");
-        fast.schedule_traced(&dag, procs, &mut trace);
+        let ws = &mut Workspace::new();
+        fast.run(&dag, procs, &Machine::Homogeneous, ws, &mut trace)
+            .map_err(|e| format!("{name}: {e}"))?;
         out.push_str(&trace.to_report().to_ndjson());
     }
     std::fs::write(path, out).map_err(|e| format!("writing {path}: {e}"))?;

@@ -22,15 +22,15 @@
 //! preserved.
 
 use fastsched::prelude::*;
-use fastsched::schedule::{validate_with, HomogeneousModel, MemoryCapacities, ScheduleErrorKind};
+use fastsched::schedule::{CommModel, MemoryCapacities, ScheduleErrorKind};
 use fastsched::workloads::fuzz::{mem_corpus, MemFuzzCase};
-use fastsched_bench::{min_of, write_section};
+use fastsched_bench::{min_of, run_on, write_section};
 use std::hint::black_box;
 
 const RUNS: u32 = 5;
 const CORPUS_SEED: u64 = 0xAB5EED;
 
-type RunFn = Box<dyn Fn(&Dag, u32, &MemoryCapacities<HomogeneousModel>) -> Schedule>;
+type RunFn = Box<dyn Fn(&Dag, u32, &Machine) -> Schedule>;
 type CapFn = fn(&MemFuzzCase) -> u64;
 
 /// One scheduling entry point: memory-aware rows receive the capped
@@ -46,12 +46,12 @@ fn algos() -> Vec<Algo> {
         Algo {
             name: "FAST-mem",
             mem_aware: true,
-            run: Box::new(|d, p, m| Fast::new().schedule_with_model(d, p, m)),
+            run: Box::new(|d, p, m| run_on(&Fast::new(), d, p, m)),
         },
         Algo {
             name: "HEFT-mem",
             mem_aware: true,
-            run: Box::new(|d, p, m| Heft::new().schedule_with_model(d, p, m)),
+            run: Box::new(|d, p, m| run_on(&Heft::new(), d, p, m)),
         },
         Algo {
             name: "FAST-blind",
@@ -75,9 +75,9 @@ fn main() {
     let algos = algos();
     let mut regime_rows: Vec<String> = Vec::new();
     for (regime_name, cap_of) in &regimes {
-        let models: Vec<MemoryCapacities<HomogeneousModel>> = corpus
+        let models: Vec<Machine> = corpus
             .iter()
-            .map(|c| MemoryCapacities::uniform(HomogeneousModel, cap_of(c), c.procs))
+            .map(|c| MemoryCapacities::uniform(CommModel::Ideal, cap_of(c), c.procs).into())
             .collect();
         // Memory-aware FAST's schedule lengths are the denominator
         // for every ratio.
@@ -93,7 +93,7 @@ fn main() {
             let mut violations = 0usize;
             for ((i, case), model) in corpus.iter().enumerate().zip(&models) {
                 let s = (algo.run)(&case.dag, case.procs, model);
-                match validate_with(model, &case.dag, &s) {
+                match model.validate(&case.dag, &s) {
                     Ok(()) => {}
                     Err(e) if !algo.mem_aware => {
                         // A blind baseline may only fail the capacity

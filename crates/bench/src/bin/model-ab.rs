@@ -25,46 +25,18 @@
 use fastsched::prelude::*;
 use fastsched::schedule::io::to_json;
 use fastsched::schedule::{validate_with, AlphaBeta, CommModel, Hierarchical, IDEAL_LINK};
-use fastsched_bench::{min_of, write_section};
+use fastsched_bench::{min_of, run_on, write_section};
 use std::hint::black_box;
 
 const RUNS: u32 = 5;
 const PROCS: u32 = 8;
 
-/// A boxed scheduling entry point, so the regime loop can treat all
-/// four algorithms uniformly.
-type ModelRun = Box<dyn Fn(&Dag, u32, &CommModel) -> Schedule>;
-type PlainRun = Box<dyn Fn(&Dag, u32) -> Schedule>;
-
-/// One scheduler's model path, monomorphized behind a common shape.
-struct Algo {
-    name: &'static str,
-    run: ModelRun,
-    plain: PlainRun,
-}
-
-fn algos() -> Vec<Algo> {
+fn algos() -> Vec<Box<dyn Scheduler>> {
     vec![
-        Algo {
-            name: "FAST",
-            run: Box::new(|d, p, m| Fast::new().schedule_with_model(d, p, m)),
-            plain: Box::new(|d, p| Fast::new().schedule(d, p)),
-        },
-        Algo {
-            name: "ETF",
-            run: Box::new(|d, p, m| Etf::new().schedule_with_model(d, p, m)),
-            plain: Box::new(|d, p| Etf::new().schedule(d, p)),
-        },
-        Algo {
-            name: "DLS",
-            run: Box::new(|d, p, m| Dls::new().schedule_with_model(d, p, m)),
-            plain: Box::new(|d, p| Dls::new().schedule(d, p)),
-        },
-        Algo {
-            name: "HEFT",
-            run: Box::new(|d, p, m| Heft::new().schedule_with_model(d, p, m)),
-            plain: Box::new(|d, p| Heft::new().schedule(d, p)),
-        },
+        Box::new(Fast::new()),
+        Box::new(Etf::new()),
+        Box::new(Dls::new()),
+        Box::new(Heft::new()),
     ]
 }
 
@@ -99,31 +71,32 @@ fn main() {
     let algos = algos();
     let mut regime_rows: Vec<String> = Vec::new();
     for (regime_name, model) in &regimes {
+        let machine = Machine::from(model.clone());
         // FAST's schedule lengths are the denominator for every ratio.
         let fast_lengths: Vec<u64> = dags
             .iter()
-            .map(|d| (algos[0].run)(d, PROCS, model).makespan())
+            .map(|d| run_on(algos[0].as_ref(), d, PROCS, &machine).makespan())
             .collect();
 
         let mut algo_rows: Vec<String> = Vec::new();
         for algo in &algos {
             let mut ratio_sum = 0.0f64;
             for (i, dag) in dags.iter().enumerate() {
-                let s = (algo.run)(dag, PROCS, model);
+                let s = run_on(algo.as_ref(), dag, PROCS, &machine);
                 assert_eq!(
                     validate_with(model, dag, &s),
                     Ok(()),
                     "{} produced an illegal schedule under {regime_name} on DAG {i}",
-                    algo.name
+                    algo.name()
                 );
                 if *regime_name == "ideal" {
                     // The identity regime must reproduce the plain
                     // homogeneous path byte-for-byte.
                     assert_eq!(
                         to_json(&s),
-                        to_json(&(algo.plain)(dag, PROCS)),
+                        to_json(&algo.schedule(dag, PROCS)),
                         "{} ideal model diverged from schedule() on DAG {i}",
-                        algo.name
+                        algo.name()
                     );
                 }
                 ratio_sum += s.makespan() as f64 / fast_lengths[i] as f64;
@@ -131,16 +104,16 @@ fn main() {
             let mean_ratio = ratio_sum / dags.len() as f64;
             let secs = min_of(RUNS, || {
                 for dag in &dags {
-                    black_box((algo.run)(dag, PROCS, model));
+                    black_box(run_on(algo.as_ref(), dag, PROCS, &machine));
                 }
             });
             algo_rows.push(format!(
                 "{{ \"algo\": \"{}\", \"sl_vs_fast\": {mean_ratio:.4}, \"seconds\": {secs:.6} }}",
-                algo.name
+                algo.name()
             ));
             println!(
                 "{regime_name:>10} {:>4}: SL ratio vs FAST {mean_ratio:.4}, corpus time {secs:.4}s",
-                algo.name
+                algo.name()
             );
         }
         regime_rows.push(format!(

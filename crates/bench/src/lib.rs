@@ -241,11 +241,30 @@ pub fn write_search_trace(
     trace.set_meta("algorithm", scheduler.name());
     trace.set_meta("nodes", &dag.node_count().to_string());
     trace.set_meta("procs", &procs.to_string());
-    scheduler.schedule_traced(dag, procs, &mut trace);
+    scheduler
+        .run(
+            dag,
+            procs,
+            &Machine::Homogeneous,
+            &mut Workspace::new(),
+            &mut trace,
+        )
+        .map_err(|e| format!("{}: {e}", scheduler.name()))?;
     std::fs::write(path, trace.to_report().to_ndjson())
         .map_err(|e| format!("writing {path}: {e}"))?;
     eprintln!("wrote search trace to {path} (render with `casch trace --in {path}`)");
     Ok(())
+}
+
+/// `scheduler` on `machine` with fresh scratch, as a one-off caller
+/// runs it.
+///
+/// # Panics
+/// On a [`SchedulerError`]: the bench corpora are schedulable.
+pub fn run_on(scheduler: &dyn Scheduler, dag: &Dag, procs: u32, machine: &Machine) -> Schedule {
+    let (ws, trace) = (&mut Workspace::new(), &mut SearchTrace::default());
+    let result = scheduler.run(dag, procs, machine, ws, trace);
+    result.unwrap_or_else(|e| panic!("{}: {e}", scheduler.name()))
 }
 
 /// Run a whole figure: `dags` are the workload instances (columns),

@@ -10,11 +10,11 @@
 //! ```
 
 use fastsched_algorithms::{paper_schedulers, Scheduler, Workspace};
-use fastsched_casch::machine::{self, Engine, Machine};
+use fastsched_casch::machine::{self, Engine};
 use fastsched_casch::protocol::{self, json_escape, Request};
 use fastsched_casch::{compare_algorithms, run_on_dag, Application};
 use fastsched_dag::{io, Dag, GraphAttributes};
-use fastsched_schedule::{gantt, CommModel, MemCapsSpec, ScheduleMetrics};
+use fastsched_schedule::{gantt, CommModel, Machine, MemCapsSpec, ScheduleMetrics};
 use fastsched_sim::SimConfig;
 use fastsched_trace::SearchTrace;
 use fastsched_workloads::TimingDatabase;
@@ -94,8 +94,8 @@ USAGE:
                  [--mem-caps <spec>] [--report <report.json>]
   casch compare  (--dag <file.json> | --app <name> --size <n>) [--procs <p>] [--seed <s>] [--all]
   casch trace    --in <trace.ndjson>
-  casch explain  (--in <trace.ndjson> | --dag <file.json> --algo <name> [--procs <p>])
-                 [--node <id>]
+  casch explain  (--in <trace.ndjson> | --dag <file.json> --algo <name> [--procs <p>]
+                  [--comm <spec>] [--mem-caps <spec>]) [--node <id>]
   casch diff     --a <file> --b <file> [--dag <file.json>]
 
 `casch schedule --trace` records the search (phase timers, probe
@@ -116,8 +116,9 @@ every thread count. It emits one NDJSON object per DAG —
 \"seconds\"}` — followed by one aggregate summary line
 `{\"summary\":true,\"dags\",\"rejected\",\"algo\",\"threads\",\"seconds\",
 \"dags_per_sec\"}`, to stdout or `--out`. A file that fails to read or
-parse no longer aborts the batch: it gets its own
-`{\"dag\",\"rejected\":true,\"error\"}` row and is counted in the
+parse, or that the scheduler refuses (a memory-infeasible instance,
+weights whose times overflow), no longer aborts the batch: it gets
+its own `{\"dag\",\"rejected\":true,\"error\"}` row and is counted in the
 summary's `rejected` field. Without `--procs` each DAG gets as many
 processors as it has nodes.
 
@@ -168,10 +169,12 @@ nodes, default 0) resident on the processor sum to at most its
 capacity. Specs: `uniform:C` (every processor holds C) or `C1,C2,...`
 (per-processor capacities; fixes the processor count, like a hier
 group table). Only the memory-aware algorithms accept it (fast,
-heft); it composes with `--comm`, works on `schedule` and `batch`
-(threaded batches stay byte-identical), and `casch verify --mem-caps`
-re-checks a saved schedule against the same budgets, reporting the
-first over-capacity processor as `INVALID: capacity`.
+heft); it composes with `--comm`, works on `schedule`, `batch` and
+`explain` (threaded batches stay byte-identical), and `casch verify
+--mem-caps` re-checks a saved schedule against the same budgets,
+reporting the first over-capacity processor as `INVALID: capacity`.
+A node no processor has room for is an error, not a panic: `schedule`
+and `explain` exit 1 and `casch serve` answers `infeasible:`.
 
 `casch verify` runs the structural validator over a saved schedule:
 task count, processor bounds, durations under the cost model
@@ -393,7 +396,9 @@ fn cmd_schedule(opts: &Flags) -> Result<(), String> {
         trace.set_meta("procs", &procs.to_string());
     }
     let t0 = std::time::Instant::now();
-    let schedule = engine.run(&dag, procs, &mut Workspace::new(), &mut trace);
+    let schedule = engine
+        .run(&dag, procs, &mut Workspace::new(), &mut trace)
+        .map_err(|e| format!("{}: {e}", engine.name()))?;
     let elapsed = t0.elapsed();
     println!("algorithm:        {}", engine.name());
     if let Some(spec) = opts.get("comm") {
@@ -403,21 +408,20 @@ fn cmd_schedule(opts: &Flags) -> Result<(), String> {
         println!("mem caps:         {spec}");
     }
     println!("schedule length:  {}", schedule.makespan());
-    match &engine {
-        // The simulator prices the paper's network, so only a
-        // homogeneous schedule is re-executed on it.
-        Engine::Homogeneous(_) => {
-            fastsched_schedule::validate(&dag, &schedule)
-                .map_err(|e| format!("{} produced an invalid schedule: {e}", engine.name()))?;
-            let metrics = ScheduleMetrics::compute(&dag, &schedule);
-            let execution = fastsched_sim::simulate(&dag, &schedule, &SimConfig::default());
-            println!("execution (sim):  {}", execution.execution_time);
-            println!("processors used:  {}", metrics.processors_used);
-            println!("speedup:          {:.2}", metrics.speedup);
-            println!("remote comm:      {}", metrics.remote_communication);
-            println!("contention delay: {}", execution.contention_delay);
-        }
-        Engine::Priced(..) => println!("processors used:  {}", schedule.processors_used()),
+    // The simulator prices the paper's network, so only a homogeneous
+    // schedule is re-executed on it.
+    if engine.machine == Machine::Homogeneous {
+        fastsched_schedule::validate(&dag, &schedule)
+            .map_err(|e| format!("{} produced an invalid schedule: {e}", engine.name()))?;
+        let metrics = ScheduleMetrics::compute(&dag, &schedule);
+        let execution = fastsched_sim::simulate(&dag, &schedule, &SimConfig::default());
+        println!("execution (sim):  {}", execution.execution_time);
+        println!("processors used:  {}", metrics.processors_used);
+        println!("speedup:          {:.2}", metrics.speedup);
+        println!("remote comm:      {}", metrics.remote_communication);
+        println!("contention delay: {}", execution.contention_delay);
+    } else {
+        println!("processors used:  {}", schedule.processors_used());
     }
     println!("scheduling time:  {elapsed:?}");
     if opts.contains_key("gantt") {
@@ -489,15 +493,7 @@ fn cmd_batch(opts: &Flags) -> Result<(), String> {
                 dags.push(dag);
                 displays.push(display);
             }
-            Err(e) => {
-                rejected += 1;
-                lines.push_str(&format!(
-                    "{{\"dag\":\"{}\",\"rejected\":true,\"error\":\"{}\"}}\n",
-                    json_escape(&display),
-                    json_escape(&e)
-                ));
-                eprintln!("warning: rejected {display}: {e}");
-            }
+            Err(e) => reject(&mut lines, &mut rejected, &display, &e),
         }
     }
     if dags.is_empty() {
@@ -512,8 +508,24 @@ fn cmd_batch(opts: &Flags) -> Result<(), String> {
     });
     let wall = wall.elapsed().as_secs_f64();
 
+    // A DAG the scheduler refuses gets a `rejected` row, like one that
+    // fails to load.
     let name = engines[&procs[0]].name();
-    for (i, (schedule, seconds)) in results.iter().enumerate() {
+    let mut scheduled = 0usize;
+    for (i, (result, seconds)) in results.iter().enumerate() {
+        let schedule = match result {
+            Ok(schedule) => schedule,
+            Err(e) => {
+                reject(
+                    &mut lines,
+                    &mut rejected,
+                    &displays[i],
+                    &format!("{name}: {e}"),
+                );
+                continue;
+            }
+        };
+        scheduled += 1;
         lines.push_str(&format!(
             "{{\"dag\":\"{}\",\"nodes\":{},\"edges\":{},\"algo\":\"{}\",\
              \"procs\":{},\"threads\":{},\"makespan\":{},\"seconds\":{:.6}}}\n",
@@ -528,12 +540,11 @@ fn cmd_batch(opts: &Flags) -> Result<(), String> {
         ));
     }
     lines.push_str(&format!(
-        "{{\"summary\":true,\"dags\":{},\"rejected\":{rejected},\"algo\":\"{}\",\
+        "{{\"summary\":true,\"dags\":{scheduled},\"rejected\":{rejected},\"algo\":\"{}\",\
          \"threads\":{},\"seconds\":{wall:.6},\"dags_per_sec\":{:.1}}}\n",
-        dags.len(),
         name,
         threads,
-        dags.len() as f64 / wall.max(1e-9)
+        scheduled as f64 / wall.max(1e-9)
     ));
     match opts.get("out") {
         Some(path) => {
@@ -543,6 +554,18 @@ fn cmd_batch(opts: &Flags) -> Result<(), String> {
         None => print!("{lines}"),
     }
     Ok(())
+}
+
+/// Count a DAG file `batch` does not schedule and give it its own
+/// `rejected` row.
+fn reject(lines: &mut String, rejected: &mut u64, dag: &str, error: &str) {
+    *rejected += 1;
+    lines.push_str(&format!(
+        "{{\"dag\":\"{}\",\"rejected\":true,\"error\":\"{}\"}}\n",
+        json_escape(dag),
+        json_escape(error)
+    ));
+    eprintln!("warning: rejected {dag}: {error}");
 }
 
 /// The service front-end: see `casch serve` in the usage text and
@@ -691,18 +714,12 @@ fn cmd_explain(opts: &Flags) -> Result<(), String> {
         fastsched_trace::Report::from_ndjson(&text).map_err(|e| e.to_string())?
     } else {
         let dag = load_dag(opts)?;
-        let algo = opts.get("algo").ok_or("missing --in or --dag/--algo")?;
-        let (engine, procs) = machine::resolve(
-            algo,
-            get_procs(opts)?,
-            None,
-            None,
-            None,
-            dag.node_count(),
-            u64::MAX,
-        )?;
+        opts.get("algo").ok_or("missing --in or --dag/--algo")?;
+        let (engine, procs) = resolve_flags(opts, dag.node_count())?;
         let mut trace = SearchTrace::recording();
-        engine.run(&dag, procs, &mut Workspace::new(), &mut trace);
+        engine
+            .run(&dag, procs, &mut Workspace::new(), &mut trace)
+            .map_err(|e| format!("{}: {e}", engine.name()))?;
         trace.to_report()
     };
 
@@ -921,7 +938,7 @@ fn cmd_verify(opts: &Flags) -> Result<(), String> {
             ));
         }
     }
-    let machine = Machine::new(comm, mem.as_ref(), speeds, n)?;
+    let machine = machine::build(comm, mem.as_ref(), speeds, n)?;
     match (opts.get("speeds"), opts.get("comm")) {
         (Some(spec), _) => println!("model: heterogeneous ({spec} % of nominal)"),
         (None, Some(spec)) => println!("model: comm ({spec})"),
@@ -1011,7 +1028,7 @@ fn cmd_compare(opts: &Flags) -> Result<(), String> {
         );
         let mut reference = None;
         for s in &schedulers {
-            let r = run_on_dag(&dag, s.as_ref(), procs, &sim);
+            let r = run_on_dag(&dag, s.as_ref(), procs, &sim).map_err(|e| e.to_string())?;
             let base = *reference.get_or_insert(r.execution.execution_time.max(1));
             println!(
                 "{:<8} {:>12} {:>10.2} {:>12} {:>8} {:>14?}",
@@ -1030,7 +1047,8 @@ fn cmd_compare(opts: &Flags) -> Result<(), String> {
         (app, v as u64)
     };
     let procs = get_u64_or(opts, "procs", default_procs)? as u32;
-    let table = compare_algorithms(app, &db, &schedulers, procs, &SimConfig::default());
+    let table = compare_algorithms(app, &db, &schedulers, procs, &SimConfig::default())
+        .map_err(|e| e.to_string())?;
     print!("{}", table.render());
     Ok(())
 }

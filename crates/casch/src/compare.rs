@@ -3,7 +3,7 @@
 
 use crate::application::Application;
 use crate::pipeline::{run_on_dag, PipelineReport};
-use fastsched_algorithms::Scheduler;
+use fastsched_algorithms::{Scheduler, SchedulerError};
 use fastsched_sim::SimConfig;
 use fastsched_workloads::TimingDatabase;
 use std::fmt::Write as _;
@@ -81,12 +81,12 @@ pub fn compare_algorithms(
     schedulers: &[Box<dyn Scheduler>],
     num_procs: u32,
     sim: &SimConfig,
-) -> ComparisonTable {
+) -> Result<ComparisonTable, SchedulerError> {
     let dag = app.generate(db);
     let reports: Vec<PipelineReport> = schedulers
         .iter()
         .map(|s| run_on_dag(&dag, s.as_ref(), num_procs, sim))
-        .collect();
+        .collect::<Result<_, _>>()?;
     let reference = reports
         .first()
         .map(|r| r.execution_time().max(1))
@@ -102,12 +102,12 @@ pub fn compare_algorithms(
             scheduling_time: r.scheduling_time,
         })
         .collect();
-    ComparisonTable {
+    Ok(ComparisonTable {
         workload: app.to_string(),
         nodes: dag.node_count(),
         edges: dag.edge_count(),
         rows,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -124,7 +124,8 @@ mod tests {
             &paper_schedulers(1),
             20,
             &SimConfig::default(),
-        );
+        )
+        .unwrap();
         assert_eq!(table.rows.len(), 5);
         assert_eq!(table.rows[0].algorithm, "FAST");
         assert!((table.rows[0].normalized - 1.0).abs() < 1e-12);
@@ -143,7 +144,8 @@ mod tests {
             &paper_schedulers(1),
             16,
             &SimConfig::default(),
-        );
+        )
+        .unwrap();
         let text = table.render();
         for algo in ["FAST", "DSC", "MD", "ETF", "DLS"] {
             assert!(text.contains(algo), "missing {algo} in:\n{text}");

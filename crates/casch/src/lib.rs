@@ -51,13 +51,15 @@
 //! [`machine`] is the single owner of the machine/procs policy for
 //! serve and the CLI alike: [`machine::resolve`] turns a request's
 //! algorithm, `procs`, `comm`, `mem_caps` and `speeds` into a
-//! [`machine::Engine`] and a processor count. Plain requests get the
-//! homogeneous engine (any registered scheduler's `schedule_into`);
-//! requests carrying a machine model get a model-generic scheduler's
-//! one scheduling core (`run`) under the resolved [`machine::Machine`]
-//! — `speeds` is HEFT over the speed table (algo must be `heft`),
-//! answered as `HEFT-hetero`. Either engine schedules into the
-//! caller's `Workspace` and records into the caller's trace.
+//! [`machine::Engine`] — a scheduler plus the
+//! [`fastsched_schedule::Machine`] it runs on — and a processor count.
+//! Plain requests run any registered scheduler on the homogeneous
+//! machine; requests carrying a machine model run a model-aware one
+//! on the resolved machine — `speeds` is HEFT over the speed table
+//! (algo must be `heft`), answered as `HEFT-hetero`. Both go through
+//! the one entry point, `Scheduler::run`, into the caller's
+//! `Workspace` and trace, and a `SchedulerError` becomes a typed
+//! answer (`parse:`, `infeasible:` or `internal:`) instead of a panic.
 
 #![warn(missing_docs)]
 

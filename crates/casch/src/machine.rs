@@ -21,12 +21,11 @@
 
 use fastsched_algorithms::{
     BoundedDsc, BranchAndBound, Cpop, Dcp, Dls, Dsc, Etf, Ez, Fast, FastParallel, FastSa, Heft,
-    Hlfet, Ish, Lc, Mcp, Md, Scheduler, Workspace,
+    Hlfet, Ish, Lc, Mcp, Md, Scheduler, SchedulerError, Workspace,
 };
 use fastsched_dag::Dag;
 use fastsched_schedule::{
-    validate_with, CommModel, CostModel, MemCapsSpec, MemoryCapacities, ProcessorSpeeds, Schedule,
-    ScheduleError,
+    CommModel, Machine, MemCapsSpec, MemoryCapacities, ProcessorSpeeds, Schedule,
 };
 use fastsched_trace::SearchTrace;
 
@@ -54,129 +53,69 @@ pub fn scheduler_by_name(name: &str) -> Result<Box<dyn Scheduler>, String> {
     })
 }
 
-/// The schedulers whose one scheduling core (`run`) serves requests and
-/// CLI invocations that carry a machine model: a `comm` model, memory
-/// capacities, or processor speeds.
-#[derive(Debug, Clone)]
-pub enum ModelScheduler {
-    /// FAST under an explicit model.
-    Fast(Fast),
-    /// ETF under an explicit model.
-    Etf(Etf),
-    /// DLS under an explicit model.
-    Dls(Dls),
-    /// HEFT under an explicit model.
-    Heft(Heft),
+/// The algorithms a request may pair with a communication model.
+const MODEL_ALGOS: [&str; 4] = ["fast", "etf", "dls", "heft"];
+
+/// The algorithms a request may pair with memory capacities.
+const MEMORY_AWARE: [&str; 2] = ["fast", "heft"];
+
+fn no_model_path(name: &str) -> String {
+    format!("algorithm `{name}` has no communication-model path (use fast, etf, dls, or heft)")
 }
 
+/// Compatibility shim for the out-of-tree benchmark crate, which still
+/// schedules priced requests this way. Nothing in this workspace uses
+/// it; ROADMAP item 5 deletes it with the benchmark's port to
+/// [`Scheduler::run`].
+#[doc(hidden)]
+pub struct ModelScheduler(Box<dyn Scheduler>);
+
+#[doc(hidden)]
 impl ModelScheduler {
-    /// Resolve a CLI algorithm name to its model-aware scheduler.
     pub fn by_name(name: &str) -> Result<ModelScheduler, String> {
-        Ok(match name {
-            "fast" => ModelScheduler::Fast(Fast::new()),
-            "etf" => ModelScheduler::Etf(Etf::new()),
-            "dls" => ModelScheduler::Dls(Dls::new()),
-            "heft" => ModelScheduler::Heft(Heft::new()),
-            _ => {
-                return Err(format!(
-                    "algorithm `{name}` has no communication-model path \
-                     (use fast, etf, dls, or heft)"
-                ))
-            }
-        })
+        if !MODEL_ALGOS.contains(&name) {
+            return Err(no_model_path(name));
+        }
+        scheduler_by_name(name).map(ModelScheduler)
     }
 
-    /// Display name, matching [`Scheduler::name`].
     pub fn name(&self) -> &'static str {
-        match self {
-            ModelScheduler::Fast(_) => "FAST",
-            ModelScheduler::Etf(_) => "ETF",
-            ModelScheduler::Dls(_) => "DLS",
-            ModelScheduler::Heft(_) => "HEFT",
-        }
+        self.0.name()
     }
 
-    /// Schedule `dag` on `procs` processors under `model` (any
-    /// [`CostModel`], e.g. a [`CommModel`] or a
-    /// [`fastsched_schedule::MemoryCapacities`] wrapper), with scratch
-    /// from `ws` and search events recorded in `trace`.
-    pub fn run<M: CostModel + ?Sized>(
-        &self,
-        dag: &Dag,
-        procs: u32,
-        model: &M,
-        ws: &mut Workspace,
-        trace: &mut SearchTrace,
-    ) -> Schedule {
-        match self {
-            ModelScheduler::Fast(s) => s.run(dag, procs, model, ws, trace),
-            ModelScheduler::Etf(s) => s.run(dag, procs, model, ws, trace),
-            ModelScheduler::Dls(s) => s.run(dag, procs, model, ws, trace),
-            ModelScheduler::Heft(s) => s.run(dag, procs, model, ws, trace),
-        }
-    }
-
-    /// [`Self::run`] with fresh scratch.
-    pub fn schedule_with_model<M: CostModel + ?Sized>(
+    pub fn schedule_with_model<M: Clone + Into<Machine>>(
         &self,
         dag: &Dag,
         procs: u32,
         model: &M,
     ) -> Schedule {
-        let mut ws = Workspace::new();
-        self.run(dag, procs, model, &mut ws, &mut SearchTrace::default())
-    }
-
-    /// Whether this scheduler's probe loop honours per-processor
-    /// memory capacities. Only memory-aware schedulers may run under a
-    /// capacity-carrying model: a capacity-blind one (ETF, DLS) would
-    /// hand the validation gate an over-capacity schedule and panic.
-    pub fn is_memory_aware(&self) -> bool {
-        matches!(self, ModelScheduler::Fast(_) | ModelScheduler::Heft(_))
+        let machine = model.clone().into();
+        let (ws, trace) = (&mut Workspace::new(), &mut SearchTrace::default());
+        let run = self.0.run(dag, procs, &machine, ws, trace);
+        run.unwrap_or_else(|e| panic!("{}: {e}", self.0.name()))
     }
 }
 
-/// A resolved machine model.
-#[derive(Debug, Clone)]
-pub enum Machine {
-    /// A communication model (`Ideal` when none was priced) with
-    /// memory capacities — unbounded without `mem_caps`, which is
-    /// byte-identical to the bare model.
-    Comm(MemoryCapacities<CommModel>),
-    /// Heterogeneous processor speeds (HEFT only).
-    Speeds(ProcessorSpeeds),
-}
-
-impl Machine {
-    /// The machine `comm`, `mem_caps` and `speeds` describe, with a
-    /// uniform capacity replicated across `procs` processors. Checks
-    /// which fields combine, not how many processors they cover.
-    pub fn new(
-        comm: Option<CommModel>,
-        mem_caps: Option<&MemCapsSpec>,
-        speeds: Option<Vec<u32>>,
-        procs: u32,
-    ) -> Result<Machine, String> {
-        exclusive(comm.is_some(), mem_caps.is_some(), speeds.is_some())?;
-        if let Some(speeds) = speeds {
-            return ProcessorSpeeds::try_new(speeds)
-                .map(Machine::Speeds)
-                .map_err(|e| format!("speeds: {e}"));
-        }
-        let comm = comm.unwrap_or(CommModel::Ideal);
-        Ok(Machine::Comm(match mem_caps {
-            Some(spec) => MemoryCapacities::new(comm, spec.resolve(procs)),
-            None => MemoryCapacities::unbounded(comm),
-        }))
+/// The machine `comm`, `mem_caps` and `speeds` describe, with a uniform
+/// capacity replicated across `procs` processors. Checks which fields
+/// combine, not how many processors they cover.
+pub fn build(
+    comm: Option<CommModel>,
+    mem_caps: Option<&MemCapsSpec>,
+    speeds: Option<Vec<u32>>,
+    procs: u32,
+) -> Result<Machine, String> {
+    exclusive(comm.is_some(), mem_caps.is_some(), speeds.is_some())?;
+    if let Some(speeds) = speeds {
+        return ProcessorSpeeds::try_new(speeds)
+            .map(Machine::from)
+            .map_err(|e| format!("speeds: {e}"));
     }
-
-    /// Check `schedule` against this machine's pricing and capacities.
-    pub fn validate(&self, dag: &Dag, schedule: &Schedule) -> Result<(), ScheduleError> {
-        match self {
-            Machine::Comm(m) => validate_with(m, dag, schedule),
-            Machine::Speeds(m) => validate_with(m, dag, schedule),
-        }
-    }
+    let comm = comm.unwrap_or(CommModel::Ideal);
+    Ok(Machine::Comm(match mem_caps {
+        Some(spec) => MemoryCapacities::new(comm, spec.resolve(procs)),
+        None => MemoryCapacities::unbounded(comm),
+    }))
 }
 
 /// `speeds` selects its own machine: it combines with neither a
@@ -196,41 +135,32 @@ fn exclusive(comm: bool, mem_caps: bool, speeds: bool) -> Result<(), String> {
 }
 
 /// A scheduler and the machine it runs on.
-pub enum Engine {
-    /// The paper's identical processors: any registered scheduler.
-    Homogeneous(Box<dyn Scheduler>),
-    /// A model-generic scheduler under a resolved machine model.
-    Priced(ModelScheduler, Machine),
+pub struct Engine {
+    /// The resolved algorithm.
+    pub scheduler: Box<dyn Scheduler>,
+    /// The machine the request describes.
+    pub machine: Machine,
 }
 
 impl Engine {
-    /// The algorithm name a result reports.
+    /// The algorithm name a result reports: HEFT on a speeds machine
+    /// answers as `HEFT-hetero`.
     pub fn name(&self) -> &'static str {
-        match self {
-            Engine::Homogeneous(s) => s.name(),
-            Engine::Priced(_, Machine::Speeds(_)) => "HEFT-hetero",
-            Engine::Priced(s, Machine::Comm(_)) => s.name(),
+        match self.machine {
+            Machine::Speeds(_) => "HEFT-hetero",
+            _ => self.scheduler.name(),
         }
     }
 
-    /// Schedule `dag` on `procs` processors with scratch from `ws`,
-    /// recording into `trace`. A homogeneous scheduler records only
-    /// through `schedule_traced`, so it takes that entry point when
-    /// `trace` is recording and the workspace path otherwise; both
-    /// give the same schedule.
+    /// [`Scheduler::run`] on this engine's machine.
     pub fn run(
         &self,
         dag: &Dag,
         procs: u32,
         ws: &mut Workspace,
         trace: &mut SearchTrace,
-    ) -> Schedule {
-        match self {
-            Engine::Homogeneous(s) if trace.is_enabled() => s.schedule_traced(dag, procs, trace),
-            Engine::Homogeneous(s) => s.schedule_into(dag, procs, ws),
-            Engine::Priced(s, Machine::Comm(m)) => s.run(dag, procs, m, ws, trace),
-            Engine::Priced(s, Machine::Speeds(m)) => s.run(dag, procs, m, ws, trace),
-        }
+    ) -> Result<Schedule, SchedulerError> {
+        self.scheduler.run(dag, procs, &self.machine, ws, trace)
     }
 }
 
@@ -319,21 +249,19 @@ pub fn resolve(
         None => node_count.max(1) as u32,
     };
 
-    if comm.is_none() && mem_caps.is_none() && speeds.is_none() {
-        return Ok((Engine::Homogeneous(scheduler_by_name(algo)?), procs));
-    }
-    let scheduler = if speeds.is_some() {
-        ModelScheduler::Heft(Heft::new())
-    } else if mem_caps.is_some() {
-        ModelScheduler::by_name(algo)
-            .ok()
-            .filter(ModelScheduler::is_memory_aware)
-            .ok_or_else(|| {
-                format!("algorithm `{algo}` has no memory-aware path (use fast or heft)")
-            })?
+    let machine = if comm.is_none() && mem_caps.is_none() && speeds.is_none() {
+        Machine::Homogeneous
     } else {
-        ModelScheduler::by_name(algo)?
+        if mem_caps.is_some() && !MEMORY_AWARE.contains(&algo) {
+            return Err(format!(
+                "algorithm `{algo}` has no memory-aware path (use fast or heft)"
+            ));
+        }
+        if !MODEL_ALGOS.contains(&algo) {
+            return Err(no_model_path(algo));
+        }
+        build(comm, mem_caps.as_ref(), speeds, procs)?
     };
-    let machine = Machine::new(comm, mem_caps.as_ref(), speeds, procs)?;
-    Ok((Engine::Priced(scheduler, machine), procs))
+    let scheduler = scheduler_by_name(algo)?;
+    Ok((Engine { scheduler, machine }, procs))
 }

@@ -3,10 +3,11 @@
 //! measured the way the paper times algorithms (Figures 5(c)–8(c)).
 
 use crate::application::Application;
-use fastsched_algorithms::Scheduler;
+use fastsched_algorithms::{Scheduler, SchedulerError, Workspace};
 use fastsched_dag::{Cost, Dag};
-use fastsched_schedule::{validate, Schedule, ScheduleMetrics};
+use fastsched_schedule::{validate, Machine, Schedule, ScheduleMetrics};
 use fastsched_sim::{simulate, ExecutionReport, SimConfig};
+use fastsched_trace::SearchTrace;
 use fastsched_workloads::TimingDatabase;
 use std::time::{Duration, Instant};
 
@@ -39,21 +40,23 @@ impl PipelineReport {
     }
 }
 
-/// Run one algorithm over an already-generated DAG.
+/// Run one algorithm over an already-generated DAG on the paper's
+/// machine.
 pub fn run_on_dag(
     dag: &Dag,
     scheduler: &dyn Scheduler,
     num_procs: u32,
     sim: &SimConfig,
-) -> PipelineReport {
+) -> Result<PipelineReport, SchedulerError> {
+    let (ws, trace) = (&mut Workspace::new(), &mut SearchTrace::default());
     let t0 = Instant::now();
-    let schedule = scheduler.schedule(dag, num_procs);
+    let schedule = scheduler.run(dag, num_procs, &Machine::Homogeneous, ws, trace)?;
     let scheduling_time = t0.elapsed();
-    validate(dag, &schedule)
-        .unwrap_or_else(|e| panic!("{} produced an invalid schedule: {e}", scheduler.name()));
+    // The report meters the schedule, so it is checked in every build.
+    validate(dag, &schedule).map_err(SchedulerError::Invalid)?;
     let metrics = ScheduleMetrics::compute(dag, &schedule);
     let execution = simulate(dag, &schedule, sim);
-    PipelineReport {
+    Ok(PipelineReport {
         algorithm: scheduler.name(),
         nodes: dag.node_count(),
         edges: dag.edge_count(),
@@ -62,7 +65,7 @@ pub fn run_on_dag(
         execution,
         scheduling_time,
         schedule,
-    }
+    })
 }
 
 /// Full pipeline from an [`Application`] description.
@@ -72,7 +75,7 @@ pub fn run_pipeline(
     scheduler: &dyn Scheduler,
     num_procs: u32,
     sim: &SimConfig,
-) -> PipelineReport {
+) -> Result<PipelineReport, SchedulerError> {
     let dag = app.generate(db);
     run_on_dag(&dag, scheduler, num_procs, sim)
 }
@@ -86,7 +89,7 @@ mod tests {
     fn pipeline_produces_consistent_report() {
         let db = TimingDatabase::paragon();
         let app = Application::Gaussian { n: 4 };
-        let r = run_pipeline(app, &db, &Fast::new(), 8, &SimConfig::default());
+        let r = run_pipeline(app, &db, &Fast::new(), 8, &SimConfig::default()).unwrap();
         assert_eq!(r.algorithm, "FAST");
         assert_eq!(r.nodes, 20);
         assert!(r.edges > 0);
@@ -98,7 +101,7 @@ mod tests {
     fn ideal_network_matches_predicted_makespan() {
         let db = TimingDatabase::paragon();
         let app = Application::Fft { points: 16 };
-        let r = run_pipeline(app, &db, &Fast::new(), 8, &SimConfig::ideal());
+        let r = run_pipeline(app, &db, &Fast::new(), 8, &SimConfig::ideal()).unwrap();
         assert_eq!(r.execution_time(), r.metrics.makespan);
     }
 }

@@ -77,7 +77,7 @@ use crate::protocol::{
     self, CommSpec, Line, LineReader, PhaseSnapshot, Request, Response, ScheduleRequest,
     ScheduleResponse, StatsSnapshot, WorkerSnapshot,
 };
-use fastsched_algorithms::{WorkerPool, Workspace};
+use fastsched_algorithms::{SchedulerError, WorkerPool, Workspace};
 use fastsched_dag::Dag;
 use fastsched_metrics::prometheus::{Exposition, CONTENT_TYPE};
 use fastsched_metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
@@ -969,26 +969,35 @@ struct ResponseGuard<'a> {
 impl Drop for ResponseGuard<'_> {
     fn drop(&mut self) {
         if !self.answered {
-            let req = self.req;
-            let resp = Response::Error {
-                id: req.id,
-                error: "internal: scheduler panicked".to_string(),
-            };
-            self.writer.write_line(resp.to_line());
-            if let Some(log) = &self.stats.access {
-                log.log(|| {
-                    access_line(
-                        req.id,
-                        ALGO_NAMES[req.algo_idx],
-                        req.dag.node_count(),
-                        req.procs,
-                        "internal",
-                        req.phase_us([0; WORKER_PHASES]),
-                    )
-                });
-            }
+            let error = "internal: scheduler panicked".to_string();
+            refuse(self.req, self.stats, self.writer, error, [0; WORKER_PHASES]);
         }
         self.stats.in_flight.dec();
+    }
+}
+
+/// Answer an admitted request with `error` instead of a schedule, and
+/// log it with the error's leading word as the outcome.
+fn refuse(
+    req: &PreparedRequest,
+    stats: &ServeStats,
+    writer: &ConnWriter,
+    error: String,
+    worker_us: [u64; WORKER_PHASES],
+) {
+    let outcome = error.split(':').next().unwrap_or("internal").to_string();
+    writer.write_line(Response::Error { id: req.id, error }.to_line());
+    if let Some(log) = &stats.access {
+        log.log(|| {
+            access_line(
+                req.id,
+                ALGO_NAMES[req.algo_idx],
+                req.dag.node_count(),
+                req.procs,
+                &outcome,
+                req.phase_us(worker_us),
+            )
+        });
     }
 }
 
@@ -1018,34 +1027,38 @@ fn process(
     }
     if req.deadline.is_some_and(|d| waited > d) {
         stats.timeouts.inc();
-        let resp = Response::Error {
-            id: req.id,
-            error: "timeout".to_string(),
-        };
-        writer.write_line(resp.to_line());
+        refuse(
+            &req,
+            stats,
+            writer,
+            "timeout".to_string(),
+            [queue_us, 0, 0, 0],
+        );
         guard.answered = true;
-        if let Some(log) = &stats.access {
-            log.log(|| {
-                access_line(
-                    req.id,
-                    ALGO_NAMES[req.algo_idx],
-                    req.dag.node_count(),
-                    req.procs,
-                    "timeout",
-                    req.phase_us([queue_us, 0, 0, 0]),
-                )
-            });
-        }
         return;
     }
     let t0 = Instant::now();
-    let schedule = req
+    let result = req
         .engine
         .run(&req.dag, req.procs, ws, &mut SearchTrace::default());
     let t1 = Instant::now();
     // `service_us` in the response is the schedule phase — the same
     // quantity it has always carried.
     let service_us = micros(t1.duration_since(t0));
+    let schedule = match result {
+        Ok(schedule) => schedule,
+        Err(e) => {
+            let word = match e {
+                SchedulerError::Infeasible { .. } => "infeasible",
+                SchedulerError::NoProcessors | SchedulerError::Overflow => "parse",
+                SchedulerError::Unsupported | SchedulerError::Invalid(_) => "internal",
+            };
+            let error = format!("{word}: {e}");
+            refuse(&req, stats, writer, error, [queue_us, service_us, 0, 0]);
+            guard.answered = true;
+            return;
+        }
+    };
     let resp = ScheduleResponse::from_schedule(
         req.id,
         req.engine.name(),

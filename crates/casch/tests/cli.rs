@@ -1259,3 +1259,174 @@ fn comm_schedule_trace_feeds_explain() {
     assert!(text.contains("<- chosen"), "{text}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A DAG file of its own in a fresh temp dir; returns (dir, file).
+fn temp_dag(tag: &str, json: &str) -> (std::path::PathBuf, std::path::PathBuf) {
+    let dir = std::env::temp_dir().join(format!("casch-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("{tag}.json"));
+    std::fs::write(&path, json).unwrap();
+    (dir, path)
+}
+
+/// Node `a` has a 50-unit footprint: no lane of capacity 10 holds it.
+const INFEASIBLE_DAG: &str = r#"{"nodes":[{"name":"a","weight":5,"mem":50},
+    {"name":"b","weight":5,"mem":1}],"edges":[{"src":0,"dst":1,"cost":1}]}"#;
+
+/// A 3-node chain whose middle weight is u64::MAX - 5.
+const OVERFLOW_DAG: &str = r#"{"nodes":[{"name":"a","weight":3},
+    {"name":"b","weight":18446744073709551610},{"name":"c","weight":2}],
+    "edges":[{"src":0,"dst":1,"cost":1},{"src":1,"dst":2,"cost":1}]}"#;
+
+/// Run `casch args...` and check it fails with exit 1, an `error:`
+/// line carrying `needle`, and no panic.
+fn assert_clean_error(args: &[&str], path: &std::path::Path, needle: &str) {
+    let out = casch().args(args).arg(path).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+    assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+    assert!(stderr.contains(needle), "{args:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+}
+
+/// A node no processor has room for is a typed error: `schedule` and
+/// `explain` exit 1, and a batch gives the file a `rejected` row.
+#[test]
+fn memory_infeasible_instances_are_clean_errors() {
+    let (dir, dag) = temp_dag("infeasible", INFEASIBLE_DAG);
+    let needle = "no processor can hold node n0 (footprint 50)";
+    let caps = ["--mem-caps", "uniform:10", "--dag"];
+    for algo in ["fast", "heft"] {
+        let args = [&["schedule", "--algo", algo][..], &caps].concat();
+        assert_clean_error(&args, &dag, needle);
+    }
+    let args = [&["explain", "--algo", "fast"][..], &caps].concat();
+    assert_clean_error(&args, &dag, needle);
+
+    // gauss5 carries no footprints, so it still schedules.
+    std::fs::copy(fixtures().join("gauss5.json"), dir.join("gauss5.json")).unwrap();
+    let out = casch()
+        .args([
+            "batch",
+            "--algo",
+            "fast",
+            "--mem-caps",
+            "uniform:10",
+            "--dir",
+        ])
+        .arg(&dir)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let text = String::from_utf8_lossy(&out.stdout);
+    let rejected: Vec<&str> = text
+        .lines()
+        .filter(|l| l.contains("\"rejected\":true"))
+        .collect();
+    assert_eq!(rejected.len(), 1, "{text}");
+    assert!(
+        rejected[0].contains("infeasible.json") && rejected[0].contains(needle),
+        "{text}"
+    );
+    assert!(
+        text.contains("\"summary\":true,\"dags\":1,\"rejected\":1"),
+        "{text}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Weights whose times cannot be represented are refused before any
+/// scheduler runs, whatever the algorithm.
+#[test]
+fn overflowing_weights_are_clean_errors() {
+    let (dir, dag) = temp_dag("overflow", OVERFLOW_DAG);
+    for algo in ["fast", "heft", "dsc", "mcp"] {
+        assert_clean_error(
+            &["schedule", "--algo", algo, "--dag"],
+            &dag,
+            "time arithmetic overflows u64",
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `compare` builds its own scheduler list, so the resolver never sees
+/// its `--procs`; the entry point refuses 0 with the same message.
+#[test]
+fn compare_procs_zero_is_a_clean_error() {
+    let needle = "error: `procs` must be at least 1";
+    let runs: [&[&str]; 2] = [
+        &["compare", "--app", "gauss", "--size", "4", "--procs", "0"],
+        &[
+            "compare",
+            "--procs",
+            "0",
+            "--dag",
+            "results/fixtures/gauss5.json",
+        ],
+    ];
+    for args in runs {
+        let out = casch()
+            .current_dir(fixtures().join("../.."))
+            .args(args)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.starts_with(needle), "{args:?}: {stderr}");
+    }
+}
+
+/// The shipped server answers both defects with a typed error and
+/// writes no panic to its stderr.
+#[test]
+fn serve_answers_infeasible_and_overflow_without_panicking() {
+    use std::io::{BufRead, BufReader, Write};
+    let mut child = casch()
+        .args(["serve", "--addr", "127.0.0.1:0", "--threads", "1"])
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut stderr = BufReader::new(child.stderr.take().unwrap());
+    let mut banner = String::new();
+    stderr.read_line(&mut banner).unwrap();
+    let addr = banner
+        .split_whitespace()
+        .find(|w| w.starts_with("127.0.0.1:"))
+        .unwrap_or_else(|| panic!("no address in {banner:?}"));
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    let squash = |s: &str| s.split_whitespace().collect::<String>();
+    let lines = format!(
+        "{{\"op\":\"schedule\",\"id\":1,\"algo\":\"fast\",\"mem_caps\":10,\"dag\":{}}}\n\
+         {{\"op\":\"schedule\",\"id\":2,\"algo\":\"fast\",\"dag\":{}}}\n",
+        squash(INFEASIBLE_DAG),
+        squash(OVERFLOW_DAG)
+    );
+    stream.write_all(lines.as_bytes()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut answers = Vec::new();
+    for _ in 0..2 {
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        answers.push(line);
+    }
+    answers.sort();
+    assert!(
+        answers[0].contains("\"id\":1") && answers[0].contains("\"error\":\"infeasible: "),
+        "{answers:?}"
+    );
+    assert!(
+        answers[1].contains("\"id\":2") && answers[1].contains("\"error\":\"parse: "),
+        "{answers:?}"
+    );
+    stream
+        .write_all(b"{\"op\":\"shutdown\",\"id\":3}\n")
+        .unwrap();
+    let status = child.wait().unwrap();
+    let mut rest = String::new();
+    std::io::Read::read_to_string(&mut stderr, &mut rest).unwrap();
+    assert!(status.success(), "{rest}");
+    assert!(!rest.contains("panicked"), "{rest}");
+}

@@ -7,11 +7,13 @@ use fastsched_casch::loadgen::{self, CorpusItem, LoadgenConfig};
 use fastsched_casch::protocol::{
     placements_json, placements_of, CommSpec, Request, Response, ScheduleRequest,
 };
-use fastsched_casch::serve::{scheduler_by_name, ModelScheduler, ServeConfig, Server};
+use fastsched_casch::serve::{scheduler_by_name, ServeConfig, Server};
 use fastsched_casch::ServeSummary;
 use fastsched_dag::examples::{chain, fork_join, paper_figure1};
 use fastsched_dag::io::DagSpec;
 use fastsched_dag::Dag;
+use fastsched_schedule::{Machine, Schedule};
+use fastsched_trace::SearchTrace;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -19,6 +21,15 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// The in-process answer the server must match: `algo` on `machine`
+/// through the one entry point.
+fn run_on(algo: &str, dag: &Dag, procs: u32, machine: impl Into<Machine>) -> Schedule {
+    let scheduler = scheduler_by_name(algo).expect("algo");
+    let (ws, trace) = (&mut Workspace::new(), &mut SearchTrace::default());
+    let result = scheduler.run(dag, procs, &machine.into(), ws, trace);
+    result.expect("schedulable")
+}
 
 /// Bind on a free loopback port and run the server on its own thread.
 fn start_server(config: ServeConfig) -> (SocketAddr, JoinHandle<ServeSummary>, Arc<AtomicBool>) {
@@ -205,8 +216,7 @@ fn comm_requests_run_the_model_path_and_bad_specs_are_rejected() {
     }
 
     let ab = CommModel::AlphaBeta(AlphaBeta::new(20, 3, 2));
-    let etf = ModelScheduler::by_name("etf").expect("etf");
-    let expected = etf.schedule_with_model(&dag, 4, &ab);
+    let expected = run_on("etf", &dag, 4, ab);
     match &by_id[&1] {
         Response::Schedule(r) => {
             assert_eq!(r.algo, "ETF");
@@ -223,8 +233,7 @@ fn comm_requests_run_the_model_path_and_bad_specs_are_rejected() {
         Hierarchical::from_group_sizes(&[2, 2], IDEAL_LINK, AlphaBeta::new(40, 2, 1))
             .expect("hier"),
     );
-    let fast = ModelScheduler::by_name("fast").expect("fast");
-    let expected = fast.schedule_with_model(&dag, 4, &hier);
+    let expected = run_on("fast", &dag, 4, hier);
     match &by_id[&2] {
         Response::Schedule(r) => {
             assert_eq!(r.procs, 4, "procs fixed by the group table");
@@ -344,9 +353,8 @@ fn mem_caps_requests_run_the_memory_path_and_bad_combos_are_rejected() {
         by_id.insert(id, resp);
     }
 
-    let fast = ModelScheduler::by_name("fast").expect("fast");
     let capped = MemoryCapacities::uniform(CommModel::Ideal, 12, 2);
-    let expected = fast.schedule_with_model(&dag, 2, &capped);
+    let expected = run_on("fast", &dag, 2, capped);
     match &by_id[&1] {
         Response::Schedule(r) => {
             assert_eq!(r.algo, "FAST");
@@ -365,7 +373,7 @@ fn mem_caps_requests_run_the_memory_path_and_bad_combos_are_rejected() {
     }
 
     let capped = MemoryCapacities::new(CommModel::Ideal, vec![12, 12, 12]);
-    let expected = fast.schedule_with_model(&dag, 3, &capped);
+    let expected = run_on("fast", &dag, 3, capped);
     match &by_id[&2] {
         Response::Schedule(r) => {
             assert_eq!(r.procs, 3, "procs fixed by the mem_caps table");
@@ -996,5 +1004,108 @@ fn access_log_samples_every_nth_request() {
             assert!(line.contains(key), "access line missing {key}: {line}");
         }
     }
+    std::fs::remove_file(&path).expect("cleanup");
+}
+
+/// A node no lane has room for and weights that overflow u64 time get
+/// typed, stable error words instead of `internal: scheduler
+/// panicked`, the access log records them as `infeasible` and
+/// `parse`, and the connection keeps serving.
+#[test]
+fn infeasible_and_overflowing_requests_get_typed_errors() {
+    use fastsched_dag::DagBuilder;
+    use fastsched_schedule::MemCapsSpec;
+    let path = std::env::temp_dir().join(format!(
+        "casch-typed-errors-{}-{:?}.ndjson",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = std::fs::remove_file(&path);
+    let (addr, join, shutdown) = start_server(ServeConfig {
+        threads: 1,
+        access_log: Some(path.clone()),
+        ..ServeConfig::default()
+    });
+
+    let mut b = DagBuilder::new();
+    let small = b.add_task_with_mem(5, 4);
+    let big = b.add_task_with_mem(5, 50);
+    b.add_edge(small, big, 1).expect("edge");
+    let heavy = DagSpec::from_dag(&b.build().expect("dag"));
+    let mut b = DagBuilder::new();
+    let chain: Vec<_> = [3, u64::MAX - 5, 2].map(|w| b.add_task(w)).into();
+    b.add_edge(chain[0], chain[1], 1).expect("edge");
+    b.add_edge(chain[1], chain[2], 1).expect("edge");
+    let huge = DagSpec::from_dag(&b.build().expect("dag"));
+
+    let mut reqs = Vec::new();
+    for (id, algo) in [(1, "fast"), (2, "heft")] {
+        let mut r = ScheduleRequest::new(id, heavy.clone());
+        r.algo = algo.into();
+        r.mem_caps = Some(MemCapsSpec::Uniform(10));
+        reqs.push(r);
+    }
+    reqs.push(ScheduleRequest::new(3, huge.clone()));
+    let mut r = ScheduleRequest::new(4, huge);
+    r.comm = Some(CommSpec::AlphaBeta {
+        alpha: 25,
+        beta_num: 3,
+        beta_den: 2,
+    });
+    reqs.push(r);
+    reqs.push(ScheduleRequest::new(5, DagSpec::from_dag(&paper_figure1())));
+    let lines: String = reqs.iter().map(|r| format!("{}\n", r.to_line())).collect();
+    let mut stream = connect(addr);
+    stream.write_all(lines.as_bytes()).expect("send requests");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut errors: HashMap<u64, String> = HashMap::new();
+    for resp in read_responses(&mut reader, reqs.len()) {
+        match resp {
+            Response::Error { id, error } => {
+                errors.insert(id, error);
+            }
+            Response::Schedule(r) => assert_eq!(r.id, 5, "only the plain request schedules"),
+            other => panic!("unexpected response: {other:?}"),
+        }
+    }
+    let infeasible = format!(
+        "infeasible: no processor can hold node n{} (footprint 50)",
+        big.0
+    );
+    for id in [1, 2] {
+        assert!(
+            errors[&id].starts_with(&infeasible),
+            "id {id}: {}",
+            errors[&id]
+        );
+    }
+    for id in [3, 4] {
+        assert!(
+            errors[&id].starts_with("parse: time arithmetic overflows u64"),
+            "id {id}: {}",
+            errors[&id]
+        );
+    }
+    shutdown.store(true, Ordering::SeqCst);
+    join.join().expect("server thread");
+
+    let text = std::fs::read_to_string(&path).expect("read access log");
+    let outcome = |id: u64| {
+        let line = text
+            .lines()
+            .find(|l| l.contains(&format!("\"id\":{id},")))
+            .unwrap_or_else(|| panic!("no access line for id {id}:\n{text}"));
+        line.split("\"outcome\":\"")
+            .nth(1)
+            .unwrap()
+            .split('"')
+            .next()
+            .unwrap()
+            .to_string()
+    };
+    assert_eq!(
+        [1, 2, 3, 4, 5].map(outcome),
+        ["infeasible", "infeasible", "parse", "parse", "ok"].map(String::from)
+    );
     std::fs::remove_file(&path).expect("cleanup");
 }

@@ -58,14 +58,15 @@ pub use fastsched_workloads as workloads;
 pub mod prelude {
     pub use fastsched_algorithms::{
         all_schedulers, paper_schedulers, schedule_many, schedule_many_into, schedule_many_par,
-        Dls, Dsc, Etf, Fast, FastConfig, FastParallel, Heft, Hlfet, Mcp, Md, Scheduler, Workspace,
+        Dls, Dsc, Etf, Fast, FastConfig, FastParallel, Heft, Hlfet, Mcp, Md, Scheduler,
+        SchedulerError, Workspace,
     };
     pub use fastsched_casch::{compare_algorithms, run_on_dag, run_pipeline, Application};
     pub use fastsched_dag::{
         classify_nodes, cpn_dominate_list, Cost, Dag, DagBuilder, GraphAttributes, NodeClass,
         NodeId,
     };
-    pub use fastsched_schedule::{validate, ProcId, Schedule, ScheduleMetrics};
+    pub use fastsched_schedule::{validate, Machine, ProcId, Schedule, ScheduleMetrics};
     pub use fastsched_sim::{simulate, ExecutionReport, SimConfig};
     pub use fastsched_trace::{Report, SearchTrace};
     pub use fastsched_workloads::{

@@ -192,6 +192,10 @@ pub struct Dag {
     tsucc_costs: Vec<Cost>,
     /// Node weights keyed by topo position.
     topo_weights: Vec<Cost>,
+    /// Σ w(n), saturating at `Cost::MAX`.
+    total_work: Cost,
+    /// Σ c(e), saturating at `Cost::MAX`.
+    total_comm: Cost,
 }
 
 /// Borrowed structure-of-arrays view of the successor adjacency keyed
@@ -408,13 +412,15 @@ impl Dag {
 
     /// Sum of all computation costs (the sequential execution time,
     /// and a trivial upper bound on any single-processor schedule).
+    /// Cached at build; saturates at `Cost::MAX` instead of wrapping.
     pub fn total_computation(&self) -> Cost {
-        self.weights.iter().sum()
+        self.total_work
     }
 
-    /// Sum of all communication costs.
+    /// Sum of all communication costs. Cached at build; saturates at
+    /// `Cost::MAX` instead of wrapping.
     pub fn total_communication(&self) -> Cost {
-        self.pred_cost.iter().sum()
+        self.total_comm
     }
 
     /// Communication-to-computation ratio (CCR): average communication
@@ -619,7 +625,11 @@ impl DagBuilder {
             tsucc_offsets.push(tsucc_targets.len() as u32);
         }
 
+        let saturating_sum =
+            |costs: &[Cost]| costs.iter().fold(0, |a: Cost, &c| a.saturating_add(c));
         let dag = Dag {
+            total_work: saturating_sum(&weights),
+            total_comm: saturating_sum(&pred_cost),
             weights,
             mems,
             names,

@@ -15,6 +15,8 @@
 //! * [`cost`] — the [`CostModel`] trait every evaluator is generic
 //!   over (homogeneous, per-processor speeds, topology-aware), plus
 //!   the shared data-arrival-time primitive;
+//! * [`machine`] — the closed [`Machine`] enum schedulers run on, its
+//!   validation and its makespan bound;
 //! * [`evaluate`] — the O(v + e) fixed-order list-scheduling evaluator
 //!   (given a priority order and a node→processor assignment, compute
 //!   all start times) — the reference semantics;
@@ -43,6 +45,7 @@ pub mod export;
 pub mod gantt;
 pub mod incremental;
 pub mod io;
+pub mod machine;
 pub mod metrics;
 pub mod schedule;
 pub mod svg;
@@ -61,6 +64,7 @@ pub use evaluate::{
 };
 pub use fastsched_trace::EvalStats;
 pub use incremental::DeltaEvaluator;
+pub use machine::Machine;
 pub use metrics::ScheduleMetrics;
 pub use schedule::{CompactScratch, ProcId, Schedule, ScheduledTask};
 pub use validate::{validate, validate_with, ScheduleError, ScheduleErrorKind};

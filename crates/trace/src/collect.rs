@@ -168,7 +168,7 @@ impl Ring {
 /// counters and the bounded schedule-length trajectory.
 ///
 /// Search drivers thread one of these through a run (see
-/// `Fast::schedule_traced`). [`SearchTrace::default`] is off: it keeps
+/// `Scheduler::run`). [`SearchTrace::default`] is off: it keeps
 /// the counters but touches neither the heap nor the clock, so
 /// untraced runs stay allocation-free. [`SearchTrace::recording`]
 /// also records phases, metadata, the trajectory and placement

@@ -30,7 +30,10 @@ fn main() {
             ..Default::default()
         });
         let mut trace = SearchTrace::recording();
-        let schedule = fast.schedule_traced(&dag, procs, &mut trace);
+        let machine = &Machine::Homogeneous;
+        let schedule = fast
+            .run(&dag, procs, machine, &mut Workspace::new(), &mut trace)
+            .unwrap();
         validate(&dag, &schedule).unwrap();
 
         let report = trace.to_report();

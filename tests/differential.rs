@@ -25,11 +25,24 @@ use fastsched::prelude::*;
 use fastsched::schedule::corrupt::{corrupt_with, Corruption};
 use fastsched::schedule::evaluate::evaluate_fixed_order;
 use fastsched::schedule::{
-    validate_with, CostModel, DeltaEvaluator, HomogeneousModel, ScheduleError,
+    validate_with, CommModel, CostModel, DeltaEvaluator, HomogeneousModel, ScheduleError,
 };
 use fastsched::workloads::fuzz::{adversarial_weights, fuzz_corpus, mutate_weights, tiny_corpus};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// `scheduler` on the machine `model` describes, with fresh scratch.
+fn with_model<M: Clone + Into<Machine>>(
+    scheduler: &dyn Scheduler,
+    dag: &Dag,
+    procs: u32,
+    model: &M,
+) -> Schedule {
+    let (ws, trace) = (&mut Workspace::new(), &mut SearchTrace::default());
+    let machine = model.clone().into();
+    let result = scheduler.run(dag, procs, &machine, ws, trace);
+    result.unwrap_or_else(|e| panic!("{}: {e}", scheduler.name()))
+}
 
 const CORPUS_SEED: u64 = 0xD1FF;
 
@@ -281,7 +294,7 @@ fn adversarial_weights_overflow_loudly_not_silently() {
 /// The reduction identities that make the generic model paths
 /// trustworthy: alpha-beta(0, 1, 1) and a single-group hierarchy with
 /// an ideal intra link price messages exactly like [`HomogeneousModel`],
-/// so every scheduler's `schedule_with_model` must reproduce its plain
+/// so every scheduler's run on that machine must reproduce its plain
 /// `schedule` byte-for-byte — same placements, same times, not just the
 /// same makespan.
 #[test]
@@ -310,22 +323,22 @@ fn identity_comm_models_are_byte_identical_to_the_homogeneous_paths() {
                 (
                     "FAST",
                     Fast::new().schedule(&case.dag, case.procs),
-                    Fast::new().schedule_with_model(&case.dag, case.procs, model),
+                    with_model(&Fast::new(), &case.dag, case.procs, model),
                 ),
                 (
                     "ETF",
                     Etf::new().schedule(&case.dag, case.procs),
-                    Etf::new().schedule_with_model(&case.dag, case.procs, model),
+                    with_model(&Etf::new(), &case.dag, case.procs, model),
                 ),
                 (
                     "DLS",
                     Dls::new().schedule(&case.dag, case.procs),
-                    Dls::new().schedule_with_model(&case.dag, case.procs, model),
+                    with_model(&Dls::new(), &case.dag, case.procs, model),
                 ),
                 (
                     "HEFT",
                     Heft::new().schedule(&case.dag, case.procs),
-                    Heft::new().schedule_with_model(&case.dag, case.procs, model),
+                    with_model(&Heft::new(), &case.dag, case.procs, model),
                 ),
             ];
             for (name, plain, modeled) in &pairs {
@@ -361,7 +374,7 @@ fn delta_evaluator_agrees_with_full_evaluation_under_comm_models() {
             ),
         ];
         for model in models {
-            let schedule = Fast::new().schedule_with_model(&case.dag, case.procs, &model);
+            let schedule = with_model(&Fast::new(), &case.dag, case.procs, &model);
             assert_eq!(
                 validate_with(&model, &case.dag, &schedule),
                 Ok(()),
@@ -434,7 +447,7 @@ fn comm_model_schedule_corruptions_are_rejected_with_their_expected_kinds() {
         let mut rejected = 0usize;
         for case in fuzz_corpus(CORPUS_SEED ^ 8, 4) {
             let procs = case.procs.min(4);
-            let schedule = Fast::new().schedule_with_model(&case.dag, procs, &model);
+            let schedule = with_model(&Fast::new(), &case.dag, procs, &model);
             assert_eq!(
                 validate_with(&model, &case.dag, &schedule),
                 Ok(()),
@@ -528,16 +541,10 @@ fn multi_group_hierarchical_schedules_are_never_lane_compacted() {
     assert!(!model.permits_renumbering());
     for case in fuzz_corpus(CORPUS_SEED ^ 9, 8) {
         let schedules = [
-            (
-                "FAST",
-                Fast::new().schedule_with_model(&case.dag, 8, &model),
-            ),
-            ("ETF", Etf::new().schedule_with_model(&case.dag, 8, &model)),
-            ("DLS", Dls::new().schedule_with_model(&case.dag, 8, &model)),
-            (
-                "HEFT",
-                Heft::new().schedule_with_model(&case.dag, 8, &model),
-            ),
+            ("FAST", with_model(&Fast::new(), &case.dag, 8, &model)),
+            ("ETF", with_model(&Etf::new(), &case.dag, 8, &model)),
+            ("DLS", with_model(&Dls::new(), &case.dag, 8, &model)),
+            ("HEFT", with_model(&Heft::new(), &case.dag, 8, &model)),
         ];
         for (name, s) in &schedules {
             assert_eq!(
@@ -571,18 +578,18 @@ fn unbounded_capacities_are_byte_identical_to_the_capacity_blind_paths() {
         // Footprints are populated, but no lane has a budget: the
         // memory machinery must be a spectator.
         let dag = assign_mems(&case.dag, CORPUS_SEED ^ 10);
-        let unbounded = MemoryCapacities::unbounded(HomogeneousModel);
+        let unbounded = MemoryCapacities::unbounded(CommModel::Ideal);
         assert!(!unbounded.has_capacities());
         let pairs = [
             (
                 "FAST",
                 Fast::new().schedule(&dag, case.procs),
-                Fast::new().schedule_with_model(&dag, case.procs, &unbounded),
+                with_model(&Fast::new(), &dag, case.procs, &unbounded),
             ),
             (
                 "HEFT",
                 Heft::new().schedule(&dag, case.procs),
-                Heft::new().schedule_with_model(&dag, case.procs, &unbounded),
+                with_model(&Heft::new(), &dag, case.procs, &unbounded),
             ),
         ];
         for (name, plain, modeled) in &pairs {
@@ -601,16 +608,16 @@ fn capped_schedules_respect_every_lane_budget_and_are_never_compacted() {
     use fastsched::workloads::fuzz::mem_corpus;
     for case in mem_corpus(CORPUS_SEED ^ 11, 10) {
         for cap in [case.tight_cap, case.loose_cap] {
-            let model = MemoryCapacities::uniform(HomogeneousModel, cap, case.procs);
+            let model = MemoryCapacities::uniform(CommModel::Ideal, cap, case.procs);
             assert!(!model.permits_renumbering());
             let schedules = [
                 (
                     "FAST",
-                    Fast::new().schedule_with_model(&case.dag, case.procs, &model),
+                    with_model(&Fast::new(), &case.dag, case.procs, &model),
                 ),
                 (
                     "HEFT",
-                    Heft::new().schedule_with_model(&case.dag, case.procs, &model),
+                    with_model(&Heft::new(), &case.dag, case.procs, &model),
                 ),
             ];
             for (name, s) in &schedules {
@@ -647,7 +654,7 @@ fn a_capacity_blind_chain_is_rejected_where_the_memory_aware_split_fits() {
         prev = n;
     }
     let dag = b.build().expect("dag");
-    let model = MemoryCapacities::uniform(HomogeneousModel, 12, 2);
+    let model = MemoryCapacities::uniform(CommModel::Ideal, 12, 2);
 
     // A chain offers no parallelism, so the blind path packs one lane.
     let blind = Fast::new().schedule(&dag, 2);
@@ -662,12 +669,12 @@ fn a_capacity_blind_chain_is_rejected_where_the_memory_aware_split_fits() {
         }
     );
 
-    let aware = Fast::new().schedule_with_model(&dag, 2, &model);
+    let aware = with_model(&Fast::new(), &dag, 2, &model);
     assert_eq!(validate_with(&model, &dag, &aware), Ok(()));
     // Two tasks per lane is the only legal split; the second lane's
     // first task pays the crossing edge (weight-2 message).
     assert_eq!(aware.num_procs(), 2);
-    let heft = Heft::new().schedule_with_model(&dag, 2, &model);
+    let heft = with_model(&Heft::new(), &dag, 2, &model);
     assert_eq!(validate_with(&model, &dag, &heft), Ok(()));
 }
 
@@ -682,14 +689,19 @@ fn over_capacity_corruptions_are_rejected_under_homo_and_hetero_models() {
     let mut homo_hits = 0usize;
     let mut hetero_hits = 0usize;
     for case in mem_corpus(CORPUS_SEED ^ 12, 6) {
-        let homo = MemoryCapacities::uniform(HomogeneousModel, case.tight_cap, case.procs);
+        let homo = MemoryCapacities::uniform(CommModel::Ideal, case.tight_cap, case.procs);
         let speeds: Vec<u32> = (0..case.procs)
             .map(|p| [100, 200, 50, 150][p as usize % 4])
             .collect();
         let hetero =
             MemoryCapacities::uniform(ProcessorSpeeds::new(speeds), case.tight_cap, case.procs);
-        let s_homo = Fast::new().schedule_with_model(&case.dag, case.procs, &homo);
-        let s_hetero = Heft::new().schedule_with_model(&case.dag, case.procs, &hetero);
+        let s_homo = with_model(&Fast::new(), &case.dag, case.procs, &homo);
+        let s_hetero = with_model(
+            &Heft::new(),
+            &case.dag,
+            case.procs,
+            &Machine::Speeds(hetero.clone()),
+        );
         assert_eq!(validate_with(&homo, &case.dag, &s_homo), Ok(()));
         assert_eq!(validate_with(&hetero, &case.dag, &s_hetero), Ok(()));
         for seed in 0..3u64 {
@@ -763,7 +775,7 @@ fn no_memory_aware_heuristic_beats_the_capacity_aware_oracle() {
             continue;
         }
         proven += 1;
-        let model = MemoryCapacities::uniform(HomogeneousModel, cap, case.procs);
+        let model = MemoryCapacities::uniform(CommModel::Ideal, cap, case.procs);
         assert_eq!(
             validate_with(&model, &dag, &outcome.schedule),
             Ok(()),
@@ -774,15 +786,11 @@ fn no_memory_aware_heuristic_beats_the_capacity_aware_oracle() {
         for (name, m) in [
             (
                 "FAST",
-                Fast::new()
-                    .schedule_with_model(&dag, case.procs, &model)
-                    .makespan(),
+                with_model(&Fast::new(), &dag, case.procs, &model).makespan(),
             ),
             (
                 "HEFT",
-                Heft::new()
-                    .schedule_with_model(&dag, case.procs, &model)
-                    .makespan(),
+                with_model(&Heft::new(), &dag, case.procs, &model).makespan(),
             ),
         ] {
             assert!(
@@ -798,8 +806,8 @@ fn no_memory_aware_heuristic_beats_the_capacity_aware_oracle() {
     );
 }
 
-/// `Fast::schedule_with_model_into` (the workspace-scratch model
-/// path) must be byte-identical to the allocating model path, capped
+/// FAST's model path against a warm workspace must be byte-identical
+/// to the same path with fresh scratch, capped
 /// and uncapped, across workspace reuse.
 #[test]
 fn workspace_model_path_is_byte_identical_capped_and_uncapped() {
@@ -809,19 +817,19 @@ fn workspace_model_path_is_byte_identical_capped_and_uncapped() {
     let mut ws = Workspace::new();
     for case in mem_corpus(CORPUS_SEED ^ 14, 8) {
         for model in [
-            MemoryCapacities::uniform(HomogeneousModel, case.tight_cap, case.procs),
-            MemoryCapacities::unbounded(HomogeneousModel),
+            MemoryCapacities::uniform(CommModel::Ideal, case.tight_cap, case.procs),
+            MemoryCapacities::unbounded(CommModel::Ideal),
         ] {
-            let fresh = Fast::new().schedule_with_model(&case.dag, case.procs, &model);
+            let fresh = with_model(&Fast::new(), &case.dag, case.procs, &model);
             let warm = Fast::new().run(
                 &case.dag,
                 case.procs,
-                &model,
+                &model.clone().into(),
                 &mut ws,
                 &mut SearchTrace::default(),
             );
             assert_eq!(
-                fresh,
+                Ok(fresh),
                 warm,
                 "{}: workspace model path diverged (caps: {:?})",
                 case.name,
@@ -851,8 +859,8 @@ fn model_batches_are_byte_identical_at_every_thread_count() {
                 .iter()
                 .position(|d| std::ptr::eq(d, dag))
                 .expect("corpus dag");
-            let model = MemoryCapacities::uniform(HomogeneousModel, caps[i], np);
-            Fast::new().schedule_with_model(dag, np, &model)
+            let model = MemoryCapacities::uniform(CommModel::Ideal, caps[i], np);
+            with_model(&Fast::new(), dag, np, &model)
         })
     };
     let serial = run(1);

@@ -25,9 +25,7 @@ use fastsched::algorithms::{FastParallel, FastParallelConfig, FastSa, FastSaConf
 use fastsched::dag::io::from_json;
 use fastsched::dag::io_text::from_text;
 use fastsched::prelude::*;
-use fastsched::schedule::{
-    AlphaBeta, CommModel, CostModel, Hierarchical, HomogeneousModel, MemoryCapacities, IDEAL_LINK,
-};
+use fastsched::schedule::{AlphaBeta, CommModel, Hierarchical, MemoryCapacities, IDEAL_LINK};
 use fastsched::workloads::fuzz::{assign_mems, fuzz_corpus};
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -84,15 +82,10 @@ fn digest(dag: &Dag, s: &Schedule) -> u64 {
 }
 
 /// Run the model core of the scheduler named `algo`, if it has one.
-fn model_run<M: CostModel + Sync>(
-    algo: &str,
-    dag: &Dag,
-    procs: u32,
-    model: &M,
-) -> Option<Schedule> {
+fn model_run(algo: &str, dag: &Dag, procs: u32, model: &Machine) -> Option<Schedule> {
     let ws = &mut Workspace::new();
     let tr = &mut SearchTrace::default();
-    Some(match algo {
+    let run = match algo {
         "FAST" => Fast::new().run(dag, procs, model, ws, tr),
         "FAST-SA" => FastSa::with_config(FastSaConfig {
             seed: SEED,
@@ -109,7 +102,8 @@ fn model_run<M: CostModel + Sync>(
         "DLS" => Dls::new().run(dag, procs, model, ws, tr),
         "HEFT" => Heft::new().run(dag, procs, model, ws, tr),
         _ => return None,
-    })
+    };
+    Some(run.expect("model core"))
 }
 
 /// The model cores that honour memory capacities.
@@ -120,15 +114,18 @@ fn table() -> String {
     let mut row = |input: &str, algo: &str, model: &str, dag: &Dag, s: &Schedule| {
         writeln!(rows, "{input}\t{algo}\t{model}\t{:016x}", digest(dag, s)).unwrap();
     };
-    let alpha_beta = CommModel::AlphaBeta(AlphaBeta::new(25, 3, 2));
-    let hier = CommModel::Hierarchical(
+    let alpha_beta = Machine::from(CommModel::AlphaBeta(AlphaBeta::new(25, 3, 2)));
+    let hier = Machine::from(CommModel::Hierarchical(
         Hierarchical::from_group_sizes(&[4, 4], IDEAL_LINK, AlphaBeta::new(50, 2, 1))
             .expect("group table"),
-    );
+    ));
     for (input, dag, procs) in inputs() {
         let mem_dag = assign_mems(&dag, SEED);
-        let loose =
-            MemoryCapacities::uniform(HomogeneousModel, mem_dag.total_memory().max(1), procs);
+        let loose = Machine::Comm(MemoryCapacities::uniform(
+            CommModel::Ideal,
+            mem_dag.total_memory().max(1),
+            procs,
+        ));
         for s in all_schedulers(SEED) {
             let algo = s.name();
             row(&input, algo, "plain", &dag, &s.schedule(&dag, procs));

@@ -8,6 +8,19 @@ use fastsched::dag::{classify_nodes, cpn_dominate_list, CpnListConfig, NodeClass
 use fastsched::prelude::*;
 use proptest::prelude::*;
 
+/// `scheduler` on the machine `model` describes, with fresh scratch.
+fn with_model<M: Clone + Into<Machine>>(
+    scheduler: &dyn Scheduler,
+    dag: &Dag,
+    procs: u32,
+    model: &M,
+) -> Schedule {
+    let (ws, trace) = (&mut Workspace::new(), &mut SearchTrace::default());
+    let machine = model.clone().into();
+    let result = scheduler.run(dag, procs, &machine, ws, trace);
+    result.unwrap_or_else(|e| panic!("{}: {e}", scheduler.name()))
+}
+
 /// Strategy: a random layered DAG with 2..=60 nodes and varied
 /// weights, built through the public generator (which guarantees
 /// acyclicity by construction).
@@ -272,18 +285,18 @@ proptest! {
         // The memory dimension's zero-cost contract: footprints on the
         // DAG plus a capacity model with no finite entry must leave
         // every placement decision untouched, bit for bit.
-        use fastsched::schedule::{HomogeneousModel, MemoryCapacities};
+        use fastsched::schedule::{CommModel, MemoryCapacities};
         use fastsched::workloads::fuzz::assign_mems;
         let dag = assign_mems(&dag, mem_seed);
         let procs = (dag.node_count() as u32).clamp(2, 8);
-        let unbounded = MemoryCapacities::unbounded(HomogeneousModel);
+        let unbounded = MemoryCapacities::unbounded(CommModel::Ideal);
         prop_assert_eq!(
-            Fast::new().schedule_with_model(&dag, procs, &unbounded),
+            with_model(&Fast::new(), &dag, procs, &unbounded),
             Fast::new().schedule(&dag, procs),
             "FAST: a never-binding capacity model changed the schedule"
         );
         prop_assert_eq!(
-            Heft::new().schedule_with_model(&dag, procs, &unbounded),
+            with_model(&Heft::new(), &dag, procs, &unbounded),
             Heft::new().schedule(&dag, procs),
             "HEFT: a never-binding capacity model changed the schedule"
         );
@@ -297,17 +310,17 @@ proptest! {
         // Feasible-by-construction budget (twice the balanced share,
         // floored by the largest footprint): memory-aware FAST and
         // HEFT must always find and return a legal packing.
-        use fastsched::schedule::{validate_with, HomogeneousModel, MemoryCapacities};
+        use fastsched::schedule::{validate_with, CommModel, MemoryCapacities};
         use fastsched::workloads::fuzz::assign_mems;
         let dag = assign_mems(&dag, mem_seed);
         let procs = (dag.node_count() as u32).clamp(2, 8);
         let total: u64 = dag.mems().iter().sum();
         let max_mem = dag.mems().iter().copied().max().unwrap_or(0);
         let cap = 2 * (total.div_ceil(u64::from(procs))).max(max_mem);
-        let model = MemoryCapacities::uniform(HomogeneousModel, cap, procs);
-        let fast = Fast::new().schedule_with_model(&dag, procs, &model);
+        let model = MemoryCapacities::uniform(CommModel::Ideal, cap, procs);
+        let fast = with_model(&Fast::new(), &dag, procs, &model);
         prop_assert_eq!(validate_with(&model, &dag, &fast), Ok(()));
-        let heft = Heft::new().schedule_with_model(&dag, procs, &model);
+        let heft = with_model(&Heft::new(), &dag, procs, &model);
         prop_assert_eq!(validate_with(&model, &dag, &heft), Ok(()));
     }
 }

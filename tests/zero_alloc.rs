@@ -102,33 +102,33 @@ fn ported_algorithms_are_allocation_free() {
 #[test]
 fn model_priced_cores_are_allocation_free() {
     let _serial = serial();
-    use fastsched::casch::serve::ModelScheduler;
+    use fastsched::casch::serve::scheduler_by_name;
     use fastsched::schedule::{CommModel, MemoryCapacities, ProcessorSpeeds};
     use fastsched::workloads::fuzz::assign_mems;
 
     let db = TimingDatabase::paragon();
     let dag = assign_mems(&random_layered_dag(&RandomDagConfig::paper(300, &db), 7), 7);
+    let run = |algo: &str, machine: &Machine| {
+        let s = scheduler_by_name(algo).expect("model scheduler");
+        let name = format!("{algo}/{machine:?}");
+        assert_steady_state_with(&name, |ws| {
+            s.run(&dag, 8, machine, ws, &mut SearchTrace::default())
+                .expect("model run")
+        });
+    };
     for spec in ["alpha-beta:25,3,2", "hier:4+4@0,1,1@50,2,1"] {
-        let comm = CommModel::parse_spec(spec).expect("comm spec");
+        let comm = Machine::from(CommModel::parse_spec(spec).expect("comm spec"));
         for algo in ["fast", "etf", "dls"] {
-            let s = ModelScheduler::by_name(algo).expect("model scheduler");
-            assert_steady_state_with(&format!("{algo}/{spec}"), |ws| {
-                s.run(&dag, 8, &comm, ws, &mut SearchTrace::default())
-            });
+            run(algo, &comm);
         }
     }
     // Every lane can hold the whole DAG: the capacity bookkeeping runs
     // but never rejects a placement.
     let loose = dag.mems().iter().sum();
-    let capped = MemoryCapacities::uniform(CommModel::Ideal, loose, 8);
+    let capped = Machine::from(MemoryCapacities::uniform(CommModel::Ideal, loose, 8));
     for algo in ["fast", "heft"] {
-        let s = ModelScheduler::by_name(algo).expect("model scheduler");
-        assert_steady_state_with(&format!("{algo}/mem-caps"), |ws| {
-            s.run(&dag, 8, &capped, ws, &mut SearchTrace::default())
-        });
+        run(algo, &capped);
     }
     let speeds = ProcessorSpeeds::new(vec![100, 200, 50, 150, 100, 200, 50, 150]);
-    assert_steady_state_with("heft/speeds", |ws| {
-        Heft::new().run(&dag, 8, &speeds, ws, &mut SearchTrace::default())
-    });
+    run("heft", &Machine::from(speeds));
 }
