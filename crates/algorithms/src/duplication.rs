@@ -317,10 +317,8 @@ impl Dsh {
         // Duplication has its own legality rules (multiple instances
         // per node), so the gate runs the dedicated validator rather
         // than the cost-model one.
-        if cfg!(any(debug_assertions, feature = "validate")) {
-            if let Err(e) = validate_dup(dag, &schedule) {
-                panic!("DSH returned an illegal duplication schedule: {e:?}");
-            }
+        if let Err(e) = validate_dup(dag, &schedule) {
+            panic!("DSH returned an illegal duplication schedule: {e:?}");
         }
         schedule
     }

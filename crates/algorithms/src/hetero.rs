@@ -5,8 +5,10 @@
 //! "interconnection-constrained heterogeneous processor architectures"
 //! (the paper's §3.3 citation) and HEFT became the standard
 //! heterogeneous list scheduler — this module provides the machinery
-//! to explore that direction: per-processor speed factors, a
-//! heterogeneity-aware HEFT, and a dedicated validator.
+//! to explore that direction: per-processor speed factors and a
+//! heterogeneity-aware HEFT. The speed table is a
+//! [`fastsched_schedule::CostModel`], so `validate_with(&speeds, ..)`
+//! checks its schedules.
 //!
 //! Execution time of node `n` on processor `p` is
 //! `ceil(w(n) * 100 / speed_percent[p])` (at least 1): speed 100 is
@@ -16,29 +18,13 @@ use crate::heft::Heft;
 use crate::scheduler::Scheduler;
 use crate::workspace::Workspace;
 use fastsched_dag::Dag;
-use fastsched_schedule::{validate_with, Machine, Schedule, ScheduleError};
+use fastsched_schedule::{Machine, Schedule};
 use fastsched_trace::SearchTrace;
 
 // The speed table lives with the other cost models in
 // `fastsched-schedule`; re-exported here so existing users keep their
 // import path.
 pub use fastsched_schedule::ProcessorSpeeds;
-
-/// Validate a schedule against the heterogeneous execution-time model:
-/// completeness, `finish - start == exec_time(w, proc)`,
-/// communication-aware precedence, and per-processor non-overlap.
-///
-/// Thin wrapper over the cost-model-generic
-/// [`validate_with`] — the speed
-/// table *is* a [`fastsched_schedule::CostModel`], so the generic validator already checks
-/// exactly this machine.
-pub fn validate_hetero(
-    dag: &Dag,
-    schedule: &Schedule,
-    speeds: &ProcessorSpeeds,
-) -> Result<(), ScheduleError> {
-    validate_with(speeds, dag, schedule)
-}
 
 /// HEFT over heterogeneous processors: [`Heft`] priced by the speed
 /// table, on every processor the table lists. Ranks use mean execution
@@ -72,13 +58,13 @@ mod tests {
     use super::*;
     use fastsched_dag::examples::{fork_join, paper_figure1};
     use fastsched_dag::NodeId;
-    use fastsched_schedule::ProcId;
+    use fastsched_schedule::{validate_with, ProcId, ScheduleError};
 
     #[test]
     fn uniform_speeds_reduce_to_homogeneous_heft() {
         let g = paper_figure1();
         let hetero = HeftHetero::new(ProcessorSpeeds::uniform(4)).schedule(&g);
-        validate_hetero(&g, &hetero, &ProcessorSpeeds::uniform(4)).unwrap();
+        validate_with(&ProcessorSpeeds::uniform(4), &g, &hetero).unwrap();
         let homo = crate::heft::Heft::new().schedule(&g, 4);
         assert_eq!(hetero.makespan(), homo.makespan());
     }
@@ -99,7 +85,7 @@ mod tests {
         let g = fastsched_dag::examples::chain(5, 40, 1);
         let speeds = ProcessorSpeeds::new(vec![100, 400, 100]);
         let s = HeftHetero::new(speeds.clone()).schedule(&g);
-        validate_hetero(&g, &s, &speeds).unwrap();
+        validate_with(&speeds, &g, &s).unwrap();
         // Entire chain on the fast processor: 5 × ceil(40/4) = 50.
         assert_eq!(s.makespan(), 50);
         assert_eq!(s.processors_used(), 1);
@@ -113,7 +99,7 @@ mod tests {
         let g = fork_join(6, 30, 5);
         let skewed = ProcessorSpeeds::new(vec![300, 100, 100, 100]);
         let s = HeftHetero::new(skewed.clone()).schedule(&g);
-        validate_hetero(&g, &s, &skewed).unwrap();
+        validate_with(&skewed, &g, &s).unwrap();
         // The hot processor must run more than a proportional share.
         let hot_tasks = s.tasks().filter(|t| t.proc == ProcId(0)).count();
         assert!(hot_tasks >= 3, "hot processor ran only {hot_tasks} tasks");
@@ -128,7 +114,7 @@ mod tests {
         s.place(NodeId(0), ProcId(1), 0, 10);
         s.place(NodeId(1), ProcId(1), 10, 15);
         assert_eq!(
-            validate_hetero(&g, &s, &speeds),
+            validate_with(&speeds, &g, &s),
             Err(ScheduleError::BadDuration {
                 node: 0,
                 expected: 5,
@@ -147,7 +133,7 @@ mod tests {
         let g = paper_figure1();
         let speeds = ProcessorSpeeds::new(vec![100, 200]);
         let s = HeftHetero::new(speeds.clone()).schedule(&g);
-        assert_eq!(validate_hetero(&g, &s, &speeds), Ok(()));
+        assert_eq!(validate_with(&speeds, &g, &s), Ok(()));
         assert!(
             s.tasks().any(|t| t.finish - t.start != g.weight(t.node)),
             "schedule must actually exercise a non-nominal speed"

@@ -102,7 +102,7 @@ pub use ish::Ish;
 pub use lc::Lc;
 pub use mcp::Mcp;
 pub use md::Md;
-pub use optimal::{BranchAndBound, OracleOutcome};
+pub use optimal::{BranchAndBound, NoPlan, OracleOutcome};
 pub use pool::WorkerPool;
 pub use scheduler::{all_schedulers, paper_schedulers, HomogeneousOnly, Scheduler, SchedulerError};
 pub use workspace::{

@@ -48,8 +48,16 @@ impl BranchAndBound {
     /// state cap truncates the search; tests that use the result as an
     /// optimality bound must check [`OracleOutcome::complete`] first —
     /// a truncated incumbent is an upper bound on nothing.
+    ///
+    /// A search the cap stops before it finds any plan (`max_states`
+    /// at most `v`) returns an empty, incomplete schedule.
     pub fn solve(&self, dag: &Dag, num_procs: u32) -> OracleOutcome {
         self.solve_with_caps(dag, num_procs, &[])
+            .unwrap_or_else(|_| OracleOutcome {
+                schedule: Schedule::new(dag.node_count(), num_procs),
+                complete: false,
+                states: self.max_states,
+            })
     }
 
     /// [`Self::solve`] under per-processor memory capacities: the
@@ -63,16 +71,15 @@ impl BranchAndBound {
     /// capacity the returned schedule is *not* compacted (lane
     /// identity is part of the answer).
     ///
-    /// # Panics
-    ///
-    /// Panics when no complete schedule fits the capacities (the
-    /// instance is memory-infeasible).
+    /// Without a plan the answer is [`NoPlan`]: either the enumeration
+    /// finished and proved that no assignment fits the capacities, or
+    /// the state cap stopped it first.
     pub fn solve_with_caps(
         &self,
         dag: &Dag,
         num_procs: u32,
         caps: &[Option<Cost>],
-    ) -> OracleOutcome {
+    ) -> Result<OracleOutcome, NoPlan> {
         assert!(num_procs >= 1);
         let v = dag.node_count();
         assert!(v <= 16, "exhaustive search is for tiny graphs (v <= 16)");
@@ -117,10 +124,14 @@ impl BranchAndBound {
             0,
             0,
         );
-        assert!(
-            !capped || v == 0 || !search.best_plan.is_empty(),
-            "memory-infeasible instance: no complete schedule fits the capacities"
-        );
+        let complete = search.states <= search.max_states;
+        if search.best == Cost::MAX {
+            return Err(if complete {
+                NoPlan::Infeasible
+            } else {
+                NoPlan::Truncated
+            });
+        }
 
         // Replay the best plan into a Schedule.
         let mut schedule = Schedule::new(v, num_procs);
@@ -147,12 +158,22 @@ impl BranchAndBound {
         // With finite capacities lane identity is part of the answer:
         // compaction would renumber processors out from under the
         // capacity table, so the schedule is returned as placed.
-        OracleOutcome {
+        Ok(OracleOutcome {
             schedule: if capped { schedule } else { schedule.compact() },
-            complete: search.states <= search.max_states,
+            complete,
             states: search.states.min(search.max_states),
-        }
+        })
     }
+}
+
+/// Why [`BranchAndBound::solve_with_caps`] returned no schedule.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NoPlan {
+    /// The enumeration finished and no assignment fits the capacities:
+    /// the instance is proven memory-infeasible.
+    Infeasible,
+    /// `max_states` stopped the search before it found any plan.
+    Truncated,
 }
 
 /// Result of an exhaustive [`BranchAndBound::solve`] run.
@@ -360,6 +381,48 @@ mod tests {
         let starved = BranchAndBound { max_states: 50 }.solve(&g, 3);
         assert!(!starved.complete);
         assert!(starved.schedule.makespan() >= full.schedule.makespan());
+    }
+
+    /// A node larger than every lane: the oracle proves no packing
+    /// exists, where FAST's greedy pass only reports the node it could
+    /// not place.
+    #[test]
+    fn an_oversized_node_is_proven_infeasible_not_merely_unplaced() {
+        use crate::{Fast, SchedulerError, Workspace};
+        use fastsched_schedule::{CommModel, Machine, MemoryCapacities};
+        use fastsched_trace::SearchTrace;
+
+        let mut b = DagBuilder::new();
+        b.add_task_with_mem(5, 50);
+        let g = b.build().unwrap();
+        let oracle = BranchAndBound::new();
+        assert_eq!(
+            oracle.solve_with_caps(&g, 1, &[Some(10)]).map(|o| o.states),
+            Err(NoPlan::Infeasible)
+        );
+        let caps = Machine::from(MemoryCapacities::uniform(CommModel::Ideal, 10, 1));
+        let (ws, trace) = (&mut Workspace::new(), &mut SearchTrace::default());
+        assert_eq!(
+            Fast::new().run(&g, 1, &caps, ws, trace),
+            Err(SchedulerError::Infeasible {
+                node: 0,
+                footprint: 50
+            })
+        );
+    }
+
+    #[test]
+    fn a_search_stopped_before_any_plan_is_truncated_not_infeasible() {
+        let g = chain(4, 3, 10);
+        let caps = [Some(Cost::MAX); 3];
+        let starved = BranchAndBound { max_states: 2 };
+        assert_eq!(
+            starved.solve_with_caps(&g, 3, &caps).map(|o| o.states),
+            Err(NoPlan::Truncated)
+        );
+        assert!(starved.solve(&g, 3).schedule.tasks().next().is_none());
+        let full = BranchAndBound::new().solve_with_caps(&g, 3, &caps).unwrap();
+        assert!(full.complete);
     }
 
     #[test]

@@ -104,11 +104,11 @@ pub trait Scheduler: Send + Sync {
 
     /// Schedule `dag` on `num_procs` processors of `machine`: the one
     /// entry point. Refuses zero processors and times that could
-    /// overflow before the algorithm runs, and gates the result with
-    /// [`Machine::validate`] in debug builds and with the `validate`
-    /// feature. A warm `ws` (results handed back through
-    /// [`Workspace::recycle`]) makes the ported algorithms
-    /// allocation-free; neither `ws` nor `trace` changes a decision.
+    /// overflow before the algorithm runs, and gates every result with
+    /// [`Machine::validate_into`] against the workspace's scratch. A
+    /// warm `ws` (results handed back through [`Workspace::recycle`])
+    /// makes the ported algorithms and the gate allocation-free;
+    /// neither `ws` nor `trace` changes a decision.
     fn run(
         &self,
         dag: &Dag,
@@ -124,11 +124,9 @@ pub trait Scheduler: Send + Sync {
             return Err(SchedulerError::Overflow);
         }
         let schedule = self.schedule_on(dag, num_procs, machine, ws, trace)?;
-        if cfg!(any(debug_assertions, feature = "validate")) {
-            machine
-                .validate(dag, &schedule)
-                .map_err(SchedulerError::Invalid)?;
-        }
+        machine
+            .validate_into(dag, &schedule, &mut ws.validate)
+            .map_err(SchedulerError::Invalid)?;
         Ok(schedule)
     }
 

@@ -6,11 +6,11 @@
 //! arrays of the `list_construction` phase, the CPN-Dominate list
 //! scratch, the placement buffers of `InitialSchedule()`, the
 //! list-scheduling [`Machine`], the incremental [`DeltaEvaluator`] and
-//! the compaction scratch. Buffers are *cleared, never dropped*
-//! between runs, so once every buffer has reached its peak size a
-//! reused workspace performs **zero heap allocations** per schedule
-//! (release builds without the `validate` feature, untraced; debug
-//! assertions, the validation gate and a recording trace allocate by
+//! the compaction scratch, and the correctness gate's lane scratch.
+//! Buffers are *cleared, never dropped* between runs, so once every
+//! buffer has reached its peak size a reused workspace performs **zero
+//! heap allocations** per schedule, gate included (release builds,
+//! untraced; debug assertions and a recording trace allocate by
 //! design).
 //!
 //! ## Ownership rules
@@ -50,7 +50,7 @@ use crate::list_common::{DatLanes, Machine, ReadySet};
 use crate::scheduler::Scheduler;
 use fastsched_dag::{AttrLanes, Cost, CpnListScratch, Dag, GraphAttributes, NodeClass, NodeId};
 use fastsched_schedule::{
-    CompactScratch, CostModel, DeltaEvaluator, HomogeneousModel, ProcId, Schedule,
+    CompactScratch, CostModel, DeltaEvaluator, HomogeneousModel, ProcId, Schedule, ValidateScratch,
 };
 use fastsched_trace::SearchTrace;
 
@@ -134,6 +134,7 @@ pub struct Workspace {
     pub(crate) staging: Schedule,
     pub(crate) compact: CompactScratch,
     spare: Vec<Schedule>,
+    pub(crate) validate: ValidateScratch,
 }
 
 impl Workspace {
@@ -165,6 +166,7 @@ impl Workspace {
             staging: Schedule::new(0, 1),
             compact: CompactScratch::new(),
             spare: Vec::new(),
+            validate: ValidateScratch::default(),
         }
     }
 

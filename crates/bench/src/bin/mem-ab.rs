@@ -12,8 +12,8 @@
 //!   schedule length (the zero-cost-when-unconstrained contract).
 //!
 //! Four rows per regime: memory-aware FAST and HEFT (probe loops
-//! reject over-capacity placements; every schedule is re-validated
-//! under the capped model before it is counted) and the capacity-blind
+//! reject over-capacity placements; `Scheduler::run` validates every
+//! schedule under the capped model) and the capacity-blind
 //! baselines (plain `schedule()`, with the number of corpus schedules
 //! that violate the budget recorded as `violations`). Each row carries
 //! the mean schedule-length ratio against memory-aware FAST and the
@@ -93,26 +93,16 @@ fn main() {
             let mut violations = 0usize;
             for ((i, case), model) in corpus.iter().enumerate().zip(&models) {
                 let s = (algo.run)(&case.dag, case.procs, model);
-                match model.validate(&case.dag, &s) {
-                    Ok(()) => {}
-                    Err(e) if !algo.mem_aware => {
-                        // A blind baseline may only fail the capacity
-                        // pass — anything else is a real bug.
-                        assert_eq!(
-                            e.kind(),
-                            ScheduleErrorKind::CapacityExceeded,
-                            "{}: blind {} failed for a non-capacity reason under \
-                             {regime_name} on case {i}: {e}",
-                            case.name,
-                            algo.name
-                        );
-                        violations += 1;
-                    }
-                    Err(e) => panic!(
-                        "{}: {} produced an illegal schedule under {regime_name} \
-                         on case {i}: {e}",
-                        case.name, algo.name
-                    ),
+                if let Err(e) = model.validate(&case.dag, &s) {
+                    // `run` gated the memory-aware rows; a blind
+                    // baseline may only fail the capacity pass.
+                    assert!(
+                        !algo.mem_aware && e.kind() == ScheduleErrorKind::CapacityExceeded,
+                        "{}: {} failed under {regime_name} on case {i}: {e}",
+                        case.name,
+                        algo.name
+                    );
+                    violations += 1;
                 }
                 ratio_sum += s.makespan() as f64 / fast_lengths[i] as f64;
             }

@@ -5,9 +5,9 @@
 //! * [`Schedule`] — per-node processor assignment plus start/finish
 //!   times, with per-processor timelines;
 //! * [`validate()`](fn@validate) / [`validate_with()`](fn@validate_with)
-//!   — completeness-, duration-, precedence- and overlap-checking
-//!   against the DAG under any [`CostModel`] (every schedule any
-//!   algorithm produces must pass);
+//!   / [`validate_into()`](fn@validate_into) — the legality checks
+//!   under any [`CostModel`] that the scheduler entry point runs on
+//!   every schedule any algorithm produces;
 //! * [`corrupt`] — seeded schedule-corruption operators that
 //!   mutation-test the validator itself;
 //! * [`metrics`] — schedule length, processors used, speedup,
@@ -67,4 +67,6 @@ pub use incremental::DeltaEvaluator;
 pub use machine::Machine;
 pub use metrics::ScheduleMetrics;
 pub use schedule::{CompactScratch, ProcId, Schedule, ScheduledTask};
-pub use validate::{validate, validate_with, ScheduleError, ScheduleErrorKind};
+pub use validate::{
+    validate, validate_into, validate_with, ScheduleError, ScheduleErrorKind, ValidateScratch,
+};

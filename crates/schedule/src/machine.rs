@@ -9,7 +9,7 @@
 use crate::cost::{
     AlphaBeta, CommModel, CostModel, HomogeneousModel, MemoryCapacities, ProcessorSpeeds,
 };
-use crate::validate::{validate_with, ScheduleError};
+use crate::validate::{validate_into, ScheduleError, ValidateScratch};
 use crate::Schedule;
 use fastsched_dag::{Cost, Dag};
 
@@ -36,10 +36,21 @@ pub enum Machine {
 impl Machine {
     /// Check `schedule` against this machine's pricing and capacities.
     pub fn validate(&self, dag: &Dag, schedule: &Schedule) -> Result<(), ScheduleError> {
+        self.validate_into(dag, schedule, &mut ValidateScratch::default())
+    }
+
+    /// [`Machine::validate`] with buffers from `scratch`: allocation-free
+    /// once the scratch has grown to the largest schedule seen.
+    pub fn validate_into(
+        &self,
+        dag: &Dag,
+        schedule: &Schedule,
+        scratch: &mut ValidateScratch,
+    ) -> Result<(), ScheduleError> {
         match self {
-            Machine::Homogeneous => validate_with(&HomogeneousModel, dag, schedule),
-            Machine::Comm(m) => validate_with(m, dag, schedule),
-            Machine::Speeds(m) => validate_with(m, dag, schedule),
+            Machine::Homogeneous => validate_into(&HomogeneousModel, dag, schedule, scratch),
+            Machine::Comm(m) => validate_into(m, dag, schedule, scratch),
+            Machine::Speeds(m) => validate_into(m, dag, schedule, scratch),
         }
     }
 

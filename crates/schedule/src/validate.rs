@@ -4,13 +4,15 @@
 //! [`validate`] checks the paper's homogeneous machine;
 //! [`validate_with`] takes any [`CostModel`], so heterogeneous-speed
 //! and topology-priced schedules are checked under the *same* rules
-//! the scheduler priced placements with. All time arithmetic is
-//! checked: adversarial `u64` weights (e.g. from the fuzz corpus)
-//! produce a structured [`ScheduleError::TimeOverflow`] instead of
-//! silently wrapping.
+//! the scheduler priced placements with. Both are [`validate_into`]
+//! with fresh scratch; the scheduler entry point keeps a
+//! [`ValidateScratch`] warm, so its gate allocates nothing. All time
+//! arithmetic is checked: adversarial `u64` weights (e.g. from the
+//! fuzz corpus) produce a structured [`ScheduleError::TimeOverflow`]
+//! instead of silently wrapping.
 
 use crate::cost::{CostModel, HomogeneousModel};
-use crate::schedule::Schedule;
+use crate::schedule::{ProcId, Schedule};
 use fastsched_dag::{Cost, Dag};
 use std::fmt;
 
@@ -189,26 +191,46 @@ pub fn validate(dag: &Dag, schedule: &Schedule) -> Result<(), ScheduleError> {
     validate_with(&HomogeneousModel, dag, schedule)
 }
 
-/// Check that `schedule` is a complete, legal schedule of `dag` under
-/// `model`:
-///
-/// 1. every node is placed on a processor inside the machine, with
-///    `finish == start + model.compute_cost(n, proc)` — on a
-///    heterogeneous machine the demanded duration depends on the
-///    processor's speed;
-/// 2. for every edge `(p, c)`:
-///    `ST(c) >= FT(p) + model.message_cost(c(p,c), proc(p), proc(c))`
-///    (co-located messages are free by the [`CostModel`] contract);
-/// 3. no two tasks overlap on any processor.
-///
-/// Every time sum is checked: if `start + duration` or
-/// `finish + message delay` exceeds `u64`, the verdict is
-/// [`ScheduleError::TimeOverflow`] rather than a silently wrapped
-/// comparison. Runs in O(v log v + e).
+/// [`validate_into`] with fresh scratch.
 pub fn validate_with<M: CostModel + ?Sized>(
     model: &M,
     dag: &Dag,
     schedule: &Schedule,
+) -> Result<(), ScheduleError> {
+    validate_into(model, dag, schedule, &mut ValidateScratch::default())
+}
+
+/// Reusable buffers for [`validate_into`], cleared and never shrunk:
+/// a warm scratch validates without allocating.
+#[derive(Debug, Clone, Default)]
+pub struct ValidateScratch {
+    /// Per-lane task counts, then per-lane offsets into `lanes`.
+    offsets: Vec<usize>,
+    /// Per-lane footprint sums, kept only under capacities.
+    used: Vec<Cost>,
+    /// `(start, node, finish)` of every task, grouped by processor;
+    /// `(start, node)` is unique, so sorting never compares `finish`.
+    lanes: Vec<(Cost, u32, Cost)>,
+}
+
+/// Check that `schedule` is a complete, legal schedule of `dag` under
+/// `model`, with buffers from `scratch`, and return the first
+/// violation of, in order:
+///
+/// 1. every node placed inside the machine, with
+///    `finish == start + model.compute_cost(n, proc)`;
+/// 2. each processor's footprint sum within [`CostModel::capacity`];
+/// 3. for every edge `(p, c)`, by parent id:
+///    `ST(c) >= FT(p) + model.message_cost(c(p,c), proc(p), proc(c))`;
+/// 4. no overlap on a processor, each lane ordered by `(start, node)`.
+///
+/// A time sum past `u64::MAX` is [`ScheduleError::TimeOverflow`], never
+/// a wrapped comparison. Runs in O(v log v + e + P).
+pub fn validate_into<M: CostModel + ?Sized>(
+    model: &M,
+    dag: &Dag,
+    schedule: &Schedule,
+    scratch: &mut ValidateScratch,
 ) -> Result<(), ScheduleError> {
     if schedule.num_nodes() != dag.node_count() {
         return Err(ScheduleError::WrongSize {
@@ -216,89 +238,110 @@ pub fn validate_with<M: CostModel + ?Sized>(
             actual: schedule.num_nodes(),
         });
     }
-
-    // 1. Completeness, machine bounds and model-priced durations.
-    for n in dag.nodes() {
-        match schedule.task(n) {
-            None => return Err(ScheduleError::Unscheduled(n.0)),
-            Some(t) => {
-                if t.proc.0 >= schedule.num_procs() {
-                    return Err(ScheduleError::ProcOutOfRange {
-                        node: n.0,
-                        proc: t.proc.0,
-                        num_procs: schedule.num_procs(),
-                    });
-                }
-                let expected = model.compute_cost(dag, n, t.proc);
-                let legal_finish = t
-                    .start
-                    .checked_add(expected)
-                    .ok_or(ScheduleError::TimeOverflow { node: n.0 })?;
-                if t.finish != legal_finish {
-                    return Err(ScheduleError::BadDuration {
-                        node: n.0,
-                        expected,
-                        actual: t.finish.saturating_sub(t.start),
-                    });
-                }
-            }
-        }
-    }
-
-    // 1b. Per-processor memory capacity: the sum of the footprints of
-    // the tasks resident on a lane must fit its capacity. Checked
-    // before precedence so a task moved onto an over-committed
-    // processor is reported as the capacity breach it is, whatever
-    // that move did to its children's start times. Skipped entirely
-    // (not merely vacuous) when the model caps nothing.
+    let num_procs = schedule.num_procs();
+    let ValidateScratch {
+        offsets,
+        used,
+        lanes,
+    } = scratch;
+    offsets.clear();
+    offsets.resize(num_procs as usize + 1, 0);
+    used.clear();
     if model.has_capacities() {
-        for (pi, lane) in schedule.timelines().iter().enumerate() {
-            let Some(capacity) = model.capacity(crate::schedule::ProcId(pi as u32)) else {
-                continue;
-            };
-            let used = lane
-                .iter()
-                .fold(0 as Cost, |acc, t| acc.saturating_add(dag.mem(t.node)));
-            if used > capacity {
-                return Err(ScheduleError::CapacityExceeded {
-                    proc: pi as u32,
-                    capacity,
-                    used,
-                });
-            }
+        used.resize(num_procs as usize, 0);
+    }
+
+    // 1. Completeness, machine bounds and model-priced durations; the
+    // same pass counts each lane's tasks and sums its footprints.
+    for n in dag.nodes() {
+        let t = schedule.task(n).ok_or(ScheduleError::Unscheduled(n.0))?;
+        if t.proc.0 >= num_procs {
+            return Err(ScheduleError::ProcOutOfRange {
+                node: n.0,
+                proc: t.proc.0,
+                num_procs,
+            });
+        }
+        let expected = model.compute_cost(dag, n, t.proc);
+        let legal_finish = t
+            .start
+            .checked_add(expected)
+            .ok_or(ScheduleError::TimeOverflow { node: n.0 })?;
+        if t.finish != legal_finish {
+            return Err(ScheduleError::BadDuration {
+                node: n.0,
+                expected,
+                actual: t.finish.saturating_sub(t.start),
+            });
+        }
+        offsets[t.proc.index() + 1] += 1;
+        if let Some(lane) = used.get_mut(t.proc.index()) {
+            *lane = lane.saturating_add(dag.mem(n));
         }
     }
 
-    // 2. Precedence with model-priced communication.
-    for (p, c, cost) in dag.edges() {
-        let tp = schedule.task(p).unwrap();
-        let tc = schedule.task(c).unwrap();
-        let delay = model.message_cost(cost, tp.proc, tc.proc);
-        let legal = tp
-            .finish
-            .checked_add(delay)
-            .ok_or(ScheduleError::TimeOverflow { node: c.0 })?;
-        if tc.start < legal {
-            return Err(ScheduleError::PrecedenceViolation {
-                parent: p.0,
-                child: c.0,
-                earliest_legal: legal,
-                actual: tc.start,
+    // 2. Memory capacity, before precedence: a task moved onto an
+    // over-committed processor is reported as the capacity breach it
+    // is, whatever the move did to its children's start times.
+    for (pi, &used) in used.iter().enumerate() {
+        let capacity = model.capacity(ProcId(pi as u32)).unwrap_or(Cost::MAX);
+        if used > capacity {
+            return Err(ScheduleError::CapacityExceeded {
+                proc: pi as u32,
+                capacity,
+                used,
             });
         }
     }
 
-    // 3. No overlap per processor.
-    for (pi, lane) in schedule.timelines().iter().enumerate() {
-        for w in lane.windows(2) {
-            if w[1].start < w[0].finish {
-                return Err(ScheduleError::Overlap {
-                    proc: pi as u32,
-                    first: w[0].node.0,
-                    second: w[1].node.0,
+    // 3. Precedence with model-priced communication.
+    for p in dag.nodes() {
+        let tp = schedule.task(p).expect("pass 1 saw every node placed");
+        for e in dag.succs(p).iter() {
+            let tc = schedule.task(e.node).expect("pass 1 saw every node placed");
+            let delay = model.message_cost(e.cost, tp.proc, tc.proc);
+            let legal = tp
+                .finish
+                .checked_add(delay)
+                .ok_or(ScheduleError::TimeOverflow { node: e.node.0 })?;
+            if tc.start < legal {
+                return Err(ScheduleError::PrecedenceViolation {
+                    parent: p.0,
+                    child: e.node.0,
+                    earliest_legal: legal,
+                    actual: tc.start,
                 });
             }
         }
+    }
+
+    // 4. No overlap per processor. A counting sort groups the tasks:
+    // after the prefix sum `offsets[p]` is lane p's first slot, and
+    // filling the lane moves it to the lane's end.
+    for p in 1..offsets.len() {
+        offsets[p] += offsets[p - 1];
+    }
+    lanes.clear();
+    lanes.resize(dag.node_count(), (0, 0, 0));
+    for t in schedule.tasks() {
+        let slot = &mut offsets[t.proc.index()];
+        lanes[*slot] = (t.start, t.node.0, t.finish);
+        *slot += 1;
+    }
+    let mut lo = 0;
+    for (pi, &hi) in offsets[..num_procs as usize].iter().enumerate() {
+        let lane = &mut lanes[lo..hi];
+        lane.sort_unstable();
+        for w in lane.windows(2) {
+            if w[1].0 < w[0].2 {
+                return Err(ScheduleError::Overlap {
+                    proc: pi as u32,
+                    first: w[0].1,
+                    second: w[1].1,
+                });
+            }
+        }
+        lo = hi;
     }
     Ok(())
 }
@@ -307,7 +350,6 @@ pub fn validate_with<M: CostModel + ?Sized>(
 mod tests {
     use super::*;
     use crate::cost::ProcessorSpeeds;
-    use crate::schedule::ProcId;
     use fastsched_dag::{DagBuilder, NodeId};
 
     fn pair() -> Dag {

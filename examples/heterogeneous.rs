@@ -7,7 +7,7 @@
 //! cargo run --release --example heterogeneous
 //! ```
 
-use fastsched::algorithms::hetero::{validate_hetero, HeftHetero, ProcessorSpeeds};
+use fastsched::algorithms::hetero::{HeftHetero, ProcessorSpeeds};
 use fastsched::prelude::*;
 
 fn main() {
@@ -35,7 +35,6 @@ fn main() {
     for (label, speeds) in machines {
         let heft = HeftHetero::new(speeds.clone());
         let schedule = heft.schedule(&dag);
-        validate_hetero(&dag, &schedule, &speeds).expect("legal heterogeneous schedule");
 
         // Work distribution per processor.
         let mut busy = vec![0u64; speeds.count() as usize];

@@ -13,7 +13,6 @@ fn main() {
     let db = TimingDatabase::paragon();
     let dag = laplace_dag(8, &db);
     let schedule = Fast::new().schedule(&dag, 12);
-    validate(&dag, &schedule).unwrap();
     println!(
         "FAST schedule of laplace N=8: makespan {}, {} processors\n",
         schedule.makespan(),

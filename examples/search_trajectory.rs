@@ -34,7 +34,6 @@ fn main() {
         let schedule = fast
             .run(&dag, procs, machine, &mut Workspace::new(), &mut trace)
             .unwrap();
-        validate(&dag, &schedule).unwrap();
 
         let report = trace.to_report();
         let traj = report.trajectory();

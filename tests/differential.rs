@@ -25,7 +25,8 @@ use fastsched::prelude::*;
 use fastsched::schedule::corrupt::{corrupt_with, Corruption};
 use fastsched::schedule::evaluate::evaluate_fixed_order;
 use fastsched::schedule::{
-    validate_with, CommModel, CostModel, DeltaEvaluator, HomogeneousModel, ScheduleError,
+    validate_into, validate_with, CommModel, CostModel, DeltaEvaluator, HomogeneousModel,
+    ScheduleError, ValidateScratch,
 };
 use fastsched::workloads::fuzz::{adversarial_weights, fuzz_corpus, mutate_weights, tiny_corpus};
 use rand::rngs::StdRng;
@@ -42,6 +43,20 @@ fn with_model<M: Clone + Into<Machine>>(
     let machine = model.clone().into();
     let result = scheduler.run(dag, procs, &machine, ws, trace);
     result.unwrap_or_else(|e| panic!("{}: {e}", scheduler.name()))
+}
+
+/// `validate_with`'s verdict on `schedule`, which a `dirty` scratch
+/// reused across a whole suite (DAG sizes, processor counts and
+/// machines going up and down) must reproduce exactly.
+fn verdict<M: CostModel + ?Sized>(
+    model: &M,
+    dag: &Dag,
+    schedule: &Schedule,
+    dirty: &mut ValidateScratch,
+) -> Result<(), ScheduleError> {
+    let fresh = validate_with(model, dag, schedule);
+    assert_eq!(validate_into(model, dag, schedule, dirty), fresh);
+    fresh
 }
 
 const CORPUS_SEED: u64 = 0xD1FF;
@@ -176,17 +191,18 @@ fn weight_mutated_corpus_keeps_every_scheduler_legal() {
 /// rejections, each with the exact error kind the operator targets.
 #[test]
 fn every_schedule_corruption_is_rejected_with_its_expected_kind() {
+    let dirty = &mut ValidateScratch::default();
     let model = HomogeneousModel;
     let mut rejected = 0usize;
     for case in fuzz_corpus(CORPUS_SEED ^ 4, 6) {
         let schedule = Fast::new().schedule(&case.dag, case.procs);
-        assert_eq!(validate_with(&model, &case.dag, &schedule), Ok(()));
+        assert_eq!(verdict(&model, &case.dag, &schedule, dirty), Ok(()));
         for kind in Corruption::ALL {
             for seed in 0..2u64 {
                 let Some(bad) = corrupt_with(&model, &case.dag, &schedule, kind, seed) else {
                     continue;
                 };
-                let err = validate_with(&model, &case.dag, &bad).expect_err(&format!(
+                let err = verdict(&model, &case.dag, &bad, dirty).expect_err(&format!(
                     "{}: corruption {kind:?} (seed {seed}) passed validation",
                     case.name
                 ));
@@ -210,18 +226,19 @@ fn every_schedule_corruption_is_rejected_with_its_expected_kind() {
 /// all.
 #[test]
 fn hetero_schedule_corruptions_are_rejected_under_the_speeds_model() {
+    let dirty = &mut ValidateScratch::default();
     let speeds = ProcessorSpeeds::new(vec![100, 200, 50]);
     let mut rejected = 0usize;
     let mut nominal_duration_hits = 0usize;
     for case in fuzz_corpus(CORPUS_SEED ^ 5, 4) {
         let schedule = HeftHetero::new(speeds.clone()).schedule(&case.dag);
-        assert_eq!(validate_with(&speeds, &case.dag, &schedule), Ok(()));
+        assert_eq!(verdict(&speeds, &case.dag, &schedule, dirty), Ok(()));
         for kind in Corruption::ALL {
             for seed in 0..2u64 {
                 let Some(bad) = corrupt_with(&speeds, &case.dag, &schedule, kind, seed) else {
                     continue;
                 };
-                let err = validate_with(&speeds, &case.dag, &bad).expect_err(&format!(
+                let err = verdict(&speeds, &case.dag, &bad, dirty).expect_err(&format!(
                     "{}: hetero corruption {kind:?} passed validation",
                     case.name
                 ));
@@ -431,6 +448,7 @@ fn delta_evaluator_agrees_with_full_evaluation_under_comm_models() {
 #[test]
 fn comm_model_schedule_corruptions_are_rejected_with_their_expected_kinds() {
     use fastsched::schedule::{AlphaBeta, CommModel, Hierarchical, IDEAL_LINK};
+    let dirty = &mut ValidateScratch::default();
     for (tag, model) in [
         (
             "alpha-beta(30,3,2)",
@@ -449,7 +467,7 @@ fn comm_model_schedule_corruptions_are_rejected_with_their_expected_kinds() {
             let procs = case.procs.min(4);
             let schedule = with_model(&Fast::new(), &case.dag, procs, &model);
             assert_eq!(
-                validate_with(&model, &case.dag, &schedule),
+                verdict(&model, &case.dag, &schedule, dirty),
                 Ok(()),
                 "{} under {tag}",
                 case.name
@@ -459,7 +477,7 @@ fn comm_model_schedule_corruptions_are_rejected_with_their_expected_kinds() {
                     let Some(bad) = corrupt_with(&model, &case.dag, &schedule, kind, seed) else {
                         continue;
                     };
-                    let err = validate_with(&model, &case.dag, &bad).expect_err(&format!(
+                    let err = verdict(&model, &case.dag, &bad, dirty).expect_err(&format!(
                         "{}: corruption {kind:?} under {tag} passed validation",
                         case.name
                     ));
@@ -686,6 +704,7 @@ fn a_capacity_blind_chain_is_rejected_where_the_memory_aware_split_fits() {
 fn over_capacity_corruptions_are_rejected_under_homo_and_hetero_models() {
     use fastsched::schedule::{MemoryCapacities, ScheduleErrorKind};
     use fastsched::workloads::fuzz::mem_corpus;
+    let dirty = &mut ValidateScratch::default();
     let mut homo_hits = 0usize;
     let mut hetero_hits = 0usize;
     for case in mem_corpus(CORPUS_SEED ^ 12, 6) {
@@ -702,13 +721,13 @@ fn over_capacity_corruptions_are_rejected_under_homo_and_hetero_models() {
             case.procs,
             &Machine::Speeds(hetero.clone()),
         );
-        assert_eq!(validate_with(&homo, &case.dag, &s_homo), Ok(()));
-        assert_eq!(validate_with(&hetero, &case.dag, &s_hetero), Ok(()));
+        assert_eq!(verdict(&homo, &case.dag, &s_homo, dirty), Ok(()));
+        assert_eq!(verdict(&hetero, &case.dag, &s_hetero, dirty), Ok(()));
         for seed in 0..3u64 {
             if let Some(bad) =
                 corrupt_with(&homo, &case.dag, &s_homo, Corruption::OverCapacity, seed)
             {
-                let err = validate_with(&homo, &case.dag, &bad).expect_err(&format!(
+                let err = verdict(&homo, &case.dag, &bad, dirty).expect_err(&format!(
                     "{}: over-capacity mutant passed the homogeneous validator",
                     case.name
                 ));
@@ -727,7 +746,7 @@ fn over_capacity_corruptions_are_rejected_under_homo_and_hetero_models() {
                 Corruption::OverCapacity,
                 seed,
             ) {
-                let err = validate_with(&hetero, &case.dag, &bad).expect_err(&format!(
+                let err = verdict(&hetero, &case.dag, &bad, dirty).expect_err(&format!(
                     "{}: over-capacity mutant passed the heterogeneous validator",
                     case.name
                 ));
@@ -770,7 +789,11 @@ fn no_memory_aware_heuristic_beats_the_capacity_aware_oracle() {
         // uses: twice the balanced share, floored by the largest task.
         let cap = 2 * (total.div_ceil(u64::from(case.procs))).max(max_mem);
         let caps: Vec<Option<u64>> = vec![Some(cap); case.procs as usize];
-        let outcome = oracle.solve_with_caps(&dag, case.procs, &caps);
+        // The budget fits by construction: the oracle must find a plan,
+        // whether or not it finishes the enumeration.
+        let outcome = oracle
+            .solve_with_caps(&dag, case.procs, &caps)
+            .unwrap_or_else(|e| panic!("{}: no plan under a feasible budget: {e:?}", case.name));
         if !outcome.complete {
             continue;
         }

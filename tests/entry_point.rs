@@ -1,11 +1,12 @@
 //! The one scheduler entry point, `Scheduler::run`: every registered
 //! scheduler answers a machine it cannot price, weights whose times
 //! cannot be represented and a memory-infeasible greedy placement with
-//! a typed error instead of a panic, and the homogeneous shorthand is
-//! the entry point on `Machine::Homogeneous`, byte for byte.
+//! a typed error instead of a panic, the homogeneous shorthand is the
+//! entry point on `Machine::Homogeneous`, byte for byte, and the
+//! correctness gate rejects an illegal schedule in every build.
 
 use fastsched::prelude::*;
-use fastsched::schedule::{AlphaBeta, CommModel, MemoryCapacities, ProcessorSpeeds};
+use fastsched::schedule::{AlphaBeta, CommModel, MemoryCapacities, ProcessorSpeeds, ScheduleError};
 use fastsched::workloads::fuzz::{adversarial_weights, assign_mems, fuzz_corpus};
 
 const SEED: u64 = 11;
@@ -156,4 +157,70 @@ fn a_node_no_lane_can_hold_is_infeasible() {
             s.name()
         );
     }
+}
+
+/// A scheduler that answers every request with one fixed schedule.
+struct Fixed(Schedule);
+
+impl Scheduler for Fixed {
+    fn name(&self) -> &'static str {
+        "fixed"
+    }
+
+    fn schedule_on(
+        &self,
+        _dag: &Dag,
+        _num_procs: u32,
+        _machine: &Machine,
+        _ws: &mut Workspace,
+        _trace: &mut SearchTrace,
+    ) -> Result<Schedule, SchedulerError> {
+        Ok(self.0.clone())
+    }
+}
+
+/// The gate runs in release builds too: `run` answers an illegal
+/// schedule with the validator's exact error, from a warm workspace.
+#[test]
+fn the_gate_rejects_illegal_schedules_in_every_build() {
+    let mut b = DagBuilder::new();
+    b.add_task(5);
+    b.add_task(5);
+    let dag = b.build().unwrap();
+    let fixed = |places: [(u32, Cost, Cost); 2]| {
+        let mut s = Schedule::new(2, 2);
+        for (n, (p, start, finish)) in places.into_iter().enumerate() {
+            s.place(NodeId(n as u32), ProcId(p), start, finish);
+        }
+        Fixed(s)
+    };
+    let ws = &mut Workspace::new();
+    let mut gate = |s: &Fixed| {
+        s.run(
+            &dag,
+            2,
+            &Machine::Homogeneous,
+            ws,
+            &mut SearchTrace::default(),
+        )
+    };
+
+    let legal = fixed([(0, 0, 5), (1, 0, 5)]);
+    assert_eq!(gate(&legal), Ok(legal.0.clone()));
+    assert_eq!(
+        gate(&fixed([(0, 0, 6), (1, 0, 5)])),
+        Err(SchedulerError::Invalid(ScheduleError::BadDuration {
+            node: 0,
+            expected: 5,
+            actual: 6
+        }))
+    );
+    assert_eq!(
+        gate(&fixed([(0, 0, 5), (0, 3, 8)])),
+        Err(SchedulerError::Invalid(ScheduleError::Overlap {
+            proc: 0,
+            first: 0,
+            second: 1
+        }))
+    );
 }

@@ -267,10 +267,11 @@ proptest! {
 
     #[test]
     fn hetero_heft_is_legal_and_uniform_reduces_to_homogeneous(dag in arb_dag()) {
-        use fastsched::algorithms::hetero::{validate_hetero, HeftHetero, ProcessorSpeeds};
+        use fastsched::algorithms::hetero::{HeftHetero, ProcessorSpeeds};
+        use fastsched::schedule::validate_with;
         let speeds = ProcessorSpeeds::new(vec![100, 250, 50, 100]);
         let s = HeftHetero::new(speeds.clone()).schedule(&dag);
-        prop_assert!(validate_hetero(&dag, &s, &speeds).is_ok());
+        prop_assert!(validate_with(&speeds, &dag, &s).is_ok());
         let uniform = ProcessorSpeeds::uniform(4);
         let hu = HeftHetero::new(uniform).schedule(&dag);
         let homo = fastsched::algorithms::Heft::new().schedule(&dag, 4);

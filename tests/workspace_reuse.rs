@@ -1,19 +1,20 @@
-//! Workspace-reuse equivalence suite: `schedule_into` against a
-//! *dirty* shared [`Workspace`] must be byte-identical to a fresh
-//! `schedule()` for every ported algorithm, across the PR-4 fuzz
-//! corpus, in any interleaving of DAGs, processor counts and
-//! algorithms. The workspace only changes where scratch lives — never
-//! a scheduling decision.
+//! Workspace-reuse equivalence suite: `run` against a *dirty* shared
+//! [`Workspace`] must be byte-identical to a fresh run for every
+//! ported algorithm, across the fuzz corpus, in any interleaving of
+//! DAGs, processor counts, machines and algorithms. The workspace only
+//! changes where scratch lives — never a scheduling decision, and
+//! never the correctness gate's verdict.
 
+use fastsched::algorithms::{schedule_many, schedule_many_par};
 use fastsched::algorithms::{Dls, Etf, Fast, FastSa, FastSaConfig, Scheduler, Workspace};
 use fastsched::algorithms::{FastParallel, FastParallelConfig, Mcp};
 use fastsched::dag::Dag;
-use fastsched::schedule::{evaluate_fixed_order_with, io, DeltaEvaluator, ProcId, ProcessorSpeeds};
-use fastsched::workloads::fuzz::fuzz_corpus;
-use fastsched::{
-    algorithms::{schedule_many, schedule_many_par},
-    prelude::validate,
+use fastsched::schedule::{
+    evaluate_fixed_order_with, io, AlphaBeta, CommModel, DeltaEvaluator, Hierarchical, Machine,
+    MemoryCapacities, ProcId, ProcessorSpeeds, IDEAL_LINK,
 };
+use fastsched::trace::SearchTrace;
+use fastsched::workloads::fuzz::{assign_mems, fuzz_corpus};
 use proptest::prelude::*;
 
 const CORPUS_SEED: u64 = 0xBA7C;
@@ -38,12 +39,31 @@ fn ported() -> Vec<Box<dyn Scheduler>> {
     ]
 }
 
+/// Every machine kind for `procs` processors: the paper's, α–β,
+/// two-group hierarchical, capacities that never bind, and speeds.
+fn machines(dag: &Dag, procs: u32) -> [Machine; 5] {
+    let half = procs / 2;
+    let hier =
+        Hierarchical::from_group_sizes(&[half, procs - half], IDEAL_LINK, AlphaBeta::new(40, 2, 1))
+            .expect("two non-empty groups");
+    let speeds = (0..procs).map(|p| [100, 200, 50][p as usize % 3]).collect();
+    [
+        Machine::Homogeneous,
+        CommModel::AlphaBeta(AlphaBeta::new(25, 3, 2)).into(),
+        CommModel::Hierarchical(hier).into(),
+        MemoryCapacities::uniform(CommModel::Ideal, dag.total_memory().max(1), procs).into(),
+        ProcessorSpeeds::new(speeds).into(),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// One shared workspace, never cleared, driven across a random
-    /// interleaving of (case, algorithm) pairs: every `schedule_into`
-    /// result must serialize identically to a fresh `schedule()`.
+    /// interleaving of (case, machine, algorithm) triples: every
+    /// result, the gate's included, must serialize identically to a
+    /// fresh run. On the paper's machine the walk goes through the
+    /// `schedule_into` / `schedule` shorthands.
     #[test]
     fn dirty_workspace_is_byte_identical_to_fresh(
         seed in 0u64..1_000_000,
@@ -60,21 +80,36 @@ proptest! {
             let pick = (state >> 33) as usize;
             let case = &corpus[pick % corpus.len()];
             let sched = &schedulers[(pick / 7 + k) % schedulers.len()];
-            let fresh = sched.schedule(&case.dag, case.procs);
-            let reused = sched.schedule_into(&case.dag, case.procs, &mut ws);
-            prop_assert_eq!(validate(&case.dag, &reused), Ok(()));
+            let dag = &assign_mems(&case.dag, pick as u64);
+            let machines = machines(dag, case.procs);
+            let machine = &machines[(pick / 11 + k) % machines.len()];
+            let (fresh, reused) = if *machine == Machine::Homogeneous {
+                (
+                    Ok(sched.schedule(dag, case.procs)),
+                    Ok(sched.schedule_into(dag, case.procs, &mut ws)),
+                )
+            } else {
+                let run = |ws: &mut Workspace| {
+                    sched.run(dag, case.procs, machine, ws, &mut SearchTrace::default())
+                };
+                (run(&mut Workspace::new()), run(&mut ws))
+            };
+            if let Ok(s) = &reused {
+                prop_assert_eq!(machine.validate(dag, s), Ok(()));
+            }
             prop_assert_eq!(
-                io::to_json(&reused),
-                io::to_json(&fresh),
-                "{} diverged on {} (procs {})",
+                reused.as_ref().map(io::to_json),
+                fresh.as_ref().map(io::to_json),
+                "{} diverged on {} (procs {}, {:?})",
                 sched.name(),
                 case.name,
-                case.procs
+                case.procs,
+                machine
             );
             // Recycling the result is optional for correctness; do it
             // on every other iteration to cover both paths.
-            if k % 2 == 0 {
-                ws.recycle(reused);
+            if let (0, Ok(s)) = (k % 2, reused) {
+                ws.recycle(s);
             }
         }
     }

@@ -2,9 +2,9 @@
 //! reused [`Workspace`] must make `schedule_into` perform **zero**
 //! heap allocations on the paper's 2000-node random workload.
 //!
-//! The allocation assertion is only armed in release builds without
-//! the `validate` feature (debug assertions and the validation gate
-//! allocate by design — see DESIGN.md §12); the
+//! Every warm call runs the correctness gate too, from the workspace's
+//! scratch. The allocation assertion is armed in release builds (debug
+//! assertions allocate by design — see DESIGN.md §12); the
 //! byte-identity assertions run in every configuration, so the test
 //! is never vacuous.
 
@@ -25,9 +25,9 @@ fn serial() -> MutexGuard<'static, ()> {
 }
 
 /// True when the build is expected to be allocation-free in steady
-/// state: release, no validation gate.
+/// state: release.
 const fn steady_state_armed() -> bool {
-    cfg!(all(not(debug_assertions), not(feature = "validate")))
+    !cfg!(debug_assertions)
 }
 
 fn assert_steady_state(name: &str, dag: &Dag, procs: u32, sched: &dyn Scheduler) {
