@@ -8,7 +8,7 @@
 //! dedicated processor, and everything else is placed by
 //! insertion-based earliest finish time.
 
-use crate::list_common::Machine;
+use crate::list_common::ListState;
 use crate::scheduler::HomogeneousOnly;
 use fastsched_dag::{Cost, Dag, GraphAttributes, NodeId};
 use fastsched_schedule::{ProcId, Schedule};
@@ -43,7 +43,7 @@ impl HomogeneousOnly for Cpop {
             .map(|n| (composite(n), Reverse(n.0)))
             .collect();
 
-        let mut machine = Machine::new(dag.node_count(), num_procs);
+        let mut machine = ListState::new(dag.node_count(), num_procs);
         while let Some((_, Reverse(id))) = heap.pop() {
             let n = NodeId(id);
             let (p, start) = if attrs.is_cpn(n) && num_procs > 1 {

@@ -12,7 +12,7 @@
 //! its most critical child on that same processor. This look-ahead is
 //! what distinguishes DCP from MD and MCP, at O(v³) cost.
 
-use crate::list_common::{Machine, ReadySet};
+use crate::list_common::{ListState, ReadySet};
 use crate::scheduler::HomogeneousOnly;
 use fastsched_dag::{Cost, Dag, NodeId};
 use fastsched_schedule::{ProcId, Schedule};
@@ -31,7 +31,7 @@ impl Dcp {
 /// AEST (absolute earliest start) of every node on the partial
 /// schedule: placed nodes pinned, unplaced estimated with full
 /// communication.
-fn aest(dag: &Dag, machine: &Machine) -> Vec<Cost> {
+fn aest(dag: &Dag, machine: &ListState) -> Vec<Cost> {
     let mut t = vec![0 as Cost; dag.node_count()];
     for &n in dag.topo_order() {
         if machine.placed[n.index()] {
@@ -56,7 +56,7 @@ impl HomogeneousOnly for Dcp {
     const NAME: &'static str = "DCP";
 
     fn schedule_homogeneous(&self, dag: &Dag, num_procs: u32) -> Schedule {
-        let mut machine = Machine::new(dag.node_count(), num_procs);
+        let mut machine = ListState::new(dag.node_count(), num_procs);
         let mut ready = ReadySet::new(dag);
         let mut used_procs: u32 = 0;
 

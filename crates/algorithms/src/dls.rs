@@ -34,9 +34,8 @@ impl Dls {
         ws: &mut Workspace,
     ) -> Result<Schedule, SchedulerError> {
         static_levels_soa_into(dag, &mut ws.attr_lanes, &mut ws.level);
-        let (sl, machine, ready, dat) =
-            (&ws.level, &mut ws.machine, &mut ws.ready_set, &mut ws.dat);
-        machine.reset(dag.node_count(), num_procs);
+        let (sl, state, ready, dat) = (&ws.level, &mut ws.state, &mut ws.ready_set, &mut ws.dat);
+        state.reset(dag.node_count(), num_procs);
         ready.reset(dag);
         dat.reset(dag, model);
 
@@ -50,9 +49,7 @@ impl Dls {
             for &n in ready.ready() {
                 for pi in 0..num_procs {
                     let p = ProcId(pi);
-                    let est = machine
-                        .ready_time(p)
-                        .max(dat.probe(model, dag, machine, n, p));
+                    let est = state.ready_time(p).max(dat.probe(model, dag, state, n, p));
                     let dl = sl[n.index()] as i64 - est as i64;
                     let better = match best {
                         None => true,
@@ -68,10 +65,10 @@ impl Dls {
             }
             let (_, est, id, proc) = best.expect("ready set non-empty");
             let n = NodeId(id);
-            machine.place_with_duration(n, proc, est, model.compute_cost(dag, n, proc));
+            state.place_with_duration(dag, n, proc, est, model.compute_cost(dag, n, proc));
             ready.complete(dag, n);
         }
-        ws.machine.write_schedule(dag, &mut ws.staging);
+        ws.state.write_schedule(dag, &mut ws.staging);
         Ok(ws.finish(model))
     }
 }

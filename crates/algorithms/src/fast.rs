@@ -16,6 +16,7 @@
 //! producing makespans bit-identical to a full O(v + e) replay — the
 //! search trajectory is unchanged, only cheaper.
 
+use crate::list_common::ListState;
 use crate::scheduler::{priced, Scheduler, SchedulerError};
 use crate::workspace::{lend_eval, return_eval, untraced, Workspace};
 use fastsched_dag::{
@@ -27,73 +28,51 @@ use fastsched_trace::SearchTrace;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// The `InitialSchedule()` placement loop of §4.2 under `model`,
-/// writing through caller-owned buffers (all cleared + resized here).
-/// The schedule is reset in place and every node of `list` placed;
-/// message arrival and execution time are priced by `model`.
+/// The `InitialSchedule()` placement loop of §4.2 under `model`, on
+/// the workspace's list-scheduling state: `ws.state` is reset and
+/// every node of `ws.list` placed on it, with its DATs read through
+/// `ws.dat`; message arrival and execution time are priced by `model`.
+/// The candidates of a node are the distinct processors of its parents
+/// (as the DAT lanes record them) plus the next unused processor.
 ///
-/// When the model carries finite memory capacities
-/// ([`CostModel::has_capacities`]) the probe loop rejects
-/// over-capacity placements: candidates whose lane cannot hold the
-/// node's footprint are dropped, and if that empties the §4.2
+/// Under finite memory capacities the probe loop rejects over-capacity
+/// placements ([`ListState::fits`]): candidates whose lane cannot hold
+/// the node's footprint are dropped, and if that empties the §4.2
 /// candidate set the probe widens to every processor with room
-/// (earliest start, ties to the lower id). `proc_mem` holds the
-/// per-processor resident sums; with no finite capacity the loop never
-/// reads it. When no processor can hold a node's footprint the loop
-/// stops with [`SchedulerError::Infeasible`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn place_by_list<M: CostModel + ?Sized>(
+/// (earliest start, ties to the lower id). When no processor can hold
+/// a node's footprint the loop stops with
+/// [`SchedulerError::Infeasible`].
+fn place_by_list<M: CostModel + ?Sized>(
     model: &M,
     dag: &Dag,
-    list: &[NodeId],
     num_procs: u32,
-    ready: &mut Vec<u64>,
-    finish: &mut Vec<u64>,
-    assignment: &mut Vec<ProcId>,
-    placed: &mut Vec<bool>,
-    candidates: &mut Vec<ProcId>,
-    proc_mem: &mut Vec<u64>,
-    schedule: &mut Schedule,
+    ws: &mut Workspace,
     trace: &mut SearchTrace,
 ) -> Result<(), SchedulerError> {
-    let v = dag.node_count();
-    ready.clear();
-    ready.resize(num_procs as usize, 0);
-    finish.clear();
-    finish.resize(v, 0);
-    assignment.clear();
-    assignment.resize(v, ProcId(0));
-    placed.clear();
-    placed.resize(v, false);
-    proc_mem.clear();
-    proc_mem.resize(num_procs as usize, 0);
-    schedule.reset(v, num_procs);
-    let track_mem = model.has_capacities();
-    let fits = |proc_mem: &[u64], p: ProcId, need: u64| match model.capacity(p) {
-        Some(cap) => proc_mem[p.index()].saturating_add(need) <= cap,
-        None => true,
-    };
+    let Workspace {
+        list,
+        state,
+        dat,
+        candidates,
+        staging,
+        ..
+    } = ws;
+    state.reset(dag.node_count(), num_procs);
+    dat.reset(dag, model);
+    let capped = model.has_capacities();
     let mut used_procs = 0u32;
 
-    for &n in list {
-        // Split SoA predecessor lanes: the candidate collection reads
-        // only the id lane, the DAT probe streams both lanes with no
-        // EdgeRef padding between elements.
-        let (psrc, pcost) = dag.pred_lanes(n);
+    for &n in list.iter() {
+        dat.fill(model, dag, state, n);
         candidates.clear();
-        for &t in psrc {
-            let p = assignment[t as usize];
-            if !candidates.contains(&p) {
-                candidates.push(p);
-            }
-        }
+        candidates.extend_from_slice(dat.parent_procs(dag, n));
         if used_procs < num_procs {
             candidates.push(ProcId(used_procs)); // the "new" processor
         }
         let need = dag.mem(n);
         let mut fallback = false;
-        if track_mem {
-            candidates.retain(|&p| fits(proc_mem, p, need));
+        if capped {
+            candidates.retain(|&p| state.fits(model, p, need));
             if candidates.is_empty() {
                 // Every preferred processor is at capacity (or the
                 // node had none): widen the probe to the whole
@@ -101,7 +80,7 @@ pub(crate) fn place_by_list<M: CostModel + ?Sized>(
                 candidates.extend(
                     (0..num_procs)
                         .map(ProcId)
-                        .filter(|&p| fits(proc_mem, p, need)),
+                        .filter(|&p| state.fits(model, p, need)),
                 );
                 if candidates.is_empty() {
                     return Err(SchedulerError::Infeasible {
@@ -115,8 +94,8 @@ pub(crate) fn place_by_list<M: CostModel + ?Sized>(
             // the least-loaded used processor.
             fallback = true;
             let p = (0..used_procs)
-                .min_by_key(|&i| ready[i as usize])
                 .map(ProcId)
+                .min_by_key(|&p| state.ready_time(p))
                 .expect("some processor must exist");
             candidates.push(p);
         }
@@ -124,16 +103,10 @@ pub(crate) fn place_by_list<M: CostModel + ?Sized>(
         let mut best_p = candidates[0];
         let mut best_start = u64::MAX;
         for &p in candidates.iter() {
-            // DAT: max message arrival over parents (§4.2) — a
-            // straight-line max chain over the two lanes.
-            let mut dat = 0u64;
-            for (&t, &c) in psrc.iter().zip(pcost) {
-                debug_assert!(placed[t as usize]);
-                let arrival = finish[t as usize] + model.message_cost(c, assignment[t as usize], p);
-                dat = dat.max(arrival);
-            }
-            let start = dat.max(ready[p.index()]);
-            trace.candidate_probed(n.0, p.0, ready[p.index()], dat, start);
+            let arrival = dat.probe(model, dag, state, n, p);
+            let ready = state.ready_time(p);
+            let start = arrival.max(ready);
+            trace.candidate_probed(n.0, p.0, ready, arrival, start);
             if start < best_start {
                 best_start = start;
                 best_p = p;
@@ -148,19 +121,13 @@ pub(crate) fn place_by_list<M: CostModel + ?Sized>(
         };
         trace.node_placed(n.0, best_p.0, best_start, reason);
 
-        let end = best_start + model.compute_cost(dag, n, best_p);
         if best_p.0 >= used_procs {
             used_procs = best_p.0 + 1;
         }
-        if track_mem {
-            proc_mem[best_p.index()] = proc_mem[best_p.index()].saturating_add(need);
-        }
-        ready[best_p.index()] = end;
-        finish[n.index()] = end;
-        assignment[n.index()] = best_p;
-        placed[n.index()] = true;
-        schedule.place(n, best_p, best_start, end);
+        let duration = model.compute_cost(dag, n, best_p);
+        state.place_with_duration(dag, n, best_p, best_start, duration);
     }
+    state.write_schedule(dag, staging);
     Ok(())
 }
 
@@ -170,11 +137,12 @@ pub(crate) fn place_by_list<M: CostModel + ?Sized>(
 /// one. Returns the best makespan reached. Probes are priced by the
 /// evaluator's [`CostModel`].
 ///
-/// With `mem: Some(resident sums)` the walk refuses transfers whose
-/// target lane cannot hold the node's footprint under the model's
-/// capacities — counted as skipped steps, like same-processor picks —
-/// and keeps the sums in sync on every commit. `None` leaves the
-/// trajectory byte-identical to the capacity-blind climb.
+/// With `mem: Some(state)` the walk refuses transfers whose target
+/// lane cannot hold the node's footprint ([`ListState::fits`] on the
+/// state's resident sums) — counted as skipped steps, like
+/// same-processor picks — and moves the footprint on every commit.
+/// `None` leaves the trajectory byte-identical to the capacity-blind
+/// climb.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn hill_climb<M: CostModel>(
     dag: &Dag,
@@ -184,7 +152,7 @@ pub(crate) fn hill_climb<M: CostModel>(
     max_steps: u32,
     seed: u64,
     trace: &mut SearchTrace,
-    mut mem: Option<&mut [u64]>,
+    mut mem: Option<&mut ListState>,
 ) -> u64 {
     let mut rng = StdRng::seed_from_u64(seed);
     // Random processor pool: the processors in use plus one spare.
@@ -199,8 +167,8 @@ pub(crate) fn hill_climb<M: CostModel>(
             trace.step_skipped();
             continue;
         }
-        if let (Some(used), Some(cap)) = (mem.as_deref(), eval.model().capacity(target)) {
-            if used[target.index()].saturating_add(dag.mem(node)) > cap {
+        if let Some(state) = mem.as_deref() {
+            if !state.fits(eval.model(), target, dag.mem(node)) {
                 trace.step_skipped();
                 continue;
             }
@@ -215,10 +183,8 @@ pub(crate) fn hill_climb<M: CostModel>(
                 best = makespan;
                 max_used = max_used.max(target.0);
                 eval.commit();
-                if let Some(used) = mem.as_deref_mut() {
-                    let need = dag.mem(node);
-                    used[from.index()] -= need;
-                    used[target.index()] = used[target.index()].saturating_add(need);
+                if let Some(state) = mem.as_deref_mut() {
+                    state.move_footprint(from, target, dag.mem(node));
                 }
                 trace.probe_accepted(step as u64, best);
                 trace.node_transferred(step as u64, node.0, from.0, target.0, best, true);
@@ -260,8 +226,9 @@ pub(crate) fn list_construction_into(dag: &Dag, obn_order: ObnOrder, ws: &mut Wo
 /// Phase 1 against workspace buffers, shared by FAST, FAST-SA and
 /// FAST-MS: list construction (timed as `list_construction`) plus the
 /// placement loop under `model` (timed as `initial_schedule`). Fills
-/// `ws.list`, `ws.classes`, `ws.blocking`, `ws.assignment` and
-/// `ws.proc_mem`, and builds the initial schedule in `ws.staging`.
+/// `ws.list`, `ws.classes`, `ws.blocking` and `ws.state` (the initial
+/// assignment is its `proc` lane), and builds the initial schedule in
+/// `ws.staging`.
 pub(crate) fn initial_schedule_ws<M: CostModel + ?Sized>(
     dag: &Dag,
     num_procs: u32,
@@ -275,20 +242,7 @@ pub(crate) fn initial_schedule_ws<M: CostModel + ?Sized>(
     ws.blocking_from_classes(dag);
     trace.phase_end("list_construction");
     trace.phase_start("initial_schedule");
-    place_by_list(
-        model,
-        dag,
-        &ws.list,
-        num_procs,
-        &mut ws.proc_ready,
-        &mut ws.node_finish,
-        &mut ws.assignment,
-        &mut ws.placed,
-        &mut ws.candidates,
-        &mut ws.proc_mem,
-        &mut ws.staging,
-        trace,
-    )?;
+    place_by_list(model, dag, num_procs, ws, trace)?;
     trace.phase_end("initial_schedule");
     Ok(())
 }
@@ -355,7 +309,7 @@ impl Fast {
             &mut untraced(),
         )
         .expect("the homogeneous machine has no capacities");
-        (ws.staging, ws.list, ws.assignment)
+        (ws.staging, ws.list, ws.state.proc)
     }
 
     /// The two phases of §4 — the one scheduling core: CPN-Dominate
@@ -376,8 +330,8 @@ impl Fast {
         trace.phase_start("local_search");
         if !ws.blocking.is_empty() && num_procs >= 2 {
             let mut eval = lend_eval(&mut ws.eval, model);
-            eval.reset(dag, &ws.list, &ws.assignment, num_procs);
-            let mem = model.has_capacities().then_some(&mut ws.proc_mem[..]);
+            eval.reset(dag, &ws.list, &ws.state.proc, num_procs);
+            let mem = model.has_capacities().then_some(&mut ws.state);
             hill_climb(
                 dag,
                 &ws.blocking,

@@ -14,7 +14,6 @@ use crate::fast::{hill_climb, initial_schedule_ws};
 use crate::scheduler::{priced, Scheduler, SchedulerError};
 use crate::workspace::{lend_eval, return_eval, Workspace};
 use fastsched_dag::{Dag, ObnOrder};
-use fastsched_schedule::evaluate::evaluate_fixed_order_into_with;
 use fastsched_schedule::{CostModel, Machine, Schedule};
 use fastsched_trace::SearchTrace;
 
@@ -94,7 +93,7 @@ impl FastParallel {
                 t => (t as usize).min(chains),
             };
             let (max_steps, base_seed) = (self.config.max_steps_per_chain, self.config.seed);
-            let (order, init, blocking) = (&ws.list, &ws.assignment, &ws.blocking);
+            let (order, init, blocking) = (&ws.list, &ws.state.proc, &ws.blocking);
             // Chains record in the caller's mode, so a traced run keeps
             // every chain's trajectory and provenance.
             let fresh = &trace.empty_like();
@@ -130,16 +129,7 @@ impl FastParallel {
             let best = (0..chains)
                 .min_by_key(|&i| (ws.chains[i].makespan, i))
                 .expect("at least one chain");
-            evaluate_fixed_order_into_with(
-                model,
-                dag,
-                &ws.list,
-                ws.chains[best].eval.assignment(),
-                num_procs,
-                &mut ws.proc_ready,
-                &mut ws.node_finish,
-                &mut ws.staging,
-            );
+            ws.chains[best].eval.write_schedule(&mut ws.staging);
         }
         trace.phase_end("local_search");
         Ok(ws.finish(model))

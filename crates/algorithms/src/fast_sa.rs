@@ -14,7 +14,6 @@ use crate::fast::initial_schedule_ws;
 use crate::scheduler::{priced, Scheduler, SchedulerError};
 use crate::workspace::{lend_eval, return_eval, Workspace};
 use fastsched_dag::{Dag, NodeId, ObnOrder};
-use fastsched_schedule::evaluate::evaluate_fixed_order_into_with;
 use fastsched_schedule::{CostModel, DeltaEvaluator, Machine, ProcId, Schedule};
 use fastsched_trace::SearchTrace;
 use rand::rngs::StdRng;
@@ -78,7 +77,7 @@ impl FastSa {
         trace.phase_start("local_search");
         if !ws.blocking.is_empty() && num_procs >= 2 && self.config.steps > 0 {
             let mut eval = lend_eval(&mut ws.eval, model);
-            eval.reset(dag, &ws.list, &ws.assignment, num_procs);
+            eval.reset(dag, &ws.list, &ws.state.proc, num_procs);
             anneal(
                 &self.config,
                 dag,
@@ -88,16 +87,11 @@ impl FastSa {
                 &mut ws.best_assignment,
                 trace,
             );
-            evaluate_fixed_order_into_with(
-                model,
-                dag,
-                eval.order(),
-                &ws.best_assignment,
-                num_procs,
-                &mut ws.proc_ready,
-                &mut ws.node_finish,
-                &mut ws.staging,
-            );
+            // The evaluator's committed state is bit-identical to a
+            // full replay, so re-seeding it with the best assignment
+            // yields the best schedule.
+            eval.reset(dag, &ws.list, &ws.best_assignment, num_procs);
+            eval.write_schedule(&mut ws.staging);
             return_eval(&mut ws.eval, eval);
         }
         trace.phase_end("local_search");

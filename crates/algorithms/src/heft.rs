@@ -11,9 +11,7 @@
 use crate::scheduler::{priced, Scheduler, SchedulerError};
 use crate::workspace::Workspace;
 use fastsched_dag::{Cost, Dag, NodeId};
-use fastsched_schedule::{
-    data_arrival_time_with, CostModel, HomogeneousModel, Machine, ProcId, Schedule,
-};
+use fastsched_schedule::{CostModel, HomogeneousModel, Machine, ProcId, Schedule};
 use fastsched_trace::SearchTrace;
 
 /// The HEFT scheduler.
@@ -68,15 +66,19 @@ impl Heft {
     /// The HEFT loop — the one scheduling core, HEFT-hetero included. Nodes go in upward-rank order to
     /// the processor with minimum `(EFT, EST, id)`, probing the first
     /// idle gap that fits; message arrival and execution time are
-    /// priced by `model`. On identical compute costs minimum EFT is
-    /// minimum EST, the homogeneous insertion rule.
+    /// priced by `model`, the arrival through the shared [`DatLanes`]
+    /// probe (the rank order is topological, so every probed node is
+    /// ready). On identical compute costs minimum EFT is minimum EST,
+    /// the homogeneous insertion rule.
     ///
-    /// When the model carries finite memory capacities
-    /// ([`CostModel::has_capacities`]) the EFT probe skips processors
+    /// Under finite memory capacities the EFT probe skips processors
     /// whose lane cannot hold the node's footprint on top of what is
-    /// already resident there, and stops with
+    /// already resident there ([`ListState::fits`]), and stops with
     /// [`SchedulerError::Infeasible`] when no processor can hold a
     /// node's footprint.
+    ///
+    /// [`DatLanes`]: crate::list_common::DatLanes
+    /// [`ListState::fits`]: crate::list_common::ListState::fits
     fn core<M: CostModel + ?Sized>(
         &self,
         dag: &Dag,
@@ -85,26 +87,19 @@ impl Heft {
         ws: &mut Workspace,
     ) -> Result<Schedule, SchedulerError> {
         rank_order_into(model, dag, num_procs, &mut ws.level, &mut ws.list);
-        let track_mem = model.has_capacities();
-        let (m, proc_mem) = (&mut ws.machine, &mut ws.proc_mem);
-        m.reset(dag.node_count(), num_procs);
-        proc_mem.clear();
-        proc_mem.resize(num_procs as usize, 0);
+        let (state, dat) = (&mut ws.state, &mut ws.dat);
+        state.reset(dag.node_count(), num_procs);
+        dat.reset(dag, model);
         for &n in &ws.list {
             let need = dag.mem(n);
             let mut best: Option<(Cost, Cost, ProcId)> = None; // (eft, est, proc)
             for pi in 0..num_procs {
                 let p = ProcId(pi);
-                if track_mem {
-                    if let Some(cap) = model.capacity(p) {
-                        if proc_mem[p.index()].saturating_add(need) > cap {
-                            continue; // over capacity: lane is closed to n
-                        }
-                    }
+                if !state.fits(model, p, need) {
+                    continue; // over capacity: lane is closed to n
                 }
                 let w = model.compute_cost(dag, n, p);
-                let dat = data_arrival_time_with(model, dag, n, p, &m.finish, &m.proc);
-                let est = m.earliest_gap_at_or_after(p, dat, w);
+                let est = state.earliest_gap_at_or_after(p, dat.probe(model, dag, state, n, p), w);
                 let eft = est + w;
                 if best.is_none_or(|(beft, best_est, bp)| (eft, est, p.0) < (beft, best_est, bp.0))
                 {
@@ -117,12 +112,9 @@ impl Heft {
                     footprint: need,
                 });
             };
-            if track_mem {
-                proc_mem[p.index()] = proc_mem[p.index()].saturating_add(need);
-            }
-            m.place_with_duration(n, p, est, eft - est);
+            state.place_with_duration(dag, n, p, est, eft - est);
         }
-        ws.machine.write_schedule(dag, &mut ws.staging);
+        ws.state.write_schedule(dag, &mut ws.staging);
         Ok(ws.finish(model))
     }
 }

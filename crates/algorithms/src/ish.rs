@@ -8,7 +8,7 @@
 //! ready nodes, highest static level first; a hole node is accepted if
 //! it fits without delaying the hole owner's start.
 
-use crate::list_common::{DatLanes, Machine, ReadySet};
+use crate::list_common::{DatLanes, ListState, ReadySet};
 use crate::scheduler::HomogeneousOnly;
 use fastsched_dag::{attributes::static_levels, Cost, Dag};
 use fastsched_schedule::{HomogeneousModel, ProcId, Schedule};
@@ -29,7 +29,7 @@ impl HomogeneousOnly for Ish {
 
     fn schedule_homogeneous(&self, dag: &Dag, num_procs: u32) -> Schedule {
         let sl = static_levels(dag);
-        let mut machine = Machine::new(dag.node_count(), num_procs);
+        let mut machine = ListState::new(dag.node_count(), num_procs);
         let mut ready = ReadySet::new(dag);
         // A ready node's DAT entry is filled on its first probe; its
         // parents are all placed, so the entry never goes stale.

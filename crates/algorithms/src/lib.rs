@@ -106,6 +106,5 @@ pub use optimal::{BranchAndBound, NoPlan, OracleOutcome};
 pub use pool::WorkerPool;
 pub use scheduler::{all_schedulers, paper_schedulers, HomogeneousOnly, Scheduler, SchedulerError};
 pub use workspace::{
-    schedule_many, schedule_many_into, schedule_many_par, schedule_many_par_by,
-    schedule_many_par_with, Workspace,
+    schedule_many, schedule_many_into, schedule_many_par, schedule_many_par_with, Workspace,
 };

@@ -1,17 +1,25 @@
-//! Shared machinery for the list-scheduling family: ready-set
-//! tracking, earliest-start-time probing (both the paper's
-//! ready-time/no-insertion policy and the insertion policy used by
-//! MCP/HEFT), and static-list execution.
+//! Shared machinery for the list-scheduling family: the placement
+//! state ([`ListState`]) and DAT lanes ([`DatLanes`]) every model core
+//! places through, ready-set tracking, earliest-start-time probing
+//! (both the paper's ready-time/no-insertion policy and the insertion
+//! policy used by MCP/HEFT), and static-list execution.
 
 use fastsched_dag::{Cost, Dag, NodeId};
 use fastsched_schedule::{data_arrival_time_with, CostModel, HomogeneousModel, ProcId, Schedule};
 
-/// Mutable list-scheduling state: per-processor timelines plus
+/// Mutable list-scheduling state shared by every list-scheduling
+/// core: per-processor timelines and resident footprints plus
 /// per-node placement, cheaper to probe than re-deriving from
 /// [`Schedule`].
-pub struct Machine {
-    /// Per-processor ordered slots `(start, finish, node)`.
-    pub lanes: Vec<Vec<(Cost, Cost, NodeId)>>,
+pub struct ListState {
+    /// Per-processor ordered slots `(start, finish, node)`. Only the
+    /// first `num_procs` lanes are live; lanes of a wider earlier run
+    /// are kept as buffers.
+    lanes: Vec<Vec<(Cost, Cost, NodeId)>>,
+    num_procs: u32,
+    /// Resident footprint per processor: the saturating sum of
+    /// [`Dag::mem`] over the nodes placed there.
+    mem: Vec<Cost>,
     /// Finish time per placed node (0 = unplaced; query `placed`).
     pub finish: Vec<Cost>,
     /// Processor per placed node.
@@ -20,11 +28,13 @@ pub struct Machine {
     pub placed: Vec<bool>,
 }
 
-impl Machine {
-    /// Empty machine with `num_procs` processors for `num_nodes` tasks.
+impl ListState {
+    /// Empty state with `num_procs` processors for `num_nodes` tasks.
     pub fn new(num_nodes: usize, num_procs: u32) -> Self {
         let mut m = Self {
             lanes: Vec::new(),
+            num_procs: 0,
+            mem: Vec::new(),
             finish: Vec::new(),
             proc: Vec::new(),
             placed: Vec::new(),
@@ -33,19 +43,22 @@ impl Machine {
         m
     }
 
-    /// Re-initialize the machine in place for a (possibly different)
+    /// Re-initialize the state in place for a (possibly different)
     /// problem shape. Lanes and per-node arrays are cleared, never
-    /// dropped, so a reused machine allocates nothing once every
-    /// buffer has reached its peak size.
+    /// dropped — not even the lanes past a smaller `num_procs` — so a
+    /// reused state allocates nothing once every buffer has reached
+    /// its peak size.
     pub fn reset(&mut self, num_nodes: usize, num_procs: u32) {
         let np = num_procs as usize;
-        self.lanes.truncate(np);
-        for lane in &mut self.lanes {
+        for lane in self.lanes.iter_mut().take(np) {
             lane.clear();
         }
         while self.lanes.len() < np {
             self.lanes.push(Vec::new());
         }
+        self.num_procs = num_procs;
+        self.mem.clear();
+        self.mem.resize(np, 0);
         self.finish.clear();
         self.finish.resize(num_nodes, 0);
         self.proc.clear();
@@ -57,13 +70,32 @@ impl Machine {
     /// Number of processors.
     #[inline]
     pub fn num_procs(&self) -> u32 {
-        self.lanes.len() as u32
+        self.num_procs
     }
 
     /// Ready time of a processor: finish of its last task.
     #[inline]
     pub fn ready_time(&self, p: ProcId) -> Cost {
+        debug_assert!(p.0 < self.num_procs);
         self.lanes[p.index()].last().map_or(0, |&(_, f, _)| f)
+    }
+
+    /// Whether `p` can take a footprint of `need` on top of what is
+    /// resident there under `model`'s capacity (always, for an
+    /// unbounded processor). The one capacity check of the model
+    /// cores.
+    #[inline]
+    pub fn fits<M: CostModel + ?Sized>(&self, model: &M, p: ProcId, need: Cost) -> bool {
+        model
+            .capacity(p)
+            .is_none_or(|cap| self.mem[p.index()].saturating_add(need) <= cap)
+    }
+
+    /// Move a footprint of `need` from `from`'s resident sum to
+    /// `to`'s, for a search that transfers a placed node.
+    pub fn move_footprint(&mut self, from: ProcId, to: ProcId, need: Cost) {
+        self.mem[from.index()] -= need;
+        self.mem[to.index()] = self.mem[to.index()].saturating_add(need);
     }
 
     /// Data arrival time of `n` on `p` given current placements,
@@ -94,6 +126,7 @@ impl Machine {
     /// First time >= `lower` at which an idle interval of length `w`
     /// exists on `p`.
     pub fn earliest_gap_at_or_after(&self, p: ProcId, lower: Cost, w: Cost) -> Cost {
+        debug_assert!(p.0 < self.num_procs);
         let lane = &self.lanes[p.index()];
         let mut cursor = lower;
         for &(s, f, _) in lane {
@@ -108,26 +141,36 @@ impl Machine {
         cursor
     }
 
-    /// Place `n` on `p` at `start` (keeping the lane sorted). The
-    /// caller guarantees the slot is idle.
+    /// Place `n` on `p` at `start` (keeping the lane sorted) and add
+    /// its footprint to `p`'s resident sum. The caller guarantees the
+    /// slot is idle.
     pub fn place(&mut self, dag: &Dag, n: NodeId, p: ProcId, start: Cost) {
-        self.place_with_duration(n, p, start, dag.weight(n));
+        self.place_with_duration(dag, n, p, start, dag.weight(n));
     }
 
     /// [`Self::place`] with an explicit duration, for cost models
     /// where execution time depends on the processor (heterogeneous
     /// speeds).
-    pub fn place_with_duration(&mut self, n: NodeId, p: ProcId, start: Cost, duration: Cost) {
+    pub fn place_with_duration(
+        &mut self,
+        dag: &Dag,
+        n: NodeId,
+        p: ProcId,
+        start: Cost,
+        duration: Cost,
+    ) {
+        debug_assert!(p.0 < self.num_procs);
         let fin = start + duration;
         let lane = &mut self.lanes[p.index()];
         let pos = lane.partition_point(|&(s, _, _)| s < start);
         lane.insert(pos, (start, fin, n));
+        self.mem[p.index()] = self.mem[p.index()].saturating_add(dag.mem(n));
         self.finish[n.index()] = fin;
         self.proc[n.index()] = p;
         self.placed[n.index()] = true;
     }
 
-    /// Convert the machine state into a [`Schedule`].
+    /// Convert the state into a [`Schedule`].
     pub fn into_schedule(self, dag: &Dag) -> Schedule {
         let mut s = Schedule::new(0, 1);
         self.write_schedule(dag, &mut s);
@@ -135,10 +178,10 @@ impl Machine {
     }
 
     /// [`Self::into_schedule`] writing into a caller-owned schedule
-    /// (reset in place) without consuming the machine.
+    /// (reset in place) without consuming the state.
     pub fn write_schedule(&self, dag: &Dag, out: &mut Schedule) {
-        out.reset(dag.node_count(), self.num_procs());
-        for (pi, lane) in self.lanes.iter().enumerate() {
+        out.reset(dag.node_count(), self.num_procs);
+        for (pi, lane) in self.lanes[..self.num_procs as usize].iter().enumerate() {
             for &(start, fin, n) in lane {
                 out.place(n, ProcId(pi as u32), start, fin);
             }
@@ -159,8 +202,10 @@ impl Machine {
 /// entry once makes every later `(node, processor)` probe
 /// O(distinct parent processors) instead of O(in-degree) — the
 /// difference between the published O(p v²) for ETF and an accidental
-/// O(p v² d) — and one `reset` touches flat arrays, not `v` heap-owned
-/// caches; the fill/probe loops walk the split [`Dag::pred_lanes`].
+/// O(p v² d) — and O(1) for the node filled last, whose processors
+/// carry that fill's stamp (FAST and HEFT probe only that node). One
+/// `reset` touches flat arrays, not `v` heap-owned caches; the
+/// fill/probe loops walk the split [`Dag::pred_lanes`].
 ///
 /// The lanes price messages through a [`CostModel`], and they are
 /// exact only when a message's price depends on nothing but whether
@@ -168,7 +213,9 @@ impl Machine {
 /// [`CostModel::permits_renumbering`] guarantees. [`DatLanes::probe`]
 /// uses them under such models and walks the parents directly under
 /// any other (per-processor speeds, multi-group hierarchies, finite
-/// capacities).
+/// capacities). Under every model a filled entry records the node's
+/// distinct parent processors ([`DatLanes::parent_procs`]), FAST's
+/// §4.2 candidate set.
 #[derive(Debug, Default)]
 pub struct DatLanes {
     /// `max over parents (finish + remote message)` per node — DAT on
@@ -179,9 +226,16 @@ pub struct DatLanes {
     /// Whether each node's entry has been filled this run.
     valid: Vec<bool>,
     /// Distinct parent processors, stored in the node's pred-CSR span.
-    procs: Vec<u32>,
+    procs: Vec<ProcId>,
     /// `DAT(n, procs[k])`, aligned with `procs`.
     dats: Vec<Cost>,
+    /// Per processor: the fill that last recorded it and its slot in
+    /// that fill's span. Fills are numbered across resets, so a stale
+    /// stamp never matches.
+    stamp: Vec<(u64, u32)>,
+    /// Number of the latest fill, and the node it filled.
+    fills: u64,
+    last: Option<NodeId>,
     /// Whether [`DatLanes::probe`] answers from the lanes this run.
     cached: bool,
 }
@@ -207,10 +261,13 @@ impl DatLanes {
         self.len.resize(v, 0);
         self.valid.clear();
         self.valid.resize(v, false);
-        self.procs.clear();
-        self.procs.resize(e, 0);
-        self.dats.clear();
-        self.dats.resize(e, 0);
+        // An entry's edge-span slots are read only after `fill` wrote
+        // them, so these lanes are grown, never cleared.
+        if self.procs.len() < e {
+            self.procs.resize(e, ProcId(0));
+            self.dats.resize(e, 0);
+        }
+        self.last = None;
     }
 
     /// Whether `n`'s entry has been filled since the last reset.
@@ -221,12 +278,14 @@ impl DatLanes {
 
     /// Fill `n`'s entry against current placements (all parents must
     /// be placed — the values are final once `n` is ready). Distinct
-    /// parent processors are discovered in pred (id-sorted) order.
+    /// parent processors are recorded in pred (id-sorted) order, first
+    /// occurrence, under every model; the DATs are priced only when
+    /// the lanes are exact for the model.
     pub fn fill<M: CostModel + ?Sized>(
         &mut self,
         model: &M,
         dag: &Dag,
-        machine: &Machine,
+        state: &ListState,
         n: NodeId,
     ) {
         let i = n.index();
@@ -235,48 +294,77 @@ impl DatLanes {
         // Every processor but the sender prices a message alike, so the
         // all-remote bound is priced against one of them. A
         // one-processor machine hosts every parent and never reads it.
-        let priced_remote = machine.num_procs() > 1;
+        let priced_remote = self.cached && state.num_procs() > 1;
+        let np = state.num_procs() as usize;
+        if self.stamp.len() < np {
+            self.stamp.resize(np, (0, 0));
+        }
+        self.fills += 1;
         let mut remote = 0;
         let mut k = 0usize;
         for (&t, &c) in src.iter().zip(cost) {
-            debug_assert!(machine.placed[t as usize]);
-            let p = machine.proc[t as usize];
+            debug_assert!(state.placed[t as usize]);
+            let p = state.proc[t as usize];
             if priced_remote {
                 let other = ProcId(u32::from(p.0 == 0));
-                remote = remote.max(machine.finish[t as usize] + model.message_cost(c, p, other));
+                remote = remote.max(state.finish[t as usize] + model.message_cost(c, p, other));
             }
-            if !self.procs[lo..lo + k].contains(&p.0) {
-                self.procs[lo + k] = p.0;
+            if self.stamp[p.index()].0 != self.fills {
+                self.stamp[p.index()] = (self.fills, k as u32);
+                self.procs[lo + k] = p;
                 k += 1;
             }
         }
         // DAT on parent processor q: messages from parents on q are
         // free, others pay their price.
-        for slot in lo..lo + k {
-            let q = ProcId(self.procs[slot]);
-            let mut dat = 0;
-            for (&t, &c) in src.iter().zip(cost) {
-                let arrival =
-                    machine.finish[t as usize] + model.message_cost(c, machine.proc[t as usize], q);
-                dat = dat.max(arrival);
+        if self.cached {
+            for slot in lo..lo + k {
+                let q = self.procs[slot];
+                let mut dat = 0;
+                for (&t, &c) in src.iter().zip(cost) {
+                    let arrival =
+                        state.finish[t as usize] + model.message_cost(c, state.proc[t as usize], q);
+                    dat = dat.max(arrival);
+                }
+                self.dats[slot] = dat;
             }
-            self.dats[slot] = dat;
         }
         self.remote[i] = remote;
         self.len[i] = k as u32;
         self.valid[i] = true;
+        self.last = Some(n);
     }
 
-    /// `DAT(n, p)` in O(distinct parent processors); `n`'s entry must
-    /// be valid.
+    /// The distinct processors hosting `n`'s parents, in pred order,
+    /// first occurrence; `n`'s entry must be valid.
     #[inline]
-    pub fn dat(&self, dag: &Dag, n: NodeId, p: ProcId) -> Cost {
+    pub fn parent_procs(&self, dag: &Dag, n: NodeId) -> &[ProcId] {
         let i = n.index();
         debug_assert!(self.valid[i]);
         let lo = dag.pred_offsets()[i] as usize;
+        &self.procs[lo..lo + self.len[i] as usize]
+    }
+
+    /// `DAT(n, p)`: O(1) for the node filled last (the processor
+    /// stamps still belong to it), O(distinct parent processors) for
+    /// any other. `n`'s entry must be valid and the lanes exact for
+    /// the model.
+    #[inline]
+    pub fn dat(&self, dag: &Dag, n: NodeId, p: ProcId) -> Cost {
+        let i = n.index();
+        debug_assert!(self.valid[i] && self.cached);
+        let lo = dag.pred_offsets()[i] as usize;
+        if self.last == Some(n) {
+            let (fill, slot) = self.stamp[p.index()];
+            return if fill == self.fills {
+                self.dats[lo + slot as usize]
+            } else {
+                self.remote[i]
+            };
+        }
         let hi = lo + self.len[i] as usize;
         for slot in lo..hi {
-            if self.procs[slot] == p.0 {
+            if self.procs[slot] == p {
                 return self.dats[slot];
             }
         }
@@ -292,15 +380,15 @@ impl DatLanes {
         &mut self,
         model: &M,
         dag: &Dag,
-        machine: &Machine,
+        state: &ListState,
         n: NodeId,
         p: ProcId,
     ) -> Cost {
         if !self.cached {
-            return data_arrival_time_with(model, dag, n, p, &machine.finish, &machine.proc);
+            return data_arrival_time_with(model, dag, n, p, &state.finish, &state.proc);
         }
         if !self.valid[n.index()] {
-            self.fill(model, dag, machine, n);
+            self.fill(model, dag, state, n);
         }
         self.dat(dag, n, p)
     }
@@ -376,7 +464,7 @@ impl ReadySet {
 /// classical HLFET) or in the first idle gap that fits
 /// (`insertion = true`, MCP).
 pub fn run_static_list(dag: &Dag, order: &[NodeId], num_procs: u32, insertion: bool) -> Schedule {
-    let mut m = Machine::new(dag.node_count(), num_procs);
+    let mut m = ListState::new(dag.node_count(), num_procs);
     for &n in order {
         let mut best_p = ProcId(0);
         let mut best_s = Cost::MAX;
@@ -401,7 +489,9 @@ pub fn run_static_list(dag: &Dag, order: &[NodeId], num_procs: u32, insertion: b
 mod tests {
     use super::*;
     use fastsched_dag::DagBuilder;
-    use fastsched_schedule::validate;
+    use fastsched_schedule::{
+        validate, AlphaBeta, Hierarchical, MemoryCapacities, ProcessorSpeeds,
+    };
 
     fn pair() -> Dag {
         let mut b = DagBuilder::new();
@@ -425,7 +515,7 @@ mod tests {
     #[test]
     fn append_policy_respects_ready_time() {
         let g = pair();
-        let mut m = Machine::new(2, 2);
+        let mut m = ListState::new(2, 2);
         m.place(&g, NodeId(0), ProcId(0), 0);
         // Same proc: DAT 2, ready 2 → 2. Other proc: DAT 2 + 4 = 6.
         assert_eq!(m.earliest_start_append(&g, NodeId(1), ProcId(0)), 2);
@@ -440,7 +530,7 @@ mod tests {
         b.add_task(5);
         b.add_task(3);
         let g = b.build().unwrap();
-        let mut m = Machine::new(3, 1);
+        let mut m = ListState::new(3, 1);
         m.place(&g, NodeId(0), ProcId(0), 0); // [0,5)
         m.place(&g, NodeId(1), ProcId(0), 9); // [9,14)
                                               // Gap [5,9) holds a weight-3 task.
@@ -454,7 +544,7 @@ mod tests {
         let mut b = DagBuilder::new();
         b.add_task(5);
         let g = b.build().unwrap();
-        let mut m = Machine::new(1, 1);
+        let mut m = ListState::new(1, 1);
         // Empty lane: gap at the lower bound.
         assert_eq!(m.earliest_gap_at_or_after(ProcId(0), 7, 100), 7);
         m.place(&g, NodeId(0), ProcId(0), 3); // [3,8)
@@ -477,7 +567,7 @@ mod tests {
         b.add_edge(p1, child, 10).unwrap();
         b.add_edge(p2, child, 4).unwrap();
         let g = b.build().unwrap();
-        let mut m = Machine::new(3, 4);
+        let mut m = ListState::new(3, 4);
         m.place(&g, p1, ProcId(0), 0); // finish 2
         m.place(&g, p2, ProcId(2), 5); // finish 8
         let mut lanes = DatLanes::new();
@@ -501,9 +591,12 @@ mod tests {
 
     #[test]
     fn dat_lanes_match_dat_cache() {
-        // Three parents and a second child, probed through the flat
-        // lanes: every (node, processor) answer must equal
-        // Machine::data_arrival_time.
+        // Three parents of `child` on processors 2, 0, 2 (pred order)
+        // and a second child of the first. Under an exact model (plain,
+        // α–β) and non-exact ones (finite capacities, speeds, two
+        // groups) the lanes record the distinct parent processors in
+        // pred order, first occurrence, and every (node, processor)
+        // probe equals `data_arrival_time_with`.
         let mut b = DagBuilder::new();
         let p1 = b.add_task(2);
         let p2 = b.add_task(3);
@@ -515,32 +608,93 @@ mod tests {
         b.add_edge(p3, child, 1).unwrap();
         b.add_edge(p1, other, 2).unwrap();
         let g = b.build().unwrap();
-        let mut m = Machine::new(g.node_count(), 4);
-        m.place(&g, p1, ProcId(0), 0); // finish 2
-        m.place(&g, p2, ProcId(2), 5); // finish 8
+        let mut m = ListState::new(g.node_count(), 4);
+        m.place(&g, p1, ProcId(2), 0); // finish 2
+        m.place(&g, p2, ProcId(0), 5); // finish 8
         m.place(&g, p3, ProcId(2), 8); // finish 12
+        let capped = MemoryCapacities::uniform(HomogeneousModel, 100, 4);
+        let speeds = ProcessorSpeeds::new(vec![100, 200, 50, 150]);
+        let groups = Hierarchical::from_group_sizes(
+            &[2, 2],
+            AlphaBeta::new(0, 1, 1),
+            AlphaBeta::new(9, 2, 1),
+        )
+        .unwrap();
+        let models: [(&str, &dyn CostModel); 5] = [
+            ("plain", &HomogeneousModel),
+            ("alpha-beta", &AlphaBeta::new(20, 3, 2)),
+            ("capped", &capped),
+            ("speeds", &speeds),
+            ("two groups", &groups),
+        ];
         let mut lanes = DatLanes::new();
-        lanes.reset(&g, &HomogeneousModel);
-        assert!(!lanes.is_valid(child));
-        lanes.fill(&HomogeneousModel, &g, &m, child);
-        lanes.fill(&HomogeneousModel, &g, &m, other);
-        for &n in &[child, other] {
-            for pi in 0..4 {
-                let p = ProcId(pi);
-                assert_eq!(
-                    lanes.dat(&g, n, p),
-                    m.data_arrival_time(&g, n, p),
-                    "node {n} proc {pi}"
-                );
+        for (name, model) in models {
+            lanes.reset(&g, model);
+            assert!(!lanes.is_valid(child));
+            lanes.fill(model, &g, &m, child);
+            lanes.fill(model, &g, &m, other);
+            assert_eq!(
+                lanes.parent_procs(&g, child),
+                [ProcId(2), ProcId(0)],
+                "{name}"
+            );
+            assert_eq!(lanes.parent_procs(&g, other), [ProcId(2)], "{name}");
+            for &n in &[child, other] {
+                for pi in 0..4 {
+                    let p = ProcId(pi);
+                    assert_eq!(
+                        lanes.probe(model, &g, &m, n, p),
+                        data_arrival_time_with(model, &g, n, p, &m.finish, &m.proc),
+                        "{name}: node {n} proc {pi}"
+                    );
+                }
             }
         }
         // All-remote: max(2 + 10, 8 + 4, 12 + 1) = 13. On proc 2 the
         // two co-located messages are free: max(2 + 10, 8, 12) = 12.
+        lanes.reset(&g, &HomogeneousModel);
+        lanes.fill(&HomogeneousModel, &g, &m, child);
         assert_eq!(lanes.dat(&g, child, ProcId(1)), 13);
         assert_eq!(lanes.dat(&g, child, ProcId(2)), 12);
         // Reset invalidates without shrinking.
         lanes.reset(&g, &HomogeneousModel);
         assert!(!lanes.is_valid(child));
+    }
+
+    #[test]
+    fn fits_admits_a_full_lane_and_refuses_one_unit_more() {
+        let mut b = DagBuilder::new();
+        let a = b.add_task_with_mem(2, 6);
+        let c = b.add_task_with_mem(2, 4);
+        let d = b.add_task_with_mem(2, 1);
+        let g = b.build().unwrap();
+        let model = MemoryCapacities::new(HomogeneousModel, vec![10, 5]);
+        let (p0, p1) = (ProcId(0), ProcId(1));
+        let mut m = ListState::new(g.node_count(), 2);
+        assert!(m.fits(&model, p0, 10));
+        assert!(!m.fits(&model, p0, 11));
+        // Residency accumulates per lane: 6, then 6 + 4 = 10 on p0,
+        // while p1 keeps its own sum.
+        m.place(&g, a, p0, 0);
+        assert!(m.fits(&model, p0, 4));
+        assert!(!m.fits(&model, p0, 5));
+        m.place(&g, c, p0, 2);
+        assert!(m.fits(&model, p0, 0));
+        assert!(!m.fits(&model, p0, 1));
+        m.place(&g, d, p1, 0);
+        assert!(m.fits(&model, p1, 4));
+        assert!(!m.fits(&model, p1, 5));
+        // A transfer moves the footprint between lanes.
+        m.move_footprint(p0, p1, 4);
+        assert!(m.fits(&model, p0, 4));
+        assert!(!m.fits(&model, p0, 5));
+        assert!(m.fits(&model, p1, 0));
+        assert!(!m.fits(&model, p1, 1));
+        // An unbounded model admits anything; a reset empties the lanes.
+        assert!(m.fits(&HomogeneousModel, p0, Cost::MAX));
+        m.reset(g.node_count(), 2);
+        assert!(m.fits(&model, p0, 10));
+        assert!(!m.fits(&model, p0, 11));
     }
 
     #[test]

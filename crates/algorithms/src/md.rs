@@ -24,7 +24,7 @@
 //! placement, the complexity class and the qualitative behaviour,
 //! while guaranteeing the result is always a legal schedule.
 
-use crate::list_common::{Machine, ReadySet};
+use crate::list_common::{ListState, ReadySet};
 use crate::scheduler::HomogeneousOnly;
 use fastsched_dag::{Cost, Dag, NodeId};
 use fastsched_schedule::{ProcId, Schedule};
@@ -44,7 +44,7 @@ impl Md {
 /// at their actual start; unplaced nodes take the max over parents of
 /// `finish + c` (`c` zeroed only between placed co-located pairs,
 /// which is already folded into `finish`).
-fn current_asap(dag: &Dag, machine: &Machine) -> Vec<Cost> {
+fn current_asap(dag: &Dag, machine: &ListState) -> Vec<Cost> {
     let mut asap = vec![0 as Cost; dag.node_count()];
     for &n in dag.topo_order() {
         if machine.placed[n.index()] {
@@ -69,7 +69,7 @@ fn current_asap(dag: &Dag, machine: &Machine) -> Vec<Cost> {
 
 /// b-levels on the current partial schedule (full communication costs
 /// on all edges to unplaced nodes).
-fn current_blevel(dag: &Dag, machine: &Machine) -> Vec<Cost> {
+fn current_blevel(dag: &Dag, machine: &ListState) -> Vec<Cost> {
     let mut bl = vec![0 as Cost; dag.node_count()];
     for &n in dag.topo_order().iter().rev() {
         let mut best = 0;
@@ -86,7 +86,7 @@ impl HomogeneousOnly for Md {
     const NAME: &'static str = "MD";
 
     fn schedule_homogeneous(&self, dag: &Dag, num_procs: u32) -> Schedule {
-        let mut machine = Machine::new(dag.node_count(), num_procs);
+        let mut machine = ListState::new(dag.node_count(), num_procs);
         let mut ready = ReadySet::new(dag);
 
         while !ready.is_empty() {

@@ -4,9 +4,10 @@
 //! algorithms (FAST, FAST-SA, FAST-MS, ETF, DLS, HEFT) need, under any
 //! cost model: the attribute
 //! arrays of the `list_construction` phase, the CPN-Dominate list
-//! scratch, the placement buffers of `InitialSchedule()`, the
-//! list-scheduling [`Machine`], the incremental [`DeltaEvaluator`] and
-//! the compaction scratch, and the correctness gate's lane scratch.
+//! scratch, the one placement state all six place through (the
+//! list-scheduling [`ListState`] and its [`DatLanes`]), the
+//! incremental [`DeltaEvaluator`] and the compaction scratch, and the
+//! correctness gate's lane scratch.
 //! Buffers are *cleared, never dropped* between runs, so once every
 //! buffer has reached its peak size a reused workspace performs **zero
 //! heap allocations** per schedule, gate included (release builds,
@@ -35,9 +36,9 @@
 //! `core(dag, num_procs, model, workspace, trace)`. Re-derive every
 //! input from `(dag, num_procs)` into workspace buffers via the
 //! `_into`/`reset` variants (`GraphAttributes::compute_into`,
-//! `classify_nodes_into`, `cpn_dominate_list_into`, `Machine::reset`,
-//! `ReadySet::reset`, ...), borrow the evaluator re-typed for the model
-//! with `lend_eval`, build the result in
+//! `classify_nodes_into`, `cpn_dominate_list_into`, `ListState::reset`,
+//! `DatLanes::reset`, `ReadySet::reset`, ...), borrow the evaluator
+//! re-typed for the model with `lend_eval`, build the result in
 //! `Workspace::staging`, and hand it out with `Workspace::finish`
 //! (compacts when the model permits renumbering). The algorithm's
 //! [`Scheduler::schedule_on`] matches on the
@@ -46,7 +47,7 @@
 //! correctness gate. The property suite compares serialized
 //! schedules across dirty reuse and across identity models.
 
-use crate::list_common::{DatLanes, Machine, ReadySet};
+use crate::list_common::{DatLanes, ListState, ReadySet};
 use crate::scheduler::Scheduler;
 use fastsched_dag::{AttrLanes, Cost, CpnListScratch, Dag, GraphAttributes, NodeClass, NodeId};
 use fastsched_schedule::{
@@ -110,22 +111,15 @@ pub struct Workspace {
     pub(crate) cpn_scratch: CpnListScratch,
     pub(crate) list: Vec<NodeId>,
     pub(crate) blocking: Vec<NodeId>,
-    // --- InitialSchedule() placement buffers ---
-    pub(crate) proc_ready: Vec<Cost>,
-    pub(crate) node_finish: Vec<Cost>,
-    pub(crate) assignment: Vec<ProcId>,
-    pub(crate) placed: Vec<bool>,
+    // --- placement (FAST's InitialSchedule(), ETF, DLS, HEFT) ---
+    pub(crate) state: ListState,
+    pub(crate) dat: DatLanes,
+    /// FAST's §4.2 candidate processors of the node being placed.
     pub(crate) candidates: Vec<ProcId>,
-    /// Per-processor resident-set sums (peak footprint per lane);
-    /// written only under a capacity-carrying model.
-    pub(crate) proc_mem: Vec<Cost>,
-    // --- list-scheduling family (ETF, DLS, HEFT) ---
-    pub(crate) machine: Machine,
     pub(crate) ready_set: ReadySet,
     /// Per-node priority: the static level (ETF, DLS) or the upward
     /// rank (HEFT).
     pub(crate) level: Vec<Cost>,
-    pub(crate) dat: DatLanes,
     // --- local search ---
     pub(crate) eval: DeltaEvaluator,
     pub(crate) best_assignment: Vec<ProcId>,
@@ -150,16 +144,11 @@ impl Workspace {
             cpn_scratch: CpnListScratch::new(),
             list: Vec::new(),
             blocking: Vec::new(),
-            proc_ready: Vec::new(),
-            node_finish: Vec::new(),
-            assignment: Vec::new(),
-            placed: Vec::new(),
+            state: ListState::new(0, 0),
+            dat: DatLanes::new(),
             candidates: Vec::new(),
-            proc_mem: Vec::new(),
-            machine: Machine::new(0, 0),
             ready_set: ReadySet::empty(),
             level: Vec::new(),
-            dat: DatLanes::new(),
             eval: DeltaEvaluator::empty(),
             best_assignment: Vec::new(),
             chains: Vec::new(),
@@ -348,17 +337,4 @@ pub fn schedule_many_par(
     .into_iter()
     .map(|(s, _)| s)
     .collect()
-}
-
-/// [`schedule_many_par_with`] for a closure that brings its own scratch.
-pub fn schedule_many_par_by<F>(
-    dags: &[Dag],
-    procs: &[u32],
-    threads: usize,
-    schedule_one: F,
-) -> Vec<(Schedule, f64)>
-where
-    F: Fn(&Dag, u32) -> Schedule + Sync,
-{
-    schedule_many_par_with(dags, procs, threads, |d, p, _| schedule_one(d, p))
 }

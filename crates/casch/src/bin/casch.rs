@@ -76,7 +76,7 @@ USAGE:
                  [--mem-caps <spec>] [--out <out.ndjson>]
   casch serve    [--addr <host:port>] [--threads <t>] [--queue-depth <n>]
                  [--timeout-ms <ms>] [--max-line-bytes <n>] [--max-procs <p>]
-                 [--max-groups <n>] [--metrics-addr <host:port>] [--no-metrics]
+                 [--metrics-addr <host:port>] [--no-metrics]
                  [--access-log <file.ndjson>] [--log-sample-rate <n>]
   casch loadgen  (--dir <dir> | --manifest <list.txt> | --dag <file>)
                  [--addr <host:port>] [--algo <name>] [--procs <p>]
@@ -569,9 +569,7 @@ fn reject(lines: &mut String, rejected: &mut u64, dag: &str, error: &str) {
 /// The service front-end: see `casch serve` in the usage text and
 /// DESIGN.md §14 for the protocol and architecture.
 fn cmd_serve(opts: &Flags) -> Result<(), String> {
-    use fastsched_casch::serve::{
-        install_sigint_handler, ServeConfig, Server, DEFAULT_MAX_GROUPS, DEFAULT_MAX_PROCS,
-    };
+    use fastsched_casch::serve::{install_sigint_handler, ServeConfig, Server, DEFAULT_MAX_PROCS};
     let addr = opts
         .get("addr")
         .map(String::as_str)
@@ -583,8 +581,6 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
         max_line_bytes: get_u64_or(opts, "max-line-bytes", protocol::DEFAULT_MAX_LINE as u64)?
             as usize,
         max_procs: get_u64_or(opts, "max-procs", DEFAULT_MAX_PROCS as u64)?
-            .clamp(1, u32::MAX as u64) as u32,
-        max_groups: get_u64_or(opts, "max-groups", DEFAULT_MAX_GROUPS as u64)?
             .clamp(1, u32::MAX as u64) as u32,
         metrics: !opts.contains_key("no-metrics"),
         metrics_addr: opts.get("metrics-addr").cloned(),

@@ -34,9 +34,9 @@
 //! ```
 //!
 //! The protocol layer keeps `comm` as pure spec data ([`CommSpec`]);
-//! the service layer checks it against its `--max-groups` /
-//! `--max-procs` caps *before* materializing a model, so a one-line
-//! request cannot demand an enormous group table.
+//! the service layer checks it against its `--max-procs` cap *before*
+//! materializing a model, so a one-line request cannot demand an
+//! enormous group table.
 //!
 //! An optional `mem_caps` field selects memory-constrained scheduling
 //! (DESIGN.md §17) for the memory-aware schedulers (`fast`, `heft`):

@@ -107,10 +107,6 @@ const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 /// in the hundreds of KB.
 pub const DEFAULT_MAX_PROCS: u32 = 16_384;
 
-/// Default [`ServeConfig::max_groups`]: far above any sensible NUMA
-/// hierarchy while bounding the per-request group table.
-pub const DEFAULT_MAX_GROUPS: u32 = 1_024;
-
 /// Request-vocabulary algorithm names, in the order their per-algo
 /// request counters are kept. The final entry is the heterogeneous
 /// engine, selected by a `speeds` array rather than by name.
@@ -165,11 +161,6 @@ pub struct ServeConfig {
     /// Schedulers allocate O(procs) scratch, so this bound is what
     /// keeps a hostile one-line request from demanding gigabytes.
     pub max_procs: u32,
-    /// Cap on the number of groups a hierarchical `comm` model may
-    /// declare. The group *table* (one entry per processor) is
-    /// already bounded by the processor limit; this bounds the group
-    /// count itself, and is checked before the table is materialized.
-    pub max_groups: u32,
     /// Record per-phase latency histograms (`false` = the
     /// `--no-metrics` overhead-measurement mode: no clock reads or
     /// histogram writes beyond what the response itself needs).
@@ -193,7 +184,6 @@ impl Default for ServeConfig {
             default_timeout_ms: 0,
             max_line_bytes: protocol::DEFAULT_MAX_LINE,
             max_procs: DEFAULT_MAX_PROCS,
-            max_groups: DEFAULT_MAX_GROUPS,
             metrics: true,
             metrics_addr: None,
             access_log: None,
@@ -867,8 +857,10 @@ fn handle_connection(stream: TcpStream, ctx: ConnCtx) -> io::Result<()> {
 }
 
 /// Build a [`CommModel`] from wire spec data, enforcing the server's
-/// group and processor caps *before* the group table is materialized.
-fn build_comm(spec: CommSpec, config: &ServeConfig, proc_limit: u64) -> Result<CommModel, String> {
+/// processor cap *before* the group table is materialized. Every group
+/// holds at least one processor, so the cap bounds the group count
+/// too.
+fn build_comm(spec: CommSpec, proc_limit: u64) -> Result<CommModel, String> {
     match spec {
         CommSpec::Ideal => Ok(CommModel::Ideal),
         CommSpec::AlphaBeta {
@@ -883,14 +875,6 @@ fn build_comm(spec: CommSpec, config: &ServeConfig, proc_limit: u64) -> Result<C
             intra,
             inter,
         } => {
-            let max_groups = config.max_groups.max(1);
-            if groups.len() as u64 > u64::from(max_groups) {
-                return Err(format!(
-                    "parse: `comm.groups` lists {} group(s), above the server's \
-                     group limit ({max_groups}); raise --max-groups if intended",
-                    groups.len()
-                ));
-            }
             let total: u64 = groups.iter().map(|&s| u64::from(s)).sum();
             if total > proc_limit {
                 return Err(format!(
@@ -928,7 +912,7 @@ fn prepare(req: ScheduleRequest, config: &ServeConfig) -> Result<PreparedRequest
     };
     let comm = req
         .comm
-        .map(|spec| build_comm(spec, config, proc_limit))
+        .map(|spec| build_comm(spec, proc_limit))
         .transpose()?;
     let (engine, procs) = machine::resolve(
         &req.algo,

@@ -137,7 +137,7 @@ fn comm_requests_run_the_model_path_and_bad_specs_are_rejected() {
     use fastsched_schedule::{AlphaBeta, CommModel, Hierarchical, IDEAL_LINK};
     let (addr, join, shutdown) = start_server(ServeConfig {
         threads: 1,
-        max_groups: 4,
+        max_procs: 4,
         ..ServeConfig::default()
     });
     let dag = paper_figure1();
@@ -146,7 +146,9 @@ fn comm_requests_run_the_model_path_and_bad_specs_are_rejected() {
     // 1: α–β over ETF. 2: hierarchical over FAST (procs from the
     // table). 3: α–β identity over FAST — must be byte-identical to
     // the plain homogeneous response. 4–7: rejected at parse time
-    // (group cap, comm+speeds, model-less algo, procs mismatch).
+    // (hier table above the processor limit — the 9-node DAG's node
+    // count, since the cap is 4 — comm+speeds, model-less algo, procs
+    // mismatch).
     let mut reqs: Vec<ScheduleRequest> = Vec::new();
     let mut r1 = ScheduleRequest::new(1, spec.clone());
     r1.algo = "etf".into();
@@ -174,7 +176,7 @@ fn comm_requests_run_the_model_path_and_bad_specs_are_rejected() {
     reqs.push(r3);
     let mut r4 = ScheduleRequest::new(4, spec.clone());
     r4.comm = Some(CommSpec::Hier {
-        groups: vec![1; 5],
+        groups: vec![5, 5],
         intra: [0, 1, 1],
         inter: [1, 1, 1],
     });
@@ -264,7 +266,7 @@ fn comm_requests_run_the_model_path_and_bad_specs_are_rejected() {
     }
 
     for (id, needle) in [
-        (4, "group limit"),
+        (4, "above the server's processor limit"),
         (5, "cannot be combined"),
         (6, "no communication-model path"),
         (7, "disagrees with the hier group table"),

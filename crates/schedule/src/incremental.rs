@@ -74,7 +74,7 @@ pub struct DeltaEvaluator<M: CostModel = HomogeneousModel> {
     finish: Vec<Cost>,
     makespan: Cost,
     /// Sorted positions (indices into `order`) per processor, for the
-    /// committed assignment.
+    /// committed assignment; only the first `num_procs` lists are live.
     proc_positions: Vec<Vec<usize>>,
     /// CSR-style offsets into [`Self::succ_sorted`]: node `u`'s
     /// successor slack entries live at
@@ -307,10 +307,9 @@ impl<M: CostModel> DeltaEvaluator<M> {
         self.undo.clear();
         self.tentative = None;
         self.stats = EvalStats::default();
-        self.proc_positions.truncate(np);
-        for list in &mut self.proc_positions {
-            list.clear();
-        }
+        // Lists past `np` are kept (never truncated), so a warm
+        // evaluator whose processor count drops and grows again does
+        // not reallocate them; every walk is bounded by `num_procs`.
         while self.proc_positions.len() < np {
             self.proc_positions.push(Vec::new());
         }
@@ -751,7 +750,7 @@ impl<M: CostModel> DeltaEvaluator<M> {
     }
 
     fn rebuild_proc_positions(&mut self) {
-        for list in &mut self.proc_positions {
+        for list in &mut self.proc_positions[..self.num_procs as usize] {
             list.clear();
         }
         for (i, &n) in self.order.iter().enumerate() {

@@ -862,12 +862,13 @@ fn workspace_model_path_is_byte_identical_capped_and_uncapped() {
     }
 }
 
-/// `schedule_many_par_by` (the model-aware batch shards) must be
-/// element-wise byte-identical at every thread count — the test
-/// behind `casch batch --comm/--mem-caps --threads N`.
+/// `schedule_many_par_with` driving `Scheduler::run` on each worker's
+/// warm workspace (the model-aware batch shards) must be element-wise
+/// byte-identical at every thread count — the path behind `casch
+/// batch --comm/--mem-caps --threads N`.
 #[test]
 fn model_batches_are_byte_identical_at_every_thread_count() {
-    use fastsched::algorithms::schedule_many_par_by;
+    use fastsched::algorithms::schedule_many_par_with;
     use fastsched::schedule::MemoryCapacities;
     use fastsched::workloads::fuzz::mem_corpus;
     let corpus = mem_corpus(CORPUS_SEED ^ 15, 9);
@@ -875,15 +876,17 @@ fn model_batches_are_byte_identical_at_every_thread_count() {
     let procs: Vec<u32> = corpus.iter().map(|c| c.procs).collect();
     let caps: Vec<u64> = corpus.iter().map(|c| c.tight_cap).collect();
     let run = |threads: usize| {
-        schedule_many_par_by(&dags, &procs, threads, |dag, np| {
+        schedule_many_par_with(&dags, &procs, threads, |dag, np, ws| {
             // Each corpus entry carries its own budget; recover it by
             // identity since the closure only sees (dag, procs).
             let i = dags
                 .iter()
                 .position(|d| std::ptr::eq(d, dag))
                 .expect("corpus dag");
-            let model = MemoryCapacities::uniform(CommModel::Ideal, caps[i], np);
-            with_model(&Fast::new(), dag, np, &model)
+            let machine = MemoryCapacities::uniform(CommModel::Ideal, caps[i], np).into();
+            Fast::new()
+                .run(dag, np, &machine, ws, &mut SearchTrace::default())
+                .unwrap_or_else(|e| panic!("{}: {e}", corpus[i].name))
         })
     };
     let serial = run(1);

@@ -96,6 +96,59 @@ fn ported_algorithms_are_allocation_free() {
     assert_steady_state("HEFT/300", &dag, 8, &Heft::new());
 }
 
+/// One warm workspace serving runs whose processor count goes down and
+/// back up, as a serve worker does across requests: per-processor
+/// lanes a narrower run does not use are kept, so the wider run after
+/// it allocates nothing either.
+#[test]
+fn alternating_processor_counts_are_allocation_free() {
+    let _serial = serial();
+    let db = TimingDatabase::paragon();
+    let dag = random_layered_dag(&RandomDagConfig::paper(300, &db), 7);
+    let (fast, etf, dls, heft) = (Fast::new(), Etf::new(), Dls::new(), Heft::new());
+    let algos: [(&str, &dyn Scheduler); 4] = [
+        ("FAST", &fast),
+        ("ETF", &etf),
+        ("DLS", &dls),
+        ("HEFT", &heft),
+    ];
+    let procs = [8, 4];
+    let mut ws = Workspace::new();
+    // Warm-up: one round at every count grows each lane to its peak
+    // and records the reference bytes.
+    let mut reference = Vec::new();
+    for &np in &procs {
+        for &(_, algo) in &algos {
+            let s = algo.schedule_into(&dag, np, &mut ws);
+            reference.push(to_json(&s));
+            ws.recycle(s);
+        }
+    }
+    for round in 0..2 {
+        let mut expected = reference.iter();
+        for &np in &procs {
+            for &(name, algo) in &algos {
+                let before = ALLOC.allocations();
+                let s = algo.schedule_into(&dag, np, &mut ws);
+                let allocated = ALLOC.allocations() - before;
+                if steady_state_armed() {
+                    assert_eq!(
+                        allocated, 0,
+                        "{name}/{np} procs: round {round} performed {allocated} heap allocations"
+                    );
+                }
+                let want = expected.next().expect("one reference per run");
+                assert_eq!(
+                    &to_json(&s),
+                    want,
+                    "{name}/{np} procs: round {round} diverged"
+                );
+                ws.recycle(s);
+            }
+        }
+    }
+}
+
 /// The model-priced scheduling cores — what `casch serve` runs for
 /// `comm`, `mem_caps` and `speeds` requests — are allocation-free on a
 /// warm workspace too.
