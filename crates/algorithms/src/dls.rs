@@ -84,12 +84,14 @@ impl Scheduler for Dls {
         num_procs: u32,
         machine: &Machine,
         ws: &mut Workspace,
-        _trace: &mut SearchTrace,
+        trace: &mut SearchTrace,
     ) -> Result<Schedule, SchedulerError> {
         if machine.has_capacities() {
             return Err(SchedulerError::Unsupported);
         }
-        priced!(machine, |m| self.core(dag, num_procs, m, ws))
+        let schedule = priced!(machine, |m| self.core(dag, num_procs, m, ws));
+        trace.eval.placement_pred_reads += ws.dat.pred_reads();
+        schedule
     }
 }
 

@@ -27,7 +27,8 @@ impl Etf {
     /// a model whose message price depends only on co-location the
     /// probes read the flat per-node DAT lanes
     /// ([`crate::list_common::DatLanes`]), otherwise they walk the
-    /// parents. Scratch comes from `ws`; ETF has no search to trace.
+    /// parents. Scratch comes from `ws`; ETF has no search to trace,
+    /// only the lanes' pred-read count.
     /// ETF is capacity-blind, so machines with memory capacities are
     /// `Unsupported`.
     fn core<M: CostModel + ?Sized>(
@@ -82,12 +83,14 @@ impl Scheduler for Etf {
         num_procs: u32,
         machine: &Machine,
         ws: &mut Workspace,
-        _trace: &mut SearchTrace,
+        trace: &mut SearchTrace,
     ) -> Result<Schedule, SchedulerError> {
         if machine.has_capacities() {
             return Err(SchedulerError::Unsupported);
         }
-        priced!(machine, |m| self.core(dag, num_procs, m, ws))
+        let schedule = priced!(machine, |m| self.core(dag, num_procs, m, ws));
+        trace.eval.placement_pred_reads += ws.dat.pred_reads();
+        schedule
     }
 }
 

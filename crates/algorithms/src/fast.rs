@@ -127,6 +127,7 @@ fn place_by_list<M: CostModel + ?Sized>(
         let duration = model.compute_cost(dag, n, best_p);
         state.place_with_duration(dag, n, best_p, best_start, duration);
     }
+    trace.eval.placement_pred_reads += dat.pred_reads();
     state.write_schedule(dag, staging);
     Ok(())
 }

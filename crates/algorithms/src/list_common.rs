@@ -199,13 +199,20 @@ impl ListState {
 /// exception pairs live in the node's predecessor-CSR span (distinct
 /// parent processors never outnumber parents), with the all-remote
 /// bound, entry count and validity in per-node lanes. Filling a node's
-/// entry once makes every later `(node, processor)` probe
-/// O(distinct parent processors) instead of O(in-degree) — the
+/// entry costs one pass over its parents plus one over its distinct
+/// parent processors — O(in-degree), so filling every node is O(e),
+/// the paper's §4.2 bound. The fill keeps, per parent processor, the
+/// latest co-located and the latest remote arrival, and the top two of
+/// the remote ones: `DAT(n, q)` is the larger of `q`'s co-located
+/// arrival and the top remote arrival *not sent from `q`* — the top
+/// one, or the second-best when `q` sent the top one. A later
+/// `(node, processor)` probe is O(distinct parent processors) — the
 /// difference between the published O(p v²) for ETF and an accidental
 /// O(p v² d) — and O(1) for the node filled last, whose processors
 /// carry that fill's stamp (FAST and HEFT probe only that node). One
 /// `reset` touches flat arrays, not `v` heap-owned caches; the
-/// fill/probe loops walk the split [`Dag::pred_lanes`].
+/// fill/probe loops walk the split [`Dag::pred_lanes`], and
+/// [`DatLanes::pred_reads`] counts the entries they read.
 ///
 /// The lanes price messages through a [`CostModel`], and they are
 /// exact only when a message's price depends on nothing but whether
@@ -233,6 +240,14 @@ pub struct DatLanes {
     /// that fill's span. Fills are numbered across resets, so a stale
     /// stamp never matches.
     stamp: Vec<(u64, u32)>,
+    /// Fill scratch, per slot of the fill's span: the latest remote
+    /// arrival from the parents on that slot's processor. Sized with
+    /// `stamp` — a node never has more distinct parent processors
+    /// than the machine has processors.
+    rmax: Vec<Cost>,
+    /// Pred-lane entries read since the last reset, by `fill` and by
+    /// `probe`'s direct parent walk.
+    pred_reads: u64,
     /// Number of the latest fill, and the node it filled.
     fills: u64,
     last: Option<NodeId>,
@@ -268,6 +283,16 @@ impl DatLanes {
             self.dats.resize(e, 0);
         }
         self.last = None;
+        self.pred_reads = 0;
+    }
+
+    /// Pred-lane entries read since the last reset — one per parent
+    /// per fill, plus one per parent per direct walk under a model the
+    /// lanes are not exact for. A placement loop that fills each node
+    /// once under an exact model reads exactly `e`.
+    #[inline]
+    pub fn pred_reads(&self) -> u64 {
+        self.pred_reads
     }
 
     /// Whether `n`'s entry has been filled since the last reset.
@@ -291,45 +316,62 @@ impl DatLanes {
         let i = n.index();
         let lo = dag.pred_offsets()[i] as usize;
         let (src, cost) = dag.pred_lanes(n);
-        // Every processor but the sender prices a message alike, so the
-        // all-remote bound is priced against one of them. A
+        // Every processor but the sender prices a message alike, so a
+        // remote arrival is priced against one of them. A
         // one-processor machine hosts every parent and never reads it.
         let priced_remote = self.cached && state.num_procs() > 1;
         let np = state.num_procs() as usize;
         if self.stamp.len() < np {
             self.stamp.resize(np, (0, 0));
+            self.rmax.resize(np, 0);
         }
         self.fills += 1;
-        let mut remote = 0;
+        self.pred_reads += src.len() as u64;
+        // One pass over the parents: dedupe their processors into
+        // slots and keep each slot's latest co-located arrival (in
+        // `dats`) and latest remote arrival (in `rmax`).
         let mut k = 0usize;
         for (&t, &c) in src.iter().zip(cost) {
             debug_assert!(state.placed[t as usize]);
             let p = state.proc[t as usize];
-            if priced_remote {
-                let other = ProcId(u32::from(p.0 == 0));
-                remote = remote.max(state.finish[t as usize] + model.message_cost(c, p, other));
-            }
-            if self.stamp[p.index()].0 != self.fills {
-                self.stamp[p.index()] = (self.fills, k as u32);
-                self.procs[lo + k] = p;
-                k += 1;
-            }
-        }
-        // DAT on parent processor q: messages from parents on q are
-        // free, others pay their price.
-        if self.cached {
-            for slot in lo..lo + k {
-                let q = self.procs[slot];
-                let mut dat = 0;
-                for (&t, &c) in src.iter().zip(cost) {
-                    let arrival =
-                        state.finish[t as usize] + model.message_cost(c, state.proc[t as usize], q);
-                    dat = dat.max(arrival);
+            let slot = match self.stamp[p.index()] {
+                (fill, slot) if fill == self.fills => slot as usize,
+                _ => {
+                    self.stamp[p.index()] = (self.fills, k as u32);
+                    self.procs[lo + k] = p;
+                    self.dats[lo + k] = 0;
+                    self.rmax[k] = 0;
+                    k += 1;
+                    k - 1
                 }
-                self.dats[slot] = dat;
+            };
+            if self.cached {
+                let finish = state.finish[t as usize];
+                let local = &mut self.dats[lo + slot];
+                *local = (*local).max(finish + model.message_cost(c, p, p));
+                if priced_remote {
+                    let other = ProcId(u32::from(p.0 == 0));
+                    let remote = &mut self.rmax[slot];
+                    *remote = (*remote).max(finish + model.message_cost(c, p, other));
+                }
             }
         }
-        self.remote[i] = remote;
+        // One pass over the slots: the top two remote maxima give every
+        // slot's best arrival from the *other* processors.
+        let (mut top, mut top_slot, mut second) = (0, usize::MAX, 0);
+        if self.cached {
+            for (slot, &r) in self.rmax[..k].iter().enumerate() {
+                if r > top {
+                    (second, top, top_slot) = (top, r, slot);
+                } else if r > second {
+                    second = r;
+                }
+            }
+            for (slot, dat) in self.dats[lo..lo + k].iter_mut().enumerate() {
+                *dat = (*dat).max(if slot == top_slot { second } else { top });
+            }
+        }
+        self.remote[i] = top;
         self.len[i] = k as u32;
         self.valid[i] = true;
         self.last = Some(n);
@@ -385,6 +427,7 @@ impl DatLanes {
         p: ProcId,
     ) -> Cost {
         if !self.cached {
+            self.pred_reads += dag.in_degree(n) as u64;
             return data_arrival_time_with(model, dag, n, p, &state.finish, &state.proc);
         }
         if !self.valid[n.index()] {
@@ -659,6 +702,92 @@ mod tests {
         // Reset invalidates without shrinking.
         lanes.reset(&g, &HomogeneousModel);
         assert!(!lanes.is_valid(child));
+
+        // The one-pass fill's top-two rule, pinned on fan-ins whose
+        // parents are `(weight, processor, start, edge weight)`:
+        // DAT(q) is q's co-located arrival or the best remote arrival
+        // not sent from q, whichever is later.
+        // Every parent on one processor: one slot, second-best 0.
+        let one_proc = [(2, 1, 0, 10), (3, 1, 2, 4), (1, 1, 5, 1)];
+        // The top remote arrival sent from processors 0 and 2 alike.
+        let tied = [(5, 0, 0, 6), (5, 2, 0, 6), (1, 3, 0, 1)];
+        // The top remote arrival sent from the probed processor 1, which
+        // then waits for the second-best (from processor 0).
+        let top_is_probed = [(2, 1, 0, 10), (3, 0, 0, 8), (4, 1, 2, 1)];
+        let one_proc_machine = [(2, 0, 0, 10), (3, 0, 2, 4)];
+        for (name, parents, procs, plain) in [
+            ("one proc", &one_proc[..], 4, [12, 6, 12, 12]),
+            ("tied", &tied[..], 4, [11, 11, 11, 11]),
+            ("top is probed", &top_is_probed[..], 4, [12, 11, 12, 12]),
+            (
+                "one-processor machine",
+                &one_proc_machine[..],
+                1,
+                [5, 0, 0, 0],
+            ),
+        ] {
+            check_fan_in(name, parents, procs, &plain[..procs as usize]);
+        }
+    }
+
+    /// Place `parents` (`(weight, processor, start, edge weight)`) and
+    /// their common child on a `procs`-processor state, then check the
+    /// lanes against `data_arrival_time_with` on every processor —
+    /// parent-free ones included — under every model the lanes are
+    /// exact for, through both the stamp and the span lookup. `plain`
+    /// is the expected DAT per processor under the paper's model.
+    fn check_fan_in(name: &str, parents: &[(Cost, u32, Cost, Cost)], procs: u32, plain: &[Cost]) {
+        let mut b = DagBuilder::new();
+        let ids: Vec<NodeId> = parents.iter().map(|&(w, ..)| b.add_task(w)).collect();
+        let child = b.add_task(1);
+        for (&t, &(.., c)) in ids.iter().zip(parents) {
+            b.add_edge(t, child, c).unwrap();
+        }
+        let g = b.build().unwrap();
+        let mut m = ListState::new(g.node_count(), procs);
+        for (&t, &(_, p, start, _)) in ids.iter().zip(parents) {
+            m.place(&g, t, ProcId(p), start);
+        }
+        let one_group = Hierarchical::from_group_sizes(
+            &[procs],
+            AlphaBeta::new(3, 1, 1),
+            AlphaBeta::new(30, 2, 1),
+        )
+        .unwrap();
+        let models: [(&str, &dyn CostModel); 3] = [
+            ("plain", &HomogeneousModel),
+            ("alpha-beta", &AlphaBeta::new(20, 3, 2)),
+            ("one-group hier", &one_group),
+        ];
+        let mut lanes = DatLanes::new();
+        for (model_name, model) in models {
+            assert!(model.permits_renumbering(), "{model_name}");
+            lanes.reset(&g, model);
+            // The first pass probes the node filled last (processor
+            // stamps); the second, after an unrelated fill, scans the
+            // node's span.
+            for pass in ["stamp", "span"] {
+                for pi in 0..procs {
+                    let p = ProcId(pi);
+                    assert_eq!(
+                        lanes.probe(model, &g, &m, child, p),
+                        data_arrival_time_with(model, &g, child, p, &m.finish, &m.proc),
+                        "{name}/{model_name}/{pass}: proc {pi}"
+                    );
+                }
+                lanes.fill(model, &g, &m, ids[0]);
+            }
+            assert_eq!(
+                lanes.pred_reads(),
+                parents.len() as u64,
+                "{name}/{model_name}: one read per parent"
+            );
+        }
+        lanes.reset(&g, &HomogeneousModel);
+        for (pi, &want) in plain.iter().enumerate() {
+            let got = lanes.probe(&HomogeneousModel, &g, &m, child, ProcId(pi as u32));
+            assert_eq!(got, want, "{name}: plain DAT on proc {pi}");
+        }
     }
 
     #[test]

@@ -34,26 +34,31 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let result = match cmd.as_str() {
-        "generate" => cmd_generate(&opts),
-        "info" => cmd_info(&opts),
-        "dot" => cmd_dot(&opts),
-        "schedule" => cmd_schedule(&opts),
-        "batch" => cmd_batch(&opts),
-        "serve" => cmd_serve(&opts),
-        "loadgen" => cmd_loadgen(&opts),
-        "simulate" => cmd_simulate(&opts),
-        "verify" => cmd_verify(&opts),
-        "compare" => cmd_compare(&opts),
-        "trace" => cmd_trace(&opts),
-        "explain" => cmd_explain(&opts),
-        "diff" => cmd_diff(&opts),
-        _ => Err(format!("unknown command `{cmd}`")),
+    let run: fn(&Flags) -> Result<(), String> = match cmd.as_str() {
+        "generate" => cmd_generate,
+        "info" => cmd_info,
+        "dot" => cmd_dot,
+        "schedule" => cmd_schedule,
+        "batch" => cmd_batch,
+        "serve" => cmd_serve,
+        "loadgen" => cmd_loadgen,
+        "simulate" => cmd_simulate,
+        "verify" => cmd_verify,
+        "compare" => cmd_compare,
+        "trace" => cmd_trace,
+        "explain" => cmd_explain,
+        "diff" => cmd_diff,
+        _ => {
+            eprintln!("error: unknown command `{cmd}`\n\n{USAGE}");
+            return ExitCode::FAILURE;
+        }
     };
-    match result {
+    // A command that parsed but failed gets its one `error:` line; the
+    // usage text is for malformed command lines only.
+    match run(&opts) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
+            eprintln!("error: {e}");
             ExitCode::FAILURE
         }
     }

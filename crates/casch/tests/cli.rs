@@ -1171,6 +1171,41 @@ fn model_flags_are_reconciled_with_procs() {
     }
 }
 
+/// A command that parsed but failed prints exactly one `error:` line;
+/// the usage text follows only a malformed command line (a flag
+/// without its value, an unknown command).
+#[test]
+fn failed_commands_print_one_error_line() {
+    let dag = fixtures().join("gauss5.json");
+    let out = casch()
+        .args([
+            "schedule",
+            "--algo",
+            "etf",
+            "--mem-caps",
+            "uniform:50",
+            "--dag",
+        ])
+        .arg(&dag)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    let lines: Vec<&str> = stderr.lines().collect();
+    assert_eq!(lines.len(), 1, "{stderr}");
+    assert!(
+        lines[0].starts_with("error: algorithm `etf` has no memory-aware path"),
+        "{stderr}"
+    );
+    for args in [&["schedule", "--dag"][..], &["frobnicate"]] {
+        let out = casch().args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+        assert!(stderr.contains("USAGE"), "{args:?}: {stderr}");
+    }
+}
+
 /// A model batch shards like a plain one: the hier table fixes every
 /// row's processor count, and two workers reproduce the serial
 /// makespans.

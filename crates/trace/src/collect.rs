@@ -17,10 +17,11 @@ use std::time::{Duration, Instant};
 /// Default bound of the trajectory ring buffer (entries).
 pub const DEFAULT_TRAJECTORY_CAPACITY: usize = 8192;
 
-/// Low-level counters of the incremental evaluation engine
-/// ([`DeltaEvaluator`](../fastsched_schedule/struct.DeltaEvaluator.html)):
-/// how much work each probe's dirty-suffix walk actually did. Plain
-/// counters: they always count.
+/// Low-level work counters: how much work each probe's dirty-suffix
+/// walk in the incremental evaluation engine
+/// ([`DeltaEvaluator`](../fastsched_schedule/struct.DeltaEvaluator.html))
+/// actually did, and how many parent entries the placement loop's DAT
+/// lanes read. Plain counters: they always count.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvalStats {
     /// Incremental (dirty-suffix) probe evaluations started.
@@ -46,6 +47,10 @@ pub struct EvalStats {
     pub commits: u64,
     /// Probes rolled back from the undo log.
     pub reverts: u64,
+    /// Pred-lane entries the placement loop's DAT lanes read (FAST's
+    /// initial schedule, ETF, DLS, HEFT): `e` for a run that fills
+    /// each node once under a co-location-priced model.
+    pub placement_pred_reads: u64,
 }
 
 macro_rules! bump {
@@ -99,6 +104,7 @@ impl EvalStats {
         self.slack_rebuilds += other.slack_rebuilds;
         self.commits += other.commits;
         self.reverts += other.reverts;
+        self.placement_pred_reads += other.placement_pred_reads;
     }
 
     /// `(name, value)` pairs in emission order (the NDJSON counter
@@ -119,6 +125,7 @@ impl EvalStats {
             ("slack_rebuilds", self.slack_rebuilds),
             ("commits", self.commits),
             ("reverts", self.reverts),
+            ("placement_pred_reads", self.placement_pred_reads),
         ]
     }
 }

@@ -7,21 +7,152 @@
 //! assertions allocate by design — see DESIGN.md §12); the
 //! byte-identity assertions run in every configuration, so the test
 //! is never vacuous.
+//!
+//! The allocation counter is process-wide — code under test allocates
+//! on threads it spawns (FAST-MS chains, sharded batches), so it must
+//! see every thread. The binary therefore runs without the libtest
+//! harness (`harness = false`): `main` runs the cases one after
+//! another on the main thread, so no harness thread starting,
+//! reporting or finishing a test can allocate inside a measured
+//! window. It speaks enough of libtest's command line (name filters,
+//! `--exact`, `--skip`, `--list`, `--format json`) and output for
+//! `cargo test` to drive it like any other test binary.
 
 use fastsched::counting_alloc::CountingAlloc;
 use fastsched::prelude::*;
 use fastsched::schedule::io::to_json;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::process::ExitCode;
+use std::time::Instant;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
 
-/// The allocation counter is process-wide, so the tests run one at a
-/// time: no other test may allocate inside a measured window.
-static SERIAL: Mutex<()> = Mutex::new(());
+/// Every case, in run order.
+const CASES: [(&str, fn()); 4] = [
+    (
+        "alternating_processor_counts_are_allocation_free",
+        alternating_processor_counts_are_allocation_free,
+    ),
+    (
+        "fast_is_allocation_free_on_the_2000_node_workload",
+        fast_is_allocation_free_on_the_2000_node_workload,
+    ),
+    (
+        "model_priced_cores_are_allocation_free",
+        model_priced_cores_are_allocation_free,
+    ),
+    (
+        "ported_algorithms_are_allocation_free",
+        ported_algorithms_are_allocation_free,
+    ),
+];
 
-fn serial() -> MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+fn main() -> ExitCode {
+    // libtest's `--format json` event stream, or its default lines.
+    let mut json = false;
+    let (mut list, mut exact, mut ignored_only) = (false, false, false);
+    let (mut filters, mut skips) = (Vec::new(), Vec::new());
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        let (flag, inline) = match arg.split_once('=') {
+            Some((f, v)) if f.starts_with("--") => (f.to_string(), Some(v.to_string())),
+            _ => (arg.clone(), None),
+        };
+        let mut value = || inline.clone().or_else(|| args.next()).unwrap_or_default();
+        match flag.as_str() {
+            "--list" => list = true,
+            "--exact" => exact = true,
+            "--ignored" => ignored_only = true,
+            "--format" => json = value() == "json",
+            "--skip" => skips.push(value()),
+            // Flags with a value that change nothing here: the cases
+            // always run serially, uncaptured and uncoloured.
+            "--test-threads" | "--color" | "--logfile" | "-Z" => {
+                value();
+            }
+            f if f.starts_with('-') => {}
+            _ => filters.push(arg),
+        }
+    }
+    let matches = |name: &str, pat: &String| {
+        if exact {
+            name == pat
+        } else {
+            name.contains(pat.as_str())
+        }
+    };
+    // No case is `#[ignore]`d, so `--ignored` selects none.
+    let selected: Vec<_> = CASES
+        .iter()
+        .filter(|(name, _)| {
+            !ignored_only
+                && (filters.is_empty() || filters.iter().any(|f| matches(name, f)))
+                && !skips.iter().any(|s| matches(name, s))
+        })
+        .collect();
+    let filtered_out = CASES.len() - selected.len();
+    if list {
+        for (name, _) in &selected {
+            println!("{name}: test");
+        }
+        println!("\n{} tests, 0 benchmarks", selected.len());
+        return ExitCode::SUCCESS;
+    }
+
+    let clock = Instant::now();
+    if json {
+        println!(
+            r#"{{ "type": "suite", "event": "started", "test_count": {} }}"#,
+            selected.len()
+        );
+    } else {
+        println!("\nrunning {} tests", selected.len());
+    }
+    let mut failed = Vec::new();
+    for &&(name, case) in &selected {
+        if json {
+            println!(r#"{{ "type": "test", "event": "started", "name": "{name}" }}"#);
+        } else {
+            print!("test {name} ... ");
+        }
+        let ok = catch_unwind(AssertUnwindSafe(case)).is_ok();
+        if !ok {
+            failed.push(name);
+        }
+        if json {
+            let event = if ok { "ok" } else { "failed" };
+            println!(r#"{{ "type": "test", "name": "{name}", "event": "{event}" }}"#);
+        } else {
+            println!("{}", if ok { "ok" } else { "FAILED" });
+        }
+    }
+    let (passed, secs) = (selected.len() - failed.len(), clock.elapsed().as_secs_f64());
+    if json {
+        let event = if failed.is_empty() { "ok" } else { "failed" };
+        println!(
+            r#"{{ "type": "suite", "event": "{event}", "passed": {passed}, "failed": {}, "ignored": 0, "measured": 0, "filtered_out": {filtered_out}, "exec_time": {secs} }}"#,
+            failed.len()
+        );
+    } else {
+        if !failed.is_empty() {
+            println!("\nfailures:");
+            for name in &failed {
+                println!("    {name}");
+            }
+        }
+        println!(
+            "\ntest result: {}. {passed} passed; {} failed; 0 ignored; 0 measured; \
+             {filtered_out} filtered out; finished in {secs:.2}s\n",
+            if failed.is_empty() { "ok" } else { "FAILED" },
+            failed.len()
+        );
+    }
+    if failed.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::from(101)
+    }
 }
 
 /// True when the build is expected to be allocation-free in steady
@@ -65,9 +196,7 @@ fn assert_steady_state_with(name: &str, run: impl Fn(&mut Workspace) -> Schedule
 
 /// The acceptance workload: FAST over the paper-scale 2000-node
 /// random DAG.
-#[test]
 fn fast_is_allocation_free_on_the_2000_node_workload() {
-    let _serial = serial();
     let db = TimingDatabase::paragon();
     let dag = random_layered_dag(&RandomDagConfig::paper(2000, &db), 1);
     assert_steady_state("FAST/2000", &dag, 64, &Fast::new());
@@ -76,9 +205,7 @@ fn fast_is_allocation_free_on_the_2000_node_workload() {
 /// The other natively ported single-threaded algorithms on a smaller
 /// graph (ETF/DLS are Θ(p v²)-ish; graph size is irrelevant to the
 /// allocation property).
-#[test]
 fn ported_algorithms_are_allocation_free() {
-    let _serial = serial();
     let db = TimingDatabase::paragon();
     let dag = random_layered_dag(&RandomDagConfig::paper(300, &db), 7);
     assert_steady_state("FAST/300", &dag, 8, &Fast::new());
@@ -100,9 +227,7 @@ fn ported_algorithms_are_allocation_free() {
 /// back up, as a serve worker does across requests: per-processor
 /// lanes a narrower run does not use are kept, so the wider run after
 /// it allocates nothing either.
-#[test]
 fn alternating_processor_counts_are_allocation_free() {
-    let _serial = serial();
     let db = TimingDatabase::paragon();
     let dag = random_layered_dag(&RandomDagConfig::paper(300, &db), 7);
     let (fast, etf, dls, heft) = (Fast::new(), Etf::new(), Dls::new(), Heft::new());
@@ -152,9 +277,7 @@ fn alternating_processor_counts_are_allocation_free() {
 /// The model-priced scheduling cores — what `casch serve` runs for
 /// `comm`, `mem_caps` and `speeds` requests — are allocation-free on a
 /// warm workspace too.
-#[test]
 fn model_priced_cores_are_allocation_free() {
-    let _serial = serial();
     use fastsched::casch::serve::scheduler_by_name;
     use fastsched::schedule::{CommModel, MemoryCapacities, ProcessorSpeeds};
     use fastsched::workloads::fuzz::assign_mems;
