@@ -14,7 +14,11 @@
 //! [`DeltaEvaluator`], which
 //! re-evaluates only the order suffix the transfer dirties while
 //! producing makespans bit-identical to a full O(v + e) replay — the
-//! search trajectory is unchanged, only cheaper.
+//! search trajectory is unchanged, only cheaper. Each probe is bounded
+//! by the incumbent makespan, so the evaluator rejects a transfer of a
+//! node off the schedule's critical cone (no chain of tight edges from
+//! it reaches a makespan node) without walking at all, and stops any
+//! other rejected walk as soon as it reaches the cutoff.
 
 use crate::list_common::ListState;
 use crate::scheduler::{priced, Scheduler, SchedulerError};

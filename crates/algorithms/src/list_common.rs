@@ -217,10 +217,12 @@ impl ListState {
 /// The lanes price messages through a [`CostModel`], and they are
 /// exact only when a message's price depends on nothing but whether
 /// its endpoints are co-located — which is what
-/// [`CostModel::permits_renumbering`] guarantees. [`DatLanes::probe`]
-/// uses them under such models and walks the parents directly under
-/// any other (per-processor speeds, multi-group hierarchies, finite
-/// capacities). Under every model a filled entry records the node's
+/// [`CostModel::prices_by_colocation`] guarantees (per-processor
+/// speeds and memory capacities included: they change compute costs
+/// and lane budgets, not message prices). [`DatLanes::probe`] uses
+/// them under such models and walks the parents directly under any
+/// other (multi-group hierarchies, interconnect hops). Under every
+/// model a filled entry records the node's
 /// distinct parent processors ([`DatLanes::parent_procs`]), FAST's
 /// §4.2 candidate set.
 #[derive(Debug, Default)]
@@ -269,7 +271,7 @@ impl DatLanes {
     pub fn reset<M: CostModel + ?Sized>(&mut self, dag: &Dag, model: &M) {
         let v = dag.node_count();
         let e = dag.edge_count();
-        self.cached = model.permits_renumbering();
+        self.cached = model.prices_by_colocation();
         self.remote.clear();
         self.remote.resize(v, 0);
         self.len.clear();
@@ -754,14 +756,18 @@ mod tests {
             AlphaBeta::new(30, 2, 1),
         )
         .unwrap();
-        let models: [(&str, &dyn CostModel); 3] = [
+        let speeds = ProcessorSpeeds::new((0..procs).map(|p| 50 + 25 * p).collect());
+        let capped = MemoryCapacities::uniform(AlphaBeta::new(20, 3, 2), 1, procs);
+        let models: [(&str, &dyn CostModel); 5] = [
             ("plain", &HomogeneousModel),
             ("alpha-beta", &AlphaBeta::new(20, 3, 2)),
             ("one-group hier", &one_group),
+            ("speeds", &speeds),
+            ("capped alpha-beta", &capped),
         ];
         let mut lanes = DatLanes::new();
         for (model_name, model) in models {
-            assert!(model.permits_renumbering(), "{model_name}");
+            assert!(model.prices_by_colocation(), "{model_name}");
             lanes.reset(&g, model);
             // The first pass probes the node filled last (processor
             // stamps); the second, after an unrelated fill, scans the

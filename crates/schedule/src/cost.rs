@@ -28,18 +28,29 @@ pub trait CostModel {
     /// from `src` to `dst`. Must be 0 when `src == dst`.
     fn message_cost(&self, nominal: Cost, src: ProcId, dst: ProcId) -> Cost;
 
+    /// Whether a message's price depends on nothing but whether its
+    /// endpoints are co-located: `message_cost(c, p, q)` is the same
+    /// for every `q != p`, and for every `p`. True for the homogeneous,
+    /// α–β and speed models and under memory capacities; false when
+    /// processor identity reprices messages — multi-group hierarchies,
+    /// interconnect hops. Every processor but the sender then receives
+    /// a message at the same time, which is what the list schedulers'
+    /// flat DAT lanes rely on to price each parent once.
+    fn prices_by_colocation(&self) -> bool {
+        true
+    }
+
     /// Whether every cost is invariant under renumbering the
-    /// processors. True for models that price messages purely by
-    /// co-location (homogeneous, alpha-beta); false when processor
-    /// identity carries meaning — per-processor speeds, hierarchical
-    /// groups, interconnect hops. Schedules priced by an
-    /// identity-sensitive model must not be [`compact`]ed: compaction
-    /// reorders processor lanes, which silently reprices every
-    /// cross-processor message and execution.
+    /// processors. By default that is [`Self::prices_by_colocation`];
+    /// models whose compute costs or capacities are indexed by
+    /// processor (speeds, finite memory capacities) answer false too.
+    /// Schedules priced by an identity-sensitive model must not be
+    /// [`compact`]ed: compaction reorders processor lanes, which
+    /// silently reprices every cross-processor message and execution.
     ///
     /// [`compact`]: ../struct.Schedule.html#method.compact
     fn permits_renumbering(&self) -> bool {
-        true
+        self.prices_by_colocation()
     }
 
     /// Memory capacity of processor `proc`, or `None` for unbounded.
@@ -74,6 +85,11 @@ impl<M: CostModel + ?Sized> CostModel for &M {
     #[inline]
     fn message_cost(&self, nominal: Cost, src: ProcId, dst: ProcId) -> Cost {
         (**self).message_cost(nominal, src, dst)
+    }
+
+    #[inline]
+    fn prices_by_colocation(&self) -> bool {
+        (**self).prices_by_colocation()
     }
 
     #[inline]
@@ -410,12 +426,13 @@ impl CostModel for Hierarchical {
         }
     }
 
-    /// Processor ids index the group table — renumbering moves tasks
-    /// across the intra/inter pricing boundary. With a single group
-    /// that boundary does not exist and pricing degenerates to
-    /// co-location-only, which is renumbering-invariant.
+    /// Processor ids index the group table — a message's price
+    /// depends on which groups its endpoints sit in, and renumbering
+    /// moves tasks across the intra/inter pricing boundary. With a
+    /// single group that boundary does not exist and pricing
+    /// degenerates to co-location-only.
     #[inline]
-    fn permits_renumbering(&self) -> bool {
+    fn prices_by_colocation(&self) -> bool {
         self.groups() <= 1
     }
 }
@@ -528,11 +545,11 @@ impl CostModel for CommModel {
     }
 
     #[inline]
-    fn permits_renumbering(&self) -> bool {
+    fn prices_by_colocation(&self) -> bool {
         match self {
             CommModel::Ideal => true,
-            CommModel::AlphaBeta(ab) => ab.permits_renumbering(),
-            CommModel::Hierarchical(h) => h.permits_renumbering(),
+            CommModel::AlphaBeta(ab) => ab.prices_by_colocation(),
+            CommModel::Hierarchical(h) => h.prices_by_colocation(),
         }
     }
 }
@@ -607,6 +624,11 @@ impl<M: CostModel> CostModel for MemoryCapacities<M> {
     #[inline]
     fn message_cost(&self, nominal: Cost, src: ProcId, dst: ProcId) -> Cost {
         self.inner.message_cost(nominal, src, dst)
+    }
+
+    #[inline]
+    fn prices_by_colocation(&self) -> bool {
+        self.inner.prices_by_colocation()
     }
 
     #[inline]

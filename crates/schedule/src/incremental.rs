@@ -19,7 +19,16 @@
 //! * [`DeltaEvaluator::revert`] undoes the probe from an undo log
 //!   (cost proportional to the nodes the probe actually touched, never
 //!   more than the probe itself); [`DeltaEvaluator::commit`] accepts
-//!   it and rebuilds the O(v) position/maximum caches.
+//!   it and rebuilds the O(v) position/maximum caches, and the next
+//!   probe rebuilds the per-edge slack cache and the critical mask in
+//!   one O(v + e) pass;
+//! * [`DeltaEvaluator::probe_transfer_bounded`] with a cutoff at or
+//!   below the committed makespan rejects, without any walk, a
+//!   transfer of a node that cannot reach a makespan node through
+//!   committed-tight constraints (the critical mask,
+//!   [`DeltaEvaluator::critical_mask`]): such a move cannot lower any
+//!   makespan node's finish, so it cannot improve. Almost every probe
+//!   of FAST's hill climb is such a rejection.
 //!
 //! The probe's start/finish times are **bit-identical** to
 //! [`crate::evaluate::evaluate_fixed_order`] on the same order and
@@ -96,7 +105,17 @@ pub struct DeltaEvaluator<M: CostModel = HomogeneousModel> {
     seg_gen: u64,
     /// Slacks reference committed starts, so a commit invalidates
     /// them; rebuilt lazily at the next probe (which has the `Dag`).
+    /// The critical mask shares this flag and this rebuild.
     slacks_stale: bool,
+    /// Per node: whether it reaches a node finishing at the committed
+    /// makespan through committed-tight constraints — a DAG edge
+    /// `u → s` with `finish[u] + message == start[s]`, or a processor
+    /// edge with `finish[u]` equal to the start of the next node on
+    /// `u`'s processor. Reflexive: a makespan node is critical. A
+    /// transfer of a node outside this set cannot lower any makespan
+    /// node's finish, so a bounded probe whose cutoff is at or below
+    /// the makespan rejects it without a walk.
+    critical: Vec<bool>,
     /// `prefix_max[i]` = max committed finish over positions `< i`.
     prefix_max: Vec<Cost>,
     /// `suffix_max[i]` = max committed finish over positions `>= i`.
@@ -178,6 +197,7 @@ impl<M: CostModel> DeltaEvaluator<M> {
             seg_epoch: Vec::new(),
             seg_gen: 0,
             slacks_stale: false,
+            critical: Vec::new(),
             prefix_max: Vec::new(),
             suffix_max: Vec::new(),
             epoch: 0,
@@ -230,6 +250,7 @@ impl<M: CostModel> DeltaEvaluator<M> {
             seg_epoch: self.seg_epoch,
             seg_gen: self.seg_gen,
             slacks_stale: self.slacks_stale,
+            critical: self.critical,
             prefix_max: self.prefix_max,
             suffix_max: self.suffix_max,
             epoch: self.epoch,
@@ -283,6 +304,8 @@ impl<M: CostModel> DeltaEvaluator<M> {
         self.seg_epoch.clear();
         self.seg_epoch.resize(v, 0);
         self.slacks_stale = false;
+        self.critical.clear();
+        self.critical.resize(v, false);
         self.start.clear();
         self.start.resize(v, 0);
         self.finish.clear();
@@ -348,6 +371,32 @@ impl<M: CostModel> DeltaEvaluator<M> {
     #[inline]
     pub fn finish_times(&self) -> &[Cost] {
         &self.finish
+    }
+
+    /// Per-node critical mask of the committed schedule: `true` for a
+    /// node that reaches a node finishing at the makespan through
+    /// committed-tight DAG or processor edges (a makespan node is
+    /// critical itself). Rebuilt first when a commit left it stale —
+    /// the same O(v + e) pass that rebuilds the slack cache.
+    ///
+    /// ```
+    /// use fastsched_dag::examples::chain;
+    /// use fastsched_schedule::{DeltaEvaluator, ProcId};
+    ///
+    /// // A chain on one processor: every edge is tight.
+    /// let dag = chain(3, 5, 2);
+    /// let order: Vec<_> = dag.topo_order().to_vec();
+    /// let mut eval = DeltaEvaluator::new(&dag, order, vec![ProcId(0); 3], 2);
+    /// assert_eq!(eval.critical_mask(&dag), &[true, true, true]);
+    /// ```
+    ///
+    /// Panics if a probe is unresolved.
+    pub fn critical_mask(&mut self, dag: &Dag) -> &[bool] {
+        assert!(self.tentative.is_none(), "unresolved probe");
+        if self.slacks_stale {
+            self.rebuild_slacks(dag);
+        }
+        &self.critical
     }
 
     /// Observability counters accumulated so far (probe walks, node
@@ -429,6 +478,16 @@ impl<M: CostModel> DeltaEvaluator<M> {
     /// their current best as `cutoff` and skip the (often dominant)
     /// tail of doomed probes without changing a single decision.
     ///
+    /// With `cutoff` at or below the committed makespan, a probe whose
+    /// moved node is not critical ([`Self::critical_mask`]) returns
+    /// `None` before any walk. Under a fixed order a transfer changes
+    /// only the node's own compute and message costs, its old
+    /// processor successor's ready time, and ready times on its new
+    /// processor — which can only grow. A start falls only when all of
+    /// its binding constraints fall, so every node whose finish falls
+    /// is reachable from the moved node through committed-tight edges;
+    /// if no makespan node is, the makespan cannot fall below `cutoff`.
+    ///
     /// An aborted (`None`) probe left the walk incomplete: it must be
     /// resolved with [`Self::revert`] — [`Self::commit`] panics.
     ///
@@ -457,8 +516,16 @@ impl<M: CostModel> DeltaEvaluator<M> {
         }
         self.stats.on_probe();
         let from = self.assignment[node.index()];
-        if from == to {
-            // Trivial probe; commit/revert stay uniform for the driver.
+        // Critical-cone pruning: a node off the critical mask cannot
+        // make any makespan node finish earlier, so the probe cannot
+        // beat a cutoff at or below the makespan.
+        let pruned = from != to && cutoff <= self.makespan && !self.critical[node.index()];
+        if from == to || pruned {
+            // Resolved without a walk: the committed times stand, and
+            // commit/revert stay uniform for the driver.
+            if pruned {
+                self.stats.on_probe_pruned();
+            }
             self.undo.clear();
             let aborted = self.makespan >= cutoff;
             if aborted {
@@ -536,6 +603,7 @@ impl<M: CostModel> DeltaEvaluator<M> {
                     // `s_c` dominates outright.
                     ready
                 } else {
+                    self.stats.probe_pred_reads += dag.in_degree(m) as u64;
                     let dat = data_arrival_time_with(
                         &self.model,
                         dag,
@@ -731,6 +799,7 @@ impl<M: CostModel> DeltaEvaluator<M> {
     fn full_evaluate(&mut self, dag: &Dag) {
         self.stats.on_full_eval();
         self.proc_ready.iter_mut().for_each(|r| *r = 0);
+        self.stats.seed_edge_reads += dag.edge_count() as u64;
         let mut makespan = 0;
         for i in 0..self.order.len() {
             let n = self.order[i];
@@ -816,22 +885,41 @@ impl<M: CostModel> DeltaEvaluator<M> {
         }
     }
 
-    /// Recompute the per-edge slack cache from the committed starts —
-    /// O(e); per-node segments are re-sorted lazily on first use. A
+    /// Recompute the per-edge slack cache and the critical mask from
+    /// the committed schedule in one reverse-order pass — O(v + e);
+    /// per-node segments are re-sorted lazily on first use. A
     /// committed arrival is always feasible
     /// (`finish[u] + msg <= start[s]`), so the subtraction cannot
-    /// underflow and every slack is `>= finish[u]`.
+    /// underflow, every slack is `>= finish[u]`, and an edge is tight
+    /// exactly when its slack equals `finish[u]`. Successors and
+    /// processor successors sit later in the order, so their mask
+    /// entries are final when a node reads them.
+    ///
+    /// `proc_ready` is probe scratch (dead outside a walk); here it
+    /// holds, per processor, the committed start of the node the pass
+    /// saw last on it when that node is critical, and `Cost::MAX`
+    /// otherwise. Only a makespan node — critical on its own — can
+    /// finish at `Cost::MAX`, so the sentinel never marks a node.
     fn rebuild_slacks(&mut self, dag: &Dag) {
         self.stats.on_slack_rebuild();
-        for n in dag.nodes() {
+        self.stats.seed_edge_reads += dag.edge_count() as u64;
+        self.proc_ready.iter_mut().for_each(|r| *r = Cost::MAX);
+        for i in (0..self.order.len()).rev() {
+            let n = self.order[i];
             let ni = n.index();
             let q = self.assignment[ni];
+            let f = self.finish[ni];
+            let mut critical = f == self.makespan || f == self.proc_ready[q.index()];
             let base = self.succ_offset[ni];
             for (j, e) in dag.succs(n).iter().enumerate() {
-                let sq = self.assignment[e.node.index()];
-                let slack = self.start[e.node.index()] - self.model.message_cost(e.cost, q, sq);
+                let si = e.node.index();
+                let sq = self.assignment[si];
+                let slack = self.start[si] - self.model.message_cost(e.cost, q, sq);
                 self.succ_sorted[base + j] = (slack, j as u32);
+                critical |= slack == f && self.critical[si];
             }
+            self.critical[ni] = critical;
+            self.proc_ready[q.index()] = if critical { self.start[ni] } else { Cost::MAX };
         }
         self.seg_gen += 1;
         self.slacks_stale = false;
@@ -1127,6 +1215,88 @@ mod tests {
                 assert_matches_full(&g, &eval, procs);
             }
         }
+    }
+
+    #[test]
+    fn a_moved_node_on_the_critical_path_is_never_pruned() {
+        // a→b is the only slow edge: a(0–2) on P0, b(6–9) on P1,
+        // c(2–7) and d(11–12) on P0. d finishes at the makespan; b→d
+        // and a→b are tight, c→d is not, and c finishes before d
+        // starts, so a, b, d are critical and c is not.
+        let g = sample();
+        let order: Vec<NodeId> = g.topo_order().to_vec();
+        let assignment = vec![ProcId(0), ProcId(1), ProcId(0), ProcId(0)];
+        let mut eval = DeltaEvaluator::new(&g, order.clone(), assignment.clone(), 2);
+        assert_eq!(eval.makespan(), 12);
+        assert_eq!(eval.critical_mask(&g), &[true, true, false, true]);
+        // Moving b next to its parent is the improvement a hill climb
+        // looks for: it must be walked, not pruned.
+        assert_eq!(
+            eval.probe_transfer_bounded(&g, NodeId(1), ProcId(0), 12),
+            Some(11)
+        );
+        eval.revert();
+        assert_eq!(eval.stats().probes_pruned, 0);
+        // c is off the critical cone: rejected without a walk, and the
+        // full replay agrees the move cannot improve.
+        let walked = eval.stats().dirty_nodes_visited;
+        assert_eq!(
+            eval.probe_transfer_bounded(&g, NodeId(2), ProcId(1), 12),
+            None
+        );
+        eval.revert();
+        assert_eq!(eval.stats().probes_pruned, 1);
+        assert_eq!(eval.stats().dirty_nodes_visited, walked);
+        let mut moved = assignment.clone();
+        moved[2] = ProcId(1);
+        let exact = evaluate_fixed_order(&g, &order, &moved, 2).makespan();
+        assert!(exact >= 12);
+        // A cutoff above the makespan asks for the exact value of a
+        // non-improving probe, so it is never pruned.
+        let cutoff = exact + 1;
+        assert_eq!(
+            eval.probe_transfer_bounded(&g, NodeId(2), ProcId(1), cutoff),
+            Some(exact)
+        );
+        eval.revert();
+        assert_eq!(eval.stats().probes_pruned, 1);
+        assert_matches_full(&g, &eval, 2);
+    }
+
+    #[test]
+    fn a_node_with_a_tight_critical_processor_successor_is_never_pruned() {
+        // Three independent nodes: a(5) then b(3) on P0, c(1) on P1.
+        // a reaches the makespan node b only through the processor
+        // edge a→b (a finishes when b starts).
+        let mut b = DagBuilder::new();
+        for w in [5, 3, 1] {
+            b.add_task(w);
+        }
+        let g = b.build().unwrap();
+        let order = vec![NodeId(0), NodeId(1), NodeId(2)];
+        let mut eval = DeltaEvaluator::new(&g, order, vec![ProcId(0), ProcId(0), ProcId(1)], 2);
+        assert_eq!(eval.makespan(), 8);
+        assert_eq!(eval.critical_mask(&g), &[true, true, false]);
+        assert_eq!(
+            eval.probe_transfer_bounded(&g, NodeId(0), ProcId(1), 8),
+            Some(6)
+        );
+        eval.revert();
+        assert_eq!(eval.stats().probes_pruned, 0);
+        assert_eq!(
+            eval.probe_transfer_bounded(&g, NodeId(2), ProcId(0), 8),
+            None
+        );
+        eval.revert();
+        assert_eq!(eval.stats().probes_pruned, 1);
+        // After the improving move commits, the mask is rebuilt for
+        // the new schedule: a(0–5) and c(5–6) on P1, b(0–3) on P0.
+        assert_eq!(
+            eval.probe_transfer_bounded(&g, NodeId(0), ProcId(1), 8),
+            Some(6)
+        );
+        eval.commit();
+        assert_eq!(eval.critical_mask(&g), &[true, false, true]);
     }
 
     #[test]

@@ -63,10 +63,12 @@ impl CostModel for TopologyCostModel {
     }
 
     /// Hop counts depend on where processors sit in the interconnect —
-    /// renumbering reroutes every message.
+    /// a message's price depends on its endpoints, and renumbering
+    /// reroutes every message. Only a fully connected machine, where
+    /// every remote message takes one hop, prices by co-location.
     #[inline]
-    fn permits_renumbering(&self) -> bool {
-        !matches!(self.topology, Topology::FullyConnected)
+    fn prices_by_colocation(&self) -> bool {
+        matches!(self.topology, Topology::FullyConnected)
     }
 }
 
@@ -112,6 +114,24 @@ mod tests {
             m.message_cost(Cost::MAX - 1, ProcId(0), ProcId(8)),
             Cost::MAX
         );
+    }
+
+    #[test]
+    fn only_the_fully_connected_machine_prices_by_colocation() {
+        let full = TopologyCostModel::new(Topology::FullyConnected, 5);
+        assert!(full.prices_by_colocation() && full.permits_renumbering());
+        for topology in [
+            Topology::Mesh2D {
+                width: 3,
+                height: 3,
+            },
+            Topology::Hypercube { dim: 3 },
+            Topology::Hierarchical { group_size: 4 },
+        ] {
+            let m = TopologyCostModel::new(topology, 5);
+            assert!(!m.prices_by_colocation(), "{topology:?}");
+            assert!(!m.permits_renumbering(), "{topology:?}");
+        }
     }
 
     #[test]

@@ -51,6 +51,15 @@ pub struct EvalStats {
     /// initial schedule, ETF, DLS, HEFT): `e` for a run that fills
     /// each node once under a co-location-priced model.
     pub placement_pred_reads: u64,
+    /// Bounded probes rejected before any walk because the moved node
+    /// cannot reach a makespan node through committed-tight
+    /// constraints (counted in `incremental_probes_aborted` too).
+    pub probes_pruned: u64,
+    /// Pred entries read by probe walks' full data-arrival recomputes.
+    pub probe_pred_reads: u64,
+    /// Edges read by evaluator seeding (the full replay) and by the
+    /// slack and critical-mask rebuilds after seeding and commits.
+    pub seed_edge_reads: u64,
 }
 
 macro_rules! bump {
@@ -89,6 +98,8 @@ impl EvalStats {
         on_commit => commits,
         /// Count one reverted probe.
         on_revert => reverts,
+        /// Count one bounded probe pruned before its walk.
+        on_probe_pruned => probes_pruned,
     }
 
     /// Add another collector's totals into this one.
@@ -105,6 +116,9 @@ impl EvalStats {
         self.commits += other.commits;
         self.reverts += other.reverts;
         self.placement_pred_reads += other.placement_pred_reads;
+        self.probes_pruned += other.probes_pruned;
+        self.probe_pred_reads += other.probe_pred_reads;
+        self.seed_edge_reads += other.seed_edge_reads;
     }
 
     /// `(name, value)` pairs in emission order (the NDJSON counter
@@ -126,6 +140,9 @@ impl EvalStats {
             ("commits", self.commits),
             ("reverts", self.reverts),
             ("placement_pred_reads", self.placement_pred_reads),
+            ("probes_pruned", self.probes_pruned),
+            ("probe_pred_reads", self.probe_pred_reads),
+            ("seed_edge_reads", self.seed_edge_reads),
         ]
     }
 }
@@ -505,6 +522,9 @@ mod tests {
         stats.on_probe();
         stats.on_probe();
         stats.on_node_walked();
+        stats.on_probe_pruned();
+        stats.probe_pred_reads += 3;
+        stats.seed_edge_reads += 7;
         t.absorb_eval(&stats);
 
         let r = t.to_report();
@@ -514,6 +534,9 @@ mod tests {
         assert_eq!(r.counter("steps_skipped"), Some(1));
         assert_eq!(r.counter("incremental_probes"), Some(2));
         assert_eq!(r.counter("dirty_nodes_visited"), Some(1));
+        assert_eq!(r.counter("probes_pruned"), Some(1));
+        assert_eq!(r.counter("probe_pred_reads"), Some(3));
+        assert_eq!(r.counter("seed_edge_reads"), Some(7));
         assert_eq!(r.trajectory(), vec![18, 18]);
         assert_eq!(r.phase_totals().len(), 1);
     }

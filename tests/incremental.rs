@@ -5,9 +5,18 @@
 //! [`evaluate_fixed_order`] on the same order and assignment. This is
 //! the contract that lets the FAST search drivers swap the evaluator
 //! without changing a single accept/reject decision.
+//!
+//! Bounded probes with the cutoff at the committed makespan may be
+//! rejected without a walk when the moved node is off the critical
+//! cone; under every model, such a pruned probe's full replay must
+//! reach the cutoff, and the evaluator's critical mask must match one
+//! recomputed from the replay after every commit.
 
 use fastsched::prelude::*;
-use fastsched::schedule::{evaluate_fixed_order, DeltaEvaluator};
+use fastsched::schedule::{
+    evaluate_fixed_order, evaluate_fixed_order_with, AlphaBeta, CostModel, DeltaEvaluator,
+    Hierarchical, HomogeneousModel, ProcessorSpeeds,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -28,10 +37,14 @@ fn arb_dag() -> impl Strategy<Value = Dag> {
 }
 
 /// Assert the evaluator's committed state matches a fresh full replay
-/// of its (order, assignment) — identical makespan and identical
-/// start/finish time for every node.
-fn assert_bit_identical(dag: &Dag, eval: &DeltaEvaluator, procs: u32) -> Result<(), TestCaseError> {
-    let full = evaluate_fixed_order(dag, eval.order(), eval.assignment(), procs);
+/// of its (order, assignment) under its model — identical makespan and
+/// identical start/finish time for every node.
+fn assert_bit_identical<M: CostModel>(
+    dag: &Dag,
+    eval: &DeltaEvaluator<M>,
+    procs: u32,
+) -> Result<(), TestCaseError> {
+    let full = evaluate_fixed_order_with(eval.model(), dag, eval.order(), eval.assignment(), procs);
     prop_assert_eq!(eval.makespan(), full.makespan());
     for n in dag.nodes() {
         let t = full.task(n).unwrap();
@@ -149,5 +162,181 @@ proptest! {
             }
             assert_bit_identical(&dag, &eval, procs)?;
         }
+    }
+}
+
+/// The critical mask of the full replay of `(order, assignment)`,
+/// recomputed from scratch: a node is critical when it finishes at the
+/// makespan, or when a tight DAG edge (`finish + message == start`)
+/// or a tight processor edge (`finish ==` the start of the next node
+/// on its processor) leads to a critical node.
+fn replay_critical<M: CostModel>(
+    model: &M,
+    dag: &Dag,
+    order: &[NodeId],
+    assignment: &[ProcId],
+    procs: u32,
+) -> Vec<bool> {
+    let s = evaluate_fixed_order_with(model, dag, order, assignment, procs);
+    let start = |n: NodeId| s.task(n).unwrap().start;
+    let finish = |n: NodeId| s.task(n).unwrap().finish;
+    let mut next_on_proc: Vec<Option<NodeId>> = vec![None; dag.node_count()];
+    let mut last: Vec<Option<NodeId>> = vec![None; procs as usize];
+    for &n in order {
+        let p = assignment[n.index()].index();
+        if let Some(prev) = last[p] {
+            next_on_proc[prev.index()] = Some(n);
+        }
+        last[p] = Some(n);
+    }
+    let mut critical = vec![false; dag.node_count()];
+    for &u in order.iter().rev() {
+        let pu = assignment[u.index()];
+        let tight_dag = dag.succs(u).iter().any(|e| {
+            finish(u) + model.message_cost(e.cost, pu, assignment[e.node.index()]) == start(e.node)
+                && critical[e.node.index()]
+        });
+        let tight_proc =
+            next_on_proc[u.index()].is_some_and(|y| finish(u) == start(y) && critical[y.index()]);
+        critical[u.index()] = finish(u) == s.makespan() || tight_dag || tight_proc;
+    }
+    critical
+}
+
+/// A random walk of bounded probes cut off at the committed makespan,
+/// mixing commits of improving probes, commits of unbounded probes and
+/// reverts. Every pruned probe must be rejected and its full replay
+/// must reach the cutoff; every completed probe must be exact; after
+/// every step the committed state must match the full replay and the
+/// critical mask the replay's. Returns the number of pruned probes.
+fn pruned_probes_never_improve<M: CostModel>(
+    model: M,
+    dag: &Dag,
+    procs: u32,
+    seed: u64,
+) -> Result<u64, TestCaseError> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let order: Vec<NodeId> = dag.topo_order().to_vec();
+    let mut shadow: Vec<ProcId> = dag
+        .nodes()
+        .map(|_| ProcId(rng.gen_range(0..procs)))
+        .collect();
+    let mut eval = DeltaEvaluator::with_model(model, dag, order.clone(), shadow.clone(), procs);
+    for step in 0..60 {
+        let n = NodeId(rng.gen_range(0..dag.node_count() as u32));
+        let p = ProcId(rng.gen_range(0..procs));
+        let cutoff = eval.makespan();
+        let was_critical = eval.critical_mask(dag)[n.index()];
+        let pruned_before = eval.stats().probes_pruned;
+        let old = shadow[n.index()];
+        shadow[n.index()] = p;
+        let exact = evaluate_fixed_order_with(eval.model(), dag, &order, &shadow, procs).makespan();
+        let got = eval.probe_transfer_bounded(dag, n, p, cutoff);
+        if eval.stats().probes_pruned > pruned_before {
+            prop_assert!(!was_critical, "step {}: pruned a critical node", step);
+            prop_assert_eq!(
+                got,
+                None,
+                "step {}: a pruned probe returned a makespan",
+                step
+            );
+            prop_assert!(
+                exact >= cutoff,
+                "step {}: pruned {:?} -> {:?} improves to {}",
+                step,
+                n,
+                p,
+                exact
+            );
+        }
+        match got {
+            Some(m) => {
+                prop_assert_eq!(m, exact, "step {}", step);
+                prop_assert!(m < cutoff);
+            }
+            None => prop_assert!(exact >= cutoff, "step {}: spurious rejection", step),
+        }
+        if got.is_some() && rng.gen::<f64>() < 0.5 {
+            eval.commit();
+        } else {
+            eval.revert();
+            shadow[n.index()] = old;
+            if rng.gen::<f64>() < 0.25 {
+                // Commit an arbitrary (possibly worsening) move, so the
+                // walk keeps reshaping the critical cone.
+                shadow[n.index()] = p;
+                prop_assert_eq!(eval.probe_transfer(dag, n, p), exact);
+                eval.commit();
+            }
+        }
+        prop_assert_eq!(eval.assignment(), &shadow[..]);
+        assert_bit_identical(dag, &eval, procs)?;
+        let expect = replay_critical(eval.model(), dag, &order, &shadow, procs);
+        prop_assert_eq!(
+            eval.critical_mask(dag),
+            &expect[..],
+            "mask after step {}",
+            step
+        );
+    }
+    Ok(eval.stats().probes_pruned)
+}
+
+/// Model `pick` of the soundness property on `procs` processors: the
+/// paper's, α–β, two groups of a hierarchy, and per-processor speeds.
+fn run_pruning_walk(pick: usize, dag: &Dag, procs: u32, seed: u64) -> Result<u64, TestCaseError> {
+    match pick {
+        0 => pruned_probes_never_improve(HomogeneousModel, dag, procs, seed),
+        1 => pruned_probes_never_improve(AlphaBeta::new(7, 3, 2), dag, procs, seed),
+        2 => {
+            let groups = [procs / 2, procs - procs / 2];
+            let hier = Hierarchical::from_group_sizes(
+                &groups,
+                AlphaBeta::new(2, 1, 1),
+                AlphaBeta::new(15, 2, 1),
+            )
+            .unwrap();
+            pruned_probes_never_improve(hier, dag, procs, seed)
+        }
+        _ => {
+            let speeds = ProcessorSpeeds::new((0..procs).map(|p| 50 + 40 * p).collect());
+            pruned_probes_never_improve(speeds, dag, procs, seed)
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Critical-cone pruning is sound under every model: see
+    /// [`pruned_probes_never_improve`].
+    #[test]
+    fn pruned_bounded_probes_never_improve_under_any_model(
+        dag in arb_dag(),
+        procs in 2u32..7,
+        seed in 0u64..10_000,
+        pick in 0usize..4,
+    ) {
+        run_pruning_walk(pick, &dag, procs, seed)?;
+    }
+}
+
+/// The soundness property is not vacuous: on a fixed corpus, every
+/// model prunes probes.
+#[test]
+fn every_model_prunes_on_a_fixed_corpus() {
+    for pick in 0..4 {
+        let mut pruned = 0;
+        for seed in 0..8u64 {
+            let config = RandomDagConfig {
+                nodes: 40,
+                out_degree: (1, 4),
+                node_weight: (1, 20),
+                edge_weight: (1, 60),
+            };
+            let dag = random_layered_dag(&config, seed);
+            pruned += run_pruning_walk(pick, &dag, 4, seed).expect("sound pruning");
+        }
+        assert!(pruned > 0, "model {pick} never pruned a probe");
     }
 }

@@ -11,47 +11,16 @@
 //! in-degree `d` whose parents sit on `k` processors: on a 1024-leaf
 //! star over 64 processors that is about 32 reads per `v + e`.
 
-use fastsched::prelude::*;
-use fastsched::schedule::{AlphaBeta, CommModel, Hierarchical};
+mod shapes;
 
-const PROCS: u32 = 64;
+use fastsched::prelude::*;
+use fastsched::schedule::{AlphaBeta, CommModel, Hierarchical, MemoryCapacities, ProcessorSpeeds};
+use shapes::{size, sweep, PROCS};
 
 /// Allowed `placement_pred_reads / (v + e)`. A placement that reads
 /// each parent once per node lands in `e / (v + e)`, below 1; the
 /// floor keeps a counter that stopped counting from passing.
 const BAND: (f64, f64) = (0.25, 1.0);
-
-/// `d` independent leaves feeding one sink.
-fn fan_in_star(d: usize) -> Dag {
-    let mut b = DagBuilder::new();
-    let sink = b.add_task(5);
-    for i in 0..d {
-        let leaf = b.add_task(10 + (i % 7) as Cost);
-        b.add_edge(leaf, sink, 1 + (i % 13) as Cost).unwrap();
-    }
-    b.build().unwrap()
-}
-
-/// `layers` layers of `width` nodes, each layer fully connected to the
-/// next.
-fn dense_bipartite_layers(layers: usize, width: usize) -> Dag {
-    let mut b = DagBuilder::new();
-    let ids: Vec<Vec<NodeId>> = (0..layers)
-        .map(|l| {
-            (0..width)
-                .map(|i| b.add_task(3 + ((l + i) % 5) as Cost))
-                .collect()
-        })
-        .collect();
-    for pair in ids.windows(2) {
-        for (i, &u) in pair[0].iter().enumerate() {
-            for (j, &v) in pair[1].iter().enumerate() {
-                b.add_edge(u, v, 1 + ((i * 7 + j) % 11) as Cost).unwrap();
-            }
-        }
-    }
-    b.build().unwrap()
-}
 
 /// The co-location-priced machines: the paper's, α–β, and a
 /// one-group hierarchy.
@@ -69,12 +38,32 @@ fn exact_machines() -> Vec<(&'static str, Machine)> {
     ]
 }
 
+/// Machines that price messages by co-location but are not
+/// renumbering-invariant: loose uniform capacities over the ideal
+/// network (every lane holds the whole DAG) and all-100 speeds.
+fn colocation_machines(dag: &Dag) -> Vec<(&'static str, Machine)> {
+    vec![
+        (
+            "loose mem caps",
+            Machine::Comm(MemoryCapacities::uniform(
+                CommModel::Ideal,
+                dag.total_memory().max(1),
+                PROCS,
+            )),
+        ),
+        (
+            "all-100 speeds",
+            Machine::Speeds(MemoryCapacities::unbounded(ProcessorSpeeds::uniform(PROCS))),
+        ),
+    ]
+}
+
 /// `placement_pred_reads / (v + e)` of one traced run.
 fn reads_per_element(s: &dyn Scheduler, dag: &Dag, machine: &Machine) -> f64 {
     let mut trace = SearchTrace::default();
     s.run(dag, PROCS, machine, &mut Workspace::new(), &mut trace)
         .expect("schedulable");
-    trace.eval.placement_pred_reads as f64 / (dag.node_count() + dag.edge_count()) as f64
+    trace.eval.placement_pred_reads as f64 / size(dag)
 }
 
 fn assert_in_band(what: &str, ratio: f64) {
@@ -82,30 +71,6 @@ fn assert_in_band(what: &str, ratio: f64) {
         (BAND.0..=BAND.1).contains(&ratio),
         "{what}: {ratio:.3} pred-lane reads per (v + e), outside {BAND:?}"
     );
-}
-
-/// Every DAG shape of the sweep: the paper's random DAGs from 100 to
-/// 2000 nodes, fan-in stars of in-degree 16 to 1024, and dense
-/// bipartite layers.
-fn sweep() -> Vec<(String, Dag)> {
-    let db = TimingDatabase::paragon();
-    let mut dags = Vec::new();
-    for n in [100, 500, 1000, 2000] {
-        dags.push((
-            format!("random/{n}"),
-            random_layered_dag(&RandomDagConfig::paper(n, &db), 11),
-        ));
-    }
-    for d in [16, 64, 256, 1024] {
-        dags.push((format!("star/{d}"), fan_in_star(d)));
-    }
-    for (layers, width) in [(4, 32), (3, 96)] {
-        dags.push((
-            format!("bipartite/{layers}x{width}"),
-            dense_bipartite_layers(layers, width),
-        ));
-    }
-    dags
 }
 
 #[test]
@@ -133,6 +98,22 @@ fn list_cores_read_each_parent_once() {
         for (core, s) in cores {
             let ratio = reads_per_element(s, &dag, &Machine::Homogeneous);
             assert_in_band(&format!("{core} {name}"), ratio);
+        }
+    }
+}
+
+#[test]
+fn capacities_and_speeds_keep_the_lanes_exact() {
+    // Capacities and speed tables tie costs to processor ids, but a
+    // message is still priced by co-location alone, so the lanes stay
+    // exact and placement reads each parent once.
+    for (name, dag) in sweep() {
+        for (model, machine) in colocation_machines(&dag) {
+            let (fast, heft) = (Fast::new(), Heft::new());
+            for (core, s) in [("FAST", &fast as &dyn Scheduler), ("HEFT", &heft)] {
+                let ratio = reads_per_element(s, &dag, &machine);
+                assert_in_band(&format!("{core} {name} {model}"), ratio);
+            }
         }
     }
 }
