@@ -14,7 +14,10 @@
 //! [`DeltaEvaluator`], which
 //! re-evaluates only the order suffix the transfer dirties while
 //! producing makespans bit-identical to a full O(v + e) replay — the
-//! search trajectory is unchanged, only cheaper. Each probe is bounded
+//! search trajectory is unchanged, only cheaper. The evaluator is
+//! seeded with the placement's finish times rather than a replay: the
+//! placement appended every node at `max(DAT, ready)` in list order,
+//! which is exactly what the replay computes. Each probe is bounded
 //! by the incumbent makespan, so the evaluator rejects a transfer of a
 //! node off the schedule's critical cone (no chain of tight edges from
 //! it reaches a makespan node) without walking at all, and stops any
@@ -303,18 +306,30 @@ impl Fast {
         dag: &Dag,
         num_procs: u32,
     ) -> (Schedule, Vec<NodeId>, Vec<ProcId>) {
+        self.initial_schedule_with(&HomogeneousModel, dag, num_procs)
+            .expect("the homogeneous machine has no capacities")
+    }
+
+    /// [`Self::initial_schedule`] priced by `model`: the placement the
+    /// local search starts from under that model. Fails only when a
+    /// memory capacity leaves some node no processor.
+    pub fn initial_schedule_with<M: CostModel + ?Sized>(
+        &self,
+        model: &M,
+        dag: &Dag,
+        num_procs: u32,
+    ) -> Result<(Schedule, Vec<NodeId>, Vec<ProcId>), SchedulerError> {
         assert!(num_procs >= 1, "need at least one processor");
         let mut ws = Workspace::new();
         initial_schedule_ws(
             dag,
             num_procs,
             self.config.obn_order,
-            &HomogeneousModel,
+            model,
             &mut ws,
             &mut untraced(),
-        )
-        .expect("the homogeneous machine has no capacities");
-        (ws.staging, ws.list, ws.state.proc)
+        )?;
+        Ok((ws.staging, ws.list, ws.state.proc))
     }
 
     /// The two phases of §4 — the one scheduling core: CPN-Dominate
@@ -335,7 +350,7 @@ impl Fast {
         trace.phase_start("local_search");
         if !ws.blocking.is_empty() && num_procs >= 2 {
             let mut eval = lend_eval(&mut ws.eval, model);
-            eval.reset(dag, &ws.list, &ws.state.proc, num_procs);
+            eval.reset_with_finish(dag, &ws.list, &ws.state.proc, &ws.state.finish, num_procs);
             let mem = model.has_capacities().then_some(&mut ws.state);
             hill_climb(
                 dag,

@@ -93,7 +93,8 @@ impl FastParallel {
                 t => (t as usize).min(chains),
             };
             let (max_steps, base_seed) = (self.config.max_steps_per_chain, self.config.seed);
-            let (order, init, blocking) = (&ws.list, &ws.state.proc, &ws.blocking);
+            let (order, init, finish) = (&ws.list, &ws.state.proc, &ws.state.finish);
+            let blocking = &ws.blocking;
             // Chains record in the caller's mode, so a traced run keeps
             // every chain's trajectory and provenance.
             let fresh = &trace.empty_like();
@@ -105,7 +106,7 @@ impl FastParallel {
                             let seed = base_seed + (w * chunk + j) as u64;
                             slot.trace = fresh.clone();
                             let mut eval = lend_eval(&mut slot.eval, model);
-                            eval.reset(dag, order, init, num_procs);
+                            eval.reset_with_finish(dag, order, init, finish, num_procs);
                             slot.makespan = hill_climb(
                                 dag,
                                 blocking,

@@ -77,7 +77,7 @@ impl FastSa {
         trace.phase_start("local_search");
         if !ws.blocking.is_empty() && num_procs >= 2 && self.config.steps > 0 {
             let mut eval = lend_eval(&mut ws.eval, model);
-            eval.reset(dag, &ws.list, &ws.state.proc, num_procs);
+            eval.reset_with_finish(dag, &ws.list, &ws.state.proc, &ws.state.finish, num_procs);
             anneal(
                 &self.config,
                 dag,

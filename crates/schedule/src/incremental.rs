@@ -16,12 +16,14 @@
 //! * the walk stops as soon as no dirty parent marks and no diverged
 //!   processors remain ahead; the tail's contribution to the makespan
 //!   is read from the committed suffix-maximum in O(1);
+//! * a recomputed node whose finish moved scans its successors once,
+//!   against their committed starts (no per-edge state is kept);
 //! * [`DeltaEvaluator::revert`] undoes the probe from an undo log
 //!   (cost proportional to the nodes the probe actually touched, never
 //!   more than the probe itself); [`DeltaEvaluator::commit`] accepts
 //!   it and rebuilds the O(v) position/maximum caches, and the next
-//!   probe rebuilds the per-edge slack cache and the critical mask in
-//!   one O(v + e) pass;
+//!   bounded probe rebuilds the critical mask in one reverse pass that
+//!   reads at most `e` edges;
 //! * [`DeltaEvaluator::probe_transfer_bounded`] with a cutoff at or
 //!   below the committed makespan rejects, without any walk, a
 //!   transfer of a node that cannot reach a makespan node through
@@ -34,6 +36,8 @@
 //! [`crate::evaluate::evaluate_fixed_order`] on the same order and
 //! assignment (the property tests enforce this), so search drivers
 //! swap it in without changing a single accept/reject decision.
+//! Seeding replays the order once ([`DeltaEvaluator::reset`]) or adopts
+//! a placement's finish times ([`DeltaEvaluator::reset_with_finish`]).
 
 use crate::cost::{data_arrival_time_with, CostModel, HomogeneousModel};
 use crate::schedule::{ProcId, Schedule};
@@ -85,28 +89,11 @@ pub struct DeltaEvaluator<M: CostModel = HomogeneousModel> {
     /// Sorted positions (indices into `order`) per processor, for the
     /// committed assignment; only the first `num_procs` lists are live.
     proc_positions: Vec<Vec<usize>>,
-    /// CSR-style offsets into [`Self::succ_sorted`]: node `u`'s
-    /// successor slack entries live at
-    /// `succ_sorted[succ_offset[u]..succ_offset[u + 1]]`.
-    succ_offset: Vec<usize>,
-    /// Per-node successor edges as `(slack, index into dag.succs(u))`,
-    /// sorted by ascending committed slack
-    /// `start[s] - message_cost(u, s)`. An edge can only need a mark
-    /// when its slack is `<= max(old finish, new finish)`, so the walk
-    /// visits each changed node's tight edges and breaks — the slack
-    /// tail is never iterated.
-    succ_sorted: Vec<(Cost, u32)>,
-    /// Per-node sort generation for [`Self::succ_sorted`] segments: a
-    /// segment is sorted iff its entry equals [`Self::seg_gen`]. A
-    /// slack rebuild bumps the generation (invalidating every sort in
-    /// O(1)); a segment is re-sorted the first time a probe actually
-    /// iterates it, so nodes no probe changes never pay the sort.
-    seg_epoch: Vec<u64>,
-    seg_gen: u64,
-    /// Slacks reference committed starts, so a commit invalidates
-    /// them; rebuilt lazily at the next probe (which has the `Dag`).
-    /// The critical mask shares this flag and this rebuild.
-    slacks_stale: bool,
+    /// The critical mask references committed times, so seeding and
+    /// commits invalidate it; it is rebuilt lazily by the first probe
+    /// that can prune (which has the `Dag`) or by
+    /// [`Self::critical_mask`].
+    mask_stale: bool,
     /// Per node: whether it reaches a node finishing at the committed
     /// makespan through committed-tight constraints — a DAG edge
     /// `u → s` with `finish[u] + message == start[s]`, or a processor
@@ -173,9 +160,7 @@ impl<M: CostModel> DeltaEvaluator<M> {
         num_procs: u32,
     ) -> Self {
         let mut this = Self::empty_with_model(model);
-        this.order = order;
-        this.assignment = assignment;
-        this.init(dag, num_procs);
+        this.reset(dag, &order, &assignment, num_procs);
         this
     }
 
@@ -192,11 +177,7 @@ impl<M: CostModel> DeltaEvaluator<M> {
             finish: Vec::new(),
             makespan: 0,
             proc_positions: Vec::new(),
-            succ_offset: Vec::new(),
-            succ_sorted: Vec::new(),
-            seg_epoch: Vec::new(),
-            seg_gen: 0,
-            slacks_stale: false,
+            mask_stale: false,
             critical: Vec::new(),
             prefix_max: Vec::new(),
             suffix_max: Vec::new(),
@@ -223,11 +204,38 @@ impl<M: CostModel> DeltaEvaluator<M> {
     /// ever grow): stale stamps from a previous run can never equal a
     /// future epoch, so the zeroed stamp arrays stay sound.
     pub fn reset(&mut self, dag: &Dag, order: &[NodeId], assignment: &[ProcId], num_procs: u32) {
-        self.order.clear();
-        self.order.extend_from_slice(order);
-        self.assignment.clear();
-        self.assignment.extend_from_slice(assignment);
-        self.init(dag, num_procs);
+        self.init(dag, order, assignment, None, num_procs);
+    }
+
+    /// [`Self::reset`] adopting `finish` as the committed finish times
+    /// instead of replaying the order, so seeding reads no edge. Each
+    /// start is `finish - compute_cost`. `finish` must be what the
+    /// replay of `(order, assignment)` computes, as with any placement
+    /// that appends each node of `order`, in turn, at `max(DAT, ready)`
+    /// under this evaluator's model (FAST's §4.2 loop).
+    ///
+    /// ```
+    /// use fastsched_dag::examples::chain;
+    /// use fastsched_schedule::{DeltaEvaluator, ProcId};
+    ///
+    /// let dag = chain(3, 5, 2);
+    /// let order: Vec<_> = dag.topo_order().to_vec();
+    /// let assignment = vec![ProcId(0); 3];
+    /// let mut eval = DeltaEvaluator::empty();
+    /// eval.reset_with_finish(&dag, &order, &assignment, &[5, 10, 15], 2);
+    /// assert_eq!(eval.makespan(), 15);
+    /// assert_eq!(eval.start_times(), &[0, 5, 10]);
+    /// assert_eq!(eval.stats().seed_edge_reads, 0);
+    /// ```
+    pub fn reset_with_finish(
+        &mut self,
+        dag: &Dag,
+        order: &[NodeId],
+        assignment: &[ProcId],
+        finish: &[Cost],
+        num_procs: u32,
+    ) {
+        self.init(dag, order, assignment, Some(finish), num_procs);
     }
 
     /// The same evaluator priced by `model`: every buffer (and the
@@ -245,11 +253,7 @@ impl<M: CostModel> DeltaEvaluator<M> {
             finish: self.finish,
             makespan: self.makespan,
             proc_positions: self.proc_positions,
-            succ_offset: self.succ_offset,
-            succ_sorted: self.succ_sorted,
-            seg_epoch: self.seg_epoch,
-            seg_gen: self.seg_gen,
-            slacks_stale: self.slacks_stale,
+            mask_stale: self.mask_stale,
             critical: self.critical,
             prefix_max: self.prefix_max,
             suffix_max: self.suffix_max,
@@ -272,11 +276,24 @@ impl<M: CostModel> DeltaEvaluator<M> {
         &self.model
     }
 
-    /// Shared seeding path of [`Self::with_model`] and [`Self::reset`]:
-    /// `self.order` / `self.assignment` are already in place; size
-    /// every derived buffer (clear + resize, keeping capacity) and run
-    /// the full evaluation plus cache rebuilds.
-    fn init(&mut self, dag: &Dag, num_procs: u32) {
+    /// Shared seeding path of [`Self::reset`] and
+    /// [`Self::reset_with_finish`]: copy `order` and `assignment`, size
+    /// every derived buffer (clear + resize, keeping capacity), take
+    /// the committed times from the full evaluation or from `finish`,
+    /// and rebuild the O(v) caches. The critical mask is left stale
+    /// for its first reader.
+    fn init(
+        &mut self,
+        dag: &Dag,
+        order: &[NodeId],
+        assignment: &[ProcId],
+        finish: Option<&[Cost]>,
+        num_procs: u32,
+    ) {
+        self.order.clear();
+        self.order.extend_from_slice(order);
+        self.assignment.clear();
+        self.assignment.extend_from_slice(assignment);
         let v = dag.node_count();
         assert!(num_procs >= 1, "need at least one processor");
         assert_eq!(self.assignment.len(), v, "assignment must cover every node");
@@ -290,20 +307,7 @@ impl<M: CostModel> DeltaEvaluator<M> {
         self.num_procs = num_procs;
         let np = num_procs as usize;
         order_positions_into(&self.order, v, &mut self.pos_of);
-        self.succ_offset.clear();
-        self.succ_offset.resize(v + 1, 0);
-        for n in dag.nodes() {
-            self.succ_offset[n.index() + 1] = dag.succs(n).len();
-        }
-        for i in 0..v {
-            self.succ_offset[i + 1] += self.succ_offset[i];
-        }
-        let edge_total = self.succ_offset[v];
-        self.succ_sorted.clear();
-        self.succ_sorted.resize(edge_total, (0, 0));
-        self.seg_epoch.clear();
-        self.seg_epoch.resize(v, 0);
-        self.slacks_stale = false;
+        self.mask_stale = true;
         self.critical.clear();
         self.critical.resize(v, false);
         self.start.clear();
@@ -337,10 +341,19 @@ impl<M: CostModel> DeltaEvaluator<M> {
             self.proc_positions.push(Vec::new());
         }
 
-        self.full_evaluate(dag);
+        match finish {
+            Some(finish) => {
+                self.finish.copy_from_slice(finish);
+                for n in dag.nodes() {
+                    let cost = self.model.compute_cost(dag, n, self.assignment[n.index()]);
+                    self.start[n.index()] = finish[n.index()] - cost;
+                }
+                self.makespan = finish.iter().copied().max().unwrap_or(0);
+            }
+            None => self.full_evaluate(dag),
+        }
         self.rebuild_proc_positions();
         self.rebuild_max_caches();
-        self.rebuild_slacks(dag);
     }
 
     /// Makespan of the committed schedule.
@@ -376,8 +389,8 @@ impl<M: CostModel> DeltaEvaluator<M> {
     /// Per-node critical mask of the committed schedule: `true` for a
     /// node that reaches a node finishing at the makespan through
     /// committed-tight DAG or processor edges (a makespan node is
-    /// critical itself). Rebuilt first when a commit left it stale —
-    /// the same O(v + e) pass that rebuilds the slack cache.
+    /// critical itself). Rebuilt first when seeding or a commit left
+    /// it stale, in one reverse pass over the order.
     ///
     /// ```
     /// use fastsched_dag::examples::chain;
@@ -393,14 +406,14 @@ impl<M: CostModel> DeltaEvaluator<M> {
     /// Panics if a probe is unresolved.
     pub fn critical_mask(&mut self, dag: &Dag) -> &[bool] {
         assert!(self.tentative.is_none(), "unresolved probe");
-        if self.slacks_stale {
-            self.rebuild_slacks(dag);
+        if self.mask_stale {
+            self.rebuild_critical(dag);
         }
         &self.critical
     }
 
     /// Observability counters accumulated so far (probe walks, node
-    /// recomputes, slack-cache traffic).
+    /// recomputes, edges read by seeding and mask rebuilds).
     ///
     /// ```
     /// use fastsched_dag::examples::paper_figure1;
@@ -511,15 +524,17 @@ impl<M: CostModel> DeltaEvaluator<M> {
             to.index() < self.num_procs as usize,
             "processor out of range"
         );
-        if self.slacks_stale {
-            self.rebuild_slacks(dag);
-        }
         self.stats.on_probe();
         let from = self.assignment[node.index()];
         // Critical-cone pruning: a node off the critical mask cannot
         // make any makespan node finish earlier, so the probe cannot
-        // beat a cutoff at or below the makespan.
-        let pruned = from != to && cutoff <= self.makespan && !self.critical[node.index()];
+        // beat a cutoff at or below the makespan. Only such a probe
+        // reads the mask, so unbounded drivers never rebuild it.
+        let prunable = from != to && cutoff <= self.makespan;
+        if prunable && self.mask_stale {
+            self.rebuild_critical(dag);
+        }
+        let pruned = prunable && !self.critical[node.index()];
         if from == to || pruned {
             // Resolved without a walk: the committed times stand, and
             // commit/revert stay uniform for the driver.
@@ -637,10 +652,11 @@ impl<M: CostModel> DeltaEvaluator<M> {
                 // dependency cone instead of the full fan-out.
                 if m == node {
                     // The transferred node always re-tests every out
-                    // edge: its cached slacks were computed against
-                    // the old processor, and the message origin moved
-                    // even at an unchanged finish.
-                    for e in dag.succs(m) {
+                    // edge: the message origin moved even at an
+                    // unchanged finish.
+                    let succs = dag.succs(m);
+                    self.stats.walk_succ_reads += succs.len() as u64;
+                    for e in succs {
                         let si = e.node.index();
                         let sq = self.assignment[si];
                         let a_old = old_f + self.model.message_cost(e.cost, from, sq);
@@ -648,34 +664,17 @@ impl<M: CostModel> DeltaEvaluator<M> {
                         self.apply_mark(si, a_old, a_new, &mut pending);
                     }
                 } else if changed {
-                    // An unmoved node's committed per-edge slacks are
-                    // valid (its processor and its successors' are
-                    // unchanged). An edge needs attention only when the
-                    // new finish exceeds its slack (arrival increase)
-                    // or the old finish equals it (binding relaxed);
-                    // both imply `slack <= max(old_f, f)`, and the
-                    // entries are sorted by slack, so the walk stops at
-                    // the first slack past that bound — the relaxed
-                    // tail of the fan-out is never touched.
-                    let lim = f.max(old_f);
+                    // An unmoved node's edges keep their committed
+                    // prices (its processor and its successors' are
+                    // unchanged), and each successor still holds its
+                    // committed start, so the edge's committed slack
+                    // `start[s] - msg` is read directly. An edge needs
+                    // attention only when the new finish exceeds its
+                    // slack (arrival increase) or the old finish
+                    // equals it (binding relaxed).
                     let succs = dag.succs(m);
-                    if self.seg_epoch[mi] != self.seg_gen {
-                        self.succ_sorted[self.succ_offset[mi]..self.succ_offset[mi + 1]]
-                            .sort_unstable();
-                        self.seg_epoch[mi] = self.seg_gen;
-                        self.stats.on_slack_miss();
-                    } else {
-                        self.stats.on_slack_hit();
-                    }
-                    for idx in self.succ_offset[mi]..self.succ_offset[mi + 1] {
-                        let (slack, j) = self.succ_sorted[idx];
-                        if slack > lim {
-                            break;
-                        }
-                        if f <= slack && old_f < slack {
-                            continue;
-                        }
-                        let e = succs.get(j as usize);
+                    self.stats.walk_succ_reads += succs.len() as u64;
+                    for e in succs {
                         let si = e.node.index();
                         let sq = self.assignment[si];
                         // A co-located successor needs no mark: its
@@ -687,6 +686,10 @@ impl<M: CostModel> DeltaEvaluator<M> {
                             continue;
                         }
                         let msg = self.model.message_cost(e.cost, q, sq);
+                        let slack = self.start[si] - msg;
+                        if f <= slack && old_f < slack {
+                            continue;
+                        }
                         self.apply_mark(si, old_f + msg, f + msg, &mut pending);
                     }
                 }
@@ -766,7 +769,7 @@ impl<M: CostModel> DeltaEvaluator<M> {
             to_list.insert(idx, k);
             self.makespan = t.makespan;
             self.rebuild_max_caches();
-            self.slacks_stale = true;
+            self.mask_stale = true;
         }
         self.stats.on_commit();
         self.undo.clear();
@@ -839,15 +842,6 @@ impl<M: CostModel> DeltaEvaluator<M> {
         }
     }
 
-    /// Committed ready time of `q` just before position `i`: the
-    /// committed finish of the last node on `q` at a position `< i`,
-    /// skipping the transferred node (it is no longer on its committed
-    /// processor during a probe).
-    ///
-    /// Sound during a probe even though `finish` holds tentative
-    /// values: a recomputed node either re-converged (finish unchanged)
-    /// or left its processor diverged, in which case the walk reads
-    /// `proc_ready` instead of this fallback.
     /// Test one changed arrival against the successor's committed
     /// start and mark it dirty if the change can disturb it. The
     /// successor is untouched (it sits after the walk cursor), so
@@ -885,46 +879,59 @@ impl<M: CostModel> DeltaEvaluator<M> {
         }
     }
 
-    /// Recompute the per-edge slack cache and the critical mask from
-    /// the committed schedule in one reverse-order pass — O(v + e);
-    /// per-node segments are re-sorted lazily on first use. A
-    /// committed arrival is always feasible
-    /// (`finish[u] + msg <= start[s]`), so the subtraction cannot
-    /// underflow, every slack is `>= finish[u]`, and an edge is tight
-    /// exactly when its slack equals `finish[u]`. Successors and
-    /// processor successors sit later in the order, so their mask
-    /// entries are final when a node reads them.
+    /// Recompute the critical mask from the committed schedule in one
+    /// reverse-order pass: successors and processor successors sit
+    /// later in the order, so their entries are final when a node
+    /// reads them. A node critical through the makespan or its
+    /// processor successor reads no edge; any other prices only edges
+    /// into critical successors and stops at the first tight one. A
+    /// committed arrival is feasible (`finish[u] + msg <= start[s]`),
+    /// so the subtraction cannot underflow.
     ///
     /// `proc_ready` is probe scratch (dead outside a walk); here it
     /// holds, per processor, the committed start of the node the pass
     /// saw last on it when that node is critical, and `Cost::MAX`
     /// otherwise. Only a makespan node — critical on its own — can
     /// finish at `Cost::MAX`, so the sentinel never marks a node.
-    fn rebuild_slacks(&mut self, dag: &Dag) {
-        self.stats.on_slack_rebuild();
-        self.stats.seed_edge_reads += dag.edge_count() as u64;
+    fn rebuild_critical(&mut self, dag: &Dag) {
+        self.stats.on_mask_rebuild();
         self.proc_ready.iter_mut().for_each(|r| *r = Cost::MAX);
+        let mut reads = 0u64;
         for i in (0..self.order.len()).rev() {
             let n = self.order[i];
             let ni = n.index();
             let q = self.assignment[ni];
             let f = self.finish[ni];
             let mut critical = f == self.makespan || f == self.proc_ready[q.index()];
-            let base = self.succ_offset[ni];
-            for (j, e) in dag.succs(n).iter().enumerate() {
-                let si = e.node.index();
-                let sq = self.assignment[si];
-                let slack = self.start[si] - self.model.message_cost(e.cost, q, sq);
-                self.succ_sorted[base + j] = (slack, j as u32);
-                critical |= slack == f && self.critical[si];
+            if !critical {
+                for e in dag.succs(n) {
+                    reads += 1;
+                    let si = e.node.index();
+                    if self.critical[si]
+                        && self.start[si] - self.model.message_cost(e.cost, q, self.assignment[si])
+                            == f
+                    {
+                        critical = true;
+                        break;
+                    }
+                }
             }
             self.critical[ni] = critical;
             self.proc_ready[q.index()] = if critical { self.start[ni] } else { Cost::MAX };
         }
-        self.seg_gen += 1;
-        self.slacks_stale = false;
+        self.stats.seed_edge_reads += reads;
+        self.mask_stale = false;
     }
 
+    /// Committed ready time of `q` just before position `i`: the
+    /// committed finish of the last node on `q` at a position `< i`,
+    /// skipping the transferred node (it is no longer on its committed
+    /// processor during a probe).
+    ///
+    /// Sound during a probe even though `finish` holds tentative
+    /// values: a recomputed node either re-converged (finish unchanged)
+    /// or left its processor diverged, in which case the walk reads
+    /// `proc_ready` instead of this fallback.
     fn committed_ready_before(&self, q: ProcId, i: usize, moved: NodeId) -> Cost {
         let list = &self.proc_positions[q.index()];
         let mut idx = list.partition_point(|&p| p < i);

@@ -24,7 +24,7 @@
 //!   [`evaluate`] but re-evaluates only the suffix a node transfer
 //!   actually dirties. FAST's local search probes run through it.
 //!   It always accumulates [`EvalStats`] counters (suffix lengths
-//!   walked, slack-cache hits/misses, …) — plain `u64` increments;
+//!   walked, successor entries scanned, …) — plain `u64` increments;
 //! * [`gantt`] / [`svg`] — ASCII and SVG Gantt-chart rendering;
 //! * [`io`] — JSON (de)serialization of schedules for the CLI;
 //! * [`analysis`] — bottleneck-chain extraction, critical-path

@@ -37,12 +37,12 @@ pub struct EvalStats {
     pub nodes_recomputed: u64,
     /// Successor edges tested for a dirty mark.
     pub edge_marks_tested: u64,
-    /// Sorted slack segments reused as-is (no re-sort needed).
-    pub slack_cache_hits: u64,
-    /// Slack segments re-sorted on first use after invalidation.
-    pub slack_cache_misses: u64,
-    /// Full O(e) slack-cache rebuilds (after commits).
-    pub slack_rebuilds: u64,
+    /// Successor entries read by probe walks' scans: every out-edge of
+    /// the moved node and of each recomputed node whose finish moved.
+    pub walk_succ_reads: u64,
+    /// Critical-mask rebuilds (after seeding and commits, on the first
+    /// bounded probe that can prune).
+    pub mask_rebuilds: u64,
     /// Probes accepted into the committed state.
     pub commits: u64,
     /// Probes rolled back from the undo log.
@@ -57,8 +57,9 @@ pub struct EvalStats {
     pub probes_pruned: u64,
     /// Pred entries read by probe walks' full data-arrival recomputes.
     pub probe_pred_reads: u64,
-    /// Edges read by evaluator seeding (the full replay) and by the
-    /// slack and critical-mask rebuilds after seeding and commits.
+    /// Edges read by evaluator seeding (the full replay; none when the
+    /// evaluator adopts a placement's finish times) and by the
+    /// critical-mask rebuilds after seeding and commits.
     pub seed_edge_reads: u64,
 }
 
@@ -88,12 +89,8 @@ impl EvalStats {
         on_node_recomputed => nodes_recomputed,
         /// Count one successor edge tested for a mark.
         on_edge_mark => edge_marks_tested,
-        /// Count one sorted slack segment reused without a re-sort.
-        on_slack_hit => slack_cache_hits,
-        /// Count one slack segment re-sorted on first use.
-        on_slack_miss => slack_cache_misses,
-        /// Count one full slack-cache rebuild.
-        on_slack_rebuild => slack_rebuilds,
+        /// Count one critical-mask rebuild.
+        on_mask_rebuild => mask_rebuilds,
         /// Count one committed probe.
         on_commit => commits,
         /// Count one reverted probe.
@@ -110,9 +107,8 @@ impl EvalStats {
         self.dirty_nodes_visited += other.dirty_nodes_visited;
         self.nodes_recomputed += other.nodes_recomputed;
         self.edge_marks_tested += other.edge_marks_tested;
-        self.slack_cache_hits += other.slack_cache_hits;
-        self.slack_cache_misses += other.slack_cache_misses;
-        self.slack_rebuilds += other.slack_rebuilds;
+        self.walk_succ_reads += other.walk_succ_reads;
+        self.mask_rebuilds += other.mask_rebuilds;
         self.commits += other.commits;
         self.reverts += other.reverts;
         self.placement_pred_reads += other.placement_pred_reads;
@@ -134,9 +130,8 @@ impl EvalStats {
             ("dirty_nodes_visited", self.dirty_nodes_visited),
             ("nodes_recomputed", self.nodes_recomputed),
             ("edge_marks_tested", self.edge_marks_tested),
-            ("slack_cache_hits", self.slack_cache_hits),
-            ("slack_cache_misses", self.slack_cache_misses),
-            ("slack_rebuilds", self.slack_rebuilds),
+            ("walk_succ_reads", self.walk_succ_reads),
+            ("mask_rebuilds", self.mask_rebuilds),
             ("commits", self.commits),
             ("reverts", self.reverts),
             ("placement_pred_reads", self.placement_pred_reads),
@@ -525,6 +520,8 @@ mod tests {
         stats.on_probe_pruned();
         stats.probe_pred_reads += 3;
         stats.seed_edge_reads += 7;
+        stats.walk_succ_reads += 5;
+        stats.on_mask_rebuild();
         t.absorb_eval(&stats);
 
         let r = t.to_report();
@@ -537,6 +534,8 @@ mod tests {
         assert_eq!(r.counter("probes_pruned"), Some(1));
         assert_eq!(r.counter("probe_pred_reads"), Some(3));
         assert_eq!(r.counter("seed_edge_reads"), Some(7));
+        assert_eq!(r.counter("walk_succ_reads"), Some(5));
+        assert_eq!(r.counter("mask_rebuilds"), Some(1));
         assert_eq!(r.trajectory(), vec![18, 18]);
         assert_eq!(r.phase_totals().len(), 1);
     }

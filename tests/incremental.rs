@@ -11,12 +11,17 @@
 //! cone; under every model, such a pruned probe's full replay must
 //! reach the cutoff, and the evaluator's critical mask must match one
 //! recomputed from the replay after every commit.
+//!
+//! FAST seeds its evaluator from the placement's finish times instead
+//! of replaying them; under every model, that seeding must reproduce
+//! the replay's committed state and critical mask exactly.
 
 use fastsched::prelude::*;
 use fastsched::schedule::{
-    evaluate_fixed_order, evaluate_fixed_order_with, AlphaBeta, CostModel, DeltaEvaluator,
-    Hierarchical, HomogeneousModel, ProcessorSpeeds,
+    evaluate_fixed_order, evaluate_fixed_order_with, AlphaBeta, CommModel, CostModel,
+    DeltaEvaluator, Hierarchical, HomogeneousModel, MemoryCapacities, ProcessorSpeeds,
 };
+use fastsched::workloads::assign_mems;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -338,5 +343,87 @@ fn every_model_prunes_on_a_fixed_corpus() {
             pruned += run_pruning_walk(pick, &dag, 4, seed).expect("sound pruning");
         }
         assert!(pruned > 0, "model {pick} never pruned a probe");
+    }
+}
+
+/// FAST's §4.2 placement appends each node at `max(DAT, ready)` in list
+/// order, so its finish times are what the fixed-order replay of its
+/// list and assignment computes. An evaluator seeded from them must
+/// hold the replaying evaluator's starts, finishes, makespan and
+/// critical mask, and the placement's own starts.
+fn placement_seeding_matches_replay<M: CostModel + Clone>(
+    model: M,
+    dag: &Dag,
+    procs: u32,
+) -> Result<(), TestCaseError> {
+    let (initial, list, assignment) = match Fast::new().initial_schedule_with(&model, dag, procs) {
+        Ok(placed) => placed,
+        // Binding capacities may leave a node no processor.
+        Err(SchedulerError::Infeasible { .. }) => return Ok(()),
+        Err(e) => panic!("placement failed: {e}"),
+    };
+    let finish: Vec<Cost> = dag
+        .nodes()
+        .map(|n| initial.task(n).unwrap().finish)
+        .collect();
+    let mut seeded = DeltaEvaluator::empty_with_model(model.clone());
+    seeded.reset_with_finish(dag, &list, &assignment, &finish, procs);
+    let mut replay = DeltaEvaluator::with_model(model, dag, list, assignment, procs);
+    prop_assert_eq!(seeded.makespan(), replay.makespan());
+    prop_assert_eq!(seeded.finish_times(), replay.finish_times());
+    prop_assert_eq!(seeded.start_times(), replay.start_times());
+    for n in dag.nodes() {
+        prop_assert_eq!(
+            seeded.start_times()[n.index()],
+            initial.task(n).unwrap().start,
+            "placement start of {:?}",
+            n
+        );
+    }
+    prop_assert_eq!(seeded.critical_mask(dag), replay.critical_mask(dag));
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Placement seeding equals the replay under the paper's model,
+    /// α–β, a two-group hierarchy, per-processor speeds, and loose and
+    /// binding uniform memory capacities.
+    #[test]
+    fn placement_seeded_evaluator_matches_the_replay_under_any_model(
+        dag in arb_dag(),
+        procs in 2u32..7,
+        seed in 0u64..10_000,
+        pick in 0usize..6,
+    ) {
+        match pick {
+            0 => placement_seeding_matches_replay(HomogeneousModel, &dag, procs)?,
+            1 => placement_seeding_matches_replay(AlphaBeta::new(7, 3, 2), &dag, procs)?,
+            2 => {
+                let groups = [procs / 2, procs - procs / 2];
+                let hier = Hierarchical::from_group_sizes(
+                    &groups,
+                    AlphaBeta::new(2, 1, 1),
+                    AlphaBeta::new(15, 2, 1),
+                )
+                .unwrap();
+                placement_seeding_matches_replay(hier, &dag, procs)?
+            }
+            3 => {
+                let speeds = ProcessorSpeeds::new((0..procs).map(|p| 50 + 40 * p).collect());
+                placement_seeding_matches_replay(speeds, &dag, procs)?
+            }
+            _ => {
+                let dag = assign_mems(&dag, seed);
+                let total = dag.total_memory().max(1);
+                // Loose: every lane holds the whole DAG. Binding: about
+                // two processors' fair share, so the placement filters
+                // and widens its candidates.
+                let cap = if pick == 4 { total } else { 2 * total / procs as Cost + 32 };
+                let caps = MemoryCapacities::uniform(CommModel::Ideal, cap, procs);
+                placement_seeding_matches_replay(caps, &dag, procs)?
+            }
+        }
     }
 }
