@@ -6,7 +6,7 @@
 //! scheduled. The pair-wise matching makes the algorithm O(p e v)
 //! overall.
 
-use crate::scheduler::{priced, Scheduler, SchedulerError};
+use crate::scheduler::{priced, Feature, Scheduler, SchedulerError};
 use crate::workspace::Workspace;
 use fastsched_dag::{attributes::static_levels_soa_into, Dag, NodeId};
 use fastsched_schedule::{CostModel, Machine, ProcId, Schedule};
@@ -87,7 +87,7 @@ impl Scheduler for Dls {
         trace: &mut SearchTrace,
     ) -> Result<Schedule, SchedulerError> {
         if machine.has_capacities() {
-            return Err(SchedulerError::Unsupported);
+            return Err(SchedulerError::Unsupported(Feature::MemoryCapacities));
         }
         let schedule = priced!(machine, |m| self.core(dag, num_procs, m, ws));
         trace.eval.placement_pred_reads += ws.dat.pred_reads();

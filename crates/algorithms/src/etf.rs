@@ -6,7 +6,7 @@
 //! smallest start time is scheduled; ties are broken in favour of the
 //! node with the higher static level. O(p v²).
 
-use crate::scheduler::{priced, Scheduler, SchedulerError};
+use crate::scheduler::{priced, Feature, Scheduler, SchedulerError};
 use crate::workspace::Workspace;
 use fastsched_dag::{attributes::static_levels_soa_into, Cost, Dag, NodeId};
 use fastsched_schedule::{CostModel, Machine, ProcId, Schedule};
@@ -86,7 +86,7 @@ impl Scheduler for Etf {
         trace: &mut SearchTrace,
     ) -> Result<Schedule, SchedulerError> {
         if machine.has_capacities() {
-            return Err(SchedulerError::Unsupported);
+            return Err(SchedulerError::Unsupported(Feature::MemoryCapacities));
         }
         let schedule = priced!(machine, |m| self.core(dag, num_procs, m, ws));
         trace.eval.placement_pred_reads += ws.dat.pred_reads();

@@ -11,7 +11,7 @@
 //! winner is the lowest `(makespan, chain index)`.
 
 use crate::fast::{hill_climb, initial_schedule_ws};
-use crate::scheduler::{priced, Scheduler, SchedulerError};
+use crate::scheduler::{priced, Feature, Scheduler, SchedulerError};
 use crate::workspace::{lend_eval, return_eval, Workspace};
 use fastsched_dag::{Dag, ObnOrder};
 use fastsched_schedule::{CostModel, Machine, Schedule};
@@ -151,7 +151,7 @@ impl Scheduler for FastParallel {
         trace: &mut SearchTrace,
     ) -> Result<Schedule, SchedulerError> {
         if machine.has_capacities() {
-            return Err(SchedulerError::Unsupported);
+            return Err(SchedulerError::Unsupported(Feature::MemoryCapacities));
         }
         priced!(machine, |m| self.core(dag, num_procs, m, ws, trace))
     }

@@ -11,7 +11,7 @@
 //! FAST-SA never returns worse than its initial schedule).
 
 use crate::fast::initial_schedule_ws;
-use crate::scheduler::{priced, Scheduler, SchedulerError};
+use crate::scheduler::{priced, Feature, Scheduler, SchedulerError};
 use crate::workspace::{lend_eval, return_eval, Workspace};
 use fastsched_dag::{Dag, NodeId, ObnOrder};
 use fastsched_schedule::{CostModel, DeltaEvaluator, Machine, ProcId, Schedule};
@@ -177,7 +177,7 @@ impl Scheduler for FastSa {
         trace: &mut SearchTrace,
     ) -> Result<Schedule, SchedulerError> {
         if machine.has_capacities() {
-            return Err(SchedulerError::Unsupported);
+            return Err(SchedulerError::Unsupported(Feature::MemoryCapacities));
         }
         priced!(machine, |m| self.core(dag, num_procs, m, ws, trace))
     }

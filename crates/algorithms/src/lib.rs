@@ -104,6 +104,7 @@ pub use mcp::Mcp;
 pub use md::Md;
 pub use optimal::{BranchAndBound, NoPlan, OracleOutcome};
 pub use pool::WorkerPool;
+pub use scheduler::Feature;
 pub use scheduler::{all_schedulers, paper_schedulers, HomogeneousOnly, Scheduler, SchedulerError};
 pub use workspace::{
     schedule_many, schedule_many_into, schedule_many_par, schedule_many_par_with, Workspace,

@@ -15,8 +15,8 @@ pub enum SchedulerError {
     /// ([`Machine::makespan_bound`]), do not leave the headroom the
     /// schedulers' time arithmetic needs in a `u64`.
     Overflow,
-    /// The algorithm has no scheduling path for this machine.
-    Unsupported,
+    /// The algorithm has no scheduling path for this machine feature.
+    Unsupported(Feature),
     /// The greedy placement found no processor with room for `node`'s
     /// memory footprint. The instance may still be feasible: deciding
     /// that is a packing problem the greedy pass does not solve.
@@ -39,7 +39,7 @@ impl std::fmt::Display for SchedulerError {
                 "time arithmetic overflows u64: the DAG's total work and communication \
                  on this machine exceed u64::MAX/4"
             ),
-            SchedulerError::Unsupported => write!(f, "no scheduling path for this machine"),
+            SchedulerError::Unsupported(feature) => write!(f, "no scheduling path for {feature}"),
             SchedulerError::Infeasible { node, footprint } => write!(
                 f,
                 "no processor can hold node n{node} (footprint {footprint}); \
@@ -51,6 +51,28 @@ impl std::fmt::Display for SchedulerError {
 }
 
 impl std::error::Error for SchedulerError {}
+
+/// A feature of a priced [`Machine`] that an algorithm may have no
+/// scheduling path for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Feature {
+    /// Messages priced by a communication model.
+    CommModel,
+    /// Finite per-processor memory capacities.
+    MemoryCapacities,
+    /// Per-processor speeds.
+    Speeds,
+}
+
+impl std::fmt::Display for Feature {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Feature::CommModel => "a communication model",
+            Feature::MemoryCapacities => "memory capacities",
+            Feature::Speeds => "processor speeds",
+        })
+    }
+}
 
 /// A static DAG-scheduling algorithm.
 ///
@@ -154,8 +176,8 @@ pub trait Scheduler: Send + Sync {
 /// An algorithm that knows only the paper's machine: its
 /// [`Scheduler`] runs `schedule_homogeneous` on
 /// [`Machine::Homogeneous`] and answers every priced machine
-/// [`SchedulerError::Unsupported`]. The eleven algorithms without a
-/// model core implement this instead of [`Scheduler`].
+/// [`SchedulerError::Unsupported`] (speeds before capacities). The
+/// eleven algorithms without a model core implement this instead.
 pub trait HomogeneousOnly: Send + Sync {
     /// [`Scheduler::name`].
     const NAME: &'static str;
@@ -185,10 +207,13 @@ impl<T: HomogeneousOnly> Scheduler for T {
         _ws: &mut Workspace,
         _trace: &mut SearchTrace,
     ) -> Result<Schedule, SchedulerError> {
-        match machine {
-            Machine::Homogeneous => Ok(self.schedule_homogeneous(dag, num_procs)),
-            _ => Err(SchedulerError::Unsupported),
-        }
+        let feature = match machine {
+            Machine::Homogeneous => return Ok(self.schedule_homogeneous(dag, num_procs)),
+            Machine::Speeds(_) => Feature::Speeds,
+            Machine::Comm(_) if machine.has_capacities() => Feature::MemoryCapacities,
+            Machine::Comm(_) => Feature::CommModel,
+        };
+        Err(SchedulerError::Unsupported(feature))
     }
 }
 

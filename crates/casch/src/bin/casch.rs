@@ -9,7 +9,7 @@
 //! casch compare  --app laplace --size 8 --procs 16
 //! ```
 
-use fastsched_algorithms::{paper_schedulers, Scheduler, Workspace};
+use fastsched_algorithms::{paper_schedulers, Scheduler, SchedulerError, Workspace};
 use fastsched_casch::machine::{self, Engine};
 use fastsched_casch::protocol::{self, json_escape, Request};
 use fastsched_casch::{compare_algorithms, run_on_dag, Application};
@@ -158,8 +158,7 @@ scrapes the server's `/metrics` page mid-run (a hard error if the
 scrape fails) and prints it to stderr or `--metrics-out <file>`.
 
 `--comm <spec>` prices communication through an explicit cost model
-(DESIGN.md §16); only the model-aware algorithms accept it (fast,
-etf, dls, heft). Specs: `ideal` (the paper's network),
+(DESIGN.md §16). Specs: `ideal` (the paper's network),
 `alpha-beta:A,BN,BD` (a remote message of weight c costs
 A + ceil(c*BN/BD)), or `hier:S1+S2+...@A,BN,BD@A,BN,BD` (consecutive
 group sizes, then the intra-group and inter-group tiers; the
@@ -173,13 +172,16 @@ placement is only legal while the footprints (`mem` field on DAG
 nodes, default 0) resident on the processor sum to at most its
 capacity. Specs: `uniform:C` (every processor holds C) or `C1,C2,...`
 (per-processor capacities; fixes the processor count, like a hier
-group table). Only the memory-aware algorithms accept it (fast,
-heft); it composes with `--comm`, works on `schedule`, `batch` and
-`explain` (threaded batches stay byte-identical), and `casch verify
+group table). It composes with `--comm`, works on `schedule`, `batch`
+and `explain` (threaded batches stay byte-identical), and `casch verify
 --mem-caps` re-checks a saved schedule against the same budgets,
 reporting the first over-capacity processor as `INVALID: capacity`.
 A node no processor has room for is an error, not a panic: `schedule`
 and `explain` exit 1 and `casch serve` answers `infeasible:`.
+
+An algorithm whose core cannot price `--comm` or `--mem-caps` gets
+one `error:` line naming both, and exit 1 (`casch serve`:
+`unsupported:`).
 
 `casch verify` runs the structural validator over a saved schedule:
 task count, processor bounds, durations under the cost model
@@ -403,7 +405,7 @@ fn cmd_schedule(opts: &Flags) -> Result<(), String> {
     let t0 = std::time::Instant::now();
     let schedule = engine
         .run(&dag, procs, &mut Workspace::new(), &mut trace)
-        .map_err(|e| format!("{}: {e}", engine.name()))?;
+        .map_err(|e| engine.failure(&e))?;
     let elapsed = t0.elapsed();
     println!("algorithm:        {}", engine.name());
     if let Some(spec) = opts.get("comm") {
@@ -511,20 +513,17 @@ fn cmd_batch(opts: &Flags) -> Result<(), String> {
     });
     let wall = wall.elapsed().as_secs_f64();
 
-    // A DAG the scheduler refuses gets a `rejected` row, like one that
-    // fails to load.
-    let name = engines[&procs[0]].name();
+    // A machine the algorithm cannot price fails the whole batch; any
+    // other refused DAG gets a `rejected` row, like one that fails to load.
+    let engine = &engines[&procs[0]];
+    let name = engine.name();
     let mut scheduled = 0usize;
     for (i, (result, seconds)) in results.iter().enumerate() {
         let schedule = match result {
             Ok(schedule) => schedule,
+            Err(e @ SchedulerError::Unsupported(_)) => return Err(engine.failure(e)),
             Err(e) => {
-                reject(
-                    &mut lines,
-                    &mut rejected,
-                    &displays[i],
-                    &format!("{name}: {e}"),
-                );
+                reject(&mut lines, &mut rejected, &displays[i], &engine.failure(e));
                 continue;
             }
         };
@@ -718,7 +717,7 @@ fn cmd_explain(opts: &Flags) -> Result<(), String> {
         let mut trace = SearchTrace::recording();
         engine
             .run(&dag, procs, &mut Workspace::new(), &mut trace)
-            .map_err(|e| format!("{}: {e}", engine.name()))?;
+            .map_err(|e| engine.failure(&e))?;
         trace.to_report()
     };
 

@@ -52,14 +52,13 @@
 //! serve and the CLI alike: [`machine::resolve`] turns a request's
 //! algorithm, `procs`, `comm`, `mem_caps` and `speeds` into a
 //! [`machine::Engine`] — a scheduler plus the
-//! [`fastsched_schedule::Machine`] it runs on — and a processor count.
-//! Plain requests run any registered scheduler on the homogeneous
-//! machine; requests carrying a machine model run a model-aware one
-//! on the resolved machine — `speeds` is HEFT over the speed table
-//! (algo must be `heft`), answered as `HEFT-hetero`. Both go through
-//! the one entry point, `Scheduler::run`, into the caller's
-//! `Workspace` and trace, and a `SchedulerError` becomes a typed
-//! answer (`parse:`, `infeasible:` or `internal:`) instead of a panic.
+//! [`fastsched_schedule::Machine`] it runs on — and a processor count;
+//! [`machine::ALGORITHMS`] is the one list of algorithm names. Any
+//! algorithm runs on any machine through the one entry point,
+//! `Scheduler::run`, into the caller's `Workspace` and trace; a core
+//! that cannot price the machine answers `SchedulerError::Unsupported`,
+//! and every `SchedulerError` becomes a typed answer (`parse:`,
+//! `infeasible:`, `unsupported:` or `internal:`) instead of a panic.
 
 #![warn(missing_docs)]
 

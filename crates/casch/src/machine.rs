@@ -7,17 +7,20 @@
 //! [`Machine`] it runs on) and the processor count to schedule on.
 //! `casch serve` and the `casch` CLI both call it; they differ only in
 //! how they decode the fields and in the processor limit they pass
-//! (the server's `--max-procs`, or none). Every rule about which
-//! fields combine and how many processors a request gets lives here:
+//! (the server's `--max-procs`, or none). [`ALGORITHMS`] is the one
+//! list of algorithm names both accept. Every rule about which fields
+//! combine and how many processors a request gets lives here:
 //!
-//! * `speeds` cannot be combined with `comm` or `mem_caps`, and runs
-//!   HEFT only;
-//! * `mem_caps` needs a memory-aware algorithm (fast or heft);
+//! * `speeds` cannot be combined with `comm`: a [`Machine`] prices
+//!   either speeds or messages;
 //! * a hier group table, a per-processor `mem_caps` list and a
 //!   `speeds` list each fix the processor count, so they must agree
 //!   with each other and with an explicit `procs`;
 //! * the processor count is at least 1 and at most the limit;
 //! * without any of those, a request gets one processor per node.
+//!
+//! Which algorithm prices which machine is each core's own answer
+//! ([`SchedulerError::Unsupported`], worded by [`Engine::failure`]).
 
 use fastsched_algorithms::{
     BoundedDsc, BranchAndBound, Cpop, Dcp, Dls, Dsc, Etf, Ez, Fast, FastParallel, FastSa, Heft,
@@ -29,38 +32,55 @@ use fastsched_schedule::{
 };
 use fastsched_trace::SearchTrace;
 
-/// Resolve an algorithm name (the CLI vocabulary) to a scheduler.
-pub fn scheduler_by_name(name: &str) -> Result<Box<dyn Scheduler>, String> {
-    Ok(match name {
-        "fast" => Box::new(Fast::new()),
-        "dsc" => Box::new(Dsc::new()),
-        "md" => Box::new(Md::new()),
-        "etf" => Box::new(Etf::new()),
-        "dls" => Box::new(Dls::new()),
-        "hlfet" => Box::new(Hlfet::new()),
-        "mcp" => Box::new(Mcp::new()),
-        "heft" => Box::new(Heft::new()),
-        "fast-ms" => Box::new(FastParallel::new()),
-        "fast-sa" => Box::new(FastSa::new()),
-        "dcp" => Box::new(Dcp::new()),
-        "ish" => Box::new(Ish::new()),
-        "ez" => Box::new(Ez::new()),
-        "lc" => Box::new(Lc::new()),
-        "cpop" => Box::new(Cpop::new()),
-        "dsc-llb" => Box::new(BoundedDsc::new()),
-        "bnb" => Box::new(BranchAndBound::new()),
-        _ => return Err(format!("unknown algorithm `{name}`")),
-    })
+type Constructor = fn() -> Box<dyn Scheduler>;
+
+/// Every algorithm a request can name, with its constructor: the one
+/// vocabulary of the CLI's `--algo` and serve's `algo` field.
+pub const ALGORITHMS: [(&str, Constructor); 17] = [
+    ("fast", || Box::new(Fast::new())),
+    ("dsc", || Box::new(Dsc::new())),
+    ("md", || Box::new(Md::new())),
+    ("etf", || Box::new(Etf::new())),
+    ("dls", || Box::new(Dls::new())),
+    ("hlfet", || Box::new(Hlfet::new())),
+    ("mcp", || Box::new(Mcp::new())),
+    ("heft", || Box::new(Heft::new())),
+    ("fast-ms", || Box::new(FastParallel::new())),
+    ("fast-sa", || Box::new(FastSa::new())),
+    ("dcp", || Box::new(Dcp::new())),
+    ("ish", || Box::new(Ish::new())),
+    ("ez", || Box::new(Ez::new())),
+    ("lc", || Box::new(Lc::new())),
+    ("cpop", || Box::new(Cpop::new())),
+    ("dsc-llb", || Box::new(BoundedDsc::new())),
+    ("bnb", || Box::new(BranchAndBound::new())),
+];
+
+/// The [`Engine::slot`] of HEFT over processor speeds, which answers
+/// as `HEFT-hetero`.
+pub(crate) const HETERO_SLOT: usize = ALGORITHMS.len();
+
+/// The number of [`Engine::slot`]s.
+pub(crate) const SLOTS: usize = HETERO_SLOT + 1;
+
+/// The label serve counts and logs [`Engine::slot`] `slot` under.
+pub(crate) fn slot_label(slot: usize) -> &'static str {
+    ALGORITHMS
+        .get(slot)
+        .map_or("heft-hetero", |&(name, _)| name)
 }
 
-/// The algorithms a request may pair with a communication model.
-const MODEL_ALGOS: [&str; 4] = ["fast", "etf", "dls", "heft"];
+/// The [`ALGORITHMS`] row of the algorithm named `name`.
+fn row(name: &str) -> Result<usize, String> {
+    ALGORITHMS
+        .iter()
+        .position(|&(n, _)| n == name)
+        .ok_or_else(|| format!("unknown algorithm `{name}`"))
+}
 
-/// The algorithms a request may pair with memory capacities.
-const MEMORY_AWARE: [&str; 2] = ["fast", "heft"];
-
-fn no_model_path(name: &str) -> String {
-    format!("algorithm `{name}` has no communication-model path (use fast, etf, dls, or heft)")
+/// Resolve an algorithm name (the CLI vocabulary) to a scheduler.
+pub fn scheduler_by_name(name: &str) -> Result<Box<dyn Scheduler>, String> {
+    row(name).map(|r| (ALGORITHMS[r].1)())
 }
 
 /// Compatibility shim for the out-of-tree benchmark crate, which still
@@ -73,9 +93,6 @@ pub struct ModelScheduler(Box<dyn Scheduler>);
 #[doc(hidden)]
 impl ModelScheduler {
     pub fn by_name(name: &str) -> Result<ModelScheduler, String> {
-        if !MODEL_ALGOS.contains(&name) {
-            return Err(no_model_path(name));
-        }
         scheduler_by_name(name).map(ModelScheduler)
     }
 
@@ -96,40 +113,30 @@ impl ModelScheduler {
     }
 }
 
-/// The machine `comm`, `mem_caps` and `speeds` describe, with a uniform
-/// capacity replicated across `procs` processors. Checks which fields
-/// combine, not how many processors they cover.
+/// The machine `comm` (`Ideal` by default) or `speeds` describes, with
+/// `mem_caps` (a uniform one replicated across `procs` processors).
+/// Checks which fields combine, not how many processors they cover.
 pub fn build(
     comm: Option<CommModel>,
     mem_caps: Option<&MemCapsSpec>,
     speeds: Option<Vec<u32>>,
     procs: u32,
 ) -> Result<Machine, String> {
-    exclusive(comm.is_some(), mem_caps.is_some(), speeds.is_some())?;
-    if let Some(speeds) = speeds {
-        return ProcessorSpeeds::try_new(speeds)
-            .map(Machine::from)
-            .map_err(|e| format!("speeds: {e}"));
-    }
-    let comm = comm.unwrap_or(CommModel::Ideal);
-    Ok(Machine::Comm(match mem_caps {
-        Some(spec) => MemoryCapacities::new(comm, spec.resolve(procs)),
-        None => MemoryCapacities::unbounded(comm),
-    }))
+    exclusive(comm.is_some(), speeds.is_some())?;
+    // An empty table is `MemoryCapacities::unbounded`.
+    let caps = mem_caps.map_or_else(Vec::new, |spec| spec.resolve(procs));
+    let Some(speeds) = speeds else {
+        let comm = comm.unwrap_or(CommModel::Ideal);
+        return Ok(Machine::Comm(MemoryCapacities::new(comm, caps)));
+    };
+    let speeds = ProcessorSpeeds::try_new(speeds).map_err(|e| format!("speeds: {e}"))?;
+    Ok(Machine::Speeds(MemoryCapacities::new(speeds, caps)))
 }
 
-/// `speeds` selects its own machine: it combines with neither a
-/// communication model nor memory capacities.
-fn exclusive(comm: bool, mem_caps: bool, speeds: bool) -> Result<(), String> {
+/// A [`Machine`] prices speeds or messages, not both.
+fn exclusive(comm: bool, speeds: bool) -> Result<(), String> {
     if speeds && comm {
         return Err("`comm` cannot be combined with `speeds` (pick one machine model)".to_string());
-    }
-    if speeds && mem_caps {
-        return Err(
-            "`mem_caps` cannot be combined with `speeds` (memory-aware scheduling runs on \
-             the homogeneous and communication machine models)"
-                .to_string(),
-        );
     }
     Ok(())
 }
@@ -140,14 +147,17 @@ pub struct Engine {
     pub scheduler: Box<dyn Scheduler>,
     /// The machine the request describes.
     pub machine: Machine,
+    /// The algorithm's row in [`ALGORITHMS`], or [`HETERO_SLOT`]: serve
+    /// counts and logs requests by it ([`slot_label`]).
+    pub(crate) slot: usize,
 }
 
 impl Engine {
     /// The algorithm name a result reports: HEFT on a speeds machine
     /// answers as `HEFT-hetero`.
     pub fn name(&self) -> &'static str {
-        match self.machine {
-            Machine::Speeds(_) => "HEFT-hetero",
+        match self.slot {
+            HETERO_SLOT => "HEFT-hetero",
             _ => self.scheduler.name(),
         }
     }
@@ -161,6 +171,18 @@ impl Engine {
         trace: &mut SearchTrace,
     ) -> Result<Schedule, SchedulerError> {
         self.scheduler.run(dag, procs, &self.machine, ws, trace)
+    }
+
+    /// The message serve and the CLI give a failed [`Engine::run`]: a
+    /// refused machine names the algorithm and the feature.
+    pub fn failure(&self, e: &SchedulerError) -> String {
+        match e {
+            SchedulerError::Unsupported(feature) => format!(
+                "algorithm `{}` has no scheduling path for {feature}",
+                slot_label(self.slot)
+            ),
+            e => format!("{}: {e}", self.name()),
+        }
     }
 }
 
@@ -209,12 +231,7 @@ pub fn resolve(
     if procs == Some(0) {
         return Err("`procs` must be at least 1".to_string());
     }
-    exclusive(comm.is_some(), mem_caps.is_some(), speeds.is_some())?;
-    if speeds.is_some() && algo != "heft" {
-        return Err(format!(
-            "`speeds` requires algo `heft` (heterogeneous HEFT), got `{algo}`"
-        ));
-    }
+    exclusive(comm.is_some(), speeds.is_some())?;
     let tables = [
         (Source::Speeds, speeds.as_ref().map(|s| s.len() as u32)),
         (
@@ -252,16 +269,16 @@ pub fn resolve(
     let machine = if comm.is_none() && mem_caps.is_none() && speeds.is_none() {
         Machine::Homogeneous
     } else {
-        if mem_caps.is_some() && !MEMORY_AWARE.contains(&algo) {
-            return Err(format!(
-                "algorithm `{algo}` has no memory-aware path (use fast or heft)"
-            ));
-        }
-        if !MODEL_ALGOS.contains(&algo) {
-            return Err(no_model_path(algo));
-        }
         build(comm, mem_caps.as_ref(), speeds, procs)?
     };
-    let scheduler = scheduler_by_name(algo)?;
-    Ok((Engine { scheduler, machine }, procs))
+    let row = row(algo)?;
+    let scheduler = (ALGORITHMS[row].1)();
+    let hetero = matches!(machine, Machine::Speeds(_)) && scheduler.name() == "HEFT";
+    let slot = if hetero { HETERO_SLOT } else { row };
+    let engine = Engine {
+        scheduler,
+        machine,
+        slot,
+    };
+    Ok((engine, procs))
 }

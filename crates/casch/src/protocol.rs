@@ -18,14 +18,13 @@
 //!
 //! `op` defaults to `"schedule"`, `algo` to `"fast"`, `procs` to the
 //! DAG's node count. `speeds` (percent of nominal, one entry per
-//! processor) switches to the heterogeneous machine model — the
-//! schedule is produced by heterogeneous HEFT and `procs` is the
-//! number of speed entries. `timeout_ms` bounds the request's queue
-//! wait (see DESIGN.md §14).
+//! processor) switches to the heterogeneous machine model, and `procs`
+//! is the number of speed entries; HEFT over speeds answers as
+//! `HEFT-hetero`. `timeout_ms` bounds the request's queue wait (see
+//! DESIGN.md §14).
 //!
 //! An optional `comm` object selects a communication cost model
-//! (DESIGN.md §16) for the model-aware schedulers (`fast`, `etf`,
-//! `dls`, `heft`); it cannot be combined with `speeds`:
+//! (DESIGN.md §16); it cannot be combined with `speeds`:
 //!
 //! ```text
 //! "comm":{"model":"ideal"}
@@ -39,12 +38,11 @@
 //! enormous group table.
 //!
 //! An optional `mem_caps` field selects memory-constrained scheduling
-//! (DESIGN.md §17) for the memory-aware schedulers (`fast`, `heft`):
-//! a number is a uniform per-processor capacity, an array is one
-//! capacity per processor (fixing the processor count, length capped
-//! like `procs`/`speeds` before any allocation). Per-node footprints
-//! travel as optional `mem` fields on the DAG's nodes. `mem_caps`
-//! cannot be combined with `speeds`.
+//! (DESIGN.md §17), over `comm` or `speeds` alike: a number is a
+//! uniform per-processor capacity, an array is one capacity per
+//! processor (fixing the processor count, length capped like
+//! `procs`/`speeds` before any allocation). Per-node footprints
+//! travel as optional `mem` fields on the DAG's nodes.
 //!
 //! ## Responses
 //!
@@ -61,11 +59,15 @@
 //!
 //! Error responses use a small set of stable first words: `parse:`
 //! (malformed JSON or a bad field, including a `procs`/`speeds`
-//! count beyond the server's processor limit), `overloaded`
-//! (admission control rejected the request), `timeout` (the request
-//! waited past its deadline), `line exceeds` (oversized-line
-//! rejection, see [`LineReader`]), and `internal:` (the request's
-//! job panicked on the worker; the worker itself survives).
+//! count beyond the server's processor limit and weights whose times
+//! overflow u64), `infeasible:` (no processor has memory room for a
+//! node), `unsupported:` (the algorithm's core cannot price the
+//! machine's communication model, memory capacities or processor
+//! speeds), `overloaded` (admission control rejected the request),
+//! `timeout` (the request waited past its deadline), `line exceeds`
+//! (oversized-line rejection, see [`LineReader`]), and `internal:`
+//! (the correctness gate rejected a schedule, or the request's job
+//! panicked on the worker; the worker itself survives).
 
 use fastsched_dag::io::DagSpec;
 use fastsched_dag::json::{self, Reader};
@@ -246,30 +248,26 @@ pub struct ScheduleRequest {
     pub id: u64,
     /// The task graph to schedule.
     pub dag: DagSpec,
-    /// Algorithm name, as accepted by the `casch` CLI (`fast`, `etf`,
-    /// `heft`, ...).
+    /// Algorithm name, one of [`crate::machine::ALGORITHMS`], as the
+    /// `casch` CLI accepts it.
     pub algo: String,
     /// Processor count; `None` means one per node.
     pub procs: Option<u32>,
     /// Heterogeneous processor speeds (percent of nominal). When set,
-    /// the request is served by heterogeneous HEFT over these
-    /// processors and `procs` must be absent or equal to the entry
-    /// count.
+    /// the request runs on these processors and `procs` must be
+    /// absent or equal to the entry count.
     pub speeds: Option<Vec<u32>>,
     /// Per-request queue-wait deadline in milliseconds (overrides the
     /// server default; `0` disables).
     pub timeout_ms: Option<u64>,
-    /// Optional communication cost model (see [`CommSpec`]); only the
-    /// model-aware algorithms accept it, and it cannot be combined
-    /// with `speeds`.
+    /// Optional communication cost model (see [`CommSpec`]); it cannot
+    /// be combined with `speeds`.
     pub comm: Option<CommSpec>,
     /// Optional per-processor memory capacities: a number (uniform
     /// capacity) or an array (one capacity per processor, fixing the
     /// processor count — the service layer caps its length like
     /// `procs`/`speeds` before allocating anything). Per-node
-    /// footprints ride in the DAG's `mem` fields; only the
-    /// memory-aware algorithms (`fast`, `heft`) accept capacities,
-    /// and they cannot be combined with `speeds`.
+    /// footprints ride in the DAG's `mem` fields.
     pub mem_caps: Option<MemCapsSpec>,
 }
 

@@ -107,39 +107,6 @@ const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 /// in the hundreds of KB.
 pub const DEFAULT_MAX_PROCS: u32 = 16_384;
 
-/// Request-vocabulary algorithm names, in the order their per-algo
-/// request counters are kept. The final entry is the heterogeneous
-/// engine, selected by a `speeds` array rather than by name.
-const ALGO_NAMES: [&str; 18] = [
-    "fast",
-    "dsc",
-    "md",
-    "etf",
-    "dls",
-    "hlfet",
-    "mcp",
-    "heft",
-    "fast-ms",
-    "fast-sa",
-    "dcp",
-    "ish",
-    "ez",
-    "lc",
-    "cpop",
-    "dsc-llb",
-    "bnb",
-    "heft-hetero",
-];
-
-/// Index into [`ALGO_NAMES`] (and the per-algo counters) for a
-/// homogeneous request's algorithm name.
-fn algo_index(name: &str) -> usize {
-    ALGO_NAMES
-        .iter()
-        .position(|&a| a == name)
-        .unwrap_or(ALGO_NAMES.len() - 1)
-}
-
 /// Service-layer knobs for [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -328,7 +295,7 @@ struct ServeStats {
     /// The phases after [`WORKER_PHASES`] in [`PHASE_NAMES`], shared
     /// by the connection threads.
     conn_phase_us: [Histogram; PHASE_NAMES.len() - WORKER_PHASES],
-    /// Per-algorithm completion counters, indexed like [`ALGO_NAMES`].
+    /// Per-algorithm completion counters, indexed by [`Engine::slot`].
     /// Incremented alongside `completed`, so their sum equals it.
     algos: Vec<Counter>,
     start: Instant,
@@ -356,7 +323,7 @@ impl ServeStats {
                 })
                 .collect(),
             conn_phase_us: std::array::from_fn(|_| Histogram::new()),
-            algos: ALGO_NAMES.iter().map(|_| Counter::new()).collect(),
+            algos: (0..machine::SLOTS).map(|_| Counter::new()).collect(),
             start: Instant::now(),
             host_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
             timing,
@@ -495,8 +462,6 @@ struct PreparedRequest {
     engine: Engine,
     deadline: Option<Duration>,
     enqueued: Instant,
-    /// Index into [`ALGO_NAMES`] / the per-algo counters.
-    algo_idx: usize,
     /// Microseconds spent parsing the line and building the request
     /// on the connection thread (zero when timings are off).
     pre_us: [u64; 2],
@@ -809,7 +774,7 @@ fn handle_connection(stream: TcpStream, ctx: ConnCtx) -> io::Result<()> {
                                 process(prepared, worker, ws, &ctx.stats, &writer);
                             });
                         } else {
-                            let algo_idx = prepared.algo_idx;
+                            let slot = prepared.engine.slot;
                             let nodes = prepared.dag.node_count();
                             let procs = prepared.procs;
                             let stats = Arc::clone(&ctx.stats);
@@ -829,7 +794,7 @@ fn handle_connection(stream: TcpStream, ctx: ConnCtx) -> io::Result<()> {
                                         log.log(|| {
                                             access_line(
                                                 id,
-                                                ALGO_NAMES[algo_idx],
+                                                machine::slot_label(slot),
                                                 nodes,
                                                 procs,
                                                 "rejected",
@@ -906,10 +871,6 @@ fn prepare(req: ScheduleRequest, config: &ServeConfig) -> Result<PreparedRequest
     // to the DAG's own node count always (more can never be used), or
     // the configured cap, whichever is larger.
     let proc_limit = (dag.node_count() as u64).max(u64::from(config.max_procs.max(1)));
-    let algo_idx = match req.speeds {
-        Some(_) => ALGO_NAMES.len() - 1,
-        None => algo_index(&req.algo),
-    };
     let comm = req
         .comm
         .map(|spec| build_comm(spec, proc_limit))
@@ -932,7 +893,6 @@ fn prepare(req: ScheduleRequest, config: &ServeConfig) -> Result<PreparedRequest
         engine,
         deadline: (timeout_ms > 0).then(|| Duration::from_millis(timeout_ms)),
         enqueued: Instant::now(),
-        algo_idx,
         pre_us: [0; 2],
     })
 }
@@ -975,7 +935,7 @@ fn refuse(
         log.log(|| {
             access_line(
                 req.id,
-                ALGO_NAMES[req.algo_idx],
+                machine::slot_label(req.engine.slot),
                 req.dag.node_count(),
                 req.procs,
                 &outcome,
@@ -1032,12 +992,14 @@ fn process(
     let schedule = match result {
         Ok(schedule) => schedule,
         Err(e) => {
-            let word = match e {
-                SchedulerError::Infeasible { .. } => "infeasible",
-                SchedulerError::NoProcessors | SchedulerError::Overflow => "parse",
-                SchedulerError::Unsupported | SchedulerError::Invalid(_) => "internal",
+            let error = match e {
+                SchedulerError::Unsupported(_) => {
+                    format!("unsupported: {}", req.engine.failure(&e))
+                }
+                SchedulerError::Infeasible { .. } => format!("infeasible: {e}"),
+                SchedulerError::NoProcessors | SchedulerError::Overflow => format!("parse: {e}"),
+                SchedulerError::Invalid(_) => format!("internal: {e}"),
             };
-            let error = format!("{word}: {e}");
             refuse(&req, stats, writer, error, [queue_us, service_us, 0, 0]);
             guard.answered = true;
             return;
@@ -1073,13 +1035,13 @@ fn process(
         shard.phase_us[2].record(serialize_us);
         shard.phase_us[3].record(write_us);
     }
-    stats.algos[req.algo_idx].inc();
+    stats.algos[req.engine.slot].inc();
     stats.completed.inc();
     if let Some(log) = &stats.access {
         log.log(|| {
             access_line(
                 req.id,
-                ALGO_NAMES[req.algo_idx],
+                machine::slot_label(req.engine.slot),
                 req.dag.node_count(),
                 req.procs,
                 "ok",
@@ -1231,10 +1193,10 @@ fn render_exposition(stats: &ServeStats, pool: &WorkerPool, queue_depth: usize) 
             "casch_requests_total",
             "Schedule requests completed, by algorithm; sums to `completed`.",
         );
-        for (i, name) in ALGO_NAMES.iter().enumerate() {
-            let v = stats.algos[i].get();
+        for (slot, counter) in stats.algos.iter().enumerate() {
+            let v = counter.get();
             if v > 0 {
-                fam.sample(&[("algo", name)], v);
+                fam.sample(&[("algo", machine::slot_label(slot))], v);
             }
         }
     }

@@ -1134,7 +1134,8 @@ fn procs_zero_is_a_clean_error() {
 
 /// The tables that fix the processor count (a hier group table, a
 /// per-processor `--mem-caps` list) must agree with `--procs` and with
-/// each other, and `--mem-caps` needs a memory-aware algorithm.
+/// each other, and `--mem-caps` needs an algorithm whose core prices
+/// capacities.
 #[test]
 fn model_flags_are_reconciled_with_procs() {
     let dag = fixtures().join("gauss5.json");
@@ -1153,7 +1154,7 @@ fn model_flags_are_reconciled_with_procs() {
         ),
         (
             &["--algo", "etf", "--mem-caps", "uniform:10"],
-            "algorithm `etf` has no memory-aware path",
+            "algorithm `etf` has no scheduling path for memory capacities",
         ),
     ];
     for (args, needle) in cases {
@@ -1173,30 +1174,30 @@ fn model_flags_are_reconciled_with_procs() {
 
 /// A command that parsed but failed prints exactly one `error:` line;
 /// the usage text follows only a malformed command line (a flag
-/// without its value, an unknown command).
+/// without its value, an unknown command). A refused algorithm/machine
+/// pair reads the same in `schedule`, `batch` and `explain`.
 #[test]
 fn failed_commands_print_one_error_line() {
     let dag = fixtures().join("gauss5.json");
-    let out = casch()
-        .args([
-            "schedule",
-            "--algo",
-            "etf",
-            "--mem-caps",
-            "uniform:50",
-            "--dag",
-        ])
-        .arg(&dag)
-        .output()
-        .unwrap();
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "{stderr}");
-    let lines: Vec<&str> = stderr.lines().collect();
-    assert_eq!(lines.len(), 1, "{stderr}");
-    assert!(
-        lines[0].starts_with("error: algorithm `etf` has no memory-aware path"),
-        "{stderr}"
-    );
+    let (dir, _) = temp_dag("refused", &std::fs::read_to_string(&dag).unwrap());
+    for (cmd, input, path) in [
+        ("schedule", "--dag", &dag),
+        ("explain", "--dag", &dag),
+        ("batch", "--dir", &dir),
+    ] {
+        let out = casch()
+            .args([cmd, "--algo", "etf", "--mem-caps", "uniform:50", input])
+            .arg(path)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{cmd}: {stderr}");
+        assert_eq!(
+            stderr, "error: algorithm `etf` has no scheduling path for memory capacities\n",
+            "{cmd}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
     for args in [&["schedule", "--dag"][..], &["frobnicate"]] {
         let out = casch().args(args).output().unwrap();
         let stderr = String::from_utf8_lossy(&out.stderr);

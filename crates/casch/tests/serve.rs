@@ -145,10 +145,10 @@ fn comm_requests_run_the_model_path_and_bad_specs_are_rejected() {
 
     // 1: α–β over ETF. 2: hierarchical over FAST (procs from the
     // table). 3: α–β identity over FAST — must be byte-identical to
-    // the plain homogeneous response. 4–7: rejected at parse time
-    // (hier table above the processor limit — the 9-node DAG's node
-    // count, since the cap is 4 — comm+speeds, model-less algo, procs
-    // mismatch).
+    // the plain homogeneous response. 4, 5 and 7: rejected at parse
+    // time (hier table above the processor limit — the 9-node DAG's
+    // node count, since the cap is 4 — comm+speeds, procs mismatch).
+    // 6: DSC has no communication-model path, so its core refuses it.
     let mut reqs: Vec<ScheduleRequest> = Vec::new();
     let mut r1 = ScheduleRequest::new(1, spec.clone());
     r1.algo = "etf".into();
@@ -266,15 +266,20 @@ fn comm_requests_run_the_model_path_and_bad_specs_are_rejected() {
     }
 
     for (id, needle) in [
-        (4, "above the server's processor limit"),
-        (5, "cannot be combined"),
-        (6, "no communication-model path"),
-        (7, "disagrees with the hier group table"),
+        (
+            4,
+            "parse: hier group table covers 10 processor(s), above the server's processor limit",
+        ),
+        (5, "parse: `comm` cannot be combined"),
+        (
+            6,
+            "unsupported: algorithm `dsc` has no scheduling path for a communication model",
+        ),
+        (7, "parse: `procs` (9) disagrees with the hier group table"),
     ] {
         match &by_id[&id] {
             Response::Error { error, .. } => {
-                assert!(error.starts_with("parse:"), "id {id}: {error}");
-                assert!(error.contains(needle), "id {id}: {error}");
+                assert!(error.starts_with(needle), "id {id}: {error}");
             }
             other => panic!("id {id}: expected error, got {other:?}"),
         }
@@ -283,7 +288,7 @@ fn comm_requests_run_the_model_path_and_bad_specs_are_rejected() {
     shutdown.store(true, Ordering::SeqCst);
     let summary = join.join().expect("server thread");
     assert_eq!(summary.completed, 3);
-    assert_eq!(summary.malformed, 4);
+    assert_eq!(summary.malformed, 3);
 }
 
 #[test]
@@ -305,9 +310,10 @@ fn mem_caps_requests_run_the_memory_path_and_bad_combos_are_rejected() {
 
     // 1: uniform caps over FAST. 2: per-proc caps fix the processor
     // count. 3: unbounded caps must be byte-identical to the plain
-    // homogeneous response. 4–7: rejected at parse time (speeds
-    // combo, memory-blind algo, procs mismatch, per-proc table above
-    // the server cap).
+    // homogeneous response. 4: heterogeneous HEFT under the same
+    // caps. 5: ETF is memory-blind, so its core refuses the caps.
+    // 6–7: rejected at parse time (procs mismatch, per-proc table
+    // above the server cap).
     let mut reqs: Vec<ScheduleRequest> = Vec::new();
     let mut r1 = ScheduleRequest::new(1, spec.clone());
     r1.procs = Some(2);
@@ -405,16 +411,34 @@ fn mem_caps_requests_run_the_memory_path_and_bad_combos_are_rejected() {
         other => panic!("id 3: {other:?}"),
     }
 
+    let capped = MemoryCapacities::uniform(ProcessorSpeeds::new(vec![100, 50]), 12, 2);
+    let expected = run_on("heft", &dag, 2, Machine::Speeds(capped));
+    match &by_id[&4] {
+        Response::Schedule(r) => {
+            assert_eq!(r.algo, "HEFT-hetero");
+            assert_eq!(r.procs, 2, "procs fixed by the speeds table");
+            assert_eq!(
+                placements_json(&r.placements),
+                placements_json(&placements_of(&expected))
+            );
+        }
+        other => panic!("id 4: {other:?}"),
+    }
+
     for (id, needle) in [
-        (4, "cannot be combined with `speeds`"),
-        (5, "no memory-aware path"),
-        (6, "disagrees with `mem_caps` length"),
-        (7, "above the server's processor limit"),
+        (
+            5,
+            "unsupported: algorithm `etf` has no scheduling path for memory capacities",
+        ),
+        (6, "parse: `procs` (4) disagrees with `mem_caps` length"),
+        (
+            7,
+            "parse: `mem_caps` lists 100000 capacities, above the server's processor limit",
+        ),
     ] {
         match &by_id[&id] {
             Response::Error { error, .. } => {
-                assert!(error.starts_with("parse:"), "id {id}: {error}");
-                assert!(error.contains(needle), "id {id}: {error}");
+                assert!(error.starts_with(needle), "id {id}: {error}");
             }
             other => panic!("id {id}: expected error, got {other:?}"),
         }
@@ -422,8 +446,8 @@ fn mem_caps_requests_run_the_memory_path_and_bad_combos_are_rejected() {
 
     shutdown.store(true, Ordering::SeqCst);
     let summary = join.join().expect("server thread");
-    assert_eq!(summary.completed, 3);
-    assert_eq!(summary.malformed, 4);
+    assert_eq!(summary.completed, 4);
+    assert_eq!(summary.malformed, 2);
 }
 
 #[test]
@@ -749,6 +773,123 @@ fn heterogeneous_requests_run_heft_over_speeds() {
 
     shutdown.store(true, Ordering::SeqCst);
     join.join().expect("server thread");
+}
+
+/// Which algorithm prices which machine is the cores' answer, not a
+/// name list's: FAST-SA and FAST-MS run under α–β byte for byte as in
+/// process, FAST runs over speeds and answers and counts as itself,
+/// and a refused pair answers `unsupported:`, logged under that word.
+#[test]
+fn model_pairs_run_wherever_their_core_prices_the_machine() {
+    use fastsched_schedule::{AlphaBeta, CommModel};
+    let path = std::env::temp_dir().join(format!(
+        "casch-model-pairs-{}-{:?}.ndjson",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = std::fs::remove_file(&path);
+    let (addr, maddr, join, shutdown) = start_server_with_metrics(ServeConfig {
+        threads: 1,
+        access_log: Some(path.clone()),
+        ..ServeConfig::default()
+    });
+    let dag = fork_join(8, 5, 3);
+    let alpha_beta = CommSpec::AlphaBeta {
+        alpha: 25,
+        beta_num: 3,
+        beta_den: 2,
+    };
+    let mut reqs = Vec::new();
+    for (id, algo) in [(1, "fast-sa"), (2, "fast-ms"), (3, "fast"), (4, "dsc")] {
+        let mut r = ScheduleRequest::new(id, DagSpec::from_dag(&dag));
+        r.algo = algo.into();
+        r.procs = Some(3);
+        match id {
+            3 => r.speeds = Some(vec![100, 200, 50]),
+            _ => r.comm = Some(alpha_beta.clone()),
+        }
+        reqs.push(r);
+    }
+    let lines: String = reqs.iter().map(|r| format!("{}\n", r.to_line())).collect();
+    let mut stream = connect(addr);
+    stream.write_all(lines.as_bytes()).expect("send requests");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut by_id: HashMap<u64, Response> = HashMap::new();
+    for resp in read_responses(&mut reader, reqs.len()) {
+        let id = match &resp {
+            Response::Schedule(r) => r.id,
+            Response::Error { id, .. } => *id,
+            other => panic!("unexpected response: {other:?}"),
+        };
+        by_id.insert(id, resp);
+    }
+
+    let ab = CommModel::AlphaBeta(AlphaBeta::new(25, 3, 2));
+    let speeds = ProcessorSpeeds::new(vec![100, 200, 50]);
+    for (id, algo, name, machine) in [
+        (1, "fast-sa", "FAST-SA", Machine::from(ab.clone())),
+        (2, "fast-ms", "FAST-MS", Machine::from(ab)),
+        (3, "fast", "FAST", Machine::from(speeds)),
+    ] {
+        let expected = run_on(algo, &dag, 3, machine);
+        match &by_id[&id] {
+            Response::Schedule(r) => {
+                assert_eq!(r.algo, name, "id {id}");
+                assert_eq!(
+                    placements_json(&r.placements),
+                    placements_json(&placements_of(&expected)),
+                    "id {id}: {algo}"
+                );
+            }
+            other => panic!("id {id}: {other:?}"),
+        }
+    }
+    match &by_id[&4] {
+        Response::Error { error, .. } => assert_eq!(
+            error,
+            "unsupported: algorithm `dsc` has no scheduling path for a communication model"
+        ),
+        other => panic!("id 4: {other:?}"),
+    }
+
+    // A completion is counted just after its response is written.
+    for _ in 0..200 {
+        let stats = Request::Stats { id: 9 }.to_line();
+        stream
+            .write_all(format!("{stats}\n").as_bytes())
+            .expect("send stats");
+        match read_responses(&mut reader, 1).remove(0) {
+            Response::Stats(s) if s.completed == 3 => break,
+            Response::Stats(_) => std::thread::sleep(Duration::from_millis(5)),
+            other => panic!("unexpected response: {other:?}"),
+        }
+    }
+    let page =
+        loadgen::scrape_metrics(&maddr.to_string(), "/metrics", 2.0).expect("scrape /metrics");
+    let mut counted: Vec<&str> = page
+        .lines()
+        .filter(|l| l.starts_with("casch_requests_total{algo="))
+        .collect();
+    counted.sort();
+    assert_eq!(
+        counted,
+        [
+            "casch_requests_total{algo=\"fast\"} 1",
+            "casch_requests_total{algo=\"fast-ms\"} 1",
+            "casch_requests_total{algo=\"fast-sa\"} 1",
+        ]
+    );
+    shutdown.store(true, Ordering::SeqCst);
+    join.join().expect("server thread");
+
+    let text = std::fs::read_to_string(&path).expect("read access log");
+    let refused = text
+        .lines()
+        .find(|l| l.contains("\"id\":4,"))
+        .unwrap_or_else(|| panic!("no access line for id 4:\n{text}"));
+    assert!(refused.contains("\"algo\":\"dsc\""), "{refused}");
+    assert!(refused.contains("\"outcome\":\"unsupported\""), "{refused}");
+    std::fs::remove_file(&path).expect("cleanup");
 }
 
 #[test]
