@@ -25,10 +25,11 @@ impl Etf {
     /// The ETF selection loop — the one scheduling core. Every probe
     /// prices message arrival and execution time through `model`; under
     /// a model whose message price depends only on co-location the
-    /// probes read the flat per-node DAT lanes
-    /// ([`crate::list_common::DatLanes`]), otherwise they walk the
-    /// parents. Scratch comes from `ws`; ETF has no search to trace,
-    /// only the lanes' pred-read count.
+    /// probes read the DAT lanes
+    /// ([`crate::list_common::DatLanes`], each node's entry persisted
+    /// on its first probe), otherwise they walk the parents. Scratch
+    /// comes from `ws`; ETF has no search to trace, only the lanes'
+    /// pred-read count.
     /// ETF is capacity-blind, so machines with memory capacities are
     /// `Unsupported`.
     fn core<M: CostModel + ?Sized>(

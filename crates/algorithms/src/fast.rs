@@ -72,7 +72,7 @@ fn place_by_list<M: CostModel + ?Sized>(
     for &n in list.iter() {
         dat.fill(model, dag, state, n);
         candidates.clear();
-        candidates.extend_from_slice(dat.parent_procs(dag, n));
+        candidates.extend_from_slice(dat.parent_procs());
         if used_procs < num_procs {
             candidates.push(ProcId(used_procs)); // the "new" processor
         }
@@ -110,7 +110,7 @@ fn place_by_list<M: CostModel + ?Sized>(
         let mut best_p = candidates[0];
         let mut best_start = u64::MAX;
         for &p in candidates.iter() {
-            let arrival = dat.probe(model, dag, state, n, p);
+            let arrival = dat.arrival(model, dag, state, n, p);
             let ready = state.ready_time(p);
             let start = arrival.max(ready);
             trace.candidate_probed(n.0, p.0, ready, arrival, start);

@@ -66,9 +66,9 @@ impl Heft {
     /// The HEFT loop — the one scheduling core, HEFT-hetero included. Nodes go in upward-rank order to
     /// the processor with minimum `(EFT, EST, id)`, probing the first
     /// idle gap that fits; message arrival and execution time are
-    /// priced by `model`, the arrival through the shared [`DatLanes`]
-    /// probe (the rank order is topological, so every probed node is
-    /// ready). On identical compute costs minimum EFT is minimum EST,
+    /// priced by `model`, the arrival from the shared [`DatLanes`],
+    /// filled once per node (the rank order is topological, so every
+    /// node is ready when it is filled). On identical compute costs minimum EFT is minimum EST,
     /// the homogeneous insertion rule.
     ///
     /// Under finite memory capacities the EFT probe skips processors
@@ -91,6 +91,7 @@ impl Heft {
         state.reset(dag.node_count(), num_procs);
         dat.reset(dag, model);
         for &n in &ws.list {
+            dat.fill(model, dag, state, n);
             let need = dag.mem(n);
             let mut best: Option<(Cost, Cost, ProcId)> = None; // (eft, est, proc)
             for pi in 0..num_procs {
@@ -99,7 +100,8 @@ impl Heft {
                     continue; // over capacity: lane is closed to n
                 }
                 let w = model.compute_cost(dag, n, p);
-                let est = state.earliest_gap_at_or_after(p, dat.probe(model, dag, state, n, p), w);
+                let est =
+                    state.earliest_gap_at_or_after(p, dat.arrival(model, dag, state, n, p), w);
                 let eft = est + w;
                 if best.is_none_or(|(beft, best_est, bp)| (eft, est, p.0) < (beft, best_est, bp.0))
                 {

@@ -16,6 +16,9 @@ pub struct ListState {
     /// first `num_procs` lanes are live; lanes of a wider earlier run
     /// are kept as buffers.
     lanes: Vec<Vec<(Cost, Cost, NodeId)>>,
+    /// Per processor: the finish of its lane's last slot (0 when
+    /// empty), so a ready-time read is one flat load.
+    ready: Vec<Cost>,
     num_procs: u32,
     /// Resident footprint per processor: the saturating sum of
     /// [`Dag::mem`] over the nodes placed there.
@@ -33,6 +36,7 @@ impl ListState {
     pub fn new(num_nodes: usize, num_procs: u32) -> Self {
         let mut m = Self {
             lanes: Vec::new(),
+            ready: Vec::new(),
             num_procs: 0,
             mem: Vec::new(),
             finish: Vec::new(),
@@ -57,6 +61,8 @@ impl ListState {
             self.lanes.push(Vec::new());
         }
         self.num_procs = num_procs;
+        self.ready.clear();
+        self.ready.resize(np, 0);
         self.mem.clear();
         self.mem.resize(np, 0);
         self.finish.clear();
@@ -77,7 +83,7 @@ impl ListState {
     #[inline]
     pub fn ready_time(&self, p: ProcId) -> Cost {
         debug_assert!(p.0 < self.num_procs);
-        self.lanes[p.index()].last().map_or(0, |&(_, f, _)| f)
+        self.ready[p.index()]
     }
 
     /// Whether `p` can take a footprint of `need` on top of what is
@@ -163,6 +169,9 @@ impl ListState {
         let fin = start + duration;
         let lane = &mut self.lanes[p.index()];
         let pos = lane.partition_point(|&(s, _, _)| s < start);
+        if pos == lane.len() {
+            self.ready[p.index()] = fin;
+        }
         lane.insert(pos, (start, fin, n));
         self.mem[p.index()] = self.mem[p.index()].saturating_add(dag.mem(n));
         self.finish[n.index()] = fin;
@@ -191,70 +200,84 @@ impl ListState {
 }
 
 /// The DAT cache: data-arrival times of *ready* nodes (all parents
-/// placed, so the values are final), as flat structure-of-arrays lanes
-/// for every node at once.
+/// placed, so the values are final), in flat processor-indexed lanes.
 ///
 /// `DAT(n, P)` is the all-remote bound unless `P` hosts a parent, whose
-/// message is then priced co-located. The per-node `(proc, DAT)`
-/// exception pairs live in the node's predecessor-CSR span (distinct
-/// parent processors never outnumber parents), with the all-remote
-/// bound, entry count and validity in per-node lanes. Filling a node's
-/// entry costs one pass over its parents plus one over its distinct
-/// parent processors — O(in-degree), so filling every node is O(e),
-/// the paper's §4.2 bound. The fill keeps, per parent processor, the
-/// latest co-located and the latest remote arrival, and the top two of
-/// the remote ones: `DAT(n, q)` is the larger of `q`'s co-located
-/// arrival and the top remote arrival *not sent from `q`* — the top
-/// one, or the second-best when `q` sent the top one. A later
-/// `(node, processor)` probe is O(distinct parent processors) — the
-/// difference between the published O(p v²) for ETF and an accidental
-/// O(p v² d) — and O(1) for the node filled last, whose processors
-/// carry that fill's stamp (FAST and HEFT probe only that node). One
-/// `reset` touches flat arrays, not `v` heap-owned caches; the
-/// fill/probe loops walk the split [`Dag::pred_lanes`], and
-/// [`DatLanes::pred_reads`] counts the entries they read.
+/// message is then priced co-located. [`DatLanes::fill`] prices a node
+/// in one branch-free pass over its parents into lanes sized to the
+/// machine: per processor, the number of the fill that last touched it,
+/// the latest co-located arrival and the latest remote arrival, plus
+/// the distinct parent processors in pred (id-sorted) order, first
+/// occurrence. One pass over those `k ≤ d` processors then takes the
+/// top two remote arrivals: `DAT(n, q)` is the larger of `q`'s
+/// co-located arrival and the top remote arrival *not sent from `q`* —
+/// the top one, or the second-best when `q` sent the top one — and the
+/// top one is the all-remote bound. A fill is O(in-degree), so filling
+/// every node is O(e), the paper's §4.2 bound, and
+/// [`DatLanes::arrival`] then reads `DAT(n, p)` of the filled node in
+/// O(1), with no per-node or per-edge lane in between.
+///
+/// FAST and HEFT price only the node they filled last. ETF, DLS and
+/// ISH probe a ready node again in later steps, so
+/// [`DatLanes::probe`] persists a node's entry when it fills it: its
+/// `k` `(proc, DAT)` pairs go into the node's predecessor-CSR span
+/// (distinct parent processors never outnumber parents), its
+/// all-remote bound and `k` into node-sized lanes. A probe of an older
+/// entry scans its `k` pairs — the difference between the published
+/// O(p v²) for ETF and an accidental O(p v² d). The persisted lanes are
+/// grown by the first entry persisted, so FAST and HEFT never size
+/// them. [`DatLanes::pred_reads`] counts the pred-lane entries the
+/// fills and the parent walks read.
 ///
 /// The lanes price messages through a [`CostModel`], and they are
 /// exact only when a message's price depends on nothing but whether
 /// its endpoints are co-located — which is what
 /// [`CostModel::prices_by_colocation`] guarantees (per-processor
 /// speeds and memory capacities included: they change compute costs
-/// and lane budgets, not message prices). [`DatLanes::probe`] uses
-/// them under such models and walks the parents directly under any
-/// other (multi-group hierarchies, interconnect hops). Under every
-/// model a filled entry records the node's
-/// distinct parent processors ([`DatLanes::parent_procs`]), FAST's
-/// §4.2 candidate set.
+/// and lane budgets, not message prices). Under any other model
+/// (multi-group hierarchies, interconnect hops) every DAT read walks
+/// the parents directly, and a fill only records the distinct parent
+/// processors ([`DatLanes::parent_procs`]), FAST's §4.2 candidate set.
 #[derive(Debug, Default)]
 pub struct DatLanes {
-    /// `max over parents (finish + remote message)` per node — DAT on
-    /// any processor hosting no parent.
-    remote: Vec<Cost>,
-    /// Number of distinct parent processors recorded per node.
-    len: Vec<u32>,
-    /// Whether each node's entry has been filled this run.
-    valid: Vec<bool>,
-    /// Distinct parent processors, stored in the node's pred-CSR span.
-    procs: Vec<ProcId>,
-    /// `DAT(n, procs[k])`, aligned with `procs`.
-    dats: Vec<Cost>,
-    /// Per processor: the fill that last recorded it and its slot in
-    /// that fill's span. Fills are numbered across resets, so a stale
-    /// stamp never matches.
-    stamp: Vec<(u64, u32)>,
-    /// Fill scratch, per slot of the fill's span: the latest remote
-    /// arrival from the parents on that slot's processor. Sized with
-    /// `stamp` — a node never has more distinct parent processors
-    /// than the machine has processors.
-    rmax: Vec<Cost>,
-    /// Pred-lane entries read since the last reset, by `fill` and by
-    /// `probe`'s direct parent walk.
-    pred_reads: u64,
+    /// Per processor: what the last fill recorded there.
+    by_proc: Vec<FillLane>,
+    /// The last fill's distinct parent processors, first occurrence,
+    /// in the first `k` entries. One longer than the machine: every
+    /// parent writes the next entry before knowing whether it is new.
+    order: Vec<ProcId>,
+    k: usize,
+    /// The last fill's all-remote bound.
+    top: Cost,
     /// Number of the latest fill, and the node it filled.
     fills: u64,
     last: Option<NodeId>,
-    /// Whether [`DatLanes::probe`] answers from the lanes this run.
+    /// Per node: whether its entry was persisted this run, its
+    /// all-remote bound and its pair count.
+    valid: Vec<bool>,
+    remote: Vec<Cost>,
+    len: Vec<u32>,
+    /// Persisted `(proc, DAT)` pairs, in each node's pred-CSR span.
+    procs: Vec<ProcId>,
+    dats: Vec<Cost>,
+    /// Pred-lane entries read since the last reset, by `fill` and by
+    /// the direct parent walk.
+    pred_reads: u64,
+    /// Whether the lanes price DATs this run.
     cached: bool,
+}
+
+/// What one fill recorded on one processor.
+#[derive(Debug, Default, Clone, Copy)]
+struct FillLane {
+    /// The fill that last touched the processor. Fills are numbered
+    /// across resets, so a stale number never matches.
+    fill: u64,
+    /// The latest co-located arrival from that fill's parents there;
+    /// once the fill is done, `DAT(n, p)` of the node it filled.
+    local: Cost,
+    /// The latest remote arrival from that fill's parents there.
+    remote: Cost,
 }
 
 impl DatLanes {
@@ -264,26 +287,15 @@ impl DatLanes {
         Self::default()
     }
 
-    /// Re-initialize for `dag` under `model` in place: all entries
-    /// invalid, buffers sized to the node/edge counts (capacity kept —
-    /// a reused lane set stops allocating once it has seen its largest
-    /// DAG).
+    /// Re-initialize for `dag` under `model` in place: no node filled,
+    /// no entry persisted. Only the node-sized validity lane is
+    /// rewritten; every other lane is read only after this run wrote
+    /// it, so lanes are grown, never cleared (capacity kept — a reused
+    /// lane set stops allocating once it has seen its largest DAG).
     pub fn reset<M: CostModel + ?Sized>(&mut self, dag: &Dag, model: &M) {
-        let v = dag.node_count();
-        let e = dag.edge_count();
         self.cached = model.prices_by_colocation();
-        self.remote.clear();
-        self.remote.resize(v, 0);
-        self.len.clear();
-        self.len.resize(v, 0);
         self.valid.clear();
-        self.valid.resize(v, false);
-        // An entry's edge-span slots are read only after `fill` wrote
-        // them, so these lanes are grown, never cleared.
-        if self.procs.len() < e {
-            self.procs.resize(e, ProcId(0));
-            self.dats.resize(e, 0);
-        }
+        self.valid.resize(dag.node_count(), false);
         self.last = None;
         self.pred_reads = 0;
     }
@@ -297,17 +309,17 @@ impl DatLanes {
         self.pred_reads
     }
 
-    /// Whether `n`'s entry has been filled since the last reset.
+    /// Whether [`DatLanes::probe`] persisted `n`'s entry since the last
+    /// reset.
     #[inline]
     pub fn is_valid(&self, n: NodeId) -> bool {
         self.valid[n.index()]
     }
 
-    /// Fill `n`'s entry against current placements (all parents must
-    /// be placed — the values are final once `n` is ready). Distinct
-    /// parent processors are recorded in pred (id-sorted) order, first
-    /// occurrence, under every model; the DATs are priced only when
-    /// the lanes are exact for the model.
+    /// Fill the lanes for `n` against current placements (all parents
+    /// must be placed — the values are final once `n` is ready). The
+    /// distinct parent processors are recorded under every model; the
+    /// DATs are priced only when the lanes are exact for the model.
     pub fn fill<M: CostModel + ?Sized>(
         &mut self,
         model: &M,
@@ -315,110 +327,102 @@ impl DatLanes {
         state: &ListState,
         n: NodeId,
     ) {
-        let i = n.index();
-        let lo = dag.pred_offsets()[i] as usize;
         let (src, cost) = dag.pred_lanes(n);
-        // Every processor but the sender prices a message alike, so a
-        // remote arrival is priced against one of them. A
-        // one-processor machine hosts every parent and never reads it.
-        let priced_remote = self.cached && state.num_procs() > 1;
         let np = state.num_procs() as usize;
-        if self.stamp.len() < np {
-            self.stamp.resize(np, (0, 0));
-            self.rmax.resize(np, 0);
+        if self.by_proc.len() < np {
+            self.by_proc.resize(np, FillLane::default());
+            self.order.resize(np + 1, ProcId(0));
         }
         self.fills += 1;
         self.pred_reads += src.len() as u64;
-        // One pass over the parents: dedupe their processors into
-        // slots and keep each slot's latest co-located arrival (in
-        // `dats`) and latest remote arrival (in `rmax`).
+        let fill = self.fills;
+        // Every processor but the sender prices a message alike, so a
+        // remote arrival is priced against one of them. A
+        // one-processor machine hosts every parent and never reads it.
+        let priced_remote = self.cached && np > 1;
+        // One pass over the parents. A parent on a processor this fill
+        // has not seen yet appends it to `order` and restarts its two
+        // running maxima: the entry is written either way and `k`
+        // advances by the `fresh` bit, and the old maxima are kept
+        // through an all-ones-or-zero mask.
         let mut k = 0usize;
         for (&t, &c) in src.iter().zip(cost) {
             debug_assert!(state.placed[t as usize]);
             let p = state.proc[t as usize];
-            let slot = match self.stamp[p.index()] {
-                (fill, slot) if fill == self.fills => slot as usize,
-                _ => {
-                    self.stamp[p.index()] = (self.fills, k as u32);
-                    self.procs[lo + k] = p;
-                    self.dats[lo + k] = 0;
-                    self.rmax[k] = 0;
-                    k += 1;
-                    k - 1
-                }
-            };
+            let lane = &mut self.by_proc[p.index()];
+            let fresh = lane.fill != fill;
+            lane.fill = fill;
+            self.order[k] = p;
+            k += usize::from(fresh);
             if self.cached {
+                let keep = Cost::from(fresh).wrapping_sub(1);
                 let finish = state.finish[t as usize];
-                let local = &mut self.dats[lo + slot];
-                *local = (*local).max(finish + model.message_cost(c, p, p));
-                if priced_remote {
-                    let other = ProcId(u32::from(p.0 == 0));
-                    let remote = &mut self.rmax[slot];
-                    *remote = (*remote).max(finish + model.message_cost(c, p, other));
-                }
+                let local = finish + model.message_cost(c, p, p);
+                lane.local = (lane.local & keep).max(local);
+                let remote = if priced_remote {
+                    finish + model.message_cost(c, p, ProcId(u32::from(p.0 == 0)))
+                } else {
+                    0
+                };
+                lane.remote = (lane.remote & keep).max(remote);
             }
         }
-        // One pass over the slots: the top two remote maxima give every
-        // slot's best arrival from the *other* processors.
-        let (mut top, mut top_slot, mut second) = (0, usize::MAX, 0);
+        // One pass over the parent processors: the top two remote
+        // maxima give each one's best arrival from the *other*
+        // processors.
+        let (mut top, mut top_p, mut second) = (0, ProcId(u32::MAX), 0);
         if self.cached {
-            for (slot, &r) in self.rmax[..k].iter().enumerate() {
+            for &p in &self.order[..k] {
+                let r = self.by_proc[p.index()].remote;
                 if r > top {
-                    (second, top, top_slot) = (top, r, slot);
+                    (second, top, top_p) = (top, r, p);
                 } else if r > second {
                     second = r;
                 }
             }
-            for (slot, dat) in self.dats[lo..lo + k].iter_mut().enumerate() {
-                *dat = (*dat).max(if slot == top_slot { second } else { top });
+            for &p in &self.order[..k] {
+                let local = &mut self.by_proc[p.index()].local;
+                *local = (*local).max(if p == top_p { second } else { top });
             }
         }
-        self.remote[i] = top;
-        self.len[i] = k as u32;
-        self.valid[i] = true;
+        self.k = k;
+        self.top = top;
         self.last = Some(n);
     }
 
-    /// The distinct processors hosting `n`'s parents, in pred order,
-    /// first occurrence; `n`'s entry must be valid.
+    /// The distinct processors hosting the parents of the node filled
+    /// last, in pred order, first occurrence.
     #[inline]
-    pub fn parent_procs(&self, dag: &Dag, n: NodeId) -> &[ProcId] {
-        let i = n.index();
-        debug_assert!(self.valid[i]);
-        let lo = dag.pred_offsets()[i] as usize;
-        &self.procs[lo..lo + self.len[i] as usize]
+    pub fn parent_procs(&self) -> &[ProcId] {
+        debug_assert!(self.last.is_some());
+        &self.order[..self.k]
     }
 
-    /// `DAT(n, p)`: O(1) for the node filled last (the processor
-    /// stamps still belong to it), O(distinct parent processors) for
-    /// any other. `n`'s entry must be valid and the lanes exact for
-    /// the model.
+    /// `DAT(n, p)` of `n`, the node filled last: an O(1) lane read when
+    /// the lanes are exact for `model` (the model this set was
+    /// [`DatLanes::reset`] with), a direct walk over the parents
+    /// otherwise.
     #[inline]
-    pub fn dat(&self, dag: &Dag, n: NodeId, p: ProcId) -> Cost {
-        let i = n.index();
-        debug_assert!(self.valid[i] && self.cached);
-        let lo = dag.pred_offsets()[i] as usize;
-        if self.last == Some(n) {
-            let (fill, slot) = self.stamp[p.index()];
-            return if fill == self.fills {
-                self.dats[lo + slot as usize]
-            } else {
-                self.remote[i]
-            };
+    pub fn arrival<M: CostModel + ?Sized>(
+        &mut self,
+        model: &M,
+        dag: &Dag,
+        state: &ListState,
+        n: NodeId,
+        p: ProcId,
+    ) -> Cost {
+        debug_assert_eq!(self.last, Some(n));
+        if !self.cached {
+            return self.walk(model, dag, state, n, p);
         }
-        let hi = lo + self.len[i] as usize;
-        for slot in lo..hi {
-            if self.procs[slot] == p {
-                return self.dats[slot];
-            }
-        }
-        self.remote[i]
+        self.lane(p)
     }
 
-    /// `DAT(n, p)` of ready node `n` under `model` (the model this set
-    /// was [`DatLanes::reset`] with): from `n`'s lane entry, filled on
-    /// first use, when the lanes are exact for the model; a direct walk
-    /// over the parents otherwise.
+    /// `DAT(n, p)` of any ready node `n` under `model`: from the lanes
+    /// for the node filled last, from `n`'s persisted entry for an
+    /// older one, and otherwise by filling the lanes for `n` and
+    /// persisting its entry; a direct walk over the parents under a
+    /// model the lanes are not exact for.
     #[inline]
     pub fn probe<M: CostModel + ?Sized>(
         &mut self,
@@ -429,13 +433,68 @@ impl DatLanes {
         p: ProcId,
     ) -> Cost {
         if !self.cached {
-            self.pred_reads += dag.in_degree(n) as u64;
-            return data_arrival_time_with(model, dag, n, p, &state.finish, &state.proc);
+            return self.walk(model, dag, state, n, p);
         }
-        if !self.valid[n.index()] {
+        let i = n.index();
+        if self.last != Some(n) {
+            if self.valid[i] {
+                let lo = dag.pred_offsets()[i] as usize;
+                let span = lo..lo + self.len[i] as usize;
+                return match self.procs[span].iter().position(|&q| q == p) {
+                    Some(j) => self.dats[lo + j],
+                    None => self.remote[i],
+                };
+            }
             self.fill(model, dag, state, n);
+            self.persist(dag, n);
         }
-        self.dat(dag, n, p)
+        self.lane(p)
+    }
+
+    /// `DAT(last, p)` from the processor lanes.
+    #[inline]
+    fn lane(&self, p: ProcId) -> Cost {
+        let lane = &self.by_proc[p.index()];
+        if lane.fill == self.fills {
+            lane.local
+        } else {
+            self.top
+        }
+    }
+
+    /// Copy the last fill, of `n`, into `n`'s persisted entry.
+    fn persist(&mut self, dag: &Dag, n: NodeId) {
+        if self.procs.len() < dag.edge_count() {
+            self.procs.resize(dag.edge_count(), ProcId(0));
+            self.dats.resize(dag.edge_count(), 0);
+        }
+        if self.len.len() < dag.node_count() {
+            self.remote.resize(dag.node_count(), 0);
+            self.len.resize(dag.node_count(), 0);
+        }
+        let i = n.index();
+        let lo = dag.pred_offsets()[i] as usize;
+        for (j, &q) in self.order[..self.k].iter().enumerate() {
+            self.procs[lo + j] = q;
+            self.dats[lo + j] = self.by_proc[q.index()].local;
+        }
+        self.remote[i] = self.top;
+        self.len[i] = self.k as u32;
+        self.valid[i] = true;
+    }
+
+    /// `DAT(n, p)` by a walk over `n`'s parents, counted.
+    #[inline]
+    fn walk<M: CostModel + ?Sized>(
+        &mut self,
+        model: &M,
+        dag: &Dag,
+        state: &ListState,
+        n: NodeId,
+        p: ProcId,
+    ) -> Cost {
+        self.pred_reads += dag.in_degree(n) as u64;
+        data_arrival_time_with(model, dag, n, p, &state.finish, &state.proc)
     }
 }
 
@@ -621,7 +680,7 @@ mod tests {
         for pi in 0..4 {
             let p = ProcId(pi);
             assert_eq!(
-                lanes.dat(&g, child, p),
+                lanes.arrival(&HomogeneousModel, &g, &m, child, p),
                 m.data_arrival_time(&g, child, p),
                 "proc {pi}"
             );
@@ -630,7 +689,8 @@ mod tests {
         // message is free: max(2, 8 + 4) = 12; on proc 2: max(2 + 10, 8)
         // = 12 — and on proc 1/3 also 12.
         for pi in 0..4 {
-            assert_eq!(lanes.dat(&g, child, ProcId(pi)), 12, "proc {pi}");
+            let dat = lanes.arrival(&HomogeneousModel, &g, &m, child, ProcId(pi));
+            assert_eq!(dat, 12, "proc {pi}");
         }
     }
 
@@ -677,13 +737,11 @@ mod tests {
             lanes.reset(&g, model);
             assert!(!lanes.is_valid(child));
             lanes.fill(model, &g, &m, child);
+            assert_eq!(lanes.parent_procs(), [ProcId(2), ProcId(0)], "{name}");
             lanes.fill(model, &g, &m, other);
-            assert_eq!(
-                lanes.parent_procs(&g, child),
-                [ProcId(2), ProcId(0)],
-                "{name}"
-            );
-            assert_eq!(lanes.parent_procs(&g, other), [ProcId(2)], "{name}");
+            assert_eq!(lanes.parent_procs(), [ProcId(2)], "{name}");
+            // A fill persists nothing; a probe persists what it fills.
+            assert!(!lanes.is_valid(child), "{name}");
             for &n in &[child, other] {
                 for pi in 0..4 {
                     let p = ProcId(pi);
@@ -699,8 +757,14 @@ mod tests {
         // two co-located messages are free: max(2 + 10, 8, 12) = 12.
         lanes.reset(&g, &HomogeneousModel);
         lanes.fill(&HomogeneousModel, &g, &m, child);
-        assert_eq!(lanes.dat(&g, child, ProcId(1)), 13);
-        assert_eq!(lanes.dat(&g, child, ProcId(2)), 12);
+        assert_eq!(
+            lanes.arrival(&HomogeneousModel, &g, &m, child, ProcId(1)),
+            13
+        );
+        assert_eq!(
+            lanes.arrival(&HomogeneousModel, &g, &m, child, ProcId(2)),
+            12
+        );
         // Reset invalidates without shrinking.
         lanes.reset(&g, &HomogeneousModel);
         assert!(!lanes.is_valid(child));
@@ -736,7 +800,8 @@ mod tests {
     /// their common child on a `procs`-processor state, then check the
     /// lanes against `data_arrival_time_with` on every processor —
     /// parent-free ones included — under every model the lanes are
-    /// exact for, through both the stamp and the span lookup. `plain`
+    /// exact for, through both the processor lanes and the persisted
+    /// span. `plain`
     /// is the expected DAT per processor under the paper's model.
     fn check_fan_in(name: &str, parents: &[(Cost, u32, Cost, Cost)], procs: u32, plain: &[Cost]) {
         let mut b = DagBuilder::new();
@@ -770,9 +835,9 @@ mod tests {
             assert!(model.prices_by_colocation(), "{model_name}");
             lanes.reset(&g, model);
             // The first pass probes the node filled last (processor
-            // stamps); the second, after an unrelated fill, scans the
-            // node's span.
-            for pass in ["stamp", "span"] {
+            // lanes); the second, after an unrelated fill, scans the
+            // entry the first probe persisted.
+            for pass in ["lanes", "span"] {
                 for pi in 0..procs {
                     let p = ProcId(pi);
                     assert_eq!(

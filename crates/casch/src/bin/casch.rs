@@ -19,6 +19,7 @@ use fastsched_sim::SimConfig;
 use fastsched_trace::SearchTrace;
 use fastsched_workloads::TimingDatabase;
 use std::collections::{BTreeMap, HashMap};
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -34,7 +35,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let run: fn(&Flags) -> Result<(), String> = match cmd.as_str() {
+    let run: fn(&Flags, Out) -> Result<(), Failure> = match cmd.as_str() {
         "generate" => cmd_generate,
         "info" => cmd_info,
         "dot" => cmd_dot,
@@ -54,13 +55,49 @@ fn main() -> ExitCode {
         }
     };
     // A command that parsed but failed gets its one `error:` line; the
-    // usage text is for malformed command lines only.
-    match run(&opts) {
+    // usage text is for malformed command lines only. A reader that
+    // closed stdout early (`casch ... | head -1`) ends the command
+    // quietly.
+    let mut out = std::io::stdout().lock();
+    match run(&opts, &mut out).and_then(|()| Ok(out.flush()?)) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+        Err(Failure::Write(e)) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(Failure::Write(e)) => {
+            eprintln!("error: writing stdout: {e}");
+            ExitCode::FAILURE
+        }
+        Err(Failure::Message(e)) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+/// Where a command writes its output: the locked stdout.
+type Out<'a> = &'a mut dyn Write;
+
+/// Why a command stopped: its one error line, or a failed write to
+/// stdout.
+enum Failure {
+    Message(String),
+    Write(std::io::Error),
+}
+
+impl From<String> for Failure {
+    fn from(e: String) -> Self {
+        Failure::Message(e)
+    }
+}
+
+impl From<&str> for Failure {
+    fn from(e: &str) -> Self {
+        Failure::Message(e.to_string())
+    }
+}
+
+impl From<std::io::Error> for Failure {
+    fn from(e: std::io::Error) -> Self {
+        Failure::Write(e)
     }
 }
 
@@ -304,7 +341,7 @@ fn collect_dag_paths(opts: &Flags) -> Result<Vec<std::path::PathBuf>, String> {
     Ok(paths)
 }
 
-fn cmd_generate(opts: &Flags) -> Result<(), String> {
+fn cmd_generate(opts: &Flags, out: Out) -> Result<(), Failure> {
     let app = load_app(opts)?;
     let dag = app.generate(&TimingDatabase::paragon());
     let json = io::to_json(&dag).map_err(|e| e.to_string())?;
@@ -317,38 +354,43 @@ fn cmd_generate(opts: &Flags) -> Result<(), String> {
                 dag.edge_count()
             );
         }
-        None => println!("{json}"),
+        None => writeln!(out, "{json}")?,
     }
     Ok(())
 }
 
-fn cmd_info(opts: &Flags) -> Result<(), String> {
+fn cmd_info(opts: &Flags, out: Out) -> Result<(), Failure> {
     let dag = load_dag(opts)?;
     let attrs = GraphAttributes::compute(&dag);
     let stats = fastsched_dag::DagStats::compute(&dag);
-    println!("nodes:        {}", stats.nodes);
-    println!("edges:        {}", stats.edges);
-    println!("avg degree:   {:.2}", stats.avg_degree);
-    println!(
+    writeln!(out, "nodes:        {}", stats.nodes)?;
+    writeln!(out, "edges:        {}", stats.edges)?;
+    writeln!(out, "avg degree:   {:.2}", stats.avg_degree)?;
+    writeln!(
+        out,
         "max in/out:   {} / {}",
         stats.max_in_degree, stats.max_out_degree
-    );
-    println!("entries:      {}", stats.entries);
-    println!("exits:        {}", stats.exits);
-    println!("height:       {}", stats.height);
-    println!("max width:    {}", stats.max_level_width);
-    println!("CCR:          {:.3}", stats.ccr);
-    println!("CP length:    {}", stats.cp_length);
-    println!("CP nodes:     {}", attrs.cpn.iter().filter(|&&c| c).count());
-    println!("total work:   {}", stats.total_computation);
-    println!("total comm:   {}", dag.total_communication());
-    println!("parallelism:  {:.2}", stats.parallelism);
+    )?;
+    writeln!(out, "entries:      {}", stats.entries)?;
+    writeln!(out, "exits:        {}", stats.exits)?;
+    writeln!(out, "height:       {}", stats.height)?;
+    writeln!(out, "max width:    {}", stats.max_level_width)?;
+    writeln!(out, "CCR:          {:.3}", stats.ccr)?;
+    writeln!(out, "CP length:    {}", stats.cp_length)?;
+    writeln!(
+        out,
+        "CP nodes:     {}",
+        attrs.cpn.iter().filter(|&&c| c).count()
+    )?;
+    writeln!(out, "total work:   {}", stats.total_computation)?;
+    writeln!(out, "total comm:   {}", dag.total_communication())?;
+    writeln!(out, "parallelism:  {:.2}", stats.parallelism)?;
     Ok(())
 }
 
-fn cmd_dot(opts: &Flags) -> Result<(), String> {
+fn cmd_dot(opts: &Flags, out: Out) -> Result<(), Failure> {
     let dag = load_dag(opts)?;
-    print!("{}", io::to_dot(&dag));
+    write!(out, "{}", io::to_dot(&dag))?;
     Ok(())
 }
 
@@ -391,7 +433,7 @@ fn get_procs(opts: &Flags) -> Result<Option<u32>, String> {
     }
 }
 
-fn cmd_schedule(opts: &Flags) -> Result<(), String> {
+fn cmd_schedule(opts: &Flags, out: Out) -> Result<(), Failure> {
     let dag = load_dag(opts)?;
     let (engine, procs) = resolve_flags(opts, dag.node_count())?;
     let mut trace = SearchTrace::default();
@@ -407,35 +449,35 @@ fn cmd_schedule(opts: &Flags) -> Result<(), String> {
         .run(&dag, procs, &mut Workspace::new(), &mut trace)
         .map_err(|e| engine.failure(&e))?;
     let elapsed = t0.elapsed();
-    println!("algorithm:        {}", engine.name());
+    writeln!(out, "algorithm:        {}", engine.name())?;
     if let Some(spec) = opts.get("comm") {
-        println!("comm model:       {spec}");
+        writeln!(out, "comm model:       {spec}")?;
     }
     if let Some(spec) = opts.get("mem-caps") {
-        println!("mem caps:         {spec}");
+        writeln!(out, "mem caps:         {spec}")?;
     }
-    println!("schedule length:  {}", schedule.makespan());
+    writeln!(out, "schedule length:  {}", schedule.makespan())?;
     // The simulator prices the paper's network, so only a homogeneous
     // schedule is re-executed on it.
     if engine.machine == Machine::Homogeneous {
         let metrics = ScheduleMetrics::compute(&dag, &schedule);
         let execution = fastsched_sim::simulate(&dag, &schedule, &SimConfig::default());
-        println!("execution (sim):  {}", execution.execution_time);
-        println!("processors used:  {}", metrics.processors_used);
-        println!("speedup:          {:.2}", metrics.speedup);
-        println!("remote comm:      {}", metrics.remote_communication);
-        println!("contention delay: {}", execution.contention_delay);
+        writeln!(out, "execution (sim):  {}", execution.execution_time)?;
+        writeln!(out, "processors used:  {}", metrics.processors_used)?;
+        writeln!(out, "speedup:          {:.2}", metrics.speedup)?;
+        writeln!(out, "remote comm:      {}", metrics.remote_communication)?;
+        writeln!(out, "contention delay: {}", execution.contention_delay)?;
     } else {
-        println!("processors used:  {}", schedule.processors_used());
+        writeln!(out, "processors used:  {}", schedule.processors_used())?;
     }
-    println!("scheduling time:  {elapsed:?}");
+    writeln!(out, "scheduling time:  {elapsed:?}")?;
     if opts.contains_key("gantt") {
         // Clamp to keep the time axis legible: below ~20 columns every
         // bar rounds to nothing, above 512 lines wrap everywhere.
         let width = get_u64_or(opts, "gantt-width", 72)?.clamp(20, 512) as usize;
-        println!("\n{}", gantt::render_bars(&dag, &schedule, width));
+        writeln!(out, "\n{}", gantt::render_bars(&dag, &schedule, width))?;
     } else if opts.contains_key("gantt-width") {
-        return Err("--gantt-width only makes sense together with --gantt".to_string());
+        return Err("--gantt-width only makes sense together with --gantt".into());
     }
     if let Some(path) = opts.get("perfetto") {
         let json = fastsched_schedule::export::chrome_trace(&dag, &schedule);
@@ -471,7 +513,7 @@ fn cmd_schedule(opts: &Flags) -> Result<(), String> {
 /// Each result line carries its own wall-clock cost and the closing
 /// summary line the aggregate throughput, so the NDJSON doubles as a
 /// throughput record.
-fn cmd_batch(opts: &Flags) -> Result<(), String> {
+fn cmd_batch(opts: &Flags, out: Out) -> Result<(), Failure> {
     use fastsched_algorithms::schedule_many_par_with;
 
     let threads = get_u64_or(opts, "threads", 1)? as usize;
@@ -504,7 +546,8 @@ fn cmd_batch(opts: &Flags) -> Result<(), String> {
     if dags.is_empty() {
         return Err(format!(
             "batch: all {rejected} DAG file(s) were rejected; nothing to schedule"
-        ));
+        )
+        .into());
     }
 
     let wall = std::time::Instant::now();
@@ -521,7 +564,7 @@ fn cmd_batch(opts: &Flags) -> Result<(), String> {
     for (i, (result, seconds)) in results.iter().enumerate() {
         let schedule = match result {
             Ok(schedule) => schedule,
-            Err(e @ SchedulerError::Unsupported(_)) => return Err(engine.failure(e)),
+            Err(e @ SchedulerError::Unsupported(_)) => return Err(engine.failure(e).into()),
             Err(e) => {
                 reject(&mut lines, &mut rejected, &displays[i], &engine.failure(e));
                 continue;
@@ -553,7 +596,7 @@ fn cmd_batch(opts: &Flags) -> Result<(), String> {
             std::fs::write(path, &lines).map_err(|e| format!("writing {path}: {e}"))?;
             eprintln!("wrote {} result line(s) to {path}", paths.len());
         }
-        None => print!("{lines}"),
+        None => write!(out, "{lines}")?,
     }
     Ok(())
 }
@@ -572,7 +615,7 @@ fn reject(lines: &mut String, rejected: &mut u64, dag: &str, error: &str) {
 
 /// The service front-end: see `casch serve` in the usage text and
 /// DESIGN.md §14 for the protocol and architecture.
-fn cmd_serve(opts: &Flags) -> Result<(), String> {
+fn cmd_serve(opts: &Flags, _out: Out) -> Result<(), Failure> {
     use fastsched_casch::serve::{install_sigint_handler, ServeConfig, Server, DEFAULT_MAX_PROCS};
     let addr = opts
         .get("addr")
@@ -621,7 +664,7 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
 }
 
 /// Open-loop load generator against a running `casch serve`.
-fn cmd_loadgen(opts: &Flags) -> Result<(), String> {
+fn cmd_loadgen(opts: &Flags, out: Out) -> Result<(), Failure> {
     use fastsched_casch::loadgen::{self, CorpusItem, LoadgenConfig};
     let addr = opts
         .get("addr")
@@ -667,7 +710,7 @@ fn cmd_loadgen(opts: &Flags) -> Result<(), String> {
         metrics_addr: opts.get("metrics-addr").cloned(),
     };
     let report = loadgen::run(&config)?;
-    println!("{}", report.to_json_line());
+    writeln!(out, "{}", report.to_json_line())?;
     if let Some(page) = &report.metrics_scrape {
         match opts.get("metrics-out") {
             Some(path) => {
@@ -678,35 +721,38 @@ fn cmd_loadgen(opts: &Flags) -> Result<(), String> {
         }
     }
     if opts.contains_key("stats") {
-        println!(
+        writeln!(
+            out,
             "{}",
             loadgen::request_once(&addr, &Request::Stats { id: 0 }, 5.0)?
-        );
+        )?;
     }
     if opts.contains_key("shutdown") {
-        println!(
+        writeln!(
+            out,
             "{}",
             loadgen::request_once(&addr, &Request::Shutdown { id: 0 }, 5.0)?
-        );
+        )?;
     }
     if report.mismatches > 0 {
         return Err(format!(
             "--check found {} response(s) diverging from schedule_into",
             report.mismatches
-        ));
+        )
+        .into());
     }
     Ok(())
 }
 
-fn cmd_trace(opts: &Flags) -> Result<(), String> {
+fn cmd_trace(opts: &Flags, out: Out) -> Result<(), Failure> {
     let path = opts.get("in").ok_or("missing --in")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let report = fastsched_trace::Report::from_ndjson(&text).map_err(|e| e.to_string())?;
-    print!("{}", report.render());
+    write!(out, "{}", report.render())?;
     Ok(())
 }
 
-fn cmd_explain(opts: &Flags) -> Result<(), String> {
+fn cmd_explain(opts: &Flags, out: Out) -> Result<(), Failure> {
     let report = if let Some(path) = opts.get("in") {
         let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
         fastsched_trace::Report::from_ndjson(&text).map_err(|e| e.to_string())?
@@ -723,12 +769,13 @@ fn cmd_explain(opts: &Flags) -> Result<(), String> {
 
     let Some(node) = opts.get("node") else {
         let placed = report.placed_nodes();
-        println!(
+        writeln!(
+            out,
             "trace holds placement provenance for {} node(s)",
             placed.len()
-        );
+        )?;
         if !placed.is_empty() {
-            println!("query one with: casch explain ... --node <id>");
+            writeln!(out, "query one with: casch explain ... --node <id>")?;
         }
         return Ok(());
     };
@@ -740,44 +787,48 @@ fn cmd_explain(opts: &Flags) -> Result<(), String> {
         return Err(format!(
             "no provenance for node {node} in this trace (wrong id, \
              or the algorithm records no placement provenance)"
-        ));
+        )
+        .into());
     }
     for p in &placements {
-        println!(
+        writeln!(
+            out,
             "node {node} placed on P{} at t={} ({})",
             p.proc, p.start, p.reason
-        );
-        println!("  candidates probed:");
+        )?;
+        writeln!(out, "  candidates probed:")?;
         for c in &p.candidates {
-            println!(
+            writeln!(
+                out,
                 "    P{:<4} ready={:<8} dat={:<8} start={}{}",
                 c.proc,
                 c.ready,
                 c.dat,
                 c.start,
                 if c.proc == p.proc { "  <- chosen" } else { "" }
-            );
+            )?;
         }
     }
     if transfers.is_empty() {
-        println!("no local-search transfers probed this node");
+        writeln!(out, "no local-search transfers probed this node")?;
     } else {
-        println!("local-search transfers:");
+        writeln!(out, "local-search transfers:")?;
         for t in &transfers {
-            println!(
+            writeln!(
+                out,
                 "  step {:<6} P{} -> P{}  makespan {}  {}",
                 t.step,
                 t.from,
                 t.to,
                 t.makespan,
                 if t.accepted { "accepted" } else { "rejected" }
-            );
+            )?;
         }
     }
     Ok(())
 }
 
-fn cmd_diff(opts: &Flags) -> Result<(), String> {
+fn cmd_diff(opts: &Flags, out: Out) -> Result<(), Failure> {
     let path_a = opts.get("a").ok_or("missing --a")?;
     let path_b = opts.get("b").ok_or("missing --b")?;
     let text_a = std::fs::read_to_string(path_a).map_err(|e| format!("reading {path_a}: {e}"))?;
@@ -786,14 +837,14 @@ fn cmd_diff(opts: &Flags) -> Result<(), String> {
     // `execution_time`, schedule files a `tasks` table.
     let is_report = |t: &str| t.contains("\"execution_time\"");
     if is_report(&text_a) != is_report(&text_b) {
-        return Err("cannot diff a schedule against an execution report".to_string());
+        return Err("cannot diff a schedule against an execution report".into());
     }
     if is_report(&text_a) {
         let a: fastsched_sim::ExecutionReport =
             serde_json::from_str(&text_a).map_err(|e| format!("{path_a}: {e}"))?;
         let b: fastsched_sim::ExecutionReport =
             serde_json::from_str(&text_b).map_err(|e| format!("{path_b}: {e}"))?;
-        print!("{}", a.diff(&b)?.render());
+        write!(out, "{}", a.diff(&b)?.render())?;
     } else {
         let dag = load_dag(opts).map_err(|e| format!("{e} (schedule diffs need --dag)"))?;
         let a = fastsched_schedule::io::from_json(&text_a, dag.node_count())
@@ -801,12 +852,12 @@ fn cmd_diff(opts: &Flags) -> Result<(), String> {
         let b = fastsched_schedule::io::from_json(&text_b, dag.node_count())
             .map_err(|e| format!("{path_b}: {e}"))?;
         let d = fastsched_schedule::diff_schedules(&a, &b)?;
-        print!("{}", d.render(&dag));
+        write!(out, "{}", d.render(&dag))?;
     }
     Ok(())
 }
 
-fn cmd_simulate(opts: &Flags) -> Result<(), String> {
+fn cmd_simulate(opts: &Flags, out: Out) -> Result<(), Failure> {
     use fastsched_sim::topology::Topology;
     let dag = load_dag(opts)?;
     let sched_path = opts.get("schedule").ok_or("missing --schedule")?;
@@ -843,7 +894,7 @@ fn cmd_simulate(opts: &Flags) -> Result<(), String> {
                 })?;
             Some(Topology::Hierarchical { group_size })
         }
-        Some(other) => return Err(format!("unknown topology `{other}`")),
+        Some(other) => return Err(format!("unknown topology `{other}`").into()),
     };
     // Reject the pairing here rather than letting the routing panic
     // mid-simulation on an out-of-topology processor.
@@ -852,7 +903,8 @@ fn cmd_simulate(opts: &Flags) -> Result<(), String> {
             return Err(format!(
                 "schedule uses {procs} processor(s) but the topology has only {} slot(s)",
                 t.capacity()
-            ));
+            )
+            .into());
         }
     }
     let config = SimConfig {
@@ -881,17 +933,21 @@ fn cmd_simulate(opts: &Flags) -> Result<(), String> {
         std::fs::write(path, json).map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("wrote execution report to {path}");
     }
-    println!("predicted makespan: {}", report.predicted_makespan);
-    println!("measured execution: {}", report.execution_time);
-    println!("slowdown:           {:.3}", report.slowdown_vs_prediction());
-    println!("processors used:    {}", report.processors_used);
-    println!("remote messages:    {}", report.messages);
-    println!("contention delay:   {}", report.contention_delay);
-    println!("utilization:        {:.3}", report.utilization());
+    writeln!(out, "predicted makespan: {}", report.predicted_makespan)?;
+    writeln!(out, "measured execution: {}", report.execution_time)?;
+    writeln!(
+        out,
+        "slowdown:           {:.3}",
+        report.slowdown_vs_prediction()
+    )?;
+    writeln!(out, "processors used:    {}", report.processors_used)?;
+    writeln!(out, "remote messages:    {}", report.messages)?;
+    writeln!(out, "contention delay:   {}", report.contention_delay)?;
+    writeln!(out, "utilization:        {:.3}", report.utilization())?;
     Ok(())
 }
 
-fn cmd_verify(opts: &Flags) -> Result<(), String> {
+fn cmd_verify(opts: &Flags, out: Out) -> Result<(), Failure> {
     let dag = load_dag(opts)?;
     let sched_path = opts.get("schedule").ok_or("missing --schedule")?;
     let text =
@@ -933,30 +989,32 @@ fn cmd_verify(opts: &Flags) -> Result<(), String> {
         if let Some(c) = covered.filter(|&c| c < n) {
             return Err(format!(
                 "{flag} covers {c} processor(s) but the schedule file declares {n}"
-            ));
+            )
+            .into());
         }
     }
     let machine = machine::build(comm, mem.as_ref(), speeds, n)?;
     match (opts.get("speeds"), opts.get("comm")) {
-        (Some(spec), _) => println!("model: heterogeneous ({spec} % of nominal)"),
-        (None, Some(spec)) => println!("model: comm ({spec})"),
-        (None, None) => println!("model: homogeneous"),
+        (Some(spec), _) => writeln!(out, "model: heterogeneous ({spec} % of nominal)")?,
+        (None, Some(spec)) => writeln!(out, "model: comm ({spec})")?,
+        (None, None) => writeln!(out, "model: homogeneous")?,
     }
     if let Some(spec) = opts.get("mem-caps") {
-        println!("mem caps: {spec}");
+        writeln!(out, "mem caps: {spec}")?;
     }
     if let Err(e) = machine.validate(&dag, &schedule) {
-        println!("INVALID: {e}");
+        writeln!(out, "INVALID: {e}")?;
         // A failed verification is a verdict, not a usage error: exit
         // nonzero without the usage banner.
         std::process::exit(1);
     }
-    println!(
+    writeln!(
+        out,
         "OK: {} task(s) on {} processor(s), makespan {}",
         dag.node_count(),
         schedule.processors_used(),
         schedule.makespan()
-    );
+    )?;
 
     if let Some(path) = opts.get("report") {
         let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
@@ -993,16 +1051,16 @@ fn cmd_verify(opts: &Flags) -> Result<(), String> {
         }
         if !faults.is_empty() {
             for f in &faults {
-                println!("INVALID: {f}");
+                writeln!(out, "INVALID: {f}")?;
             }
             std::process::exit(1);
         }
-        println!("OK: report is consistent with the schedule");
+        writeln!(out, "OK: report is consistent with the schedule")?;
     }
     Ok(())
 }
 
-fn cmd_compare(opts: &Flags) -> Result<(), String> {
+fn cmd_compare(opts: &Flags, out: Out) -> Result<(), Failure> {
     let db = TimingDatabase::paragon();
     let seed = get_u64_or(opts, "seed", 1)?;
     let schedulers: Vec<Box<dyn Scheduler>> = if opts.contains_key("all") {
@@ -1015,20 +1073,23 @@ fn cmd_compare(opts: &Flags) -> Result<(), String> {
         // Wrap a pre-built DAG by scheduling it directly.
         let procs = get_u64_or(opts, "procs", dag.node_count() as u64)? as u32;
         let sim = SimConfig::default();
-        println!(
+        writeln!(
+            out,
             "workload from --dag (v = {}, e = {})",
             dag.node_count(),
             dag.edge_count()
-        );
-        println!(
+        )?;
+        writeln!(
+            out,
             "{:<8} {:>12} {:>10} {:>12} {:>8} {:>14}",
             "algo", "exec(us)", "norm", "makespan", "procs", "sched time"
-        );
+        )?;
         let mut reference = None;
         for s in &schedulers {
             let r = run_on_dag(&dag, s.as_ref(), procs, &sim).map_err(|e| e.to_string())?;
             let base = *reference.get_or_insert(r.execution.execution_time.max(1));
-            println!(
+            writeln!(
+                out,
                 "{:<8} {:>12} {:>10.2} {:>12} {:>8} {:>14?}",
                 r.algorithm,
                 r.execution.execution_time,
@@ -1036,7 +1097,7 @@ fn cmd_compare(opts: &Flags) -> Result<(), String> {
                 r.metrics.makespan,
                 r.metrics.processors_used,
                 r.scheduling_time
-            );
+            )?;
         }
         return Ok(());
     } else {
@@ -1047,6 +1108,6 @@ fn cmd_compare(opts: &Flags) -> Result<(), String> {
     let procs = get_u64_or(opts, "procs", default_procs)? as u32;
     let table = compare_algorithms(app, &db, &schedulers, procs, &SimConfig::default())
         .map_err(|e| e.to_string())?;
-    print!("{}", table.render());
+    write!(out, "{}", table.render())?;
     Ok(())
 }

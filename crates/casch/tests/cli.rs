@@ -1466,3 +1466,50 @@ fn serve_answers_infeasible_and_overflow_without_panicking() {
     assert!(status.success(), "{rest}");
     assert!(!rest.contains("panicked"), "{rest}");
 }
+
+/// A reader that takes one line and closes the pipe (`casch ... |
+/// head -1`) ends the command quietly: exit 0, nothing on stderr. The
+/// generated DAG and its DOT rendering outgrow a pipe buffer, so those
+/// writes are certain to meet the closed pipe.
+#[test]
+fn closed_stdout_ends_commands_quietly() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    let (dir, big) = temp_dag("pipe", "{}");
+    let out = casch()
+        .args(["generate", "--app", "random", "--size", "400", "--out"])
+        .arg(&big)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let big = big.to_str().unwrap();
+    for args in [
+        &["generate", "--app", "random", "--size", "400"][..],
+        &["dot", "--dag", big],
+        &[
+            "schedule", "--dag", big, "--algo", "fast", "--procs", "4", "--gantt",
+        ],
+    ] {
+        let mut child = casch()
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap();
+        let mut line = String::new();
+        BufReader::new(child.stdout.take().unwrap())
+            .read_line(&mut line)
+            .unwrap();
+        assert!(!line.is_empty(), "{args:?}: no first line");
+        // The reader is dropped here, closing the pipe.
+        let out = child.wait_with_output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(stderr.is_empty(), "{args:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

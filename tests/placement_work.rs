@@ -117,3 +117,32 @@ fn capacities_and_speeds_keep_the_lanes_exact() {
         }
     }
 }
+
+#[test]
+fn exact_models_read_each_edge_once() {
+    // Under a co-location-priced model every core fills each node's
+    // lanes exactly once: FAST and HEFT read the lanes of the node just
+    // filled, ETF and DLS persist each entry on its first probe and
+    // scan it on later ones. So placement reads exactly `e` pred-lane
+    // entries, however often a node is probed.
+    for (name, dag) in sweep() {
+        let small = dag.node_count() <= 300;
+        let (fast, heft, etf, dls) = (Fast::new(), Heft::new(), Etf::new(), Dls::new());
+        let mut cores: Vec<(&str, &dyn Scheduler)> = vec![("FAST", &fast), ("HEFT", &heft)];
+        if small {
+            cores.extend([("ETF", &etf as &dyn Scheduler), ("DLS", &dls)]);
+        }
+        for (model, machine) in exact_machines() {
+            for &(core, s) in &cores {
+                let mut trace = SearchTrace::default();
+                s.run(&dag, PROCS, &machine, &mut Workspace::new(), &mut trace)
+                    .expect("schedulable");
+                assert_eq!(
+                    trace.eval.placement_pred_reads,
+                    dag.edge_count() as u64,
+                    "{core} {name} {model}"
+                );
+            }
+        }
+    }
+}

@@ -7,7 +7,7 @@
 
 use fastsched::algorithms::{schedule_many, schedule_many_par};
 use fastsched::algorithms::{Dls, Etf, Fast, FastSa, FastSaConfig, Scheduler, Workspace};
-use fastsched::algorithms::{FastParallel, FastParallelConfig, Mcp};
+use fastsched::algorithms::{FastParallel, FastParallelConfig, Heft, Ish, Mcp};
 use fastsched::dag::Dag;
 use fastsched::schedule::{
     evaluate_fixed_order_with, io, AlphaBeta, CommModel, DeltaEvaluator, Hierarchical, Machine,
@@ -20,7 +20,9 @@ use proptest::prelude::*;
 const CORPUS_SEED: u64 = 0xBA7C;
 
 /// The natively ported schedulers (each overrides `schedule_into`)
-/// plus one default-method algorithm (MCP) to pin the fallback path.
+/// plus one default-method algorithm (MCP) to pin the fallback path,
+/// and HEFT and ISH, which price DATs through the same lanes as FAST,
+/// ETF and DLS (HEFT from the workspace's).
 fn ported() -> Vec<Box<dyn Scheduler>> {
     vec![
         Box::new(Fast::new()),
@@ -36,6 +38,8 @@ fn ported() -> Vec<Box<dyn Scheduler>> {
         Box::new(Etf::new()),
         Box::new(Dls::new()),
         Box::new(Mcp::new()),
+        Box::new(Heft::new()),
+        Box::new(Ish::new()),
     ]
 }
 
