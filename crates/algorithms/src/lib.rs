@@ -48,11 +48,10 @@
 //! any order; use one workspace per thread. Three layers build on
 //! that contract, in increasing lifetime:
 //!
-//! * [`workspace::schedule_many`] / [`workspace::schedule_many_into`]
-//!   — one warm workspace across a whole batch;
-//! * [`workspace::schedule_many_par`] — the batch
-//!   sharded across scoped threads, one workspace per worker,
-//!   element-wise byte-identical at every thread count;
+//! * [`workspace::schedule_many_par_with`] — a batch sharded across
+//!   scoped threads, one warm workspace per worker (one workspace
+//!   across the whole batch at one thread), element-wise
+//!   byte-identical at every thread count;
 //! * [`pool::WorkerPool`] — persistent workers with one warm
 //!   workspace each, fed through a bounded queue (or run in place of
 //!   an idle worker by the caller); the substrate of the `casch
@@ -106,6 +105,4 @@ pub use optimal::{BranchAndBound, NoPlan, OracleOutcome};
 pub use pool::WorkerPool;
 pub use scheduler::Feature;
 pub use scheduler::{all_schedulers, paper_schedulers, HomogeneousOnly, Scheduler, SchedulerError};
-pub use workspace::{
-    schedule_many, schedule_many_into, schedule_many_par, schedule_many_par_with, Workspace,
-};
+pub use workspace::{schedule_many_par_with, Workspace};

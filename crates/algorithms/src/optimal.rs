@@ -16,9 +16,15 @@
 //! that use the result as a bound must go through
 //! [`BranchAndBound::solve`] and check [`OracleOutcome::complete`].
 
-use crate::scheduler::HomogeneousOnly;
+use crate::scheduler::{Feature, Scheduler, SchedulerError};
+use crate::workspace::Workspace;
 use fastsched_dag::{Cost, Dag, NodeId};
-use fastsched_schedule::{ProcId, Schedule};
+use fastsched_schedule::{Machine, ProcId, Schedule};
+use fastsched_trace::SearchTrace;
+
+/// The most nodes [`BranchAndBound`] accepts: its [`Scheduler`] answers
+/// a larger DAG [`SchedulerError::TooLarge`] before any search.
+pub(crate) const MAX_NODES: usize = 16;
 
 /// The exhaustive reference scheduler.
 #[derive(Debug, Clone, Copy)]
@@ -82,7 +88,7 @@ impl BranchAndBound {
     ) -> Result<OracleOutcome, NoPlan> {
         assert!(num_procs >= 1);
         let v = dag.node_count();
-        assert!(v <= 16, "exhaustive search is for tiny graphs (v <= 16)");
+        assert!(v <= MAX_NODES, "exhaustive search is for tiny graphs");
         let capped = caps.iter().any(Option::is_some);
 
         // Computation-only b-level (ignores communication): admissible.
@@ -322,18 +328,39 @@ impl Search<'_> {
     }
 }
 
-impl HomogeneousOnly for BranchAndBound {
-    const NAME: &'static str = "B&B";
+/// The oracle on the paper's machine; every priced machine is
+/// [`SchedulerError::Unsupported`], and a DAG of more than 16 nodes is
+/// [`SchedulerError::TooLarge`].
+impl Scheduler for BranchAndBound {
+    fn name(&self) -> &'static str {
+        "B&B"
+    }
 
-    fn schedule_homogeneous(&self, dag: &Dag, num_procs: u32) -> Schedule {
-        self.solve(dag, num_procs).schedule
+    fn schedule_on(
+        &self,
+        dag: &Dag,
+        num_procs: u32,
+        machine: &Machine,
+        _ws: &mut Workspace,
+        _trace: &mut SearchTrace,
+    ) -> Result<Schedule, SchedulerError> {
+        let nodes = dag.node_count();
+        if nodes > MAX_NODES {
+            return Err(SchedulerError::TooLarge {
+                nodes,
+                limit: MAX_NODES,
+            });
+        }
+        match Feature::priced_by(machine) {
+            None => Ok(self.solve(dag, num_procs).schedule),
+            Some(feature) => Err(SchedulerError::Unsupported(feature)),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Scheduler;
     use fastsched_dag::examples::{chain, fork_join, paper_figure1};
     use fastsched_dag::DagBuilder;
     use fastsched_schedule::validate;
@@ -423,6 +450,17 @@ mod tests {
         assert!(starved.solve(&g, 3).schedule.tasks().next().is_none());
         let full = BranchAndBound::new().solve_with_caps(&g, 3, &caps).unwrap();
         assert!(full.complete);
+    }
+
+    #[test]
+    fn a_dag_above_the_node_limit_is_refused_before_any_search() {
+        let (ws, trace) = (&mut Workspace::new(), &mut SearchTrace::default());
+        let mut run =
+            |v| BranchAndBound::new().run(&chain(v, 3, 10), 2, &Machine::Homogeneous, ws, trace);
+        let limit = MAX_NODES;
+        let nodes = limit + 1;
+        assert_eq!(run(nodes), Err(SchedulerError::TooLarge { nodes, limit }));
+        assert_eq!(run(limit).map(|s| s.makespan()), Ok(48));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! A persistent worker pool over pinned [`Workspace`]s — the
-//! long-running sibling of [`crate::workspace::schedule_many_par`].
+//! long-running sibling of [`crate::workspace::schedule_many_par_with`].
 //!
-//! The sharded batch entry points spawn scoped threads per batch and
-//! tear them down when the batch returns; a service front-end (e.g.
+//! The sharded batch driver spawns scoped threads per batch and
+//! tears them down when the batch returns; a service front-end (e.g.
 //! `casch serve`) instead wants workers that *outlive* any one
 //! request. [`WorkerPool`] spawns a fixed set of threads at
 //! construction, keeps one [`Workspace`] per thread for its whole

@@ -17,6 +17,14 @@ pub enum SchedulerError {
     Overflow,
     /// The algorithm has no scheduling path for this machine feature.
     Unsupported(Feature),
+    /// The DAG has more nodes than the algorithm accepts (the
+    /// exhaustive oracle's search is exponential in them).
+    TooLarge {
+        /// The DAG's node count.
+        nodes: usize,
+        /// The most nodes the algorithm accepts.
+        limit: usize,
+    },
     /// The greedy placement found no processor with room for `node`'s
     /// memory footprint. The instance may still be feasible: deciding
     /// that is a packing problem the greedy pass does not solve.
@@ -40,6 +48,9 @@ impl std::fmt::Display for SchedulerError {
                  on this machine exceed u64::MAX/4"
             ),
             SchedulerError::Unsupported(feature) => write!(f, "no scheduling path for {feature}"),
+            SchedulerError::TooLarge { nodes, limit } => {
+                write!(f, "the DAG has {nodes} nodes, above the limit of {limit}")
+            }
             SchedulerError::Infeasible { node, footprint } => write!(
                 f,
                 "no processor can hold node n{node} (footprint {footprint}); \
@@ -62,6 +73,20 @@ pub enum Feature {
     MemoryCapacities,
     /// Per-processor speeds.
     Speeds,
+}
+
+impl Feature {
+    /// The feature of `machine` that an algorithm without a model core
+    /// must refuse (speeds before capacities); `None` on the paper's
+    /// machine.
+    pub(crate) fn priced_by(machine: &Machine) -> Option<Feature> {
+        match machine {
+            Machine::Homogeneous => None,
+            Machine::Speeds(_) => Some(Feature::Speeds),
+            Machine::Comm(_) if machine.has_capacities() => Some(Feature::MemoryCapacities),
+            Machine::Comm(_) => Some(Feature::CommModel),
+        }
+    }
 }
 
 impl std::fmt::Display for Feature {
@@ -176,8 +201,10 @@ pub trait Scheduler: Send + Sync {
 /// An algorithm that knows only the paper's machine: its
 /// [`Scheduler`] runs `schedule_homogeneous` on
 /// [`Machine::Homogeneous`] and answers every priced machine
-/// [`SchedulerError::Unsupported`] (speeds before capacities). The
-/// eleven algorithms without a model core implement this instead.
+/// [`SchedulerError::Unsupported`] (speeds before capacities). Ten of
+/// the eleven algorithms without a model core implement this instead;
+/// B&B implements [`Scheduler`] itself so that it can also refuse a
+/// DAG too large to search.
 pub trait HomogeneousOnly: Send + Sync {
     /// [`Scheduler::name`].
     const NAME: &'static str;
@@ -207,13 +234,10 @@ impl<T: HomogeneousOnly> Scheduler for T {
         _ws: &mut Workspace,
         _trace: &mut SearchTrace,
     ) -> Result<Schedule, SchedulerError> {
-        let feature = match machine {
-            Machine::Homogeneous => return Ok(self.schedule_homogeneous(dag, num_procs)),
-            Machine::Speeds(_) => Feature::Speeds,
-            Machine::Comm(_) if machine.has_capacities() => Feature::MemoryCapacities,
-            Machine::Comm(_) => Feature::CommModel,
-        };
-        Err(SchedulerError::Unsupported(feature))
+        match Feature::priced_by(machine) {
+            None => Ok(self.schedule_homogeneous(dag, num_procs)),
+            Some(feature) => Err(SchedulerError::Unsupported(feature)),
+        }
     }
 }
 

@@ -17,9 +17,9 @@
 //! ## Ownership rules
 //!
 //! * The workspace owns scratch; the caller owns results. A
-//!   [`Scheduler::run`] call returns a fresh [`Schedule`] —
-//!   hand it back via [`Workspace::recycle`] to keep the steady state
-//!   allocation-free across calls.
+//!   [`Scheduler::run`](crate::Scheduler::run) call returns a fresh
+//!   [`Schedule`] — hand it back via [`Workspace::recycle`] to keep
+//!   the steady state allocation-free across calls.
 //! * A workspace may be reused across different DAGs, processor
 //!   counts and algorithms in any order: every port re-initializes
 //!   exactly the buffers it reads (clear + resize), so stale state
@@ -41,14 +41,14 @@
 //! re-typed for the model with `lend_eval`, build the result in
 //! `Workspace::staging`, and hand it out with `Workspace::finish`
 //! (compacts when the model permits renumbering). The algorithm's
-//! [`Scheduler::schedule_on`] matches on the
-//! [`fastsched_schedule::Machine`] once and calls the core with the
-//! variant's model; [`Scheduler::run`] adds the input checks and the
-//! correctness gate. The property suite compares serialized
-//! schedules across dirty reuse and across identity models.
+//! [`Scheduler::schedule_on`](crate::Scheduler::schedule_on) matches
+//! on the [`fastsched_schedule::Machine`] once and calls the core with
+//! the variant's model; [`Scheduler::run`](crate::Scheduler::run)
+//! adds the input checks and the correctness gate. The property suite
+//! compares serialized schedules across dirty reuse and across
+//! identity models.
 
 use crate::list_common::{DatLanes, ListState, ReadySet};
-use crate::scheduler::Scheduler;
 use fastsched_dag::{AttrLanes, Cost, CpnListScratch, Dag, GraphAttributes, NodeClass, NodeId};
 use fastsched_schedule::{
     CompactScratch, CostModel, DeltaEvaluator, HomogeneousModel, ProcId, Schedule, ValidateScratch,
@@ -212,41 +212,6 @@ impl Default for Workspace {
     }
 }
 
-/// Schedule every DAG in `dags` on `num_procs` processors with
-/// `scheduler`, reusing one [`Workspace`] across the whole batch.
-/// Results are byte-identical to calling
-/// [`Scheduler::schedule`] per DAG; the batched entry point simply
-/// stops re-allocating the scratch for every item.
-///
-/// ```
-/// use fastsched_algorithms::{schedule_many, Fast, Scheduler};
-/// use fastsched_dag::examples::{fork_join, paper_figure1};
-///
-/// let dags = vec![paper_figure1(), fork_join(4, 10, 1)];
-/// let fast = Fast::new();
-/// let batch = schedule_many(&fast, &dags, 4);
-/// assert_eq!(batch.len(), 2);
-/// assert_eq!(batch[0].makespan(), fast.schedule(&dags[0], 4).makespan());
-/// ```
-pub fn schedule_many(scheduler: &dyn Scheduler, dags: &[Dag], num_procs: u32) -> Vec<Schedule> {
-    let mut ws = Workspace::new();
-    schedule_many_into(scheduler, dags, num_procs, &mut ws)
-}
-
-/// [`schedule_many`] against a caller-owned workspace, for callers
-/// that batch repeatedly (e.g. `casch batch`) and want the scratch to
-/// stay warm across batches.
-pub fn schedule_many_into(
-    scheduler: &dyn Scheduler,
-    dags: &[Dag],
-    num_procs: u32,
-    ws: &mut Workspace,
-) -> Vec<Schedule> {
-    dags.iter()
-        .map(|dag| scheduler.schedule_into(dag, num_procs, ws))
-        .collect()
-}
-
 /// Resolve a requested worker count: `0` means "all available cores",
 /// and the count is never larger than the number of items (an idle
 /// worker is pure spawn overhead).
@@ -261,19 +226,32 @@ fn effective_threads(threads: usize, items: usize) -> usize {
 
 /// The sharded batch driver: schedule `dags[i]` on `procs[i]`
 /// processors with `schedule_one(dag, procs, workspace)` (returning a
-/// schedule, or a `Result` of one) across
-/// `threads` scoped worker threads, each owning a private warm
-/// [`Workspace`] and a contiguous chunk of the batch. `threads == 0`
-/// uses every available core; `threads <= 1` runs the chunk loop on the
-/// calling thread. Returns `(schedule, seconds)` per input, in input
-/// order.
+/// schedule, or a `Result` of one) across `threads` scoped worker
+/// threads, each owning a private warm [`Workspace`] and a contiguous
+/// chunk of the batch. `threads == 0` uses every available core;
+/// `threads <= 1` runs the chunk loop on the calling thread. Returns
+/// `(schedule, seconds)` per input, in input order.
 ///
 /// Element-wise **byte-identical** at every thread count: each item is
 /// scheduled by exactly one worker, workers share nothing mutable, and
 /// a workspace never changes a decision — so a schedule's bytes depend
 /// only on its `(dag, procs)` pair, never on which worker produced it
-/// (the `workspace_reuse` property suite and the `batch-ab` bench pin
-/// this).
+/// (the `workspace_reuse` property suite pins this against per-call
+/// [`Scheduler::schedule`](crate::Scheduler::schedule) at 1, 2 and 4
+/// threads).
+///
+/// ```
+/// use fastsched_algorithms::{schedule_many_par_with, Fast, Scheduler};
+/// use fastsched_dag::examples::{fork_join, paper_figure1};
+///
+/// let dags = vec![paper_figure1(), fork_join(4, 10, 1)];
+/// let fast = Fast::new();
+/// let batch = schedule_many_par_with(&dags, &[4, 4], 2, |dag, procs, ws| {
+///     fast.schedule_into(dag, procs, ws)
+/// });
+/// assert_eq!(batch.len(), 2);
+/// assert_eq!(batch[0].0, fast.schedule(&dags[0], 4));
+/// ```
 ///
 /// # Panics
 /// If `procs.len() != dags.len()`, or if `schedule_one` panics —
@@ -319,22 +297,4 @@ where
     out.into_iter()
         .map(|s| s.expect("every batch slot filled"))
         .collect()
-}
-
-/// [`schedule_many`] sharded by [`schedule_many_par_with`], every DAG
-/// on `num_procs` processors; element-wise byte-identical to
-/// [`schedule_many`] at every thread count.
-pub fn schedule_many_par(
-    scheduler: &dyn Scheduler,
-    dags: &[Dag],
-    num_procs: u32,
-    threads: usize,
-) -> Vec<Schedule> {
-    let procs = vec![num_procs; dags.len()];
-    schedule_many_par_with(dags, &procs, threads, |d, p, ws| {
-        scheduler.schedule_into(d, p, ws)
-    })
-    .into_iter()
-    .map(|(s, _)| s)
-    .collect()
 }

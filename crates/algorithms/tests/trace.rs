@@ -68,7 +68,8 @@ fn greedy_trajectory_is_non_increasing() {
 }
 
 /// The traced run must produce the same schedule as the untraced one —
-/// instrumentation never changes a search decision.
+/// instrumentation never changes a search decision, for FAST's greedy
+/// climb or for FAST-SA's annealing.
 #[test]
 fn traced_schedule_is_identical_to_untraced() {
     let db = TimingDatabase::paragon();
@@ -78,10 +79,18 @@ fn traced_schedule_is_identical_to_untraced() {
             seed,
             ..Default::default()
         });
-        let plain = fast.schedule(&g, 12);
-        let mut trace = SearchTrace::recording();
-        let traced = traced(&fast, &g, 12, &mut trace);
-        assert_eq!(plain.makespan(), traced.makespan());
+        let sa = FastSa::with_config(FastSaConfig {
+            seed,
+            steps: 512,
+            ..Default::default()
+        });
+        for scheduler in [&fast as &dyn Scheduler, &sa] {
+            let plain = scheduler.schedule(&g, 12);
+            let mut trace = SearchTrace::recording();
+            let traced = traced(scheduler, &g, 12, &mut trace);
+            assert!(trace.probes_attempted > 0, "{}", scheduler.name());
+            assert_eq!(plain, traced, "{} seed {seed}", scheduler.name());
+        }
     }
 }
 

@@ -17,14 +17,17 @@
 //! baselines (plain `schedule()`, with the number of corpus schedules
 //! that violate the budget recorded as `violations`). Each row carries
 //! the mean schedule-length ratio against memory-aware FAST and the
-//! minimum-of-`RUNS` wall time for the whole corpus. Results land in
-//! the `mem_ab` section of `BENCH_eval.json`; other sections are
-//! preserved.
+//! minimum-of-`RUNS` wall time for the whole corpus. Rows are printed
+//! to stdout:
+//!
+//! ```text
+//! cargo run --release -p fastsched-bench --bin mem-ab
+//! ```
 
 use fastsched::prelude::*;
 use fastsched::schedule::{CommModel, MemoryCapacities, ScheduleErrorKind};
 use fastsched::workloads::fuzz::{mem_corpus, MemFuzzCase};
-use fastsched_bench::{min_of, run_on, write_section};
+use fastsched_bench::{min_of, run_on};
 use std::hint::black_box;
 
 const RUNS: u32 = 5;
@@ -72,8 +75,13 @@ fn main() {
 
     let regimes: [(&str, CapFn); 2] = [("tight", |c| c.tight_cap), ("loose", |c| c.loose_cap)];
 
+    println!(
+        "{} cases, {total_nodes} nodes, min of {RUNS} runs; \
+         tight = 2*max(ceil(total_mem/procs), max_mem) per lane, \
+         loose = max(total_mem, tight) per lane (never binding)",
+        corpus.len()
+    );
     let algos = algos();
-    let mut regime_rows: Vec<String> = Vec::new();
     for (regime_name, cap_of) in &regimes {
         let models: Vec<Machine> = corpus
             .iter()
@@ -87,7 +95,6 @@ fn main() {
             .map(|(c, m)| (algos[0].run)(&c.dag, c.procs, m).makespan())
             .collect();
 
-        let mut algo_rows: Vec<String> = Vec::new();
         for algo in &algos {
             let mut ratio_sum = 0.0f64;
             let mut violations = 0usize;
@@ -112,31 +119,11 @@ fn main() {
                     black_box((algo.run)(&case.dag, case.procs, model));
                 }
             });
-            algo_rows.push(format!(
-                "{{ \"algo\": \"{}\", \"sl_vs_fast_mem\": {mean_ratio:.4}, \
-                 \"violations\": {violations}, \"seconds\": {secs:.6} }}",
-                algo.name
-            ));
             println!(
                 "{regime_name:>6} {:>10}: SL ratio vs FAST-mem {mean_ratio:.4}, \
                  {violations} budget violation(s), corpus time {secs:.4}s",
                 algo.name
             );
         }
-        regime_rows.push(format!(
-            "\"{regime_name}\": [\n      {}\n    ]",
-            algo_rows.join(",\n      ")
-        ));
     }
-
-    let section = format!(
-        "{{\n    \"runs\": {RUNS}, \"dags\": {}, \"total_nodes\": {total_nodes},\n    \
-         \"tight_budget\": \"2*max(ceil(total_mem/procs), max_mem) per lane\",\n    \
-         \"loose_budget\": \"max(total_mem, tight) per lane (never binding)\",\n    {}\n  }}",
-        corpus.len(),
-        regime_rows.join(",\n    ")
-    );
-
-    let path = write_section("mem_ab", &section);
-    println!("wrote mem_ab section -> {path}");
 }

@@ -15,17 +15,20 @@
 //!   expensive inter tier: the regime where processor choice is no
 //!   longer symmetric.
 //!
-//! For every regime the section records each algorithm's mean schedule
+//! For every regime one row per algorithm gives its algorithm's mean schedule
 //! length ratio against FAST (> 1.0 means longer schedules than FAST)
 //! and the minimum-of-`RUNS` wall time for scheduling the whole corpus.
 //! `Scheduler::run` validates every schedule under the model that priced
-//! it. Results land in the `model_ab` section of
-//! `BENCH_eval.json`; all other sections are preserved.
+//! it. Rows are printed to stdout:
+//!
+//! ```text
+//! cargo run --release -p fastsched-bench --bin model-ab
+//! ```
 
 use fastsched::prelude::*;
 use fastsched::schedule::io::to_json;
 use fastsched::schedule::{AlphaBeta, CommModel, Hierarchical, IDEAL_LINK};
-use fastsched_bench::{min_of, run_on, write_section};
+use fastsched_bench::{min_of, run_on};
 use std::hint::black_box;
 
 const RUNS: u32 = 5;
@@ -68,8 +71,12 @@ fn main() {
         ),
     ];
 
+    println!(
+        "{} DAGs, {total_nodes} nodes, {PROCS} procs, min of {RUNS} runs; \
+         alpha_beta = alpha-beta:25,3,2, hier = hier:4+4@0,1,1@50,2,1",
+        dags.len()
+    );
     let algos = algos();
-    let mut regime_rows: Vec<String> = Vec::new();
     for (regime_name, model) in &regimes {
         let machine = Machine::from(model.clone());
         // FAST's schedule lengths are the denominator for every ratio.
@@ -78,7 +85,6 @@ fn main() {
             .map(|d| run_on(algos[0].as_ref(), d, PROCS, &machine).makespan())
             .collect();
 
-        let mut algo_rows: Vec<String> = Vec::new();
         for algo in &algos {
             let mut ratio_sum = 0.0f64;
             for (i, dag) in dags.iter().enumerate() {
@@ -101,29 +107,10 @@ fn main() {
                     black_box(run_on(algo.as_ref(), dag, PROCS, &machine));
                 }
             });
-            algo_rows.push(format!(
-                "{{ \"algo\": \"{}\", \"sl_vs_fast\": {mean_ratio:.4}, \"seconds\": {secs:.6} }}",
-                algo.name()
-            ));
             println!(
                 "{regime_name:>10} {:>4}: SL ratio vs FAST {mean_ratio:.4}, corpus time {secs:.4}s",
                 algo.name()
             );
         }
-        regime_rows.push(format!(
-            "\"{regime_name}\": [\n      {}\n    ]",
-            algo_rows.join(",\n      ")
-        ));
     }
-
-    let section = format!(
-        "{{\n    \"runs\": {RUNS}, \"dags\": {}, \"total_nodes\": {total_nodes}, \"procs\": {PROCS},\n    \
-         \"alpha_beta_spec\": \"alpha-beta:25,3,2\",\n    \
-         \"hier_spec\": \"hier:4+4@0,1,1@50,2,1\",\n    {}\n  }}",
-        dags.len(),
-        regime_rows.join(",\n    ")
-    );
-
-    let path = write_section("model_ab", &section);
-    println!("wrote model_ab section -> {path}");
 }

@@ -58,7 +58,8 @@
 //! `Scheduler::run`, into the caller's `Workspace` and trace; a core
 //! that cannot price the machine answers `SchedulerError::Unsupported`,
 //! and every `SchedulerError` becomes a typed answer (`parse:`,
-//! `infeasible:`, `unsupported:` or `internal:`) instead of a panic.
+//! `infeasible:`, `unsupported:`, `too_large:` or `internal:`)
+//! instead of a panic.
 
 #![warn(missing_docs)]
 

@@ -174,11 +174,16 @@ impl Engine {
     }
 
     /// The message serve and the CLI give a failed [`Engine::run`]: a
-    /// refused machine names the algorithm and the feature.
+    /// refused machine names the algorithm and the feature, a refused
+    /// DAG the algorithm and its node limit.
     pub fn failure(&self, e: &SchedulerError) -> String {
         match e {
             SchedulerError::Unsupported(feature) => format!(
                 "algorithm `{}` has no scheduling path for {feature}",
+                slot_label(self.slot)
+            ),
+            SchedulerError::TooLarge { nodes, limit } => format!(
+                "algorithm `{}` accepts at most {limit} nodes; the DAG has {nodes}",
                 slot_label(self.slot)
             ),
             e => format!("{}: {e}", self.name()),

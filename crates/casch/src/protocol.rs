@@ -63,11 +63,13 @@
 //! overflow u64), `infeasible:` (no processor has memory room for a
 //! node), `unsupported:` (the algorithm's core cannot price the
 //! machine's communication model, memory capacities or processor
-//! speeds), `overloaded` (admission control rejected the request),
-//! `timeout` (the request waited past its deadline), `line exceeds`
-//! (oversized-line rejection, see [`LineReader`]), and `internal:`
-//! (the correctness gate rejected a schedule, or the request's job
-//! panicked on the worker; the worker itself survives).
+//! speeds), `too_large:` (the DAG has more nodes than the algorithm
+//! accepts: `bnb` searches at most 16), `overloaded` (admission
+//! control rejected the request), `timeout` (the request waited past
+//! its deadline), `line exceeds` (oversized-line rejection, see
+//! [`LineReader`]), and `internal:` (the correctness gate rejected a
+//! schedule, or the request's job panicked on the worker; the worker
+//! itself survives).
 
 use fastsched_dag::io::DagSpec;
 use fastsched_dag::json::{self, Reader};

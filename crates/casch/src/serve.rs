@@ -996,6 +996,9 @@ fn process(
                 SchedulerError::Unsupported(_) => {
                     format!("unsupported: {}", req.engine.failure(&e))
                 }
+                SchedulerError::TooLarge { .. } => {
+                    format!("too_large: {}", req.engine.failure(&e))
+                }
                 SchedulerError::Infeasible { .. } => format!("infeasible: {e}"),
                 SchedulerError::NoProcessors | SchedulerError::Overflow => format!("parse: {e}"),
                 SchedulerError::Invalid(_) => format!("internal: {e}"),

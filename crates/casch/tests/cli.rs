@@ -1388,6 +1388,17 @@ fn overflowing_weights_are_clean_errors() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `bnb` searches at most 16 nodes: a larger DAG is refused with a
+/// typed error before any search, never a worker panic.
+#[test]
+fn oversized_bnb_runs_are_clean_errors() {
+    let gauss5 = fixtures().join("gauss5.json");
+    let needle = "algorithm `bnb` accepts at most 16 nodes; the DAG has 27";
+    for cmd in ["schedule", "explain"] {
+        assert_clean_error(&[cmd, "--algo", "bnb", "--dag"], &gauss5, needle);
+    }
+}
+
 /// `compare` builds its own scheduler list, so the resolver never sees
 /// its `--procs`; the entry point refuses 0 with the same message.
 #[test]
@@ -1415,8 +1426,8 @@ fn compare_procs_zero_is_a_clean_error() {
     }
 }
 
-/// The shipped server answers both defects with a typed error and
-/// writes no panic to its stderr.
+/// The shipped server answers both defects, and a DAG too large for
+/// `bnb`, with a typed error and writes no panic to its stderr.
 #[test]
 fn serve_answers_infeasible_and_overflow_without_panicking() {
     use std::io::{BufRead, BufReader, Write};
@@ -1434,16 +1445,19 @@ fn serve_answers_infeasible_and_overflow_without_panicking() {
         .unwrap_or_else(|| panic!("no address in {banner:?}"));
     let mut stream = std::net::TcpStream::connect(addr).unwrap();
     let squash = |s: &str| s.split_whitespace().collect::<String>();
+    let gauss5 = std::fs::read_to_string(fixtures().join("gauss5.json")).unwrap();
     let lines = format!(
         "{{\"op\":\"schedule\",\"id\":1,\"algo\":\"fast\",\"mem_caps\":10,\"dag\":{}}}\n\
-         {{\"op\":\"schedule\",\"id\":2,\"algo\":\"fast\",\"dag\":{}}}\n",
+         {{\"op\":\"schedule\",\"id\":2,\"algo\":\"fast\",\"dag\":{}}}\n\
+         {{\"op\":\"schedule\",\"id\":3,\"algo\":\"bnb\",\"dag\":{}}}\n",
         squash(INFEASIBLE_DAG),
-        squash(OVERFLOW_DAG)
+        squash(OVERFLOW_DAG),
+        squash(&gauss5)
     );
     stream.write_all(lines.as_bytes()).unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     let mut answers = Vec::new();
-    for _ in 0..2 {
+    for _ in 0..3 {
         let mut line = String::new();
         reader.read_line(&mut line).unwrap();
         answers.push(line);
@@ -1457,8 +1471,12 @@ fn serve_answers_infeasible_and_overflow_without_panicking() {
         answers[1].contains("\"id\":2") && answers[1].contains("\"error\":\"parse: "),
         "{answers:?}"
     );
+    assert!(
+        answers[2].contains("\"id\":3") && answers[2].contains("\"error\":\"too_large: "),
+        "{answers:?}"
+    );
     stream
-        .write_all(b"{\"op\":\"shutdown\",\"id\":3}\n")
+        .write_all(b"{\"op\":\"shutdown\",\"id\":4}\n")
         .unwrap();
     let status = child.wait().unwrap();
     let mut rest = String::new();

@@ -937,6 +937,56 @@ fn loadgen_under_load_sees_zero_mismatches() {
     assert_eq!(summary.completed, 300);
 }
 
+/// Loadgen's own accounting under overload: against one worker and a
+/// one-deep queue, an unpaced burst is partly shed as `overloaded`, yet
+/// every request sent gets exactly one tallied answer, the server's
+/// rejection count covers the client's, and the admitted work still
+/// matches `schedule_into`.
+#[test]
+fn loadgen_accounts_for_every_request_under_overload() {
+    let (addr, join, shutdown) = start_server(ServeConfig {
+        threads: 1,
+        queue_depth: 1,
+        ..ServeConfig::default()
+    });
+    let report = loadgen::run(&LoadgenConfig {
+        addr: addr.to_string(),
+        corpus: vec![CorpusItem {
+            name: "fork-join".to_string(),
+            dag: fork_join(400, 50, 20),
+        }],
+        algo: "etf".to_string(),
+        procs: Some(64),
+        rate: 0.0,
+        total: Some(24),
+        conns: 2,
+        check: true,
+        ..LoadgenConfig::default()
+    })
+    .expect("loadgen run");
+    shutdown.store(true, Ordering::SeqCst);
+    let summary = join.join().expect("server thread");
+
+    assert_eq!(report.sent, 24);
+    assert_eq!(report.unanswered, 0);
+    assert_eq!(report.errors, 0);
+    assert_eq!(
+        report.ok + report.rejected + report.timeouts,
+        report.sent,
+        "every request gets exactly one answer"
+    );
+    assert!(report.ok >= 1, "the worker still serves: {report:?}");
+    assert!(
+        report.rejected > 0,
+        "a 1-deep queue must shed an unpaced burst"
+    );
+    assert!(summary.rejected >= report.rejected);
+    assert_eq!(
+        report.mismatches, 0,
+        "admitted work must equal schedule_into"
+    );
+}
+
 /// Like [`start_server`] but with the scrape listener bound on its
 /// own loopback port; returns both addresses.
 fn start_server_with_metrics(
@@ -1197,6 +1247,11 @@ fn infeasible_and_overflowing_requests_get_typed_errors() {
     });
     reqs.push(r);
     reqs.push(ScheduleRequest::new(5, DagSpec::from_dag(&paper_figure1())));
+    // The exhaustive oracle searches at most 16 nodes.
+    let too_big = fastsched_dag::examples::chain(17, 3, 10);
+    let mut r = ScheduleRequest::new(6, DagSpec::from_dag(&too_big));
+    r.algo = "bnb".into();
+    reqs.push(r);
     let lines: String = reqs.iter().map(|r| format!("{}\n", r.to_line())).collect();
     let mut stream = connect(addr);
     stream.write_all(lines.as_bytes()).expect("send requests");
@@ -1229,6 +1284,10 @@ fn infeasible_and_overflowing_requests_get_typed_errors() {
             errors[&id]
         );
     }
+    assert_eq!(
+        errors[&6],
+        "too_large: algorithm `bnb` accepts at most 16 nodes; the DAG has 17"
+    );
     shutdown.store(true, Ordering::SeqCst);
     join.join().expect("server thread");
 
@@ -1247,8 +1306,16 @@ fn infeasible_and_overflowing_requests_get_typed_errors() {
             .to_string()
     };
     assert_eq!(
-        [1, 2, 3, 4, 5].map(outcome),
-        ["infeasible", "infeasible", "parse", "parse", "ok"].map(String::from)
+        [1, 2, 3, 4, 5, 6].map(outcome),
+        [
+            "infeasible",
+            "infeasible",
+            "parse",
+            "parse",
+            "ok",
+            "too_large"
+        ]
+        .map(String::from)
     );
     std::fs::remove_file(&path).expect("cleanup");
 }

@@ -57,9 +57,8 @@ pub use fastsched_workloads as workloads;
 /// One-stop imports for applications using the library.
 pub mod prelude {
     pub use fastsched_algorithms::{
-        all_schedulers, paper_schedulers, schedule_many, schedule_many_into, schedule_many_par,
-        Dls, Dsc, Etf, Fast, FastConfig, FastParallel, Heft, Hlfet, Mcp, Md, Scheduler,
-        SchedulerError, Workspace,
+        all_schedulers, paper_schedulers, schedule_many_par_with, Dls, Dsc, Etf, Fast, FastConfig,
+        FastParallel, Heft, Hlfet, Mcp, Md, Scheduler, SchedulerError, Workspace,
     };
     pub use fastsched_casch::{compare_algorithms, run_on_dag, run_pipeline, Application};
     pub use fastsched_dag::{

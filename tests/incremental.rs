@@ -427,3 +427,45 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// FAST's greedy climb driven two ways from one random transfer
+    /// stream: by a full replay of every probed assignment, and by
+    /// bounded incremental probes cut off at the current best. Both
+    /// must accept exactly the same transfers, so they walk the same
+    /// trajectory to the same assignment and makespan.
+    #[test]
+    fn greedy_climbs_walk_the_full_replay_trajectory(
+        dag in arb_dag(),
+        procs in 2u32..7,
+        seed in 0u64..10_000,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let order: Vec<NodeId> = dag.topo_order().to_vec();
+        let mut shadow: Vec<ProcId> = dag.nodes().map(|n| ProcId(n.0 % procs)).collect();
+        let mut eval = DeltaEvaluator::new(&dag, order.clone(), shadow.clone(), procs);
+        let mut best = evaluate_fixed_order(&dag, &order, &shadow, procs).makespan();
+        for step in 0..120 {
+            let n = NodeId(rng.gen_range(0..dag.node_count() as u32));
+            let p = ProcId(rng.gen_range(0..procs));
+            let old = std::mem::replace(&mut shadow[n.index()], p);
+            if p == old {
+                continue;
+            }
+            let replay = evaluate_fixed_order(&dag, &order, &shadow, procs).makespan();
+            let accepted = eval.probe_transfer_bounded(&dag, n, p, best).is_some();
+            prop_assert_eq!(accepted, replay < best, "step {}", step);
+            if accepted {
+                eval.commit();
+                best = replay;
+            } else {
+                eval.revert();
+                shadow[n.index()] = old;
+            }
+        }
+        prop_assert_eq!(eval.assignment(), &shadow[..]);
+        prop_assert_eq!(eval.makespan(), best);
+    }
+}

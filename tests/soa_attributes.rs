@@ -108,7 +108,7 @@ proptest! {
 }
 
 /// The paper-scale workload: one deterministic 2000-node §5.2 graph
-/// (the BENCH_eval row the SoA sweeps are meant to speed up).
+/// (the size class the SoA sweeps are meant to speed up).
 #[test]
 fn soa_matches_scalar_on_paper_scale_graph() {
     let db = TimingDatabase::paragon();

@@ -5,8 +5,9 @@
 //! changes where scratch lives — never a scheduling decision, and
 //! never the correctness gate's verdict.
 
-use fastsched::algorithms::{schedule_many, schedule_many_par};
-use fastsched::algorithms::{Dls, Etf, Fast, FastSa, FastSaConfig, Scheduler, Workspace};
+use fastsched::algorithms::{
+    schedule_many_par_with, Dls, Etf, Fast, FastSa, FastSaConfig, Scheduler, Workspace,
+};
 use fastsched::algorithms::{FastParallel, FastParallelConfig, Heft, Ish, Mcp};
 use fastsched::dag::Dag;
 use fastsched::schedule::{
@@ -14,7 +15,7 @@ use fastsched::schedule::{
     MemoryCapacities, ProcId, ProcessorSpeeds, IDEAL_LINK,
 };
 use fastsched::trace::SearchTrace;
-use fastsched::workloads::fuzz::{assign_mems, fuzz_corpus};
+use fastsched::workloads::fuzz::{assign_mems, fuzz_corpus, FuzzCase};
 use proptest::prelude::*;
 
 const CORPUS_SEED: u64 = 0xBA7C;
@@ -58,6 +59,35 @@ fn machines(dag: &Dag, procs: u32) -> [Machine; 5] {
         MemoryCapacities::uniform(CommModel::Ideal, dag.total_memory().max(1), procs).into(),
         ProcessorSpeeds::new(speeds).into(),
     ]
+}
+
+/// `schedule_many_par_with` over `corpus` on `threads` workers, each
+/// DAG scheduled through `schedule_into` on its own case's processor
+/// count, must serialize item by item exactly as a per-call
+/// [`Scheduler::schedule`] does.
+fn check_batch_against_per_call(
+    sched: &dyn Scheduler,
+    corpus: &[FuzzCase],
+    threads: usize,
+) -> Result<(), TestCaseError> {
+    let dags: Vec<Dag> = corpus.iter().map(|c| c.dag.clone()).collect();
+    let procs: Vec<u32> = corpus.iter().map(|c| c.procs).collect();
+    let batch = schedule_many_par_with(&dags, &procs, threads, |dag, np, ws| {
+        sched.schedule_into(dag, np, ws)
+    });
+    prop_assert_eq!(batch.len(), dags.len());
+    for (i, ((schedule, _), case)) in batch.iter().zip(corpus).enumerate() {
+        prop_assert_eq!(
+            io::to_json(schedule),
+            io::to_json(&sched.schedule(&case.dag, case.procs)),
+            "{} diverged on batch item {} ({}) at {} thread(s)",
+            sched.name(),
+            i,
+            case.name,
+            threads
+        );
+    }
+    Ok(())
 }
 
 proptest! {
@@ -118,55 +148,27 @@ proptest! {
         }
     }
 
-    /// `schedule_many` (one workspace across the batch) must agree
-    /// with the per-call API element-wise.
+    /// The batch driver on one thread (one workspace across the whole
+    /// batch, each DAG on its own processor count) must agree with
+    /// the per-call API element-wise.
     #[test]
     fn schedule_many_matches_per_call(seed in 0u64..1_000_000) {
         let corpus = fuzz_corpus(CORPUS_SEED.wrapping_add(seed), 5);
-        let dags: Vec<Dag> = corpus.iter().map(|c| c.dag.clone()).collect();
-        let procs = corpus.iter().map(|c| c.procs).max().unwrap();
         for sched in ported() {
-            let batch = schedule_many(sched.as_ref(), &dags, procs);
-            prop_assert_eq!(batch.len(), dags.len());
-            for (i, dag) in dags.iter().enumerate() {
-                prop_assert_eq!(
-                    io::to_json(&batch[i]),
-                    io::to_json(&sched.schedule(dag, procs)),
-                    "{} diverged on batch item {}",
-                    sched.name(),
-                    i
-                );
-            }
+            check_batch_against_per_call(sched.as_ref(), &corpus, 1)?;
         }
     }
 
-    /// The sharded batch entry point must be element-wise
-    /// byte-identical to the serial `schedule_many` at every worker
-    /// count: sharding only changes which thread runs a DAG, never a
+    /// Sharded across 2 and 4 workers, the batch driver must stay
+    /// element-wise byte-identical to the serial per-call schedules:
+    /// sharding only changes which thread runs a DAG, never a
     /// scheduling decision (each worker gets its own [`Workspace`]).
     #[test]
     fn schedule_many_par_matches_serial(seed in 0u64..1_000_000) {
         let corpus = fuzz_corpus(CORPUS_SEED.rotate_left(17) ^ seed, 6);
-        let dags: Vec<Dag> = corpus.iter().map(|c| c.dag.clone()).collect();
-        let procs = corpus.iter().map(|c| c.procs).max().unwrap();
         for sched in ported() {
-            let serial: Vec<String> = schedule_many(sched.as_ref(), &dags, procs)
-                .iter()
-                .map(io::to_json)
-                .collect();
-            for threads in [1usize, 2, 4, 8] {
-                let sharded = schedule_many_par(sched.as_ref(), &dags, procs, threads);
-                prop_assert_eq!(sharded.len(), dags.len());
-                for (i, s) in sharded.iter().enumerate() {
-                    prop_assert_eq!(
-                        &io::to_json(s),
-                        &serial[i],
-                        "{} diverged on item {} at {} threads",
-                        sched.name(),
-                        i,
-                        threads
-                    );
-                }
+            for threads in [2usize, 4] {
+                check_batch_against_per_call(sched.as_ref(), &corpus, threads)?;
             }
         }
     }
