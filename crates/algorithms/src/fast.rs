@@ -26,12 +26,9 @@
 use crate::list_common::ListState;
 use crate::scheduler::{priced, Scheduler, SchedulerError};
 use crate::workspace::{lend_eval, return_eval, untraced, Workspace};
-use fastsched_dag::{
-    classify_nodes_into, cpn_dominate_list_into, CpnListConfig, Dag, GraphAttributes, NodeId,
-    ObnOrder,
-};
+use fastsched_dag::{cpn_dominate_list_into, CpnListConfig, Dag, NodeId, ObnOrder};
 use fastsched_schedule::{CostModel, DeltaEvaluator, HomogeneousModel, Machine, ProcId, Schedule};
-use fastsched_trace::SearchTrace;
+use fastsched_trace::{EvalStats, SearchTrace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -209,22 +206,22 @@ pub(crate) fn hill_climb<M: CostModel>(
     best
 }
 
-/// Run the `list_construction` phase (attribute passes, CPN/IBN/OBN
-/// classification, CPN-Dominate list) into workspace buffers:
-/// `ws.attrs`, `ws.classes` and `ws.list` are (re)filled in place.
-pub(crate) fn list_construction_into(dag: &Dag, obn_order: ObnOrder, ws: &mut Workspace) {
-    GraphAttributes::compute_soa_into(dag, &mut ws.attr_lanes, &mut ws.attrs);
-    classify_nodes_into(
+/// Run the `list_construction` phase (the fused attribute sweep with
+/// the CPN/IBN/OBN classification, then the CPN-Dominate list) into
+/// workspace buffers: `ws.attrs` and `ws.list` are (re)filled in
+/// place, and the entries read are added to `stats`.
+pub(crate) fn list_construction_into(
+    dag: &Dag,
+    obn_order: ObnOrder,
+    ws: &mut Workspace,
+    stats: &mut EvalStats,
+) {
+    stats.attr_edge_reads += ws.attrs.compute_into(dag, &mut ws.attr_lanes);
+    stats.list_pred_reads += cpn_dominate_list_into(
         dag,
-        &ws.attrs,
-        &mut ws.classes,
-        &mut ws.seen,
-        &mut ws.node_stack,
-    );
-    cpn_dominate_list_into(
-        dag,
-        &ws.attrs,
-        &ws.classes,
+        &ws.attrs.t_level,
+        &ws.attrs.b_level,
+        &ws.attrs.classes,
         CpnListConfig { obn_order },
         &mut ws.cpn_scratch,
         &mut ws.list,
@@ -234,7 +231,7 @@ pub(crate) fn list_construction_into(dag: &Dag, obn_order: ObnOrder, ws: &mut Wo
 /// Phase 1 against workspace buffers, shared by FAST, FAST-SA and
 /// FAST-MS: list construction (timed as `list_construction`) plus the
 /// placement loop under `model` (timed as `initial_schedule`). Fills
-/// `ws.list`, `ws.classes`, `ws.blocking` and `ws.state` (the initial
+/// `ws.list`, `ws.attrs`, `ws.blocking` and `ws.state` (the initial
 /// assignment is its `proc` lane), and builds the initial schedule in
 /// `ws.staging`.
 pub(crate) fn initial_schedule_ws<M: CostModel + ?Sized>(
@@ -246,7 +243,7 @@ pub(crate) fn initial_schedule_ws<M: CostModel + ?Sized>(
     trace: &mut SearchTrace,
 ) -> Result<(), SchedulerError> {
     trace.phase_start("list_construction");
-    list_construction_into(dag, obn_order, ws);
+    list_construction_into(dag, obn_order, ws, &mut trace.eval);
     ws.blocking_from_classes(dag);
     trace.phase_end("list_construction");
     trace.phase_start("initial_schedule");
@@ -372,7 +369,7 @@ impl Fast {
     /// Blocking-node list of §4.3: all IBNs and OBNs, in id order.
     pub fn blocking_nodes(dag: &Dag) -> Vec<NodeId> {
         let mut ws = Workspace::new();
-        list_construction_into(dag, ObnOrder::default(), &mut ws);
+        list_construction_into(dag, ObnOrder::default(), &mut ws, &mut EvalStats::default());
         ws.blocking_from_classes(dag);
         ws.blocking
     }

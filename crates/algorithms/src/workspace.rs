@@ -35,8 +35,8 @@
 //! Write one scheduling core, generic over the [`CostModel`]:
 //! `core(dag, num_procs, model, workspace, trace)`. Re-derive every
 //! input from `(dag, num_procs)` into workspace buffers via the
-//! `_into`/`reset` variants (`GraphAttributes::compute_into`,
-//! `classify_nodes_into`, `cpn_dominate_list_into`, `ListState::reset`,
+//! `_into`/`reset` variants (`ListAttributes::compute_into`,
+//! `cpn_dominate_list_into`, `ListState::reset`,
 //! `DatLanes::reset`, `ReadySet::reset`, ...), borrow the evaluator
 //! re-typed for the model with `lend_eval`, build the result in
 //! `Workspace::staging`, and hand it out with `Workspace::finish`
@@ -49,7 +49,7 @@
 //! identity models.
 
 use crate::list_common::{DatLanes, ListState, ReadySet};
-use fastsched_dag::{AttrLanes, Cost, CpnListScratch, Dag, GraphAttributes, NodeClass, NodeId};
+use fastsched_dag::{AttrLanes, Cost, CpnListScratch, Dag, ListAttributes, NodeClass, NodeId};
 use fastsched_schedule::{
     CompactScratch, CostModel, DeltaEvaluator, HomogeneousModel, ProcId, Schedule, ValidateScratch,
 };
@@ -104,10 +104,7 @@ impl ChainSlot {
 pub struct Workspace {
     // --- list_construction phase ---
     pub(crate) attr_lanes: AttrLanes,
-    pub(crate) attrs: GraphAttributes,
-    pub(crate) classes: Vec<NodeClass>,
-    pub(crate) seen: Vec<bool>,
-    pub(crate) node_stack: Vec<NodeId>,
+    pub(crate) attrs: ListAttributes,
     pub(crate) cpn_scratch: CpnListScratch,
     pub(crate) list: Vec<NodeId>,
     pub(crate) blocking: Vec<NodeId>,
@@ -137,10 +134,7 @@ impl Workspace {
     pub fn new() -> Self {
         Self {
             attr_lanes: AttrLanes::new(),
-            attrs: GraphAttributes::empty(),
-            classes: Vec::new(),
-            seen: Vec::new(),
-            node_stack: Vec::new(),
+            attrs: ListAttributes::new(),
             cpn_scratch: CpnListScratch::new(),
             list: Vec::new(),
             blocking: Vec::new(),
@@ -195,10 +189,10 @@ impl Workspace {
     }
 
     /// Derive the blocking-node list (non-CPN nodes, id order) from
-    /// the already-computed `classes` buffer into `blocking`.
+    /// the already-computed classes in `attrs` into `blocking`.
     pub(crate) fn blocking_from_classes(&mut self, dag: &Dag) {
         self.blocking.clear();
-        let classes = &self.classes;
+        let classes = &self.attrs.classes;
         self.blocking.extend(
             dag.nodes()
                 .filter(|&n| classes[n.index()] != NodeClass::Cpn),

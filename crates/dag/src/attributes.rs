@@ -5,6 +5,7 @@
 //! All passes are single O(v + e) sweeps over the frozen topological
 //! order.
 
+use crate::classify::NodeClass;
 use crate::graph::{Cost, Dag, NodeId};
 
 /// The *t-level* (ASAP start time) of every node: the length of the
@@ -95,6 +96,8 @@ pub struct AttrLanes {
     pub b: Vec<Cost>,
     /// Static level keyed by topo position.
     pub s: Vec<Cost>,
+    /// CPN / IBN / OBN class keyed by topo position.
+    pub class: Vec<NodeClass>,
 }
 
 impl AttrLanes {
@@ -173,6 +176,92 @@ pub fn static_levels_soa_into(dag: &Dag, lanes: &mut AttrLanes, out: &mut Vec<Co
     }
 }
 
+/// The attributes FAST's CPN-Dominate list reads (§4.1), id-keyed:
+/// t-level, b-level and the CPN / IBN / OBN class (a node is a CPN iff
+/// its class is [`NodeClass::Cpn`]). The list never reads static level
+/// or ALAP, so they are not computed; [`GraphAttributes`] has them.
+#[derive(Debug, Default, Clone)]
+pub struct ListAttributes {
+    /// t-level (ASAP start time) per node.
+    pub t_level: Vec<Cost>,
+    /// b-level per node.
+    pub b_level: Vec<Cost>,
+    /// CPN / IBN / OBN class per node.
+    pub classes: Vec<NodeClass>,
+}
+
+impl ListAttributes {
+    /// An empty attribute set holding no buffers.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Fill every lane for `dag` in two edge passes over the topo CSR
+    /// and one scatter to id keying, keeping every buffer's capacity.
+    /// Returns the number of edge entries read, `2e`.
+    ///
+    /// * Forward: the t-level ([`t_levels_topo_into`]); the
+    ///   critical-path length is `max(t + w)`. The longest path ends at
+    ///   an exit node, whose b-level is its weight, and any other
+    ///   node's `t + w` is below its successors' t-level.
+    /// * Backward: the b-level, then the class. A node is a CPN when
+    ///   `t + b` is the critical-path length, an IBN when it is not but
+    ///   some successor is a CPN or an IBN, and an OBN otherwise; the
+    ///   same gather that folds the b-level ORs the successors' flags.
+    ///
+    /// Equal to [`GraphAttributes::compute`] plus
+    /// [`crate::classify::classify_nodes`], lane for lane.
+    pub fn compute_into(&mut self, dag: &Dag, lanes: &mut AttrLanes) -> u64 {
+        let csr = dag.topo_csr();
+        let v = csr.weights.len();
+        t_levels_topo_into(dag, &mut lanes.t);
+        let cp = lanes
+            .t
+            .iter()
+            .zip(csr.weights)
+            .map(|(&t, &w)| t + w)
+            .max()
+            .unwrap_or(0);
+        // Position `p` reads only positions after it, all written
+        // earlier in the backward pass, so no lane needs a clear.
+        lanes.b.resize(v, 0);
+        lanes.class.resize(v, NodeClass::Obn);
+        for p in (0..v).rev() {
+            let (lo, hi) = (csr.offsets[p] as usize, csr.offsets[p + 1] as usize);
+            let (best, reaches) = csr.targets[lo..hi].iter().zip(&csr.costs[lo..hi]).fold(
+                (0, false),
+                |(acc, reaches): (Cost, bool), (&t, &c)| {
+                    let t = t as usize;
+                    (
+                        acc.max(c + lanes.b[t]),
+                        reaches | (lanes.class[t] != NodeClass::Obn),
+                    )
+                },
+            );
+            let b = csr.weights[p] + best;
+            lanes.b[p] = b;
+            lanes.class[p] = if lanes.t[p] + b == cp {
+                NodeClass::Cpn
+            } else if reaches {
+                NodeClass::Ibn
+            } else {
+                NodeClass::Obn
+            };
+        }
+        // Every id is written once (the topo order is a permutation).
+        self.t_level.resize(v, 0);
+        self.b_level.resize(v, 0);
+        self.classes.resize(v, NodeClass::Obn);
+        for (p, &n) in csr.node_at.iter().enumerate() {
+            let i = n.index();
+            self.t_level[i] = lanes.t[p];
+            self.b_level[i] = lanes.b[p];
+            self.classes[i] = lanes.class[p];
+        }
+        2 * csr.targets.len() as u64
+    }
+}
+
 /// All §2 attributes of a DAG, computed in three O(v + e) passes.
 #[derive(Debug, Clone)]
 pub struct GraphAttributes {
@@ -239,73 +328,10 @@ impl GraphAttributes {
         out.alap.extend(out.b_level.iter().map(|&b| cp_length - b));
     }
 
-    /// [`GraphAttributes::compute_into`] via the SoA sweep kernels:
-    /// the three passes run in topo-position space over contiguous
-    /// lanes, then one fused scatter writes every id-keyed buffer
-    /// (t/b/static level, ALAP, CPN flags) in a single walk of the
-    /// topo order. Byte-identical to `compute_into` — the kernels fold
-    /// the same `max` over the same edge sets — just laid out for the
-    /// cache.
-    pub fn compute_soa_into(dag: &Dag, lanes: &mut AttrLanes, out: &mut GraphAttributes) {
-        t_levels_topo_into(dag, &mut lanes.t);
-        b_levels_topo_into(dag, &mut lanes.b);
-        static_levels_topo_into(dag, &mut lanes.s);
-        let cp_length = lanes
-            .t
-            .iter()
-            .zip(&lanes.b)
-            .map(|(&t, &b)| t + b)
-            .max()
-            .expect("non-empty graph");
-        out.cp_length = cp_length;
-        let v = dag.node_count();
-        out.t_level.clear();
-        out.t_level.resize(v, 0);
-        out.b_level.clear();
-        out.b_level.resize(v, 0);
-        out.static_level.clear();
-        out.static_level.resize(v, 0);
-        out.alap.clear();
-        out.alap.resize(v, 0);
-        out.cpn.clear();
-        out.cpn.resize(v, false);
-        for (p, &n) in dag.topo_order().iter().enumerate() {
-            let i = n.index();
-            let (t, b) = (lanes.t[p], lanes.b[p]);
-            out.t_level[i] = t;
-            out.b_level[i] = b;
-            out.static_level[i] = lanes.s[p];
-            out.alap[i] = cp_length - b;
-            out.cpn[i] = t + b == cp_length;
-        }
-    }
-
     /// `true` if `n` lies on a critical path.
     #[inline]
     pub fn is_cpn(&self, n: NodeId) -> bool {
         self.cpn[n.index()]
-    }
-
-    /// All CPNs in ascending t-level order (the order the CPN-Dominate
-    /// list walks the critical path), ties broken by node id.
-    pub fn cpns_by_t_level(&self) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        self.cpns_by_t_level_into(&mut out);
-        out
-    }
-
-    /// [`GraphAttributes::cpns_by_t_level`] writing into a caller-owned
-    /// buffer (cleared, capacity kept). The sort is unstable, which is
-    /// observationally identical here because the `(t_level, id)` keys
-    /// are unique, and it avoids the stable sort's scratch allocation.
-    pub fn cpns_by_t_level_into(&self, out: &mut Vec<NodeId>) {
-        out.clear();
-        out.extend(
-            (0..self.cpn.len() as u32)
-                .map(NodeId)
-                .filter(|&n| self.cpn[n.index()]),
-        );
-        out.sort_unstable_by_key(|&n| (self.t_level[n.index()], n.0));
     }
 
     /// One concrete critical path, as a node sequence from an entry CPN
@@ -426,13 +452,6 @@ mod tests {
     }
 
     #[test]
-    fn cpns_sorted_by_t_level() {
-        let g = sample();
-        let at = GraphAttributes::compute(&g);
-        assert_eq!(at.cpns_by_t_level(), vec![NodeId(0), NodeId(1), NodeId(3)]);
-    }
-
-    #[test]
     fn relative_mobility_zero_exactly_on_cpns() {
         let g = sample();
         let at = GraphAttributes::compute(&g);
@@ -475,7 +494,7 @@ mod tests {
     }
 
     #[test]
-    fn compute_soa_matches_compute() {
+    fn list_attributes_match_compute_and_classify() {
         for g in [sample(), {
             // Disconnected + skip edges: exercises multiple entries.
             let mut b = DagBuilder::new();
@@ -490,14 +509,12 @@ mod tests {
         }] {
             let scalar = GraphAttributes::compute(&g);
             let mut lanes = AttrLanes::new();
-            let mut soa = GraphAttributes::empty();
-            GraphAttributes::compute_soa_into(&g, &mut lanes, &mut soa);
-            assert_eq!(soa.t_level, scalar.t_level);
-            assert_eq!(soa.b_level, scalar.b_level);
-            assert_eq!(soa.static_level, scalar.static_level);
-            assert_eq!(soa.alap, scalar.alap);
-            assert_eq!(soa.cp_length, scalar.cp_length);
-            assert_eq!(soa.cpn, scalar.cpn);
+            let mut list = ListAttributes::new();
+            let reads = list.compute_into(&g, &mut lanes);
+            assert_eq!(reads, 2 * g.edge_count() as u64);
+            assert_eq!(list.t_level, scalar.t_level);
+            assert_eq!(list.b_level, scalar.b_level);
+            assert_eq!(list.classes, crate::classify::classify_nodes(&g, &scalar));
         }
     }
 

@@ -21,34 +21,12 @@ pub enum NodeClass {
 
 /// Classify every node of `dag` given its computed attributes.
 ///
-/// Runs one reverse BFS from the CPN set, so the whole pass is O(v + e).
+/// Runs one reverse DFS from the CPN set, so the whole pass is O(v + e).
+/// FAST computes the same classes inside its attribute sweep
+/// ([`crate::attributes::ListAttributes`]); this is the reference.
 pub fn classify_nodes(dag: &Dag, attrs: &GraphAttributes) -> Vec<NodeClass> {
-    let mut classes = Vec::new();
-    classify_nodes_into(dag, attrs, &mut classes, &mut Vec::new(), &mut Vec::new());
-    classes
-}
-
-/// [`classify_nodes`] writing into caller-owned buffers. `seen` and
-/// `stack` are BFS scratch (contents irrelevant on entry); all three
-/// buffers are cleared, not dropped, so a reused set of buffers
-/// allocates nothing at steady state. The reverse BFS is seeded
-/// directly from `attrs.cpn`, so no intermediate CPN list is built.
-pub fn classify_nodes_into(
-    dag: &Dag,
-    attrs: &GraphAttributes,
-    classes: &mut Vec<NodeClass>,
-    seen: &mut Vec<bool>,
-    stack: &mut Vec<NodeId>,
-) {
-    seen.clear();
-    seen.resize(dag.node_count(), false);
-    stack.clear();
-    for n in dag.nodes() {
-        if attrs.is_cpn(n) {
-            seen[n.index()] = true;
-            stack.push(n);
-        }
-    }
+    let mut seen = attrs.cpn.clone();
+    let mut stack: Vec<NodeId> = dag.nodes().filter(|&n| attrs.is_cpn(n)).collect();
     while let Some(n) = stack.pop() {
         for e in dag.preds(n) {
             if !seen[e.node.index()] {
@@ -57,16 +35,17 @@ pub fn classify_nodes_into(
             }
         }
     }
-    classes.clear();
-    classes.extend(dag.nodes().map(|n| {
-        if attrs.is_cpn(n) {
-            NodeClass::Cpn
-        } else if seen[n.index()] {
-            NodeClass::Ibn
-        } else {
-            NodeClass::Obn
-        }
-    }));
+    dag.nodes()
+        .map(|n| {
+            if attrs.is_cpn(n) {
+                NodeClass::Cpn
+            } else if seen[n.index()] {
+                NodeClass::Ibn
+            } else {
+                NodeClass::Obn
+            }
+        })
+        .collect()
 }
 
 /// Nodes of a given class, in id order.

@@ -22,7 +22,7 @@
 
 use crate::attributes::GraphAttributes;
 use crate::classify::NodeClass;
-use crate::graph::{Dag, NodeId};
+use crate::graph::{Cost, Dag, NodeId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -45,14 +45,21 @@ pub struct CpnListConfig {
 }
 
 /// Reusable scratch for [`cpn_dominate_list_into`]: the listed flags,
-/// ancestor-walk stack, CPN ordering buffer and OBN Kahn state. All
-/// members are cleared between runs, never dropped, so one scratch
-/// reused across many DAGs stops allocating once every buffer has
-/// reached its peak size.
+/// the ancestor-pull stack and its sorted parent segments, the CPN
+/// ordering buffer and the OBN Kahn state. Buffers are refilled per
+/// run, never dropped, so one scratch reused across many DAGs stops
+/// allocating once every buffer has reached its peak size.
 #[derive(Debug, Default)]
 pub struct CpnListScratch {
     listed: Vec<bool>,
-    stack: Vec<NodeId>,
+    /// The pull's path: each node with the cursor and end of its
+    /// segment in `parents`.
+    stack: Vec<(NodeId, u32, u32)>,
+    /// One entry per edge: a node pushed on the pull stack keeps its
+    /// parents that were unlisted at the push, best first, at the
+    /// start of its own pred-offset run. Written before it is read,
+    /// so it is never cleared.
+    parents: Vec<u32>,
     cpns: Vec<NodeId>,
     indeg: Vec<u32>,
     heap: BinaryHeap<((u64, Reverse<u32>), NodeId)>,
@@ -70,7 +77,9 @@ impl CpnListScratch {
 ///
 /// `classes` must come from [`crate::classify::classify_nodes`] on the
 /// same `dag` / `attrs`. The result contains every node exactly once
-/// and is always a valid topological order. Runs in O(v log v + e).
+/// and is always a valid topological order. Each pred entry is read at
+/// most twice, plus O(u log u) compares for a node pulled with `u`
+/// unlisted parents, and the CPNs are sorted by t-level.
 pub fn cpn_dominate_list(
     dag: &Dag,
     attrs: &GraphAttributes,
@@ -80,92 +89,111 @@ pub fn cpn_dominate_list(
     let mut order = Vec::new();
     cpn_dominate_list_into(
         dag,
-        attrs,
+        &attrs.t_level,
+        &attrs.b_level,
         classes,
         config,
-        &mut CpnListScratch::default(),
+        &mut CpnListScratch::new(),
         &mut order,
     );
     order
 }
 
-/// [`cpn_dominate_list`] writing into a caller-owned `order` buffer
-/// using caller-owned scratch. Byte-identical output; zero allocations
-/// once the reused buffers have reached their peak capacities.
+/// [`cpn_dominate_list`] over id-keyed t-level and b-level lanes,
+/// writing into a caller-owned `order` buffer using caller-owned
+/// scratch. Zero allocations once the reused buffers have reached
+/// their peak capacities. Returns the pred and succ entries read: the
+/// pull's parent scans and cursor advances, and the OBN pass.
 pub fn cpn_dominate_list_into(
     dag: &Dag,
-    attrs: &GraphAttributes,
+    t_level: &[Cost],
+    b_level: &[Cost],
     classes: &[NodeClass],
     config: CpnListConfig,
     scratch: &mut CpnListScratch,
     order: &mut Vec<NodeId>,
-) {
+) -> u64 {
     let v = dag.node_count();
     scratch.listed.clear();
     scratch.listed.resize(v, false);
+    if scratch.parents.len() < dag.edge_count() {
+        scratch.parents.resize(dag.edge_count(), 0);
+    }
     order.clear();
     order.reserve(v);
 
-    // Walk the CPNs in ascending t-level order (entry CPN first).
-    attrs.cpns_by_t_level_into(&mut scratch.cpns);
+    // Walk the CPNs in ascending t-level order (entry CPN first), ties
+    // broken by node id.
+    scratch.cpns.clear();
+    scratch
+        .cpns
+        .extend(dag.nodes().filter(|n| classes[n.index()] == NodeClass::Cpn));
+    scratch
+        .cpns
+        .sort_unstable_by_key(|&n| (t_level[n.index()], n.0));
+    let mut reads = 0;
     for i in 0..scratch.cpns.len() {
         let cpn = scratch.cpns[i];
-        include_with_ancestors(
-            dag,
-            attrs,
-            cpn,
-            &mut scratch.listed,
-            &mut scratch.stack,
-            order,
-        );
+        reads += include_with_ancestors(dag, t_level, b_level, cpn, scratch, order);
     }
 
     // Step (9): append the OBNs.
-    append_obns(dag, attrs, classes, config.obn_order, scratch, order);
+    reads += append_obns(dag, b_level, classes, config.obn_order, scratch, order);
 
     debug_assert_eq!(order.len(), v);
+    reads
 }
 
 /// Place `node` in the list after recursively placing all of its
 /// unlisted ancestors, always descending into the parent with the
 /// largest b-level first (ties: smaller t-level, then smaller id).
+/// Returns the pred entries read.
 ///
-/// Implemented iteratively with an explicit stack so that deep graphs
-/// (chains of tens of thousands of nodes) cannot overflow the call
-/// stack.
+/// A node is pushed at most once per list: it stays on the stack until
+/// it is listed. The push scans its parents once and sorts the
+/// unlisted ones, best first, into its segment of `parents`. Parents
+/// only ever become listed, so whenever the pull returns to the node
+/// its best unlisted parent is the first unlisted entry at or after
+/// its cursor, and every entry the cursor passes is read once.
+///
+/// Iterative with an explicit stack so that deep graphs (chains of
+/// tens of thousands of nodes) cannot overflow the call stack.
 fn include_with_ancestors(
     dag: &Dag,
-    attrs: &GraphAttributes,
+    t_level: &[Cost],
+    b_level: &[Cost],
     node: NodeId,
-    listed: &mut [bool],
-    stack: &mut Vec<NodeId>,
+    scratch: &mut CpnListScratch,
     order: &mut Vec<NodeId>,
-) {
+) -> u64 {
+    let CpnListScratch {
+        listed,
+        stack,
+        parents,
+        ..
+    } = scratch;
     if listed[node.index()] {
-        return;
+        return 0;
     }
-    stack.clear();
-    stack.push(node);
-    while let Some(&top) = stack.last() {
-        if listed[top.index()] {
-            stack.pop();
-            continue;
+    let mut reads = pull_push(dag, t_level, b_level, node, listed, parents, stack);
+    while let Some(&(top, mut cursor, end)) = stack.last() {
+        let mut next = None;
+        while cursor < end {
+            let p = parents[cursor as usize];
+            cursor += 1;
+            reads += 1;
+            if !listed[p as usize] {
+                next = Some(NodeId(p));
+                break;
+            }
         }
-        // Best unlisted parent: largest b-level, then smallest t-level,
-        // then smallest id.
-        let next = dag
-            .preds(top)
-            .iter()
-            .filter(|e| !listed[e.node.index()])
-            .map(|e| e.node)
-            .max_by(|&a, &b| {
-                attrs.b_level[a.index()]
-                    .cmp(&attrs.b_level[b.index()])
-                    .then_with(|| attrs.t_level[b.index()].cmp(&attrs.t_level[a.index()]))
-                    .then_with(|| b.0.cmp(&a.0))
-            });
         match next {
-            Some(parent) => stack.push(parent),
+            Some(parent) => {
+                // The parent is listed before the pull returns here.
+                let depth = stack.len() - 1;
+                stack[depth].1 = cursor;
+                reads += pull_push(dag, t_level, b_level, parent, listed, parents, stack);
+            }
             None => {
                 listed[top.index()] = true;
                 order.push(top);
@@ -173,19 +201,54 @@ fn include_with_ancestors(
             }
         }
     }
+    reads
+}
+
+/// Push `n` on the pull stack: scan its parents once and sort the
+/// unlisted ones, best first (larger b-level, then smaller t-level,
+/// then smaller id), into the start of its pred-offset run of
+/// `parents`. Returns the pred entries read.
+fn pull_push(
+    dag: &Dag,
+    t_level: &[Cost],
+    b_level: &[Cost],
+    n: NodeId,
+    listed: &[bool],
+    parents: &mut [u32],
+    stack: &mut Vec<(NodeId, u32, u32)>,
+) -> u64 {
+    let lo = dag.pred_offsets()[n.index()] as usize;
+    let (preds, _) = dag.pred_lanes(n);
+    let mut end = lo;
+    for &p in preds {
+        parents[end] = p;
+        end += usize::from(!listed[p as usize]);
+    }
+    if end - lo > 1 {
+        parents[lo..end].sort_unstable_by(|&a, &b| {
+            let (a, b) = (a as usize, b as usize);
+            b_level[b]
+                .cmp(&b_level[a])
+                .then(t_level[a].cmp(&t_level[b]))
+                .then(a.cmp(&b))
+        });
+    }
+    stack.push((n, lo as u32, end as u32));
+    preds.len() as u64
 }
 
 /// Append all OBNs via a priority-driven Kahn pass over the OBN-induced
 /// subgraph (parents outside the OBN set are already listed, CPN/IBN
-/// parents by construction).
+/// parents by construction). Returns the pred and succ entries read.
 fn append_obns(
     dag: &Dag,
-    attrs: &GraphAttributes,
+    b_level: &[Cost],
     classes: &[NodeClass],
     obn_order: ObnOrder,
     scratch: &mut CpnListScratch,
     order: &mut Vec<NodeId>,
-) {
+) -> u64 {
+    let mut reads = 0u64;
     // In-degree restricted to OBN parents.
     let indeg = &mut scratch.indeg;
     indeg.clear();
@@ -196,10 +259,11 @@ fn append_obns(
             continue;
         }
         obn_count += 1;
-        indeg[n.index()] = dag
-            .preds(n)
+        let (preds, _) = dag.pred_lanes(n);
+        reads += preds.len() as u64;
+        indeg[n.index()] = preds
             .iter()
-            .filter(|e| classes[e.node.index()] == NodeClass::Obn)
+            .filter(|&&p| classes[p as usize] == NodeClass::Obn)
             .count() as u32;
     }
 
@@ -208,7 +272,7 @@ fn append_obns(
     // determined by the key (ids make it total), so refilling a reused
     // heap push-by-push gives the same sequence as a fresh collect.
     let key = |n: NodeId| -> (u64, Reverse<u32>) {
-        let b = attrs.b_level[n.index()];
+        let b = b_level[n.index()];
         let primary = match obn_order {
             ObnOrder::Decreasing => b,
             ObnOrder::Increasing => u64::MAX - b,
@@ -230,7 +294,9 @@ fn append_obns(
         scratch.listed[n.index()] = true;
         order.push(n);
         placed += 1;
-        for e in dag.succs(n) {
+        let succs = dag.succs(n);
+        reads += succs.len() as u64;
+        for e in succs {
             if classes[e.node.index()] == NodeClass::Obn {
                 indeg[e.node.index()] -= 1;
                 if indeg[e.node.index()] == 0 {
@@ -240,6 +306,7 @@ fn append_obns(
         }
     }
     debug_assert_eq!(placed, obn_count);
+    reads
 }
 
 #[cfg(test)]

@@ -70,8 +70,8 @@ pub mod stats;
 pub mod topo;
 pub mod transform;
 
-pub use attributes::{AttrLanes, GraphAttributes};
-pub use classify::{classify_nodes, classify_nodes_into, NodeClass};
+pub use attributes::{AttrLanes, GraphAttributes, ListAttributes};
+pub use classify::{classify_nodes, NodeClass};
 pub use cpn_list::{
     cpn_dominate_list, cpn_dominate_list_into, CpnListConfig, CpnListScratch, ObnOrder,
 };

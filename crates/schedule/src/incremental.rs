@@ -22,8 +22,8 @@
 //!   (cost proportional to the nodes the probe actually touched, never
 //!   more than the probe itself); [`DeltaEvaluator::commit`] accepts
 //!   it and rebuilds the O(v) position/maximum caches, and the next
-//!   bounded probe rebuilds the critical mask in one reverse pass that
-//!   reads at most `e` edges;
+//!   bounded probe rebuilds the critical mask backwards from the
+//!   makespan nodes, reading only the critical nodes' pred edges;
 //! * [`DeltaEvaluator::probe_transfer_bounded`] with a cutoff at or
 //!   below the committed makespan rejects, without any walk, a
 //!   transfer of a node that cannot reach a makespan node through
@@ -103,6 +103,8 @@ pub struct DeltaEvaluator<M: CostModel = HomogeneousModel> {
     /// node's finish, so a bounded probe whose cutoff is at or below
     /// the makespan rejects it without a walk.
     critical: Vec<bool>,
+    /// Work stack of [`Self::rebuild_critical`].
+    mask_stack: Vec<NodeId>,
     /// `prefix_max[i]` = max committed finish over positions `< i`.
     prefix_max: Vec<Cost>,
     /// `suffix_max[i]` = max committed finish over positions `>= i`.
@@ -179,6 +181,7 @@ impl<M: CostModel> DeltaEvaluator<M> {
             proc_positions: Vec::new(),
             mask_stale: false,
             critical: Vec::new(),
+            mask_stack: Vec::new(),
             prefix_max: Vec::new(),
             suffix_max: Vec::new(),
             epoch: 0,
@@ -255,6 +258,7 @@ impl<M: CostModel> DeltaEvaluator<M> {
             proc_positions: self.proc_positions,
             mask_stale: self.mask_stale,
             critical: self.critical,
+            mask_stack: self.mask_stack,
             prefix_max: self.prefix_max,
             suffix_max: self.suffix_max,
             epoch: self.epoch,
@@ -390,7 +394,7 @@ impl<M: CostModel> DeltaEvaluator<M> {
     /// node that reaches a node finishing at the makespan through
     /// committed-tight DAG or processor edges (a makespan node is
     /// critical itself). Rebuilt first when seeding or a commit left
-    /// it stale, in one reverse pass over the order.
+    /// it stale, backwards from the makespan nodes.
     ///
     /// ```
     /// use fastsched_dag::examples::chain;
@@ -879,45 +883,51 @@ impl<M: CostModel> DeltaEvaluator<M> {
         }
     }
 
-    /// Recompute the critical mask from the committed schedule in one
-    /// reverse-order pass: successors and processor successors sit
-    /// later in the order, so their entries are final when a node
-    /// reads them. A node critical through the makespan or its
-    /// processor successor reads no edge; any other prices only edges
-    /// into critical successors and stops at the first tight one. A
-    /// committed arrival is feasible (`finish[u] + msg <= start[s]`),
-    /// so the subtraction cannot underflow.
-    ///
-    /// `proc_ready` is probe scratch (dead outside a walk); here it
-    /// holds, per processor, the committed start of the node the pass
-    /// saw last on it when that node is critical, and `Cost::MAX`
-    /// otherwise. Only a makespan node — critical on its own — can
-    /// finish at `Cost::MAX`, so the sentinel never marks a node.
+    /// Recompute the critical mask from the committed schedule,
+    /// backwards from the makespan: the least set that holds every
+    /// node finishing at the makespan and every node with a tight edge
+    /// into a member. A stack seeded with the makespan nodes pops each
+    /// critical node `s` once and marks its processor predecessor `u`
+    /// (the node before it on its processor) when
+    /// `finish[u] == start[s]`, and each DAG parent `u` when
+    /// `finish[u] + msg == start[s]`. So only the critical nodes' preds
+    /// are read, not every edge. A committed arrival is feasible
+    /// (`finish[u] + msg <= start[s]`), so the subtraction cannot
+    /// underflow.
     fn rebuild_critical(&mut self, dag: &Dag) {
         self.stats.on_mask_rebuild();
-        self.proc_ready.iter_mut().for_each(|r| *r = Cost::MAX);
+        let stack = &mut self.mask_stack;
+        stack.clear();
+        for (i, c) in self.critical.iter_mut().enumerate() {
+            *c = self.finish[i] == self.makespan;
+            if *c {
+                stack.push(NodeId(i as u32));
+            }
+        }
         let mut reads = 0u64;
-        for i in (0..self.order.len()).rev() {
-            let n = self.order[i];
-            let ni = n.index();
-            let q = self.assignment[ni];
-            let f = self.finish[ni];
-            let mut critical = f == self.makespan || f == self.proc_ready[q.index()];
-            if !critical {
-                for e in dag.succs(n) {
-                    reads += 1;
-                    let si = e.node.index();
-                    if self.critical[si]
-                        && self.start[si] - self.model.message_cost(e.cost, q, self.assignment[si])
-                            == f
-                    {
-                        critical = true;
-                        break;
-                    }
+        while let Some(s) = stack.pop() {
+            let si = s.index();
+            let (q, start) = (self.assignment[si], self.start[si]);
+            let list = &self.proc_positions[q.index()];
+            let idx = list.partition_point(|&p| p < self.pos_of[si]);
+            if idx > 0 {
+                let u = self.order[list[idx - 1]].index();
+                if !self.critical[u] && self.finish[u] == start {
+                    self.critical[u] = true;
+                    stack.push(NodeId(u as u32));
                 }
             }
-            self.critical[ni] = critical;
-            self.proc_ready[q.index()] = if critical { self.start[ni] } else { Cost::MAX };
+            let (parents, costs) = dag.pred_lanes(s);
+            reads += parents.len() as u64;
+            for (&u, &c) in parents.iter().zip(costs) {
+                let u = u as usize;
+                if !self.critical[u]
+                    && start - self.model.message_cost(c, self.assignment[u], q) == self.finish[u]
+                {
+                    self.critical[u] = true;
+                    stack.push(NodeId(u as u32));
+                }
+            }
         }
         self.stats.seed_edge_reads += reads;
         self.mask_stale = false;

@@ -61,6 +61,12 @@ pub struct EvalStats {
     /// evaluator adopts a placement's finish times) and by the
     /// critical-mask rebuilds after seeding and commits.
     pub seed_edge_reads: u64,
+    /// Edge entries FAST's list attribute sweep read (`2e`: one
+    /// forward and one backward pass).
+    pub attr_edge_reads: u64,
+    /// Pred and succ entries the CPN-Dominate list read: the ancestor
+    /// pull's parent scans and cursor advances, and the OBN pass.
+    pub list_pred_reads: u64,
 }
 
 macro_rules! bump {
@@ -115,6 +121,8 @@ impl EvalStats {
         self.probes_pruned += other.probes_pruned;
         self.probe_pred_reads += other.probe_pred_reads;
         self.seed_edge_reads += other.seed_edge_reads;
+        self.attr_edge_reads += other.attr_edge_reads;
+        self.list_pred_reads += other.list_pred_reads;
     }
 
     /// `(name, value)` pairs in emission order (the NDJSON counter
@@ -138,6 +146,8 @@ impl EvalStats {
             ("probes_pruned", self.probes_pruned),
             ("probe_pred_reads", self.probe_pred_reads),
             ("seed_edge_reads", self.seed_edge_reads),
+            ("attr_edge_reads", self.attr_edge_reads),
+            ("list_pred_reads", self.list_pred_reads),
         ]
     }
 }
@@ -521,6 +531,8 @@ mod tests {
         stats.probe_pred_reads += 3;
         stats.seed_edge_reads += 7;
         stats.walk_succ_reads += 5;
+        stats.attr_edge_reads += 4;
+        stats.list_pred_reads += 6;
         stats.on_mask_rebuild();
         t.absorb_eval(&stats);
 
@@ -536,6 +548,8 @@ mod tests {
         assert_eq!(r.counter("seed_edge_reads"), Some(7));
         assert_eq!(r.counter("walk_succ_reads"), Some(5));
         assert_eq!(r.counter("mask_rebuilds"), Some(1));
+        assert_eq!(r.counter("attr_edge_reads"), Some(4));
+        assert_eq!(r.counter("list_pred_reads"), Some(6));
         assert_eq!(r.trajectory(), vec![18, 18]);
         assert_eq!(r.phase_totals().len(), 1);
     }

@@ -1,6 +1,7 @@
 //! DAG shapes shared by the work-count tests (`placement_work`,
-//! `search_work`): the paper's random DAGs across its size range, and
-//! in-degree sweeps — fan-in stars and dense bipartite layers.
+//! `search_work`, `list_work`) and the list equivalence suite
+//! (`soa_attributes`): the paper's random DAGs across its size range,
+//! and in-degree sweeps — fan-in stars and dense bipartite layers.
 
 use fastsched::prelude::*;
 

@@ -1,19 +1,142 @@
 //! SoA attribute-kernel equivalence suite: the topo-keyed sweep
-//! kernels (and the fused-scatter `compute_soa_into`) must agree with
-//! the scalar `attributes.rs` reference **exactly** — same integers,
-//! not just same order — on random layered DAGs under both homogeneous
-//! and heterogeneous weight models, and across the fuzz corpus. The
-//! SoA plane only changes where the sweeps read and write, never a
-//! value.
+//! kernels and FAST's fused list attributes (`ListAttributes`) must
+//! agree with the scalar `attributes.rs` and `classify_nodes`
+//! references **exactly** — same integers, not just same order — and
+//! the CPN-Dominate list must equal the one a per-return `max_by` pull
+//! builds, under both OBN orders. They run on random layered DAGs
+//! under homogeneous and heterogeneous weight models, on the fuzz
+//! corpus, on the work-count shapes (stars, bipartite layers, the
+//! paper's random DAGs) and on out-trees (in-degree 0–1). The SoA
+//! plane only changes where the sweeps read and write, never a value.
+
+#[allow(dead_code)]
+mod shapes;
 
 use fastsched::dag::attributes::{
     b_levels_into, b_levels_topo_into, static_levels_into, static_levels_soa_into,
     static_levels_topo_into, t_levels_into, t_levels_topo_into, AttrLanes,
 };
-use fastsched::dag::{Dag, GraphAttributes};
+use fastsched::dag::{
+    classify_nodes, cpn_dominate_list, CpnListConfig, Dag, DagBuilder, GraphAttributes,
+    ListAttributes, NodeClass, NodeId, ObnOrder,
+};
 use fastsched::prelude::{random_layered_dag, Cost, RandomDagConfig, TimingDatabase};
 use fastsched::workloads::fuzz::fuzz_corpus;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+/// The CPN-Dominate list as it was built before the cursor pull: each
+/// return to a node re-scans all of its parents for the best unlisted
+/// one (`max_by`), so a node with `d` unlisted parents costs about
+/// `d²/2` reads. Kept as the reference the shared pull must equal.
+fn max_by_list(dag: &Dag, attrs: &GraphAttributes, obn_order: ObnOrder) -> Vec<NodeId> {
+    let classes = classify_nodes(dag, attrs);
+    let mut listed = vec![false; dag.node_count()];
+    let mut order = Vec::new();
+    let mut cpns: Vec<NodeId> = dag.nodes().filter(|&n| attrs.is_cpn(n)).collect();
+    cpns.sort_by_key(|&n| (attrs.t_level[n.index()], n.0));
+    for cpn in cpns {
+        let mut stack = vec![cpn];
+        while let Some(&top) = stack.last() {
+            if listed[top.index()] {
+                stack.pop();
+                continue;
+            }
+            let next = dag
+                .preds(top)
+                .iter()
+                .filter(|e| !listed[e.node.index()])
+                .map(|e| e.node)
+                .max_by(|&a, &b| {
+                    attrs.b_level[a.index()]
+                        .cmp(&attrs.b_level[b.index()])
+                        .then_with(|| attrs.t_level[b.index()].cmp(&attrs.t_level[a.index()]))
+                        .then_with(|| b.0.cmp(&a.0))
+                });
+            match next {
+                Some(parent) => stack.push(parent),
+                None => {
+                    listed[top.index()] = true;
+                    order.push(top);
+                    stack.pop();
+                }
+            }
+        }
+    }
+    // The OBN tail: a Kahn pass over the OBN-induced subgraph keyed by
+    // b-level, ties to the smaller id.
+    let is_obn = |n: NodeId| classes[n.index()] == NodeClass::Obn;
+    let key = |n: NodeId| {
+        let b = attrs.b_level[n.index()];
+        let primary = match obn_order {
+            ObnOrder::Decreasing => b,
+            ObnOrder::Increasing => u64::MAX - b,
+        };
+        (primary, Reverse(n.0))
+    };
+    let mut indeg: Vec<usize> = dag
+        .nodes()
+        .map(|n| dag.preds(n).iter().filter(|e| is_obn(e.node)).count())
+        .collect();
+    let mut heap: BinaryHeap<_> = dag
+        .nodes()
+        .filter(|&n| is_obn(n) && indeg[n.index()] == 0)
+        .map(|n| (key(n), n))
+        .collect();
+    while let Some((_, n)) = heap.pop() {
+        order.push(n);
+        for e in dag.succs(n) {
+            if is_obn(e.node) {
+                indeg[e.node.index()] -= 1;
+                if indeg[e.node.index()] == 0 {
+                    heap.push((key(e.node), e.node));
+                }
+            }
+        }
+    }
+    order
+}
+
+/// FAST's fused list attributes against `GraphAttributes::compute` plus
+/// `classify_nodes`, and the shared CPN-Dominate pull against
+/// [`max_by_list`] under both OBN orders, on one DAG.
+fn assert_list_matches_reference(dag: &Dag, ctx: &str) {
+    let reference = GraphAttributes::compute(dag);
+    let mut fused = ListAttributes::new();
+    let reads = fused.compute_into(dag, &mut AttrLanes::new());
+    assert_eq!(reads, 2 * dag.edge_count() as u64, "{ctx}");
+    assert_eq!(fused.t_level, reference.t_level, "t-level on {ctx}");
+    assert_eq!(fused.b_level, reference.b_level, "b-level on {ctx}");
+    let classes = classify_nodes(dag, &reference);
+    assert_eq!(fused.classes, classes, "classes on {ctx}");
+    let cpn: Vec<bool> = fused.classes.iter().map(|&c| c == NodeClass::Cpn).collect();
+    assert_eq!(cpn, reference.cpn, "CPN flags on {ctx}");
+    for obn_order in [ObnOrder::Decreasing, ObnOrder::Increasing] {
+        assert_eq!(
+            cpn_dominate_list(dag, &reference, &classes, CpnListConfig { obn_order }),
+            max_by_list(dag, &reference, obn_order),
+            "{obn_order:?} list on {ctx}"
+        );
+    }
+}
+
+/// A random out-tree: every node but the root has exactly one parent,
+/// so every in-degree is 0 or 1.
+fn out_tree(nodes: usize, seed: u64) -> Dag {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut b = DagBuilder::new();
+    let ids: Vec<NodeId> = (0..nodes)
+        .map(|_| b.add_task(rng.gen_range(1..20)))
+        .collect();
+    for i in 1..nodes {
+        let parent = ids[rng.gen_range(0..i)];
+        b.add_edge(parent, ids[i], rng.gen_range(1..30)).unwrap();
+    }
+    b.build().unwrap()
+}
 
 /// Scatter a topo-position-keyed lane back to id keying.
 fn to_id_space(dag: &Dag, lane: &[Cost]) -> Vec<Cost> {
@@ -46,15 +169,7 @@ fn assert_soa_matches_scalar(dag: &Dag, ctx: &str) {
     static_levels_soa_into(dag, &mut lanes, &mut soa_sl);
     assert_eq!(soa_sl, scalar, "SL scatter diverged on {ctx}");
 
-    let reference = GraphAttributes::compute(dag);
-    let mut soa = GraphAttributes::empty();
-    GraphAttributes::compute_soa_into(dag, &mut lanes, &mut soa);
-    assert_eq!(soa.t_level, reference.t_level, "{ctx}");
-    assert_eq!(soa.b_level, reference.b_level, "{ctx}");
-    assert_eq!(soa.static_level, reference.static_level, "{ctx}");
-    assert_eq!(soa.alap, reference.alap, "{ctx}");
-    assert_eq!(soa.cp_length, reference.cp_length, "{ctx}");
-    assert_eq!(soa.cpn, reference.cpn, "{ctx}");
+    assert_list_matches_reference(dag, ctx);
 }
 
 /// Homogeneous weight model: every node and every edge costs the
@@ -114,4 +229,24 @@ fn soa_matches_scalar_on_paper_scale_graph() {
     let db = TimingDatabase::paragon();
     let dag = random_layered_dag(&RandomDagConfig::paper(2000, &db), 1);
     assert_soa_matches_scalar(&dag, "paper-2000");
+}
+
+/// The work-count shapes: fan-in stars (one node pulls up to 1024
+/// unlisted parents), dense bipartite layers and the paper's random
+/// DAGs from 100 to 2000 nodes.
+#[test]
+fn list_matches_reference_on_the_work_count_shapes() {
+    for (name, dag) in shapes::sweep() {
+        assert_list_matches_reference(&dag, &name);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Out-trees: every pull has at most one parent to choose from.
+    #[test]
+    fn list_matches_reference_on_out_trees(seed in 0u64..1_000_000, nodes in 1usize..120) {
+        assert_list_matches_reference(&out_tree(nodes, seed), &format!("tree seed={seed} v={nodes}"));
+    }
 }
