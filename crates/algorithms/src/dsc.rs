@@ -16,7 +16,11 @@
 //! the dominant sequence — a *partially free* node (one with at least
 //! one examined parent) carries a higher `t-level + b-level` priority —
 //! a merge is rejected if occupying the target cluster's tail would
-//! increase that node's estimated start time. Together with
+//! increase that node's estimated start time. The estimate is one
+//! pass over that node's parents: a cluster's ready time covers every
+//! examined parent in it, so only the cluster sending the latest
+//! message can beat the own-cluster estimate (`Examined::np_estimate`).
+//! Together with
 //! entry nodes always opening fresh clusters, this is what produces
 //! DSC's characteristically large processor counts (the paper's
 //! Figures 5(b)/8(b)).
@@ -33,6 +37,63 @@ use fastsched_dag::{attributes::b_levels, Cost, Dag, NodeId};
 use fastsched_schedule::{ProcId, Schedule};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+
+/// What the DSRW check reads of DSC's state: the examined nodes, their
+/// finish times and clusters, and each cluster's ready time (the
+/// finish of the last node appended to it).
+struct Examined<'a> {
+    dag: &'a Dag,
+    examined: &'a [bool],
+    finish: &'a [Cost],
+    cluster: &'a [u32],
+    cluster_ready: &'a [Cost],
+}
+
+impl Examined<'_> {
+    /// The estimated start of the partially free node `np` over its
+    /// examined parents: the earlier of its own cluster (every message
+    /// remote) and the cluster of any examined parent (that cluster's
+    /// messages zeroed, after its ready time). `patched` overrides one
+    /// cluster's ready time, for the merge under test.
+    ///
+    /// One pass over `np`'s parents. Clusters only append, so a
+    /// cluster's ready time — the patched `ms + w(n)` too, as `ms` is
+    /// at least the cluster's ready time — is at least the finish of
+    /// every examined parent in it, and joining cluster `c` costs
+    /// `max(ready(c), best remote arrival not sent from c)`. That is
+    /// the top remote arrival `top` unless `c` sent it, so only the
+    /// cluster `top_c` that sent it can beat the own-cluster estimate
+    /// `top`, by `max(ready(top_c), second)`, where `second` is the
+    /// best remote arrival from any other cluster.
+    fn np_estimate(&self, np: NodeId, patched: Option<(u32, Cost)>) -> Cost {
+        let (mut top, mut top_c, mut second) = (0, u32::MAX, 0);
+        for e in self.dag.preds(np) {
+            let t = e.node.index();
+            if !self.examined[t] {
+                continue;
+            }
+            let arrival = self.finish[t] + e.cost;
+            let c = self.cluster[t];
+            if c != top_c {
+                second = second.max(top.min(arrival));
+            }
+            if arrival > top {
+                (top, top_c) = (arrival, c);
+            }
+        }
+        if top_c == u32::MAX {
+            return top;
+        }
+        let ready = match patched {
+            Some((pc, pr)) if pc == top_c => pr,
+            _ => self.cluster_ready[top_c as usize],
+        };
+        let estimate = top.min(ready.max(second));
+        #[cfg(test)]
+        tests::check_against_rescan(self, np, patched, estimate);
+        estimate
+    }
+}
 
 /// The DSC scheduler.
 #[derive(Debug, Clone, Copy, Default)]
@@ -77,9 +138,6 @@ impl HomogeneousOnly for Dsc {
             }
         }
 
-        // Scratch: distinct parent clusters of the node being examined.
-        let mut parent_clusters: Vec<u32> = Vec::with_capacity(8);
-
         while let Some((prio, Reverse(id))) = free_heap.pop() {
             let n = NodeId(id);
             if examined[n.index()] || prio != tl_est[n.index()] + bl[n.index()] {
@@ -98,7 +156,6 @@ impl HomogeneousOnly for Dsc {
             // any other edge cannot reduce the t-level, which is the
             // max over arrivals). Messages from other parents that
             // already live in that cluster are zeroed as a side effect.
-            parent_clusters.clear();
             let mut dominant: Option<(Cost, u32)> = None; // (arrival, cluster)
             for e in dag.preds(n) {
                 let arrival = finish[e.node.index()] + e.cost;
@@ -139,46 +196,15 @@ impl HomogeneousOnly for Dsc {
                     if pprio > prio {
                         // np dominates: compare np's estimate with c's
                         // tail occupied by nf until ms + w(n).
-                        let np_estimate = |patched: Option<(u32, Cost)>| -> Cost {
-                            let ready_of = |c: u32| match patched {
-                                Some((pc, pr)) if pc == c => pr,
-                                _ => cluster_ready[c as usize],
-                            };
-                            let mut remote: Cost = 0;
-                            for e in dag.preds(np) {
-                                if examined[e.node.index()] {
-                                    remote = remote.max(finish[e.node.index()] + e.cost);
-                                }
-                            }
-                            let mut best = remote; // own cluster
-                            let mut seen: Vec<u32> = Vec::with_capacity(4);
-                            for e in dag.preds(np) {
-                                if !examined[e.node.index()] {
-                                    continue;
-                                }
-                                let c = cluster[e.node.index()];
-                                if seen.contains(&c) {
-                                    continue;
-                                }
-                                seen.push(c);
-                                let mut dat: Cost = 0;
-                                for e2 in dag.preds(np) {
-                                    if !examined[e2.node.index()] {
-                                        continue;
-                                    }
-                                    let arrival = if cluster[e2.node.index()] == c {
-                                        finish[e2.node.index()]
-                                    } else {
-                                        finish[e2.node.index()] + e2.cost
-                                    };
-                                    dat = dat.max(arrival);
-                                }
-                                best = best.min(dat.max(ready_of(c)));
-                            }
-                            best
+                        let view = Examined {
+                            dag,
+                            examined: &examined,
+                            finish: &finish,
+                            cluster: &cluster,
+                            cluster_ready: &cluster_ready,
                         };
-                        let before = np_estimate(None);
-                        let after = np_estimate(Some((mc, ms + dag.weight(n))));
+                        let before = view.np_estimate(np, None);
+                        let after = view.np_estimate(np, Some((mc, ms + dag.weight(n))));
                         if after > before {
                             accept_merge = false;
                         }
@@ -239,6 +265,98 @@ mod tests {
     use crate::Scheduler;
     use fastsched_dag::examples::{chain, fork_join, paper_figure1};
     use fastsched_schedule::validate;
+
+    use fastsched_workloads::{random_layered_dag, RandomDagConfig, TimingDatabase};
+    use proptest::prelude::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// DSRW estimates checked against the rescan on this thread.
+        static CHECKED: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// The DSRW estimate by rescanning `np`'s examined parents once per
+    /// distinct examined parent cluster, O(d·k): the own-cluster
+    /// estimate against every cluster's zeroed DAT after its ready time.
+    fn np_estimate_rescan(view: &Examined, np: NodeId, patched: Option<(u32, Cost)>) -> Cost {
+        let ready_of = |c: u32| match patched {
+            Some((pc, pr)) if pc == c => pr,
+            _ => view.cluster_ready[c as usize],
+        };
+        let examined_preds = || {
+            view.dag
+                .preds(np)
+                .iter()
+                .filter(|e| view.examined[e.node.index()])
+        };
+        let remote = examined_preds()
+            .map(|e| view.finish[e.node.index()] + e.cost)
+            .max()
+            .unwrap_or(0);
+        let mut best = remote;
+        for e in examined_preds() {
+            let c = view.cluster[e.node.index()];
+            let dat = examined_preds()
+                .map(|e2| {
+                    let f = view.finish[e2.node.index()];
+                    if view.cluster[e2.node.index()] == c {
+                        f
+                    } else {
+                        f + e2.cost
+                    }
+                })
+                .max()
+                .unwrap_or(0);
+            best = best.min(dat.max(ready_of(c)));
+        }
+        best
+    }
+
+    /// Every estimate DSC takes in a test build is checked here.
+    pub(super) fn check_against_rescan(
+        view: &Examined,
+        np: NodeId,
+        patched: Option<(u32, Cost)>,
+        estimate: Cost,
+    ) {
+        assert_eq!(
+            estimate,
+            np_estimate_rescan(view, np, patched),
+            "DSRW estimate of node {np}, patched {patched:?}"
+        );
+        CHECKED.with(|n| n.set(n.get() + 1));
+    }
+
+    fn checked() -> u64 {
+        CHECKED.with(Cell::get)
+    }
+
+    #[test]
+    fn dsrw_estimate_matches_the_rescan_on_paper_dags() {
+        let db = TimingDatabase::paragon();
+        let before = checked();
+        for (v, seed) in [(100, 1), (300, 2), (600, 3)] {
+            let g = random_layered_dag(&RandomDagConfig::paper(v, &db), seed);
+            let s = Dsc::new().schedule(&g, v as u32);
+            assert_eq!(validate(&g, &s), Ok(()));
+        }
+        assert!(checked() > before, "no DSRW estimate was taken");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn dsrw_estimate_matches_the_rescan_on_random_layered_dags(
+            v in 2usize..160,
+            seed in 0u64..u64::MAX,
+        ) {
+            let db = TimingDatabase::paragon();
+            let g = random_layered_dag(&RandomDagConfig::sparse(v, &db), seed);
+            let s = Dsc::new().schedule(&g, v as u32);
+            prop_assert_eq!(validate(&g, &s), Ok(()));
+        }
+    }
 
     #[test]
     fn valid_on_paper_example() {

@@ -27,17 +27,31 @@ use crate::list_common::ListState;
 use crate::scheduler::{priced, Scheduler, SchedulerError};
 use crate::workspace::{lend_eval, return_eval, untraced, Workspace};
 use fastsched_dag::{cpn_dominate_list_into, CpnListConfig, Dag, NodeId, ObnOrder};
-use fastsched_schedule::{CostModel, DeltaEvaluator, HomogeneousModel, Machine, ProcId, Schedule};
+use fastsched_schedule::{
+    data_arrival_time_with, CostModel, DeltaEvaluator, HomogeneousModel, Machine, ProcId, Schedule,
+};
 use fastsched_trace::{EvalStats, SearchTrace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// The `InitialSchedule()` placement loop of §4.2 under `model`, on
 /// the workspace's list-scheduling state: `ws.state` is reset and
-/// every node of `ws.list` placed on it, with its DATs read through
-/// `ws.dat`; message arrival and execution time are priced by `model`.
-/// The candidates of a node are the distinct processors of its parents
-/// (as the DAT lanes record them) plus the next unused processor.
+/// every node of `ws.list` placed on it; message arrival and execution
+/// time are priced by `model`. The candidates of a node are the
+/// distinct processors of its parents (as the DAT lanes record them)
+/// plus the next unused processor.
+///
+/// Each candidate is priced by its start, never by its DAT: the node
+/// is appended at the candidate's ready time, which already covers
+/// every message from a parent placed there, so one
+/// [`DatLanes::fill_bound`] pass over the parents and an O(1)
+/// [`RemoteBound::not_from`] per candidate give `max(DAT, ready)`
+/// (a walk over the parents under a model the lanes are not exact
+/// for).
+/// The winner is the first candidate with the least start, picked
+/// without a branch. A recording trace also gets each candidate's
+/// exact DAT, walked from the parents only then and not counted in
+/// `placement_pred_reads`.
 ///
 /// Under finite memory capacities the probe loop rejects over-capacity
 /// placements ([`ListState::fits`]): candidates whose lane cannot hold
@@ -46,6 +60,9 @@ use rand::{Rng, SeedableRng};
 /// (earliest start, ties to the lower id). When no processor can hold
 /// a node's footprint the loop stops with
 /// [`SchedulerError::Infeasible`].
+///
+/// [`DatLanes::fill_bound`]: crate::list_common::DatLanes::fill_bound
+/// [`RemoteBound::not_from`]: crate::list_common::RemoteBound::not_from
 fn place_by_list<M: CostModel + ?Sized>(
     model: &M,
     dag: &Dag,
@@ -64,10 +81,11 @@ fn place_by_list<M: CostModel + ?Sized>(
     state.reset(dag.node_count(), num_procs);
     dat.reset(dag, model);
     let capped = model.has_capacities();
+    let recording = trace.is_enabled();
     let mut used_procs = 0u32;
 
     for &n in list.iter() {
-        dat.fill(model, dag, state, n);
+        let bound = dat.fill_bound(model, dag, state, n);
         candidates.clear();
         candidates.extend_from_slice(dat.parent_procs());
         if used_procs < num_procs {
@@ -107,13 +125,16 @@ fn place_by_list<M: CostModel + ?Sized>(
         let mut best_p = candidates[0];
         let mut best_start = u64::MAX;
         for &p in candidates.iter() {
-            let arrival = dat.arrival(model, dag, state, n, p);
             let ready = state.ready_time(p);
-            let start = arrival.max(ready);
-            trace.candidate_probed(n.0, p.0, ready, arrival, start);
-            if start < best_start {
-                best_start = start;
-                best_p = p;
+            let start = match bound {
+                Some(bound) => ready.max(bound.not_from(p)),
+                None => ready.max(dat.arrival(model, dag, state, n, p)),
+            };
+            best_p = if start < best_start { p } else { best_p };
+            best_start = best_start.min(start);
+            if recording {
+                let arrival = data_arrival_time_with(model, dag, n, p, &state.finish, &state.proc);
+                trace.candidate_probed(n.0, p.0, ready, arrival, start);
             }
         }
         let reason = if fallback {

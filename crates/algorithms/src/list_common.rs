@@ -156,7 +156,10 @@ impl ListState {
 
     /// [`Self::place`] with an explicit duration, for cost models
     /// where execution time depends on the processor (heterogeneous
-    /// speeds).
+    /// speeds). A slot that starts after the lane's last start is
+    /// pushed in O(1) and becomes the processor's ready time — every
+    /// placement of an appending core (FAST, ETF, DLS) — and only a
+    /// real insertion binary-searches its position.
     pub fn place_with_duration(
         &mut self,
         dag: &Dag,
@@ -168,11 +171,13 @@ impl ListState {
         debug_assert!(p.0 < self.num_procs);
         let fin = start + duration;
         let lane = &mut self.lanes[p.index()];
-        let pos = lane.partition_point(|&(s, _, _)| s < start);
-        if pos == lane.len() {
+        if lane.last().is_none_or(|&(s, _, _)| s < start) {
             self.ready[p.index()] = fin;
+            lane.push((start, fin, n));
+        } else {
+            let pos = lane.partition_point(|&(s, _, _)| s < start);
+            lane.insert(pos, (start, fin, n));
         }
-        lane.insert(pos, (start, fin, n));
         self.mem[p.index()] = self.mem[p.index()].saturating_add(dag.mem(n));
         self.finish[n.index()] = fin;
         self.proc[n.index()] = p;
@@ -203,19 +208,34 @@ impl ListState {
 /// placed, so the values are final), in flat processor-indexed lanes.
 ///
 /// `DAT(n, P)` is the all-remote bound unless `P` hosts a parent, whose
-/// message is then priced co-located. [`DatLanes::fill`] prices a node
-/// in one branch-free pass over its parents into lanes sized to the
-/// machine: per processor, the number of the fill that last touched it,
-/// the latest co-located arrival and the latest remote arrival, plus
-/// the distinct parent processors in pred (id-sorted) order, first
-/// occurrence. One pass over those `k ≤ d` processors then takes the
-/// top two remote arrivals: `DAT(n, q)` is the larger of `q`'s
-/// co-located arrival and the top remote arrival *not sent from `q`* —
-/// the top one, or the second-best when `q` sent the top one — and the
-/// top one is the all-remote bound. A fill is O(in-degree), so filling
-/// every node is O(e), the paper's §4.2 bound, and
-/// [`DatLanes::arrival`] then reads `DAT(n, p)` of the filled node in
-/// O(1), with no per-node or per-edge lane in between.
+/// message is then priced co-located. A fill prices a node in one
+/// branch-free pass over its parents. The pass records the distinct
+/// parent processors in pred (id-sorted) order, first occurrence, with
+/// a per-processor stamp (the number of the fill that last touched the
+/// processor), and streams the **top two** remote arrivals
+/// ([`RemoteBound`]): the top one `top`, the processor `top_p` that
+/// sent it, and `second`, the best remote arrival sent from any
+/// processor other than `top_p`. So the best remote arrival *not sent
+/// from `q`* is `second` when `q == top_p` and `top` otherwise, and
+/// `top` is the all-remote bound.
+/// A fill is O(in-degree), so filling every node is O(e), the paper's
+/// §4.2 bound, with no per-node or per-edge lane in between.
+///
+/// Two fills share that pass:
+///
+/// - [`DatLanes::fill_bound`], for FAST's §4.2 placement, keeps nothing
+///   else. FAST appends each node at a processor's ready time, every
+///   duration is at least 1 and a co-located message costs 0, so the
+///   ready time of `q` is the latest finish on `q` and covers every
+///   co-located arrival: `max(ready(q), DAT(n, q))` equals
+///   `max(ready(q), best remote arrival not sent from q)`, which the
+///   returned [`RemoteBound`] prices in O(1).
+/// - [`DatLanes::fill`], for cores that read exact DATs (HEFT, ETF, DLS
+///   and ISH place before a ready time or compare DATs across nodes),
+///   also keeps each parent processor's latest co-located arrival and
+///   folds the top two into it, so [`DatLanes::arrival`] reads
+///   `DAT(n, p)` of the filled node in O(1): `q`'s co-located lane when
+///   `q` hosts a parent, `top` otherwise.
 ///
 /// FAST and HEFT price only the node they filled last. ETF, DLS and
 /// ISH probe a ready node again in later steps, so
@@ -240,18 +260,26 @@ impl ListState {
 /// processors ([`DatLanes::parent_procs`]), FAST's §4.2 candidate set.
 #[derive(Debug, Default)]
 pub struct DatLanes {
-    /// Per processor: what the last fill recorded there.
-    by_proc: Vec<FillLane>,
+    /// Per processor: the fill that last touched it. Fills are
+    /// numbered across resets, so a stale number never matches.
+    stamp: Vec<u64>,
+    /// Per processor, after an exact fill: `DAT(n, p)` of the node it
+    /// filled — the latest co-located arrival from its parents there,
+    /// or the best remote arrival not sent from `p` if that is later.
+    /// Grown by the first exact fill, so FAST never sizes it.
+    local: Vec<Cost>,
     /// The last fill's distinct parent processors, first occurrence,
     /// in the first `k` entries. One longer than the machine: every
     /// parent writes the next entry before knowing whether it is new.
     order: Vec<ProcId>,
     k: usize,
-    /// The last fill's all-remote bound.
-    top: Cost,
-    /// Number of the latest fill, and the node it filled.
+    /// The last fill's top two remote arrivals.
+    bound: RemoteBound,
+    /// Number of the latest fill, the node it filled, and whether it
+    /// kept the co-located lanes.
     fills: u64,
     last: Option<NodeId>,
+    exact: bool,
     /// Per node: whether its entry was persisted this run, its
     /// all-remote bound and its pair count.
     valid: Vec<bool>,
@@ -260,24 +288,58 @@ pub struct DatLanes {
     /// Persisted `(proc, DAT)` pairs, in each node's pred-CSR span.
     procs: Vec<ProcId>,
     dats: Vec<Cost>,
-    /// Pred-lane entries read since the last reset, by `fill` and by
+    /// Pred-lane entries read since the last reset, by the fills and by
     /// the direct parent walk.
     pred_reads: u64,
     /// Whether the lanes price DATs this run.
     cached: bool,
 }
 
-/// What one fill recorded on one processor.
+/// The top two remote arrivals of a node's parents under a model that
+/// prices messages by co-location only: the top arrival `top` (the
+/// all-remote bound), the processor `top_p` that sent it (`u32::MAX`
+/// while it is 0), and `second`, the best arrival sent from any other
+/// processor. The best remote arrival *not sent from `q`* is then
+/// `second` when `q == top_p` and `top` otherwise.
 #[derive(Debug, Default, Clone, Copy)]
-struct FillLane {
-    /// The fill that last touched the processor. Fills are numbered
-    /// across resets, so a stale number never matches.
-    fill: u64,
-    /// The latest co-located arrival from that fill's parents there;
-    /// once the fill is done, `DAT(n, p)` of the node it filled.
-    local: Cost,
-    /// The latest remote arrival from that fill's parents there.
-    remote: Cost,
+pub struct RemoteBound {
+    top: Cost,
+    top_p: u32,
+    second: Cost,
+}
+
+impl RemoteBound {
+    /// No parent yet.
+    const NONE: Self = Self {
+        top: 0,
+        top_p: u32::MAX,
+        second: 0,
+    };
+
+    /// Stream one parent's remote arrival from `p`, with mask selects:
+    /// a parent not sent from `top_p` raises `second` to the smaller of
+    /// its arrival and the old `top` (the old `top` itself when it takes
+    /// the top spot from another processor), and a parent beating `top`
+    /// makes `p` the top sender.
+    #[inline(always)]
+    fn push(&mut self, p: ProcId, remote: Cost) {
+        let other = Cost::from(p.0 != self.top_p).wrapping_neg();
+        self.second = self.second.max(self.top.min(remote) & other);
+        let takes = u32::from(remote > self.top).wrapping_neg();
+        self.top_p = (p.0 & takes) | (self.top_p & !takes);
+        self.top = self.top.max(remote);
+    }
+
+    /// The best remote arrival not sent from `p`. For a node appended
+    /// at `p`'s ready time `ready` its start `max(ready, DAT)` is
+    /// `max(ready, not_from(p))`: placement only appends, every
+    /// duration is at least 1 and a co-located message costs 0, so
+    /// `ready` covers every co-located arrival.
+    #[inline]
+    pub fn not_from(self, p: ProcId) -> Cost {
+        let sender = Cost::from(p.0 == self.top_p).wrapping_neg();
+        (self.second & sender) | (self.top & !sender)
+    }
 }
 
 impl DatLanes {
@@ -317,10 +379,54 @@ impl DatLanes {
     }
 
     /// Fill the lanes for `n` against current placements (all parents
-    /// must be placed — the values are final once `n` is ready). The
-    /// distinct parent processors are recorded under every model; the
-    /// DATs are priced only when the lanes are exact for the model.
+    /// must be placed — the values are final once `n` is ready), for
+    /// exact DAT reads through [`DatLanes::arrival`]. The distinct
+    /// parent processors are recorded under every model; the DATs are
+    /// priced only when the lanes are exact for the model.
     pub fn fill<M: CostModel + ?Sized>(
+        &mut self,
+        model: &M,
+        dag: &Dag,
+        state: &ListState,
+        n: NodeId,
+    ) {
+        self.pass::<M, true>(model, dag, state, n);
+        if self.cached {
+            let bound = self.bound;
+            for &p in &self.order[..self.k] {
+                let local = &mut self.local[p.index()];
+                *local = (*local).max(bound.not_from(p));
+            }
+        }
+    }
+
+    /// Fill only what an appending placement reads for `n`: the
+    /// distinct parent processors and the top two remote arrivals, no
+    /// co-located lane. Returns the [`RemoteBound`] that prices `n`'s
+    /// candidates when the lanes are exact for `model`, and `None`
+    /// otherwise (read [`DatLanes::arrival`] then, which walks the
+    /// parents). Sound only for a placement that appends every node at
+    /// a processor's ready time (FAST's §4.2 loop).
+    pub fn fill_bound<M: CostModel + ?Sized>(
+        &mut self,
+        model: &M,
+        dag: &Dag,
+        state: &ListState,
+        n: NodeId,
+    ) -> Option<RemoteBound> {
+        self.pass::<M, false>(model, dag, state, n);
+        self.cached.then_some(self.bound)
+    }
+
+    /// The one pass over `n`'s parents behind both fills. A parent on
+    /// a processor this fill has not seen yet appends it to `order`:
+    /// the entry is written either way and `k` advances by the `fresh`
+    /// bit. With `LOCAL` the processor's co-located maximum is kept or
+    /// restarted through an all-ones-or-zero mask. The top two remote
+    /// arrivals stream through [`RemoteBound::push`]. Lanes and flags
+    /// are read into locals first, so the loop keeps them in registers.
+    #[inline(always)]
+    fn pass<M: CostModel + ?Sized, const LOCAL: bool>(
         &mut self,
         model: &M,
         dag: &Dag,
@@ -329,65 +435,59 @@ impl DatLanes {
     ) {
         let (src, cost) = dag.pred_lanes(n);
         let np = state.num_procs() as usize;
-        if self.by_proc.len() < np {
-            self.by_proc.resize(np, FillLane::default());
+        if self.stamp.len() < np {
+            self.stamp.resize(np, 0);
             self.order.resize(np + 1, ProcId(0));
+        }
+        if LOCAL && self.local.len() < np {
+            self.local.resize(np, 0);
         }
         self.fills += 1;
         self.pred_reads += src.len() as u64;
         let fill = self.fills;
+        let cached = self.cached;
         // Every processor but the sender prices a message alike, so a
         // remote arrival is priced against one of them. A
         // one-processor machine hosts every parent and never reads it.
-        let priced_remote = self.cached && np > 1;
-        // One pass over the parents. A parent on a processor this fill
-        // has not seen yet appends it to `order` and restarts its two
-        // running maxima: the entry is written either way and `k`
-        // advances by the `fresh` bit, and the old maxima are kept
-        // through an all-ones-or-zero mask.
+        let priced_remote = cached && np > 1;
+        let procs = &state.proc[..];
+        let finishes = &state.finish[..procs.len()];
+        let (stamp, order, locals) = (
+            &mut self.stamp[..],
+            &mut self.order[..],
+            &mut self.local[..],
+        );
+        let mut bound = RemoteBound::NONE;
         let mut k = 0usize;
         for (&t, &c) in src.iter().zip(cost) {
-            debug_assert!(state.placed[t as usize]);
-            let p = state.proc[t as usize];
-            let lane = &mut self.by_proc[p.index()];
-            let fresh = lane.fill != fill;
-            lane.fill = fill;
-            self.order[k] = p;
+            let t = t as usize;
+            debug_assert!(state.placed[t]);
+            let p = procs[t];
+            let seen = &mut stamp[p.index()];
+            let fresh = *seen != fill;
+            *seen = fill;
+            order[k] = p;
             k += usize::from(fresh);
-            if self.cached {
-                let keep = Cost::from(fresh).wrapping_sub(1);
-                let finish = state.finish[t as usize];
-                let local = finish + model.message_cost(c, p, p);
-                lane.local = (lane.local & keep).max(local);
+            if cached {
+                let finish = finishes[t];
+                if LOCAL {
+                    let keep = Cost::from(fresh).wrapping_sub(1);
+                    let local = finish + model.message_cost(c, p, p);
+                    let lane = &mut locals[p.index()];
+                    *lane = (*lane & keep).max(local);
+                }
                 let remote = if priced_remote {
                     finish + model.message_cost(c, p, ProcId(u32::from(p.0 == 0)))
                 } else {
                     0
                 };
-                lane.remote = (lane.remote & keep).max(remote);
-            }
-        }
-        // One pass over the parent processors: the top two remote
-        // maxima give each one's best arrival from the *other*
-        // processors.
-        let (mut top, mut top_p, mut second) = (0, ProcId(u32::MAX), 0);
-        if self.cached {
-            for &p in &self.order[..k] {
-                let r = self.by_proc[p.index()].remote;
-                if r > top {
-                    (second, top, top_p) = (top, r, p);
-                } else if r > second {
-                    second = r;
-                }
-            }
-            for &p in &self.order[..k] {
-                let local = &mut self.by_proc[p.index()].local;
-                *local = (*local).max(if p == top_p { second } else { top });
+                bound.push(p, remote);
             }
         }
         self.k = k;
-        self.top = top;
+        self.bound = bound;
         self.last = Some(n);
+        self.exact = LOCAL;
     }
 
     /// The distinct processors hosting the parents of the node filled
@@ -398,10 +498,10 @@ impl DatLanes {
         &self.order[..self.k]
     }
 
-    /// `DAT(n, p)` of `n`, the node filled last: an O(1) lane read when
-    /// the lanes are exact for `model` (the model this set was
-    /// [`DatLanes::reset`] with), a direct walk over the parents
-    /// otherwise.
+    /// `DAT(n, p)` of `n`, the node [`DatLanes::fill`]ed last: an O(1)
+    /// lane read when the lanes are exact for `model` (the model this
+    /// set was [`DatLanes::reset`] with), a direct walk over the
+    /// parents otherwise.
     #[inline]
     pub fn arrival<M: CostModel + ?Sized>(
         &mut self,
@@ -454,16 +554,17 @@ impl DatLanes {
     /// `DAT(last, p)` from the processor lanes.
     #[inline]
     fn lane(&self, p: ProcId) -> Cost {
-        let lane = &self.by_proc[p.index()];
-        if lane.fill == self.fills {
-            lane.local
+        debug_assert!(self.exact, "the last fill kept no co-located lane");
+        if self.stamp[p.index()] == self.fills {
+            self.local[p.index()]
         } else {
-            self.top
+            self.bound.top
         }
     }
 
     /// Copy the last fill, of `n`, into `n`'s persisted entry.
     fn persist(&mut self, dag: &Dag, n: NodeId) {
+        debug_assert!(self.exact);
         if self.procs.len() < dag.edge_count() {
             self.procs.resize(dag.edge_count(), ProcId(0));
             self.dats.resize(dag.edge_count(), 0);
@@ -476,9 +577,9 @@ impl DatLanes {
         let lo = dag.pred_offsets()[i] as usize;
         for (j, &q) in self.order[..self.k].iter().enumerate() {
             self.procs[lo + j] = q;
-            self.dats[lo + j] = self.by_proc[q.index()].local;
+            self.dats[lo + j] = self.local[q.index()];
         }
-        self.remote[i] = self.top;
+        self.remote[i] = self.bound.top;
         self.len[i] = self.k as u32;
         self.valid[i] = true;
     }
@@ -781,10 +882,18 @@ mod tests {
         // then waits for the second-best (from processor 0).
         let top_is_probed = [(2, 1, 0, 10), (3, 0, 0, 8), (4, 1, 2, 1)];
         let one_proc_machine = [(2, 0, 0, 10), (3, 0, 2, 4)];
+        // The streamed top moves from processor 0 to 1 and back to 0,
+        // which leaves 1's arrival as the second-best.
+        let top_returns = [(1, 0, 0, 4), (1, 1, 0, 6), (1, 0, 1, 7)];
+        // The top moves from 0 to 1 and rises again on 1: 0's arrival
+        // stays the second-best.
+        let top_stays = [(1, 0, 0, 4), (1, 1, 0, 6), (1, 1, 1, 8)];
         for (name, parents, procs, plain) in [
             ("one proc", &one_proc[..], 4, [12, 6, 12, 12]),
             ("tied", &tied[..], 4, [11, 11, 11, 11]),
             ("top is probed", &top_is_probed[..], 4, [12, 11, 12, 12]),
+            ("top returns", &top_returns[..], 4, [7, 9, 9, 9]),
+            ("top stays", &top_stays[..], 4, [10, 5, 10, 10]),
             (
                 "one-processor machine",
                 &one_proc_machine[..],
@@ -853,6 +962,19 @@ mod tests {
                 parents.len() as u64,
                 "{name}/{model_name}: one read per parent"
             );
+            // Every parent was appended, so each processor's ready time
+            // covers its co-located arrivals and the bound-only fill
+            // gives the same appended start.
+            let bound = lanes.fill_bound(model, &g, &m, child).unwrap();
+            for pi in 0..procs {
+                let p = ProcId(pi);
+                let dat = data_arrival_time_with(model, &g, child, p, &m.finish, &m.proc);
+                assert_eq!(
+                    bound.not_from(p).max(m.ready_time(p)),
+                    dat.max(m.ready_time(p)),
+                    "{name}/{model_name}: appended start on proc {pi}"
+                );
+            }
         }
         lanes.reset(&g, &HomogeneousModel);
         for (pi, &want) in plain.iter().enumerate() {

@@ -11,16 +11,24 @@
 //! least-loaded used processor. The node takes the first candidate
 //! with the minimum `max(DAT, ready)`. Placements must agree node for
 //! node, and so must the node a binding capacity makes infeasible.
+//!
+//! FAST prices a candidate by its start bound, not by its DAT, so the
+//! provenance a recording run reports is checked apart: every
+//! `Candidate` event must carry the candidate's exact DAT, walked here
+//! from the placements the `Placed` events replay, its ready time and
+//! `start = max(ready, DAT)`; and recording must leave the run's
+//! `EvalStats` and schedule unchanged.
 
 #[allow(dead_code)]
 mod shapes;
 
-use fastsched::algorithms::{Fast, SchedulerError};
+use fastsched::algorithms::{Fast, Scheduler, SchedulerError, Workspace};
 use fastsched::dag::{Cost, Dag, DagBuilder, NodeId};
 use fastsched::schedule::{
-    data_arrival_time_with, AlphaBeta, CostModel, Hierarchical, HomogeneousModel, MemoryCapacities,
-    ProcId, ProcessorSpeeds,
+    data_arrival_time_with, AlphaBeta, CommModel, CostModel, Hierarchical, HomogeneousModel,
+    Machine, MemoryCapacities, ProcId, ProcessorSpeeds,
 };
+use fastsched::trace::{SearchTrace, TraceEvent};
 use fastsched::workloads::fuzz::assign_mems;
 use proptest::prelude::*;
 
@@ -124,8 +132,9 @@ fn fast(model: &dyn CostModel, dag: &Dag, procs: u32) -> (Replay, Vec<NodeId>) {
 
 /// The models of the comparison, on `procs` processors: plain, α–β,
 /// one- and two-group hierarchies, capacities that never bind and
-/// capacities that do (over α–β), and speeds.
-fn models(dag: &Dag, procs: u32) -> Vec<(&'static str, Box<dyn CostModel>)> {
+/// capacities that do (over α–β), and speeds — as the machines a
+/// request names, so a recording run can price them too.
+fn models(dag: &Dag, procs: u32) -> Vec<(&'static str, Machine)> {
     let total = dag.total_memory();
     let max_mem = dag.mems().iter().copied().max().unwrap_or(0);
     // Room for a fraction of the footprint per lane: FAST's preferred
@@ -134,63 +143,68 @@ fn models(dag: &Dag, procs: u32) -> Vec<(&'static str, Box<dyn CostModel>)> {
     let speeds = (0..procs)
         .map(|p| [100, 200, 50, 150][p as usize % 4])
         .collect();
-    let mut out: Vec<(&'static str, Box<dyn CostModel>)> = vec![
-        ("plain", Box::new(HomogeneousModel)),
-        ("alpha-beta", Box::new(AlphaBeta::new(25, 3, 2))),
+    let alpha_beta = CommModel::AlphaBeta(AlphaBeta::new(25, 3, 2));
+    let mut out: Vec<(&'static str, Machine)> = vec![
+        ("plain", Machine::Homogeneous),
+        ("alpha-beta", alpha_beta.clone().into()),
         (
             "one-group hier",
-            Box::new(
+            CommModel::Hierarchical(
                 Hierarchical::from_group_sizes(
                     &[procs],
                     AlphaBeta::new(4, 1, 1),
                     AlphaBeta::new(40, 2, 1),
                 )
                 .unwrap(),
-            ),
+            )
+            .into(),
         ),
         (
             "loose caps",
-            Box::new(MemoryCapacities::uniform(
-                HomogeneousModel,
-                total.max(1),
-                procs,
-            )),
+            MemoryCapacities::uniform(CommModel::Ideal, total.max(1), procs).into(),
         ),
         (
             "binding caps",
-            Box::new(MemoryCapacities::uniform(
-                AlphaBeta::new(25, 3, 2),
-                binding,
-                procs,
-            )),
+            MemoryCapacities::uniform(alpha_beta, binding, procs).into(),
         ),
-        ("speeds", Box::new(ProcessorSpeeds::new(speeds))),
+        ("speeds", ProcessorSpeeds::new(speeds).into()),
     ];
     if procs >= 2 {
         let half = procs / 2;
         out.push((
             "two-group hier",
-            Box::new(
+            CommModel::Hierarchical(
                 Hierarchical::from_group_sizes(
                     &[half, procs - half],
                     AlphaBeta::new(0, 1, 1),
                     AlphaBeta::new(30, 2, 1),
                 )
                 .unwrap(),
-            ),
+            )
+            .into(),
         ));
     }
     out
+}
+
+/// The cost model `machine` prices with.
+fn model_of(machine: &Machine) -> &dyn CostModel {
+    match machine {
+        Machine::Homogeneous => &HomogeneousModel,
+        Machine::Comm(m) => m,
+        Machine::Speeds(m) => m,
+    }
 }
 
 /// Check FAST against the replay under every model; returns how many
 /// nodes of feasible cases the replay placed after widening.
 fn check(name: &str, dag: &Dag, procs: u32) -> usize {
     let mut widened = 0;
-    for (model_name, model) in models(dag, procs) {
-        let (got, list) = fast(model.as_ref(), dag, procs);
+    for (model_name, machine) in models(dag, procs) {
+        let model = model_of(&machine);
+        let (got, list) = fast(model, dag, procs);
         let mut widened_here = 0;
-        let want = replay(model.as_ref(), dag, &list, procs, &mut widened_here);
+        let want = replay(model, dag, &list, procs, &mut widened_here);
         if got.is_ok() {
             widened += widened_here;
         }
@@ -208,6 +222,94 @@ fn check(name: &str, dag: &Dag, procs: u32) -> usize {
         }
     }
     widened
+}
+
+/// Check the provenance of a recording FAST run on `machine` against
+/// the placements it reports, and its counters and schedule against
+/// an untraced run. Returns how many candidates reported a DAT above
+/// their start bound from remote parents alone, i.e. bound by a
+/// co-located parent.
+fn check_provenance(name: &str, dag: &Dag, procs: u32, machine: &Machine) -> usize {
+    let run = |trace: &mut SearchTrace| {
+        Fast::new().run(dag, procs, machine, &mut Workspace::new(), trace)
+    };
+    let (mut plain, mut recording) = (SearchTrace::default(), SearchTrace::recording());
+    let (untraced, traced) = (run(&mut plain), run(&mut recording));
+    assert_eq!(traced, untraced, "{name}: recording changed the run");
+    assert_eq!(
+        recording.eval, plain.eval,
+        "{name}: recording changed the counters"
+    );
+
+    let model = model_of(machine);
+    let v = dag.node_count();
+    let (mut finish, mut proc) = (vec![0; v], vec![ProcId(0); v]);
+    let mut ready: Vec<Cost> = vec![0; procs as usize];
+    let (mut candidates, mut colocated) = (0, 0);
+    for event in recording.to_events() {
+        match event {
+            TraceEvent::Candidate {
+                node,
+                proc: p,
+                ready: r,
+                dat,
+                start,
+            } => {
+                let (n, p) = (NodeId(node as u32), ProcId(p as u32));
+                let want = data_arrival_time_with(model, dag, n, p, &finish, &proc);
+                assert_eq!(dat, want, "{name}: DAT of node {n} on {p:?}");
+                assert_eq!(
+                    r,
+                    ready[p.index()],
+                    "{name}: ready time of {p:?} for node {n}"
+                );
+                assert_eq!(start, r.max(want), "{name}: start of node {n} on {p:?}");
+                let remote_only = dag
+                    .preds(n)
+                    .iter()
+                    .filter(|e| proc[e.node.index()] != p)
+                    .map(|e| {
+                        finish[e.node.index()] + model.message_cost(e.cost, proc[e.node.index()], p)
+                    })
+                    .max()
+                    .unwrap_or(0);
+                colocated += usize::from(dat > remote_only);
+                candidates += 1;
+            }
+            TraceEvent::Placed {
+                node,
+                proc: p,
+                start,
+                ..
+            } => {
+                let (n, p) = (NodeId(node as u32), ProcId(p as u32));
+                let end = start + model.compute_cost(dag, n, p);
+                (finish[n.index()], proc[n.index()]) = (end, p);
+                ready[p.index()] = end;
+            }
+            _ => {}
+        }
+    }
+    assert!(candidates >= v.min(1), "{name}: no candidate recorded");
+    colocated
+}
+
+#[test]
+fn recorded_candidates_carry_the_exact_dat() {
+    let mut colocated = 0;
+    for (name, dag) in shapes::sweep() {
+        let dag = assign_mems(&dag, 7);
+        for (model_name, machine) in models(&dag, shapes::PROCS) {
+            let label = format!("{name} {model_name}");
+            colocated += check_provenance(&label, &dag, shapes::PROCS, &machine);
+        }
+    }
+    // A candidate whose DAT comes from a co-located parent is where the
+    // DAT and the start bound differ; the sweep must reach some.
+    assert!(
+        colocated > 0,
+        "no candidate's DAT came from a co-located parent"
+    );
 }
 
 #[test]
