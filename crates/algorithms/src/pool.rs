@@ -8,12 +8,10 @@
 //! construction, keeps one [`Workspace`] per thread for its whole
 //! life, and feeds the threads jobs through a **bounded** queue:
 //!
-//! * [`WorkerPool::try_submit`] is the admission-control edge — it
-//!   never blocks, and returns the job to the caller when the queue is
+//! * [`WorkerPool::try_submit`] is the one admission call — it never
+//!   blocks, and returns the job to the caller when the queue is
 //!   full, so the caller can turn backpressure into an explicit
 //!   "overloaded" rejection instead of unbounded memory growth;
-//! * [`WorkerPool::submit`] blocks until a slot frees, for callers
-//!   (benchmarks, batch drivers) that want lossless delivery;
 //! * [`WorkerPool::try_claim`] lets the caller run a job itself in
 //!   place of an idle worker when nothing is queued, which saves the
 //!   hand-off to another thread and back;
@@ -37,19 +35,16 @@
 //! belongs in a drop guard inside the job, which runs during the
 //! unwind.
 //!
-//! The pool is **self-instrumenting**: each workspace has a
-//! [`PoolShard`] of lock-free metrics ([`fastsched_metrics`]) —
-//! jobs executed, queue-wait histogram (enqueue to pop; zero for a
-//! claimed run) and job-run histogram, all in microseconds. A shard is
-//! written only by the job holding its workspace, so recording never
-//! contends; a scrape merges the shard
-//! snapshots via [`PoolMetrics::merged_queue_us`] /
-//! [`PoolMetrics::merged_run_us`]. Construction via
-//! [`WorkerPool::with_metrics`]`(…, false)` turns the clock reads
-//! off entirely for overhead-sensitive callers.
+//! The pool is **self-instrumenting**, always: each workspace has a
+//! shard of lock-free histograms ([`fastsched_metrics`]) —
+//! queue wait (enqueue to pop; zero for a claimed run) and job run
+//! time, both in microseconds. A shard is written only by the job
+//! holding its workspace, so recording never contends; a scrape
+//! merges the shard snapshots via [`PoolMetrics::merged_queue_us`] /
+//! [`PoolMetrics::merged_run_us`].
 
 use crate::workspace::Workspace;
-use fastsched_metrics::{Counter, Histogram, HistogramSnapshot};
+use fastsched_metrics::{Histogram, HistogramSnapshot};
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -62,42 +57,21 @@ pub type Job = Box<dyn FnOnce(usize, &mut Workspace) + Send + 'static>;
 /// One workspace's metrics shard. Written only by the job holding
 /// that workspace; read (snapshotted) by scrapers at any time.
 #[derive(Default)]
-pub struct PoolShard {
-    /// Jobs run with this workspace (including panicked ones).
-    pub jobs: Counter,
+struct PoolShard {
     /// Microseconds each job spent queued (enqueue to worker pop;
     /// zero for a claimed run).
-    pub queue_us: Histogram,
-    /// Microseconds each job spent running.
-    pub run_us: Histogram,
+    queue_us: Histogram,
+    /// Microseconds each job spent running (including panicked ones).
+    run_us: Histogram,
 }
 
 /// Per-worker metrics shards for one [`WorkerPool`], merged at scrape
 /// time. See the [module docs](self).
 pub struct PoolMetrics {
     shards: Vec<PoolShard>,
-    enabled: bool,
 }
 
 impl PoolMetrics {
-    fn new(workers: usize, enabled: bool) -> Self {
-        Self {
-            shards: (0..workers).map(|_| PoolShard::default()).collect(),
-            enabled,
-        }
-    }
-
-    /// Whether timing instrumentation is active. When `false` the
-    /// pool skips every clock read and histogram write.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// The per-worker shards, indexed by worker.
-    pub fn shards(&self) -> &[PoolShard] {
-        &self.shards
-    }
-
     /// Queue-wait distribution merged across all workers.
     pub fn merged_queue_us(&self) -> HistogramSnapshot {
         self.merged(|s| &s.queue_us)
@@ -118,9 +92,8 @@ impl PoolMetrics {
 }
 
 struct QueueState {
-    /// Each entry carries its enqueue instant (`None` when metrics
-    /// are disabled, so the off path never touches the clock).
-    jobs: VecDeque<(Option<Instant>, Job)>,
+    /// Each entry carries its enqueue instant.
+    jobs: VecDeque<(Instant, Job)>,
     /// Indices of the workspaces no running job holds.
     idle: Vec<usize>,
     closing: bool,
@@ -130,8 +103,6 @@ struct Shared {
     state: Mutex<QueueState>,
     /// Workers sleep here while there is no job or no idle workspace.
     job_ready: Condvar,
-    /// Blocking submitters sleep here when the queue is full.
-    slot_free: Condvar,
     capacity: usize,
     /// One per worker thread. Whoever took index `i` out of
     /// [`QueueState::idle`] is the only user of `workspaces[i]`, so
@@ -141,11 +112,9 @@ struct Shared {
 
 impl Shared {
     /// Run `job` with workspace `index`, which the caller holds:
-    /// counted, timed and panic-isolated the same way wherever it runs.
+    /// timed and panic-isolated the same way wherever it runs.
     fn run(&self, metrics: &PoolMetrics, index: usize, job: impl FnOnce(usize, &mut Workspace)) {
-        let shard = &metrics.shards[index];
-        shard.jobs.inc();
-        let started = metrics.enabled.then(Instant::now);
+        let started = Instant::now();
         let mut ws = self.workspaces[index].lock().expect("workspace lock");
         // Isolate job panics: one hostile request must not cost the
         // pool a worker for the rest of the process lifetime. The
@@ -154,9 +123,9 @@ impl Shared {
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             job(index, &mut ws);
         }));
-        if let Some(t0) = started {
-            shard.run_us.record(t0.elapsed().as_micros() as u64);
-        }
+        metrics.shards[index]
+            .run_us
+            .record(started.elapsed().as_micros() as u64);
         if result.is_err() {
             eprintln!("fastsched worker {index}: job panicked; worker continues");
             *ws = Workspace::new();
@@ -175,23 +144,16 @@ pub struct WorkerPool {
 
 impl WorkerPool {
     /// Spawn `threads` workers (`0` = all available cores) behind a
-    /// queue bounded at `queue_depth` pending jobs (min 1), with
-    /// timing instrumentation on.
+    /// queue bounded at `queue_depth` pending jobs (min 1).
     pub fn new(threads: usize, queue_depth: usize) -> Self {
-        Self::with_metrics(threads, queue_depth, true)
-    }
-
-    /// Like [`WorkerPool::new`], but with timing instrumentation
-    /// explicitly on or off. With `record_timings == false` the pool
-    /// never reads the clock or touches a histogram (the job counter
-    /// still ticks — it's one relaxed add).
-    pub fn with_metrics(threads: usize, queue_depth: usize, record_timings: bool) -> Self {
         let threads = if threads == 0 {
             std::thread::available_parallelism().map_or(1, |n| n.get())
         } else {
             threads
         };
-        let metrics = Arc::new(PoolMetrics::new(threads, record_timings));
+        let metrics = Arc::new(PoolMetrics {
+            shards: (0..threads).map(|_| PoolShard::default()).collect(),
+        });
         let shared = Arc::new(Shared {
             state: Mutex::new(QueueState {
                 jobs: VecDeque::new(),
@@ -199,7 +161,6 @@ impl WorkerPool {
                 closing: false,
             }),
             job_ready: Condvar::new(),
-            slot_free: Condvar::new(),
             capacity: queue_depth.max(1),
             workspaces: (0..threads).map(|_| Mutex::new(Workspace::new())).collect(),
         });
@@ -226,16 +187,6 @@ impl WorkerPool {
     /// The pool's per-worker metrics shards.
     pub fn metrics(&self) -> &PoolMetrics {
         &self.metrics
-    }
-
-    /// The enqueue timestamp for a new queue entry: only taken when
-    /// instrumentation is on.
-    fn enqueue_stamp(&self) -> Option<Instant> {
-        if self.metrics.enabled {
-            Some(Instant::now())
-        } else {
-            None
-        }
     }
 
     /// Pending (not yet started) jobs.
@@ -266,28 +217,12 @@ impl WorkerPool {
     /// the admission-control edge — a `Err` is the caller's cue to
     /// reject the request explicitly.
     pub fn try_submit(&self, job: Job) -> Result<(), Job> {
-        let stamp = self.enqueue_stamp();
+        let stamp = Instant::now();
         let mut state = self.shared.state.lock().expect("pool lock");
         if state.closing || state.jobs.len() >= self.shared.capacity {
             return Err(job);
         }
         state.jobs.push_back((stamp, job));
-        drop(state);
-        self.shared.job_ready.notify_one();
-        Ok(())
-    }
-
-    /// Blocking submit: wait for a queue slot. Returns the job only if
-    /// the pool is shutting down.
-    pub fn submit(&self, job: Job) -> Result<(), Job> {
-        let mut state = self.shared.state.lock().expect("pool lock");
-        while !state.closing && state.jobs.len() >= self.shared.capacity {
-            state = self.shared.slot_free.wait(state).expect("pool lock");
-        }
-        if state.closing {
-            return Err(job);
-        }
-        state.jobs.push_back((self.enqueue_stamp(), job));
         drop(state);
         self.shared.job_ready.notify_one();
         Ok(())
@@ -307,7 +242,6 @@ impl WorkerPool {
             state.closing = true;
         }
         self.shared.job_ready.notify_all();
-        self.shared.slot_free.notify_all();
         let handles: Vec<JoinHandle<()>> =
             std::mem::take(&mut *self.workers.lock().expect("pool workers lock"));
         for handle in handles {
@@ -337,13 +271,11 @@ pub struct Claim<'a> {
 
 impl Claim<'_> {
     /// Run `job` on the calling thread with the claimed workspace,
-    /// counted, timed and panic-isolated like a worker's job (its
-    /// queue wait is zero), then give the workspace back.
+    /// timed and panic-isolated like a worker's job (its queue wait
+    /// is zero), then give the workspace back.
     pub fn run(self, job: impl FnOnce(usize, &mut Workspace)) {
         let metrics = &self.pool.metrics;
-        if metrics.enabled {
-            metrics.shards[self.index].queue_us.record(0);
-        }
+        metrics.shards[self.index].queue_us.record(0);
         self.pool.shared.run(metrics, self.index, job);
     }
 }
@@ -382,11 +314,9 @@ fn worker_loop(shared: &Shared, metrics: &PoolMetrics) {
                 state = shared.job_ready.wait(state).expect("pool lock");
             }
         };
-        shared.slot_free.notify_one();
-        if let Some(enqueued) = stamp {
-            let waited = enqueued.elapsed().as_micros() as u64;
-            metrics.shards[index].queue_us.record(waited);
-        }
+        metrics.shards[index]
+            .queue_us
+            .record(stamp.elapsed().as_micros() as u64);
         shared.run(metrics, index, job);
         held = Some(index);
     }
@@ -402,16 +332,17 @@ mod tests {
 
     #[test]
     fn jobs_run_and_produce_real_schedules() {
-        let pool = WorkerPool::new(2, 8);
+        // The queue holds every job, so each one is admitted.
+        let pool = WorkerPool::new(2, 16);
         let (tx, rx) = mpsc::channel();
         for _ in 0..16 {
             let tx = tx.clone();
-            pool.submit(Box::new(move |_, ws| {
+            pool.try_submit(Box::new(move |_, ws| {
                 let dag = paper_figure1();
                 let s = Fast::new().schedule_into(&dag, 9, ws);
                 tx.send(s.makespan()).unwrap();
             }))
-            .unwrap_or_else(|_| panic!("blocking submit refused a job"));
+            .unwrap_or_else(|_| panic!("submit refused a job"));
         }
         drop(tx);
         let makespans: Vec<u64> = rx.iter().collect();
@@ -460,14 +391,14 @@ mod tests {
     #[test]
     fn panicking_job_does_not_kill_its_worker() {
         let pool = WorkerPool::new(1, 8);
-        pool.submit(Box::new(|_, _| panic!("hostile input")))
+        pool.try_submit(Box::new(|_, _| panic!("hostile input")))
             .unwrap_or_else(|_| panic!("submit failed"));
         // The single worker must survive the panic and keep producing
         // correct schedules from a sane workspace.
         let (tx, rx) = mpsc::channel();
         for _ in 0..4 {
             let tx = tx.clone();
-            pool.submit(Box::new(move |_, ws| {
+            pool.try_submit(Box::new(move |_, ws| {
                 let dag = paper_figure1();
                 let s = Fast::new().schedule_into(&dag, 9, ws);
                 tx.send(s.makespan()).unwrap();
@@ -487,7 +418,7 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         for _ in 0..8 {
             let tx = tx.clone();
-            pool.submit(Box::new(move |_, _| {
+            pool.try_submit(Box::new(move |_, _| {
                 std::thread::sleep(std::time::Duration::from_micros(200));
                 tx.send(()).unwrap();
             }))
@@ -499,24 +430,10 @@ mod tests {
         // job body (and its channel send) returns.
         pool.shutdown();
         let m = pool.metrics();
-        assert!(m.enabled());
-        let total: u64 = m.shards().iter().map(|s| s.jobs.get()).sum();
-        assert_eq!(total, 8);
         let run = m.merged_run_us();
         assert_eq!(run.count(), 8);
         assert!(run.quantile(0.5) >= 200, "p50 run {}", run.quantile(0.5));
         assert_eq!(m.merged_queue_us().count(), 8);
-
-        // Instrumentation off: jobs still counted, no timings.
-        let bare = WorkerPool::with_metrics(1, 4, false);
-        let (tx, rx) = mpsc::channel();
-        bare.submit(Box::new(move |_, _| tx.send(()).unwrap()))
-            .unwrap_or_else(|_| panic!("submit failed"));
-        rx.recv().unwrap();
-        bare.shutdown();
-        assert!(!bare.metrics().enabled());
-        assert_eq!(bare.metrics().shards()[0].jobs.get(), 1);
-        assert_eq!(bare.metrics().merged_run_us().count(), 0);
     }
 
     #[test]
@@ -559,12 +476,12 @@ mod tests {
         });
         assert_eq!(ran, Some((0, caller, 18)));
         let m = pool.metrics();
-        assert_eq!(m.shards()[0].jobs.get(), 1);
+        assert_eq!(m.merged_run_us().count(), 1);
         assert_eq!(m.merged_queue_us().count(), 1);
         assert_eq!(m.merged_queue_us().quantile(1.0), 0);
         // Given back: the worker and later claims can use it again.
         let (tx, rx) = mpsc::channel();
-        pool.submit(Box::new(move |index, _| tx.send(index).unwrap()))
+        pool.try_submit(Box::new(move |index, _| tx.send(index).unwrap()))
             .unwrap_or_else(|_| panic!("submit failed"));
         assert_eq!(rx.recv().unwrap(), 0);
         pool.shutdown();
@@ -626,6 +543,6 @@ mod tests {
                     .makespan()
             });
         assert_eq!(makespan, 18);
-        assert_eq!(pool.metrics().shards()[0].jobs.get(), 2);
+        assert_eq!(pool.metrics().merged_run_us().count(), 2);
     }
 }

@@ -11,12 +11,12 @@
 
 use fastsched_algorithms::{paper_schedulers, Scheduler, SchedulerError, Workspace};
 use fastsched_casch::machine::{self, Engine};
-use fastsched_casch::protocol::{self, json_escape, Request};
+use fastsched_casch::protocol::{self, Request};
 use fastsched_casch::{compare_algorithms, run_on_dag, Application};
 use fastsched_dag::{io, Dag, GraphAttributes};
 use fastsched_schedule::{gantt, CommModel, Machine, MemCapsSpec, ScheduleMetrics};
 use fastsched_sim::SimConfig;
-use fastsched_trace::SearchTrace;
+use fastsched_trace::{json_string, SearchTrace};
 use fastsched_workloads::TimingDatabase;
 use std::collections::{BTreeMap, HashMap};
 use std::io::{ErrorKind, Write};
@@ -28,29 +28,14 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let opts = match parse_flags(rest) {
+    let Some(&(_, run, flags, switches)) = COMMANDS.iter().find(|c| c.0 == cmd) else {
+        eprintln!("error: unknown command `{cmd}`\n\n{USAGE}");
+        return ExitCode::FAILURE;
+    };
+    let opts = match parse_flags(cmd, flags, switches, rest) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let run: fn(&Flags, Out) -> Result<(), Failure> = match cmd.as_str() {
-        "generate" => cmd_generate,
-        "info" => cmd_info,
-        "dot" => cmd_dot,
-        "schedule" => cmd_schedule,
-        "batch" => cmd_batch,
-        "serve" => cmd_serve,
-        "loadgen" => cmd_loadgen,
-        "simulate" => cmd_simulate,
-        "verify" => cmd_verify,
-        "compare" => cmd_compare,
-        "trace" => cmd_trace,
-        "explain" => cmd_explain,
-        "diff" => cmd_diff,
-        _ => {
-            eprintln!("error: unknown command `{cmd}`\n\n{USAGE}");
             return ExitCode::FAILURE;
         }
     };
@@ -75,6 +60,34 @@ fn main() -> ExitCode {
 
 /// Where a command writes its output: the locked stdout.
 type Out<'a> = &'a mut dyn Write;
+
+/// What a command runs: it reads its flags and writes to stdout.
+type Run = fn(&Flags, Out) -> Result<(), Failure>;
+
+/// Every command with its runner and the flags it reads, as
+/// space-separated names: valued flags, then switches (no value). Any
+/// other flag is refused before the command runs.
+#[rustfmt::skip]
+const COMMANDS: &[(&str, Run, &str, &str)] = &[
+    ("generate", cmd_generate, "app size seed out", ""),
+    ("info", cmd_info, "dag", ""),
+    ("dot", cmd_dot, "dag", ""),
+    ("schedule", cmd_schedule, "dag algo procs comm mem-caps gantt-width svg out-schedule trace \
+                                perfetto", "gantt"),
+    ("batch", cmd_batch, "dir manifest algo procs threads comm mem-caps out", ""),
+    ("serve", cmd_serve, "addr threads queue-depth timeout-ms max-line-bytes max-procs \
+                          metrics-addr access-log log-sample-rate", ""),
+    ("loadgen", cmd_loadgen, "dir manifest dag addr algo procs rate total duration warmup conns \
+                              timeout-ms connect-retry metrics-addr metrics-out",
+                             "check stats shutdown"),
+    ("simulate", cmd_simulate, "dag schedule topology hop send-overhead recv-overhead trace \
+                                out-report perfetto", ""),
+    ("verify", cmd_verify, "dag schedule speeds comm mem-caps report", ""),
+    ("compare", cmd_compare, "dag app size procs seed", "all"),
+    ("trace", cmd_trace, "in", ""),
+    ("explain", cmd_explain, "in dag algo procs comm mem-caps node", ""),
+    ("diff", cmd_diff, "a b dag", ""),
+];
 
 /// Why a command stopped: its one error line, or a failed write to
 /// stdout.
@@ -118,13 +131,13 @@ USAGE:
                  [--mem-caps <spec>] [--out <out.ndjson>]
   casch serve    [--addr <host:port>] [--threads <t>] [--queue-depth <n>]
                  [--timeout-ms <ms>] [--max-line-bytes <n>] [--max-procs <p>]
-                 [--metrics-addr <host:port>] [--no-metrics]
+                 [--metrics-addr <host:port>]
                  [--access-log <file.ndjson>] [--log-sample-rate <n>]
   casch loadgen  (--dir <dir> | --manifest <list.txt> | --dag <file>)
                  [--addr <host:port>] [--algo <name>] [--procs <p>]
                  [--rate <req/s>] [--total <n>] [--duration <s>]
                  [--warmup <s>] [--conns <c>] [--timeout-ms <ms>]
-                 [--check] [--stats] [--shutdown]
+                 [--connect-retry <s>] [--check] [--stats] [--shutdown]
                  [--metrics-addr <host:port>] [--metrics-out <file>]
   casch simulate --dag <file.json> --schedule <sched.json>
                  [--topology <mesh|torus|hypercube|hier:<g>|full>] [--hop <us>]
@@ -178,8 +191,8 @@ scratch, and SIGINT or `op:\"shutdown\"` drains in-flight work
 before exiting. `--metrics-addr` serves a Prometheus text exposition
 at `GET /metrics` (and the `op:\"stats\"` JSON at `/metrics.json`)
 from a dedicated thread — never a pool worker — with per-phase
-queue/schedule/serialize/write/parse/build latency histograms; `--no-metrics`
-turns request timing off entirely, `--access-log <file>` appends one
+queue/schedule/serialize/write/parse/build latency histograms (always
+recorded), `--access-log <file>` appends one
 NDJSON line per completed/rejected/timed-out request, and
 `--log-sample-rate <n>` keeps every n-th line (default 1 = all).
 
@@ -240,20 +253,20 @@ ALGORITHMS: fast, dsc, md, etf, dls, hlfet, mcp, heft, dcp, ish, ez, lc,
 
 type Flags = HashMap<String, String>;
 
-fn parse_flags(args: &[String]) -> Result<Flags, String> {
+/// Parse `args` against one [`COMMANDS`] row's flags and switches.
+fn parse_flags(cmd: &str, flags: &str, switches: &str, args: &[String]) -> Result<Flags, String> {
     let mut out = Flags::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let Some(key) = a.strip_prefix("--") else {
             return Err(format!("unexpected argument `{a}`"));
         };
-        // Boolean flags take no value.
-        if matches!(
-            key,
-            "gantt" | "all" | "check" | "stats" | "shutdown" | "no-metrics"
-        ) {
+        if switches.split_whitespace().any(|s| s == key) {
             out.insert(key.to_string(), "true".to_string());
             continue;
+        }
+        if !flags.split_whitespace().any(|f| f == key) {
+            return Err(format!("unknown flag `{a}` for `casch {cmd}`"));
         }
         let val = it
             .next()
@@ -263,30 +276,24 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
     Ok(out)
 }
 
-fn get_usize(opts: &Flags, key: &str) -> Result<usize, String> {
+/// `--key` as a number, when given.
+fn get_num<T: std::str::FromStr>(opts: &Flags, key: &str) -> Result<Option<T>, String> {
     opts.get(key)
-        .ok_or_else(|| format!("missing --{key}"))?
-        .parse()
-        .map_err(|_| format!("--{key} must be a number"))
+        .map(|v| v.parse().map_err(|_| format!("--{key} must be a number")))
+        .transpose()
 }
 
 fn get_u64_or(opts: &Flags, key: &str, default: u64) -> Result<u64, String> {
-    match opts.get(key) {
-        None => Ok(default),
-        Some(v) => v.parse().map_err(|_| format!("--{key} must be a number")),
-    }
+    Ok(get_num(opts, key)?.unwrap_or(default))
 }
 
 fn get_f64_or(opts: &Flags, key: &str, default: f64) -> Result<f64, String> {
-    match opts.get(key) {
-        None => Ok(default),
-        Some(v) => v.parse().map_err(|_| format!("--{key} must be a number")),
-    }
+    Ok(get_num(opts, key)?.unwrap_or(default))
 }
 
 fn load_app(opts: &Flags) -> Result<Application, String> {
     let name = opts.get("app").ok_or("missing --app")?;
-    let size = get_usize(opts, "size")?;
+    let size = get_num(opts, "size")?.ok_or("missing --size")?;
     let seed = get_u64_or(opts, "seed", 1)?;
     Application::from_cli(name, size, seed).ok_or_else(|| format!("unknown app `{name}`"))
 }
@@ -416,21 +423,13 @@ fn resolve_flags(opts: &Flags, node_count: usize) -> Result<(Engine, u32), Strin
     let (comm, mem) = model_flags(opts)?;
     machine::resolve(
         algo,
-        get_procs(opts)?,
+        get_num(opts, "procs")?,
         comm,
         mem,
         None,
         node_count,
         u64::MAX,
     )
-}
-
-/// `--procs`, when given.
-fn get_procs(opts: &Flags) -> Result<Option<u32>, String> {
-    match opts.get("procs") {
-        Some(v) => Ok(Some(v.parse().map_err(|_| "--procs must be a number")?)),
-        None => Ok(None),
-    }
 }
 
 fn cmd_schedule(opts: &Flags, out: Out) -> Result<(), Failure> {
@@ -572,9 +571,9 @@ fn cmd_batch(opts: &Flags, out: Out) -> Result<(), Failure> {
         };
         scheduled += 1;
         lines.push_str(&format!(
-            "{{\"dag\":\"{}\",\"nodes\":{},\"edges\":{},\"algo\":\"{}\",\
+            "{{\"dag\":{},\"nodes\":{},\"edges\":{},\"algo\":\"{}\",\
              \"procs\":{},\"threads\":{},\"makespan\":{},\"seconds\":{:.6}}}\n",
-            json_escape(&displays[i]),
+            json_string(&displays[i]),
             dags[i].node_count(),
             dags[i].edge_count(),
             name,
@@ -606,9 +605,9 @@ fn cmd_batch(opts: &Flags, out: Out) -> Result<(), Failure> {
 fn reject(lines: &mut String, rejected: &mut u64, dag: &str, error: &str) {
     *rejected += 1;
     lines.push_str(&format!(
-        "{{\"dag\":\"{}\",\"rejected\":true,\"error\":\"{}\"}}\n",
-        json_escape(dag),
-        json_escape(error)
+        "{{\"dag\":{},\"rejected\":true,\"error\":{}}}\n",
+        json_string(dag),
+        json_string(error)
     ));
     eprintln!("warning: rejected {dag}: {error}");
 }
@@ -629,7 +628,6 @@ fn cmd_serve(opts: &Flags, _out: Out) -> Result<(), Failure> {
             as usize,
         max_procs: get_u64_or(opts, "max-procs", DEFAULT_MAX_PROCS as u64)?
             .clamp(1, u32::MAX as u64) as u32,
-        metrics: !opts.contains_key("no-metrics"),
         metrics_addr: opts.get("metrics-addr").cloned(),
         access_log: opts.get("access-log").map(std::path::PathBuf::from),
         log_sample_rate: get_u64_or(opts, "log-sample-rate", 1)?.max(1),
@@ -670,8 +668,7 @@ fn cmd_loadgen(opts: &Flags, out: Out) -> Result<(), Failure> {
         .get("addr")
         .cloned()
         .unwrap_or_else(|| "127.0.0.1:4800".to_string());
-    let corpus: Vec<CorpusItem> = if opts.contains_key("dag") {
-        let path = opts.get("dag").expect("checked");
+    let corpus: Vec<CorpusItem> = if let Some(path) = opts.get("dag") {
         vec![CorpusItem {
             name: path.clone(),
             dag: load_dag(opts)?,
@@ -692,19 +689,13 @@ fn cmd_loadgen(opts: &Flags, out: Out) -> Result<(), Failure> {
         addr: addr.clone(),
         corpus,
         algo: opts.get("algo").cloned().unwrap_or_else(|| "fast".into()),
-        procs: get_procs(opts)?,
+        procs: get_num(opts, "procs")?,
         rate: get_f64_or(opts, "rate", 0.0)?,
-        total: match opts.get("total") {
-            None => None,
-            Some(_) => Some(get_u64_or(opts, "total", 0)?),
-        },
+        total: get_num(opts, "total")?,
         duration_s: get_f64_or(opts, "duration", 5.0)?,
         warmup_s: get_f64_or(opts, "warmup", 0.0)?,
         conns: get_u64_or(opts, "conns", 1)?.max(1) as usize,
-        timeout_ms: match opts.get("timeout-ms") {
-            None => None,
-            Some(_) => Some(get_u64_or(opts, "timeout-ms", 0)?),
-        },
+        timeout_ms: get_num(opts, "timeout-ms")?,
         check: opts.contains_key("check"),
         connect_retry_s: get_f64_or(opts, "connect-retry", 5.0)?,
         metrics_addr: opts.get("metrics-addr").cloned(),

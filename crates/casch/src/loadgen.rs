@@ -21,9 +21,10 @@
 //! computes.
 
 use crate::machine::scheduler_by_name;
-use crate::protocol::{json_escape, placements_json, placements_of, Request, Response};
+use crate::protocol::{placements_json, placements_of, Request, Response};
 use fastsched_algorithms::Workspace;
 use fastsched_dag::{io::DagSpec, Dag};
+use fastsched_trace::json_string;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read as _, Write};
 use std::net::TcpStream;
@@ -273,7 +274,7 @@ pub fn run(config: &LoadgenConfig) -> Result<LoadReport, String> {
         None
     };
     for item in &config.corpus {
-        let mut tmpl = format!(",\"algo\":\"{}\"", json_escape(&config.algo));
+        let mut tmpl = format!(",\"algo\":{}", json_string(&config.algo));
         if let Some(p) = config.procs {
             tmpl.push_str(&format!(",\"procs\":{p}"));
         }

@@ -74,6 +74,7 @@
 use fastsched_dag::io::DagSpec;
 use fastsched_dag::json::{self, Reader};
 use fastsched_schedule::{MemCapsSpec, Schedule};
+use fastsched_trace::json_string;
 use serde::Value;
 use std::borrow::Cow;
 use std::io::{self, BufRead};
@@ -292,9 +293,9 @@ impl ScheduleRequest {
     /// Render as one protocol line (no trailing newline).
     pub fn to_line(&self) -> String {
         let mut out = format!(
-            "{{\"op\":\"schedule\",\"id\":{},\"algo\":\"{}\"",
+            "{{\"op\":\"schedule\",\"id\":{},\"algo\":{}",
             self.id,
-            json_escape(&self.algo)
+            json_string(&self.algo)
         );
         if let Some(p) = self.procs {
             out.push_str(&format!(",\"procs\":{p}"));
@@ -619,10 +620,10 @@ impl ScheduleResponse {
     /// Render as one protocol line (no trailing newline).
     pub fn to_line(&self) -> String {
         format!(
-            "{{\"id\":{},\"ok\":true,\"algo\":\"{}\",\"procs\":{},\"makespan\":{},\
+            "{{\"id\":{},\"ok\":true,\"algo\":{},\"procs\":{},\"makespan\":{},\
              \"placements\":{},\"queue_us\":{},\"service_us\":{}}}",
             self.id,
-            json_escape(&self.algo),
+            json_string(&self.algo),
             self.procs,
             self.makespan,
             placements_json(&self.placements),
@@ -697,8 +698,7 @@ pub struct StatsSnapshot {
     pub uptime_s: u64,
     /// Per-phase latency distributions (queue / schedule / serialize
     /// / write, merged across workers, then parse / build from the
-    /// connection threads); empty when the server has phase metrics
-    /// disabled or predates them.
+    /// connection threads); empty only from servers predating them.
     pub phases: Vec<PhaseSnapshot>,
 }
 
@@ -723,9 +723,9 @@ impl StatsSnapshot {
             .iter()
             .map(|p| {
                 format!(
-                    "\"{}\":{{\"count\":{},\"p50_us\":{},\"p99_us\":{},\"p999_us\":{},\
+                    "{}:{{\"count\":{},\"p50_us\":{},\"p99_us\":{},\"p999_us\":{},\
                      \"mean_us\":{}}}",
-                    json_escape(&p.phase),
+                    json_string(&p.phase),
                     p.count,
                     p.p50_us,
                     p.p99_us,
@@ -763,8 +763,8 @@ impl Response {
             Response::Schedule(r) => r.to_line(),
             Response::Error { id, error } => {
                 format!(
-                    "{{\"id\":{id},\"ok\":false,\"error\":\"{}\"}}",
-                    json_escape(error)
+                    "{{\"id\":{id},\"ok\":false,\"error\":{}}}",
+                    json_string(error)
                 )
             }
             Response::Stats(s) => s.to_line(),
@@ -921,24 +921,6 @@ pub fn placements_json(placements: &[(u32, u64, u64)]) -> String {
         out.push_str(&format!("[{p},{s},{f}]"));
     }
     out.push(']');
-    out
-}
-
-/// Minimal JSON string escaping for protocol strings (quotes,
-/// backslashes, control characters).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
     out
 }
 

@@ -41,8 +41,8 @@
 //!   totals plus per-worker request counts and per-phase
 //!   (queue / schedule / serialize / write on the workers, parse /
 //!   build on the connection threads) latency histograms
-//!   ([`fastsched_metrics`]; lock-free, every observation counted —
-//!   no sample-window bias under saturation). Served inline by
+//!   ([`fastsched_metrics`]; lock-free, always on, every observation
+//!   counted — no sample-window bias under saturation). Served inline by
 //!   `op:"stats"`, and — when [`ServeConfig::metrics_addr`] is set —
 //!   as Prometheus text exposition on `GET /metrics` (JSON twin at
 //!   `/metrics.json`) from a dedicated thread that is never a pool
@@ -82,7 +82,7 @@ use fastsched_dag::Dag;
 use fastsched_metrics::prometheus::{Exposition, CONTENT_TYPE};
 use fastsched_metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 use fastsched_schedule::{AlphaBeta, CommModel, Hierarchical};
-use fastsched_trace::SearchTrace;
+use fastsched_trace::{json_string, SearchTrace};
 use std::io::{self, BufReader, Read as _, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -128,10 +128,6 @@ pub struct ServeConfig {
     /// Schedulers allocate O(procs) scratch, so this bound is what
     /// keeps a hostile one-line request from demanding gigabytes.
     pub max_procs: u32,
-    /// Record per-phase latency histograms (`false` = the
-    /// `--no-metrics` overhead-measurement mode: no clock reads or
-    /// histogram writes beyond what the response itself needs).
-    pub metrics: bool,
     /// Bind a scrape listener here (e.g. `127.0.0.1:9460`) serving
     /// `GET /metrics` (Prometheus text) and `/metrics.json` on a
     /// dedicated thread. `None` = no listener.
@@ -151,7 +147,6 @@ impl Default for ServeConfig {
             default_timeout_ms: 0,
             max_line_bytes: protocol::DEFAULT_MAX_LINE,
             max_procs: DEFAULT_MAX_PROCS,
-            metrics: true,
             metrics_addr: None,
             access_log: None,
             log_sample_rate: 1,
@@ -261,10 +256,10 @@ fn access_line(
         .duration_since(SystemTime::UNIX_EPOCH)
         .map_or(0, |d| d.as_millis() as u64);
     format!(
-        "{{\"ts_ms\":{ts_ms},\"id\":{id},\"algo\":\"{}\",\"nodes\":{nodes},\"procs\":{procs},\
+        "{{\"ts_ms\":{ts_ms},\"id\":{id},\"algo\":{},\"nodes\":{nodes},\"procs\":{procs},\
          \"outcome\":\"{outcome}\",\"queue_us\":{},\"schedule_us\":{},\"serialize_us\":{},\
          \"write_us\":{},\"parse_us\":{},\"build_us\":{}}}",
-        protocol::json_escape(algo),
+        json_string(algo),
         phase_us[0],
         phase_us[1],
         phase_us[2],
@@ -300,13 +295,11 @@ struct ServeStats {
     algos: Vec<Counter>,
     start: Instant,
     host_cores: usize,
-    /// Phase histograms enabled ([`ServeConfig::metrics`]).
-    timing: bool,
     access: Option<AccessLog>,
 }
 
 impl ServeStats {
-    fn new(threads: usize, timing: bool, access: Option<AccessLog>) -> Self {
+    fn new(threads: usize, access: Option<AccessLog>) -> Self {
         Self {
             accepted: Counter::new(),
             rejected: Counter::new(),
@@ -326,15 +319,8 @@ impl ServeStats {
             algos: (0..machine::SLOTS).map(|_| Counter::new()).collect(),
             start: Instant::now(),
             host_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            timing,
             access,
         }
-    }
-
-    /// Whether phase timestamps need to be taken at all (histograms
-    /// on, or an access log that wants the numbers).
-    fn wants_timings(&self) -> bool {
-        self.timing || self.access.is_some()
     }
 
     /// Phase `p`'s latency distribution, merged across all workers
@@ -352,9 +338,7 @@ impl ServeStats {
 
     /// Record a connection-thread phase (index into [`PHASE_NAMES`]).
     fn record_conn_phase(&self, p: usize, us: u64) {
-        if self.timing {
-            self.conn_phase_us[p - WORKER_PHASES].record(us);
-        }
+        self.conn_phase_us[p - WORKER_PHASES].record(us);
     }
 
     fn uptime_s(&self) -> u64 {
@@ -373,25 +357,21 @@ impl ServeStats {
         let malformed = self.malformed.get();
         let accepted = self.accepted.get();
         let in_flight = self.in_flight.get();
-        let phases = if self.timing {
-            PHASE_NAMES
-                .iter()
-                .enumerate()
-                .map(|(i, name)| {
-                    let h = self.merged_phase(i);
-                    PhaseSnapshot {
-                        phase: (*name).to_string(),
-                        count: h.count(),
-                        p50_us: h.quantile(0.50),
-                        p99_us: h.quantile(0.99),
-                        p999_us: h.quantile(0.999),
-                        mean_us: h.mean(),
-                    }
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let phases = PHASE_NAMES
+            .iter()
+            .enumerate()
+            .map(|(i, name)| {
+                let h = self.merged_phase(i);
+                PhaseSnapshot {
+                    phase: (*name).to_string(),
+                    count: h.count(),
+                    p50_us: h.quantile(0.50),
+                    p99_us: h.quantile(0.99),
+                    p999_us: h.quantile(0.999),
+                    mean_us: h.mean(),
+                }
+            })
+            .collect();
         StatsSnapshot {
             id,
             threads: self.workers.len(),
@@ -463,7 +443,7 @@ struct PreparedRequest {
     deadline: Option<Duration>,
     enqueued: Instant,
     /// Microseconds spent parsing the line and building the request
-    /// on the connection thread (zero when timings are off).
+    /// on the connection thread.
     pre_us: [u64; 2],
 }
 
@@ -539,19 +519,12 @@ impl Server {
         } else {
             config.threads
         };
-        // The pool's own instrumentation mirrors the serve-level
-        // `metrics` switch, so `--no-metrics` removes every clock
-        // read on the hot path.
-        let pool = Arc::new(WorkerPool::with_metrics(
-            threads,
-            config.queue_depth,
-            config.metrics,
-        ));
+        let pool = Arc::new(WorkerPool::new(threads, config.queue_depth));
         let access = match &config.access_log {
             Some(path) => Some(AccessLog::open(path, config.log_sample_rate)?),
             None => None,
         };
-        let stats = Arc::new(ServeStats::new(pool.threads(), config.metrics, access));
+        let stats = Arc::new(ServeStats::new(pool.threads(), access));
         // The scrape listener gets its own dedicated thread — never a
         // pool worker — so /metrics keeps answering while the pool is
         // saturated or wedged.
@@ -711,10 +684,9 @@ fn handle_connection(stream: TcpStream, ctx: ConnCtx) -> io::Result<()> {
             continue;
         }
         line_no += 1;
-        let timed = ctx.stats.wants_timings();
-        let t0 = timed.then(Instant::now);
+        let t0 = Instant::now();
         let parsed = Request::parse(&text, line_no);
-        let parse_us = t0.map_or(0, |t| micros(t.elapsed()));
+        let parse_us = micros(t0.elapsed());
         ctx.stats.record_conn_phase(PARSE_PHASE, parse_us);
         match parsed {
             Err(error) => {
@@ -744,9 +716,9 @@ fn handle_connection(stream: TcpStream, ctx: ConnCtx) -> io::Result<()> {
             }
             Ok(Request::Schedule(req)) => {
                 let id = req.id;
-                let t1 = timed.then(Instant::now);
+                let t1 = Instant::now();
                 let prepared = prepare(req, &ctx.config);
-                let build_us = t1.map_or(0, |t| micros(t.elapsed()));
+                let build_us = micros(t1.elapsed());
                 ctx.stats.record_conn_phase(BUILD_PHASE, build_us);
                 match prepared {
                     Err(error) => {
@@ -948,7 +920,7 @@ fn refuse(
 /// Execution of one admitted request with pool workspace `worker`,
 /// on a worker or a claiming connection thread: schedule, serialize,
 /// write — with each phase (plus the preceding queue wait) timed into
-/// that workspace's shard when metrics are on.
+/// that workspace's shard.
 fn process(
     req: PreparedRequest,
     worker: usize,
@@ -963,12 +935,9 @@ fn process(
         answered: false,
     };
     let shard = &stats.workers[worker];
-    let detail = stats.wants_timings();
     let waited = req.enqueued.elapsed();
     let queue_us = micros(waited);
-    if stats.timing {
-        shard.phase_us[0].record(queue_us);
-    }
+    shard.phase_us[0].record(queue_us);
     if req.deadline.is_some_and(|d| waited > d) {
         stats.timeouts.inc();
         refuse(
@@ -1017,27 +986,18 @@ fn process(
         service_us,
     );
     let line = Response::Schedule(resp).to_line();
-    // The serialize/write split costs two extra clock reads, so it is
-    // taken only when histograms or the access log want the numbers.
-    let t2 = detail.then(Instant::now);
+    let t2 = Instant::now();
     writer.write_line(line);
-    let (serialize_us, write_us) = match t2 {
-        Some(t2) => (
-            t2.duration_since(t1).as_micros() as u64,
-            t2.elapsed().as_micros() as u64,
-        ),
-        None => (0, 0),
-    };
+    let serialize_us = t2.duration_since(t1).as_micros() as u64;
+    let write_us = t2.elapsed().as_micros() as u64;
     guard.answered = true;
     // Recycle the result so the worker's steady state stays
     // allocation-free once its spare pool is warm.
     ws.recycle(schedule);
     shard.requests.inc();
-    if stats.timing {
-        shard.phase_us[1].record(service_us);
-        shard.phase_us[2].record(serialize_us);
-        shard.phase_us[3].record(write_us);
-    }
+    shard.phase_us[1].record(service_us);
+    shard.phase_us[2].record(serialize_us);
+    shard.phase_us[3].record(write_us);
     stats.algos[req.engine.slot].inc();
     stats.completed.inc();
     if let Some(log) = &stats.access {

@@ -1207,6 +1207,41 @@ fn failed_commands_print_one_error_line() {
     }
 }
 
+/// Each command accepts only the flags it reads: any other flag is one
+/// `error:` line naming the flag and the command (the usage text
+/// follows), exit 1, and the command never runs. The refused `serve`
+/// would fail to bind if it ran.
+#[test]
+fn unknown_flags_are_refused_per_command() {
+    let dag = fixtures().join("gauss5.json");
+    let dag = dag.to_str().unwrap();
+    for (args, flag) in [
+        (
+            &["schedule", "--dag", dag, "--algo", "fast", "--prox", "4"][..],
+            "--prox",
+        ),
+        (
+            &["serve", "--procs", "4", "--addr", "256.0.0.1:1"],
+            "--procs",
+        ),
+        (
+            &["compare", "--app", "gauss", "--size", "4", "--gantt"],
+            "--gantt",
+        ),
+        (&["info", "--dag", dag, "--algo", "fast"], "--algo"),
+    ] {
+        let out = casch().args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} ran");
+        let error = format!("error: unknown flag `{flag}` for `casch {}`\n", args[0]);
+        assert!(stderr.starts_with(&error), "{args:?}: {stderr}");
+        let errors = stderr.lines().filter(|l| l.starts_with("error:")).count();
+        assert_eq!(errors, 1, "{args:?}: {stderr}");
+        assert!(stderr.contains("USAGE"), "{args:?}: {stderr}");
+    }
+}
+
 /// A model batch shards like a plain one: the hier table fixes every
 /// row's processor count, and two workers reproduce the serial
 /// makespans.

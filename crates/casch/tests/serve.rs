@@ -788,7 +788,7 @@ fn model_pairs_run_wherever_their_core_prices_the_machine() {
         std::thread::current().id()
     ));
     let _ = std::fs::remove_file(&path);
-    let (addr, maddr, join, shutdown) = start_server_with_metrics(ServeConfig {
+    let (addr, maddr, join, shutdown) = start_metered_server(ServeConfig {
         threads: 1,
         access_log: Some(path.clone()),
         ..ServeConfig::default()
@@ -989,7 +989,7 @@ fn loadgen_accounts_for_every_request_under_overload() {
 
 /// Like [`start_server`] but with the scrape listener bound on its
 /// own loopback port; returns both addresses.
-fn start_server_with_metrics(
+fn start_metered_server(
     config: ServeConfig,
 ) -> (
     SocketAddr,
@@ -1048,7 +1048,7 @@ fn drive_and_settle(
 
 #[test]
 fn metrics_endpoint_serves_exposition_consistent_with_stats() {
-    let (addr, maddr, join, shutdown) = start_server_with_metrics(ServeConfig {
+    let (addr, maddr, join, shutdown) = start_metered_server(ServeConfig {
         threads: 2,
         ..ServeConfig::default()
     });
@@ -1056,8 +1056,28 @@ fn metrics_endpoint_serves_exposition_consistent_with_stats() {
     let mut stream = connect(addr);
     let snap = drive_and_settle(&mut stream, total);
 
-    let page =
-        loadgen::scrape_metrics(&maddr.to_string(), "/metrics", 2.0).expect("scrape /metrics");
+    // The pool records a job's run time after the job returns, which
+    // is just after its completion is counted: scrape until it lands.
+    let count_of = |page: &str, family: &str| -> u64 {
+        page.lines()
+            .find_map(|l| l.strip_prefix(&format!("{family}_count ")))
+            .unwrap_or_else(|| panic!("missing {family}_count"))
+            .parse()
+            .expect("count")
+    };
+    let mut page = String::new();
+    for _ in 0..200 {
+        page =
+            loadgen::scrape_metrics(&maddr.to_string(), "/metrics", 2.0).expect("scrape /metrics");
+        if count_of(&page, "casch_pool_job_latency_us") >= total {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    // Every request served, claimed and queued alike, passed the pool
+    // queue once (a claimed run waits zero) and ran once.
+    assert_eq!(count_of(&page, "casch_pool_queue_latency_us"), total);
+    assert_eq!(count_of(&page, "casch_pool_job_latency_us"), total);
 
     // Every sample line parses as `name[{labels}] value` with a
     // numeric value, and families are announced before their samples.

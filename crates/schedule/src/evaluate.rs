@@ -149,8 +149,9 @@ pub fn evaluate_fixed_order_into_with<M: CostModel + ?Sized>(
 /// avoiding the `Schedule` allocation; `ready` and `finish` are
 /// caller-provided scratch buffers (cleared here) so repeated
 /// evaluations do not allocate. This was the inner loop of the FAST
-/// local search before the incremental evaluator replaced it; it
-/// remains the full-replay baseline for the probe benchmarks.
+/// local search before the incremental evaluator replaced it; EZ's
+/// edge-zeroing loop still calls it, and `examples/search_probe.rs`
+/// replays every probe of its random search through it.
 pub fn evaluate_makespan_into(
     dag: &Dag,
     order: &[NodeId],

@@ -272,8 +272,9 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Escape and quote a string for JSON output.
-pub(crate) fn json_string(s: &str) -> String {
+/// Escape and quote a string for JSON output: quotes, backslashes
+/// and control characters are escaped, everything else is copied.
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

@@ -68,5 +68,5 @@ pub mod perfetto;
 mod report;
 
 pub use collect::{EvalStats, SearchTrace, DEFAULT_TRAJECTORY_CAPACITY};
-pub use event::{ParseError, TraceEvent};
+pub use event::{json_string, ParseError, TraceEvent};
 pub use report::{sparkline, CandidateProbe, Placement, Report, TransferRecord};
