@@ -12,6 +12,7 @@
 
 use crate::dsc::Dsc;
 use crate::scheduler::HomogeneousOnly;
+use crate::workspace::Workspace;
 use fastsched_dag::{Cost, Dag, NodeId};
 use fastsched_schedule::evaluate::evaluate_fixed_order;
 use fastsched_schedule::{ProcId, Schedule};
@@ -30,9 +31,9 @@ impl BoundedDsc {
 impl HomogeneousOnly for BoundedDsc {
     const NAME: &'static str = "DSC-LLB";
 
-    fn schedule_homogeneous(&self, dag: &Dag, num_procs: u32) -> Schedule {
+    fn schedule_homogeneous(&self, dag: &Dag, num_procs: u32, ws: &mut Workspace) -> Schedule {
         // Phase 1: unbounded clustering.
-        let clustered = Dsc::new().schedule_homogeneous(dag, num_procs);
+        let clustered = Dsc::new().schedule_homogeneous(dag, num_procs, ws);
         let clusters_used = clustered.processors_used();
         if clusters_used <= num_procs {
             return clustered;

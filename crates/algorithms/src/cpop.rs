@@ -10,6 +10,7 @@
 
 use crate::list_common::ListState;
 use crate::scheduler::HomogeneousOnly;
+use crate::workspace::Workspace;
 use fastsched_dag::{Cost, Dag, GraphAttributes, NodeId};
 use fastsched_schedule::{ProcId, Schedule};
 use std::cmp::Reverse;
@@ -29,7 +30,7 @@ impl Cpop {
 impl HomogeneousOnly for Cpop {
     const NAME: &'static str = "CPOP";
 
-    fn schedule_homogeneous(&self, dag: &Dag, num_procs: u32) -> Schedule {
+    fn schedule_homogeneous(&self, dag: &Dag, num_procs: u32, _ws: &mut Workspace) -> Schedule {
         let attrs = GraphAttributes::compute(dag);
         let cp_proc = ProcId(0); // the dedicated critical-path processor
 

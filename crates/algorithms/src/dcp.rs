@@ -14,6 +14,7 @@
 
 use crate::list_common::{ListState, ReadySet};
 use crate::scheduler::HomogeneousOnly;
+use crate::workspace::Workspace;
 use fastsched_dag::{Cost, Dag, NodeId};
 use fastsched_schedule::{ProcId, Schedule};
 
@@ -55,7 +56,7 @@ fn aest(dag: &Dag, machine: &ListState) -> Vec<Cost> {
 impl HomogeneousOnly for Dcp {
     const NAME: &'static str = "DCP";
 
-    fn schedule_homogeneous(&self, dag: &Dag, num_procs: u32) -> Schedule {
+    fn schedule_homogeneous(&self, dag: &Dag, num_procs: u32, _ws: &mut Workspace) -> Schedule {
         let mut machine = ListState::new(dag.node_count(), num_procs);
         let mut ready = ReadySet::new(dag);
         let mut used_procs: u32 = 0;

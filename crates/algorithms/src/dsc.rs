@@ -31,12 +31,42 @@
 //! grant it "more than enough" (pass `num_procs >= v`). This is what
 //! produces its characteristic O(v) processor usage (Figures 5(b),
 //! 6(b), 8(b)).
+//!
+//! Every buffer lives in the [`Workspace`]: the b-level comes from the
+//! attribute plane (`Workspace::attrs`), each node's cluster, finish
+//! and examined flag from the placement state's processor, finish and
+//! placed lanes, and the rest from its own `DscScratch`. A warm
+//! workspace makes a run allocation-free.
 
 use crate::scheduler::HomogeneousOnly;
-use fastsched_dag::{attributes::b_levels, Cost, Dag, NodeId};
-use fastsched_schedule::{ProcId, Schedule};
+use crate::workspace::Workspace;
+use fastsched_dag::{Cost, Dag, NodeId};
+use fastsched_schedule::{HomogeneousModel, ProcId, Schedule};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+
+/// A heap of nodes keyed by DSC's priority `tl_est + b-level`, ties to
+/// the smaller id.
+type PriorityHeap = BinaryHeap<(Cost, Reverse<u32>)>;
+
+/// DSC's scratch beyond the placement state, cleared (capacity kept)
+/// per run.
+#[derive(Debug, Default)]
+pub(crate) struct DscScratch {
+    /// Per node: the t-level estimate over its examined parents
+    /// (all-remote arrivals).
+    tl_est: Vec<Cost>,
+    /// Per node: its parents not yet examined.
+    unexamined: Vec<u32>,
+    /// Per cluster: its ready time (the finish of the last node
+    /// appended to it).
+    cluster_ready: Vec<Cost>,
+    /// Free nodes (every parent examined): the examination order.
+    free: PriorityHeap,
+    /// Partially free nodes (some parent examined): the DSRW
+    /// reference node.
+    partially_free: PriorityHeap,
+}
 
 /// What the DSRW check reads of DSC's state: the examined nodes, their
 /// finish times and clusters, and each cluster's ready time (the
@@ -45,7 +75,7 @@ struct Examined<'a> {
     dag: &'a Dag,
     examined: &'a [bool],
     finish: &'a [Cost],
-    cluster: &'a [u32],
+    cluster: &'a [ProcId],
     cluster_ready: &'a [Cost],
 }
 
@@ -73,7 +103,7 @@ impl Examined<'_> {
                 continue;
             }
             let arrival = self.finish[t] + e.cost;
-            let c = self.cluster[t];
+            let c = self.cluster[t].0;
             if c != top_c {
                 second = second.max(top.min(arrival));
             }
@@ -110,44 +140,51 @@ impl HomogeneousOnly for Dsc {
     const NAME: &'static str = "DSC";
     const UNBOUNDED: bool = true;
 
-    fn schedule_homogeneous(&self, dag: &Dag, num_procs: u32) -> Schedule {
+    fn schedule_homogeneous(&self, dag: &Dag, num_procs: u32, ws: &mut Workspace) -> Schedule {
         let v = dag.node_count();
-        let bl = b_levels(dag);
+        ws.attrs.compute_into(dag, &mut ws.attr_lanes);
+        let bl = &ws.attrs.b_level;
 
-        // Cluster of each examined node; clusters are created lazily.
-        let mut cluster = vec![u32::MAX; v];
-        // Per-cluster ready time (finish of the last appended node).
-        let mut cluster_ready: Vec<Cost> = Vec::new();
-        let mut start = vec![0 as Cost; v];
-        let mut finish = vec![0 as Cost; v];
-        let mut examined = vec![false; v];
-
+        // Each examined node's cluster, finish and examined flag live
+        // in the placement state's processor, finish and placed lanes;
+        // clusters are created lazily, so it holds no processor.
+        let state = &mut ws.state;
+        state.reset(v, 0);
         // Incremental t-level estimates over *examined* parents
         // (all-remote arrivals) — DSC's composite priority is
         // tl_est + b-level, maintained lazily in two heaps: the free
         // heap drives examination order; the partially-free heap
         // supplies the DSRW reference node.
-        let mut tl_est = vec![0 as Cost; v];
-        let mut remaining = vec![0u32; v];
-        let mut free_heap: BinaryHeap<(Cost, Reverse<u32>)> = BinaryHeap::new();
-        let mut pf_heap: BinaryHeap<(Cost, Reverse<u32>)> = BinaryHeap::new();
-        for n in dag.nodes() {
-            remaining[n.index()] = dag.in_degree(n) as u32;
-            if remaining[n.index()] == 0 {
-                free_heap.push((bl[n.index()], Reverse(n.0)));
-            }
-        }
+        let DscScratch {
+            tl_est,
+            unexamined,
+            cluster_ready,
+            free,
+            partially_free,
+        } = &mut ws.dsc;
+        tl_est.clear();
+        tl_est.resize(v, 0);
+        unexamined.clear();
+        unexamined.extend(dag.nodes().map(|n| dag.in_degree(n) as u32));
+        cluster_ready.clear();
+        free.clear();
+        partially_free.clear();
+        free.extend(
+            dag.nodes()
+                .filter(|&n| unexamined[n.index()] == 0)
+                .map(|n| (bl[n.index()], Reverse(n.0))),
+        );
 
-        while let Some((prio, Reverse(id))) = free_heap.pop() {
+        while let Some((prio, Reverse(id))) = free.pop() {
             let n = NodeId(id);
-            if examined[n.index()] || prio != tl_est[n.index()] + bl[n.index()] {
+            if state.placed[n.index()] || prio != tl_est[n.index()] + bl[n.index()] {
                 continue; // stale entry
             }
 
             // Option A: own cluster — every message remote.
             let mut own_start: Cost = 0;
             for e in dag.preds(n) {
-                own_start = own_start.max(finish[e.node.index()] + e.cost);
+                own_start = own_start.max(state.finish[e.node.index()] + e.cost);
             }
 
             // Option B: Yang–Gerasoulis's minimization procedure zeroes
@@ -156,25 +193,25 @@ impl HomogeneousOnly for Dsc {
             // any other edge cannot reduce the t-level, which is the
             // max over arrivals). Messages from other parents that
             // already live in that cluster are zeroed as a side effect.
-            let mut dominant: Option<(Cost, u32)> = None; // (arrival, cluster)
+            let mut dominant: Option<(Cost, ProcId)> = None; // (arrival, cluster)
             for e in dag.preds(n) {
-                let arrival = finish[e.node.index()] + e.cost;
-                let c = cluster[e.node.index()];
+                let arrival = state.finish[e.node.index()] + e.cost;
+                let c = state.proc[e.node.index()];
                 if dominant.is_none_or(|(a, _)| arrival > a) {
                     dominant = Some((arrival, c));
                 }
             }
-            let best_merge: Option<(Cost, u32)> = dominant.map(|(_, c)| {
+            let best_merge: Option<(Cost, ProcId)> = dominant.map(|(_, c)| {
                 let mut dat: Cost = 0;
                 for e in dag.preds(n) {
-                    let arrival = if cluster[e.node.index()] == c {
-                        finish[e.node.index()]
+                    let arrival = if state.proc[e.node.index()] == c {
+                        state.finish[e.node.index()]
                     } else {
-                        finish[e.node.index()] + e.cost
+                        state.finish[e.node.index()] + e.cost
                     };
                     dat = dat.max(arrival);
                 }
-                (dat.max(cluster_ready[c as usize]), c)
+                (dat.max(cluster_ready[c.index()]), c)
             });
 
             // DSRW: if a partially-free node np outranks nf on the
@@ -184,13 +221,13 @@ impl HomogeneousOnly for Dsc {
             if accept_merge {
                 let (ms, mc) = best_merge.unwrap();
                 // Find the current top partially-free node.
-                while let Some(&(pprio, Reverse(pid))) = pf_heap.peek() {
+                while let Some(&(pprio, Reverse(pid))) = partially_free.peek() {
                     let np = NodeId(pid);
-                    if examined[np.index()]
-                        || remaining[np.index()] == 0
+                    if state.placed[np.index()]
+                        || unexamined[np.index()] == 0
                         || pprio != tl_est[np.index()] + bl[np.index()]
                     {
-                        pf_heap.pop();
+                        partially_free.pop();
                         continue;
                     }
                     if pprio > prio {
@@ -198,13 +235,13 @@ impl HomogeneousOnly for Dsc {
                         // tail occupied by nf until ms + w(n).
                         let view = Examined {
                             dag,
-                            examined: &examined,
-                            finish: &finish,
-                            cluster: &cluster,
-                            cluster_ready: &cluster_ready,
+                            examined: &state.placed,
+                            finish: &state.finish,
+                            cluster: &state.proc,
+                            cluster_ready,
                         };
                         let before = view.np_estimate(np, None);
-                        let after = view.np_estimate(np, Some((mc, ms + dag.weight(n))));
+                        let after = view.np_estimate(np, Some((mc.0, ms + dag.weight(n))));
                         if after > before {
                             accept_merge = false;
                         }
@@ -216,46 +253,39 @@ impl HomogeneousOnly for Dsc {
             let (s, c) = if accept_merge {
                 best_merge.unwrap()
             } else {
-                let c = cluster_ready.len() as u32;
+                let c = ProcId(cluster_ready.len() as u32);
                 cluster_ready.push(0);
                 (own_start, c)
             };
 
-            cluster[n.index()] = c;
-            start[n.index()] = s;
-            finish[n.index()] = s + dag.weight(n);
-            cluster_ready[c as usize] = finish[n.index()];
-            examined[n.index()] = true;
+            let fin = s + dag.weight(n);
+            state.proc[n.index()] = c;
+            state.finish[n.index()] = fin;
+            cluster_ready[c.index()] = fin;
+            state.placed[n.index()] = true;
 
             for e in dag.succs(n) {
-                let child = e.node;
-                let r = &mut remaining[child.index()];
-                *r -= 1;
-                let arrival = finish[n.index()] + e.cost;
-                if arrival > tl_est[child.index()] {
-                    tl_est[child.index()] = arrival;
-                }
-                let child_prio = tl_est[child.index()] + bl[child.index()];
-                if *r == 0 {
-                    free_heap.push((child_prio, Reverse(child.0)));
+                let child = e.node.index();
+                unexamined[child] -= 1;
+                tl_est[child] = tl_est[child].max(fin + e.cost);
+                let child_prio = (tl_est[child] + bl[child], Reverse(e.node.0));
+                if unexamined[child] == 0 {
+                    free.push(child_prio);
                 } else {
-                    pf_heap.push((child_prio, Reverse(child.0)));
+                    partially_free.push(child_prio);
                 }
             }
         }
 
         let clusters = cluster_ready.len() as u32;
         let pool = clusters.max(num_procs).max(1);
-        let mut schedule = Schedule::new(v, pool);
+        ws.staging.reset(v, pool);
         for n in dag.nodes() {
-            schedule.place(
-                n,
-                ProcId(cluster[n.index()]),
-                start[n.index()],
-                finish[n.index()],
-            );
+            let fin = ws.state.finish[n.index()];
+            ws.staging
+                .place(n, ws.state.proc[n.index()], fin - dag.weight(n), fin);
         }
-        schedule.compact()
+        ws.finish(&HomogeneousModel)
     }
 }
 
@@ -295,11 +325,11 @@ mod tests {
             .unwrap_or(0);
         let mut best = remote;
         for e in examined_preds() {
-            let c = view.cluster[e.node.index()];
+            let c = view.cluster[e.node.index()].0;
             let dat = examined_preds()
                 .map(|e2| {
                     let f = view.finish[e2.node.index()];
-                    if view.cluster[e2.node.index()] == c {
+                    if view.cluster[e2.node.index()].0 == c {
                         f
                     } else {
                         f + e2.cost

@@ -16,7 +16,7 @@
 //! of the node, keeping each duplication only if it strictly lowers
 //! the node's start time.
 
-use fastsched_dag::{attributes::static_levels, Cost, Dag, NodeId};
+use fastsched_dag::{Cost, Dag, GraphAttributes, NodeId};
 use fastsched_schedule::ProcId;
 
 /// One executed task instance (original or duplicate).
@@ -161,7 +161,7 @@ impl Dsh {
     pub fn schedule(&self, dag: &Dag, num_procs: u32) -> DupSchedule {
         assert!(num_procs >= 1);
         let v = dag.node_count();
-        let sl = static_levels(dag);
+        let sl = GraphAttributes::compute(dag).static_level;
 
         // Priority list: descending static level (topological).
         let mut order: Vec<NodeId> = dag.nodes().collect();

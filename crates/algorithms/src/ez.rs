@@ -8,7 +8,8 @@
 //! O(e · (v + e)) overall.
 
 use crate::scheduler::HomogeneousOnly;
-use fastsched_dag::{attributes::b_levels, Dag, NodeId};
+use crate::workspace::Workspace;
+use fastsched_dag::{Dag, GraphAttributes, NodeId};
 use fastsched_schedule::evaluate::{evaluate_fixed_order, evaluate_makespan_into};
 use fastsched_schedule::{ProcId, Schedule};
 
@@ -56,9 +57,9 @@ impl HomogeneousOnly for Ez {
     const NAME: &'static str = "EZ";
     const UNBOUNDED: bool = true;
 
-    fn schedule_homogeneous(&self, dag: &Dag, num_procs: u32) -> Schedule {
+    fn schedule_homogeneous(&self, dag: &Dag, num_procs: u32, _ws: &mut Workspace) -> Schedule {
         let v = dag.node_count();
-        let bl = b_levels(dag);
+        let bl = GraphAttributes::compute(dag).b_level;
 
         // Static priority order: descending b-level (topological).
         let mut order: Vec<NodeId> = dag.nodes().collect();
@@ -138,8 +139,7 @@ mod tests {
         // good as the fully-distributed starting point.
         let g = paper_figure1();
         let ez = Ez::new().schedule(&g, 9).makespan();
-        use fastsched_dag::attributes::b_levels;
-        let bl = b_levels(&g);
+        let bl = GraphAttributes::compute(&g).b_level;
         let mut order: Vec<NodeId> = g.nodes().collect();
         order.sort_by_key(|&n| (std::cmp::Reverse(bl[n.index()]), n.0));
         let dist: Vec<ProcId> = g.nodes().map(|n| ProcId(n.0)).collect();

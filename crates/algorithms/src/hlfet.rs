@@ -9,7 +9,8 @@
 
 use crate::list_common::run_static_list;
 use crate::scheduler::HomogeneousOnly;
-use fastsched_dag::{attributes::static_levels, Dag, NodeId};
+use crate::workspace::Workspace;
+use fastsched_dag::{Dag, GraphAttributes, NodeId};
 use fastsched_schedule::Schedule;
 
 /// The HLFET scheduler.
@@ -27,7 +28,7 @@ impl Hlfet {
     /// strictly exceeds every child's; ties are broken topologically
     /// (position in the frozen topological order) to stay safe.
     pub fn priority_list(dag: &Dag) -> Vec<NodeId> {
-        let sl = static_levels(dag);
+        let sl = GraphAttributes::compute(dag).static_level;
         let mut pos = vec![0u32; dag.node_count()];
         for (i, &n) in dag.topo_order().iter().enumerate() {
             pos[n.index()] = i as u32;
@@ -41,7 +42,7 @@ impl Hlfet {
 impl HomogeneousOnly for Hlfet {
     const NAME: &'static str = "HLFET";
 
-    fn schedule_homogeneous(&self, dag: &Dag, num_procs: u32) -> Schedule {
+    fn schedule_homogeneous(&self, dag: &Dag, num_procs: u32, _ws: &mut Workspace) -> Schedule {
         let order = Self::priority_list(dag);
         run_static_list(dag, &order, num_procs, false).compact()
     }

@@ -10,7 +10,8 @@
 
 use crate::list_common::{DatLanes, ListState, ReadySet};
 use crate::scheduler::HomogeneousOnly;
-use fastsched_dag::{attributes::static_levels, Cost, Dag};
+use crate::workspace::Workspace;
+use fastsched_dag::{Cost, Dag, GraphAttributes};
 use fastsched_schedule::{HomogeneousModel, ProcId, Schedule};
 
 /// The ISH scheduler.
@@ -27,8 +28,8 @@ impl Ish {
 impl HomogeneousOnly for Ish {
     const NAME: &'static str = "ISH";
 
-    fn schedule_homogeneous(&self, dag: &Dag, num_procs: u32) -> Schedule {
-        let sl = static_levels(dag);
+    fn schedule_homogeneous(&self, dag: &Dag, num_procs: u32, _ws: &mut Workspace) -> Schedule {
+        let sl = GraphAttributes::compute(dag).static_level;
         let mut machine = ListState::new(dag.node_count(), num_procs);
         let mut ready = ReadySet::new(dag);
         // A ready node's DAT entry is filled on its first probe; its

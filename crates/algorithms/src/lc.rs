@@ -8,6 +8,7 @@
 //! order.
 
 use crate::scheduler::HomogeneousOnly;
+use crate::workspace::Workspace;
 use fastsched_dag::{Cost, Dag, NodeId};
 use fastsched_schedule::evaluate::evaluate_fixed_order;
 use fastsched_schedule::{ProcId, Schedule};
@@ -66,7 +67,7 @@ impl HomogeneousOnly for Lc {
     const NAME: &'static str = "LC";
     const UNBOUNDED: bool = true;
 
-    fn schedule_homogeneous(&self, dag: &Dag, num_procs: u32) -> Schedule {
+    fn schedule_homogeneous(&self, dag: &Dag, num_procs: u32, _ws: &mut Workspace) -> Schedule {
         let v = dag.node_count();
         let mut alive = vec![true; v];
         let mut cluster = vec![0u32; v];

@@ -11,6 +11,7 @@
 
 use crate::list_common::run_static_list;
 use crate::scheduler::HomogeneousOnly;
+use crate::workspace::Workspace;
 use fastsched_dag::{Dag, GraphAttributes, NodeId};
 use fastsched_schedule::Schedule;
 
@@ -36,7 +37,7 @@ impl Mcp {
 impl HomogeneousOnly for Mcp {
     const NAME: &'static str = "MCP";
 
-    fn schedule_homogeneous(&self, dag: &Dag, num_procs: u32) -> Schedule {
+    fn schedule_homogeneous(&self, dag: &Dag, num_procs: u32, _ws: &mut Workspace) -> Schedule {
         let order = Self::priority_list(dag);
         run_static_list(dag, &order, num_procs, true).compact()
     }

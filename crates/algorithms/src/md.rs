@@ -13,9 +13,15 @@
 //! not schedule a node to the earliest possible time slots even though
 //! it re-computes priorities at each step."
 //!
-//! The per-step O(e) attribute recomputation over v steps gives the
-//! O(v³)-class running time the paper measures (Figures 5(c)–7(c));
-//! §5.2 excludes MD from the large random DAGs for the same reason.
+//! The b-level in the mobility window is static: a placed node keeps
+//! its downward weight, so it is read once from the attribute plane
+//! (`Workspace::attrs`). The ASAP times, the critical-path length, the
+//! ALAP times and the mobilities are recomputed every step, and that
+//! O(v + e) pass over v steps still gives the O(v³)-class running time
+//! the paper measures (Figures 5(c)–7(c)); §5.2 excludes MD from the
+//! large random DAGs for the same reason. The pass writes a workspace
+//! lane, and the placement state and ready set are the workspace's
+//! too, so a warm workspace makes a run allocation-free.
 //!
 //! Fidelity note (DESIGN.md §5): candidates are restricted to *ready*
 //! nodes (all parents placed). Wu–Gajski's original may pin a node
@@ -24,10 +30,11 @@
 //! placement, the complexity class and the qualitative behaviour,
 //! while guaranteeing the result is always a legal schedule.
 
-use crate::list_common::{ListState, ReadySet};
+use crate::list_common::ListState;
 use crate::scheduler::HomogeneousOnly;
+use crate::workspace::Workspace;
 use fastsched_dag::{Cost, Dag, NodeId};
-use fastsched_schedule::{ProcId, Schedule};
+use fastsched_schedule::{HomogeneousModel, ProcId, Schedule};
 
 /// The MD scheduler.
 #[derive(Debug, Clone, Copy, Default)]
@@ -40,12 +47,13 @@ impl Md {
     }
 }
 
-/// ASAP times on the current partial schedule: placed nodes are pinned
-/// at their actual start; unplaced nodes take the max over parents of
-/// `finish + c` (`c` zeroed only between placed co-located pairs,
-/// which is already folded into `finish`).
-fn current_asap(dag: &Dag, machine: &ListState) -> Vec<Cost> {
-    let mut asap = vec![0 as Cost; dag.node_count()];
+/// ASAP times on the current partial schedule into `asap`: placed
+/// nodes are pinned at their actual start; unplaced nodes take the max
+/// over parents of `finish + c` (`c` zeroed only between placed
+/// co-located pairs, which is already folded into `finish`).
+fn current_asap_into(dag: &Dag, machine: &ListState, asap: &mut Vec<Cost>) {
+    asap.clear();
+    asap.resize(dag.node_count(), 0);
     for &n in dag.topo_order() {
         if machine.placed[n.index()] {
             asap[n.index()] = machine.finish[n.index()] - dag.weight(n);
@@ -64,40 +72,28 @@ fn current_asap(dag: &Dag, machine: &ListState) -> Vec<Cost> {
         }
         asap[n.index()] = t;
     }
-    asap
-}
-
-/// b-levels on the current partial schedule (full communication costs
-/// on all edges to unplaced nodes).
-fn current_blevel(dag: &Dag, machine: &ListState) -> Vec<Cost> {
-    let mut bl = vec![0 as Cost; dag.node_count()];
-    for &n in dag.topo_order().iter().rev() {
-        let mut best = 0;
-        for e in dag.succs(n) {
-            best = best.max(e.cost + bl[e.node.index()]);
-        }
-        bl[n.index()] = dag.weight(n) + best;
-    }
-    let _ = machine; // placed nodes keep their static downward weight
-    bl
 }
 
 impl HomogeneousOnly for Md {
     const NAME: &'static str = "MD";
 
-    fn schedule_homogeneous(&self, dag: &Dag, num_procs: u32) -> Schedule {
-        let mut machine = ListState::new(dag.node_count(), num_procs);
-        let mut ready = ReadySet::new(dag);
+    fn schedule_homogeneous(&self, dag: &Dag, num_procs: u32, ws: &mut Workspace) -> Schedule {
+        ws.attrs.compute_into(dag, &mut ws.attr_lanes);
+        let bl = &ws.attrs.b_level;
+        let asap = &mut ws.level;
+        let machine = &mut ws.state;
+        machine.reset(dag.node_count(), num_procs);
+        let ready = &mut ws.ready_set;
+        ready.reset(dag);
 
         while !ready.is_empty() {
             // O(e) attribute recomputation — the expensive part of MD.
-            let asap = current_asap(dag, &machine);
-            let bl = current_blevel(dag, &machine);
+            current_asap_into(dag, machine, asap);
             let cp: Cost = dag
                 .nodes()
                 .map(|n| asap[n.index()] + bl[n.index()])
                 .max()
-                .unwrap();
+                .expect("a DAG has at least one node");
 
             // Smallest relative mobility among ready nodes.
             let mut best: Option<(f64, u32)> = None;
@@ -136,7 +132,8 @@ impl HomogeneousOnly for Md {
             machine.place(dag, n, p, s);
             ready.complete(dag, n);
         }
-        machine.into_schedule(dag).compact()
+        ws.state.write_schedule(dag, &mut ws.staging);
+        ws.finish(&HomogeneousModel)
     }
 }
 

@@ -200,21 +200,23 @@ pub trait Scheduler: Send + Sync {
 
 /// An algorithm that knows only the paper's machine: its
 /// [`Scheduler`] runs `schedule_homogeneous` on
-/// [`Machine::Homogeneous`] and answers every priced machine
-/// [`SchedulerError::Unsupported`] (speeds before capacities). Ten of
-/// the eleven algorithms without a model core implement this instead;
-/// B&B implements [`Scheduler`] itself so that it can also refuse a
-/// DAG too large to search.
+/// [`Machine::Homogeneous`] with the caller's workspace and answers
+/// every priced machine [`SchedulerError::Unsupported`] (speeds before
+/// capacities). Ten of the eleven algorithms without a model core
+/// implement this instead; B&B implements [`Scheduler`] itself so that
+/// it can also refuse a DAG too large to search. DSC and MD take their
+/// scratch from the workspace, so a warm one makes them
+/// allocation-free; the other eight allocate per call and ignore it.
 pub trait HomogeneousOnly: Send + Sync {
     /// [`Scheduler::name`].
     const NAME: &'static str;
     /// [`Scheduler::is_unbounded`].
     const UNBOUNDED: bool = false;
 
-    /// The algorithm on `num_procs` identical processors; like
-    /// [`Scheduler::schedule_on`], implement it and call
-    /// [`Scheduler::run`].
-    fn schedule_homogeneous(&self, dag: &Dag, num_procs: u32) -> Schedule;
+    /// The algorithm on `num_procs` identical processors with scratch
+    /// from `ws`; like [`Scheduler::schedule_on`], implement it and
+    /// call [`Scheduler::run`].
+    fn schedule_homogeneous(&self, dag: &Dag, num_procs: u32, ws: &mut Workspace) -> Schedule;
 }
 
 impl<T: HomogeneousOnly> Scheduler for T {
@@ -231,11 +233,11 @@ impl<T: HomogeneousOnly> Scheduler for T {
         dag: &Dag,
         num_procs: u32,
         machine: &Machine,
-        _ws: &mut Workspace,
+        ws: &mut Workspace,
         _trace: &mut SearchTrace,
     ) -> Result<Schedule, SchedulerError> {
         match Feature::priced_by(machine) {
-            None => Ok(self.schedule_homogeneous(dag, num_procs)),
+            None => Ok(self.schedule_homogeneous(dag, num_procs, ws)),
             Some(feature) => Err(SchedulerError::Unsupported(feature)),
         }
     }

@@ -2,12 +2,13 @@
 //!
 //! A [`Workspace`] owns every per-schedule buffer the natively ported
 //! algorithms (FAST, FAST-SA, FAST-MS, ETF, DLS, HEFT) need, under any
-//! cost model: the attribute
-//! arrays of the `list_construction` phase, the CPN-Dominate list
-//! scratch, the one placement state all six place through (the
-//! list-scheduling [`ListState`] and its [`DatLanes`]), the
-//! incremental [`DeltaEvaluator`] and the compaction scratch, and the
-//! correctness gate's lane scratch.
+//! cost model, and those of the paper's two baselines DSC and MD: the
+//! attribute arrays of the `list_construction` phase (DSC and MD read
+//! their b-level there), the CPN-Dominate list scratch, the one
+//! placement state (the list-scheduling [`ListState`] and its
+//! [`DatLanes`]) the six place through and MD and DSC reuse, DSC's
+//! clustering scratch, the incremental [`DeltaEvaluator`] and the
+//! compaction scratch, and the correctness gate's lane scratch.
 //! Buffers are *cleared, never dropped* between runs, so once every
 //! buffer has reached its peak size a reused workspace performs **zero
 //! heap allocations** per schedule, gate included (release builds,
@@ -48,6 +49,7 @@
 //! compares serialized schedules across dirty reuse and across
 //! identity models.
 
+use crate::dsc::DscScratch;
 use crate::list_common::{DatLanes, ListState, ReadySet};
 use fastsched_dag::{AttrLanes, Cost, CpnListScratch, Dag, ListAttributes, NodeClass, NodeId};
 use fastsched_schedule::{
@@ -114,9 +116,11 @@ pub struct Workspace {
     /// FAST's §4.2 candidate processors of the node being placed.
     pub(crate) candidates: Vec<ProcId>,
     pub(crate) ready_set: ReadySet,
-    /// Per-node priority: the static level (ETF, DLS) or the upward
-    /// rank (HEFT).
+    /// Per node: the static level (ETF, DLS), the upward rank (HEFT)
+    /// or the ASAP time on MD's partial schedule.
     pub(crate) level: Vec<Cost>,
+    // --- DSC's clustering (beside `attrs` and `state`) ---
+    pub(crate) dsc: DscScratch,
     // --- local search ---
     pub(crate) eval: DeltaEvaluator,
     pub(crate) best_assignment: Vec<ProcId>,
@@ -143,6 +147,7 @@ impl Workspace {
             candidates: Vec::new(),
             ready_set: ReadySet::empty(),
             level: Vec::new(),
+            dsc: DscScratch::default(),
             eval: DeltaEvaluator::empty(),
             best_assignment: Vec::new(),
             chains: Vec::new(),

@@ -254,6 +254,7 @@ ALGORITHMS: fast, dsc, md, etf, dls, hlfet, mcp, heft, dcp, ish, ez, lc,
 type Flags = HashMap<String, String>;
 
 /// Parse `args` against one [`COMMANDS`] row's flags and switches.
+/// Each flag and switch may be given once.
 fn parse_flags(cmd: &str, flags: &str, switches: &str, args: &[String]) -> Result<Flags, String> {
     let mut out = Flags::new();
     let mut it = args.iter();
@@ -261,17 +262,18 @@ fn parse_flags(cmd: &str, flags: &str, switches: &str, args: &[String]) -> Resul
         let Some(key) = a.strip_prefix("--") else {
             return Err(format!("unexpected argument `{a}`"));
         };
-        if switches.split_whitespace().any(|s| s == key) {
-            out.insert(key.to_string(), "true".to_string());
-            continue;
-        }
-        if !flags.split_whitespace().any(|f| f == key) {
+        let val = if switches.split_whitespace().any(|s| s == key) {
+            "true".to_string()
+        } else if flags.split_whitespace().any(|f| f == key) {
+            it.next()
+                .ok_or_else(|| format!("flag --{key} needs a value"))?
+                .clone()
+        } else {
             return Err(format!("unknown flag `{a}` for `casch {cmd}`"));
+        };
+        if out.insert(key.to_string(), val).is_some() {
+            return Err(format!("flag `{a}` given twice for `casch {cmd}`"));
         }
-        let val = it
-            .next()
-            .ok_or_else(|| format!("flag --{key} needs a value"))?;
-        out.insert(key.to_string(), val.clone());
     }
     Ok(out)
 }
@@ -387,7 +389,7 @@ fn cmd_info(opts: &Flags, out: Out) -> Result<(), Failure> {
     writeln!(
         out,
         "CP nodes:     {}",
-        attrs.cpn.iter().filter(|&&c| c).count()
+        dag.nodes().filter(|&n| attrs.is_cpn(n)).count()
     )?;
     writeln!(out, "total work:   {}", stats.total_computation)?;
     writeln!(out, "total comm:   {}", dag.total_communication())?;

@@ -85,8 +85,7 @@ pub fn scheduler_by_name(name: &str) -> Result<Box<dyn Scheduler>, String> {
 
 /// Compatibility shim for the out-of-tree benchmark crate, which still
 /// schedules priced requests this way. Nothing in this workspace uses
-/// it; ROADMAP item 4 deletes it with the benchmark's port to
-/// [`Scheduler::run`].
+/// it; it goes when the benchmark moves to [`Scheduler::run`].
 #[doc(hidden)]
 pub struct ModelScheduler(Box<dyn Scheduler>);
 

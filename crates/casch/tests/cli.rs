@@ -1242,6 +1242,40 @@ fn unknown_flags_are_refused_per_command() {
     }
 }
 
+/// A flag or switch given twice is one `error:` line naming it and the
+/// command (the usage text follows), exit 1, and the command never
+/// runs: no value silently wins.
+#[test]
+fn repeated_flags_are_refused() {
+    let dag = fixtures().join("gauss5.json");
+    let dag = dag.to_str().unwrap();
+    for (args, flag) in [
+        (
+            &[
+                "schedule", "--dag", dag, "--algo", "fast", "--procs", "2", "--procs", "8",
+            ][..],
+            "--procs",
+        ),
+        (
+            &[
+                "schedule", "--dag", dag, "--gantt", "--algo", "fast", "--gantt",
+            ],
+            "--gantt",
+        ),
+        (&["info", "--dag", dag, "--dag", dag], "--dag"),
+    ] {
+        let out = casch().args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} ran");
+        let error = format!("error: flag `{flag}` given twice for `casch {}`\n", args[0]);
+        assert!(stderr.starts_with(&error), "{args:?}: {stderr}");
+        let errors = stderr.lines().filter(|l| l.starts_with("error:")).count();
+        assert_eq!(errors, 1, "{args:?}: {stderr}");
+        assert!(stderr.contains("USAGE"), "{args:?}: {stderr}");
+    }
+}
+
 /// A model batch shards like a plain one: the hier table fixes every
 /// row's processor count, and two workers reproduce the serial
 /// makespans.

@@ -1,87 +1,15 @@
 //! The scheduling attributes of §2 of the paper: *t-level* (ASAP),
 //! *b-level*, *static level* (SL), *ALAP*, critical-path length and
-//! critical-path-node (CPN) identification.
+//! the CPN / IBN / OBN class of every node.
 //!
-//! All passes are single O(v + e) sweeps over the frozen topological
-//! order.
+//! One kernel family computes them: single O(v + e) sweeps over the
+//! successor CSR keyed by topo position ([`crate::graph::TopoCsr`]),
+//! scattered back to node ids. [`ListAttributes`] fuses the t-level,
+//! b-level and class into two sweeps; [`GraphAttributes`] adds the
+//! static level and ALAP on top of it.
 
 use crate::classify::NodeClass;
 use crate::graph::{Cost, Dag, NodeId};
-
-/// The *t-level* (ASAP start time) of every node: the length of the
-/// longest path from an entry node to `n`, excluding `w(n)`.
-pub fn t_levels(dag: &Dag) -> Vec<Cost> {
-    let mut tl = Vec::new();
-    t_levels_into(dag, &mut tl);
-    tl
-}
-
-/// [`t_levels`] writing into a caller-owned buffer. `out` is cleared
-/// and resized (capacity is kept), so reusing the same buffer across
-/// calls allocates nothing once it has reached its peak size.
-pub fn t_levels_into(dag: &Dag, out: &mut Vec<Cost>) {
-    out.clear();
-    out.resize(dag.node_count(), 0);
-    for &n in dag.topo_order() {
-        let reach = out[n.index()] + dag.weight(n);
-        for e in dag.succs(n) {
-            let cand = reach + e.cost;
-            if cand > out[e.node.index()] {
-                out[e.node.index()] = cand;
-            }
-        }
-    }
-}
-
-/// The *b-level* of every node: the length of the longest path from `n`
-/// to an exit node, including `w(n)` and the communication costs along
-/// the path.
-pub fn b_levels(dag: &Dag) -> Vec<Cost> {
-    let mut bl = Vec::new();
-    b_levels_into(dag, &mut bl);
-    bl
-}
-
-/// [`b_levels`] writing into a caller-owned buffer (cleared, not
-/// dropped — see [`t_levels_into`]).
-pub fn b_levels_into(dag: &Dag, out: &mut Vec<Cost>) {
-    out.clear();
-    out.resize(dag.node_count(), 0);
-    for &n in dag.topo_order().iter().rev() {
-        let mut best = 0;
-        for e in dag.succs(n) {
-            let cand = e.cost + out[e.node.index()];
-            if cand > best {
-                best = cand;
-            }
-        }
-        out[n.index()] = dag.weight(n) + best;
-    }
-}
-
-/// The *static level* (SL, also called static b-level): like
-/// [`b_levels`] but ignoring communication costs.
-pub fn static_levels(dag: &Dag) -> Vec<Cost> {
-    let mut sl = Vec::new();
-    static_levels_into(dag, &mut sl);
-    sl
-}
-
-/// [`static_levels`] writing into a caller-owned buffer (cleared, not
-/// dropped — see [`t_levels_into`]).
-pub fn static_levels_into(dag: &Dag, out: &mut Vec<Cost>) {
-    out.clear();
-    out.resize(dag.node_count(), 0);
-    for &n in dag.topo_order().iter().rev() {
-        let best = dag
-            .succs(n)
-            .iter()
-            .map(|e| out[e.node.index()])
-            .max()
-            .unwrap_or(0);
-        out[n.index()] = dag.weight(n) + best;
-    }
-}
 
 /// Reusable topo-position-keyed attribute lanes: the scratch plane the
 /// SoA sweep kernels write before results are scattered back to
@@ -107,14 +35,12 @@ impl AttrLanes {
     }
 }
 
-/// [`t_levels`] over the topo-keyed SoA plane: `out[p]` is the t-level
-/// of the node at topo position `p`. A single forward scan of the
-/// [`crate::graph::TopoCsr`] lanes — the inner relax is a branchless
-/// `max`, and every read in the fold is a contiguous lane access.
-///
-/// Identical integer math to [`t_levels_into`] over the same edge
-/// sets, so the scattered result is byte-identical to the scalar
-/// reference.
+/// The *t-level* (ASAP start time) over the topo-keyed SoA plane:
+/// `out[p]` is the length of the longest path from an entry node to
+/// the node at topo position `p`, excluding its own weight. A single
+/// forward scan of the [`crate::graph::TopoCsr`] lanes — the inner
+/// relax is a branchless `max`, and every read in the fold is a
+/// contiguous lane access.
 pub fn t_levels_topo_into(dag: &Dag, out: &mut Vec<Cost>) {
     let csr = dag.topo_csr();
     let v = csr.weights.len();
@@ -130,9 +56,11 @@ pub fn t_levels_topo_into(dag: &Dag, out: &mut Vec<Cost>) {
     }
 }
 
-/// [`b_levels`] over the topo-keyed SoA plane (see
-/// [`t_levels_topo_into`]); a single backward scan whose inner loop is
-/// a pure gather-max over the target/cost lanes.
+/// The *b-level* over the topo-keyed SoA plane (see
+/// [`t_levels_topo_into`]): the length of the longest path from the
+/// node to an exit node, its own weight and the communication costs
+/// included. A single backward scan whose inner loop is a pure
+/// gather-max over the target/cost lanes.
 pub fn b_levels_topo_into(dag: &Dag, out: &mut Vec<Cost>) {
     let csr = dag.topo_csr();
     let v = csr.weights.len();
@@ -148,8 +76,9 @@ pub fn b_levels_topo_into(dag: &Dag, out: &mut Vec<Cost>) {
     }
 }
 
-/// [`static_levels`] over the topo-keyed SoA plane (see
-/// [`t_levels_topo_into`]); the gather ignores the cost lane entirely.
+/// The *static level* (SL, also called static b-level) over the
+/// topo-keyed SoA plane (see [`t_levels_topo_into`]): the b-level with
+/// communication ignored, so the gather never reads the cost lane.
 pub fn static_levels_topo_into(dag: &Dag, out: &mut Vec<Cost>) {
     let csr = dag.topo_csr();
     let v = csr.weights.len();
@@ -164,9 +93,8 @@ pub fn static_levels_topo_into(dag: &Dag, out: &mut Vec<Cost>) {
     }
 }
 
-/// [`static_levels_into`] via the SoA sweep: computes the lane in topo
-/// space, then scatters to the id-keyed `out`. Byte-identical to the
-/// scalar reference.
+/// [`static_levels_topo_into`] scattered to the id-keyed `out`, through
+/// `lanes.s`. Both buffers keep their capacity.
 pub fn static_levels_soa_into(dag: &Dag, lanes: &mut AttrLanes, out: &mut Vec<Cost>) {
     static_levels_topo_into(dag, &mut lanes.s);
     out.clear();
@@ -178,8 +106,9 @@ pub fn static_levels_soa_into(dag: &Dag, lanes: &mut AttrLanes, out: &mut Vec<Co
 
 /// The attributes FAST's CPN-Dominate list reads (§4.1), id-keyed:
 /// t-level, b-level and the CPN / IBN / OBN class (a node is a CPN iff
-/// its class is [`NodeClass::Cpn`]). The list never reads static level
-/// or ALAP, so they are not computed; [`GraphAttributes`] has them.
+/// its class is [`NodeClass::Cpn`]), plus the critical-path length.
+/// The list never reads static level or ALAP, so they are not
+/// computed; [`GraphAttributes`] has them.
 #[derive(Debug, Default, Clone)]
 pub struct ListAttributes {
     /// t-level (ASAP start time) per node.
@@ -188,6 +117,8 @@ pub struct ListAttributes {
     pub b_level: Vec<Cost>,
     /// CPN / IBN / OBN class per node.
     pub classes: Vec<NodeClass>,
+    /// Critical-path length: `max_n (t_level + b_level)`.
+    pub cp_length: Cost,
 }
 
 impl ListAttributes {
@@ -208,9 +139,8 @@ impl ListAttributes {
     ///   `t + b` is the critical-path length, an IBN when it is not but
     ///   some successor is a CPN or an IBN, and an OBN otherwise; the
     ///   same gather that folds the b-level ORs the successors' flags.
-    ///
-    /// Equal to [`GraphAttributes::compute`] plus
-    /// [`crate::classify::classify_nodes`], lane for lane.
+    ///   A node reaches a CPN exactly when one of its successors is a
+    ///   CPN or reaches one, so this is the §4.1 IBN.
     pub fn compute_into(&mut self, dag: &Dag, lanes: &mut AttrLanes) -> u64 {
         let csr = dag.topo_csr();
         let v = csr.weights.len();
@@ -249,6 +179,7 @@ impl ListAttributes {
             };
         }
         // Every id is written once (the topo order is a permutation).
+        self.cp_length = cp;
         self.t_level.resize(v, 0);
         self.b_level.resize(v, 0);
         self.classes.resize(v, NodeClass::Obn);
@@ -262,7 +193,8 @@ impl ListAttributes {
     }
 }
 
-/// All §2 attributes of a DAG, computed in three O(v + e) passes.
+/// All §2 attributes of a DAG, id-keyed: [`ListAttributes`] plus the
+/// static level and ALAP.
 #[derive(Debug, Clone)]
 pub struct GraphAttributes {
     /// t-level (ASAP start time) per node.
@@ -275,63 +207,37 @@ pub struct GraphAttributes {
     pub alap: Vec<Cost>,
     /// Critical-path length: `max_n (t_level + b_level)`.
     pub cp_length: Cost,
-    /// `cpn[n]` is `true` iff `t_level[n] + b_level[n] == cp_length`.
-    pub cpn: Vec<bool>,
+    /// CPN / IBN / OBN class per node; a node is a CPN iff
+    /// `t_level + b_level == cp_length`.
+    pub classes: Vec<NodeClass>,
 }
 
 impl GraphAttributes {
-    /// An empty attribute set holding no buffers; fill it with
-    /// [`GraphAttributes::compute_into`]. This is the workspace seed
-    /// value: create once, recompute in place per DAG.
-    pub fn empty() -> Self {
-        Self {
-            t_level: Vec::new(),
-            b_level: Vec::new(),
-            static_level: Vec::new(),
-            alap: Vec::new(),
-            cp_length: 0,
-            cpn: Vec::new(),
-        }
-    }
-
-    /// Compute every attribute for `dag`.
+    /// Compute every attribute for `dag`: the fused
+    /// [`ListAttributes::compute_into`] sweeps, one static-level sweep
+    /// and `cp_length - b_level` for ALAP.
     pub fn compute(dag: &Dag) -> Self {
-        let mut out = Self::empty();
-        Self::compute_into(dag, &mut out);
-        out
-    }
-
-    /// [`GraphAttributes::compute`] writing into an existing attribute
-    /// set. All buffers are cleared and refilled, never dropped, so a
-    /// reused `out` allocates nothing once its capacities have reached
-    /// the largest DAG seen so far.
-    pub fn compute_into(dag: &Dag, out: &mut GraphAttributes) {
-        t_levels_into(dag, &mut out.t_level);
-        b_levels_into(dag, &mut out.b_level);
-        static_levels_into(dag, &mut out.static_level);
-        let cp_length = out
-            .t_level
-            .iter()
-            .zip(&out.b_level)
-            .map(|(&t, &b)| t + b)
-            .max()
-            .expect("non-empty graph");
-        out.cp_length = cp_length;
-        out.cpn.clear();
-        out.cpn.extend(
-            out.t_level
-                .iter()
-                .zip(&out.b_level)
-                .map(|(&t, &b)| t + b == cp_length),
-        );
-        out.alap.clear();
-        out.alap.extend(out.b_level.iter().map(|&b| cp_length - b));
+        let mut lanes = AttrLanes::new();
+        let mut list = ListAttributes::new();
+        list.compute_into(dag, &mut lanes);
+        let mut static_level = Vec::new();
+        static_levels_soa_into(dag, &mut lanes, &mut static_level);
+        let cp_length = list.cp_length;
+        let alap = list.b_level.iter().map(|&b| cp_length - b).collect();
+        Self {
+            t_level: list.t_level,
+            b_level: list.b_level,
+            static_level,
+            alap,
+            cp_length,
+            classes: list.classes,
+        }
     }
 
     /// `true` if `n` lies on a critical path.
     #[inline]
     pub fn is_cpn(&self, n: NodeId) -> bool {
-        self.cpn[n.index()]
+        self.classes[n.index()] == NodeClass::Cpn
     }
 
     /// One concrete critical path, as a node sequence from an entry CPN
@@ -339,15 +245,15 @@ impl GraphAttributes {
     /// (`t + w + c == t_child` and child is a CPN).
     pub fn critical_path(&self, dag: &Dag) -> Vec<NodeId> {
         // Start at a CPN entry node with t-level 0.
-        let mut cur = (0..dag.node_count() as u32)
-            .map(NodeId)
-            .find(|&n| self.cpn[n.index()] && self.t_level[n.index()] == 0)
+        let mut cur = dag
+            .nodes()
+            .find(|&n| self.is_cpn(n) && self.t_level[n.index()] == 0)
             .expect("a critical path always starts at an entry node");
         let mut path = vec![cur];
         loop {
             let reach = self.t_level[cur.index()] + dag.weight(cur);
             let next = dag.succs(cur).iter().find(|e| {
-                self.cpn[e.node.index()]
+                self.is_cpn(e.node)
                     && reach + e.cost == self.t_level[e.node.index()]
                     && self.b_level[cur.index()]
                         == dag.weight(cur) + e.cost + self.b_level[e.node.index()]
@@ -361,14 +267,6 @@ impl GraphAttributes {
             }
         }
         path
-    }
-
-    /// *Relative mobility* of every node as used by the MD algorithm:
-    /// `(ALAP - ASAP) / w(n)`. CPNs have mobility zero.
-    pub fn relative_mobility(&self, dag: &Dag) -> Vec<f64> {
-        (0..dag.node_count())
-            .map(|i| (self.alap[i] - self.t_level[i]) as f64 / dag.weights()[i] as f64)
-            .collect()
     }
 }
 
@@ -396,25 +294,26 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// t(a)=0, t(b)=2+4=6, t(c)=2+1=3, t(d)=max(6+3+2, 3+5+1)=11.
+    const SAMPLE_T: [Cost; 4] = [0, 6, 3, 11];
+    /// b(d)=1, b(b)=3+2+1=6, b(c)=5+1+1=7, b(a)=2+max(4+6,1+7)=12.
+    const SAMPLE_B: [Cost; 4] = [12, 6, 7, 1];
+    /// sl(d)=1, sl(b)=4, sl(c)=6, sl(a)=2+6=8: communication ignored.
+    const SAMPLE_SL: [Cost; 4] = [8, 4, 6, 1];
+
     #[test]
     fn t_levels_match_hand_computation() {
-        let g = sample();
-        // t(a)=0, t(b)=2+4=6, t(c)=2+1=3, t(d)=max(6+3+2, 3+5+1)=11.
-        assert_eq!(t_levels(&g), vec![0, 6, 3, 11]);
+        assert_eq!(GraphAttributes::compute(&sample()).t_level, SAMPLE_T);
     }
 
     #[test]
     fn b_levels_match_hand_computation() {
-        let g = sample();
-        // b(d)=1, b(b)=3+2+1=6, b(c)=5+1+1=7, b(a)=2+max(4+6,1+7)=12.
-        assert_eq!(b_levels(&g), vec![12, 6, 7, 1]);
+        assert_eq!(GraphAttributes::compute(&sample()).b_level, SAMPLE_B);
     }
 
     #[test]
     fn static_levels_ignore_communication() {
-        let g = sample();
-        // sl(d)=1, sl(b)=4, sl(c)=6, sl(a)=2+6=8.
-        assert_eq!(static_levels(&g), vec![8, 4, 6, 1]);
+        assert_eq!(GraphAttributes::compute(&sample()).static_level, SAMPLE_SL);
     }
 
     #[test]
@@ -422,8 +321,9 @@ mod tests {
         let g = sample();
         let at = GraphAttributes::compute(&g);
         assert_eq!(at.cp_length, 12);
-        // t+b: a=12*, b=12*, c=10, d=12*.
-        assert_eq!(at.cpn, vec![true, true, false, true]);
+        // t+b: a=12*, b=12*, c=10, d=12*; c reaches the CPN d.
+        use NodeClass::{Cpn, Ibn};
+        assert_eq!(at.classes, vec![Cpn, Cpn, Ibn, Cpn]);
         // ALAP = 12 - b.
         assert_eq!(at.alap, vec![0, 6, 5, 11]);
         // ASAP == ALAP exactly on CPNs (paper §2).
@@ -451,18 +351,6 @@ mod tests {
         assert_eq!(len, at.cp_length);
     }
 
-    #[test]
-    fn relative_mobility_zero_exactly_on_cpns() {
-        let g = sample();
-        let at = GraphAttributes::compute(&g);
-        let mob = at.relative_mobility(&g);
-        for n in g.nodes() {
-            assert_eq!(mob[n.index()] == 0.0, at.is_cpn(n));
-        }
-        // c: (5 - 3) / 5 = 0.4.
-        assert!((mob[2] - 0.4).abs() < 1e-12);
-    }
-
     /// Scatter a topo-keyed lane back to id keying.
     fn to_id_space(g: &Dag, lane: &[u64]) -> Vec<u64> {
         let mut out = vec![0; g.node_count()];
@@ -472,50 +360,55 @@ mod tests {
         out
     }
 
+    /// The hand-computed levels are what the scalar reference
+    /// (`tests/scalar_levels`) computes for `sample()`.
     #[test]
     fn topo_kernels_match_scalar_reference() {
         let g = sample();
         let mut lane = Vec::new();
         t_levels_topo_into(&g, &mut lane);
-        assert_eq!(to_id_space(&g, &lane), t_levels(&g));
+        assert_eq!(to_id_space(&g, &lane), SAMPLE_T);
         b_levels_topo_into(&g, &mut lane);
-        assert_eq!(to_id_space(&g, &lane), b_levels(&g));
+        assert_eq!(to_id_space(&g, &lane), SAMPLE_B);
         static_levels_topo_into(&g, &mut lane);
-        assert_eq!(to_id_space(&g, &lane), static_levels(&g));
+        assert_eq!(to_id_space(&g, &lane), SAMPLE_SL);
     }
 
     #[test]
     fn static_levels_soa_scatter_matches_scalar() {
-        let g = sample();
-        let mut lanes = AttrLanes::new();
         let mut soa = Vec::new();
-        static_levels_soa_into(&g, &mut lanes, &mut soa);
-        assert_eq!(soa, static_levels(&g));
+        static_levels_soa_into(&sample(), &mut AttrLanes::new(), &mut soa);
+        assert_eq!(soa, SAMPLE_SL);
     }
 
     #[test]
     fn list_attributes_match_compute_and_classify() {
-        for g in [sample(), {
-            // Disconnected + skip edges: exercises multiple entries.
-            let mut b = DagBuilder::new();
-            let a = b.add_task(10);
-            let c = b.add_task(2);
-            let d = b.add_task(3);
-            let e = b.add_task(4);
-            b.add_edge(c, d, 1).unwrap();
-            b.add_edge(c, e, 7).unwrap();
-            b.add_edge(a, e, 2).unwrap();
-            b.build().unwrap()
-        }] {
-            let scalar = GraphAttributes::compute(&g);
-            let mut lanes = AttrLanes::new();
-            let mut list = ListAttributes::new();
-            let reads = list.compute_into(&g, &mut lanes);
-            assert_eq!(reads, 2 * g.edge_count() as u64);
-            assert_eq!(list.t_level, scalar.t_level);
-            assert_eq!(list.b_level, scalar.b_level);
-            assert_eq!(list.classes, crate::classify::classify_nodes(&g, &scalar));
-        }
+        // Disconnected + skip edges: multiple entries, one node of each
+        // class.
+        let mut b = DagBuilder::new();
+        let a = b.add_task(10);
+        let c = b.add_task(2);
+        let d = b.add_task(3);
+        let e = b.add_task(4);
+        b.add_edge(c, d, 1).unwrap();
+        b.add_edge(c, e, 7).unwrap();
+        b.add_edge(a, e, 2).unwrap();
+        let g = b.build().unwrap();
+        let mut list = ListAttributes::new();
+        let reads = list.compute_into(&g, &mut AttrLanes::new());
+        assert_eq!(reads, 2 * g.edge_count() as u64);
+        // t(e) = max(10+2, 2+7); b(c) = 2 + max(1+3, 7+4).
+        assert_eq!(list.t_level, vec![0, 0, 3, 12]);
+        assert_eq!(list.b_level, vec![16, 13, 3, 4]);
+        assert_eq!(list.cp_length, 16);
+        // a and e are tight; c reaches e; d reaches nothing critical.
+        use NodeClass::{Cpn, Ibn, Obn};
+        assert_eq!(list.classes, vec![Cpn, Ibn, Obn, Cpn]);
+        let at = GraphAttributes::compute(&g);
+        assert_eq!(at.t_level, list.t_level);
+        assert_eq!(at.b_level, list.b_level);
+        assert_eq!(at.cp_length, list.cp_length);
+        assert_eq!(crate::classify::classify_nodes(&g, &at), list.classes);
     }
 
     #[test]
@@ -527,7 +420,7 @@ mod tests {
         assert_eq!(at.cp_length, 7);
         assert_eq!(at.t_level, vec![0]);
         assert_eq!(at.b_level, vec![7]);
-        assert!(at.cpn[0]);
+        assert!(at.is_cpn(NodeId(0)));
     }
 
     #[test]

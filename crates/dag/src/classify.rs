@@ -6,7 +6,7 @@
 //! * **OBN** (Out-Branch Node) — neither a CPN nor an IBN.
 
 use crate::attributes::GraphAttributes;
-use crate::graph::{Dag, NodeId};
+use crate::graph::Dag;
 
 /// Class of a node in the CPN / IBN / OBN partition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -19,43 +19,17 @@ pub enum NodeClass {
     Obn,
 }
 
-/// Classify every node of `dag` given its computed attributes.
-///
-/// Runs one reverse DFS from the CPN set, so the whole pass is O(v + e).
-/// FAST computes the same classes inside its attribute sweep
-/// ([`crate::attributes::ListAttributes`]); this is the reference.
+/// The class of every node of `dag`, id-keyed: the classes `attrs`
+/// already carries, since [`GraphAttributes::compute`] derives them in
+/// the same backward sweep as the b-level
+/// ([`crate::attributes::ListAttributes::compute_into`]). O(v).
 pub fn classify_nodes(dag: &Dag, attrs: &GraphAttributes) -> Vec<NodeClass> {
-    let mut seen = attrs.cpn.clone();
-    let mut stack: Vec<NodeId> = dag.nodes().filter(|&n| attrs.is_cpn(n)).collect();
-    while let Some(n) = stack.pop() {
-        for e in dag.preds(n) {
-            if !seen[e.node.index()] {
-                seen[e.node.index()] = true;
-                stack.push(e.node);
-            }
-        }
-    }
-    dag.nodes()
-        .map(|n| {
-            if attrs.is_cpn(n) {
-                NodeClass::Cpn
-            } else if seen[n.index()] {
-                NodeClass::Ibn
-            } else {
-                NodeClass::Obn
-            }
-        })
-        .collect()
-}
-
-/// Nodes of a given class, in id order.
-pub fn nodes_of_class(classes: &[NodeClass], class: NodeClass) -> Vec<NodeId> {
-    classes
-        .iter()
-        .enumerate()
-        .filter(|(_, &c)| c == class)
-        .map(|(i, _)| NodeId(i as u32))
-        .collect()
+    assert_eq!(
+        attrs.classes.len(),
+        dag.node_count(),
+        "attributes of another DAG"
+    );
+    attrs.classes.clone()
 }
 
 #[cfg(test)]
@@ -96,19 +70,6 @@ mod tests {
                 NodeClass::Obn
             ]
         );
-    }
-
-    #[test]
-    fn nodes_of_class_filters_in_id_order() {
-        let g = mixed();
-        let at = GraphAttributes::compute(&g);
-        let classes = classify_nodes(&g, &at);
-        assert_eq!(
-            nodes_of_class(&classes, NodeClass::Cpn),
-            vec![NodeId(0), NodeId(1)]
-        );
-        assert_eq!(nodes_of_class(&classes, NodeClass::Ibn), vec![NodeId(2)]);
-        assert_eq!(nodes_of_class(&classes, NodeClass::Obn), vec![NodeId(3)]);
     }
 
     #[test]

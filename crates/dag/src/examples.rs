@@ -186,6 +186,6 @@ mod tests {
         assert_eq!(g.edge_count(), 4);
         let at = GraphAttributes::compute(&g);
         assert_eq!(at.cp_length, 5 * 2 + 4);
-        assert!(at.cpn.iter().all(|&c| c));
+        assert!(at.classes.iter().all(|&c| c == NodeClass::Cpn));
     }
 }

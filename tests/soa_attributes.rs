@@ -1,20 +1,22 @@
 //! SoA attribute-kernel equivalence suite: the topo-keyed sweep
-//! kernels and FAST's fused list attributes (`ListAttributes`) must
-//! agree with the scalar `attributes.rs` and `classify_nodes`
-//! references **exactly** — same integers, not just same order — and
-//! the CPN-Dominate list must equal the one a per-return `max_by` pull
-//! builds, under both OBN orders. They run on random layered DAGs
+//! kernels, FAST's fused list attributes (`ListAttributes`) and every
+//! `GraphAttributes` field built on them must agree with the scalar
+//! level passes and the reverse-DFS classification of
+//! `tests/scalar_levels` **exactly** — same integers, not just same
+//! order — and the CPN-Dominate list must equal the one a per-return
+//! `max_by` pull builds, under both OBN orders. They run on random layered DAGs
 //! under homogeneous and heterogeneous weight models, on the fuzz
 //! corpus, on the work-count shapes (stars, bipartite layers, the
 //! paper's random DAGs) and on out-trees (in-degree 0–1). The SoA
 //! plane only changes where the sweeps read and write, never a value.
 
+mod scalar_levels;
 #[allow(dead_code)]
 mod shapes;
 
 use fastsched::dag::attributes::{
-    b_levels_into, b_levels_topo_into, static_levels_into, static_levels_soa_into,
-    static_levels_topo_into, t_levels_into, t_levels_topo_into, AttrLanes,
+    b_levels_topo_into, static_levels_soa_into, static_levels_topo_into, t_levels_topo_into,
+    AttrLanes,
 };
 use fastsched::dag::{
     classify_nodes, cpn_dominate_list, CpnListConfig, Dag, DagBuilder, GraphAttributes,
@@ -25,6 +27,7 @@ use fastsched::workloads::fuzz::fuzz_corpus;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use scalar_levels::{b_levels_into, static_levels_into, t_levels_into, ScalarAttributes};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -32,11 +35,14 @@ use std::collections::BinaryHeap;
 /// return to a node re-scans all of its parents for the best unlisted
 /// one (`max_by`), so a node with `d` unlisted parents costs about
 /// `d²/2` reads. Kept as the reference the shared pull must equal.
-fn max_by_list(dag: &Dag, attrs: &GraphAttributes, obn_order: ObnOrder) -> Vec<NodeId> {
-    let classes = classify_nodes(dag, attrs);
+fn max_by_list(dag: &Dag, attrs: &ScalarAttributes, obn_order: ObnOrder) -> Vec<NodeId> {
+    let classes = &attrs.classes;
     let mut listed = vec![false; dag.node_count()];
     let mut order = Vec::new();
-    let mut cpns: Vec<NodeId> = dag.nodes().filter(|&n| attrs.is_cpn(n)).collect();
+    let mut cpns: Vec<NodeId> = dag
+        .nodes()
+        .filter(|&n| classes[n.index()] == NodeClass::Cpn)
+        .collect();
     cpns.sort_by_key(|&n| (attrs.t_level[n.index()], n.0));
     for cpn in cpns {
         let mut stack = vec![cpn];
@@ -100,23 +106,42 @@ fn max_by_list(dag: &Dag, attrs: &GraphAttributes, obn_order: ObnOrder) -> Vec<N
     order
 }
 
-/// FAST's fused list attributes against `GraphAttributes::compute` plus
-/// `classify_nodes`, and the shared CPN-Dominate pull against
-/// [`max_by_list`] under both OBN orders, on one DAG.
+/// FAST's fused list attributes and every `GraphAttributes` field
+/// against the scalar reference plus DFS, and the shared CPN-Dominate
+/// pull against [`max_by_list`] under both OBN orders, on one DAG.
 fn assert_list_matches_reference(dag: &Dag, ctx: &str) {
-    let reference = GraphAttributes::compute(dag);
+    let reference = ScalarAttributes::compute(dag);
     let mut fused = ListAttributes::new();
     let reads = fused.compute_into(dag, &mut AttrLanes::new());
     assert_eq!(reads, 2 * dag.edge_count() as u64, "{ctx}");
     assert_eq!(fused.t_level, reference.t_level, "t-level on {ctx}");
     assert_eq!(fused.b_level, reference.b_level, "b-level on {ctx}");
-    let classes = classify_nodes(dag, &reference);
-    assert_eq!(fused.classes, classes, "classes on {ctx}");
-    let cpn: Vec<bool> = fused.classes.iter().map(|&c| c == NodeClass::Cpn).collect();
-    assert_eq!(cpn, reference.cpn, "CPN flags on {ctx}");
+    assert_eq!(fused.classes, reference.classes, "classes on {ctx}");
+    assert_eq!(fused.cp_length, reference.cp_length, "CP length on {ctx}");
+
+    let plane = GraphAttributes::compute(dag);
+    assert_eq!(plane.t_level, reference.t_level, "plane t-level on {ctx}");
+    assert_eq!(plane.b_level, reference.b_level, "plane b-level on {ctx}");
+    assert_eq!(
+        plane.static_level, reference.static_level,
+        "plane SL on {ctx}"
+    );
+    assert_eq!(plane.alap, reference.alap, "plane ALAP on {ctx}");
+    assert_eq!(
+        plane.cp_length, reference.cp_length,
+        "plane CP length on {ctx}"
+    );
+    assert_eq!(plane.classes, reference.classes, "plane classes on {ctx}");
+    let classes = classify_nodes(dag, &plane);
+    assert_eq!(classes, reference.classes, "classify_nodes on {ctx}");
+    for n in dag.nodes() {
+        let cpn = reference.classes[n.index()] == NodeClass::Cpn;
+        assert_eq!(plane.is_cpn(n), cpn, "is_cpn({n}) on {ctx}");
+    }
+
     for obn_order in [ObnOrder::Decreasing, ObnOrder::Increasing] {
         assert_eq!(
-            cpn_dominate_list(dag, &reference, &classes, CpnListConfig { obn_order }),
+            cpn_dominate_list(dag, &plane, &classes, CpnListConfig { obn_order }),
             max_by_list(dag, &reference, obn_order),
             "{obn_order:?} list on {ctx}"
         );

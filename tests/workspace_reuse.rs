@@ -6,7 +6,7 @@
 //! never the correctness gate's verdict.
 
 use fastsched::algorithms::{
-    schedule_many_par_with, Dls, Etf, Fast, FastSa, FastSaConfig, Scheduler, Workspace,
+    schedule_many_par_with, Dls, Dsc, Etf, Fast, FastSa, FastSaConfig, Md, Scheduler, Workspace,
 };
 use fastsched::algorithms::{FastParallel, FastParallelConfig, Heft, Ish, Mcp};
 use fastsched::dag::Dag;
@@ -22,8 +22,9 @@ const CORPUS_SEED: u64 = 0xBA7C;
 
 /// The natively ported schedulers (each overrides `schedule_into`)
 /// plus one default-method algorithm (MCP) to pin the fallback path,
-/// and HEFT and ISH, which price DATs through the same lanes as FAST,
-/// ETF and DLS (HEFT from the workspace's).
+/// HEFT and ISH, which price DATs through the same lanes as FAST, ETF
+/// and DLS (HEFT from the workspace's), and the paper's DSC and MD,
+/// which run on workspace scratch and refuse every priced machine.
 fn ported() -> Vec<Box<dyn Scheduler>> {
     vec![
         Box::new(Fast::new()),
@@ -41,6 +42,8 @@ fn ported() -> Vec<Box<dyn Scheduler>> {
         Box::new(Mcp::new()),
         Box::new(Heft::new()),
         Box::new(Ish::new()),
+        Box::new(Dsc::new()),
+        Box::new(Md::new()),
     ]
 }
 

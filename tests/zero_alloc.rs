@@ -204,7 +204,7 @@ fn fast_is_allocation_free_on_the_2000_node_workload() {
 
 /// The other natively ported single-threaded algorithms on a smaller
 /// graph (ETF/DLS are Θ(p v²)-ish; graph size is irrelevant to the
-/// allocation property).
+/// allocation property), and MD on a smaller one still.
 fn ported_algorithms_are_allocation_free() {
     let db = TimingDatabase::paragon();
     let dag = random_layered_dag(&RandomDagConfig::paper(300, &db), 7);
@@ -221,6 +221,11 @@ fn ported_algorithms_are_allocation_free() {
         }),
     );
     assert_steady_state("HEFT/300", &dag, 8, &Heft::new());
+    // DSC clusters onto an unbounded pool, as the paper runs it.
+    assert_steady_state("DSC/300", &dag, 300, &Dsc::new());
+    // MD recomputes its ASAP times every step, O(v (v + e)).
+    let small = random_layered_dag(&RandomDagConfig::paper(40, &db), 7);
+    assert_steady_state("MD/40", &small, 8, &Md::new());
 }
 
 /// One warm workspace serving runs whose processor count goes down and
