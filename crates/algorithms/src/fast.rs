@@ -25,12 +25,12 @@
 
 use crate::list_common::ListState;
 use crate::scheduler::{priced, Scheduler, SchedulerError};
-use crate::workspace::{lend_eval, return_eval, untraced, Workspace};
+use crate::workspace::{lend_eval, return_eval, Workspace};
 use fastsched_dag::{cpn_dominate_list_into, CpnListConfig, Dag, NodeId, ObnOrder};
 use fastsched_schedule::{
     data_arrival_time_with, CostModel, DeltaEvaluator, HomogeneousModel, Machine, ProcId, Schedule,
 };
-use fastsched_trace::{EvalStats, SearchTrace};
+use fastsched_trace::{EvalStats, Phase, SearchTrace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -250,8 +250,8 @@ pub(crate) fn list_construction_into(
 }
 
 /// Phase 1 against workspace buffers, shared by FAST, FAST-SA and
-/// FAST-MS: list construction (timed as `list_construction`) plus the
-/// placement loop under `model` (timed as `initial_schedule`). Fills
+/// FAST-MS: list construction (lapped as [`Phase::List`]) plus the
+/// placement loop under `model` (lapped as [`Phase::Place`]). Fills
 /// `ws.list`, `ws.attrs`, `ws.blocking` and `ws.state` (the initial
 /// assignment is its `proc` lane), and builds the initial schedule in
 /// `ws.staging`.
@@ -263,13 +263,12 @@ pub(crate) fn initial_schedule_ws<M: CostModel + ?Sized>(
     ws: &mut Workspace,
     trace: &mut SearchTrace,
 ) -> Result<(), SchedulerError> {
-    trace.phase_start("list_construction");
+    trace.clock.start();
     list_construction_into(dag, obn_order, ws, &mut trace.eval);
     ws.blocking_from_classes(dag);
-    trace.phase_end("list_construction");
-    trace.phase_start("initial_schedule");
+    trace.clock.lap(Phase::List);
     place_by_list(model, dag, num_procs, ws, trace)?;
-    trace.phase_end("initial_schedule");
+    trace.clock.lap(Phase::Place);
     Ok(())
 }
 
@@ -345,7 +344,7 @@ impl Fast {
             self.config.obn_order,
             model,
             &mut ws,
-            &mut untraced(),
+            &mut SearchTrace::default(),
         )?;
         Ok((ws.staging, ws.list, ws.state.proc))
     }
@@ -353,8 +352,8 @@ impl Fast {
     /// The two phases of §4 — the one scheduling core: CPN-Dominate
     /// placement, then the random-transfer hill climb through the
     /// workspace's [`DeltaEvaluator`], both priced by `model` and both
-    /// recorded in `trace` (phases `list_construction`,
-    /// `initial_schedule`, `local_search`). Under finite capacities the
+    /// timed in `trace` (phases [`Phase::List`], [`Phase::Place`],
+    /// [`Phase::Search`]). Under finite capacities the
     /// placement and the climb both refuse over-capacity lanes.
     fn core<M: CostModel + ?Sized>(
         &self,
@@ -365,7 +364,6 @@ impl Fast {
         trace: &mut SearchTrace,
     ) -> Result<Schedule, SchedulerError> {
         initial_schedule_ws(dag, num_procs, self.config.obn_order, model, ws, trace)?;
-        trace.phase_start("local_search");
         if !ws.blocking.is_empty() && num_procs >= 2 {
             let mut eval = lend_eval(&mut ws.eval, model);
             eval.reset_with_finish(dag, &ws.list, &ws.state.proc, &ws.state.finish, num_procs);
@@ -383,7 +381,7 @@ impl Fast {
             eval.write_schedule(&mut ws.staging);
             return_eval(&mut ws.eval, eval);
         }
-        trace.phase_end("local_search");
+        trace.clock.lap(Phase::Search);
         Ok(ws.finish(model))
     }
 

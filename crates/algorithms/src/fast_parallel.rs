@@ -15,7 +15,7 @@ use crate::scheduler::{priced, Feature, Scheduler, SchedulerError};
 use crate::workspace::{lend_eval, return_eval, Workspace};
 use fastsched_dag::{Dag, ObnOrder};
 use fastsched_schedule::{CostModel, Machine, Schedule};
-use fastsched_trace::SearchTrace;
+use fastsched_trace::{Phase, SearchTrace};
 
 /// Tunables of the multi-start search.
 #[derive(Debug, Clone, Copy)]
@@ -84,7 +84,6 @@ impl FastParallel {
         trace: &mut SearchTrace,
     ) -> Result<Schedule, SchedulerError> {
         initial_schedule_ws(dag, num_procs, ObnOrder::default(), model, ws, trace)?;
-        trace.phase_start("local_search");
         let chains = self.config.chains as usize;
         if !ws.blocking.is_empty() && num_procs >= 2 && chains > 0 {
             ws.ensure_chains(chains);
@@ -132,7 +131,7 @@ impl FastParallel {
                 .expect("at least one chain");
             ws.chains[best].eval.write_schedule(&mut ws.staging);
         }
-        trace.phase_end("local_search");
+        trace.clock.lap(Phase::Search);
         Ok(ws.finish(model))
     }
 }

@@ -15,7 +15,7 @@ use crate::scheduler::{priced, Feature, Scheduler, SchedulerError};
 use crate::workspace::{lend_eval, return_eval, Workspace};
 use fastsched_dag::{Dag, NodeId, ObnOrder};
 use fastsched_schedule::{CostModel, DeltaEvaluator, Machine, ProcId, Schedule};
-use fastsched_trace::SearchTrace;
+use fastsched_trace::{Phase, SearchTrace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -74,7 +74,6 @@ impl FastSa {
         trace: &mut SearchTrace,
     ) -> Result<Schedule, SchedulerError> {
         initial_schedule_ws(dag, num_procs, ObnOrder::default(), model, ws, trace)?;
-        trace.phase_start("local_search");
         if !ws.blocking.is_empty() && num_procs >= 2 && self.config.steps > 0 {
             let mut eval = lend_eval(&mut ws.eval, model);
             eval.reset_with_finish(dag, &ws.list, &ws.state.proc, &ws.state.finish, num_procs);
@@ -94,7 +93,7 @@ impl FastSa {
             eval.write_schedule(&mut ws.staging);
             return_eval(&mut ws.eval, eval);
         }
-        trace.phase_end("local_search");
+        trace.clock.lap(Phase::Search);
         Ok(ws.finish(model))
     }
 }

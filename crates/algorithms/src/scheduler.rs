@@ -4,7 +4,7 @@
 use crate::workspace::Workspace;
 use fastsched_dag::{Cost, Dag};
 use fastsched_schedule::{Machine, Schedule, ScheduleError};
-use fastsched_trace::SearchTrace;
+use fastsched_trace::{Phase, SearchTrace};
 
 /// Why [`Scheduler::run`] returned no schedule.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -152,10 +152,11 @@ pub trait Scheduler: Send + Sync {
     /// Schedule `dag` on `num_procs` processors of `machine`: the one
     /// entry point. Refuses zero processors and times that could
     /// overflow before the algorithm runs, and gates every result with
-    /// [`Machine::validate_into`] against the workspace's scratch. A
-    /// warm `ws` (results handed back through [`Workspace::recycle`])
-    /// makes the ported algorithms and the gate allocation-free;
-    /// neither `ws` nor `trace` changes a decision.
+    /// [`Machine::validate_into`] against the workspace's scratch,
+    /// lapped into `trace` as [`Phase::Validate`]. A warm `ws`
+    /// (results handed back through [`Workspace::recycle`]) makes the
+    /// ported algorithms and the gate allocation-free; neither `ws`
+    /// nor `trace` changes a decision.
     fn run(
         &self,
         dag: &Dag,
@@ -171,9 +172,10 @@ pub trait Scheduler: Send + Sync {
             return Err(SchedulerError::Overflow);
         }
         let schedule = self.schedule_on(dag, num_procs, machine, ws, trace)?;
-        machine
-            .validate_into(dag, &schedule, &mut ws.validate)
-            .map_err(SchedulerError::Invalid)?;
+        trace.clock.start();
+        let verdict = machine.validate_into(dag, &schedule, &mut ws.validate);
+        trace.clock.lap(Phase::Validate);
+        verdict.map_err(SchedulerError::Invalid)?;
         Ok(schedule)
     }
 

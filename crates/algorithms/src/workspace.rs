@@ -57,12 +57,6 @@ use fastsched_schedule::{
 };
 use fastsched_trace::SearchTrace;
 
-/// The collector for runs nobody traces: counters only, no heap and
-/// no clock reads.
-pub(crate) fn untraced() -> SearchTrace {
-    SearchTrace::default()
-}
-
 /// `slot`'s warm evaluator re-typed for `model`: its buffers move out
 /// (an empty evaluator is left behind), nothing is allocated. Give it
 /// back with [`return_eval`].

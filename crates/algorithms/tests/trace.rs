@@ -6,7 +6,7 @@ use fastsched_algorithms::{Fast, FastConfig, FastSa, FastSaConfig, Scheduler, Wo
 use fastsched_dag::examples::paper_figure1;
 use fastsched_dag::Dag;
 use fastsched_schedule::{Machine, Schedule};
-use fastsched_trace::{SearchTrace, TraceEvent};
+use fastsched_trace::{Phase, SearchTrace, TraceEvent};
 use fastsched_workloads::{random_layered_dag, RandomDagConfig, TimingDatabase};
 
 /// `scheduler` on the paper's machine with fresh scratch, recording
@@ -94,19 +94,63 @@ fn traced_schedule_is_identical_to_untraced() {
     }
 }
 
-/// All three phases of the FAST pipeline show up with measured time.
+/// A recorded FAST run's NDJSON carries exactly one phase row per
+/// timed layer of the pipeline, in pipeline order.
 #[test]
 fn phase_timers_cover_the_pipeline() {
     let g = paper_figure1();
     let mut trace = SearchTrace::recording();
     traced(&Fast::new(), &g, 9, &mut trace);
-    let report = trace.to_report();
-    let phases = report.phase_totals();
-    for name in ["list_construction", "initial_schedule", "local_search"] {
-        assert!(
-            phases.iter().any(|(n, _)| n == name),
-            "missing phase {name}"
-        );
+    let report = fastsched_trace::Report::from_ndjson(&trace.to_report().to_ndjson())
+        .expect("own output must parse");
+    let names: Vec<String> = report.phase_totals().into_iter().map(|(n, _)| n).collect();
+    assert_eq!(
+        names,
+        [
+            "list_construction",
+            "initial_schedule",
+            "local_search",
+            "validate"
+        ]
+    );
+}
+
+/// The phase clock runs on the default (off) trace too: each FAST
+/// variant laps its list, placement and search once and the gate once;
+/// a scheduler without those phases laps only the gate.
+#[test]
+fn an_untraced_run_laps_each_phase_once() {
+    use fastsched_algorithms::{Dsc, FastParallel, FastParallelConfig, Heft};
+    let g = paper_figure1();
+    let ms = |threads| {
+        FastParallel::with_config(FastParallelConfig {
+            threads,
+            ..Default::default()
+        })
+    };
+    let (ms1, ms2) = (ms(1), ms(2));
+    let all = [Phase::List, Phase::Place, Phase::Search, Phase::Validate];
+    let cases: [(&dyn Scheduler, &[Phase]); 6] = [
+        (&Fast::new(), &all),
+        (&FastSa::new(), &all),
+        (&ms1, &all),
+        (&ms2, &all),
+        (&Heft, &[Phase::Validate]),
+        (&Dsc, &[Phase::Validate]),
+    ];
+    for (scheduler, lapped) in cases {
+        let mut trace = SearchTrace::default();
+        traced(scheduler, &g, 9, &mut trace);
+        for p in Phase::ALL {
+            let want = u64::from(lapped.contains(&p));
+            assert_eq!(
+                trace.clock.laps(p),
+                want,
+                "{}: {} lapped",
+                scheduler.name(),
+                p.name()
+            );
+        }
     }
 }
 

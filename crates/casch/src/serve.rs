@@ -82,7 +82,8 @@ use fastsched_dag::Dag;
 use fastsched_metrics::prometheus::{Exposition, CONTENT_TYPE};
 use fastsched_metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 use fastsched_schedule::{AlphaBeta, CommModel, Hierarchical};
-use fastsched_trace::{json_string, SearchTrace};
+use fastsched_trace::{json_string, Phase, PhaseClock, SearchTrace};
+use std::fmt::Write as _;
 use std::io::{self, BufReader, Read as _, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -171,26 +172,45 @@ pub struct ServeSummary {
     pub completed: u64,
 }
 
-/// The request phases, in reporting order. `queue` is recorded for
-/// every admitted request that reaches a worker (including ones
-/// answered `timeout` — queue wait under saturation is exactly what
-/// the phase exists to show); `schedule`/`serialize`/`write` only for
-/// requests that performed them. `parse` (every non-blank line) and
-/// `build` (DAG build and request checks of every schedule request)
-/// run on the connection thread before admission.
-const PHASE_NAMES: [&str; 6] = ["queue", "schedule", "serialize", "write", "parse", "build"];
+/// The request phases serve meters, in reporting order. `queue` is
+/// recorded for every admitted request that reaches a worker
+/// (including ones answered `timeout` — queue wait under saturation
+/// is exactly what the phase exists to show);
+/// `schedule`/`serialize`/`write` only for requests that performed
+/// them. `parse` (every non-blank line) and `build` (DAG build and
+/// request checks of every schedule request) run on the connection
+/// thread before admission.
+const SERVE_PHASES: [Phase; 6] = [
+    Phase::Queue,
+    Phase::Schedule,
+    Phase::Serialize,
+    Phase::Write,
+    Phase::Parse,
+    Phase::Build,
+];
 
-/// How many of [`PHASE_NAMES`] run on pool workers (the rest run on
-/// connection threads).
-const WORKER_PHASES: usize = 4;
-/// Index of `parse` in [`PHASE_NAMES`].
-const PARSE_PHASE: usize = 4;
-/// Index of `build` in [`PHASE_NAMES`].
-const BUILD_PHASE: usize = 5;
+/// Latency histograms indexed by [`Phase`]: one for each phase the set
+/// records, none for the rest.
+struct PhaseHistograms([Option<Histogram>; Phase::COUNT]);
 
-/// Whole microseconds, saturating.
-fn micros(d: Duration) -> u64 {
-    d.as_micros().min(u128::from(u64::MAX)) as u64
+impl PhaseHistograms {
+    fn new(phases: &[Phase]) -> Self {
+        PhaseHistograms(Phase::ALL.map(|p| phases.contains(&p).then(Histogram::new)))
+    }
+
+    /// Record `phase`'s time on `clock`.
+    fn record(&self, clock: &PhaseClock, phase: Phase) {
+        if let Some(h) = &self.0[phase as usize] {
+            h.record(clock.micros(phase));
+        }
+    }
+
+    /// `phase`'s distribution; empty when the set does not record it.
+    fn snapshot(&self, phase: Phase) -> HistogramSnapshot {
+        self.0[phase as usize]
+            .as_ref()
+            .map_or_else(HistogramSnapshot::empty, Histogram::snapshot)
+    }
 }
 
 /// One pool workspace's metrics shard: written only by the job
@@ -199,8 +219,7 @@ fn micros(d: Duration) -> u64 {
 /// scrape time ([`ServeStats::merged_phase`]).
 struct WorkerCounters {
     requests: Counter,
-    /// Indexed like the first [`WORKER_PHASES`] of [`PHASE_NAMES`].
-    phase_us: [Histogram; WORKER_PHASES],
+    phase_us: PhaseHistograms,
 }
 
 /// Sampled NDJSON access log: one line per [`AccessLog::rate`]-th
@@ -225,9 +244,17 @@ impl AccessLog {
         })
     }
 
-    /// Log this request if it is a sampled one; `render` runs only
-    /// when it is.
-    fn log(&self, render: impl FnOnce() -> String) {
+    /// Log this request if it is a sampled one: the request, its
+    /// outcome, then one `<phase>_us` key per [`SERVE_PHASES`] entry.
+    fn log(
+        &self,
+        id: u64,
+        algo: &str,
+        nodes: usize,
+        procs: u32,
+        outcome: &str,
+        clock: &PhaseClock,
+    ) {
         if !self
             .seq
             .fetch_add(1, Ordering::Relaxed)
@@ -235,38 +262,21 @@ impl AccessLog {
         {
             return;
         }
-        let mut line = render();
-        line.push('\n');
+        let ts_ms = SystemTime::now()
+            .duration_since(SystemTime::UNIX_EPOCH)
+            .map_or(0, |d| d.as_millis() as u64);
+        let mut line = format!(
+            "{{\"ts_ms\":{ts_ms},\"id\":{id},\"algo\":{},\"nodes\":{nodes},\"procs\":{procs},\
+             \"outcome\":\"{outcome}\"",
+            json_string(algo),
+        );
+        for p in SERVE_PHASES {
+            let _ = write!(line, ",\"{}_us\":{}", p.name(), clock.micros(p));
+        }
+        line.push_str("}\n");
         let mut f = self.file.lock().expect("access log lock");
         let _ = f.write_all(line.as_bytes());
     }
-}
-
-/// Render one access-log NDJSON line.
-#[allow(clippy::too_many_arguments)]
-fn access_line(
-    id: u64,
-    algo: &str,
-    nodes: usize,
-    procs: u32,
-    outcome: &str,
-    phase_us: [u64; PHASE_NAMES.len()],
-) -> String {
-    let ts_ms = SystemTime::now()
-        .duration_since(SystemTime::UNIX_EPOCH)
-        .map_or(0, |d| d.as_millis() as u64);
-    format!(
-        "{{\"ts_ms\":{ts_ms},\"id\":{id},\"algo\":{},\"nodes\":{nodes},\"procs\":{procs},\
-         \"outcome\":\"{outcome}\",\"queue_us\":{},\"schedule_us\":{},\"serialize_us\":{},\
-         \"write_us\":{},\"parse_us\":{},\"build_us\":{}}}",
-        json_string(algo),
-        phase_us[0],
-        phase_us[1],
-        phase_us[2],
-        phase_us[3],
-        phase_us[4],
-        phase_us[5],
-    )
 }
 
 /// All serve-side metrics. Counters, gauges and histograms are
@@ -287,9 +297,8 @@ struct ServeStats {
     in_flight: Gauge,
     /// Per-worker shards, indexed by pool workspace.
     workers: Vec<WorkerCounters>,
-    /// The phases after [`WORKER_PHASES`] in [`PHASE_NAMES`], shared
-    /// by the connection threads.
-    conn_phase_us: [Histogram; PHASE_NAMES.len() - WORKER_PHASES],
+    /// The connection threads' phases (`parse`, `build`), shared.
+    conn_phase_us: PhaseHistograms,
     /// Per-algorithm completion counters, indexed by [`Engine::slot`].
     /// Incremented alongside `completed`, so their sum equals it.
     algos: Vec<Counter>,
@@ -312,10 +321,15 @@ impl ServeStats {
             workers: (0..threads)
                 .map(|_| WorkerCounters {
                     requests: Counter::new(),
-                    phase_us: std::array::from_fn(|_| Histogram::new()),
+                    phase_us: PhaseHistograms::new(&[
+                        Phase::Queue,
+                        Phase::Schedule,
+                        Phase::Serialize,
+                        Phase::Write,
+                    ]),
                 })
                 .collect(),
-            conn_phase_us: std::array::from_fn(|_| Histogram::new()),
+            conn_phase_us: PhaseHistograms::new(&[Phase::Parse, Phase::Build]),
             algos: (0..machine::SLOTS).map(|_| Counter::new()).collect(),
             start: Instant::now(),
             host_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
@@ -323,22 +337,14 @@ impl ServeStats {
         }
     }
 
-    /// Phase `p`'s latency distribution, merged across all workers
-    /// for the worker phases.
-    fn merged_phase(&self, p: usize) -> HistogramSnapshot {
-        if p >= WORKER_PHASES {
-            return self.conn_phase_us[p - WORKER_PHASES].snapshot();
-        }
-        let mut out = HistogramSnapshot::empty();
+    /// Phase `p`'s latency distribution, merged across the
+    /// connection threads and all workers.
+    fn merged_phase(&self, p: Phase) -> HistogramSnapshot {
+        let mut out = self.conn_phase_us.snapshot(p);
         for w in &self.workers {
-            out.merge(&w.phase_us[p].snapshot());
+            out.merge(&w.phase_us.snapshot(p));
         }
         out
-    }
-
-    /// Record a connection-thread phase (index into [`PHASE_NAMES`]).
-    fn record_conn_phase(&self, p: usize, us: u64) {
-        self.conn_phase_us[p - WORKER_PHASES].record(us);
     }
 
     fn uptime_s(&self) -> u64 {
@@ -357,13 +363,12 @@ impl ServeStats {
         let malformed = self.malformed.get();
         let accepted = self.accepted.get();
         let in_flight = self.in_flight.get();
-        let phases = PHASE_NAMES
+        let phases = SERVE_PHASES
             .iter()
-            .enumerate()
-            .map(|(i, name)| {
-                let h = self.merged_phase(i);
+            .map(|&p| {
+                let h = self.merged_phase(p);
                 PhaseSnapshot {
-                    phase: (*name).to_string(),
+                    phase: p.name().to_string(),
                     count: h.count(),
                     p50_us: h.quantile(0.50),
                     p99_us: h.quantile(0.99),
@@ -387,10 +392,7 @@ impl ServeStats {
                 .iter()
                 .enumerate()
                 .map(|(i, w)| {
-                    // The schedule-phase histogram is the old
-                    // "service time" — same quantity the retired
-                    // sample ring reported, now over every request.
-                    let h = w.phase_us[1].snapshot();
+                    let h = w.phase_us.snapshot(Phase::Schedule);
                     WorkerSnapshot {
                         worker: i,
                         requests: w.requests.get(),
@@ -441,20 +443,9 @@ struct PreparedRequest {
     procs: u32,
     engine: Engine,
     deadline: Option<Duration>,
-    enqueued: Instant,
-    /// Microseconds spent parsing the line and building the request
-    /// on the connection thread.
-    pre_us: [u64; 2],
-}
-
-impl PreparedRequest {
-    /// Access-log timings: the four worker phases, then this
-    /// request's `parse` and `build`.
-    fn phase_us(&self, worker_us: [u64; WORKER_PHASES]) -> [u64; PHASE_NAMES.len()] {
-        let [queue, schedule, serialize, write] = worker_us;
-        let [parse, build] = self.pre_us;
-        [queue, schedule, serialize, write, parse, build]
-    }
+    /// Lapped `parse` and `build` on the connection thread; the
+    /// `build` lap is the enqueue stamp the `queue` lap runs from.
+    clock: PhaseClock,
 }
 
 /// The `casch serve` server. [`Server::bind`] then [`Server::run`];
@@ -684,10 +675,11 @@ fn handle_connection(stream: TcpStream, ctx: ConnCtx) -> io::Result<()> {
             continue;
         }
         line_no += 1;
-        let t0 = Instant::now();
+        let mut clock = PhaseClock::default();
+        clock.start();
         let parsed = Request::parse(&text, line_no);
-        let parse_us = micros(t0.elapsed());
-        ctx.stats.record_conn_phase(PARSE_PHASE, parse_us);
+        clock.lap(Phase::Parse);
+        ctx.stats.conn_phase_us.record(&clock, Phase::Parse);
         match parsed {
             Err(error) => {
                 ctx.stats.malformed.inc();
@@ -716,17 +708,16 @@ fn handle_connection(stream: TcpStream, ctx: ConnCtx) -> io::Result<()> {
             }
             Ok(Request::Schedule(req)) => {
                 let id = req.id;
-                let t1 = Instant::now();
                 let prepared = prepare(req, &ctx.config);
-                let build_us = micros(t1.elapsed());
-                ctx.stats.record_conn_phase(BUILD_PHASE, build_us);
+                clock.lap(Phase::Build);
+                ctx.stats.conn_phase_us.record(&clock, Phase::Build);
                 match prepared {
                     Err(error) => {
                         ctx.stats.malformed.inc();
                         writer.write_line(Response::Error { id, error }.to_line());
                     }
                     Ok(mut prepared) => {
-                        prepared.pre_us = [parse_us, build_us];
+                        prepared.clock = clock;
                         // Count as in-flight *before* admitting so the
                         // shutdown drain can never miss it.
                         ctx.stats.in_flight.inc();
@@ -763,16 +754,8 @@ fn handle_connection(stream: TcpStream, ctx: ConnCtx) -> io::Result<()> {
                                     ctx.stats.in_flight.dec();
                                     ctx.stats.rejected.inc();
                                     if let Some(log) = &ctx.stats.access {
-                                        log.log(|| {
-                                            access_line(
-                                                id,
-                                                machine::slot_label(slot),
-                                                nodes,
-                                                procs,
-                                                "rejected",
-                                                [0, 0, 0, 0, parse_us, build_us],
-                                            )
-                                        });
+                                        let algo = machine::slot_label(slot);
+                                        log.log(id, algo, nodes, procs, "rejected", &clock);
                                     }
                                     let resp = Response::Error {
                                         id,
@@ -864,8 +847,7 @@ fn prepare(req: ScheduleRequest, config: &ServeConfig) -> Result<PreparedRequest
         procs,
         engine,
         deadline: (timeout_ms > 0).then(|| Duration::from_millis(timeout_ms)),
-        enqueued: Instant::now(),
-        pre_us: [0; 2],
+        clock: PhaseClock::default(),
     })
 }
 
@@ -886,41 +868,41 @@ impl Drop for ResponseGuard<'_> {
     fn drop(&mut self) {
         if !self.answered {
             let error = "internal: scheduler panicked".to_string();
-            refuse(self.req, self.stats, self.writer, error, [0; WORKER_PHASES]);
+            refuse(self.req, self.stats, self.writer, error, &self.req.clock);
         }
         self.stats.in_flight.dec();
     }
 }
 
 /// Answer an admitted request with `error` instead of a schedule, and
-/// log it with the error's leading word as the outcome.
+/// log it, timed by `clock`, with the error's leading word as the
+/// outcome.
 fn refuse(
     req: &PreparedRequest,
     stats: &ServeStats,
     writer: &ConnWriter,
     error: String,
-    worker_us: [u64; WORKER_PHASES],
+    clock: &PhaseClock,
 ) {
     let outcome = error.split(':').next().unwrap_or("internal").to_string();
     writer.write_line(Response::Error { id: req.id, error }.to_line());
     if let Some(log) = &stats.access {
-        log.log(|| {
-            access_line(
-                req.id,
-                machine::slot_label(req.engine.slot),
-                req.dag.node_count(),
-                req.procs,
-                &outcome,
-                req.phase_us(worker_us),
-            )
-        });
+        let algo = machine::slot_label(req.engine.slot);
+        log.log(
+            req.id,
+            algo,
+            req.dag.node_count(),
+            req.procs,
+            &outcome,
+            clock,
+        );
     }
 }
 
 /// Execution of one admitted request with pool workspace `worker`,
 /// on a worker or a claiming connection thread: schedule, serialize,
-/// write — with each phase (plus the preceding queue wait) timed into
-/// that workspace's shard.
+/// write — with each phase (plus the preceding queue wait) lapped on
+/// the request's clock and recorded into that workspace's shard.
 fn process(
     req: PreparedRequest,
     worker: usize,
@@ -935,29 +917,20 @@ fn process(
         answered: false,
     };
     let shard = &stats.workers[worker];
-    let waited = req.enqueued.elapsed();
-    let queue_us = micros(waited);
-    shard.phase_us[0].record(queue_us);
+    let mut clock = req.clock;
+    clock.lap(Phase::Queue);
+    shard.phase_us.record(&clock, Phase::Queue);
+    let waited = clock.elapsed(Phase::Queue);
     if req.deadline.is_some_and(|d| waited > d) {
         stats.timeouts.inc();
-        refuse(
-            &req,
-            stats,
-            writer,
-            "timeout".to_string(),
-            [queue_us, 0, 0, 0],
-        );
+        refuse(&req, stats, writer, "timeout".to_string(), &clock);
         guard.answered = true;
         return;
     }
-    let t0 = Instant::now();
     let result = req
         .engine
         .run(&req.dag, req.procs, ws, &mut SearchTrace::default());
-    let t1 = Instant::now();
-    // `service_us` in the response is the schedule phase — the same
-    // quantity it has always carried.
-    let service_us = micros(t1.duration_since(t0));
+    clock.lap(Phase::Schedule);
     let schedule = match result {
         Ok(schedule) => schedule,
         Err(e) => {
@@ -972,45 +945,38 @@ fn process(
                 SchedulerError::NoProcessors | SchedulerError::Overflow => format!("parse: {e}"),
                 SchedulerError::Invalid(_) => format!("internal: {e}"),
             };
-            refuse(&req, stats, writer, error, [queue_us, service_us, 0, 0]);
+            refuse(&req, stats, writer, error, &clock);
             guard.answered = true;
             return;
         }
     };
+    // `service_us` in the response is the schedule phase — the same
+    // quantity it has always carried.
     let resp = ScheduleResponse::from_schedule(
         req.id,
         req.engine.name(),
         req.procs,
         &schedule,
-        queue_us,
-        service_us,
+        clock.micros(Phase::Queue),
+        clock.micros(Phase::Schedule),
     );
     let line = Response::Schedule(resp).to_line();
-    let t2 = Instant::now();
+    clock.lap(Phase::Serialize);
     writer.write_line(line);
-    let serialize_us = t2.duration_since(t1).as_micros() as u64;
-    let write_us = t2.elapsed().as_micros() as u64;
+    clock.lap(Phase::Write);
     guard.answered = true;
     // Recycle the result so the worker's steady state stays
     // allocation-free once its spare pool is warm.
     ws.recycle(schedule);
     shard.requests.inc();
-    shard.phase_us[1].record(service_us);
-    shard.phase_us[2].record(serialize_us);
-    shard.phase_us[3].record(write_us);
+    for p in [Phase::Schedule, Phase::Serialize, Phase::Write] {
+        shard.phase_us.record(&clock, p);
+    }
     stats.algos[req.engine.slot].inc();
     stats.completed.inc();
     if let Some(log) = &stats.access {
-        log.log(|| {
-            access_line(
-                req.id,
-                machine::slot_label(req.engine.slot),
-                req.dag.node_count(),
-                req.procs,
-                "ok",
-                req.phase_us([queue_us, service_us, serialize_us, write_us]),
-            )
-        });
+        let algo = machine::slot_label(req.engine.slot);
+        log.log(req.id, algo, req.dag.node_count(), req.procs, "ok", &clock);
     }
 }
 
@@ -1178,8 +1144,8 @@ fn render_exposition(stats: &ServeStats, pool: &WorkerPool, queue_depth: usize) 
             "casch_phase_latency_us",
             "Per-phase request latency in microseconds, merged across workers.",
         );
-        for (i, name) in PHASE_NAMES.iter().enumerate() {
-            fam.series(&[("phase", name)], &stats.merged_phase(i));
+        for p in SERVE_PHASES {
+            fam.series(&[("phase", p.name())], &stats.merged_phase(p));
         }
     }
     let pm = pool.metrics();

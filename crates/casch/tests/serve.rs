@@ -889,6 +889,7 @@ fn model_pairs_run_wherever_their_core_prices_the_machine() {
         .unwrap_or_else(|| panic!("no access line for id 4:\n{text}"));
     assert!(refused.contains("\"algo\":\"dsc\""), "{refused}");
     assert!(refused.contains("\"outcome\":\"unsupported\""), "{refused}");
+    assert_eq!(access_keys(refused), ACCESS_KEYS, "{refused}");
     std::fs::remove_file(&path).expect("cleanup");
 }
 
@@ -1163,7 +1164,11 @@ fn metrics_endpoint_serves_exposition_consistent_with_stats() {
             assert_eq!(s.threads, snap.threads);
             assert_eq!(s.host_cores, snap.host_cores);
             assert!(s.host_cores > 0, "host_cores must be detected");
-            assert!(!s.phases.is_empty(), "phase breakdown missing");
+            let order: Vec<&str> = s.phases.iter().map(|p| p.phase.as_str()).collect();
+            assert_eq!(
+                order,
+                ["queue", "schedule", "serialize", "write", "parse", "build"]
+            );
             let queue = s.phases.iter().find(|p| p.phase == "queue").expect("queue");
             assert_eq!(queue.count, total);
         }
@@ -1173,6 +1178,33 @@ fn metrics_endpoint_serves_exposition_consistent_with_stats() {
     shutdown.store(true, Ordering::SeqCst);
     let summary = join.join().expect("server thread");
     assert_eq!(summary.completed, total);
+}
+
+/// An access-log line's keys, in order.
+const ACCESS_KEYS: [&str; 12] = [
+    "ts_ms",
+    "id",
+    "algo",
+    "nodes",
+    "procs",
+    "outcome",
+    "queue_us",
+    "schedule_us",
+    "serialize_us",
+    "write_us",
+    "parse_us",
+    "build_us",
+];
+
+/// The keys of a flat access-log object whose values hold no `,` or
+/// `:`.
+fn access_keys(line: &str) -> Vec<&str> {
+    line.strip_prefix('{')
+        .and_then(|l| l.strip_suffix('}'))
+        .unwrap_or_else(|| panic!("not an object: {line}"))
+        .split(',')
+        .map(|kv| kv.split(':').next().unwrap().trim_matches('"'))
+        .collect()
 }
 
 #[test]
@@ -1200,22 +1232,9 @@ fn access_log_samples_every_nth_request() {
     // Rate 2 logs the 1st, 3rd, ... completion: exactly half of 10.
     assert_eq!(lines.len(), 5, "sample rate 2 over 10 requests");
     for line in &lines {
-        for key in [
-            "\"ts_ms\":",
-            "\"id\":",
-            "\"algo\":\"fast\"",
-            "\"nodes\":",
-            "\"procs\":",
-            "\"outcome\":\"ok\"",
-            "\"queue_us\":",
-            "\"schedule_us\":",
-            "\"serialize_us\":",
-            "\"write_us\":",
-            "\"parse_us\":",
-            "\"build_us\":",
-        ] {
-            assert!(line.contains(key), "access line missing {key}: {line}");
-        }
+        assert_eq!(access_keys(line), ACCESS_KEYS, "{line}");
+        assert!(line.contains("\"algo\":\"fast\""), "{line}");
+        assert!(line.contains("\"outcome\":\"ok\""), "{line}");
     }
     std::fs::remove_file(&path).expect("cleanup");
 }

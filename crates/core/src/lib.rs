@@ -18,10 +18,10 @@
 //! * lock-free service metrics — counters, gauges, mergeable
 //!   log-linear latency histograms, and a Prometheus text-exposition
 //!   writer backing `casch serve --metrics-addr` ([`metrics`]);
-//! * an observability layer — phase timers, search counters and
-//!   schedule-length trajectories ([`trace`]). Search counters are
-//!   always kept; pass `SearchTrace::recording()` to also record
-//!   phases, trajectory and placement provenance.
+//! * an observability layer — one phase clock, search counters and
+//!   schedule-length trajectories ([`trace`]). Search counters and
+//!   phase times are always kept; pass `SearchTrace::recording()` to
+//!   also record metadata, trajectory and placement provenance.
 //!
 //! ## Quickstart
 //!

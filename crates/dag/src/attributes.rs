@@ -56,26 +56,6 @@ pub fn t_levels_topo_into(dag: &Dag, out: &mut Vec<Cost>) {
     }
 }
 
-/// The *b-level* over the topo-keyed SoA plane (see
-/// [`t_levels_topo_into`]): the length of the longest path from the
-/// node to an exit node, its own weight and the communication costs
-/// included. A single backward scan whose inner loop is a pure
-/// gather-max over the target/cost lanes.
-pub fn b_levels_topo_into(dag: &Dag, out: &mut Vec<Cost>) {
-    let csr = dag.topo_csr();
-    let v = csr.weights.len();
-    out.clear();
-    out.resize(v, 0);
-    for p in (0..v).rev() {
-        let (lo, hi) = (csr.offsets[p] as usize, csr.offsets[p + 1] as usize);
-        let best = csr.targets[lo..hi]
-            .iter()
-            .zip(&csr.costs[lo..hi])
-            .fold(0, |acc: Cost, (&t, &c)| acc.max(c + out[t as usize]));
-        out[p] = csr.weights[p] + best;
-    }
-}
-
 /// The *static level* (SL, also called static b-level) over the
 /// topo-keyed SoA plane (see [`t_levels_topo_into`]): the b-level with
 /// communication ignored, so the gather never reads the cost lane.
@@ -368,8 +348,9 @@ mod tests {
         let mut lane = Vec::new();
         t_levels_topo_into(&g, &mut lane);
         assert_eq!(to_id_space(&g, &lane), SAMPLE_T);
-        b_levels_topo_into(&g, &mut lane);
-        assert_eq!(to_id_space(&g, &lane), SAMPLE_B);
+        let mut list = ListAttributes::new();
+        list.compute_into(&g, &mut AttrLanes::new());
+        assert_eq!(list.b_level, SAMPLE_B);
         static_levels_topo_into(&g, &mut lane);
         assert_eq!(to_id_space(&g, &lane), SAMPLE_SL);
     }

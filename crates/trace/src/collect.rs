@@ -2,17 +2,17 @@
 //!
 //! A collector is owned by exactly one search (or one search chain):
 //! all counters are plain `u64`s bumped on the owning thread — no
-//! atomics anywhere near the probe loop. Counters always count; a
-//! [`SearchTrace`]'s runtime `enabled` flag gates only the hooks that
-//! allocate or read the clock (phases, metadata, trajectory,
-//! provenance). Parallel drivers give each chain its own
-//! [`SearchTrace`] and fold them together with [`SearchTrace::merge`]
-//! after joining, in chain order, so the merged totals are
-//! deterministic for a fixed `(seed, chains)` pair.
+//! atomics anywhere near the probe loop. Counters and the phase clock
+//! always run; a [`SearchTrace`]'s runtime `enabled` flag gates only
+//! the hooks that allocate (metadata, trajectory, provenance).
+//! Parallel drivers give each chain its own [`SearchTrace`] and fold
+//! them together with [`SearchTrace::merge`] after joining, in chain
+//! order, so the merged totals are deterministic for a fixed
+//! `(seed, chains)` pair.
 
+use crate::clock::{Phase, PhaseClock};
 use crate::event::TraceEvent;
 use crate::report::Report;
-use std::time::{Duration, Instant};
 
 /// Default bound of the trajectory ring buffer (entries).
 pub const DEFAULT_TRAJECTORY_CAPACITY: usize = 8192;
@@ -193,16 +193,15 @@ impl Ring {
     }
 }
 
-/// Per-search observability collector: phase timers, search-event
+/// Per-search observability collector: the phase clock, search-event
 /// counters and the bounded schedule-length trajectory.
 ///
 /// Search drivers thread one of these through a run (see
-/// `Scheduler::run`). [`SearchTrace::default`] is off: it keeps
-/// the counters but touches neither the heap nor the clock, so
-/// untraced runs stay allocation-free. [`SearchTrace::recording`]
-/// also records phases, metadata, the trajectory and placement
-/// provenance.
-#[derive(Debug, Clone)]
+/// `Scheduler::run`). [`SearchTrace::default`] is off: it keeps the
+/// counters and the clock but never touches the heap, so untraced
+/// runs stay allocation-free. [`SearchTrace::recording`] also records
+/// metadata, the trajectory and placement provenance.
+#[derive(Debug, Clone, Default)]
 pub struct SearchTrace {
     /// Probes actually evaluated by the driver (same-processor picks
     /// are skipped before probing and counted in `steps_skipped`).
@@ -216,10 +215,10 @@ pub struct SearchTrace {
     pub steps_skipped: u64,
     /// Evaluation-engine counters absorbed via [`Self::absorb_eval`].
     pub eval: EvalStats,
+    /// Time per [`Phase`] the run lapped.
+    pub clock: PhaseClock,
     enabled: bool,
     meta: Vec<(String, String)>,
-    phases: Vec<(&'static str, Duration)>,
-    active_phases: Vec<(&'static str, Instant)>,
     trajectory: Ring,
     /// Placement-provenance stream: `Candidate`/`Placed` events from
     /// the initial-schedule loop and `Transfer` events from the local
@@ -257,68 +256,9 @@ impl SearchTrace {
     }
 
     /// `true` for a recording collector; `false` for the default one,
-    /// which keeps only the counters.
+    /// which keeps only the counters and the clock.
     pub fn is_enabled(&self) -> bool {
         self.enabled
-    }
-}
-
-/// Off: counters only, no heap and no clock reads.
-impl Default for SearchTrace {
-    fn default() -> Self {
-        SearchTrace {
-            probes_attempted: 0,
-            probes_accepted: 0,
-            probes_reverted: 0,
-            steps_skipped: 0,
-            eval: EvalStats::default(),
-            enabled: false,
-            meta: Vec::new(),
-            phases: Vec::new(),
-            active_phases: Vec::new(),
-            trajectory: Ring::with_capacity(DEFAULT_TRAJECTORY_CAPACITY),
-            provenance: Vec::new(),
-        }
-    }
-}
-
-impl SearchTrace {
-    /// Run `f` under the named phase timer, accumulating its
-    /// monotonic wall time (repeat phases sum). For phases whose body
-    /// must also record into the trace, use the
-    /// [`Self::phase_start`]/[`Self::phase_end`] pair instead.
-    pub fn phase<R>(&mut self, name: &'static str, f: impl FnOnce() -> R) -> R {
-        self.phase_start(name);
-        let out = f();
-        self.phase_end(name);
-        out
-    }
-
-    /// Start the named phase timer (phases may nest; each start must
-    /// be matched by a [`Self::phase_end`] with the same name).
-    pub fn phase_start(&mut self, name: &'static str) {
-        if !self.enabled {
-            return;
-        }
-        self.active_phases.push((name, Instant::now()));
-    }
-
-    /// Stop the named phase timer and accumulate its elapsed time
-    /// (repeat phases sum). An end without a matching start is
-    /// ignored.
-    pub fn phase_end(&mut self, name: &'static str) {
-        if !self.enabled {
-            return;
-        }
-        let Some(idx) = self.active_phases.iter().rposition(|(n, _)| *n == name) else {
-            return;
-        };
-        let (_, t0) = self.active_phases.remove(idx);
-        let dt = t0.elapsed();
-        match self.phases.iter_mut().find(|(n, _)| *n == name) {
-            Some((_, total)) => *total += dt,
-            None => self.phases.push((name, dt)),
-        }
     }
 
     /// Attach a `key = value` metadata pair (workload label, seed, …).
@@ -423,26 +363,21 @@ impl SearchTrace {
 
     /// Fold another chain's trace into this one: counters and phase
     /// times sum, metadata and trajectory entries append in order (a
-    /// collector that is off takes only the counters). Merging chains
-    /// in a fixed order (chain 0, 1, …) after joining keeps
-    /// multi-threaded totals deterministic.
+    /// collector that is off takes only the counters and the clock).
+    /// Merging chains in a fixed order (chain 0, 1, …) after joining
+    /// keeps multi-threaded totals deterministic.
     pub fn merge(&mut self, other: &SearchTrace) {
         self.probes_attempted += other.probes_attempted;
         self.probes_accepted += other.probes_accepted;
         self.probes_reverted += other.probes_reverted;
         self.steps_skipped += other.steps_skipped;
         self.eval.merge(&other.eval);
+        self.clock.merge(&other.clock);
         if !self.enabled {
             return;
         }
         for (k, v) in &other.meta {
             self.meta.push((k.clone(), v.clone()));
-        }
-        for (name, dt) in &other.phases {
-            match self.phases.iter_mut().find(|(n, _)| n == name) {
-                Some((_, total)) => *total += *dt,
-                None => self.phases.push((name, *dt)),
-            }
         }
         for &entry in other.trajectory.iter() {
             self.trajectory.push(entry);
@@ -456,18 +391,21 @@ impl SearchTrace {
         self.trajectory.dropped
     }
 
-    /// Flatten into the event stream: metadata, phases, counters,
-    /// then trajectory steps oldest to newest.
+    /// Flatten into the event stream: metadata, one phase per lapped
+    /// [`Phase`] in enum order, counters, provenance, then trajectory
+    /// steps oldest to newest.
     pub fn to_events(&self) -> Vec<TraceEvent> {
         let mut events = Vec::new();
         for (k, v) in &self.meta {
             events.push(TraceEvent::meta(k.clone(), v.clone()));
         }
-        for (name, dt) in &self.phases {
-            events.push(TraceEvent::Phase {
-                name: (*name).to_string(),
-                micros: dt.as_micros() as u64,
-            });
+        for p in Phase::ALL {
+            if self.clock.laps(p) > 0 {
+                events.push(TraceEvent::Phase {
+                    name: p.name().to_string(),
+                    micros: self.clock.micros(p),
+                });
+            }
         }
         for (name, value) in [
             ("probes_attempted", self.probes_attempted),
@@ -517,7 +455,8 @@ mod tests {
     fn counters_and_trajectory_flow_into_the_report() {
         let mut t = SearchTrace::recording();
         t.set_meta("algo", "FAST");
-        t.phase("local_search", || {});
+        t.clock.start();
+        t.clock.lap(Phase::Search);
         t.probe_attempted();
         t.probe_accepted(0, 18);
         t.probe_attempted();
@@ -571,11 +510,11 @@ mod tests {
         let mut a = SearchTrace::recording();
         a.probe_attempted();
         a.probe_accepted(0, 10);
-        a.phase("local_search", || {});
+        a.clock.lap(Phase::Search);
         let mut b = SearchTrace::recording();
         b.probe_attempted();
         b.probe_reverted(0, 12);
-        b.phase("local_search", || {});
+        b.clock.lap(Phase::Search);
         b.set_meta("chain", "1");
         a.merge(&b);
         assert_eq!(a.probes_attempted, 2);
@@ -583,6 +522,7 @@ mod tests {
         assert_eq!(a.probes_reverted, 1);
         assert_eq!(a.to_report().trajectory(), vec![10, 12]);
         assert_eq!(a.to_report().phase_totals().len(), 1);
+        assert_eq!(a.clock.laps(Phase::Search), 2);
     }
 
     #[test]
@@ -620,13 +560,13 @@ mod tests {
     }
 
     /// Every hook once, in both modes: the default collector must
-    /// count exactly what its recording twin counts while emitting
-    /// nothing but counters.
+    /// count and time exactly what its recording twin does while
+    /// emitting nothing but counters and phases.
     #[test]
     fn default_trace_counts_like_a_recording_one_but_records_nothing() {
         let drive = |t: &mut SearchTrace| {
-            assert_eq!(t.phase("list_construction", || 7u32), 7);
-            t.phase_start("local_search");
+            t.clock.start();
+            t.clock.lap(Phase::List);
             t.set_meta("algo", "FAST");
             t.probe_attempted();
             t.probe_accepted(0, 10);
@@ -646,7 +586,7 @@ mod tests {
             chain.probe_accepted(2, 9);
             chain.set_meta("chain", "0");
             t.merge(&chain);
-            t.phase_end("local_search");
+            t.clock.lap(Phase::Search);
         };
         let (mut off, mut on) = (SearchTrace::default(), SearchTrace::recording());
         drive(&mut off);
@@ -659,14 +599,23 @@ mod tests {
                 .filter(|e| matches!(e, TraceEvent::Counter { .. }))
                 .collect()
         };
+        let phases = |t: &SearchTrace| -> Vec<String> {
+            t.to_report()
+                .phase_totals()
+                .into_iter()
+                .map(|(n, _)| n)
+                .collect()
+        };
         assert_eq!(counters(&off), counters(&on));
+        assert_eq!(phases(&off), ["list_construction", "local_search"]);
+        assert_eq!(phases(&off), phases(&on));
         assert_eq!(off.probes_attempted, 3);
         assert_eq!(off.eval.dirty_nodes_visited, 1);
         assert!(
             off.to_events()
                 .iter()
-                .all(|e| matches!(e, TraceEvent::Counter { .. })),
-            "a default trace emitted more than counters: {:?}",
+                .all(|e| matches!(e, TraceEvent::Counter { .. } | TraceEvent::Phase { .. })),
+            "a default trace emitted more than counters and phases: {:?}",
             off.to_events()
         );
         // The recording twin did record every kind of event.

@@ -5,10 +5,11 @@
 //!
 //! The crate has two halves:
 //!
-//! * **Recording** ([`SearchTrace`], [`EvalStats`]): plain-`u64`
-//!   search-event counters, monotonic per-phase timers, a bounded
-//!   ring-buffer trajectory of the schedule length per local-search
-//!   step, and placement provenance. Collectors are owned by one
+//! * **Recording** ([`SearchTrace`], [`EvalStats`], [`PhaseClock`]):
+//!   plain-`u64` search-event counters, one monotonic clock lapped per
+//!   [`Phase`], a bounded ring-buffer trajectory of the schedule
+//!   length per local-search step, and placement provenance.
+//!   Collectors are owned by one
 //!   search (or one search chain) — there are no shared atomics;
 //!   parallel drivers merge per-thread collectors deterministically
 //!   at join via [`SearchTrace::merge`].
@@ -18,18 +19,20 @@
 //!
 //! Whether a [`SearchTrace`] records is a runtime choice, the same in
 //! every build. [`SearchTrace::default`] is off: the counters still
-//! count (they are plain increments), but the hooks that would
-//! allocate or read the clock return early, so an untraced run stays
-//! allocation-free. [`SearchTrace::recording`] records everything.
+//! count (they are plain increments) and the clock still laps (one
+//! clock read per phase boundary), but the hooks that would allocate
+//! return early, so an untraced run stays allocation-free.
+//! [`SearchTrace::recording`] records everything. Serve carries a
+//! bare [`PhaseClock`] per request through the same [`Phase`] table.
 //!
 //! ## Recording a search
 //!
 //! ```
-//! use fastsched_trace::SearchTrace;
+//! use fastsched_trace::{Phase, SearchTrace};
 //!
 //! let mut trace = SearchTrace::recording();
 //! let mut best = 100u64;
-//! trace.phase_start("local_search");
+//! trace.clock.start();
 //! for step in 0..4 {
 //!     trace.probe_attempted();
 //!     if step % 2 == 0 {
@@ -39,10 +42,11 @@
 //!         trace.probe_reverted(step, best);
 //!     }
 //! }
-//! trace.phase_end("local_search");
+//! trace.clock.lap(Phase::Search);
 //! let report = trace.to_report();
 //! assert_eq!(report.counter("probes_attempted"), Some(4));
 //! assert_eq!(report.trajectory(), vec![99, 99, 98, 98]);
+//! assert_eq!(report.phase_totals()[0].0, "local_search");
 //! ```
 //!
 //! ## Round-tripping a report
@@ -62,11 +66,13 @@
 
 #![warn(missing_docs)]
 
+mod clock;
 mod collect;
 mod event;
 pub mod perfetto;
 mod report;
 
+pub use clock::{Phase, PhaseClock};
 pub use collect::{EvalStats, SearchTrace, DEFAULT_TRAJECTORY_CAPACITY};
 pub use event::{json_string, ParseError, TraceEvent};
 pub use report::{sparkline, CandidateProbe, Placement, Report, TransferRecord};

@@ -15,8 +15,7 @@ mod scalar_levels;
 mod shapes;
 
 use fastsched::dag::attributes::{
-    b_levels_topo_into, static_levels_soa_into, static_levels_topo_into, t_levels_topo_into,
-    AttrLanes,
+    static_levels_soa_into, static_levels_topo_into, t_levels_topo_into, AttrLanes,
 };
 use fastsched::dag::{
     classify_nodes, cpn_dominate_list, CpnListConfig, Dag, DagBuilder, GraphAttributes,
@@ -27,7 +26,7 @@ use fastsched::workloads::fuzz::fuzz_corpus;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use scalar_levels::{b_levels_into, static_levels_into, t_levels_into, ScalarAttributes};
+use scalar_levels::{static_levels_into, t_levels_into, ScalarAttributes};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -180,10 +179,6 @@ fn assert_soa_matches_scalar(dag: &Dag, ctx: &str) {
     t_levels_topo_into(dag, &mut lane);
     t_levels_into(dag, &mut scalar);
     assert_eq!(to_id_space(dag, &lane), scalar, "t-level diverged on {ctx}");
-
-    b_levels_topo_into(dag, &mut lane);
-    b_levels_into(dag, &mut scalar);
-    assert_eq!(to_id_space(dag, &lane), scalar, "b-level diverged on {ctx}");
 
     static_levels_topo_into(dag, &mut lane);
     static_levels_into(dag, &mut scalar);
