@@ -6,11 +6,10 @@ use fastsched_workloads::{
     cholesky_dag, fft_dag, gaussian_elimination_dag, laplace_dag, random_layered_dag,
     systolic_matmul_dag, RandomDagConfig, TimingDatabase,
 };
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A program the CASCH-substitute can turn into a task graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Application {
     /// Gaussian elimination on an `n × n` matrix.
     Gaussian {

@@ -15,7 +15,7 @@ use fastsched_casch::protocol::{self, Request};
 use fastsched_casch::{compare_algorithms, run_on_dag, Application};
 use fastsched_dag::{io, Dag, GraphAttributes};
 use fastsched_schedule::{gantt, CommModel, Machine, MemCapsSpec, ScheduleMetrics};
-use fastsched_sim::SimConfig;
+use fastsched_sim::{ExecutionReport, SimConfig};
 use fastsched_trace::{json_string, SearchTrace};
 use fastsched_workloads::TimingDatabase;
 use std::collections::{BTreeMap, HashMap};
@@ -353,7 +353,7 @@ fn collect_dag_paths(opts: &Flags) -> Result<Vec<std::path::PathBuf>, String> {
 fn cmd_generate(opts: &Flags, out: Out) -> Result<(), Failure> {
     let app = load_app(opts)?;
     let dag = app.generate(&TimingDatabase::paragon());
-    let json = io::to_json(&dag).map_err(|e| e.to_string())?;
+    let json = io::to_json(&dag);
     match opts.get("out") {
         Some(path) => {
             std::fs::write(path, json).map_err(|e| format!("writing {path}: {e}"))?;
@@ -833,10 +833,8 @@ fn cmd_diff(opts: &Flags, out: Out) -> Result<(), Failure> {
         return Err("cannot diff a schedule against an execution report".into());
     }
     if is_report(&text_a) {
-        let a: fastsched_sim::ExecutionReport =
-            serde_json::from_str(&text_a).map_err(|e| format!("{path_a}: {e}"))?;
-        let b: fastsched_sim::ExecutionReport =
-            serde_json::from_str(&text_b).map_err(|e| format!("{path_b}: {e}"))?;
+        let a = ExecutionReport::from_json(&text_a).map_err(|e| format!("{path_a}: {e}"))?;
+        let b = ExecutionReport::from_json(&text_b).map_err(|e| format!("{path_b}: {e}"))?;
         write!(out, "{}", a.diff(&b)?.render())?;
     } else {
         let dag = load_dag(opts).map_err(|e| format!("{e} (schedule diffs need --dag)"))?;
@@ -912,7 +910,7 @@ fn cmd_simulate(opts: &Flags, out: Out) -> Result<(), Failure> {
     };
     let report = fastsched_sim::simulate(&dag, &schedule, &config);
     if let Some(path) = opts.get("trace") {
-        let json = serde_json::to_string_pretty(&report.trace).map_err(|e| e.to_string())?;
+        let json = fastsched_sim::report::trace_to_json(&report.trace);
         std::fs::write(path, json).map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("wrote {} events to {path}", report.trace.len());
     }
@@ -922,8 +920,7 @@ fn cmd_simulate(opts: &Flags, out: Out) -> Result<(), Failure> {
         eprintln!("wrote Perfetto timeline to {path} (open at https://ui.perfetto.dev)");
     }
     if let Some(path) = opts.get("out-report") {
-        let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-        std::fs::write(path, json).map_err(|e| format!("writing {path}: {e}"))?;
+        std::fs::write(path, report.to_json()).map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("wrote execution report to {path}");
     }
     writeln!(out, "predicted makespan: {}", report.predicted_makespan)?;
@@ -1011,8 +1008,7 @@ fn cmd_verify(opts: &Flags, out: Out) -> Result<(), Failure> {
 
     if let Some(path) = opts.get("report") {
         let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-        let report: fastsched_sim::ExecutionReport =
-            serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))?;
+        let report = ExecutionReport::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
         let mut faults = Vec::new();
         if report.predicted_makespan != schedule.makespan() {
             faults.push(format!(

@@ -23,7 +23,7 @@
 use crate::machine::scheduler_by_name;
 use crate::protocol::{placements_json, placements_of, Request, Response};
 use fastsched_algorithms::Workspace;
-use fastsched_dag::{io::DagSpec, Dag};
+use fastsched_dag::{io::DagSpec, json::Writer, Dag};
 use fastsched_trace::json_string;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read as _, Write};
@@ -281,10 +281,10 @@ pub fn run(config: &LoadgenConfig) -> Result<LoadReport, String> {
         if let Some(t) = config.timeout_ms {
             tmpl.push_str(&format!(",\"timeout_ms\":{t}"));
         }
+        let mut w = Writer::compact();
+        DagSpec::from_dag(&item.dag).write_json(&mut w);
         tmpl.push_str(",\"dag\":");
-        tmpl.push_str(
-            &serde_json::to_string(&DagSpec::from_dag(&item.dag)).map_err(|e| e.to_string())?,
-        );
+        tmpl.push_str(&w.finish());
         tmpl.push('}');
         templates.push(tmpl);
         expected.push(local.as_ref().map(|s| {

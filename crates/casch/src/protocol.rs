@@ -72,10 +72,9 @@
 //! itself survives).
 
 use fastsched_dag::io::DagSpec;
-use fastsched_dag::json::{self, Reader};
+use fastsched_dag::json::{self, Reader, Writer};
 use fastsched_schedule::{MemCapsSpec, Schedule};
 use fastsched_trace::json_string;
-use serde::Value;
 use std::borrow::Cow;
 use std::io::{self, BufRead};
 
@@ -139,108 +138,38 @@ pub enum CommSpec {
 }
 
 impl CommSpec {
-    /// Render as the protocol's `comm` JSON object.
-    pub fn to_json(&self) -> String {
+    /// Write as the protocol's `comm` JSON object.
+    pub fn write_json(&self, w: &mut Writer) {
+        w.begin_object().key("model");
         match self {
-            CommSpec::Ideal => "{\"model\":\"ideal\"}".to_string(),
+            CommSpec::Ideal => {
+                w.str("ideal");
+            }
             CommSpec::AlphaBeta {
                 alpha,
                 beta_num,
                 beta_den,
-            } => format!(
-                "{{\"model\":\"alpha-beta\",\"alpha\":{alpha},\"beta_num\":{beta_num},\
-                 \"beta_den\":{beta_den}}}"
-            ),
+            } => {
+                w.str("alpha-beta")
+                    .field("alpha", *alpha)
+                    .field("beta_num", *beta_num)
+                    .field("beta_den", *beta_den);
+            }
             CommSpec::Hier {
                 groups,
                 intra,
                 inter,
             } => {
-                let groups: Vec<String> = groups.iter().map(u32::to_string).collect();
-                format!(
-                    "{{\"model\":\"hier\",\"groups\":[{}],\"intra\":[{},{},{}],\
-                     \"inter\":[{},{},{}]}}",
-                    groups.join(","),
-                    intra[0],
-                    intra[1],
-                    intra[2],
-                    inter[0],
-                    inter[1],
-                    inter[2]
-                )
+                w.str("hier")
+                    .key("groups")
+                    .u64s(groups.iter().map(|&g| g.into()))
+                    .key("intra")
+                    .u64s(*intra)
+                    .key("inter")
+                    .u64s(*inter);
             }
         }
-    }
-}
-
-/// Parse the `comm` object of a schedule request. Shape and cheap
-/// value checks only (a zero `beta_den` or empty/zero group is
-/// rejected here); resource caps are the service layer's job.
-fn parse_comm(v: &Value) -> Result<CommSpec, String> {
-    let model = match field(v, "model") {
-        Some(Value::String(s)) => s.as_str(),
-        _ => return Err("parse: `comm.model` must be a string".to_string()),
-    };
-    let tier = |k: &str| -> Result<[u64; 3], String> {
-        match field(v, k) {
-            Some(Value::Array(xs)) if xs.len() == 3 => {
-                let nums: Option<Vec<u64>> = xs.iter().map(as_u64).collect();
-                let nums = nums.ok_or_else(|| {
-                    format!("parse: `comm.{k}` entries must be non-negative integers")
-                })?;
-                if nums[2] == 0 {
-                    return Err(format!("parse: `comm.{k}` beta_den must be positive"));
-                }
-                Ok([nums[0], nums[1], nums[2]])
-            }
-            _ => Err(format!(
-                "parse: `comm.{k}` must be `[alpha,beta_num,beta_den]`"
-            )),
-        }
-    };
-    match model {
-        "ideal" => Ok(CommSpec::Ideal),
-        "alpha-beta" => {
-            let get = |k: &str| {
-                field(v, k)
-                    .and_then(as_u64)
-                    .ok_or_else(|| format!("parse: `comm.{k}` must be a non-negative integer"))
-            };
-            let beta_den = get("beta_den")?;
-            if beta_den == 0 {
-                return Err("parse: `comm.beta_den` must be positive".to_string());
-            }
-            Ok(CommSpec::AlphaBeta {
-                alpha: get("alpha")?,
-                beta_num: get("beta_num")?,
-                beta_den,
-            })
-        }
-        "hier" => {
-            let groups = match field(v, "groups") {
-                Some(Value::Array(xs)) => {
-                    let sizes: Option<Vec<u32>> = xs
-                        .iter()
-                        .map(|x| {
-                            as_u64(x)
-                                .filter(|&s| s > 0 && s <= u32::MAX as u64)
-                                .map(|s| s as u32)
-                        })
-                        .collect();
-                    sizes.ok_or("parse: `comm.groups` must be positive integers")?
-                }
-                _ => return Err("parse: `comm.groups` must be an array".to_string()),
-            };
-            if groups.is_empty() {
-                return Err("parse: `comm.groups` must not be empty".to_string());
-            }
-            Ok(CommSpec::Hier {
-                groups,
-                intra: tier("intra")?,
-                inter: tier("inter")?,
-            })
-        }
-        other => Err(format!("parse: unknown comm model `{other}`")),
+        w.end_object();
     }
 }
 
@@ -292,50 +221,37 @@ impl ScheduleRequest {
 
     /// Render as one protocol line (no trailing newline).
     pub fn to_line(&self) -> String {
-        let mut out = format!(
-            "{{\"op\":\"schedule\",\"id\":{},\"algo\":{}",
-            self.id,
-            json_string(&self.algo)
-        );
+        let mut w = Writer::compact();
+        w.begin_object()
+            .key("op")
+            .str("schedule")
+            .field("id", self.id)
+            .key("algo")
+            .str(&self.algo);
         if let Some(p) = self.procs {
-            out.push_str(&format!(",\"procs\":{p}"));
+            w.field("procs", p.into());
         }
         if let Some(speeds) = &self.speeds {
-            out.push_str(",\"speeds\":[");
-            for (i, s) in speeds.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&s.to_string());
-            }
-            out.push(']');
+            w.key("speeds").u64s(speeds.iter().map(|&s| s.into()));
         }
         if let Some(t) = self.timeout_ms {
-            out.push_str(&format!(",\"timeout_ms\":{t}"));
+            w.field("timeout_ms", t);
         }
         if let Some(comm) = &self.comm {
-            out.push_str(",\"comm\":");
-            out.push_str(&comm.to_json());
+            comm.write_json(w.key("comm"));
         }
         match &self.mem_caps {
-            Some(MemCapsSpec::Uniform(cap)) => out.push_str(&format!(",\"mem_caps\":{cap}")),
+            Some(MemCapsSpec::Uniform(cap)) => {
+                w.field("mem_caps", *cap);
+            }
             Some(MemCapsSpec::PerProc(caps)) => {
-                out.push_str(",\"mem_caps\":[");
-                for (i, c) in caps.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&c.to_string());
-                }
-                out.push(']');
+                w.key("mem_caps").u64s(caps.iter().copied());
             }
             None => {}
         }
-        let dag = serde_json::to_string(&self.dag).expect("DagSpec serializes");
-        out.push_str(",\"dag\":");
-        out.push_str(&dag);
-        out.push('}');
-        out
+        self.dag.write_json(w.key("dag"));
+        w.end_object();
+        w.finish()
     }
 }
 
@@ -526,14 +442,106 @@ fn read_speeds(r: &mut Reader<'_>) -> Result<Vec<u32>, String> {
     Ok(pcts)
 }
 
-/// The `comm` object is small and rare, so it goes through the value
-/// tree: its raw span, already checked by [`Reader::skip`].
+/// The known keys of a `comm` object, each decoded at its first
+/// occurrence (see [`slot`]).
+#[derive(Default)]
+struct CommFields<'a> {
+    model: Slot<Cow<'a, str>>,
+    alpha: Slot<u64>,
+    beta_num: Slot<u64>,
+    beta_den: Slot<u64>,
+    groups: Slot<Vec<u32>>,
+    intra: Slot<[u64; 3]>,
+    inter: Slot<[u64; 3]>,
+}
+
+const COMM_MODEL: &str = "parse: `comm.model` must be a string";
+
+/// Decode the `comm` object of a schedule request in one pass. The
+/// keys may come in any order, so each is decoded where it stands and
+/// a type error is kept until the model says whether the key counts:
+/// `ideal` reads nothing else, `alpha-beta` its three numbers, `hier`
+/// its groups and tiers. Shape and cheap value checks only (a zero
+/// `beta_den` or empty/zero group is rejected here); resource caps are
+/// the service layer's job.
 fn read_comm(r: &mut Reader<'_>) -> Result<CommSpec, String> {
-    r.peek();
-    let start = r.pos();
-    r.skip().map_err(|e| format!("parse: {e}"))?;
-    let v: Value = serde_json::from_str(r.since(start)).map_err(|e| format!("parse: {e}"))?;
-    parse_comm(&v)
+    if r.peek() != Some(b'{') {
+        return Err(COMM_MODEL.to_string());
+    }
+    let mut f = CommFields::default();
+    f.read_keys(r).map_err(|e| format!("parse: {e}"))?;
+    let number = |slot: Slot<u64>, k: &str| {
+        slot.unwrap_or_else(|| Err(format!("parse: `comm.{k}` must be a non-negative integer")))
+    };
+    let tier = |slot: Slot<[u64; 3]>, k: &str| {
+        slot.unwrap_or_else(|| {
+            Err(format!(
+                "parse: `comm.{k}` must be `[alpha,beta_num,beta_den]`"
+            ))
+        })
+    };
+    match &*f.model.ok_or(COMM_MODEL)?? {
+        "ideal" => Ok(CommSpec::Ideal),
+        "alpha-beta" => {
+            let beta_den = number(f.beta_den, "beta_den")?;
+            if beta_den == 0 {
+                return Err("parse: `comm.beta_den` must be positive".to_string());
+            }
+            Ok(CommSpec::AlphaBeta {
+                alpha: number(f.alpha, "alpha")?,
+                beta_num: number(f.beta_num, "beta_num")?,
+                beta_den,
+            })
+        }
+        "hier" => {
+            let groups = f.groups.ok_or("parse: `comm.groups` must be an array")??;
+            if groups.is_empty() {
+                return Err("parse: `comm.groups` must not be empty".to_string());
+            }
+            Ok(CommSpec::Hier {
+                groups,
+                intra: tier(f.intra, "intra")?,
+                inter: tier(f.inter, "inter")?,
+            })
+        }
+        other => Err(format!("parse: unknown comm model `{other}`")),
+    }
+}
+
+impl<'a> CommFields<'a> {
+    fn read_keys(&mut self, r: &mut Reader<'a>) -> Result<(), json::Error> {
+        r.object()?;
+        while let Some(key) = r.next_key()? {
+            match &*key {
+                "model" => slot(r, &mut self.model, |r| r.str().map_err(|_| COMM_MODEL)),
+                "alpha" => slot(r, &mut self.alpha, |r| uint(r, "comm.alpha")),
+                "beta_num" => slot(r, &mut self.beta_num, |r| uint(r, "comm.beta_num")),
+                "beta_den" => slot(r, &mut self.beta_den, |r| uint(r, "comm.beta_den")),
+                "groups" => slot(r, &mut self.groups, |r| {
+                    if r.peek() != Some(b'[') {
+                        return Err("parse: `comm.groups` must be an array");
+                    }
+                    read_array(r, positive_u32)
+                        .map_err(|()| "parse: `comm.groups` must be positive integers")
+                }),
+                "intra" => slot(r, &mut self.intra, |r| read_tier(r, "intra")),
+                "inter" => slot(r, &mut self.inter, |r| read_tier(r, "inter")),
+                _ => r.skip(),
+            }?;
+        }
+        Ok(())
+    }
+}
+
+/// A `[alpha, beta_num, beta_den]` pricing tier of a `hier` model.
+fn read_tier(r: &mut Reader<'_>, k: &str) -> Result<[u64; 3], String> {
+    let tier = r
+        .u64_array()
+        .map_err(|e| format!("parse: `comm.{k}` must be `[alpha,beta_num,beta_den]`: {e}"))?;
+    if tier[2] == 0 {
+        return Err(format!("parse: `comm.{k}` beta_den must be positive"));
+    }
+    Ok(tier)
 }
 
 fn read_mem_caps(r: &mut Reader<'_>) -> Result<MemCapsSpec, String> {
@@ -703,56 +711,55 @@ pub struct StatsSnapshot {
 }
 
 impl StatsSnapshot {
-    /// Render as one protocol line (no trailing newline).
+    /// Render as one protocol line (no trailing newline). Fields added
+    /// later (`host_cores`, `uptime_s`, `phases`) ride after `workers`,
+    /// so every earlier field keeps its exact bytes and position
+    /// (clients that slice the prefix keep working).
     pub fn to_line(&self) -> String {
-        let workers: Vec<String> = self
-            .workers
-            .iter()
-            .map(|w| {
-                format!(
-                    "{{\"worker\":{},\"requests\":{},\"p50_us\":{},\"p99_us\":{}}}",
-                    w.worker, w.requests, w.p50_us, w.p99_us
-                )
-            })
-            .collect();
-        // New fields ride after `workers` so every pre-existing field
-        // keeps its exact bytes and position (clients that slice the
-        // prefix keep working).
-        let phases: Vec<String> = self
-            .phases
-            .iter()
-            .map(|p| {
-                format!(
-                    "{}:{{\"count\":{},\"p50_us\":{},\"p99_us\":{},\"p999_us\":{},\
-                     \"mean_us\":{}}}",
-                    json_string(&p.phase),
-                    p.count,
-                    p.p50_us,
-                    p.p99_us,
-                    p.p999_us,
-                    p.mean_us
-                )
-            })
-            .collect();
-        format!(
-            "{{\"id\":{},\"ok\":true,\"stats\":{{\"threads\":{},\"queue_depth\":{},\
-             \"accepted\":{},\"rejected\":{},\"timeouts\":{},\"malformed\":{},\
-             \"completed\":{},\"in_flight\":{},\"workers\":[{}],\"host_cores\":{},\
-             \"uptime_s\":{},\"phases\":{{{}}}}}}}",
-            self.id,
-            self.threads,
-            self.queue_depth,
+        let counts = [
+            self.threads as u64,
+            self.queue_depth as u64,
             self.accepted,
             self.rejected,
             self.timeouts,
             self.malformed,
             self.completed,
             self.in_flight,
-            workers.join(","),
-            self.host_cores,
+            self.host_cores as u64,
             self.uptime_s,
-            phases.join(",")
-        )
+        ];
+        let mut w = Writer::compact();
+        w.begin_object().field("id", self.id).key("ok").bool(true);
+        w.key("stats").begin_object();
+        for (k, x) in STATS_COUNTS.iter().zip(counts).take(8) {
+            w.field(k, x);
+        }
+        w.key("workers").begin_array();
+        for s in &self.workers {
+            w.begin_object()
+                .field("worker", s.worker as u64)
+                .field("requests", s.requests)
+                .field("p50_us", s.p50_us)
+                .field("p99_us", s.p99_us)
+                .end_object();
+        }
+        w.end_array();
+        for (k, x) in STATS_COUNTS.iter().zip(counts).skip(8) {
+            w.field(k, x);
+        }
+        w.key("phases").begin_object();
+        for p in &self.phases {
+            w.key(&p.phase)
+                .begin_object()
+                .field("count", p.count)
+                .field("p50_us", p.p50_us)
+                .field("p99_us", p.p99_us)
+                .field("p999_us", p.p999_us)
+                .field("mean_us", p.mean_us)
+                .end_object();
+        }
+        w.end_object().end_object().end_object();
+        w.finish()
     }
 }
 
@@ -774,129 +781,205 @@ impl Response {
         }
     }
 
-    /// Parse one response line.
+    /// Parse one response line, in one pass of a [`Reader`]. As with
+    /// requests, the first occurrence of a repeated key wins, unknown
+    /// keys are skipped, and a known field with the wrong type is an
+    /// error only when the response kind reads it. The kind follows
+    /// from the keys present: `error`, else `stats`, else `shutdown`,
+    /// else a schedule. Counts must fit their fields (`procs` and a
+    /// placement's processor in `u32`).
     pub fn parse(line: &str) -> Result<Response, String> {
-        let v: Value = serde_json::from_str(line).map_err(|e| format!("parse: {e}"))?;
-        let id = field(&v, "id")
-            .and_then(as_u64)
-            .ok_or("parse: response missing `id`")?;
-        if let Some(err) = field(&v, "error") {
-            let Value::String(error) = err else {
-                return Err("parse: `error` must be a string".to_string());
-            };
-            return Ok(Response::Error {
-                id,
-                error: error.clone(),
-            });
+        let mut f = ResponseFields::default();
+        f.read(&mut Reader::new(line))
+            .map_err(|e| format!("parse: {e}"))?;
+        let id = f.id.ok_or("parse: response missing `id`")??;
+        if let Some(error) = f.error {
+            return Ok(Response::Error { id, error: error? });
         }
-        if let Some(stats) = field(&v, "stats") {
-            let get = |k: &str| {
-                field(stats, k)
-                    .and_then(as_u64)
-                    .ok_or_else(|| format!("parse: stats missing `{k}`"))
-            };
-            let workers = match field(stats, "workers") {
-                Some(Value::Array(ws)) => ws
-                    .iter()
-                    .map(|w| {
-                        let get = |k: &str| {
-                            field(w, k)
-                                .and_then(as_u64)
-                                .ok_or_else(|| format!("parse: worker missing `{k}`"))
-                        };
-                        Ok(WorkerSnapshot {
-                            worker: get("worker")? as usize,
-                            requests: get("requests")?,
-                            p50_us: get("p50_us")?,
-                            p99_us: get("p99_us")?,
-                        })
-                    })
-                    .collect::<Result<Vec<_>, String>>()?,
-                _ => return Err("parse: stats missing `workers`".to_string()),
-            };
-            // `host_cores`, `uptime_s` and `phases` are optional:
-            // servers predating them simply don't send them.
-            let phases = match field(stats, "phases") {
-                Some(Value::Object(entries)) => entries
-                    .iter()
-                    .map(|(name, body)| {
-                        let get = |k: &str| {
-                            field(body, k)
-                                .and_then(as_u64)
-                                .ok_or_else(|| format!("parse: phase `{name}` missing `{k}`"))
-                        };
-                        Ok(PhaseSnapshot {
-                            phase: name.clone(),
-                            count: get("count")?,
-                            p50_us: get("p50_us")?,
-                            p99_us: get("p99_us")?,
-                            p999_us: get("p999_us")?,
-                            mean_us: get("mean_us")?,
-                        })
-                    })
-                    .collect::<Result<Vec<_>, String>>()?,
-                _ => Vec::new(),
-            };
-            return Ok(Response::Stats(StatsSnapshot {
-                id,
-                threads: get("threads")? as usize,
-                queue_depth: get("queue_depth")? as usize,
-                accepted: get("accepted")?,
-                rejected: get("rejected")?,
-                timeouts: get("timeouts")?,
-                malformed: get("malformed")?,
-                completed: get("completed")?,
-                in_flight: get("in_flight")?,
-                workers,
-                host_cores: field(stats, "host_cores").and_then(as_u64).unwrap_or(0) as usize,
-                uptime_s: field(stats, "uptime_s").and_then(as_u64).unwrap_or(0),
-                phases,
-            }));
+        if let Some(stats) = f.stats {
+            return Ok(Response::Stats(StatsSnapshot { id, ..stats? }));
         }
-        if field(&v, "shutdown").is_some() {
-            return Ok(Response::Shutdown {
-                id,
-                completed: field(&v, "completed")
-                    .and_then(as_u64)
-                    .ok_or("parse: shutdown missing `completed`")?,
-            });
+        if f.shutdown {
+            let completed = f.completed.ok_or("parse: shutdown missing `completed`")??;
+            return Ok(Response::Shutdown { id, completed });
         }
-        let makespan = field(&v, "makespan")
-            .and_then(as_u64)
-            .ok_or("parse: response missing `makespan`")?;
-        let algo = match field(&v, "algo") {
-            Some(Value::String(s)) => s.clone(),
-            _ => return Err("parse: response missing `algo`".to_string()),
-        };
-        let procs = field(&v, "procs")
-            .and_then(as_u64)
-            .ok_or("parse: response missing `procs`")? as u32;
-        let placements = match field(&v, "placements") {
-            Some(Value::Array(rows)) => rows
-                .iter()
-                .map(|row| match row {
-                    Value::Array(xs) if xs.len() == 3 => {
-                        let n = |i: usize| as_u64(&xs[i]);
-                        match (n(0), n(1), n(2)) {
-                            (Some(p), Some(s), Some(f)) => Ok((p as u32, s, f)),
-                            _ => Err("parse: placement entries must be integers".to_string()),
-                        }
-                    }
-                    _ => Err("parse: each placement must be [proc,start,finish]".to_string()),
-                })
-                .collect::<Result<Vec<_>, String>>()?,
-            _ => return Err("parse: response missing `placements`".to_string()),
-        };
         Ok(Response::Schedule(ScheduleResponse {
             id,
-            algo,
-            procs,
-            makespan,
-            placements,
-            queue_us: field(&v, "queue_us").and_then(as_u64).unwrap_or(0),
-            service_us: field(&v, "service_us").and_then(as_u64).unwrap_or(0),
+            algo: f.algo.ok_or("parse: response missing `algo`")??,
+            procs: f.procs.ok_or("parse: response missing `procs`")??,
+            makespan: f.makespan.ok_or("parse: response missing `makespan`")??,
+            placements: f
+                .placements
+                .ok_or("parse: response missing `placements`")??,
+            queue_us: f.queue_us.transpose()?.unwrap_or(0),
+            service_us: f.service_us.transpose()?.unwrap_or(0),
         }))
     }
+}
+
+/// The known fields of one response line (see [`slot`]).
+#[derive(Default)]
+struct ResponseFields {
+    id: Slot<u64>,
+    error: Slot<String>,
+    stats: Slot<StatsSnapshot>,
+    shutdown: bool,
+    completed: Slot<u64>,
+    algo: Slot<String>,
+    procs: Slot<u32>,
+    makespan: Slot<u64>,
+    placements: Slot<Vec<(u32, u64, u64)>>,
+    queue_us: Slot<u64>,
+    service_us: Slot<u64>,
+}
+
+impl ResponseFields {
+    fn read(&mut self, r: &mut Reader<'_>) -> Result<(), json::Error> {
+        r.object()?;
+        while let Some(key) = r.next_key()? {
+            match &*key {
+                "id" => slot(r, &mut self.id, |r| uint(r, "id")),
+                "error" => slot(r, &mut self.error, |r| string(r, "error")),
+                "stats" => slot(r, &mut self.stats, read_stats),
+                "shutdown" => {
+                    self.shutdown = true;
+                    r.skip()
+                }
+                "completed" => slot(r, &mut self.completed, |r| uint(r, "completed")),
+                "algo" => slot(r, &mut self.algo, |r| string(r, "algo")),
+                "procs" => slot(r, &mut self.procs, |r| narrow(uint(r, "procs")?, "procs")),
+                "makespan" => slot(r, &mut self.makespan, |r| uint(r, "makespan")),
+                "placements" => slot(r, &mut self.placements, |r| {
+                    r.list(read_placement)
+                        .map_err(|e| format!("parse: `placements`: {e}"))
+                }),
+                "queue_us" => slot(r, &mut self.queue_us, |r| uint(r, "queue_us")),
+                "service_us" => slot(r, &mut self.service_us, |r| uint(r, "service_us")),
+                _ => r.skip(),
+            }?;
+        }
+        r.end()
+    }
+}
+
+/// A non-negative integer field, with its key named in the error.
+fn uint(r: &mut Reader<'_>, key: &str) -> Result<u64, String> {
+    r.u64()
+        .map_err(|_| format!("parse: `{key}` must be a non-negative integer"))
+}
+
+/// A string field, with its key named in the error.
+fn string(r: &mut Reader<'_>, key: &str) -> Result<String, String> {
+    r.str()
+        .map(Cow::into_owned)
+        .map_err(|_| format!("parse: `{key}` must be a string"))
+}
+
+/// `x` in a narrower integer type, with the key named in the error.
+fn narrow<T: TryFrom<u64>>(x: u64, key: &str) -> Result<T, String> {
+    T::try_from(x).map_err(|_| format!("parse: `{key}` out of range"))
+}
+
+/// One `[proc, start, finish]` row of a schedule response.
+fn read_placement(r: &mut Reader<'_>) -> Result<(u32, u64, u64), json::Error> {
+    let [p, start, finish] = r.u64_array()?;
+    let proc = u32::try_from(p).map_err(|_| r.err("processor out of range"))?;
+    Ok((proc, start, finish))
+}
+
+/// The counters of a stats body, in [`StatsSnapshot`] order. The last
+/// two are optional: servers predating them do not send them.
+const STATS_COUNTS: [&str; 10] = [
+    "threads",
+    "queue_depth",
+    "accepted",
+    "rejected",
+    "timeouts",
+    "malformed",
+    "completed",
+    "in_flight",
+    "host_cores",
+    "uptime_s",
+];
+
+/// The `stats` object of a stats response (`id` left 0). `phases` is
+/// optional like `host_cores` and `uptime_s`; `workers` is required.
+fn read_stats(r: &mut Reader<'_>) -> Result<StatsSnapshot, String> {
+    let mut counts: [Slot<u64>; 10] = Default::default();
+    let (mut workers, mut phases) = (None, None);
+    let mut walk = |r: &mut Reader<'_>| -> Result<(), json::Error> {
+        r.object()?;
+        while let Some(key) = r.next_key()? {
+            match STATS_COUNTS.iter().position(|k| *k == key) {
+                Some(i) => slot(r, &mut counts[i], |r| uint(r, STATS_COUNTS[i])),
+                None if key == "workers" => slot(r, &mut workers, |r| {
+                    r.list(read_worker)
+                        .map_err(|e| format!("parse: stats `workers`: {e}"))
+                }),
+                None if key == "phases" => slot(r, &mut phases, |r| {
+                    read_phases(r).map_err(|e| format!("parse: stats `phases`: {e}"))
+                }),
+                None => r.skip(),
+            }?;
+        }
+        Ok(())
+    };
+    walk(r).map_err(|e| format!("parse: stats: {e}"))?;
+    let mut n = [None; 10];
+    for (x, count) in n.iter_mut().zip(counts) {
+        *x = count.transpose()?;
+    }
+    let [threads, queue_depth, accepted, rejected, timeouts, malformed, completed, in_flight, host_cores, uptime_s] =
+        n;
+    let need = |x: Option<u64>, i: usize| {
+        x.ok_or_else(|| format!("parse: stats missing `{}`", STATS_COUNTS[i]))
+    };
+    Ok(StatsSnapshot {
+        id: 0,
+        threads: narrow(need(threads, 0)?, "threads")?,
+        queue_depth: narrow(need(queue_depth, 1)?, "queue_depth")?,
+        accepted: need(accepted, 2)?,
+        rejected: need(rejected, 3)?,
+        timeouts: need(timeouts, 4)?,
+        malformed: need(malformed, 5)?,
+        completed: need(completed, 6)?,
+        in_flight: need(in_flight, 7)?,
+        workers: workers.ok_or("parse: stats missing `workers`")??,
+        host_cores: narrow(host_cores.unwrap_or(0), "host_cores")?,
+        uptime_s: uptime_s.unwrap_or(0),
+        phases: phases.transpose()?.unwrap_or_default(),
+    })
+}
+
+fn read_worker(r: &mut Reader<'_>) -> Result<WorkerSnapshot, json::Error> {
+    let [worker, requests, p50_us, p99_us] =
+        r.u64_fields(["worker", "requests", "p50_us", "p99_us"])?;
+    Ok(WorkerSnapshot {
+        worker: usize::try_from(worker).map_err(|_| r.err("worker id out of range"))?,
+        requests,
+        p50_us,
+        p99_us,
+    })
+}
+
+/// The `phases` object: one `{count, p50_us, p99_us, p999_us,
+/// mean_us}` body per phase name, in line order.
+fn read_phases(r: &mut Reader<'_>) -> Result<Vec<PhaseSnapshot>, json::Error> {
+    let mut out = Vec::new();
+    r.object()?;
+    while let Some(phase) = r.next_key()? {
+        let [count, p50_us, p99_us, p999_us, mean_us] =
+            r.u64_fields(["count", "p50_us", "p99_us", "p999_us", "mean_us"])?;
+        out.push(PhaseSnapshot {
+            phase: phase.into_owned(),
+            count,
+            p50_us,
+            p99_us,
+            p999_us,
+            mean_us,
+        });
+    }
+    Ok(out)
 }
 
 /// `(proc, start, finish)` per node, in node-id order.
@@ -922,20 +1005,6 @@ pub fn placements_json(placements: &[(u32, u64, u64)]) -> String {
     }
     out.push(']');
     out
-}
-
-fn field<'a>(v: &'a Value, key: &str) -> Option<&'a Value> {
-    match v {
-        Value::Object(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, x)| x),
-        _ => None,
-    }
-}
-
-fn as_u64(v: &Value) -> Option<u64> {
-    match v {
-        Value::UInt(x) => Some(*x),
-        _ => None,
-    }
 }
 
 // -------------------------------------------------------- line reader
@@ -1062,6 +1131,7 @@ mod tests {
     use super::*;
     use fastsched_algorithms::Scheduler;
     use fastsched_dag::examples::paper_figure1;
+    use fastsched_dag::io::{EdgeSpec, NodeSpec};
     use std::io::Cursor;
 
     fn figure1_spec() -> DagSpec {
@@ -1265,6 +1335,12 @@ mod tests {
                 "{\"worker\":1,\"requests\":4,\"p50_us\":28,\"p99_us\":61}"
             );
             assert!(line.starts_with(&legacy_prefix), "prefix changed: {line}");
+            assert_eq!(
+                &line[legacy_prefix.len()..],
+                "\"host_cores\":8,\"uptime_s\":42,\"phases\":{\"queue\":{\"count\":9,\
+                 \"p50_us\":11,\"p99_us\":90,\"p999_us\":120,\"mean_us\":15},\"schedule\":\
+                 {\"count\":9,\"p50_us\":30,\"p99_us\":61,\"p999_us\":61,\"mean_us\":33}}}}"
+            );
         }
 
         // A stats line from a server predating the new fields still
@@ -1286,6 +1362,118 @@ mod tests {
             completed: 123,
         };
         assert_eq!(Response::parse(&done.to_line()).unwrap(), done);
+    }
+
+    /// Request lines as the earlier writer laid them out: every
+    /// optional field, in order, with an escaped node name.
+    #[test]
+    fn request_lines_are_pinned() {
+        let dag = DagSpec {
+            nodes: vec![
+                NodeSpec {
+                    name: "a\"b".into(),
+                    weight: 2,
+                    mem: 0,
+                },
+                NodeSpec {
+                    name: "c".into(),
+                    weight: 3,
+                    mem: 4,
+                },
+            ],
+            edges: vec![EdgeSpec {
+                src: 0,
+                dst: 1,
+                cost: 5,
+            }],
+        };
+        let mut req = ScheduleRequest::new(7, dag);
+        req.procs = Some(2);
+        req.speeds = Some(vec![100, 50]);
+        req.timeout_ms = Some(9);
+        req.comm = Some(CommSpec::Hier {
+            groups: vec![1, 1],
+            intra: [0, 1, 1],
+            inter: [4, 2, 1],
+        });
+        req.mem_caps = Some(MemCapsSpec::PerProc(vec![8, 9]));
+        assert_eq!(
+            req.to_line(),
+            r#"{"op":"schedule","id":7,"algo":"fast","procs":2,"speeds":[100,50],"timeout_ms":9,"comm":{"model":"hier","groups":[1,1],"intra":[0,1,1],"inter":[4,2,1]},"mem_caps":[8,9],"dag":{"nodes":[{"name":"a\"b","weight":2},{"name":"c","weight":3,"mem":4}],"edges":[{"src":0,"dst":1,"cost":5}]}}"#
+        );
+        req.comm = Some(CommSpec::AlphaBeta {
+            alpha: 1,
+            beta_num: 2,
+            beta_den: 3,
+        });
+        req.mem_caps = Some(MemCapsSpec::Uniform(6));
+        req.speeds = None;
+        assert!(req.to_line().contains(
+            r#""timeout_ms":9,"comm":{"model":"alpha-beta","alpha":1,"beta_num":2,"beta_den":3},"mem_caps":6,"dag""#
+        ));
+        req.comm = Some(CommSpec::Ideal);
+        assert!(req.to_line().contains(r#""comm":{"model":"ideal"},"#));
+    }
+
+    /// Responses escape through `json_string`, requests through the
+    /// writer: both must agree.
+    #[test]
+    fn writer_escapes_like_json_string() {
+        let text = "q\"b\\n\nr\rt\t\u{1}\u{1f}\u{7f}é😀/";
+        let mut w = Writer::compact();
+        w.str(text);
+        assert_eq!(w.finish(), json_string(text));
+    }
+
+    #[test]
+    fn response_counts_are_range_checked() {
+        let schedule = |procs: &str, proc: &str| {
+            Response::parse(&format!(
+                "{{\"id\":1,\"ok\":true,\"algo\":\"FAST\",\"procs\":{procs},\
+                 \"makespan\":3,\"placements\":[[{proc},0,3]]}}"
+            ))
+        };
+        assert!(schedule("4294967295", "4294967295").is_ok());
+        for (procs, proc) in [("4294967296", "0"), ("2", "4294967296"), ("-1", "0")] {
+            let err = schedule(procs, proc).unwrap_err();
+            assert!(err.starts_with("parse:"), "{procs}/{proc}: {err}");
+        }
+        assert_eq!(
+            schedule("4294967296", "0").unwrap_err(),
+            "parse: `procs` out of range"
+        );
+        // The response kind decides which fields count: an ill-typed
+        // `makespan` does not matter to an error response.
+        let err = Response::parse("{\"makespan\":\"x\",\"id\":3,\"error\":\"timeout\"}");
+        assert_eq!(
+            err,
+            Ok(Response::Error {
+                id: 3,
+                error: "timeout".into()
+            })
+        );
+        // First occurrence wins; unknown keys are skipped.
+        let done = Response::parse(
+            "{\"id\":4,\"x\":[{}],\"shutdown\":true,\"completed\":7,\"completed\":\"no\"}",
+        );
+        assert_eq!(
+            done,
+            Ok(Response::Shutdown {
+                id: 4,
+                completed: 7
+            })
+        );
+        for bad in [
+            "{\"id\":1,\"error\":5}",
+            "{\"id\":1,\"stats\":{\"workers\":[]}}",
+            "{\"id\":1,\"shutdown\":true}",
+            "{\"id\":1,\"algo\":\"FAST\",\"procs\":1,\"makespan\":1,\"placements\":[[0,1]]}",
+            "{\"id\":1,\"error\":\"x\"} trailing",
+            "[1]",
+        ] {
+            let err = Response::parse(bad).unwrap_err();
+            assert!(err.starts_with("parse:"), "{bad}: {err}");
+        }
     }
 
     #[test]

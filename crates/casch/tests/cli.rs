@@ -1600,3 +1600,347 @@ fn closed_stdout_ends_commands_quietly() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A DAG whose node names need escaping (a quote, a backslash, a
+/// control character, a tab) next to multi-byte text, with a fork that
+/// FAST spreads over two processors so the simulator sends messages.
+const ESCAPED_NAMES_DAG: &str = r#"{"nodes":[{"name":"a\"q\\b\u0001c","weight":1},{"name":"mid","weight":10,"mem":5},{"name":"t\tz","weight":10},{"name":"é😀/","weight":2}],"edges":[{"src":0,"dst":1,"cost":1},{"src":0,"dst":2,"cost":1},{"src":1,"dst":3,"cost":2},{"src":2,"dst":3,"cost":1}]}"#;
+
+/// `--out-schedule`, `--out-report` and the simulator's `--trace` file,
+/// byte for byte as the earlier value-tree writer produced them.
+const PINNED_SCHEDULE: &str = r#"{
+  "num_procs": 2,
+  "tasks": [
+    {
+      "node": 0,
+      "proc": 0,
+      "start": 0,
+      "finish": 1
+    },
+    {
+      "node": 1,
+      "proc": 0,
+      "start": 1,
+      "finish": 11
+    },
+    {
+      "node": 2,
+      "proc": 1,
+      "start": 2,
+      "finish": 12
+    },
+    {
+      "node": 3,
+      "proc": 0,
+      "start": 13,
+      "finish": 15
+    }
+  ]
+}"#;
+
+const PINNED_REPORT: &str = r#"{
+  "execution_time": 19,
+  "predicted_makespan": 15,
+  "processors_used": 2,
+  "messages": 2,
+  "contention_delay": 0,
+  "busy_time": 23,
+  "finish_times": [
+    1,
+    11,
+    14,
+    19
+  ],
+  "trace": [
+    {
+      "TaskStart": {
+        "node": 0,
+        "proc": 0,
+        "time": 0
+      }
+    },
+    {
+      "TaskFinish": {
+        "node": 0,
+        "proc": 0,
+        "time": 1
+      }
+    },
+    {
+      "Message": {
+        "from_node": 0,
+        "to_node": 2,
+        "from_proc": 0,
+        "to_proc": 1,
+        "sent": 1,
+        "arrived": 4
+      }
+    },
+    {
+      "TaskStart": {
+        "node": 1,
+        "proc": 0,
+        "time": 1
+      }
+    },
+    {
+      "TaskFinish": {
+        "node": 1,
+        "proc": 0,
+        "time": 11
+      }
+    },
+    {
+      "TaskStart": {
+        "node": 2,
+        "proc": 1,
+        "time": 4
+      }
+    },
+    {
+      "TaskFinish": {
+        "node": 2,
+        "proc": 1,
+        "time": 14
+      }
+    },
+    {
+      "Message": {
+        "from_node": 2,
+        "to_node": 3,
+        "from_proc": 1,
+        "to_proc": 0,
+        "sent": 14,
+        "arrived": 17
+      }
+    },
+    {
+      "TaskStart": {
+        "node": 3,
+        "proc": 0,
+        "time": 17
+      }
+    },
+    {
+      "TaskFinish": {
+        "node": 3,
+        "proc": 0,
+        "time": 19
+      }
+    }
+  ],
+  "link_holds": [
+    {
+      "from": 0,
+      "to": 1,
+      "start": 1,
+      "release": 2,
+      "wait": 0
+    },
+    {
+      "from": 1,
+      "to": 0,
+      "start": 14,
+      "release": 15,
+      "wait": 0
+    }
+  ]
+}"#;
+
+const PINNED_TRACE: &str = r#"[
+  {
+    "TaskStart": {
+      "node": 0,
+      "proc": 0,
+      "time": 0
+    }
+  },
+  {
+    "TaskFinish": {
+      "node": 0,
+      "proc": 0,
+      "time": 1
+    }
+  },
+  {
+    "Message": {
+      "from_node": 0,
+      "to_node": 2,
+      "from_proc": 0,
+      "to_proc": 1,
+      "sent": 1,
+      "arrived": 4
+    }
+  },
+  {
+    "TaskStart": {
+      "node": 1,
+      "proc": 0,
+      "time": 1
+    }
+  },
+  {
+    "TaskFinish": {
+      "node": 1,
+      "proc": 0,
+      "time": 11
+    }
+  },
+  {
+    "TaskStart": {
+      "node": 2,
+      "proc": 1,
+      "time": 4
+    }
+  },
+  {
+    "TaskFinish": {
+      "node": 2,
+      "proc": 1,
+      "time": 14
+    }
+  },
+  {
+    "Message": {
+      "from_node": 2,
+      "to_node": 3,
+      "from_proc": 1,
+      "to_proc": 0,
+      "sent": 14,
+      "arrived": 17
+    }
+  },
+  {
+    "TaskStart": {
+      "node": 3,
+      "proc": 0,
+      "time": 17
+    }
+  },
+  {
+    "TaskFinish": {
+      "node": 3,
+      "proc": 0,
+      "time": 19
+    }
+  }
+]"#;
+
+#[test]
+fn schedule_report_and_trace_files_are_byte_pinned() {
+    let (dir, dag_path) = temp_dag("pinned", ESCAPED_NAMES_DAG);
+    let sched = dir.join("s.json");
+    let report = dir.join("r.json");
+    let trace = dir.join("t.json");
+    let out = casch()
+        .args(["schedule", "--algo", "fast", "--procs", "4", "--dag"])
+        .arg(&dag_path)
+        .arg("--out-schedule")
+        .arg(&sched)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let out = casch()
+        .args(["simulate", "--dag"])
+        .arg(&dag_path)
+        .arg("--schedule")
+        .arg(&sched)
+        .arg("--out-report")
+        .arg(&report)
+        .arg("--trace")
+        .arg(&trace)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let read = |p: &std::path::Path| std::fs::read_to_string(p).unwrap();
+    assert_eq!(read(&sched), PINNED_SCHEDULE);
+    assert_eq!(read(&report), PINNED_REPORT);
+    assert_eq!(read(&trace), PINNED_TRACE);
+
+    // The report reads back: it agrees with its schedule and diffs
+    // clean against itself.
+    let out = casch()
+        .args(["verify", "--dag"])
+        .arg(&dag_path)
+        .arg("--schedule")
+        .arg(&sched)
+        .arg("--report")
+        .arg(&report)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let out = casch()
+        .args(["diff", "--a"])
+        .arg(&report)
+        .arg("--b")
+        .arg(&report)
+        .output()
+        .unwrap();
+    assert!(String::from_utf8_lossy(&out.stdout).contains("executions are identical"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A schedule file that is not valid JSON names the reader's error and
+/// byte offset, and one that places a node twice names the node, in
+/// every command that loads schedule files.
+#[test]
+fn bad_schedule_files_name_what_is_wrong() {
+    let (dir, dag_path) = temp_dag("badsched", ESCAPED_NAMES_DAG);
+    let broken = dir.join("broken.json");
+    std::fs::write(&broken, &PINNED_SCHEDULE[..40]).unwrap();
+    let twice = dir.join("twice.json");
+    std::fs::write(
+        &twice,
+        r#"{"num_procs":1,"tasks":[
+            {"node":0,"proc":0,"start":0,"finish":1},
+            {"node":1,"proc":0,"start":1,"finish":11},
+            {"node":2,"proc":0,"start":11,"finish":21},
+            {"node":3,"proc":0,"start":21,"finish":23},
+            {"node":1,"proc":0,"start":30,"finish":40}]}"#,
+    )
+    .unwrap();
+    for (file, needle) in [
+        (
+            &broken,
+            "malformed schedule file: expected string key at byte 40",
+        ),
+        (&twice, "node n1 is placed more than once"),
+    ] {
+        for cmd in ["verify", "simulate"] {
+            let out = casch()
+                .args([cmd, "--dag"])
+                .arg(&dag_path)
+                .arg("--schedule")
+                .arg(file)
+                .output()
+                .unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{cmd}: {stderr}");
+            assert!(stderr.contains(needle), "{cmd}: {stderr}");
+        }
+        let out = casch()
+            .args(["diff", "--dag"])
+            .arg(&dag_path)
+            .arg("--a")
+            .arg(file)
+            .arg("--b")
+            .arg(file)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(needle), "diff: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

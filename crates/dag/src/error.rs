@@ -20,8 +20,9 @@ pub enum DagError {
     /// zero-cost tasks make *relative mobility* in the MD algorithm
     /// undefined).
     ZeroWeight(u32),
-    /// JSON (de)serialization failure, carrying the serde message.
-    Serde(String),
+    /// A DAG file could not be read (malformed JSON or `.tg` text),
+    /// carrying the reader's message.
+    Parse(String),
 }
 
 impl fmt::Display for DagError {
@@ -33,7 +34,7 @@ impl fmt::Display for DagError {
             DagError::Cycle(n) => write!(f, "graph contains a cycle through node {n}"),
             DagError::Empty => write!(f, "graph has no nodes"),
             DagError::ZeroWeight(n) => write!(f, "node {n} has zero computation cost"),
-            DagError::Serde(msg) => write!(f, "serialization error: {msg}"),
+            DagError::Parse(msg) => write!(f, "serialization error: {msg}"),
         }
     }
 }

@@ -19,7 +19,6 @@
 //! (no per-node allocation, no hashing on the hot path).
 
 use crate::error::DagError;
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt::{self, Write as _};
@@ -35,7 +34,7 @@ use std::slice;
 pub type Cost = u64;
 
 /// Dense node identifier: an index into the graph's node arrays.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
 impl NodeId {

@@ -3,14 +3,13 @@
 
 use crate::error::DagError;
 use crate::graph::{Cost, Dag, DagBuilder, NodeId};
-use crate::json::{self, Reader};
-use serde::Serialize;
+use crate::json::{self, Reader, Writer};
 
 /// Serializable description of a task graph.
 ///
 /// This is the on-disk format consumed and produced by the `casch`
 /// CLI (`casch schedule --dag graph.json ...`).
-#[derive(Debug, Clone, Serialize, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DagSpec {
     /// Tasks, in id order.
     pub nodes: Vec<NodeSpec>,
@@ -30,24 +29,8 @@ pub struct NodeSpec {
     pub mem: Cost,
 }
 
-// Hand-written serialization: the derive macro writes every field,
-// but a zero `mem` is left out, so pre-memory DAG files and wire
-// requests round-trip byte-identically.
-impl Serialize for NodeSpec {
-    fn to_value(&self) -> serde::Value {
-        let mut pairs = vec![
-            ("name".to_string(), self.name.to_value()),
-            ("weight".to_string(), self.weight.to_value()),
-        ];
-        if self.mem != 0 {
-            pairs.push(("mem".to_string(), self.mem.to_value()));
-        }
-        serde::Value::Object(pairs)
-    }
-}
-
 /// One message edge in a [`DagSpec`].
-#[derive(Debug, Clone, Serialize, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EdgeSpec {
     /// Source node index.
     pub src: u32,
@@ -99,8 +82,8 @@ impl DagSpec {
         r.object()?;
         while let Some(key) = r.next_key()? {
             match &*key {
-                "nodes" if nodes.is_none() => nodes = Some(read_array(r, read_node)?),
-                "edges" if edges.is_none() => edges = Some(read_array(r, read_edge)?),
+                "nodes" if nodes.is_none() => nodes = Some(r.list(read_node)?),
+                "edges" if edges.is_none() => edges = Some(r.list(read_edge)?),
                 _ => r.skip()?,
             }
         }
@@ -108,6 +91,32 @@ impl DagSpec {
             nodes: nodes.ok_or_else(|| r.err("missing field `nodes`"))?,
             edges: edges.ok_or_else(|| r.err("missing field `edges`"))?,
         })
+    }
+
+    /// Write the `{nodes, edges}` object [`DagSpec::read_json`] reads:
+    /// nodes as `{name, weight}` plus `mem` when it is not zero, edges
+    /// as `{src, dst, cost}`.
+    pub fn write_json(&self, w: &mut Writer) {
+        w.begin_object().key("nodes").begin_array();
+        for n in &self.nodes {
+            w.begin_object()
+                .key("name")
+                .str(&n.name)
+                .field("weight", n.weight);
+            if n.mem != 0 {
+                w.field("mem", n.mem);
+            }
+            w.end_object();
+        }
+        w.end_array().key("edges").begin_array();
+        for e in &self.edges {
+            w.begin_object()
+                .field("src", e.src.into())
+                .field("dst", e.dst.into())
+                .field("cost", e.cost)
+                .end_object();
+        }
+        w.end_array().end_object();
     }
 
     /// Validate and build the described graph.
@@ -122,18 +131,6 @@ impl DagSpec {
         }
         b.build()
     }
-}
-
-fn read_array<T>(
-    r: &mut Reader<'_>,
-    item: fn(&mut Reader<'_>) -> Result<T, json::Error>,
-) -> Result<Vec<T>, json::Error> {
-    let mut out = Vec::new();
-    r.array()?;
-    while r.next_item()? {
-        out.push(item(r)?);
-    }
-    Ok(out)
 }
 
 fn read_node(r: &mut Reader<'_>) -> Result<NodeSpec, json::Error> {
@@ -159,8 +156,8 @@ fn read_edge(r: &mut Reader<'_>) -> Result<EdgeSpec, json::Error> {
     r.object()?;
     while let Some(key) = r.next_key()? {
         match &*key {
-            "src" if src.is_none() => src = Some(read_u32(r)?),
-            "dst" if dst.is_none() => dst = Some(read_u32(r)?),
+            "src" if src.is_none() => src = Some(r.u32()?),
+            "dst" if dst.is_none() => dst = Some(r.u32()?),
             "cost" if cost.is_none() => cost = Some(r.u64()?),
             _ => r.skip()?,
         }
@@ -172,21 +169,18 @@ fn read_edge(r: &mut Reader<'_>) -> Result<EdgeSpec, json::Error> {
     })
 }
 
-fn read_u32(r: &mut Reader<'_>) -> Result<u32, json::Error> {
-    let at = r.err("integer out of range");
-    u32::try_from(r.u64()?).map_err(|_| at)
-}
-
-/// Serialize a graph to pretty-printed JSON.
-pub fn to_json(dag: &Dag) -> Result<String, DagError> {
-    serde_json::to_string_pretty(&DagSpec::from_dag(dag))
-        .map_err(|e| DagError::Serde(e.to_string()))
+/// A graph as pretty-printed JSON (two-space indent, no trailing
+/// newline).
+pub fn to_json(dag: &Dag) -> String {
+    let mut w = Writer::pretty();
+    DagSpec::from_dag(dag).write_json(&mut w);
+    w.finish()
 }
 
 /// Parse a graph from JSON produced by [`to_json`].
 pub fn from_json(s: &str) -> Result<Dag, DagError> {
     DagSpec::from_json_str(s)
-        .map_err(|e| DagError::Serde(e.to_string()))?
+        .map_err(|e| DagError::Parse(e.to_string()))?
         .build()
 }
 
@@ -228,7 +222,7 @@ mod tests {
     #[test]
     fn json_roundtrip_preserves_structure() {
         let g = sample();
-        let json = to_json(&g).unwrap();
+        let json = to_json(&g);
         let g2 = from_json(&json).unwrap();
         assert_eq!(g.node_count(), g2.node_count());
         assert_eq!(g.edge_count(), g2.edge_count());
@@ -270,7 +264,7 @@ mod tests {
         b.add_edge(a, c, 4).unwrap();
         b.set_mem(c, 77);
         let g = b.build().unwrap();
-        let json = to_json(&g).unwrap();
+        let json = to_json(&g);
         // The zero-footprint node serializes without a `mem` key.
         assert_eq!(json.matches("\"mem\"").count(), 1, "{json}");
         let g2 = from_json(&json).unwrap();
@@ -281,8 +275,93 @@ mod tests {
     }
 
     #[test]
-    fn malformed_json_reports_serde_error() {
-        assert!(matches!(from_json("{oops"), Err(DagError::Serde(_))));
+    fn malformed_json_reports_the_byte_offset() {
+        assert_eq!(
+            from_json("{oops").unwrap_err(),
+            DagError::Parse("expected string key at byte 1".into())
+        );
+    }
+
+    /// Pretty output as the earlier value-tree writer laid it out:
+    /// quotes, backslashes and control characters escaped, multi-byte
+    /// text and `/` copied, `mem` only where it is not zero.
+    #[test]
+    fn pretty_layout_is_pinned() {
+        let mut b = DagBuilder::new();
+        let a = b.add_node("a\"q\\b\u{1}c", 1);
+        let m = b.add_node("mid", 10);
+        let t = b.add_node("t\tz", 10);
+        let z = b.add_node("é😀/", 2);
+        b.set_mem(m, 5);
+        b.add_edge(a, m, 1).unwrap();
+        b.add_edge(a, t, 1).unwrap();
+        b.add_edge(m, z, 2).unwrap();
+        b.add_edge(t, z, 1).unwrap();
+        let text = to_json(&b.build().unwrap());
+        let expected = r#"{
+  "nodes": [
+    {
+      "name": "a\"q\\b\u0001c",
+      "weight": 1
+    },
+    {
+      "name": "mid",
+      "weight": 10,
+      "mem": 5
+    },
+    {
+      "name": "t\tz",
+      "weight": 10
+    },
+    {
+      "name": "é😀/",
+      "weight": 2
+    }
+  ],
+  "edges": [
+    {
+      "src": 0,
+      "dst": 1,
+      "cost": 1
+    },
+    {
+      "src": 0,
+      "dst": 2,
+      "cost": 1
+    },
+    {
+      "src": 1,
+      "dst": 3,
+      "cost": 2
+    },
+    {
+      "src": 2,
+      "dst": 3,
+      "cost": 1
+    }
+  ]
+}"#;
+        assert_eq!(text, expected);
+        let mut w = Writer::compact();
+        DagSpec::from_dag(&from_json(&text).unwrap()).write_json(&mut w);
+        assert_eq!(w.finish(), expected.split_whitespace().collect::<String>());
+    }
+
+    /// Every committed fixture is a file this writer produced: reading
+    /// and writing it again gives back the same bytes.
+    #[test]
+    fn fixtures_roundtrip_byte_for_byte() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/fixtures");
+        let mut seen = 0;
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|e| e == "json") {
+                let text = std::fs::read_to_string(&path).unwrap();
+                assert_eq!(to_json(&from_json(&text).unwrap()), text, "{path:?}");
+                seen += 1;
+            }
+        }
+        assert!(seen >= 3, "only {seen} fixtures");
     }
 
     #[test]

@@ -21,7 +21,7 @@ use std::fmt::Write as _;
 
 /// Parse the text task-graph format.
 ///
-/// Errors are reported as [`DagError::Serde`] with a line number.
+/// Errors are reported as [`DagError::Parse`] with a line number.
 pub fn from_text(input: &str) -> Result<Dag, DagError> {
     let mut builder = DagBuilder::new();
     let mut names: HashMap<String, NodeId> = HashMap::new();
@@ -32,7 +32,7 @@ pub fn from_text(input: &str) -> Result<Dag, DagError> {
             continue;
         }
         let mut parts = line.split_whitespace();
-        let err = |msg: &str| DagError::Serde(format!("line {}: {msg}", lineno + 1));
+        let err = |msg: &str| DagError::Parse(format!("line {}: {msg}", lineno + 1));
         match parts.next() {
             Some("task") => {
                 let name = parts.next().ok_or_else(|| err("task needs a name"))?;
@@ -143,12 +143,12 @@ edge parse save 5
     fn reports_line_numbers_on_errors() {
         let e = from_text("task a 5\nedge a b 1").unwrap_err();
         assert!(
-            matches!(&e, DagError::Serde(m) if m.contains("line 2")),
+            matches!(&e, DagError::Parse(m) if m.contains("line 2")),
             "{e}"
         );
         let e = from_text("task a").unwrap_err();
         assert!(
-            matches!(&e, DagError::Serde(m) if m.contains("line 1")),
+            matches!(&e, DagError::Parse(m) if m.contains("line 1")),
             "{e}"
         );
     }
@@ -174,7 +174,7 @@ edge parse save 5
         assert!(from_text("task a 1 2 3").is_err());
         let e = from_text("task a 1 big").unwrap_err();
         assert!(
-            matches!(&e, DagError::Serde(m) if m.contains("memory")),
+            matches!(&e, DagError::Parse(m) if m.contains("memory")),
             "{e}"
         );
     }

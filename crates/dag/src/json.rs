@@ -1,4 +1,4 @@
-//! A pull reader over JSON text.
+//! A pull reader and a streaming writer for JSON text.
 //!
 //! [`Reader`] walks one JSON document front to back without building a
 //! value tree: the caller asks for the next object key, array item,
@@ -9,18 +9,21 @@
 //! is capped at [`MAX_DEPTH`] so hostile input cannot exhaust the
 //! stack.
 //!
-//! The grammar is RFC 8259 JSON, the same one the vendored
-//! `serde_json` accepts: no leading zeros, no raw control characters
-//! in strings, surrogate pairs combined, and integers written without
-//! a fraction or exponent must fit `u64` (or `i64` when negative).
-//! [`Reader::skip`] checks all of this for the values it passes over,
-//! so a document is fully validated even where the caller ignores it.
+//! The grammar is RFC 8259 JSON: no leading zeros, no raw control
+//! characters in strings, surrogate pairs combined, and integers
+//! written without a fraction or exponent must fit `u64` (or `i64`
+//! when negative). [`Reader::skip`] checks all of this for the values
+//! it passes over, so a document is fully validated even where the
+//! caller ignores it.
+//!
+//! [`Writer`] is the inverse for the shapes this workspace emits:
+//! objects, arrays, unsigned integers, booleans and strings, compact
+//! or pretty-printed with a two-space indent.
 
 use std::borrow::Cow;
 use std::fmt;
 
-/// Most arrays and objects that may be open at once (upstream
-/// `serde_json`'s limit).
+/// Most arrays and objects that may be open at once.
 pub const MAX_DEPTH: usize = 128;
 
 /// Why a document was rejected, and the byte offset where it was
@@ -295,6 +298,87 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// A non-negative integer that fits `u32`.
+    pub fn u32(&mut self) -> Result<u32, Error> {
+        self.peek();
+        let at = self.err("integer out of range");
+        u32::try_from(self.u64()?).map_err(|_| at)
+    }
+
+    /// `x`, read earlier, as a `u32`; out of range is an error at the
+    /// cursor.
+    pub fn narrow(&self, x: u64) -> Result<u32, Error> {
+        u32::try_from(x).map_err(|_| self.err("integer out of range"))
+    }
+
+    /// An array, each item decoded by `item`.
+    pub fn list<T>(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<T, Error>,
+    ) -> Result<Vec<T>, Error> {
+        let mut out = Vec::new();
+        self.array()?;
+        while self.next_item()? {
+            out.push(item(self)?);
+        }
+        Ok(out)
+    }
+
+    /// An array of exactly `N` non-negative integers.
+    pub fn u64_array<const N: usize>(&mut self) -> Result<[u64; N], Error> {
+        let mut out = [0; N];
+        let mut n = 0;
+        self.array()?;
+        while self.next_item()? {
+            if n == N {
+                return Err(self.err("too many items"));
+            }
+            out[n] = self.u64()?;
+            n += 1;
+        }
+        if n < N {
+            return Err(self.err("too few items"));
+        }
+        Ok(out)
+    }
+
+    /// Walk an object, handing the first occurrence of each key in
+    /// `keys` to `read` with the key's index; other keys and repeats
+    /// are skipped. Every key is required: one that never appears
+    /// fails the object with "missing field" at its end.
+    pub fn fields<const N: usize>(
+        &mut self,
+        keys: [&str; N],
+        mut read: impl FnMut(&mut Self, usize) -> Result<(), Error>,
+    ) -> Result<(), Error> {
+        let mut seen = [false; N];
+        self.object()?;
+        while let Some(key) = self.next_key()? {
+            match keys.iter().position(|k| *k == key) {
+                Some(i) if !seen[i] => {
+                    seen[i] = true;
+                    read(self, i)?;
+                }
+                _ => self.skip()?,
+            }
+        }
+        if seen.contains(&false) {
+            return Err(self.err("missing field"));
+        }
+        Ok(())
+    }
+
+    /// An object of non-negative integers: the value of each key in
+    /// `keys`, in that order (see [`Reader::fields`]).
+    pub fn u64_fields<const N: usize>(&mut self, keys: [&str; N]) -> Result<[u64; N], Error> {
+        let mut out = [0; N];
+        self.fields(keys, |r, i| {
+            out[i] = r.u64()?;
+            Ok(())
+        })?;
+        Ok(out)
+    }
+
     /// Read a number at the cursor (known to start with `-` or a
     /// digit). Returns its value when it is a non-negative integer.
     fn number(&mut self) -> Result<Option<u64>, Error> {
@@ -374,6 +458,186 @@ impl<'a> Reader<'a> {
             Some(b'n') => self.literal("null"),
             _ => Err(self.err("expected JSON value")),
         }
+    }
+}
+
+/// Append `s` to `out` as a JSON string literal, escaped as
+/// [`Writer::str`] says; `fastsched_trace::json_string` escapes by the
+/// same rules.
+fn write_str(out: &mut String, s: &str) {
+    use std::fmt::Write as _;
+    out.push('"');
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        // Every byte that ends a run is ASCII, so runs are slices on
+        // character boundaries.
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        let _ = match b {
+            b'\n' => out.write_str("\\n"),
+            b'\r' => out.write_str("\\r"),
+            b'\t' => out.write_str("\\t"),
+            b'"' | b'\\' => write!(out, "\\{}", char::from(b)),
+            _ => write!(out, "\\u{b:04x}"),
+        };
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
+}
+
+/// A streaming JSON writer for objects, arrays, unsigned integers,
+/// booleans and strings.
+///
+/// The caller opens and closes containers and writes keys and values
+/// in document order; the writer places the commas and, in pretty
+/// mode, the line breaks. Pretty output puts every array item and
+/// object entry on its own line, indented two spaces per level, with
+/// `": "` after a key; an empty container stays `[]` or `{}`. Compact
+/// output has no whitespace at all.
+#[derive(Debug, Clone)]
+pub struct Writer {
+    out: String,
+    pretty: bool,
+    /// Containers currently open.
+    depth: usize,
+    /// Nothing has been written into the innermost open container yet.
+    first: bool,
+    /// A key was just written, so its value follows with no separator.
+    after_key: bool,
+}
+
+impl Writer {
+    /// A writer with no whitespace between tokens.
+    pub fn compact() -> Self {
+        Self::new(false)
+    }
+
+    /// A writer that indents two spaces per nesting level.
+    pub fn pretty() -> Self {
+        Self::new(true)
+    }
+
+    fn new(pretty: bool) -> Self {
+        Self {
+            out: String::new(),
+            pretty,
+            depth: 0,
+            first: true,
+            after_key: false,
+        }
+    }
+
+    /// The text written so far.
+    pub fn finish(self) -> String {
+        self.out
+    }
+
+    /// The separator before a value or key: nothing after a key or at
+    /// the top level, else a comma after the first element and, when
+    /// pretty, a fresh indented line.
+    fn element(&mut self) {
+        if std::mem::take(&mut self.after_key) || self.depth == 0 {
+            return;
+        }
+        if !std::mem::take(&mut self.first) {
+            self.out.push(',');
+        }
+        self.newline(self.depth);
+    }
+
+    fn newline(&mut self, depth: usize) {
+        if self.pretty {
+            self.out.push('\n');
+            self.out.extend(std::iter::repeat_n(' ', 2 * depth));
+        }
+    }
+
+    fn open(&mut self, c: char) -> &mut Self {
+        self.element();
+        self.out.push(c);
+        self.depth += 1;
+        self.first = true;
+        self
+    }
+
+    fn close(&mut self, c: char) -> &mut Self {
+        self.depth -= 1;
+        if !std::mem::replace(&mut self.first, false) {
+            self.newline(self.depth);
+        }
+        self.out.push(c);
+        self
+    }
+
+    /// Open an object.
+    pub fn begin_object(&mut self) -> &mut Self {
+        self.open('{')
+    }
+
+    /// Close the innermost object.
+    pub fn end_object(&mut self) -> &mut Self {
+        self.close('}')
+    }
+
+    /// Open an array.
+    pub fn begin_array(&mut self) -> &mut Self {
+        self.open('[')
+    }
+
+    /// Close the innermost array.
+    pub fn end_array(&mut self) -> &mut Self {
+        self.close(']')
+    }
+
+    /// The next key of the innermost object; its value is written next.
+    pub fn key(&mut self, k: &str) -> &mut Self {
+        self.element();
+        write_str(&mut self.out, k);
+        self.out.push_str(if self.pretty { ": " } else { ":" });
+        self.after_key = true;
+        self
+    }
+
+    /// An unsigned integer.
+    pub fn u64(&mut self, x: u64) -> &mut Self {
+        use std::fmt::Write as _;
+        self.element();
+        // Writing into a `String` cannot fail.
+        let _ = write!(self.out, "{x}");
+        self
+    }
+
+    /// A string: `"`, `\`, newline, carriage return and tab get
+    /// backslash escapes, other control characters `\u00xx`, and all
+    /// else is copied as is.
+    pub fn str(&mut self, s: &str) -> &mut Self {
+        self.element();
+        write_str(&mut self.out, s);
+        self
+    }
+
+    /// `true` or `false`.
+    pub fn bool(&mut self, b: bool) -> &mut Self {
+        self.element();
+        self.out.push_str(if b { "true" } else { "false" });
+        self
+    }
+
+    /// An array of unsigned integers.
+    pub fn u64s(&mut self, xs: impl IntoIterator<Item = u64>) -> &mut Self {
+        self.begin_array();
+        for x in xs {
+            self.u64(x);
+        }
+        self.end_array()
+    }
+
+    /// A `key` followed by an unsigned integer value.
+    pub fn field(&mut self, k: &str, x: u64) -> &mut Self {
+        self.key(k).u64(x)
     }
 }
 
@@ -494,5 +758,68 @@ mod tests {
         let start = r.pos();
         r.skip().unwrap();
         assert_eq!(r.since(start), r#"{"model":"ideal"}"#);
+    }
+
+    #[test]
+    fn writer_layouts() {
+        let doc = |w: &mut Writer| {
+            w.begin_object().key("a").u64s([1, 2]).key("b");
+            w.begin_array().begin_object().field("n", 0).end_object();
+            w.begin_array().end_array().end_array();
+            w.key("e").begin_object().end_object();
+            w.key("s").str("x").key("t").bool(true).end_object();
+        };
+        let mut w = Writer::compact();
+        doc(&mut w);
+        assert_eq!(
+            w.finish(),
+            r#"{"a":[1,2],"b":[{"n":0},[]],"e":{},"s":"x","t":true}"#
+        );
+        let mut w = Writer::pretty();
+        doc(&mut w);
+        assert_eq!(
+            w.finish(),
+            "{\n  \"a\": [\n    1,\n    2\n  ],\n  \"b\": [\n    {\n      \"n\": 0\n    },\n    \
+             []\n  ],\n  \"e\": {},\n  \"s\": \"x\",\n  \"t\": true\n}"
+        );
+        let mut w = Writer::pretty();
+        w.u64s([]);
+        assert_eq!(w.finish(), "[]");
+    }
+
+    #[test]
+    fn written_strings_read_back() {
+        let text = "q\"b\\n\nr\rt\t\u{1}\u{1f}\u{7f}é😀/";
+        let mut out = String::new();
+        write_str(&mut out, text);
+        assert_eq!(out, "\"q\\\"b\\\\n\\nr\\rt\\t\\u0001\\u001f\u{7f}é😀/\"");
+        assert_eq!(Reader::new(&out).str().unwrap(), text);
+    }
+
+    #[test]
+    fn u32_and_list() {
+        let mut r = Reader::new("[1, 4294967295]");
+        assert_eq!(r.list(Reader::u32), Ok(vec![1, u32::MAX]));
+        let err = Reader::new("[4294967296]").list(Reader::u32).unwrap_err();
+        assert_eq!((err.msg, err.at), ("integer out of range", 1));
+    }
+
+    #[test]
+    fn fields_by_name() {
+        let read = |s: &str| Reader::new(s).u64_fields(["a", "b"]);
+        assert_eq!(read(r#"{"b":2,"x":[-1],"a":1,"a":"later"}"#), Ok([1, 2]));
+        let err = read(r#"{"a":1}"#).unwrap_err();
+        assert_eq!((err.msg, err.at), ("missing field", 7));
+        assert!(read(r#"{"a":1,"b":"2"}"#).is_err());
+    }
+
+    #[test]
+    fn fixed_length_arrays() {
+        let read = |s: &str| Reader::new(s).u64_array::<3>();
+        assert_eq!(read("[1, 2 ,3]"), Ok([1, 2, 3]));
+        assert_eq!(read("[1,2]").unwrap_err().msg, "too few items");
+        assert_eq!(read("[1,2,3,4]").unwrap_err().msg, "too many items");
+        assert!(read("[1,2,-3]").is_err());
+        assert!(read("{}").is_err());
     }
 }

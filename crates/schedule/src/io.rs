@@ -3,11 +3,11 @@
 
 use crate::schedule::{ProcId, Schedule};
 use crate::validate::ScheduleError;
+use fastsched_dag::json::{self, Reader, Writer};
 use fastsched_dag::{Cost, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// Serializable description of a schedule.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScheduleSpec {
     /// Number of processors the schedule was built for.
     pub num_procs: u32,
@@ -16,7 +16,7 @@ pub struct ScheduleSpec {
 }
 
 /// One placed task in a [`ScheduleSpec`].
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskSpec {
     /// Node id.
     pub node: u32,
@@ -47,8 +47,41 @@ impl ScheduleSpec {
         }
     }
 
+    /// Decode the `{num_procs, tasks}` object at the reader's cursor.
+    /// Tasks are `{node, proc, start, finish}`. Every field is
+    /// required; the first occurrence of a repeated key wins and
+    /// unknown keys are skipped.
+    pub fn read_json(r: &mut Reader<'_>) -> Result<Self, json::Error> {
+        let (mut num_procs, mut tasks) = (0, Vec::new());
+        r.fields(["num_procs", "tasks"], |r, i| {
+            match i {
+                0 => num_procs = r.u32()?,
+                _ => tasks = r.list(read_task)?,
+            }
+            Ok(())
+        })?;
+        Ok(Self { num_procs, tasks })
+    }
+
+    /// Write the object [`ScheduleSpec::read_json`] reads.
+    pub fn write_json(&self, w: &mut Writer) {
+        w.begin_object()
+            .field("num_procs", self.num_procs.into())
+            .key("tasks")
+            .begin_array();
+        for t in &self.tasks {
+            w.begin_object()
+                .field("node", t.node.into())
+                .field("proc", t.proc.into())
+                .field("start", t.start)
+                .field("finish", t.finish)
+                .end_object();
+        }
+        w.end_array().end_object();
+    }
+
     /// Rebuild the schedule; `num_nodes` sizes the container (task ids
-    /// beyond it are rejected).
+    /// beyond it are rejected, and so is a node listed twice).
     pub fn build(&self, num_nodes: usize) -> Result<Schedule, ScheduleError> {
         let mut s = Schedule::new(num_nodes, self.num_procs);
         for t in &self.tasks {
@@ -65,24 +98,41 @@ impl ScheduleSpec {
                     num_procs: self.num_procs,
                 });
             }
+            if s.task(NodeId(t.node)).is_some() {
+                return Err(ScheduleError::DuplicateTask { node: t.node });
+            }
             s.place(NodeId(t.node), ProcId(t.proc), t.start, t.finish);
         }
         Ok(s)
     }
 }
 
-/// Serialize a schedule to pretty JSON.
-pub fn to_json(schedule: &Schedule) -> String {
-    serde_json::to_string_pretty(&ScheduleSpec::from_schedule(schedule))
-        .expect("schedule spec always serializes")
+fn read_task(r: &mut Reader<'_>) -> Result<TaskSpec, json::Error> {
+    let [node, proc, start, finish] = r.u64_fields(["node", "proc", "start", "finish"])?;
+    Ok(TaskSpec {
+        node: r.narrow(node)?,
+        proc: r.narrow(proc)?,
+        start,
+        finish,
+    })
 }
 
-/// Parse a schedule from JSON for a DAG with `num_nodes` tasks.
+/// Serialize a schedule to pretty JSON (two-space indent, no trailing
+/// newline).
+pub fn to_json(schedule: &Schedule) -> String {
+    let mut w = Writer::pretty();
+    ScheduleSpec::from_schedule(schedule).write_json(&mut w);
+    w.finish()
+}
+
+/// Parse a schedule from JSON for a DAG with `num_nodes` tasks. Text
+/// that is not a schedule object fails with
+/// [`ScheduleError::Malformed`], carrying the byte offset.
 pub fn from_json(s: &str, num_nodes: usize) -> Result<Schedule, ScheduleError> {
-    let spec: ScheduleSpec = serde_json::from_str(s).map_err(|_| ScheduleError::WrongSize {
-        expected: num_nodes,
-        actual: 0,
-    })?;
+    let mut r = Reader::new(s);
+    let spec = ScheduleSpec::read_json(&mut r)
+        .and_then(|spec| r.end().map(|()| spec))
+        .map_err(ScheduleError::Malformed)?;
     spec.build(num_nodes)
 }
 
@@ -117,7 +167,50 @@ mod tests {
 
     #[test]
     fn rejects_malformed_json() {
-        assert!(from_json("{nope", 2).is_err());
+        let err = from_json("{nope", 2).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "malformed schedule file: expected string key at byte 1"
+        );
+        for (text, msg) in [
+            (r#"{"num_procs":2}"#, "missing field"),
+            (
+                r#"{"num_procs":4294967296,"tasks":[]}"#,
+                "integer out of range",
+            ),
+            (r#"{"num_procs":2,"tasks":[{"node":0}]}"#, "missing field"),
+            (
+                r#"{"num_procs":2,"tasks":[{"node":0,"proc":4294967296,"start":0,"finish":1}]}"#,
+                "integer out of range",
+            ),
+            (r#"{"num_procs":2,"tasks":[]} x"#, "trailing characters"),
+        ] {
+            match from_json(text, 2) {
+                Err(ScheduleError::Malformed(e)) => assert_eq!(e.msg, msg, "{text}"),
+                other => panic!("{text}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn rejects_a_node_placed_twice() {
+        let json = r#"{"num_procs":2,"tasks":[
+            {"node":0,"proc":0,"start":0,"finish":5},
+            {"node":1,"proc":1,"start":7,"finish":9},
+            {"node":0,"proc":1,"start":0,"finish":5}]}"#;
+        assert_eq!(
+            from_json(json, 2),
+            Err(ScheduleError::DuplicateTask { node: 0 })
+        );
+    }
+
+    #[test]
+    fn fields_read_in_any_order() {
+        let json = r#"{"tasks":[{"finish":5,"start":0,"proc":1,"node":0,"x":[null]}],
+                       "num_procs":2}"#;
+        let s = from_json(json, 1).unwrap();
+        assert_eq!(s.proc_of(NodeId(0)), Some(ProcId(1)));
+        assert_eq!(s.task(NodeId(0)).map(|t| (t.start, t.finish)), Some((0, 5)));
     }
 
     #[test]

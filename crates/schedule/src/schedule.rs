@@ -2,11 +2,10 @@
 //! finish times, and derived per-processor timelines.
 
 use fastsched_dag::{Cost, NodeId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Dense processor identifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ProcId(pub u32);
 
 impl ProcId {
@@ -24,7 +23,7 @@ impl fmt::Display for ProcId {
 }
 
 /// One placed task: where and when a node runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScheduledTask {
     /// The task.
     pub node: NodeId,
@@ -43,7 +42,7 @@ pub struct ScheduledTask {
 /// * a node is placed at most once (re-placing replaces its slot);
 /// * `finish == start + w` is the *caller's* responsibility and is
 ///   checked by [`crate::validate::validate`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schedule {
     num_procs: u32,
     tasks: Vec<Option<ScheduledTask>>, // indexed by NodeId

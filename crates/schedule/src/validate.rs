@@ -13,7 +13,7 @@
 
 use crate::cost::{CostModel, HomogeneousModel};
 use crate::schedule::{ProcId, Schedule};
-use fastsched_dag::{Cost, Dag};
+use fastsched_dag::{json, Cost, Dag};
 use std::fmt;
 
 /// Violations detected by [`validate_with`], with enough structure to
@@ -86,6 +86,13 @@ pub enum ScheduleError {
         /// Total footprint of the tasks assigned to it (saturating).
         used: Cost,
     },
+    /// A schedule file is not valid JSON of the expected shape.
+    Malformed(json::Error),
+    /// A schedule file places the same node twice.
+    DuplicateTask {
+        /// The node with more than one entry.
+        node: u32,
+    },
 }
 
 /// The class of a [`ScheduleError`], with the witness data stripped —
@@ -108,6 +115,10 @@ pub enum ScheduleErrorKind {
     TimeOverflow,
     /// [`ScheduleError::CapacityExceeded`].
     CapacityExceeded,
+    /// [`ScheduleError::Malformed`].
+    Malformed,
+    /// [`ScheduleError::DuplicateTask`].
+    DuplicateTask,
 }
 
 impl ScheduleError {
@@ -122,6 +133,8 @@ impl ScheduleError {
             ScheduleError::ProcOutOfRange { .. } => ScheduleErrorKind::ProcOutOfRange,
             ScheduleError::TimeOverflow { .. } => ScheduleErrorKind::TimeOverflow,
             ScheduleError::CapacityExceeded { .. } => ScheduleErrorKind::CapacityExceeded,
+            ScheduleError::Malformed(_) => ScheduleErrorKind::Malformed,
+            ScheduleError::DuplicateTask { .. } => ScheduleErrorKind::DuplicateTask,
         }
     }
 }
@@ -175,6 +188,10 @@ impl fmt::Display for ScheduleError {
                 f,
                 "PE{proc}: resident memory {used} exceeds capacity {capacity}"
             ),
+            ScheduleError::Malformed(e) => write!(f, "malformed schedule file: {e}"),
+            ScheduleError::DuplicateTask { node } => {
+                write!(f, "node n{node} is placed more than once")
+            }
         }
     }
 }

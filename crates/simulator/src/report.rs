@@ -1,11 +1,16 @@
 //! The measured outcome of one simulated execution.
+//!
+//! Reports and event logs are written as pretty JSON (`casch simulate
+//! --out-report` / `--trace`) and read back by `casch diff` and `casch
+//! verify --report`. Events are externally tagged, `{"TaskStart":
+//! {"node":0,...}}`, and every field is required on read.
 
+use fastsched_dag::json::{self, Reader, Writer};
 use fastsched_dag::Cost;
-use serde::{Deserialize, Serialize};
 
 /// One event of a simulated execution, recorded when
 /// [`crate::SimConfig::trace`] is enabled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEvent {
     /// A task began executing.
     TaskStart {
@@ -42,9 +47,125 @@ pub enum TraceEvent {
     },
 }
 
+const TASK_FIELDS: [&str; 3] = ["node", "proc", "time"];
+const MESSAGE_FIELDS: [&str; 6] = [
+    "from_node",
+    "to_node",
+    "from_proc",
+    "to_proc",
+    "sent",
+    "arrived",
+];
+const LINK_FIELDS: [&str; 5] = ["from", "to", "start", "release", "wait"];
+/// The six counts first, then the three lists.
+const REPORT_FIELDS: [&str; 9] = [
+    "execution_time",
+    "predicted_makespan",
+    "processors_used",
+    "messages",
+    "contention_delay",
+    "busy_time",
+    "finish_times",
+    "trace",
+    "link_holds",
+];
+
+/// One `key: value` entry per pair, into the open object.
+fn write_counts(w: &mut Writer, keys: &[&str], values: &[u64]) {
+    for (k, &x) in keys.iter().zip(values) {
+        w.field(k, x);
+    }
+}
+
+impl TraceEvent {
+    /// Write as a single-entry object keyed by the variant name.
+    pub fn write_json(&self, w: &mut Writer) {
+        let (tag, keys, values): (_, &[&str], &[u64]) = match *self {
+            TraceEvent::TaskStart { node, proc, time } => {
+                ("TaskStart", &TASK_FIELDS, &[node.into(), proc.into(), time])
+            }
+            TraceEvent::TaskFinish { node, proc, time } => (
+                "TaskFinish",
+                &TASK_FIELDS,
+                &[node.into(), proc.into(), time],
+            ),
+            TraceEvent::Message {
+                from_node,
+                to_node,
+                from_proc,
+                to_proc,
+                sent,
+                arrived,
+            } => (
+                "Message",
+                &MESSAGE_FIELDS,
+                &[
+                    from_node.into(),
+                    to_node.into(),
+                    from_proc.into(),
+                    to_proc.into(),
+                    sent,
+                    arrived,
+                ],
+            ),
+        };
+        w.begin_object().key(tag).begin_object();
+        write_counts(w, keys, values);
+        w.end_object().end_object();
+    }
+
+    /// Read the single-entry object [`TraceEvent::write_json`] writes.
+    pub fn read_json(r: &mut Reader<'_>) -> Result<Self, json::Error> {
+        r.object()?;
+        let tag = r
+            .next_key()?
+            .ok_or_else(|| r.err("expected a single-entry object"))?;
+        let event = match &*tag {
+            "TaskStart" | "TaskFinish" => {
+                let [node, proc, time] = r.u64_fields(TASK_FIELDS)?;
+                let (node, proc) = (r.narrow(node)?, r.narrow(proc)?);
+                if tag == "TaskStart" {
+                    TraceEvent::TaskStart { node, proc, time }
+                } else {
+                    TraceEvent::TaskFinish { node, proc, time }
+                }
+            }
+            "Message" => {
+                let [from_node, to_node, from_proc, to_proc, sent, arrived] =
+                    r.u64_fields(MESSAGE_FIELDS)?;
+                TraceEvent::Message {
+                    from_node: r.narrow(from_node)?,
+                    to_node: r.narrow(to_node)?,
+                    from_proc: r.narrow(from_proc)?,
+                    to_proc: r.narrow(to_proc)?,
+                    sent,
+                    arrived,
+                }
+            }
+            _ => return Err(r.err("unknown TraceEvent variant")),
+        };
+        if r.next_key()?.is_some() {
+            return Err(r.err("expected a single-entry object"));
+        }
+        Ok(event)
+    }
+}
+
+/// An event log as the pretty JSON array `casch simulate --trace`
+/// writes.
+pub fn trace_to_json(trace: &[TraceEvent]) -> String {
+    let mut w = Writer::pretty();
+    w.begin_array();
+    for e in trace {
+        e.write_json(&mut w);
+    }
+    w.end_array();
+    w.finish()
+}
+
 /// One occupancy interval of one directed mesh link, recorded when
 /// [`crate::SimConfig::trace`] is enabled under link contention.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinkHold {
     /// Source router of the link (flat processor index).
     pub from: u32,
@@ -59,9 +180,37 @@ pub struct LinkHold {
     pub wait: Cost,
 }
 
+impl LinkHold {
+    /// Write as a `{from, to, start, release, wait}` object.
+    pub fn write_json(&self, w: &mut Writer) {
+        w.begin_object();
+        let values = [
+            self.from.into(),
+            self.to.into(),
+            self.start,
+            self.release,
+            self.wait,
+        ];
+        write_counts(w, &LINK_FIELDS, &values);
+        w.end_object();
+    }
+
+    /// Read the object [`LinkHold::write_json`] writes.
+    pub fn read_json(r: &mut Reader<'_>) -> Result<Self, json::Error> {
+        let [from, to, start, release, wait] = r.u64_fields(LINK_FIELDS)?;
+        Ok(LinkHold {
+            from: r.narrow(from)?,
+            to: r.narrow(to)?,
+            start,
+            release,
+            wait,
+        })
+    }
+}
+
 /// What running a scheduled program on the simulated machine measured
 /// — the analogue of timing the CASCH-generated code on the Paragon.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExecutionReport {
     /// Wall-clock finish time of the last task (the paper's
     /// "application execution time").
@@ -87,6 +236,63 @@ pub struct ExecutionReport {
 }
 
 impl ExecutionReport {
+    /// The report as pretty JSON (two-space indent, no trailing
+    /// newline), fields in declaration order.
+    pub fn to_json(&self) -> String {
+        let mut w = Writer::pretty();
+        w.begin_object();
+        let counts = [
+            self.execution_time,
+            self.predicted_makespan,
+            self.processors_used.into(),
+            self.messages,
+            self.contention_delay,
+            self.busy_time,
+        ];
+        write_counts(&mut w, &REPORT_FIELDS, &counts);
+        w.key("finish_times")
+            .u64s(self.finish_times.iter().copied());
+        w.key("trace").begin_array();
+        for e in &self.trace {
+            e.write_json(&mut w);
+        }
+        w.end_array().key("link_holds").begin_array();
+        for h in &self.link_holds {
+            h.write_json(&mut w);
+        }
+        w.end_array().end_object();
+        w.finish()
+    }
+
+    /// Parse a report written by [`ExecutionReport::to_json`]. Every
+    /// field is required; unknown keys are skipped.
+    pub fn from_json(s: &str) -> Result<Self, json::Error> {
+        let mut r = Reader::new(s);
+        let mut counts = [0; 6];
+        let (mut finish_times, mut trace, mut link_holds) = (Vec::new(), Vec::new(), Vec::new());
+        r.fields(REPORT_FIELDS, |r, i| {
+            match i {
+                6 => finish_times = r.list(Reader::u64)?,
+                7 => trace = r.list(TraceEvent::read_json)?,
+                8 => link_holds = r.list(LinkHold::read_json)?,
+                _ => counts[i] = r.u64()?,
+            }
+            Ok(())
+        })?;
+        r.end()?;
+        Ok(ExecutionReport {
+            execution_time: counts[0],
+            predicted_makespan: counts[1],
+            processors_used: r.narrow(counts[2])?,
+            messages: counts[3],
+            contention_delay: counts[4],
+            busy_time: counts[5],
+            finish_times,
+            trace,
+            link_holds,
+        })
+    }
+
     /// `execution_time / predicted_makespan` — how much the network
     /// model inflated the abstract schedule (1.0 = perfect
     /// prediction).
@@ -260,5 +466,72 @@ mod tests {
         assert_eq!(r.slowdown_vs_prediction(), 1.0);
         r.execution_time = 0;
         assert_eq!(r.utilization(), 0.0);
+    }
+
+    #[test]
+    fn json_roundtrips_every_shape() {
+        let mut r = report();
+        r.trace = vec![
+            TraceEvent::TaskStart {
+                node: 0,
+                proc: 1,
+                time: 2,
+            },
+            TraceEvent::TaskFinish {
+                node: 0,
+                proc: 1,
+                time: 9,
+            },
+            TraceEvent::Message {
+                from_node: 0,
+                to_node: 3,
+                from_proc: 1,
+                to_proc: 0,
+                sent: 9,
+                arrived: u64::MAX,
+            },
+        ];
+        r.link_holds = vec![LinkHold {
+            from: 1,
+            to: 0,
+            start: 9,
+            release: 11,
+            wait: 1,
+        }];
+        assert_eq!(ExecutionReport::from_json(&r.to_json()), Ok(r.clone()));
+        let events = trace_to_json(&r.trace);
+        let mut reader = Reader::new(&events);
+        assert_eq!(reader.list(TraceEvent::read_json), Ok(r.trace));
+    }
+
+    #[test]
+    fn json_rejects_bad_shapes() {
+        let text = report().to_json();
+        for (bad, msg) in [
+            (text.replace("\"busy_time\"", "\"idle\""), "missing field"),
+            (
+                text.replace("\"processors_used\": 4", "\"processors_used\": 4294967296"),
+                "integer out of range",
+            ),
+            (
+                text.replace("\"trace\": []", "\"trace\": [{}]"),
+                "expected a single-entry object",
+            ),
+            (
+                text.replace("\"trace\": []", "\"trace\": [{\"Task\":{}}]"),
+                "unknown TraceEvent variant",
+            ),
+            (
+                text.replace(
+                    "\"trace\": []",
+                    "\"trace\": [{\"TaskStart\":{\"node\":0,\"proc\":0,\"time\":0},\"x\":1}]",
+                ),
+                "expected a single-entry object",
+            ),
+            (format!("{text}}}"), "trailing characters"),
+        ] {
+            let err = ExecutionReport::from_json(&bad).unwrap_err();
+            assert_eq!(err.msg, msg, "{bad}");
+        }
     }
 }

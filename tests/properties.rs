@@ -154,7 +154,7 @@ proptest! {
     #[test]
     fn dag_json_roundtrip(dag in arb_dag()) {
         use fastsched::dag::io;
-        let json = io::to_json(&dag).unwrap();
+        let json = io::to_json(&dag);
         let back = io::from_json(&json).unwrap();
         prop_assert_eq!(dag.node_count(), back.node_count());
         prop_assert_eq!(dag.edge_count(), back.edge_count());

@@ -1,10 +1,11 @@
 //! The serve request decoder against a reference built on the value
-//! tree, and its allocation bound.
+//! tree, and its allocation bounds.
 //!
-//! `Request::parse` reads a line in one pass of `dag::json::Reader`.
-//! [`oracle`] decodes the same line the straightforward way: parse it
-//! whole with `serde_json::from_str::<Value>`, then look fields up in
-//! the tree (first occurrence of a key wins). On every fuzz-corpus
+//! `Request::parse` reads a line in one pass of `dag::json::Reader`,
+//! `comm` object included. [`oracle`] decodes the same line the
+//! straightforward way: parse it whole with the vendored
+//! `serde_json::from_str` into a `Value`, then look fields up in the
+//! tree (first occurrence of a key wins). On every fuzz-corpus
 //! request, and on reordered, duplicated, padded, escaped, retyped,
 //! truncated and broken variants of it, both must return the same
 //! `Request` or both an error with the `parse:` wire prefix.
@@ -91,16 +92,52 @@ fn oracle_dag(v: &Value) -> Option<DagSpec> {
     Some(DagSpec { nodes, edges })
 }
 
-/// `comm` decoding (`parse_comm`) is shared by both paths, so the
-/// oracle hands its `comm` value to it through a minimal request.
+/// `comm` from the tree: `ideal` reads nothing else, `alpha-beta` its
+/// three numbers (`beta_den` positive), `hier` its non-empty positive
+/// `u32` groups and two `[alpha, beta_num, beta_den]` tiers.
 fn oracle_comm(v: &Value) -> Result<CommSpec, String> {
-    let line = format!(
-        "{{\"dag\":{{\"nodes\":[],\"edges\":[]}},\"comm\":{}}}",
-        serde_json::to_string(v).expect("render comm")
-    );
-    match Request::parse(&line, 0)? {
-        Request::Schedule(r) => Ok(r.comm.expect("comm present")),
-        other => panic!("unexpected {other:?}"),
+    let bad = |what: &str| format!("parse: comm.{what}");
+    let number = |k: &str| field(v, k).and_then(as_u64).ok_or_else(|| bad(k));
+    let tier = |k: &str| match field(v, k).and_then(u64_array).as_deref() {
+        Some(&[alpha, beta_num, beta_den]) if beta_den > 0 => Ok([alpha, beta_num, beta_den]),
+        _ => Err(bad(k)),
+    };
+    match field(v, "model") {
+        Some(Value::String(m)) if m == "ideal" => Ok(CommSpec::Ideal),
+        Some(Value::String(m)) if m == "alpha-beta" => {
+            let beta_den =
+                number("beta_den").and_then(
+                    |d| {
+                        if d > 0 {
+                            Ok(d)
+                        } else {
+                            Err(bad("beta_den"))
+                        }
+                    },
+                )?;
+            Ok(CommSpec::AlphaBeta {
+                alpha: number("alpha")?,
+                beta_num: number("beta_num")?,
+                beta_den,
+            })
+        }
+        Some(Value::String(m)) if m == "hier" => {
+            let groups = match field(v, "groups") {
+                Some(Value::Array(xs)) => xs
+                    .iter()
+                    .map(|x| as_u32(x).filter(|&g| g > 0))
+                    .collect::<Option<Vec<u32>>>()
+                    .filter(|g| !g.is_empty())
+                    .ok_or_else(|| bad("groups"))?,
+                _ => return Err(bad("groups")),
+            };
+            Ok(CommSpec::Hier {
+                groups,
+                intra: tier("intra")?,
+                inter: tier("inter")?,
+            })
+        }
+        _ => Err(bad("model")),
     }
 }
 
@@ -274,6 +311,16 @@ fn dag_nodes_mut(v: &mut Value) -> &mut Vec<Value> {
     }
 }
 
+/// An object's entries, in order.
+type Pairs = Vec<(String, Value)>;
+
+fn comm_mut(v: &mut Value) -> Option<&mut Pairs> {
+    match pairs_mut(v).iter_mut().find(|(k, _)| k == "comm") {
+        Some((_, comm @ Value::Object(_))) => Some(pairs_mut(comm)),
+        _ => None,
+    }
+}
+
 /// A nested value for unknown keys: every JSON type, two levels deep.
 fn junk() -> Value {
     Value::Object(vec![
@@ -333,6 +380,53 @@ fn variants(base: &str) -> Vec<String> {
             p.push(("weight".into(), Value::Int(-1)));
         }
     }));
+    // Inside `comm`: reordered keys, a retyped first occurrence, an
+    // ill-typed later one, unknown keys, and every value check.
+    if comm_mut(&mut tree.clone()).is_some() {
+        let comm_edit = |f: &dyn Fn(&mut Pairs)| edit(&|v| f(comm_mut(v).expect("comm")));
+        out.push(comm_edit(&|c| c.reverse()));
+        out.push(comm_edit(&|c| c.rotate_left(1)));
+        out.push(comm_edit(&|c| {
+            let dup = c.clone();
+            c.extend(dup.into_iter().map(|(k, _)| (k, Value::String("x".into()))));
+            c.push(("note".into(), junk()));
+        }));
+        for (key, value) in [
+            ("model", Value::UInt(1)),
+            ("model", Value::String("ideal".into())),
+            ("model", Value::String("bogus".into())),
+            ("alpha", Value::Int(-1)),
+            ("beta_den", Value::UInt(0)),
+            ("groups", Value::Array(vec![])),
+            ("groups", Value::Array(vec![Value::UInt(2), Value::UInt(0)])),
+            ("groups", Value::Array(vec![Value::UInt(1 << 32)])),
+            ("groups", Value::UInt(2)),
+            ("intra", Value::Array(vec![Value::UInt(1), Value::UInt(1)])),
+            ("intra", Value::Array(vec![Value::UInt(1); 4])),
+            (
+                "inter",
+                Value::Array(vec![Value::UInt(1), Value::UInt(1), Value::UInt(0)]),
+            ),
+            (
+                "inter",
+                Value::Array(vec![
+                    Value::UInt(1),
+                    Value::String("1".into()),
+                    Value::UInt(1),
+                ]),
+            ),
+        ] {
+            out.push(comm_edit(&|c| {
+                c.insert(0, (key.into(), value.clone()));
+            }));
+            out.push(comm_edit(&|c| {
+                c.retain(|(k, _)| k != key);
+                c.push((key.into(), value.clone()));
+            }));
+        }
+        out.push(comm_edit(&|c| c.retain(|(k, _)| k != "model")));
+        out.push(comm_edit(&|c| c.retain(|(k, _)| k == "model")));
+    }
     // Unknown keys with nested values, everywhere.
     out.push(edit(&|v| {
         pairs_mut(v).insert(1, ("extra".into(), junk()));
@@ -522,4 +616,40 @@ fn decoding_allocates_about_once_per_node() {
             line.len()
         );
     }
+}
+
+#[test]
+fn comm_decodes_without_a_value_tree() {
+    let _serial = serial();
+    let allocations = |line: &str| {
+        let before = ALLOC.allocations();
+        let parsed = Request::parse(line, 1);
+        let n = ALLOC.allocations() - before;
+        assert!(parsed.is_ok(), "{parsed:?}");
+        n
+    };
+    let mut req = ScheduleRequest::new(
+        1,
+        DagSpec::from_dag(&fastsched::dag::examples::paper_figure1()),
+    );
+    let plain = allocations(&req.to_line());
+    // The group table is the one owned value a `comm` object decodes
+    // into.
+    req.comm = Some(CommSpec::Hier {
+        groups: vec![2, 2],
+        intra: [0, 1, 1],
+        inter: [40, 2, 1],
+    });
+    let hier = allocations(&req.to_line());
+    assert!(
+        hier <= plain + 1,
+        "{hier} allocations with comm, {plain} without"
+    );
+    req.comm = Some(CommSpec::AlphaBeta {
+        alpha: 20,
+        beta_num: 3,
+        beta_den: 2,
+    });
+    let alpha_beta = allocations(&req.to_line());
+    assert_eq!(alpha_beta, plain, "alpha-beta allocates nothing");
 }
