@@ -14,8 +14,7 @@ use crate::dsc::Dsc;
 use crate::scheduler::HomogeneousOnly;
 use crate::workspace::Workspace;
 use fastsched_dag::{Cost, Dag, NodeId};
-use fastsched_schedule::evaluate::evaluate_fixed_order;
-use fastsched_schedule::{ProcId, Schedule};
+use fastsched_schedule::ProcId;
 
 /// DSC with a load-balancing cluster→processor mapping phase.
 #[derive(Debug, Clone, Copy, Default)]
@@ -31,12 +30,17 @@ impl BoundedDsc {
 impl HomogeneousOnly for BoundedDsc {
     const NAME: &'static str = "DSC-LLB";
 
-    fn schedule_homogeneous(&self, dag: &Dag, num_procs: u32, ws: &mut Workspace) -> Schedule {
-        // Phase 1: unbounded clustering.
-        let clustered = Dsc::new().schedule_homogeneous(dag, num_procs, ws);
+    fn schedule_homogeneous(&self, dag: &Dag, num_procs: u32, ws: &mut Workspace) {
+        // Phase 1: unbounded clustering, read compacted: the LPT
+        // tie-breaks below follow the compacted cluster numbers. When
+        // the clusters fit, the staged clustering is the result.
+        Dsc::new().schedule_homogeneous(dag, num_procs, ws);
+        let mut clustered = ws.take_schedule();
+        ws.staging.compact_into(&mut ws.compact, &mut clustered);
         let clusters_used = clustered.processors_used();
         if clusters_used <= num_procs {
-            return clustered;
+            ws.recycle(clustered);
+            return;
         }
 
         // Phase 2: largest-work cluster onto the least-loaded
@@ -65,7 +69,8 @@ impl HomogeneousOnly for BoundedDsc {
             .nodes()
             .map(|n| cluster_to_proc[clustered.proc_of(n).unwrap().index()])
             .collect();
-        evaluate_fixed_order(dag, &order, &assignment, num_procs).compact()
+        ws.replay_into_staging(dag, &order, &assignment, num_procs);
+        ws.recycle(clustered);
     }
 }
 

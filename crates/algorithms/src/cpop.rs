@@ -8,11 +8,10 @@
 //! dedicated processor, and everything else is placed by
 //! insertion-based earliest finish time.
 
-use crate::list_common::ListState;
 use crate::scheduler::HomogeneousOnly;
 use crate::workspace::Workspace;
 use fastsched_dag::{Cost, Dag, GraphAttributes, NodeId};
-use fastsched_schedule::{ProcId, Schedule};
+use fastsched_schedule::{HomogeneousModel, ProcId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -30,7 +29,7 @@ impl Cpop {
 impl HomogeneousOnly for Cpop {
     const NAME: &'static str = "CPOP";
 
-    fn schedule_homogeneous(&self, dag: &Dag, num_procs: u32, _ws: &mut Workspace) -> Schedule {
+    fn schedule_homogeneous(&self, dag: &Dag, num_procs: u32, ws: &mut Workspace) {
         let attrs = GraphAttributes::compute(dag);
         let cp_proc = ProcId(0); // the dedicated critical-path processor
 
@@ -44,18 +43,26 @@ impl HomogeneousOnly for Cpop {
             .map(|n| (composite(n), Reverse(n.0)))
             .collect();
 
-        let mut machine = ListState::new(dag.node_count(), num_procs);
+        let (machine, dat) = (&mut ws.state, &mut ws.dat);
+        machine.reset(dag.node_count(), num_procs);
+        dat.reset(dag, &HomogeneousModel);
         while let Some((_, Reverse(id))) = heap.pop() {
             let n = NodeId(id);
+            // Insertion start on `p`: the first gap at or after the DAT.
+            dat.fill(&HomogeneousModel, dag, machine, n);
+            let mut start_on = |p: ProcId| {
+                let arrival = dat.arrival(&HomogeneousModel, dag, machine, n, p);
+                machine.earliest_gap_at_or_after(p, arrival, dag.weight(n))
+            };
             let (p, start) = if attrs.is_cpn(n) && num_procs > 1 {
-                (cp_proc, machine.earliest_start_insert(dag, n, cp_proc))
+                (cp_proc, start_on(cp_proc))
             } else {
                 // Min earliest-finish over all processors (identical
                 // machines: min EST).
                 let mut best = (ProcId(0), Cost::MAX);
                 for pi in 0..num_procs {
                     let p = ProcId(pi);
-                    let s = machine.earliest_start_insert(dag, n, p);
+                    let s = start_on(p);
                     if s < best.1 {
                         best = (p, s);
                     }
@@ -71,7 +78,7 @@ impl HomogeneousOnly for Cpop {
                 }
             }
         }
-        machine.into_schedule(dag).compact()
+        machine.write_schedule(dag, &mut ws.staging);
     }
 }
 

@@ -12,11 +12,11 @@
 //! its most critical child on that same processor. This look-ahead is
 //! what distinguishes DCP from MD and MCP, at O(v³) cost.
 
-use crate::list_common::{ListState, ReadySet};
+use crate::list_common::ListState;
 use crate::scheduler::HomogeneousOnly;
 use crate::workspace::Workspace;
 use fastsched_dag::{Cost, Dag, NodeId};
-use fastsched_schedule::{ProcId, Schedule};
+use fastsched_schedule::{HomogeneousModel, ProcId};
 
 /// The DCP scheduler (ready-restricted, as our MD; see DESIGN.md §5).
 #[derive(Debug, Clone, Copy, Default)]
@@ -56,14 +56,16 @@ fn aest(dag: &Dag, machine: &ListState) -> Vec<Cost> {
 impl HomogeneousOnly for Dcp {
     const NAME: &'static str = "DCP";
 
-    fn schedule_homogeneous(&self, dag: &Dag, num_procs: u32, _ws: &mut Workspace) -> Schedule {
-        let mut machine = ListState::new(dag.node_count(), num_procs);
-        let mut ready = ReadySet::new(dag);
+    fn schedule_homogeneous(&self, dag: &Dag, num_procs: u32, ws: &mut Workspace) {
+        let (machine, ready, dat) = (&mut ws.state, &mut ws.ready_set, &mut ws.dat);
+        machine.reset(dag.node_count(), num_procs);
+        ready.reset(dag);
+        dat.reset(dag, &HomogeneousModel);
         let mut used_procs: u32 = 0;
 
         while !ready.is_empty() {
             // Dynamic AEST/ALST on the current partial schedule.
-            let t = aest(dag, &machine);
+            let t = aest(dag, machine);
             let mut b = vec![0 as Cost; dag.node_count()];
             for &n in dag.topo_order().iter().rev() {
                 let mut best = 0;
@@ -120,9 +122,11 @@ impl HomogeneousOnly for Dcp {
 
             // Look-ahead objective: insertion start of n on P plus the
             // estimated start of the critical child if co-located.
+            dat.fill(&HomogeneousModel, dag, machine, n);
             let mut best: Option<(Cost, Cost, ProcId)> = None;
             for &p in &candidates {
-                let s = machine.earliest_start_insert(dag, n, p);
+                let arrival = dat.arrival(&HomogeneousModel, dag, machine, n, p);
+                let s = machine.earliest_gap_at_or_after(p, arrival, dag.weight(n));
                 let child_est = match crit_child {
                     None => 0,
                     Some((child, _)) => {
@@ -161,7 +165,7 @@ impl HomogeneousOnly for Dcp {
             machine.place(dag, n, p, s);
             ready.complete(dag, n);
         }
-        machine.into_schedule(dag).compact()
+        machine.write_schedule(dag, &mut ws.staging);
     }
 }
 

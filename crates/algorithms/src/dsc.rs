@@ -27,7 +27,7 @@
 //!
 //! DSC assumes an unbounded processor pool: each final cluster is one
 //! processor. The `num_procs` argument is treated as a pool bound for
-//! the [`Schedule`] container only; the paper's experiments always
+//! the [`Schedule`](fastsched_schedule::Schedule) container only; the paper's experiments always
 //! grant it "more than enough" (pass `num_procs >= v`). This is what
 //! produces its characteristic O(v) processor usage (Figures 5(b),
 //! 6(b), 8(b)).
@@ -41,7 +41,7 @@
 use crate::scheduler::HomogeneousOnly;
 use crate::workspace::Workspace;
 use fastsched_dag::{Cost, Dag, NodeId};
-use fastsched_schedule::{HomogeneousModel, ProcId, Schedule};
+use fastsched_schedule::ProcId;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -140,7 +140,7 @@ impl HomogeneousOnly for Dsc {
     const NAME: &'static str = "DSC";
     const UNBOUNDED: bool = true;
 
-    fn schedule_homogeneous(&self, dag: &Dag, num_procs: u32, ws: &mut Workspace) -> Schedule {
+    fn schedule_homogeneous(&self, dag: &Dag, num_procs: u32, ws: &mut Workspace) {
         let v = dag.node_count();
         ws.attrs.compute_into(dag, &mut ws.attr_lanes);
         let bl = &ws.attrs.b_level;
@@ -285,7 +285,6 @@ impl HomogeneousOnly for Dsc {
             ws.staging
                 .place(n, ws.state.proc[n.index()], fin - dag.weight(n), fin);
         }
-        ws.finish(&HomogeneousModel)
     }
 }
 

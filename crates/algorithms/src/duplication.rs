@@ -66,15 +66,6 @@ impl DupSchedule {
             .map(|i| i.finish)
             .min()
     }
-
-    /// Earliest finish of `node` anywhere.
-    pub fn earliest_finish(&self, node: NodeId) -> Option<Cost> {
-        self.instances
-            .iter()
-            .filter(|i| i.node == node)
-            .map(|i| i.finish)
-            .min()
-    }
 }
 
 /// Violations detected by [`validate_dup`].

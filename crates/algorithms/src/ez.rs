@@ -10,8 +10,8 @@
 use crate::scheduler::HomogeneousOnly;
 use crate::workspace::Workspace;
 use fastsched_dag::{Dag, GraphAttributes, NodeId};
-use fastsched_schedule::evaluate::{evaluate_fixed_order, evaluate_makespan_into};
-use fastsched_schedule::{ProcId, Schedule};
+use fastsched_schedule::evaluate::evaluate_makespan_into;
+use fastsched_schedule::ProcId;
 
 /// The EZ scheduler (unbounded processors, like all clustering
 /// algorithms; `num_procs` is only a container bound).
@@ -57,7 +57,7 @@ impl HomogeneousOnly for Ez {
     const NAME: &'static str = "EZ";
     const UNBOUNDED: bool = true;
 
-    fn schedule_homogeneous(&self, dag: &Dag, num_procs: u32, _ws: &mut Workspace) -> Schedule {
+    fn schedule_homogeneous(&self, dag: &Dag, num_procs: u32, ws: &mut Workspace) {
         let v = dag.node_count();
         let bl = GraphAttributes::compute(dag).b_level;
 
@@ -96,9 +96,10 @@ impl HomogeneousOnly for Ez {
         }
 
         // Processor ids are cluster representatives (sparse); the pool
-        // must cover the largest id — compact() densifies afterwards.
+        // must cover the largest id — `Workspace::finish` densifies
+        // afterwards.
         let pool = (v as u32).max(num_procs);
-        evaluate_fixed_order(dag, &order, &assignment, pool).compact()
+        ws.replay_into_staging(dag, &order, &assignment, pool);
     }
 }
 
@@ -107,7 +108,7 @@ mod tests {
     use super::*;
     use crate::Scheduler;
     use fastsched_dag::examples::{chain, fork_join, paper_figure1};
-    use fastsched_schedule::validate;
+    use fastsched_schedule::{evaluate_fixed_order, validate};
 
     #[test]
     fn valid_on_paper_example() {

@@ -11,7 +11,6 @@ use crate::list_common::run_static_list;
 use crate::scheduler::HomogeneousOnly;
 use crate::workspace::Workspace;
 use fastsched_dag::{Dag, GraphAttributes, NodeId};
-use fastsched_schedule::Schedule;
 
 /// The HLFET scheduler.
 #[derive(Debug, Clone, Copy, Default)]
@@ -42,9 +41,9 @@ impl Hlfet {
 impl HomogeneousOnly for Hlfet {
     const NAME: &'static str = "HLFET";
 
-    fn schedule_homogeneous(&self, dag: &Dag, num_procs: u32, _ws: &mut Workspace) -> Schedule {
+    fn schedule_homogeneous(&self, dag: &Dag, num_procs: u32, ws: &mut Workspace) {
         let order = Self::priority_list(dag);
-        run_static_list(dag, &order, num_procs, false).compact()
+        run_static_list(dag, &order, num_procs, false, ws);
     }
 }
 

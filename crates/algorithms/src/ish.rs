@@ -8,11 +8,10 @@
 //! ready nodes, highest static level first; a hole node is accepted if
 //! it fits without delaying the hole owner's start.
 
-use crate::list_common::{DatLanes, ListState, ReadySet};
 use crate::scheduler::HomogeneousOnly;
 use crate::workspace::Workspace;
 use fastsched_dag::{Cost, Dag, GraphAttributes};
-use fastsched_schedule::{HomogeneousModel, ProcId, Schedule};
+use fastsched_schedule::{HomogeneousModel, ProcId};
 
 /// The ISH scheduler.
 #[derive(Debug, Clone, Copy, Default)]
@@ -28,13 +27,13 @@ impl Ish {
 impl HomogeneousOnly for Ish {
     const NAME: &'static str = "ISH";
 
-    fn schedule_homogeneous(&self, dag: &Dag, num_procs: u32, _ws: &mut Workspace) -> Schedule {
+    fn schedule_homogeneous(&self, dag: &Dag, num_procs: u32, ws: &mut Workspace) {
         let sl = GraphAttributes::compute(dag).static_level;
-        let mut machine = ListState::new(dag.node_count(), num_procs);
-        let mut ready = ReadySet::new(dag);
+        let (machine, ready, dat) = (&mut ws.state, &mut ws.ready_set, &mut ws.dat);
+        machine.reset(dag.node_count(), num_procs);
+        ready.reset(dag);
         // A ready node's DAT entry is filled on its first probe; its
         // parents are all placed, so the entry never goes stale.
-        let mut dat = DatLanes::new();
         dat.reset(dag, &HomogeneousModel);
 
         while !ready.is_empty() {
@@ -53,7 +52,7 @@ impl HomogeneousOnly for Ish {
             for pi in 0..num_procs {
                 let p = ProcId(pi);
                 let s = dat
-                    .probe(&HomogeneousModel, dag, &machine, n, p)
+                    .probe(&HomogeneousModel, dag, machine, n, p)
                     .max(machine.ready_time(p));
                 if s < best_s {
                     best_s = s;
@@ -77,7 +76,7 @@ impl HomogeneousOnly for Ish {
                     .iter()
                     .copied()
                     .filter_map(|m| {
-                        let arrival = dat.probe(&HomogeneousModel, dag, &machine, m, best_p);
+                        let arrival = dat.probe(&HomogeneousModel, dag, machine, m, best_p);
                         let s = arrival.max(hole_lo);
                         (s + dag.weight(m) <= best_s).then_some((m, s))
                     })
@@ -92,7 +91,7 @@ impl HomogeneousOnly for Ish {
                 }
             }
         }
-        machine.into_schedule(dag).compact()
+        machine.write_schedule(dag, &mut ws.staging);
     }
 }
 

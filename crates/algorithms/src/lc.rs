@@ -10,8 +10,7 @@
 use crate::scheduler::HomogeneousOnly;
 use crate::workspace::Workspace;
 use fastsched_dag::{Cost, Dag, NodeId};
-use fastsched_schedule::evaluate::evaluate_fixed_order;
-use fastsched_schedule::{ProcId, Schedule};
+use fastsched_schedule::ProcId;
 
 /// The LC scheduler (unbounded processors; `num_procs` is only a
 /// container bound).
@@ -67,7 +66,7 @@ impl HomogeneousOnly for Lc {
     const NAME: &'static str = "LC";
     const UNBOUNDED: bool = true;
 
-    fn schedule_homogeneous(&self, dag: &Dag, num_procs: u32, _ws: &mut Workspace) -> Schedule {
+    fn schedule_homogeneous(&self, dag: &Dag, num_procs: u32, ws: &mut Workspace) {
         let v = dag.node_count();
         let mut alive = vec![true; v];
         let mut cluster = vec![0u32; v];
@@ -86,10 +85,9 @@ impl HomogeneousOnly for Lc {
         // Execute clusters in topological order with the cluster
         // assignment; each cluster is a chain so its internal order is
         // forced.
-        let order: Vec<NodeId> = dag.topo_order().to_vec();
         let assignment: Vec<ProcId> = cluster.iter().map(|&c| ProcId(c)).collect();
         let pool = next_cluster.max(num_procs).max(1);
-        evaluate_fixed_order(dag, &order, &assignment, pool).compact()
+        ws.replay_into_staging(dag, dag.topo_order(), &assignment, pool);
     }
 }
 

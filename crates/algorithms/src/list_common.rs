@@ -1,16 +1,26 @@
-//! Shared machinery for the list-scheduling family: the placement
-//! state ([`ListState`]) and DAT lanes ([`DatLanes`]) every model core
-//! places through, ready-set tracking, earliest-start-time probing
-//! (both the paper's ready-time/no-insertion policy and the insertion
-//! policy used by MCP/HEFT), and static-list execution.
+//! The one placement substrate of the list-scheduling family: the
+//! placement state ([`ListState`]), the DAT lanes ([`DatLanes`]) and
+//! the ready-set tracker ([`ReadySet`]). Every list core — the model
+//! cores (FAST, ETF, DLS, HEFT) and the homogeneous ones (HLFET, MCP,
+//! ISH, CPOP, DCP, MD) — places on the workspace's instances of these
+//! three and reads a ready node's data-arrival time only through
+//! [`DatLanes`]: fill the node once, then read each candidate
+//! processor's DAT in O(1), and start it at the processor's ready time
+//! (the paper's no-insertion policy) or in the first idle gap at or
+//! after that DAT ([`ListState::earliest_gap_at_or_after`], the
+//! insertion policy of MCP, CPOP, DCP, MD and HEFT). The lanes walk the
+//! parents directly only under a model they are not exact for.
+//! [`run_static_list`] runs a fixed priority list through that
+//! substrate.
 
+use crate::workspace::Workspace;
 use fastsched_dag::{Cost, Dag, NodeId};
 use fastsched_schedule::{data_arrival_time_with, CostModel, HomogeneousModel, ProcId, Schedule};
 
 /// Mutable list-scheduling state shared by every list-scheduling
 /// core: per-processor timelines and resident footprints plus
 /// per-node placement, cheaper to probe than re-deriving from
-/// [`Schedule`].
+/// [`Schedule`]. Data-arrival times are read through [`DatLanes`].
 pub struct ListState {
     /// Per-processor ordered slots `(start, finish, node)`. Only the
     /// first `num_procs` lanes are live; lanes of a wider earlier run
@@ -104,33 +114,9 @@ impl ListState {
         self.mem[to.index()] = self.mem[to.index()].saturating_add(need);
     }
 
-    /// Data arrival time of `n` on `p` given current placements,
-    /// delegating to the workspace-wide DAT primitive under the
-    /// homogeneous model. All parents must already be placed.
-    pub fn data_arrival_time(&self, dag: &Dag, n: NodeId, p: ProcId) -> Cost {
-        debug_assert!(
-            dag.preds(n).iter().all(|e| self.placed[e.node.index()]),
-            "parent must be placed"
-        );
-        data_arrival_time_with(&HomogeneousModel, dag, n, p, &self.finish, &self.proc)
-    }
-
-    /// Earliest start of `n` on `p` under the *no-insertion* policy of
-    /// the paper (§4.2): `max(ready_time(p), DAT(n, p))`.
-    pub fn earliest_start_append(&self, dag: &Dag, n: NodeId, p: ProcId) -> Cost {
-        self.data_arrival_time(dag, n, p).max(self.ready_time(p))
-    }
-
-    /// Earliest start of `n` on `p` under the *insertion* policy:
-    /// the first idle gap of length `w(n)` starting at or after
-    /// `DAT(n, p)` (MCP / HEFT / MD).
-    pub fn earliest_start_insert(&self, dag: &Dag, n: NodeId, p: ProcId) -> Cost {
-        let dat = self.data_arrival_time(dag, n, p);
-        self.earliest_gap_at_or_after(p, dat, dag.weight(n))
-    }
-
     /// First time >= `lower` at which an idle interval of length `w`
-    /// exists on `p`.
+    /// exists on `p`: with `lower = DAT(n, p)` and `w = w(n)`, `n`'s
+    /// start under the insertion policy.
     pub fn earliest_gap_at_or_after(&self, p: ProcId, lower: Cost, w: Cost) -> Cost {
         debug_assert!(p.0 < self.num_procs);
         let lane = &self.lanes[p.index()];
@@ -184,15 +170,7 @@ impl ListState {
         self.placed[n.index()] = true;
     }
 
-    /// Convert the state into a [`Schedule`].
-    pub fn into_schedule(self, dag: &Dag) -> Schedule {
-        let mut s = Schedule::new(0, 1);
-        self.write_schedule(dag, &mut s);
-        s
-    }
-
-    /// [`Self::into_schedule`] writing into a caller-owned schedule
-    /// (reset in place) without consuming the state.
+    /// Write the placements into `out` (reset in place), lane by lane.
     pub fn write_schedule(&self, dag: &Dag, out: &mut Schedule) {
         out.reset(dag.node_count(), self.num_procs);
         for (pi, lane) in self.lanes[..self.num_procs as usize].iter().enumerate() {
@@ -230,22 +208,25 @@ impl ListState {
 ///   co-located arrival: `max(ready(q), DAT(n, q))` equals
 ///   `max(ready(q), best remote arrival not sent from q)`, which the
 ///   returned [`RemoteBound`] prices in O(1).
-/// - [`DatLanes::fill`], for cores that read exact DATs (HEFT, ETF, DLS
-///   and ISH place before a ready time or compare DATs across nodes),
-///   also keeps each parent processor's latest co-located arrival and
-///   folds the top two into it, so [`DatLanes::arrival`] reads
-///   `DAT(n, p)` of the filled node in O(1): `q`'s co-located lane when
-///   `q` hosts a parent, `top` otherwise.
+/// - [`DatLanes::fill`], for cores that read exact DATs (HEFT, MCP,
+///   CPOP, DCP and MD insert into idle gaps, HLFET shares MCP's list
+///   runner, ETF, DLS and ISH compare DATs across nodes or place
+///   before a ready time), also keeps each parent processor's latest
+///   co-located arrival and folds the top two into it, so
+///   [`DatLanes::arrival`] reads `DAT(n, p)` of the filled node in
+///   O(1): `q`'s co-located lane when `q` hosts a parent, `top`
+///   otherwise.
 ///
-/// FAST and HEFT price only the node they filled last. ETF, DLS and
-/// ISH probe a ready node again in later steps, so
+/// FAST, HEFT, HLFET, MCP, CPOP, DCP and MD price only the node they
+/// filled last. ETF, DLS and ISH probe a ready node again in later
+/// steps, so
 /// [`DatLanes::probe`] persists a node's entry when it fills it: its
 /// `k` `(proc, DAT)` pairs go into the node's predecessor-CSR span
 /// (distinct parent processors never outnumber parents), its
 /// all-remote bound and `k` into node-sized lanes. A probe of an older
 /// entry scans its `k` pairs — the difference between the published
 /// O(p v²) for ETF and an accidental O(p v² d). The persisted lanes are
-/// grown by the first entry persisted, so FAST and HEFT never size
+/// grown by the first entry persisted, so only the probing cores size
 /// them. [`DatLanes::pred_reads`] counts the pred-lane entries the
 /// fills and the parent walks read.
 ///
@@ -606,13 +587,6 @@ pub struct ReadySet {
 }
 
 impl ReadySet {
-    /// Initialize from the DAG: entry nodes are immediately ready.
-    pub fn new(dag: &Dag) -> Self {
-        let mut rs = Self::empty();
-        rs.reset(dag);
-        rs
-    }
-
     /// An empty tracker holding no buffers; [`ReadySet::reset`] it
     /// before use.
     pub fn empty() -> Self {
@@ -623,8 +597,7 @@ impl ReadySet {
     }
 
     /// Re-initialize for `dag` in place (buffers cleared, capacities
-    /// kept). Entry nodes are seeded in id order, exactly as
-    /// [`ReadySet::new`] does.
+    /// kept): entry nodes are ready, seeded in id order.
     pub fn reset(&mut self, dag: &Dag) {
         self.remaining_parents.clear();
         self.remaining_parents
@@ -663,31 +636,45 @@ impl ReadySet {
     }
 }
 
-/// Run static list scheduling over `order` (a topological order):
-/// every node is appended to the processor minimizing its start time
-/// over all processors, at the ready time (`insertion = false`,
-/// classical HLFET) or in the first idle gap that fits
-/// (`insertion = true`, MCP).
-pub fn run_static_list(dag: &Dag, order: &[NodeId], num_procs: u32, insertion: bool) -> Schedule {
-    let mut m = ListState::new(dag.node_count(), num_procs);
+/// Run static list scheduling over `order` (a topological order) on
+/// `ws`'s placement state, into its staging schedule: every node goes
+/// to the processor minimizing its start time over all processors, at
+/// the ready time (`insertion = false`, classical HLFET) or in the
+/// first idle gap that fits (`insertion = true`, MCP). Each node's
+/// DATs are filled once, when its turn comes (its parents are placed
+/// then, the order being topological), and read per processor from
+/// the lanes. Returns the staged schedule, not yet compacted.
+pub fn run_static_list<'w>(
+    dag: &Dag,
+    order: &[NodeId],
+    num_procs: u32,
+    insertion: bool,
+    ws: &'w mut Workspace,
+) -> &'w Schedule {
+    let (state, dat) = (&mut ws.state, &mut ws.dat);
+    state.reset(dag.node_count(), num_procs);
+    dat.reset(dag, &HomogeneousModel);
     for &n in order {
+        dat.fill(&HomogeneousModel, dag, state, n);
         let mut best_p = ProcId(0);
         let mut best_s = Cost::MAX;
         for pi in 0..num_procs {
             let p = ProcId(pi);
+            let arrival = dat.arrival(&HomogeneousModel, dag, state, n, p);
             let s = if insertion {
-                m.earliest_start_insert(dag, n, p)
+                state.earliest_gap_at_or_after(p, arrival, dag.weight(n))
             } else {
-                m.earliest_start_append(dag, n, p)
+                arrival.max(state.ready_time(p))
             };
             if s < best_s {
                 best_s = s;
                 best_p = p;
             }
         }
-        m.place(dag, n, best_p, best_s);
+        state.place(dag, n, best_p, best_s);
     }
-    m.into_schedule(dag)
+    state.write_schedule(dag, &mut ws.staging);
+    &ws.staging
 }
 
 #[cfg(test)]
@@ -709,12 +696,27 @@ mod tests {
     #[test]
     fn ready_set_releases_children() {
         let g = pair();
-        let mut rs = ReadySet::new(&g);
+        let mut rs = ReadySet::empty();
+        rs.reset(&g);
         assert_eq!(rs.ready(), &[NodeId(0)]);
         rs.complete(&g, NodeId(0));
         assert_eq!(rs.ready(), &[NodeId(1)]);
         rs.complete(&g, NodeId(1));
         assert!(rs.is_empty());
+    }
+
+    /// `n`'s start on `p` under the append policy (`insertion =
+    /// false`) or the insertion policy, from freshly filled lanes.
+    fn start_on(g: &Dag, m: &ListState, n: NodeId, p: ProcId, insertion: bool) -> Cost {
+        let mut lanes = DatLanes::new();
+        lanes.reset(g, &HomogeneousModel);
+        lanes.fill(&HomogeneousModel, g, m, n);
+        let dat = lanes.arrival(&HomogeneousModel, g, m, n, p);
+        if insertion {
+            m.earliest_gap_at_or_after(p, dat, g.weight(n))
+        } else {
+            dat.max(m.ready_time(p))
+        }
     }
 
     #[test]
@@ -723,8 +725,8 @@ mod tests {
         let mut m = ListState::new(2, 2);
         m.place(&g, NodeId(0), ProcId(0), 0);
         // Same proc: DAT 2, ready 2 → 2. Other proc: DAT 2 + 4 = 6.
-        assert_eq!(m.earliest_start_append(&g, NodeId(1), ProcId(0)), 2);
-        assert_eq!(m.earliest_start_append(&g, NodeId(1), ProcId(1)), 6);
+        assert_eq!(start_on(&g, &m, NodeId(1), ProcId(0), false), 2);
+        assert_eq!(start_on(&g, &m, NodeId(1), ProcId(1), false), 6);
     }
 
     #[test]
@@ -739,9 +741,9 @@ mod tests {
         m.place(&g, NodeId(0), ProcId(0), 0); // [0,5)
         m.place(&g, NodeId(1), ProcId(0), 9); // [9,14)
                                               // Gap [5,9) holds a weight-3 task.
-        assert_eq!(m.earliest_start_insert(&g, NodeId(2), ProcId(0)), 5);
+        assert_eq!(start_on(&g, &m, NodeId(2), ProcId(0), true), 5);
         // Append policy would go after 14.
-        assert_eq!(m.earliest_start_append(&g, NodeId(2), ProcId(0)), 14);
+        assert_eq!(start_on(&g, &m, NodeId(2), ProcId(0), false), 14);
     }
 
     #[test]
@@ -764,7 +766,7 @@ mod tests {
     #[test]
     fn dat_cache_matches_direct_computation() {
         // Mixed parents on different processors: the cached lanes must
-        // agree with Machine::data_arrival_time on every processor.
+        // agree with the direct parent walk on every processor.
         let mut b = DagBuilder::new();
         let p1 = b.add_task(2);
         let p2 = b.add_task(3);
@@ -782,7 +784,7 @@ mod tests {
             let p = ProcId(pi);
             assert_eq!(
                 lanes.arrival(&HomogeneousModel, &g, &m, child, p),
-                m.data_arrival_time(&g, child, p),
+                data_arrival_time_with(&HomogeneousModel, &g, child, p, &m.finish, &m.proc),
                 "proc {pi}"
             );
         }
@@ -1023,9 +1025,10 @@ mod tests {
     fn static_list_produces_valid_schedules() {
         let g = pair();
         let order: Vec<NodeId> = g.topo_order().to_vec();
+        let ws = &mut Workspace::new();
         for insertion in [false, true] {
-            let s = run_static_list(&g, &order, 3, insertion);
-            assert_eq!(validate(&g, &s), Ok(()));
+            let s = run_static_list(&g, &order, 3, insertion, ws);
+            assert_eq!(validate(&g, s), Ok(()));
         }
     }
 }

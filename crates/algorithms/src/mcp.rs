@@ -13,7 +13,6 @@ use crate::list_common::run_static_list;
 use crate::scheduler::HomogeneousOnly;
 use crate::workspace::Workspace;
 use fastsched_dag::{Dag, GraphAttributes, NodeId};
-use fastsched_schedule::Schedule;
 
 /// The MCP scheduler.
 #[derive(Debug, Clone, Copy, Default)]
@@ -37,9 +36,9 @@ impl Mcp {
 impl HomogeneousOnly for Mcp {
     const NAME: &'static str = "MCP";
 
-    fn schedule_homogeneous(&self, dag: &Dag, num_procs: u32, _ws: &mut Workspace) -> Schedule {
+    fn schedule_homogeneous(&self, dag: &Dag, num_procs: u32, ws: &mut Workspace) {
         let order = Self::priority_list(dag);
-        run_static_list(dag, &order, num_procs, true).compact()
+        run_static_list(dag, &order, num_procs, true, ws);
     }
 }
 
@@ -71,8 +70,9 @@ mod tests {
     fn insertion_beats_or_matches_append_on_paper_example() {
         let g = paper_figure1();
         let order = Mcp::priority_list(&g);
-        let with_insert = run_static_list(&g, &order, 9, true).makespan();
-        let without = run_static_list(&g, &order, 9, false).makespan();
+        let ws = &mut Workspace::new();
+        let with_insert = run_static_list(&g, &order, 9, true, ws).makespan();
+        let without = run_static_list(&g, &order, 9, false, ws).makespan();
         assert!(with_insert <= without);
     }
 }

@@ -34,7 +34,7 @@ use crate::list_common::ListState;
 use crate::scheduler::HomogeneousOnly;
 use crate::workspace::Workspace;
 use fastsched_dag::{Cost, Dag, NodeId};
-use fastsched_schedule::{HomogeneousModel, ProcId, Schedule};
+use fastsched_schedule::{HomogeneousModel, ProcId};
 
 /// The MD scheduler.
 #[derive(Debug, Clone, Copy, Default)]
@@ -77,7 +77,7 @@ fn current_asap_into(dag: &Dag, machine: &ListState, asap: &mut Vec<Cost>) {
 impl HomogeneousOnly for Md {
     const NAME: &'static str = "MD";
 
-    fn schedule_homogeneous(&self, dag: &Dag, num_procs: u32, ws: &mut Workspace) -> Schedule {
+    fn schedule_homogeneous(&self, dag: &Dag, num_procs: u32, ws: &mut Workspace) {
         ws.attrs.compute_into(dag, &mut ws.attr_lanes);
         let bl = &ws.attrs.b_level;
         let asap = &mut ws.level;
@@ -85,6 +85,8 @@ impl HomogeneousOnly for Md {
         machine.reset(dag.node_count(), num_procs);
         let ready = &mut ws.ready_set;
         ready.reset(dag);
+        let dat = &mut ws.dat;
+        dat.reset(dag, &HomogeneousModel);
 
         while !ready.is_empty() {
             // O(e) attribute recomputation — the expensive part of MD.
@@ -109,11 +111,13 @@ impl HomogeneousOnly for Md {
 
             // First processor (index order) whose earliest idle slot
             // after the DAT starts within [ASAP, ALAP].
+            dat.fill(&HomogeneousModel, dag, machine, n);
             let mut chosen: Option<(ProcId, Cost)> = None;
             let mut fallback: Option<(Cost, ProcId)> = None;
             for pi in 0..num_procs {
                 let p = ProcId(pi);
-                let s = machine.earliest_start_insert(dag, n, p);
+                let arrival = dat.arrival(&HomogeneousModel, dag, machine, n, p);
+                let s = machine.earliest_gap_at_or_after(p, arrival, dag.weight(n));
                 if s <= alap_n {
                     chosen = Some((p, s));
                     break;
@@ -133,7 +137,6 @@ impl HomogeneousOnly for Md {
             ready.complete(dag, n);
         }
         ws.state.write_schedule(dag, &mut ws.staging);
-        ws.finish(&HomogeneousModel)
     }
 }
 

@@ -3,7 +3,7 @@
 
 use crate::workspace::Workspace;
 use fastsched_dag::{Cost, Dag};
-use fastsched_schedule::{Machine, Schedule, ScheduleError};
+use fastsched_schedule::{HomogeneousModel, Machine, Schedule, ScheduleError};
 use fastsched_trace::{Phase, SearchTrace};
 
 /// Why [`Scheduler::run`] returned no schedule.
@@ -200,15 +200,20 @@ pub trait Scheduler: Send + Sync {
     }
 }
 
-/// An algorithm that knows only the paper's machine: its
-/// [`Scheduler`] runs `schedule_homogeneous` on
-/// [`Machine::Homogeneous`] with the caller's workspace and answers
-/// every priced machine [`SchedulerError::Unsupported`] (speeds before
-/// capacities). Ten of the eleven algorithms without a model core
-/// implement this instead; B&B implements [`Scheduler`] itself so that
-/// it can also refuse a DAG too large to search. DSC and MD take their
-/// scratch from the workspace, so a warm one makes them
-/// allocation-free; the other eight allocate per call and ignore it.
+/// An algorithm that knows only the paper's machine. Ten of the eleven
+/// algorithms without a model core implement this instead of
+/// [`Scheduler`]; B&B implements [`Scheduler`] itself so that it can
+/// also refuse a DAG too large to search.
+///
+/// All ten place on the workspace's one placement substrate: the
+/// list cores (HLFET, MCP, ISH, CPOP, DCP, MD) keep their timelines
+/// in `ws.state`, read every data-arrival time from `ws.dat` and track
+/// readiness in `ws.ready_set`; the clustering cores (DSC, EZ, LC,
+/// DSC-LLB) replay or write their clusters straight into the staging
+/// schedule. Every core leaves its result in `ws.staging`, and the
+/// blanket [`Scheduler`] impl hands it out through the one result path,
+/// `Workspace::finish` (compacted, as the homogeneous model permits).
+/// Priority lists and per-algorithm scratch may still allocate.
 pub trait HomogeneousOnly: Send + Sync {
     /// [`Scheduler::name`].
     const NAME: &'static str;
@@ -216,9 +221,10 @@ pub trait HomogeneousOnly: Send + Sync {
     const UNBOUNDED: bool = false;
 
     /// The algorithm on `num_procs` identical processors with scratch
-    /// from `ws`; like [`Scheduler::schedule_on`], implement it and
-    /// call [`Scheduler::run`].
-    fn schedule_homogeneous(&self, dag: &Dag, num_procs: u32, ws: &mut Workspace) -> Schedule;
+    /// from `ws`, building its schedule into `ws.staging`; like
+    /// [`Scheduler::schedule_on`], implement it and call
+    /// [`Scheduler::run`].
+    fn schedule_homogeneous(&self, dag: &Dag, num_procs: u32, ws: &mut Workspace);
 }
 
 impl<T: HomogeneousOnly> Scheduler for T {
@@ -239,7 +245,10 @@ impl<T: HomogeneousOnly> Scheduler for T {
         _trace: &mut SearchTrace,
     ) -> Result<Schedule, SchedulerError> {
         match Feature::priced_by(machine) {
-            None => Ok(self.schedule_homogeneous(dag, num_procs, ws)),
+            None => {
+                self.schedule_homogeneous(dag, num_procs, ws);
+                Ok(ws.finish(&HomogeneousModel))
+            }
             Some(feature) => Err(SchedulerError::Unsupported(feature)),
         }
     }

@@ -5,10 +5,11 @@
 //! cost model, and those of the paper's two baselines DSC and MD: the
 //! attribute arrays of the `list_construction` phase (DSC and MD read
 //! their b-level there), the CPN-Dominate list scratch, the one
-//! placement state (the list-scheduling [`ListState`] and its
-//! [`DatLanes`]) the six place through and MD and DSC reuse, DSC's
-//! clustering scratch, the incremental [`DeltaEvaluator`] and the
-//! compaction scratch, and the correctness gate's lane scratch.
+//! placement substrate (the list-scheduling [`ListState`], its
+//! [`DatLanes`] and the [`ReadySet`]) every list core places through,
+//! DSC's clustering scratch, the incremental [`DeltaEvaluator`], the
+//! staging schedule every core builds into and the compaction scratch
+//! of the one result path, and the correctness gate's lane scratch.
 //! Buffers are *cleared, never dropped* between runs, so once every
 //! buffer has reached its peak size a reused workspace performs **zero
 //! heap allocations** per schedule, gate included (release builds,
@@ -38,10 +39,13 @@
 //! input from `(dag, num_procs)` into workspace buffers via the
 //! `_into`/`reset` variants (`ListAttributes::compute_into`,
 //! `cpn_dominate_list_into`, `ListState::reset`,
-//! `DatLanes::reset`, `ReadySet::reset`, ...), borrow the evaluator
-//! re-typed for the model with `lend_eval`, build the result in
-//! `Workspace::staging`, and hand it out with `Workspace::finish`
-//! (compacts when the model permits renumbering). The algorithm's
+//! `DatLanes::reset`, `ReadySet::reset`, ...), read every DAT through
+//! the lanes, borrow the evaluator re-typed for the model with
+//! `lend_eval`, build the result in `Workspace::staging`, and hand it
+//! out with `Workspace::finish` (compacts when the model permits
+//! renumbering). A homogeneous-only algorithm implements
+//! [`HomogeneousOnly`](crate::HomogeneousOnly) instead: it builds into
+//! `staging`, and the blanket impl calls `finish`. The algorithm's
 //! [`Scheduler::schedule_on`](crate::Scheduler::schedule_on) matches
 //! on the [`fastsched_schedule::Machine`] once and calls the core with
 //! the variant's model; [`Scheduler::run`](crate::Scheduler::run)
@@ -53,7 +57,8 @@ use crate::dsc::DscScratch;
 use crate::list_common::{DatLanes, ListState, ReadySet};
 use fastsched_dag::{AttrLanes, Cost, CpnListScratch, Dag, ListAttributes, NodeClass, NodeId};
 use fastsched_schedule::{
-    CompactScratch, CostModel, DeltaEvaluator, HomogeneousModel, ProcId, Schedule, ValidateScratch,
+    evaluate_fixed_order_into_with, CompactScratch, CostModel, DeltaEvaluator, HomogeneousModel,
+    ProcId, Schedule, ValidateScratch,
 };
 use fastsched_trace::SearchTrace;
 
@@ -104,7 +109,7 @@ pub struct Workspace {
     pub(crate) cpn_scratch: CpnListScratch,
     pub(crate) list: Vec<NodeId>,
     pub(crate) blocking: Vec<NodeId>,
-    // --- placement (FAST's InitialSchedule(), ETF, DLS, HEFT) ---
+    // --- placement (every list core) ---
     pub(crate) state: ListState,
     pub(crate) dat: DatLanes,
     /// FAST's §4.2 candidate processors of the node being placed.
@@ -178,6 +183,29 @@ impl Workspace {
             std::mem::swap(&mut out, &mut self.staging);
         }
         out
+    }
+
+    /// Replay `order` (a topological order) with the fixed
+    /// `assignment` on `pool` processors into `staging`, on the
+    /// paper's machine: how the clustering cores (EZ, LC, DSC-LLB)
+    /// build their result.
+    pub(crate) fn replay_into_staging(
+        &mut self,
+        dag: &Dag,
+        order: &[NodeId],
+        assignment: &[ProcId],
+        pool: u32,
+    ) {
+        evaluate_fixed_order_into_with(
+            &HomogeneousModel,
+            dag,
+            order,
+            assignment,
+            pool,
+            &mut Vec::new(),
+            &mut Vec::new(),
+            &mut self.staging,
+        );
     }
 
     /// Ensure the multi-start chain slots exist for `chains` chains.

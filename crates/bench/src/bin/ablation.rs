@@ -41,6 +41,7 @@ fn workloads(db: &TimingDatabase) -> Vec<(String, Dag)> {
 
 fn main() {
     let db = TimingDatabase::paragon();
+    let ws = &mut Workspace::new();
 
     println!("== Ablation 1: priority-list construction (append policy) ==");
     println!(
@@ -55,15 +56,9 @@ fn main() {
         let sl = Hlfet::priority_list(&dag);
         let alap = Mcp::priority_list(&dag);
         let topo = dag.topo_order().to_vec();
-        let m = |order: &[NodeId]| run_static_list(&dag, order, procs, false).makespan();
-        println!(
-            "{:<14} {:>14} {:>10} {:>10} {:>10}",
-            name,
-            m(&cpn),
-            m(&sl),
-            m(&alap),
-            m(&topo)
-        );
+        let mut m = |order: &[NodeId]| run_static_list(&dag, order, procs, false, ws).makespan();
+        let (cpn, sl, alap, topo) = (m(&cpn), m(&sl), m(&alap), m(&topo));
+        println!("{name:<14} {cpn:>14} {sl:>10} {alap:>10} {topo:>10}");
     }
 
     println!("\n== Ablation 2: MAXSTEP sweep (schedule length) ==");
@@ -122,8 +117,8 @@ fn main() {
         println!(
             "{:<14} {:>12} {:>12}",
             name,
-            run_static_list(&dag, &order, procs, false).makespan(),
-            run_static_list(&dag, &order, procs, true).makespan()
+            run_static_list(&dag, &order, procs, false, ws).makespan(),
+            run_static_list(&dag, &order, procs, true, ws).makespan()
         );
     }
 
@@ -147,7 +142,7 @@ fn main() {
             "{:<14} {:>16} {:>12}",
             name,
             restricted.makespan(),
-            run_static_list(&dag, &order, procs, false).makespan()
+            run_static_list(&dag, &order, procs, false, ws).makespan()
         );
     }
 

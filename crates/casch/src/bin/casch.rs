@@ -481,7 +481,7 @@ fn cmd_schedule(opts: &Flags, out: Out) -> Result<(), Failure> {
         return Err("--gantt-width only makes sense together with --gantt".into());
     }
     if let Some(path) = opts.get("perfetto") {
-        let json = fastsched_schedule::export::chrome_trace(&dag, &schedule);
+        let json = fastsched_schedule::export::chrome_trace(&dag, &schedule, &engine.machine);
         std::fs::write(path, json).map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("wrote Perfetto timeline to {path} (open at https://ui.perfetto.dev)");
     }

@@ -44,43 +44,6 @@ pub fn order_positions_into(order: &[NodeId], num_nodes: usize, pos: &mut Vec<us
     }
 }
 
-/// Set of nodes from which at least one node in `targets` is reachable
-/// (including the targets themselves). Runs one reverse BFS seeded with
-/// all targets: O(v + e).
-pub fn reaches_any(dag: &Dag, targets: &[NodeId]) -> Vec<bool> {
-    let mut seen = Vec::new();
-    let mut stack = Vec::with_capacity(targets.len());
-    reaches_any_into(dag, targets, &mut seen, &mut stack);
-    seen
-}
-
-/// [`reaches_any`] writing the seen-set into a caller-owned buffer and
-/// using a caller-owned BFS stack (both cleared, capacities kept).
-pub fn reaches_any_into(
-    dag: &Dag,
-    targets: &[NodeId],
-    seen: &mut Vec<bool>,
-    stack: &mut Vec<NodeId>,
-) {
-    seen.clear();
-    seen.resize(dag.node_count(), false);
-    stack.clear();
-    for &t in targets {
-        if !seen[t.index()] {
-            seen[t.index()] = true;
-            stack.push(t);
-        }
-    }
-    while let Some(n) = stack.pop() {
-        for e in dag.preds(n) {
-            if !seen[e.node.index()] {
-                seen[e.node.index()] = true;
-                stack.push(e.node);
-            }
-        }
-    }
-}
-
 /// Depth of each node: the number of edges on the longest edge-count
 /// path from an entry node (entries have depth 0).
 pub fn depths(dag: &Dag) -> Vec<u32> {
@@ -141,15 +104,6 @@ mod tests {
             &g,
             &[NodeId(0), NodeId(1), NodeId(1), NodeId(3)]
         ));
-    }
-
-    #[test]
-    fn reaches_any_finds_all_ancestors() {
-        let g = diamond();
-        let r = reaches_any(&g, &[NodeId(3)]);
-        assert_eq!(r, vec![true, true, true, true]);
-        let r = reaches_any(&g, &[NodeId(1)]);
-        assert_eq!(r, vec![true, true, false, false]);
     }
 
     #[test]

@@ -17,13 +17,28 @@
 //! * [`slack_profile`] runs the backward (ALAP-style) pass over the
 //!   schedule's own constraint graph — DAG edges plus same-processor
 //!   ordering — giving each node the amount its finish could slip
-//!   without stretching the makespan ([`slack_histogram`] bucketizes
-//!   it; critical nodes are exactly the zero-slack ones);
-//! * [`comm_breakdown`] splits each processor's idle time into
-//!   waiting-for-messages and plain idle.
+//!   without stretching the makespan (critical nodes are exactly the
+//!   zero-slack ones).
+//!
+//! The chain and the slacks price every message the way the
+//! [`Machine`] the schedule was built for does (the model
+//! [`Machine::validate`] checks it against), so a schedule built under
+//! α–β or a hierarchy is explained by its own wire times, not the bare
+//! edge weights.
 
+use crate::cost::{CostModel, HomogeneousModel};
+use crate::machine::Machine;
 use crate::schedule::{ProcId, Schedule};
 use fastsched_dag::{Cost, Dag, NodeId};
+
+/// `machine`'s pricing, as [`Machine::validate_into`] dispatches it.
+fn pricing(machine: &Machine) -> &dyn CostModel {
+    match machine {
+        Machine::Homogeneous => &HomogeneousModel,
+        Machine::Comm(m) => m,
+        Machine::Speeds(m) => m,
+    }
+}
 
 /// Why a task on the bottleneck chain could not start earlier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,10 +61,11 @@ pub struct ChainLink {
     pub reason: WaitReason,
 }
 
-/// Extract the bottleneck chain of a complete, valid schedule, from
-/// chain head to the last-finishing task.
-pub fn bottleneck_chain(dag: &Dag, schedule: &Schedule) -> Vec<ChainLink> {
+/// Extract the bottleneck chain of a complete schedule, valid on
+/// `machine`, from chain head to the last-finishing task.
+pub fn bottleneck_chain(dag: &Dag, schedule: &Schedule, machine: &Machine) -> Vec<ChainLink> {
     debug_assert!(schedule.is_complete());
+    let model = pricing(machine);
     // Previous task on the same processor, by start time.
     let mut prev_on_proc: Vec<Option<NodeId>> = vec![None; dag.node_count()];
     for lane in schedule.timelines() {
@@ -83,12 +99,7 @@ pub fn bottleneck_chain(dag: &Dag, schedule: &Schedule) -> Vec<ChainLink> {
         // Data dependence: a parent whose arrival equals the start.
         let binding_parent = dag.preds(cur).iter().find(|e| {
             let pt = schedule.task(e.node).expect("complete");
-            let arrival = if pt.proc == task.proc {
-                pt.finish
-            } else {
-                pt.finish + e.cost
-            };
-            arrival == task.start
+            pt.finish + model.message_cost(e.cost, pt.proc, task.proc) == task.start
         });
         match binding_parent {
             Some(e) => {
@@ -193,11 +204,12 @@ impl CriticalPath {
     }
 }
 
-/// Attribute the makespan of a complete, valid schedule: expand the
-/// [`bottleneck_chain`] into a gap-free segment sequence covering
-/// `[0, makespan]`, so `compute + comm + idle == makespan` exactly.
-pub fn critical_path(dag: &Dag, schedule: &Schedule) -> CriticalPath {
-    let chain = bottleneck_chain(dag, schedule);
+/// Attribute the makespan of a complete schedule, valid on `machine`:
+/// expand the [`bottleneck_chain`] into a gap-free segment sequence
+/// covering `[0, makespan]`, so `compute + comm + idle == makespan`
+/// exactly.
+pub fn critical_path(dag: &Dag, schedule: &Schedule, machine: &Machine) -> CriticalPath {
+    let chain = bottleneck_chain(dag, schedule, machine);
     let mut segments = Vec::with_capacity(chain.len() * 2);
     let mut compute = 0;
     let mut comm = 0;
@@ -250,11 +262,12 @@ pub fn critical_path(dag: &Dag, schedule: &Schedule) -> CriticalPath {
 
 /// Per-node slack: how far each node's finish could slip without
 /// stretching the makespan, under the schedule's own constraint graph
-/// (DAG data edges, priced local/remote as placed, plus the
-/// same-processor task order). Indexed by node id; chain nodes of
-/// [`critical_path`] have slack 0.
-pub fn slack_profile(dag: &Dag, schedule: &Schedule) -> Vec<Cost> {
+/// (DAG data edges, priced by `machine` between the processors they
+/// were placed on, plus the same-processor task order). Indexed by
+/// node id; chain nodes of [`critical_path`] have slack 0.
+pub fn slack_profile(dag: &Dag, schedule: &Schedule, machine: &Machine) -> Vec<Cost> {
     debug_assert!(schedule.is_complete());
+    let model = pricing(machine);
     let makespan = schedule.makespan();
     let v = dag.node_count();
     let mut latest_finish = vec![makespan; v];
@@ -294,7 +307,7 @@ pub fn slack_profile(dag: &Dag, schedule: &Schedule) -> Vec<Cost> {
         for e in dag.succs(n) {
             let ct = schedule.task(e.node).expect("complete schedule");
             let c_latest_start = latest_finish[e.node.index()] - (ct.finish - ct.start);
-            let msg = if ct.proc == t.proc { 0 } else { e.cost };
+            let msg = model.message_cost(e.cost, t.proc, ct.proc);
             lf = lf.min(c_latest_start.saturating_sub(msg));
         }
         latest_finish[n.index()] = lf;
@@ -302,95 +315,6 @@ pub fn slack_profile(dag: &Dag, schedule: &Schedule) -> Vec<Cost> {
 
     dag.nodes()
         .map(|n| latest_finish[n.index()].saturating_sub(schedule.finish_of(n).expect("complete")))
-        .collect()
-}
-
-/// A bucketized view of a slack profile.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SlackHistogram {
-    /// Width of each bucket (time units); bucket `i` covers
-    /// `[i·width, (i+1)·width)`.
-    pub bucket_width: Cost,
-    /// Node count per bucket.
-    pub counts: Vec<usize>,
-    /// The largest slack observed.
-    pub max_slack: Cost,
-    /// Nodes with zero slack (the schedule-critical set).
-    pub critical_nodes: usize,
-}
-
-/// Bucketize `slacks` into at most `buckets` equal-width bins.
-pub fn slack_histogram(slacks: &[Cost], buckets: usize) -> SlackHistogram {
-    let buckets = buckets.max(1);
-    let max_slack = slacks.iter().copied().max().unwrap_or(0);
-    let bucket_width = (max_slack / buckets as Cost + 1).max(1);
-    let mut counts = vec![0usize; ((max_slack / bucket_width) + 1) as usize];
-    for &s in slacks {
-        counts[(s / bucket_width) as usize] += 1;
-    }
-    SlackHistogram {
-        bucket_width,
-        counts,
-        max_slack,
-        critical_nodes: slacks.iter().filter(|&&s| s == 0).count(),
-    }
-}
-
-/// Per-processor busy/comm-wait/idle split over `[0, makespan]`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProcBreakdown {
-    /// Processor id.
-    pub proc: ProcId,
-    /// Total busy (computing) time.
-    pub busy: Cost,
-    /// Idle time attributable to waiting for remote messages: for
-    /// each gap before a task, the stretch between the processor (and
-    /// local data) being ready and the last remote message arriving.
-    pub comm_wait: Cost,
-    /// Remaining idle time (lead/gap remainder/tail).
-    pub idle: Cost,
-}
-
-/// Split every used processor's timeline into busy, comm-wait and
-/// plain idle (`busy + comm_wait + idle == makespan` per processor).
-pub fn comm_breakdown(dag: &Dag, schedule: &Schedule) -> Vec<ProcBreakdown> {
-    debug_assert!(schedule.is_complete());
-    let makespan = schedule.makespan();
-    schedule
-        .timelines()
-        .into_iter()
-        .enumerate()
-        .filter(|(_, lane)| !lane.is_empty())
-        .map(|(p, lane)| {
-            let busy: Cost = lane.iter().map(|t| t.finish - t.start).sum();
-            let mut comm_wait = 0;
-            let mut gap_start = 0;
-            for t in &lane {
-                // The processor sat idle over [gap_start, t.start).
-                // Attribute to communication the part between the
-                // latest local constraint and the latest remote
-                // arrival.
-                let mut local_dat = 0;
-                let mut remote_dat = 0;
-                for e in dag.preds(t.node) {
-                    let pt = schedule.task(e.node).expect("complete schedule");
-                    if pt.proc == t.proc {
-                        local_dat = local_dat.max(pt.finish);
-                    } else {
-                        remote_dat = remote_dat.max(pt.finish + e.cost);
-                    }
-                }
-                let base = gap_start.max(local_dat);
-                comm_wait += remote_dat.min(t.start).saturating_sub(base);
-                gap_start = t.finish;
-            }
-            ProcBreakdown {
-                proc: ProcId(p as u32),
-                busy,
-                comm_wait,
-                idle: makespan - busy - comm_wait,
-            }
-        })
         .collect()
 }
 
@@ -436,7 +360,8 @@ pub fn idle_profile(schedule: &Schedule) -> Vec<ProcProfile> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluate::evaluate_fixed_order;
+    use crate::cost::{AlphaBeta, CommModel};
+    use crate::evaluate::{evaluate_fixed_order, evaluate_fixed_order_with};
     use fastsched_dag::examples::paper_figure1;
     use fastsched_dag::DagBuilder;
 
@@ -459,7 +384,7 @@ mod tests {
         let (g, s) = two_proc_schedule();
         // a: P0 0–3. b: P1, waits for a's message (3 + 5 = 8), 8–10.
         // c: P1 after b, 10–14 — the last task.
-        let chain = bottleneck_chain(&g, &s);
+        let chain = bottleneck_chain(&g, &s, &Machine::Homogeneous);
         assert_eq!(
             chain,
             vec![
@@ -488,7 +413,7 @@ mod tests {
         let g = bld.build().unwrap();
         let order: Vec<NodeId> = g.topo_order().to_vec();
         let s = evaluate_fixed_order(&g, &order, &[ProcId(0); 2], 1);
-        let chain = bottleneck_chain(&g, &s);
+        let chain = bottleneck_chain(&g, &s, &Machine::Homogeneous);
         assert_eq!(chain.len(), 2);
         assert_eq!(chain[1].reason, WaitReason::Processor(NodeId(0)));
     }
@@ -498,7 +423,7 @@ mod tests {
         let g = paper_figure1();
         let order: Vec<NodeId> = g.topo_order().to_vec();
         let s = evaluate_fixed_order(&g, &order, &[ProcId(0); 9], 1);
-        let chain = bottleneck_chain(&g, &s);
+        let chain = bottleneck_chain(&g, &s, &Machine::Homogeneous);
         // Serial schedule: the chain covers every task.
         assert_eq!(chain.len(), 9);
         assert_eq!(s.finish_of(chain.last().unwrap().node), Some(s.makespan()));
@@ -527,7 +452,7 @@ mod tests {
     fn critical_path_attributes_the_whole_makespan() {
         let (g, s) = two_proc_schedule();
         // a: P0 0–3; message a→b arrives 8; b: P1 8–10; c: P1 10–14.
-        let cp = critical_path(&g, &s);
+        let cp = critical_path(&g, &s, &Machine::Homogeneous);
         assert_eq!(cp.makespan, s.makespan());
         assert_eq!(cp.compute + cp.comm + cp.idle, cp.makespan);
         assert_eq!(cp.compute, 3 + 2 + 4);
@@ -551,7 +476,7 @@ mod tests {
         let g = paper_figure1();
         let order: Vec<NodeId> = g.topo_order().to_vec();
         let s = evaluate_fixed_order(&g, &order, &[ProcId(0); 9], 1);
-        let cp = critical_path(&g, &s);
+        let cp = critical_path(&g, &s, &Machine::Homogeneous);
         let mut clock = 0;
         for seg in &cp.segments {
             let (lo, hi) = match *seg {
@@ -568,7 +493,7 @@ mod tests {
     #[test]
     fn slack_is_zero_exactly_on_the_critical_path() {
         let (g, s) = two_proc_schedule();
-        let slacks = slack_profile(&g, &s);
+        let slacks = slack_profile(&g, &s, &Machine::Homogeneous);
         // All three tasks lie on the chain here.
         assert_eq!(slacks, vec![0, 0, 0]);
 
@@ -584,17 +509,13 @@ mod tests {
         let order: Vec<NodeId> = g.topo_order().to_vec();
         let assignment = vec![ProcId(0), ProcId(1), ProcId(1), ProcId(2)];
         let s = evaluate_fixed_order(&g, &order, &assignment, 3);
-        let slacks = slack_profile(&g, &s);
+        let slacks = slack_profile(&g, &s, &Machine::Homogeneous);
         // d (0–40) bounds the makespan; the a→b→c chain finishes at 14
         // and can slip 26.
         assert_eq!(slacks[3], 0);
         assert_eq!(slacks[2], 26);
         assert_eq!(slacks[1], 26);
         assert_eq!(slacks[0], 26);
-        let hist = slack_histogram(&slacks, 4);
-        assert_eq!(hist.critical_nodes, 1);
-        assert_eq!(hist.max_slack, 26);
-        assert_eq!(hist.counts.iter().sum::<usize>(), 4);
     }
 
     #[test]
@@ -607,43 +528,26 @@ mod tests {
         let g = bld.build().unwrap();
         let order: Vec<NodeId> = g.topo_order().to_vec();
         let s = evaluate_fixed_order(&g, &order, &[ProcId(0); 2], 1);
-        assert_eq!(slack_profile(&g, &s), vec![0, 0]);
+        assert_eq!(slack_profile(&g, &s, &Machine::Homogeneous), vec![0, 0]);
     }
 
     #[test]
-    fn comm_breakdown_attributes_message_waits() {
-        let (g, s) = two_proc_schedule();
-        let bd = comm_breakdown(&g, &s);
-        // P0: a (0–3), then idle to 14.
-        assert_eq!(
-            bd[0],
-            ProcBreakdown {
-                proc: ProcId(0),
-                busy: 3,
-                comm_wait: 0,
-                idle: 11
-            }
-        );
-        // P1: waits 0–8 for a's message, then b+c back to back.
-        assert_eq!(
-            bd[1],
-            ProcBreakdown {
-                proc: ProcId(1),
-                busy: 6,
-                comm_wait: 8,
-                idle: 0
-            }
-        );
-        for p in &bd {
-            assert_eq!(p.busy + p.comm_wait + p.idle, s.makespan());
-        }
-    }
-
-    #[test]
-    fn slack_histogram_of_empty_profile() {
-        let h = slack_histogram(&[], 8);
-        assert_eq!(h.max_slack, 0);
-        assert_eq!(h.critical_nodes, 0);
-        assert_eq!(h.counts.iter().sum::<usize>(), 0);
+    fn messages_are_priced_by_the_machine() {
+        // The two-processor DAG under α–β(25, 3, 2): a's message to b
+        // costs 25 + ⌈5·3/2⌉ = 33, so b starts at 3 + 33 = 36 and c
+        // runs 38–42. Priced at the bare edge weight, b would have no
+        // binding parent and the chain would idle 36 units instead.
+        let (g, _) = two_proc_schedule();
+        let ab = AlphaBeta::new(25, 3, 2);
+        let order: Vec<NodeId> = g.topo_order().to_vec();
+        let assignment = [ProcId(0), ProcId(1), ProcId(1)];
+        let s = evaluate_fixed_order_with(&ab, &g, &order, &assignment, 2);
+        let machine = Machine::from(CommModel::AlphaBeta(ab));
+        assert_eq!(s.start_of(NodeId(1)), Some(36));
+        let cp = critical_path(&g, &s, &machine);
+        assert_eq!((cp.compute, cp.comm, cp.idle), (9, 33, 0));
+        assert_eq!(slack_profile(&g, &s, &machine), vec![0, 0, 0]);
+        let plain = critical_path(&g, &s, &Machine::Homogeneous);
+        assert_eq!((plain.comm, plain.idle), (0, 36));
     }
 }

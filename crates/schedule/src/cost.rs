@@ -382,17 +382,6 @@ impl Hierarchical {
         self.inter
     }
 
-    /// Per-group processor counts (`sizes[g]` = processors in group
-    /// `g`). For tables built by [`Hierarchical::from_group_sizes`]
-    /// this round-trips the original spec.
-    pub fn group_sizes(&self) -> Vec<u32> {
-        let mut sizes = vec![0u32; self.groups() as usize];
-        for &g in &self.group_of {
-            sizes[g as usize] += 1;
-        }
-        sizes
-    }
-
     /// Group of processor `p`. Panics (with the table size in the
     /// message) when `p` is outside the configured table.
     #[inline]
@@ -596,12 +585,6 @@ impl<M: CostModel> MemoryCapacities<M> {
     /// The same finite capacity `cap` on each of `procs` processors.
     pub fn uniform(inner: M, cap: Cost, procs: u32) -> Self {
         Self::new(inner, vec![cap; procs as usize])
-    }
-
-    /// Explicit mixed table: `None` entries (and processors beyond the
-    /// table) are unbounded, `Some` entries are finite capacities.
-    pub fn from_option_caps(inner: M, caps: Vec<Option<Cost>>) -> Self {
-        Self { inner, caps }
     }
 
     /// The capacity table (entries beyond it are unbounded).

@@ -20,20 +20,6 @@ use crate::cost::{data_arrival_time_with, CostModel, HomogeneousModel};
 use crate::schedule::{ProcId, Schedule};
 use fastsched_dag::{Cost, Dag, NodeId};
 
-/// Data arrival time of `node` on processor `proc`, given every
-/// parent's finish time and processor: the maximum message arrival
-/// time over all parents (parent finish when co-located, parent finish
-/// plus edge cost otherwise). Entry nodes have DAT 0.
-pub fn data_arrival_time(
-    dag: &Dag,
-    node: NodeId,
-    proc: ProcId,
-    finish: &[Cost],
-    assignment: &[ProcId],
-) -> Cost {
-    data_arrival_time_with(&HomogeneousModel, dag, node, proc, finish, assignment)
-}
-
 /// Replay list scheduling with a fixed priority `order` (must be a
 /// topological order containing every node exactly once) and a fixed
 /// node→processor `assignment`. Returns the resulting [`Schedule`].
@@ -88,32 +74,10 @@ pub fn evaluate_fixed_order_with<M: CostModel + ?Sized>(
     schedule
 }
 
-/// [`evaluate_fixed_order`] writing into a caller-owned schedule;
-/// `ready` and `finish` are caller-provided scratch (cleared here).
-/// Byte-identical result, zero allocations at steady state.
-#[allow(clippy::too_many_arguments)]
-pub fn evaluate_fixed_order_into(
-    dag: &Dag,
-    order: &[NodeId],
-    assignment: &[ProcId],
-    num_procs: u32,
-    ready: &mut Vec<Cost>,
-    finish: &mut Vec<Cost>,
-    out: &mut Schedule,
-) {
-    evaluate_fixed_order_into_with(
-        &HomogeneousModel,
-        dag,
-        order,
-        assignment,
-        num_procs,
-        ready,
-        finish,
-        out,
-    );
-}
-
-/// [`evaluate_fixed_order_into`] generalized over a [`CostModel`].
+/// [`evaluate_fixed_order_with`] writing into a caller-owned schedule
+/// (reset here); `ready` and `finish` are caller-provided scratch
+/// (cleared here). Byte-identical result, zero allocations at steady
+/// state.
 #[allow(clippy::too_many_arguments)]
 pub fn evaluate_fixed_order_into_with<M: CostModel + ?Sized>(
     model: &M,
@@ -159,18 +123,6 @@ pub fn evaluate_makespan_into(
     ready: &mut Vec<Cost>,
     finish: &mut Vec<Cost>,
 ) -> Cost {
-    evaluate_makespan_into_with(&HomogeneousModel, dag, order, assignment, ready, finish)
-}
-
-/// [`evaluate_makespan_into`] generalized over a [`CostModel`].
-pub fn evaluate_makespan_into_with<M: CostModel + ?Sized>(
-    model: &M,
-    dag: &Dag,
-    order: &[NodeId],
-    assignment: &[ProcId],
-    ready: &mut Vec<Cost>,
-    finish: &mut Vec<Cost>,
-) -> Cost {
     ready.clear();
     let max_proc = assignment.iter().map(|p| p.0).max().unwrap_or(0);
     ready.resize(max_proc as usize + 1, 0);
@@ -180,9 +132,9 @@ pub fn evaluate_makespan_into_with<M: CostModel + ?Sized>(
     let mut makespan = 0;
     for &n in order {
         let proc = assignment[n.index()];
-        let dat = data_arrival_time_with(model, dag, n, proc, finish, assignment);
+        let dat = data_arrival_time_with(&HomogeneousModel, dag, n, proc, finish, assignment);
         let start = dat.max(ready[proc.index()]);
-        let end = start + model.compute_cost(dag, n, proc);
+        let end = start + dag.weight(n);
         finish[n.index()] = end;
         ready[proc.index()] = end;
         if end > makespan {
@@ -267,7 +219,14 @@ mod tests {
         let finish = vec![0; 4];
         let assignment = vec![ProcId(0); 4];
         assert_eq!(
-            data_arrival_time(&g, NodeId(0), ProcId(0), &finish, &assignment),
+            data_arrival_time_with(
+                &HomogeneousModel,
+                &g,
+                NodeId(0),
+                ProcId(0),
+                &finish,
+                &assignment
+            ),
             0
         );
     }
@@ -279,12 +238,26 @@ mod tests {
         let assignment = vec![ProcId(0), ProcId(0), ProcId(1), ProcId(0)];
         // d on P0: b local → 5; c remote → 8 + 1 = 9.
         assert_eq!(
-            data_arrival_time(&g, NodeId(3), ProcId(0), &finish, &assignment),
+            data_arrival_time_with(
+                &HomogeneousModel,
+                &g,
+                NodeId(3),
+                ProcId(0),
+                &finish,
+                &assignment
+            ),
             9
         );
         // d on P1: b remote → 5 + 2 = 7; c local → 8.
         assert_eq!(
-            data_arrival_time(&g, NodeId(3), ProcId(1), &finish, &assignment),
+            data_arrival_time_with(
+                &HomogeneousModel,
+                &g,
+                NodeId(3),
+                ProcId(1),
+                &finish,
+                &assignment
+            ),
             8
         );
     }

@@ -2,23 +2,26 @@
 //!
 //! [`chrome_trace`] renders a [`Schedule`] as one Perfetto-loadable
 //! document: one thread track per used processor with each task as a
-//! complete slice (annotated with its node id and slack from
+//! complete slice (annotated with its node id and its slack under the
+//! machine the schedule was built for, from
 //! [`analysis::slack_profile`](crate::analysis::slack_profile)), and
 //! one flow arrow per cross-processor edge from the producing slice to
 //! the consuming slice. Open the output at <https://ui.perfetto.dev>
 //! or `chrome://tracing`.
 
 use crate::analysis::slack_profile;
+use crate::machine::Machine;
 use crate::schedule::Schedule;
 use fastsched_dag::Dag;
 use fastsched_trace::perfetto::ChromeTrace;
 
-/// Render `schedule` as a Chrome trace-event JSON document.
+/// Render `schedule`, built for `machine`, as a Chrome trace-event
+/// JSON document.
 ///
 /// Timestamps reuse the schedule's abstract time unit as microseconds,
 /// so a makespan of 120 displays as 120 µs.
-pub fn chrome_trace(dag: &Dag, schedule: &Schedule) -> String {
-    let slacks = slack_profile(dag, schedule);
+pub fn chrome_trace(dag: &Dag, schedule: &Schedule, machine: &Machine) -> String {
+    let slacks = slack_profile(dag, schedule, machine);
     let mut t = ChromeTrace::new();
     t.process_name(0, "schedule");
 
@@ -88,7 +91,7 @@ mod tests {
     #[test]
     fn slices_flows_and_track_names_are_emitted() {
         let (dag, s) = two_proc();
-        let json = chrome_trace(&dag, &s);
+        let json = chrome_trace(&dag, &s, &Machine::Homogeneous);
         assert!(json.contains("\"PE0\""));
         assert!(json.contains("\"PE1\""));
         // Three task slices.
@@ -107,7 +110,7 @@ mod tests {
         let dag = b.build().unwrap();
         let mut s = Schedule::new(1, 4);
         s.place(NodeId(0), ProcId(2), 0, 2);
-        let json = chrome_trace(&dag, &s);
+        let json = chrome_trace(&dag, &s, &Machine::Homogeneous);
         assert!(json.contains("\"PE2\""));
         assert!(!json.contains("\"PE0\""));
         assert!(!json.contains("\"PE3\""));

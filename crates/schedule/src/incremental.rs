@@ -441,12 +441,6 @@ impl<M: CostModel> DeltaEvaluator<M> {
         &self.stats
     }
 
-    /// Return the accumulated counters and reset them to zero, so a
-    /// driver can attribute engine work to its own search run.
-    pub fn take_stats(&mut self) -> EvalStats {
-        std::mem::take(&mut self.stats)
-    }
-
     /// Materialize the committed schedule.
     ///
     /// Panics if a probe is unresolved.

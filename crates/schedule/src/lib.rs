@@ -58,9 +58,8 @@ pub use cost::{
 };
 pub use diff::{diff_schedules, PlacementDelta, ScheduleDiff};
 pub use evaluate::{
-    data_arrival_time, evaluate_fixed_order, evaluate_fixed_order_into,
-    evaluate_fixed_order_into_with, evaluate_fixed_order_with, evaluate_makespan_into,
-    evaluate_makespan_into_with,
+    evaluate_fixed_order, evaluate_fixed_order_into_with, evaluate_fixed_order_with,
+    evaluate_makespan_into,
 };
 pub use fastsched_trace::EvalStats;
 pub use incremental::DeltaEvaluator;

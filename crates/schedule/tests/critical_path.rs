@@ -12,7 +12,7 @@
 
 use fastsched_dag::{Dag, GraphAttributes, NodeId};
 use fastsched_schedule::analysis::{critical_path, slack_profile};
-use fastsched_schedule::{evaluate_fixed_order, validate, ProcId, Schedule};
+use fastsched_schedule::{evaluate_fixed_order, validate, Machine, ProcId, Schedule};
 use fastsched_workloads::{fft_dag, gaussian_elimination_dag, TimingDatabase};
 
 /// Every node on its own processor: start times equal t-levels.
@@ -33,7 +33,7 @@ fn check_against_b_levels(dag: &Dag) {
         "dedicated schedule length must equal the CP length"
     );
 
-    let cp = critical_path(dag, &s);
+    let cp = critical_path(dag, &s, &Machine::Homogeneous);
     assert_eq!(cp.makespan, attrs.cp_length);
     // Nothing idles: the chain is pure compute + communication.
     assert_eq!(cp.idle, 0);
@@ -66,7 +66,7 @@ fn check_against_b_levels(dag: &Dag) {
     }
 
     // Slack vanishes exactly on the critical-path nodes.
-    let slacks = slack_profile(dag, &s);
+    let slacks = slack_profile(dag, &s, &Machine::Homogeneous);
     for n in dag.nodes() {
         assert_eq!(
             slacks[n.index()] == 0,

@@ -87,12 +87,6 @@ impl Network {
         self.cost.topology()
     }
 
-    /// The distance-aware message pricing this network charges — the
-    /// same [`TopologyCostModel`] can drive the schedule evaluators.
-    pub fn cost_model(&self) -> TopologyCostModel {
-        self.cost
-    }
-
     /// Deliver a message of nominal cost `c` from `src` to `dst`,
     /// entering the network at `send_time`. Returns the arrival time
     /// at `dst`. Local messages (same processor) arrive instantly.

@@ -20,7 +20,7 @@ fn main() {
     );
 
     println!("bottleneck chain (what sets the makespan):");
-    let chain = bottleneck_chain(&dag, &schedule);
+    let chain = bottleneck_chain(&dag, &schedule, &Machine::Homogeneous);
     for link in &chain {
         let t = schedule.task(link.node).unwrap();
         let why = match link.reason {

@@ -172,3 +172,25 @@ fn metrics_agree_with_schedule_for_every_scheduler() {
         assert!(m.utilization <= 1.0 + 1e-9);
     }
 }
+
+/// The forensics layer explains a schedule by the prices of the
+/// machine it was built for: on FAST's gauss(6) schedule under
+/// α–β(25,3,2), every node of the attributed critical path has zero
+/// slack and the path spends time on the wire. Priced at the bare edge
+/// weights, the chain stops early and the slacks are another machine's.
+#[test]
+fn forensics_price_messages_like_the_schedules_machine() {
+    use fastsched::schedule::analysis::{critical_path, slack_profile};
+    use fastsched::schedule::{AlphaBeta, CommModel};
+    let dag = gaussian_elimination_dag(6, &TimingDatabase::paragon());
+    let machine = Machine::from(CommModel::AlphaBeta(AlphaBeta::new(25, 3, 2)));
+    let (ws, trace) = (&mut Workspace::new(), &mut SearchTrace::default());
+    let schedule = Fast::new().run(&dag, 16, &machine, ws, trace).unwrap();
+    let cp = critical_path(&dag, &schedule, &machine);
+    assert_eq!(cp.compute + cp.comm + cp.idle, schedule.makespan());
+    assert!(cp.comm > 0, "the critical path sends no message: {cp:?}");
+    let slacks = slack_profile(&dag, &schedule, &machine);
+    for n in cp.nodes() {
+        assert_eq!(slacks[n.index()], 0, "critical-path node {n} has slack");
+    }
+}

@@ -10,7 +10,9 @@
 //! `workloads::fuzz` DAGs. Models are the plain homogeneous machine
 //! for every `all_schedulers` entry, and α–β(25,3,2), a 4+4
 //! hierarchical machine and loose memory capacities for the schedulers
-//! that have a model core.
+//! that have a model core. The fixtures are also scheduled on the plain
+//! machine at 1, 3 and 64 processors by every `all_schedulers` entry
+//! (`plain-p<procs>` rows, after the rest).
 //!
 //! The table is the contract refactors are held to: a change that
 //! keeps schedules byte-identical leaves it untouched. Regenerate it
@@ -32,6 +34,10 @@ use std::path::PathBuf;
 
 const SEED: u64 = 11;
 const FIXTURE_PROCS: u32 = 4;
+/// Plain-machine processor counts pinned on the fixtures besides
+/// `FIXTURE_PROCS`: one processor, an odd count, and more processors
+/// than any fixture has nodes.
+const EXTRA_PROCS: [u32; 3] = [1, 3, 64];
 
 fn repo_path(rel: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -39,8 +45,8 @@ fn repo_path(rel: &str) -> PathBuf {
         .join(rel)
 }
 
-/// `(name, dag, procs)` for every fixture DAG and a few fuzz DAGs.
-fn inputs() -> Vec<(String, Dag, u32)> {
+/// `(name, dag)` for every DAG under `results/fixtures`.
+fn fixtures() -> Vec<(String, Dag)> {
     let mut files: Vec<_> = std::fs::read_dir(repo_path("results/fixtures"))
         .expect("fixture directory")
         .map(|e| e.expect("fixture entry").path())
@@ -55,8 +61,17 @@ fn inputs() -> Vec<(String, Dag, u32)> {
             _ => continue,
         };
         let name = path.file_name().unwrap().to_string_lossy().into_owned();
-        out.push((name, dag, FIXTURE_PROCS));
+        out.push((name, dag));
     }
+    out
+}
+
+/// `(name, dag, procs)` for every fixture DAG and a few fuzz DAGs.
+fn inputs() -> Vec<(String, Dag, u32)> {
+    let mut out: Vec<_> = fixtures()
+        .into_iter()
+        .map(|(name, dag)| (name, dag, FIXTURE_PROCS))
+        .collect();
     for case in fuzz_corpus(0x601D, 6) {
         out.push((case.name, case.dag, case.procs));
     }
@@ -138,6 +153,14 @@ fn table() -> String {
             if MEMORY_AWARE.contains(&algo) {
                 let sched = model_run(algo, &mem_dag, procs, &loose).expect("model core");
                 row(&input, algo, "mem-caps-loose", &mem_dag, &sched);
+            }
+        }
+    }
+    for (input, dag) in fixtures() {
+        for procs in EXTRA_PROCS {
+            let model = format!("plain-p{procs}");
+            for s in all_schedulers(SEED) {
+                row(&input, s.name(), &model, &dag, &s.schedule(&dag, procs));
             }
         }
     }

@@ -192,7 +192,7 @@ proptest! {
     fn bottleneck_chain_is_temporally_ordered_and_ends_at_makespan(dag in arb_dag()) {
         use fastsched::schedule::analysis::bottleneck_chain;
         let schedule = Fast::new().schedule(&dag, (dag.node_count() as u32).min(8));
-        let chain = bottleneck_chain(&dag, &schedule);
+        let chain = bottleneck_chain(&dag, &schedule, &Machine::Homogeneous);
         prop_assert!(!chain.is_empty());
         let last = chain.last().unwrap().node;
         prop_assert_eq!(schedule.finish_of(last), Some(schedule.makespan()));

@@ -6,7 +6,8 @@
 //! never the correctness gate's verdict.
 
 use fastsched::algorithms::{
-    schedule_many_par_with, Dls, Dsc, Etf, Fast, FastSa, FastSaConfig, Md, Scheduler, Workspace,
+    schedule_many_par_with, BoundedDsc, Cpop, Dcp, Dls, Dsc, Etf, Ez, Fast, FastSa, FastSaConfig,
+    Hlfet, Lc, Md, Scheduler, Workspace,
 };
 use fastsched::algorithms::{FastParallel, FastParallelConfig, Heft, Ish, Mcp};
 use fastsched::dag::Dag;
@@ -20,11 +21,13 @@ use proptest::prelude::*;
 
 const CORPUS_SEED: u64 = 0xBA7C;
 
-/// The natively ported schedulers (each overrides `schedule_into`)
-/// plus one default-method algorithm (MCP) to pin the fallback path,
-/// HEFT and ISH, which price DATs through the same lanes as FAST, ETF
-/// and DLS (HEFT from the workspace's), and the paper's DSC and MD,
-/// which run on workspace scratch and refuse every priced machine.
+/// Every scheduler that places on workspace scratch: the model cores
+/// (FAST, FAST-SA, FAST-MS, ETF, DLS, HEFT), which price DATs through
+/// the workspace's lanes under every machine, and the ten homogeneous
+/// cores, which place on the same state and lanes (HLFET, MCP, ISH,
+/// CPOP, DCP, MD) or stage a clustering (DSC, EZ, LC, DSC-LLB), return
+/// through the workspace's one result path and refuse every priced
+/// machine.
 fn ported() -> Vec<Box<dyn Scheduler>> {
     vec![
         Box::new(Fast::new()),
@@ -44,6 +47,12 @@ fn ported() -> Vec<Box<dyn Scheduler>> {
         Box::new(Ish::new()),
         Box::new(Dsc::new()),
         Box::new(Md::new()),
+        Box::new(Hlfet::new()),
+        Box::new(Cpop::new()),
+        Box::new(Dcp::new()),
+        Box::new(Ez::new()),
+        Box::new(Lc::new()),
+        Box::new(BoundedDsc::new()),
     ]
 }
 
